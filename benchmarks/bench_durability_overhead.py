@@ -1,25 +1,32 @@
-"""Durability overhead: volatile vs transactional KV write path.
+"""Durability overhead: volatile vs transactional KV write path, per PUT.
 
 The paper's Figure 1 experiment "use[s] PMDK's transactions to persist
 writes" and pays the undo-log traffic on every write; this benchmark
-quantifies that price for the full KV store.  The same seeded YCSB-style
-trace runs twice over byte-identical devices:
+quantifies that price for the full KV store.  The same seeded PUT stream
+runs over byte-identical devices in four ways:
 
 - **volatile** — the historical simulator mode (DRAM index and flags,
   values written straight through the engine);
-- **durable** — every PUT/DELETE routed through an undo-log transaction
-  that also maintains the persistent per-segment catalog.
+- **durable** — values written to free segments, then published through
+  undo-log transactions that maintain the persistent per-segment catalog;
 
-The multipliers are the PMDK-style overhead: each durable PUT writes the
-undo records (old value + old catalog record), the value, and the catalog
-record, plus the log's active-flag toggles — versus a single value write.
+each as **scalar** ``put`` calls and as ``put_many`` batches of
+``BATCH`` pairs.  A durable PUT costs the value write plus its share of a
+group commit: the undo records of the catalog writes (one contiguous run
+per transaction), the log header raise and clear, the catalog record and
+— for an update — the superseded record's flag byte.  Before group
+commit (``BEFORE``, measured at the parent commit with this same PUT
+stream) every pair paid a transaction of its own, undo copy of the value
+included: 17 device writes per PUT, batched or not.
+
+Results land in ``BENCH_durability.json``.
 """
 
 from __future__ import annotations
 
-from common import print_table, run_once
+from common import REPO_ROOT, emit_json, print_table, run_once
 
-from repro.core import KVStore
+from repro.core import E2NVM, KVStore
 from repro.core.config import fast_test_config
 from repro.nvm import MemoryController, NVMDevice
 from repro.pmem import PersistentCatalog, PersistentPool
@@ -29,7 +36,27 @@ SEGMENT_SIZE = 64
 N_SEGMENTS = 96
 LOG_SEGMENTS = 4
 KEY_CAPACITY = 16
-N_OPS = 300
+N_PUTS = 233
+BATCH = 8
+JSON_PATH = REPO_ROOT / "BENCH_durability.json"
+META_SEGMENTS = PersistentCatalog.meta_segments_for(
+    N_SEGMENTS, LOG_SEGMENTS, SEGMENT_SIZE, KEY_CAPACITY
+)
+METRICS = (
+    ("device writes", "writes"),
+    ("device reads", "reads"),
+    ("bit flips", "bits_flipped"),
+)
+
+#: Durable per-PUT costs of this PUT stream at the parent commit (one
+#: transaction per pair, value undo-logged); ``put_many`` committed pair
+#: by pair, so batching bought nothing.
+BEFORE = {
+    "scalar": {"device writes": 16.996, "device reads": 19.953,
+               "bit flips": 486.87},
+    "batched": {"device writes": 16.996, "device reads": 19.953,
+                "bit flips": 488.99},
+}
 
 
 def _device(seed: int = 7) -> NVMDevice:
@@ -41,82 +68,104 @@ def _device(seed: int = 7) -> NVMDevice:
     )
 
 
-def _apply(store: KVStore, trace) -> None:
-    for op in trace:
-        if op[0] == "put":
-            store.put(op[1], op[2])
-        elif op[0] == "delete":
-            if store.index.get(op[1]) is not None:
-                store.delete(op[1])
-        else:
-            store.get(op[1])
-
-
-def run_durability_overhead(seed: int = 0) -> list[list]:
-    trace = make_ycsb_trace(
-        N_OPS, n_keys=10, value_size=SEGMENT_SIZE, seed=seed
-    )
+def _store(durable: bool) -> tuple[NVMDevice, KVStore]:
+    device = _device()
     config = fast_test_config()
-
-    volatile_device = _device()
-    from repro.core import E2NVM
-
+    if durable:
+        pool = PersistentPool(
+            MemoryController(device),
+            log_segments=LOG_SEGMENTS,
+            meta_segments=META_SEGMENTS,
+        )
+        return device, KVStore.create(
+            pool, config=config, key_capacity=KEY_CAPACITY
+        )
     engine = E2NVM(
-        MemoryController(volatile_device),
-        config,
-        reserved_segments=LOG_SEGMENTS
-        + PersistentCatalog.meta_segments_for(
-            N_SEGMENTS, LOG_SEGMENTS, SEGMENT_SIZE, KEY_CAPACITY
-        ),
+        MemoryController(device), config,
+        reserved_segments=LOG_SEGMENTS + META_SEGMENTS,
     )
     engine.train()
-    volatile_device.reset_stats()
-    _apply(KVStore(engine), trace)
+    return device, KVStore(engine)
 
-    durable_device = _device()
-    pool = PersistentPool(
-        MemoryController(durable_device),
-        log_segments=LOG_SEGMENTS,
-        meta_segments=PersistentCatalog.meta_segments_for(
-            N_SEGMENTS, LOG_SEGMENTS, SEGMENT_SIZE, KEY_CAPACITY
-        ),
-    )
-    durable = KVStore.create(pool, config=config, key_capacity=KEY_CAPACITY)
-    durable_device.reset_stats()
-    _apply(durable, trace)
 
+def run_durability_overhead(seed: int = 0) -> dict:
+    """Per-PUT device cost of every (mode, call shape) combination."""
+    puts = [
+        (op[1], op[2])
+        for op in make_ycsb_trace(
+            2 * N_PUTS, n_keys=10, value_size=SEGMENT_SIZE, seed=seed
+        )
+        if op[0] == "put"
+    ][:N_PUTS]
+    per_put: dict[str, dict[str, dict[str, float]]] = {}
+    for mode in ("volatile", "durable"):
+        per_put[mode] = {}
+        for shape in ("scalar", "batched"):
+            device, store = _store(durable=mode == "durable")
+            device.reset_stats()
+            if shape == "scalar":
+                for key, value in puts:
+                    store.put(key, value)
+            else:
+                for i in range(0, len(puts), BATCH):
+                    store.put_many(puts[i : i + BATCH])
+            per_put[mode][shape] = {
+                name: getattr(device.stats, field) / len(puts)
+                for name, field in METRICS
+            }
+    return {
+        "n_puts": len(puts),
+        "batch": BATCH,
+        "segment_size": SEGMENT_SIZE,
+        "log_segments": LOG_SEGMENTS,
+        "per_put": per_put,
+        "durable_before": BEFORE,
+    }
+
+
+def rows_of(result: dict) -> list[list]:
     rows = []
-    for name, metric in [
-        ("device writes", "writes"),
-        ("bytes written", "bytes_written"),
-        ("bits programmed", "bits_programmed"),
-        ("write energy (pJ)", "write_energy_pj"),
-        ("write latency (ns)", "write_latency_ns"),
-    ]:
-        v = getattr(volatile_device.stats, metric)
-        d = getattr(durable_device.stats, metric)
-        rows.append([name, float(v), float(d), d / max(v, 1e-12)])
+    for shape in ("scalar", "batched"):
+        for name, _ in METRICS:
+            volatile = result["per_put"]["volatile"][shape][name]
+            durable = result["per_put"]["durable"][shape][name]
+            rows.append([
+                f"{name} / PUT ({shape})", volatile,
+                result["durable_before"][shape][name], durable,
+                durable / max(volatile, 1e-12),
+            ])
     return rows
 
 
-HEADERS = ["metric", "volatile", "durable", "multiplier"]
+HEADERS = ["metric", "volatile", "durable before", "durable", "multiplier"]
 TITLE = (
-    f"Durability overhead: transactional KV write path "
-    f"({N_OPS}-op YCSB-style trace)"
+    f"Durability overhead per PUT: scalar put vs put_many B={BATCH} "
+    f"({N_PUTS} PUTs, 10 keys)"
 )
 
 
 def test_bench_durability_overhead(benchmark):
-    rows = run_once(benchmark, run_durability_overhead)
-    print_table(TITLE, HEADERS, rows)
-    by_name = {row[0]: row for row in rows}
-    # Transactions must cost more (log traffic is real device traffic)...
-    assert by_name["device writes"][3] > 1.5
-    assert by_name["write energy (pJ)"][3] > 1.0
-    # ...but not absurdly more: the undo log roughly doubles-to-quadruples
-    # the media traffic of a PUT, as PMDK does in Figure 1.
-    assert by_name["bytes written"][3] < 10.0
+    result = run_once(benchmark, run_durability_overhead)
+    print_table(TITLE, HEADERS, rows_of(result))
+    durable, before = result["per_put"]["durable"], result["durable_before"]
+    volatile = result["per_put"]["volatile"]
+    for shape in ("scalar", "batched"):
+        # Transactions must cost more (log traffic is real device
+        # traffic)...
+        assert durable[shape]["device writes"] > 1.5 * (
+            volatile[shape]["device writes"]
+        )
+        # ...but group commit keeps it well under the per-pair commit.
+        for name, _ in METRICS:
+            assert durable[shape][name] < 0.6 * before[shape][name], name
+    # Batching amortises the log header and record run over the group.
+    assert (
+        durable["batched"]["device writes"]
+        < durable["scalar"]["device writes"]
+    )
 
 
 if __name__ == "__main__":
-    print_table(TITLE, HEADERS, run_durability_overhead())
+    outcome = run_durability_overhead()
+    print_table(TITLE, HEADERS, rows_of(outcome))
+    emit_json(JSON_PATH, outcome)

@@ -375,94 +375,103 @@ class E2NVM:
             return addrs
 
     def write(self, value: bytes) -> tuple[int, WriteResult]:
-        """Algorithm 1 end-to-end: place, then differential-write the value.
-
-        Only the value's own ``len(value)`` bytes are written — padded bits
-        used for prediction never reach the media (§4.1).
-
-        A device write error un-claims the address (it is re-clustered back
-        into the DAP) before propagating.  The ``auto_retrain`` hook never
-        raises: retrain trouble is deferred and recorded, not propagated
-        into the PUT.
-
-        A :class:`SegmentRetiredError` — verify-after-write exhausted the
-        segment's ECP capacity — is handled *inside* the engine: the dead
-        address is quarantined, a reserved spare (when available) joins
-        the pool in its place, and the write retries at a fresh placement.
-        Only pool exhaustion escapes.
-        """
-        if len(value) > self.segment_size:
-            raise ValueError(
-                f"value of {len(value)} bytes exceeds segment size "
-                f"{self.segment_size}"
-            )
-        for _ in range(self.controller.n_segments + 1):
-            try:
-                addr = self.place(value)
-            except PoolExhaustedError:
-                # Free capacity ran dry: pull in a reserved spare before
-                # giving up.
-                if self.adopt_spare() is None:
-                    raise
-                continue
-            try:
-                if self.faults is not None:
-                    self.faults.fire("device.write")
-                result = self.controller.write(addr, value)
-            except SegmentRetiredError:
-                self.failed_writes += 1
-                self.quarantine_address(addr)
-                self.adopt_spare()
-                continue
-            except BaseException:
-                self.failed_writes += 1
-                self.release(addr)
-                raise
-            self.record_committed_write()
-            return addr, result
-        raise PoolExhaustedError(
-            "write retries exhausted: every placement candidate retired"
-        )
+        """Algorithm 1 end-to-end for one value; see :meth:`write_many`."""
+        return self.write_many([value])[0]
 
     def write_many(
         self, values: list[bytes]
     ) -> list[tuple[int, WriteResult]]:
         """Algorithm 1 for a whole batch: one forward pass, one short DAP
-        claim, one batched differential write with vectorised accounting.
+        claim, one batched differential write with vectorised accounting
+        and (on mortal media) one batched verify-after-write.
 
-        Placement is identical to per-value :meth:`write` calls; the device
-        write itself is all-or-nothing for ordinary errors — a failure
+        Only each value's own ``len(value)`` bytes are written — padded
+        bits used for prediction never reach the media (§4.1).  Placement
+        is identical to per-value :meth:`write` calls.  The ``auto_retrain``
+        hook never raises: retrain trouble is deferred and recorded, not
+        propagated into the PUT.
+
+        See :meth:`place_and_write` for the failure contract.
+        """
+        addrs, results, _ = self.place_and_write(values)
+        self.record_committed_writes(len(addrs))
+        return list(zip(addrs, results))
+
+    def place_and_write(
+        self, values: list[bytes]
+    ) -> tuple[list[int], list[WriteResult], list[int]]:
+        """Place and write a batch without counting it as committed (the
+        durable KV store counts once the catalog transaction commits).
+
+        Returns ``(addresses, results, retired)``.  A row whose segment
+        verify-after-write retired is handled *inside* the engine: the dead
+        address is quarantined (and listed in ``retired``), a reserved
+        spare — when available — joins the pool in its place, and only
+        that row is re-placed and retried; rows that verified stay written.
+        Any other failure, pool exhaustion included, is all-or-nothing: it
         un-claims every address of the batch (re-clustered back into the
         DAP) before propagating, so nothing is half-committed.
-
-        With verify-after-write enabled each value goes through
-        :meth:`write` individually: a mid-batch segment retirement must
-        retry *that one value* on a fresh placement, which all-or-nothing
-        batch semantics cannot express.
         """
         values = list(values)
         for value in values:
-            if len(value) > self.segment_size:
-                raise ValueError(
-                    f"value of {len(value)} bytes exceeds segment size "
-                    f"{self.segment_size}"
-                )
+            self._check_value(value)
         if not values:
-            return []
-        if self.controller.verify_writes:
-            return [self.write(value) for value in values]
-        addrs = self.place_many(values)
+            return [], [], []
+        addrs = self._place_with_spares(values)
+        results: list[WriteResult | None] = [None] * len(values)
+        retired: list[int] = []
+        todo = list(range(len(values)))
+        try:
+            while todo:
+                written, failed = self._write_claimed(
+                    [addrs[i] for i in todo], [values[i] for i in todo]
+                )
+                for i, result in zip(todo, written):
+                    results[i] = result
+                todo = [todo[row] for row in failed]
+                for i in todo:
+                    retired.append(addrs[i])
+                    addrs[i] = None
+                replaced = self._place_with_spares([values[i] for i in todo])
+                for i, addr in zip(todo, replaced):
+                    addrs[i] = addr
+        except BaseException:
+            self.release_many([addr for addr in addrs if addr is not None])
+            raise
+        return addrs, results, retired
+
+    def _place_with_spares(self, values: list[bytes]) -> list[int]:
+        """:meth:`place_many`, pulling in reserved spares one by one while
+        free capacity runs dry."""
+        while True:
+            try:
+                return self.place_many(values)
+            except PoolExhaustedError:
+                if self.adopt_spare() is None:
+                    raise
+
+    def _write_claimed(
+        self, addrs: list[int], values: list[bytes]
+    ) -> tuple[list[WriteResult | None], list[int]]:
+        """Differential-write ``values`` at claimed ``addrs`` with one
+        ``controller.write_many``.  Returns the per-row results and the
+        rows whose segment retired — those addresses are already
+        quarantined and a spare adopted for each.  Any other error
+        propagates with every address still claimed."""
         try:
             if self.faults is not None:
                 for _ in values:
                     self.faults.fire("device.write")
-            results = self.controller.write_many(addrs, values)
+            return self.controller.write_many(addrs, values), []
+        except SegmentRetiredError as exc:
+            self.failed_writes += len(exc.rows)
+            for row in exc.rows:
+                self.quarantine_address(addrs[row])
+                self.adopt_spare()
+            return exc.results, exc.rows
         except BaseException:
             self.failed_writes += len(values)
-            self.release_many(addrs)
             raise
-        self.record_committed_writes(len(values))
-        return list(zip(addrs, results))
 
     def claim_address(self, addr: int) -> bool:
         """Claim a *specific* free address out of the DAP (directed
@@ -481,49 +490,34 @@ class E2NVM:
 
     def write_at(self, addr: int, value: bytes) -> WriteResult:
         """Differential-write ``value`` at an already-claimed address (the
-        directed-migration path; claim with :meth:`claim_address`).
+        directed-migration path; claim with :meth:`claim_address`).  Like
+        :meth:`place_and_write` it does not count the write as committed.
 
         Same error contract as :meth:`write`, minus placement: on
-        :class:`SegmentRetiredError` the address is quarantined before the
-        error propagates (the caller re-targets); on any other failure it
-        is released back into the DAP.
+        :class:`SegmentRetiredError` the address is quarantined (a spare
+        adopted in its place) before the error propagates — the caller
+        re-targets; on any other failure it is released back into the DAP.
         """
-        if len(value) > self.segment_size:
-            raise ValueError(
-                f"value of {len(value)} bytes exceeds segment size "
-                f"{self.segment_size}"
-            )
+        self._check_value(value)
         if addr not in self._allocated:
             raise KeyError(f"address {addr} is not claimed")
         try:
-            if self.faults is not None:
-                self.faults.fire("device.write")
-            result = self.controller.write(addr, value)
-        except SegmentRetiredError:
-            self.failed_writes += 1
-            self.quarantine_address(addr)
-            raise
+            (result,), failed = self._write_claimed([addr], [value])
         except BaseException:
-            self.failed_writes += 1
             self.release(addr)
             raise
-        self.record_committed_write()
+        if failed:
+            raise SegmentRetiredError(addr // self.segment_size)
         return result
 
-    def record_committed_write(self) -> None:
-        """Post-write bookkeeping: retrain policy, padding-statistics
-        refresh, and the never-failing ``auto_retrain`` hook.
-
-        Shared by :meth:`write` and the KV store's transactional write
-        path, which performs the media write itself (inside an undo-log
-        transaction) and calls this once the write has committed.
-        """
-        self.record_committed_writes(1)
-
     def record_committed_writes(self, count: int) -> None:
-        """Batch form of :meth:`record_committed_write`: counts ``count``
-        writes toward the retrain cooldown and padding-statistics refresh,
-        then runs the ``auto_retrain`` hook once."""
+        """Post-write bookkeeping for ``count`` committed writes: retrain
+        cooldown, padding-statistics refresh, then the never-failing
+        ``auto_retrain`` hook once.
+
+        Shared by :meth:`write_many` and the KV store, which calls it once
+        a batch is installed (in durable mode: once its catalog
+        transaction has committed)."""
         if count <= 0:
             return
         self.policy.record_write(count)
@@ -695,6 +689,10 @@ class E2NVM:
     def stats(self):
         """The underlying device's cumulative counters."""
         return self.controller.stats
+
+    def is_allocated(self, addr: int) -> bool:
+        """Whether ``addr`` is currently claimed (placed or live)."""
+        return addr in self._allocated
 
     @property
     def allocated_count(self) -> int:
@@ -950,6 +948,13 @@ class E2NVM:
             raise ValueError(
                 f"address {addr} is inside the {self.reserved_segments} "
                 "reserved (log/catalog) segments"
+            )
+
+    def _check_value(self, value: bytes) -> None:
+        if len(value) > self.segment_size:
+            raise ValueError(
+                f"value of {len(value)} bytes exceeds segment size "
+                f"{self.segment_size}"
             )
 
     def _require_trained(self) -> None:

@@ -18,13 +18,14 @@ The store runs in one of two modes:
 - **volatile** (``KVStore(engine)``): the historical simulator mode — index
   and validity flags are DRAM-only and die with the process;
 - **durable** (:meth:`KVStore.create` / :meth:`KVStore.open` over a
-  :class:`~repro.pmem.pool.PersistentPool`): every mutation routes through
-  an undo-log transaction that updates the value segment *and* its
-  :class:`~repro.pmem.catalog.PersistentCatalog` record failure-atomically,
-  the paper's Algorithm 2 validity flag becomes a persisted bit, and
-  :meth:`KVStore.open` rebuilds the index, validity map, allocator state
-  and DAP from the media alone after a crash.  See the README's
-  "Durability contract" section.
+  :class:`~repro.pmem.pool.PersistentPool`): a value is first written to
+  its free — hence unreachable — segment, then an undo-log transaction
+  publishes its :class:`~repro.pmem.catalog.PersistentCatalog` record
+  (and resets the superseded one) failure-atomically, a whole batch of
+  pairs per transaction; the paper's Algorithm 2 validity flag becomes a
+  persisted bit, and :meth:`KVStore.open` rebuilds the index, validity
+  map, allocator state and DAP from the media alone after a crash.  See
+  the README's "Durability contract" section.
 """
 
 from __future__ import annotations
@@ -144,6 +145,10 @@ class KVStore:
         # re-seeds it from catalog epochs (an equivalent monotone clock).
         self._heat_by_addr: dict[int, int] = {}
         self._write_seq = 0
+        #: Pairs one undo-log transaction can publish (durable mode).
+        self._pairs_per_tx = (
+            self._check_log_capacity(pool, catalog) if pool is not None else 0
+        )
 
     # ------------------------------------------------------- durable set-up
 
@@ -338,20 +343,19 @@ class KVStore:
     @staticmethod
     def _check_log_capacity(
         pool: PersistentPool, catalog: PersistentCatalog
-    ) -> None:
-        """The undo log must hold the largest transaction a PUT can form:
-        one value write, one full catalog record, one flag reset."""
+    ) -> int:
+        """The undo log must hold the largest transaction one pair can
+        form — a ``tx_move``: one full catalog record plus one flag byte
+        (values are written outside the transaction).  Returns how many
+        such pairs one transaction holds."""
         overhead = pool.record_overhead_bytes()
-        worst = (
-            (overhead + pool.segment_size)
-            + (overhead + catalog.record_size)
-            + (overhead + 1)
-        )
+        worst = (overhead + catalog.record_size) + (overhead + 1)
         if pool.log_capacity_bytes < worst:
             raise ValueError(
                 f"undo log of {pool.log_capacity_bytes} B cannot hold a "
                 f"worst-case PUT transaction of {worst} B; raise log_segments"
             )
+        return pool.log_capacity_bytes // worst
 
     # -------------------------------------------------------------- training
 
@@ -362,21 +366,9 @@ class KVStore:
     # ------------------------------------------------------------ operations
 
     def put(self, key: bytes, value: bytes) -> int:
-        """Insert or update; returns the NVM address chosen for the value."""
-        if not isinstance(key, bytes):
-            raise TypeError("keys must be bytes")
-        if not isinstance(value, bytes) or not value:
-            raise TypeError("values must be non-empty bytes")
-        self._check_writable()
-        # Drain pending evacuations *before* this PUT's own write: every
-        # relocation is content-neutral (same key, same value, new home),
-        # so a crash anywhere inside one never changes observable store
-        # contents — whereas relocating after the commit would open a
-        # window where this PUT is committed but not yet acknowledged.
-        self._maybe_relocate()
-        if self.pool is None:
-            return self._put_volatile(key, value)
-        return self._put_durable(key, value)
+        """Insert or update; returns the NVM address chosen for the value
+        (a :meth:`put_many` batch of one)."""
+        return self.put_many([(key, value)])[0]
 
     @property
     def read_only(self) -> bool:
@@ -393,13 +385,17 @@ class KVStore:
     def put_many(self, items: list[tuple[bytes, bytes]]) -> list[int]:
         """Insert or update a batch of pairs; returns one address per item.
 
-        Placement for the whole batch is one engine forward pass and one
-        short DAP claim.  In volatile mode the media write is one batched
-        differential write; in durable mode each pair still commits in its
-        own undo-log transaction (the log holds one transaction at a time),
-        in batch order, so the durability contract is byte-identical to
-        sequential :meth:`put` calls — a crash mid-batch leaves a prefix of
-        the batch committed.
+        Algorithm 1 for the whole batch: one engine forward pass, one short
+        DAP claim and one batched differential write put every value on a
+        free segment (a row whose segment verify-after-write retires is
+        re-placed and retried alone).  In durable mode the values are
+        still unreachable at that point — a crash simply leaves them as
+        free-segment content for recovery to re-cluster — and become
+        visible when their catalog records commit: as many pairs per
+        undo-log transaction as the log holds, in batch order.  A crash
+        mid-batch therefore leaves a *prefix* of the batch committed, as
+        sequential :meth:`put` calls would, and the batch is acknowledged
+        only after its last transaction.
         """
         items = list(items)
         for key, value in items:
@@ -407,166 +403,115 @@ class KVStore:
                 raise TypeError("keys must be bytes")
             if not isinstance(value, bytes) or not value:
                 raise TypeError("values must be non-empty bytes")
+            if self.pool is not None:
+                self._check_durable_key(key)
         if not items:
             return []
         self._check_writable()
+        # Drain pending evacuations *before* this batch's own writes:
+        # every relocation is content-neutral (same key, same value, new
+        # home), so a crash anywhere inside one never changes observable
+        # store contents — whereas relocating after the commit would open
+        # a window where this PUT is committed but not yet acknowledged.
         self._maybe_relocate()
-        if self.pool is None:
-            return self._put_many_volatile(items)
-        return self._put_many_durable(items)
-
-    def _put_volatile(self, key: bytes, value: bytes) -> int:
-        old = self.index.get(key)
-        try:
-            addr, _ = self.engine.write(value)
-        except PoolExhaustedError as exc:
-            # The engine exhausted free capacity *and* reserved spares.
-            # Before degrading, try to reclaim stranded drained retiring
-            # segments into spares and retry once.
-            if not self._reclaim_stranded():
-                self._enter_read_only(exc)
+        values = [value for _, value in items]
+        for last_try in (False, True):
             try:
-                addr, _ = self.engine.write(value)
-            except PoolExhaustedError as exc2:
-                self._enter_read_only(exc2)
-        self._valid[addr] = True
-        self._by_addr[addr] = key
-        self._crc_by_addr[addr] = zlib.crc32(value) & 0xFFFFFFFF
-        self._write_seq += 1
-        self._heat_by_addr[addr] = self._write_seq
-        self.index.put(key, (addr, len(value)))
-        if old is not None:
-            # UPDATE: the previous location is recycled (Algorithm 2's path).
-            old_addr, _ = old
-            self._valid[old_addr] = False
-            self._by_addr.pop(old_addr, None)
-            self._crc_by_addr.pop(old_addr, None)
-            self._heat_by_addr.pop(old_addr, None)
-            self._recycle_addr(old_addr)
-        return addr
-
-    def _put_many_volatile(self, items: list[tuple[bytes, bytes]]) -> list[int]:
-        try:
-            results = self.engine.write_many([value for _, value in items])
-        except PoolExhaustedError as exc:
-            if not self._reclaim_stranded():
-                self._enter_read_only(exc)
-            try:
-                results = self.engine.write_many(
-                    [value for _, value in items]
-                )
-            except PoolExhaustedError as exc2:
-                self._enter_read_only(exc2)
-        addrs: list[int] = []
-        stale: list[int] = []
-        for (key, value), (addr, _) in zip(items, results):
-            old = self.index.get(key)
-            self._valid[addr] = True
-            self._by_addr[addr] = key
-            self._crc_by_addr[addr] = zlib.crc32(value) & 0xFFFFFFFF
-            self._write_seq += 1
-            self._heat_by_addr[addr] = self._write_seq
-            self.index.put(key, (addr, len(value)))
-            if old is not None:
-                old_addr, _ = old
-                self._valid[old_addr] = False
-                self._by_addr.pop(old_addr, None)
-                self._crc_by_addr.pop(old_addr, None)
-                self._heat_by_addr.pop(old_addr, None)
-                stale.append(old_addr)
-            addrs.append(addr)
-        if stale:
-            # UPDATEs: healthy previous locations recycle in one
-            # re-encoding pass; dying ones route through _recycle_addr so
-            # retirement/reclamation bookkeeping happens per address.
-            health = self.engine.health
-            if health is None:
-                self.engine.release_many(stale)
-            else:
-                healthy = []
-                for old_addr in stale:
-                    seg = old_addr // self.engine.segment_size
-                    if health.is_unplaceable(seg):
-                        self._recycle_addr(old_addr)
-                    else:
-                        healthy.append(old_addr)
-                if healthy:
-                    self.engine.release_many(healthy)
+                addrs, _, retired = self.engine.place_and_write(values)
+                break
+            except PoolExhaustedError as exc:
+                # The engine exhausted free capacity *and* reserved
+                # spares.  Before degrading, reclaim stranded drained
+                # retiring segments into spares and retry once.
+                if last_try or not self._reclaim_stranded():
+                    self._enter_read_only(exc)
+        if self.pool is not None:
+            for addr in retired:
+                self.pool.retire(addr)
+        self._install(items, addrs)
         return addrs
 
-    def _put_durable(self, key: bytes, value: bytes) -> int:
-        """Algorithm 1 with a real durability contract: value, catalog
-        record and (on UPDATE) the old record's flag reset commit or roll
-        back as one undo-log transaction.  The PUT is acknowledged only
-        after commit; a crash at any earlier point leaves the previous
-        store state recoverable.
+    def _install(self, items, addrs: list[int]) -> None:
+        """Make written values the live ones of their keys and recycle the
+        addresses they supersede.  Volatile mode only has DRAM mirrors to
+        update; durable mode first commits the catalog records — one
+        undo-log transaction per ``_pairs_per_tx`` pairs, in batch order,
+        so a failure leaves a committed prefix — and un-claims the
+        addresses of a failed (rolled-back) transaction and of everything
+        after it before the error propagates.  A :class:`CrashError`
+        propagates raw: no DRAM cleanup, the harness re-opens from media.
 
-        With wear-out enabled, a placement whose verify-after-write
-        retires the segment mid-transaction is retried on a fresh
-        placement (activating a reserved spare when one is left); only
-        exhaustion of every option degrades the store to read-only.
+        A key repeated within one group keeps only its last value: the
+        earlier ones were superseded before they could become visible, so
+        their segments go straight back to the pool.
         """
-        self._check_durable_key(key)
-        for _ in range(self.engine.controller.n_segments + 1):
-            try:
-                addr = self.engine.place(value)
-            except PoolExhaustedError as exc:
-                # Free capacity ran dry: a remaining reserved spare can
-                # still save the PUT, and when even spares are gone,
-                # reclaiming a stranded drained retiring segment can mint
-                # one more; only true exhaustion degrades.
-                if self.engine.adopt_spare() is not None:
-                    continue
-                if (
-                    self._reclaim_stranded()
-                    and self.engine.adopt_spare() is not None
-                ):
-                    continue
-                self._enter_read_only(exc)
-            try:
-                self._commit_durable(key, value, addr)
-            except SegmentRetiredError:
-                # ``_commit_durable`` already un-claimed (and the engine
-                # quarantined) the dead address; mirror the retirement in
-                # the pool's allocator, pull in a spare and re-place.
-                self.pool.retire(addr)
-                self.engine.adopt_spare()
-                continue
-            self.engine.record_committed_write()
-            return addr
-        raise PoolExhaustedError(
-            "durable PUT retries exhausted: every placement candidate "
-            "retired"
-        )
+        crcs = [zlib.crc32(value) & 0xFFFFFFFF for _, value in items]
+        step = self._pairs_per_tx or len(items)
+        for start in range(0, len(items), step):
+            group = range(start, min(start + step, len(items)))
+            last = {items[i][0]: i for i in group}
+            live = [i for i in group if last[items[i][0]] == i]
+            superseded = [addrs[i] for i in group if last[items[i][0]] != i]
+            if self.pool is not None:
+                try:
+                    self._commit_catalog(
+                        [(*items[i], addrs[i], crcs[i]) for i in live]
+                    )
+                except CrashError:
+                    raise
+                except BaseException:
+                    self.engine.release_many(addrs[start:])
+                    raise
+            stale = []
+            for i in live:
+                (key, value), addr = items[i], addrs[i]
+                old = self.index.get(key)
+                self._valid[addr] = True
+                self._by_addr[addr] = key
+                self._crc_by_addr[addr] = crcs[i]
+                self._write_seq += 1
+                self._heat_by_addr[addr] = self._write_seq
+                self.index.put(key, (addr, len(value)))
+                if self.pool is not None:
+                    self.pool.mark_allocated(addr)
+                if old is not None:
+                    # UPDATE: the previous location is recycled
+                    # (Algorithm 2's path).
+                    self._forget(old[0])
+                    stale.append(old[0])
+            self._recycle_many(stale)
+            if superseded:
+                self.engine.release_many(superseded)
+            self.engine.record_committed_writes(len(group))
 
-    def _put_many_durable(self, items: list[tuple[bytes, bytes]]) -> list[int]:
-        for key, _ in items:
-            self._check_durable_key(key)
-        if self.engine.controller.verify_writes:
-            # Per-pair PUTs: a mid-batch segment retirement must retry
-            # *that pair* on a fresh placement, which the shared batch
-            # claim cannot express.  The durability contract is unchanged
-            # (each pair commits in its own transaction either way).
-            return [self._put_durable(key, value) for key, value in items]
-        addrs = self.engine.place_many([value for _, value in items])
-        out: list[int] = []
-        for i, ((key, value), addr) in enumerate(zip(items, addrs)):
-            try:
-                self._commit_durable(key, value, addr)
-            except CrashError:
-                raise
-            except BaseException:
-                # ``_commit_durable`` already un-claimed ``addr``; the
-                # not-yet-written rest of the batch is un-claimed here so
-                # the DAP stays exact.  Items before ``i`` stay committed,
-                # exactly as sequential PUTs would leave them.
-                rest = addrs[i + 1 :]
-                if rest:
-                    self.engine.release_many(rest)
-                raise
-            out.append(addr)
-        self.engine.record_committed_writes(len(items))
-        return out
+    def _commit_catalog(self, group) -> None:
+        """One undo-log transaction publishing ``(key, value, addr, crc)``
+        pairs.  UPDATEs forward the record: full record at the new slot,
+        old flag reset (newest-epoch-wins keeps exactly one copy across
+        any crash point)."""
+        with self.pool.transaction() as tx:
+            for epoch, (key, value, addr, crc) in enumerate(
+                group, self._next_epoch
+            ):
+                slot = self.pool.object_index(addr)
+                old = self.index.get(key)
+                if old is None:
+                    self.catalog.tx_set(
+                        tx, slot, key, len(value), epoch, crc=crc
+                    )
+                else:
+                    self.catalog.tx_move(
+                        tx, self.pool.object_index(old[0]), slot, key,
+                        len(value), epoch, crc=crc,
+                    )
+        self._next_epoch += len(group)
+
+    def _forget(self, addr: int) -> None:
+        """Drop the DRAM mirrors of a no-longer-live address."""
+        self._valid[addr] = False
+        self._by_addr.pop(addr, None)
+        self._crc_by_addr.pop(addr, None)
+        self._heat_by_addr.pop(addr, None)
 
     def _check_durable_key(self, key: bytes) -> None:
         if len(key) > self.catalog.key_capacity:
@@ -574,61 +519,6 @@ class KVStore:
                 f"key of {len(key)} bytes exceeds catalog key capacity "
                 f"{self.catalog.key_capacity}"
             )
-
-    def _commit_durable(self, key: bytes, value: bytes, addr: int) -> None:
-        """Commit one placed value: undo-log transaction, then DRAM mirrors.
-
-        On a non-crash failure the (rolled-back) transaction's address is
-        un-claimed before the error propagates; a :class:`CrashError`
-        propagates raw — no DRAM cleanup, the harness re-opens from media.
-        """
-        old = self.index.get(key)
-        epoch = self._next_epoch
-        crc = zlib.crc32(value) & 0xFFFFFFFF
-        try:
-            if self.engine.faults is not None:
-                self.engine.faults.fire("device.write")
-            with self.pool.transaction() as tx:
-                tx.write(addr, value)
-                if old is not None:
-                    # Record forwarding: full record at the new slot, old
-                    # flag reset, one transaction (newest-epoch-wins keeps
-                    # exactly one copy across any crash point).
-                    self.catalog.tx_move(
-                        tx, self.pool.object_index(old[0]),
-                        self.pool.object_index(addr), key, len(value),
-                        epoch, crc=crc,
-                    )
-                else:
-                    self.catalog.tx_set(
-                        tx, self.pool.object_index(addr), key, len(value),
-                        epoch, crc=crc,
-                    )
-        except CrashError:
-            # Simulated process death: no DRAM cleanup — the harness
-            # discards this object and re-opens from the media.
-            raise
-        except BaseException:
-            # Failed (and rolled-back) transaction: un-claim the address so
-            # the DAP stays exact, then surface the error.
-            self.engine.release(addr)
-            raise
-        # Committed: now (and only now) update the DRAM mirrors.
-        self._next_epoch = epoch + 1
-        self._valid[addr] = True
-        self._by_addr[addr] = key
-        self._crc_by_addr[addr] = crc
-        self._write_seq += 1
-        self._heat_by_addr[addr] = self._write_seq
-        self.index.put(key, (addr, len(value)))
-        self.pool.mark_allocated(addr)
-        if old is not None:
-            old_addr, _ = old
-            self._valid[old_addr] = False
-            self._by_addr.pop(old_addr, None)
-            self._crc_by_addr.pop(old_addr, None)
-            self._heat_by_addr.pop(old_addr, None)
-            self._recycle_addr(old_addr)
 
     def get(self, key: bytes) -> bytes | None:
         """Value for ``key``, or ``None`` when absent.
@@ -744,19 +634,16 @@ class KVStore:
             with self.pool.transaction() as tx:
                 self.catalog.tx_clear(tx, self.pool.object_index(addr))
         self.index.delete(key)
-        self._valid[addr] = False
-        self._by_addr.pop(addr, None)
-        self._crc_by_addr.pop(addr, None)
-        self._heat_by_addr.pop(addr, None)
-        self._recycle_addr(addr)
+        self._forget(addr)
+        self._recycle_many([addr])
         return True
 
     # ---------------------------------------------------- wear-out degradation
 
-    def _recycle_addr(self, old_addr: int) -> None:
-        """Recycle a no-longer-live address through the engine *and* (in
-        durable mode) the pool allocator — except that dying segments do
-        not re-pool:
+    def _recycle_many(self, stale: list[int]) -> None:
+        """Recycle no-longer-live addresses through the engine *and* (in
+        durable mode) the pool allocator.  Healthy segments re-pool in one
+        re-encoding pass; dying segments do not re-pool:
 
         - a *retired* segment's media is dead: it is retired in the
           allocator and quarantined in the DAP, for good;
@@ -769,29 +656,33 @@ class KVStore:
           any drained retiring segment it finds.
         """
         health = self.engine.health
-        seg = old_addr // self.engine.segment_size
-        if health is None or not health.is_unplaceable(seg):
-            if self.pool is not None:
-                self.pool.free(old_addr)
-            self.engine.release(old_addr)
-            return
-        if health.is_retired(seg):
-            if self.pool is not None:
-                self.pool.retire(old_addr)
-            self.engine.release(old_addr)  # quarantined by the release
-            return
-        # Retiring and now empty: reclaim into the spares pool.  The
-        # address stays free in the allocator and quarantined in the DAP
-        # (exactly like a reserved spare) until adopt_spare() activates it.
-        if self.pool is not None:
-            self.pool.free(old_addr)
-        self.engine.quarantine_address(old_addr)
-        health.reclaim(seg)
+        healthy = []
+        for addr in stale:
+            seg = addr // self.engine.segment_size
+            if health is None or not health.is_unplaceable(seg):
+                if self.pool is not None:
+                    self.pool.free(addr)
+                healthy.append(addr)
+            elif health.is_retired(seg):
+                if self.pool is not None:
+                    self.pool.retire(addr)
+                self.engine.release(addr)  # quarantined by the release
+            else:
+                # Retiring and now empty: reclaim into the spares pool.
+                # The address stays free in the allocator and quarantined
+                # in the DAP (exactly like a reserved spare) until
+                # adopt_spare() activates it.
+                if self.pool is not None:
+                    self.pool.free(addr)
+                self.engine.quarantine_address(addr)
+                health.reclaim(seg)
+        if healthy:
+            self.engine.release_many(healthy)
 
     def _reclaim_stranded(self) -> int:
         """Last-ditch reclamation before read-only degradation: fold any
         *drained* retiring segment — one that no longer holds a live value
-        but was never recycled through :meth:`_recycle_addr` (e.g. freed
+        but was never recycled through :meth:`_recycle_many` (e.g. freed
         by an engine-level release) — into the spares list.  Returns how
         many segments were reclaimed."""
         health = self.engine.health
@@ -800,8 +691,8 @@ class KVStore:
         count = 0
         for seg in sorted(health.state.retiring):
             addr = seg * self.engine.segment_size
-            if self._by_addr.get(addr) is not None:
-                continue  # live value; the relocation queue drains it
+            if self.engine.is_allocated(addr):
+                continue  # live (or being written); not drained
             if (
                 self.pool is not None
                 and addr in self.pool.retired_addresses()
@@ -903,11 +794,13 @@ class KVStore:
         primitive (cold data is parked on worn media; the barely-worn
         segment it vacates re-enters the free pool).
 
-        The move reuses the normal transactional PUT path end to end —
-        DCW differential write, energy/endurance accounting, CRC, catalog
-        record forwarding (:meth:`PersistentCatalog.tx_move`) — so fsck
-        and the crash sweep stay authoritative over migrated values, and a
-        crash at any point leaves exactly one committed copy.  The value's
+        The move reuses the normal PUT path end to end — DCW differential
+        write onto the (free) target, energy/endurance accounting, CRC,
+        then catalog record forwarding
+        (:meth:`PersistentCatalog.tx_move`) in one undo-log transaction —
+        so fsck and the crash sweep stay authoritative over migrated
+        values, and a crash at any point leaves exactly one committed
+        copy.  The value's
         write-temperature stamp is forwarded unchanged: migration must not
         make cold data look hot.
 
@@ -940,36 +833,18 @@ class KVStore:
             return False
         heat = self._heat_by_addr.get(old_addr)
         self._fire_site("compact.migrate")
-        if self.pool is None:
-            try:
-                self.engine.write_at(target_addr, value)
-            except SegmentRetiredError:
-                self.engine.adopt_spare()
-                return False
-            self._valid[target_addr] = True
-            self._by_addr[target_addr] = key
-            self._crc_by_addr[target_addr] = zlib.crc32(value) & 0xFFFFFFFF
-            self.index.put(key, (target_addr, len(value)))
-            self._valid[old_addr] = False
-            self._by_addr.pop(old_addr, None)
-            self._crc_by_addr.pop(old_addr, None)
-            self._heat_by_addr.pop(old_addr, None)
-            self._recycle_addr(old_addr)
-        else:
-            try:
-                self._commit_durable(key, value, target_addr)
-            except CrashError:
-                raise
-            except SegmentRetiredError:
-                # _commit_durable already released (and the engine
-                # quarantined) the dead target; mirror it in the
-                # allocator and pull in a spare.
+        try:
+            self.engine.write_at(target_addr, value)
+        except SegmentRetiredError:
+            # The engine already quarantined the dead target and pulled in
+            # a spare; mirror the retirement in the allocator.
+            if self.pool is not None:
                 self.pool.retire(target_addr)
-                self.engine.adopt_spare()
-                return False
+            return False
+        self._install([(key, value)], [target_addr])
         if heat is not None:
             # Forward the temperature stamp (the fresh-write stamp the
-            # commit path set would make every migrated value look hot).
+            # install set would make every migrated value look hot).
             self._heat_by_addr[target_addr] = heat
         return True
 

@@ -117,58 +117,76 @@ class MemoryController:
         """
         data = self._as_u8(data)
         phys_addr, segment = self._map(logical_addr, data.size)
-        old_stored = self.device.read_array(phys_addr, data.size)
-        size = self.device.segment_size
-        phys_seg, offset = phys_addr // size, phys_addr % size
-        if self.ecc is not None:
-            old_stored = self.ecc.correct(phys_seg, old_stored, offset)
+        old_stored = self._corrected(
+            phys_addr, self.device.read_array(phys_addr, data.size)
+        )
         plan = self.scheme.prepare(logical_addr, old_stored, data)
         result = self.device.program(
             phys_addr, plan.stored, plan.program_mask, plan.aux_bits
         )
         if self.verify_writes:
-            self._verify(phys_seg, phys_addr, offset, old_stored, plan)
+            mask = plan.program_mask
+            failed = self._verify(
+                np.array([phys_addr], dtype=np.int64),
+                old_stored[None, :],
+                plan.stored[None, :],
+                None if mask is None else mask[None, :],
+            )
+            if failed:
+                raise SegmentRetiredError(
+                    phys_addr // self.device.segment_size
+                )
         self.wear_leveling.after_write(self.device, segment)
         return result
 
-    def _verify(
-        self, phys_seg: int, phys_addr: int, offset: int, old_corrected, plan
-    ) -> None:
-        """Read back a just-programmed range, patch it through the ECP
-        table and compare against the intended content; record fresh
-        correction entries for any cell the program pulse failed on.
+    def _verify(self, phys, old_corrected, stored, masks) -> list[int]:
+        """Read back just-programmed rows (one ``(B, L)`` gather), patch
+        them through the ECP table and compare against the intended
+        content; record fresh correction entries for any cell the program
+        pulse failed on.  Returns the rows whose segment had to be retired
+        (every other row stays written and verified).
 
         Already-retired segments are exempt: undo-log rollback restores
         old data onto them best-effort (their surviving cells still hold
         it) and must not cascade into further retirement errors.
         """
-        health = self.device.health
-        if health is not None and phys_seg in health.retired:
-            return
-        mask = plan.program_mask
-        if mask is None:
-            mask = np.full(plan.stored.size, 0xFF, dtype=np.uint8)
-        expected = np.bitwise_or(
-            np.bitwise_and(old_corrected, np.bitwise_not(mask)),
-            np.bitwise_and(plan.stored, mask),
+        if masks is None:
+            expected = stored
+        else:
+            expected = np.bitwise_or(
+                np.bitwise_and(old_corrected, np.bitwise_not(masks)),
+                np.bitwise_and(stored, masks),
+            )
+        readback = self._corrected_rows(
+            phys, self.device.read_arrays(phys, expected.shape[1])
         )
-        readback = self.device.read_array(phys_addr, expected.size)
-        self.verify_reads += 1
-        readback = self.ecc.correct(phys_seg, readback, offset)
-        diff = np.bitwise_xor(readback, expected)
-        if diff.any():
-            positions = np.flatnonzero(np.unpackbits(diff))
-            bit_offsets = offset * 8 + positions
-            values = np.unpackbits(expected)[positions]
-            if not self.ecc.record(phys_seg, bit_offsets, values):
-                if self.health_manager is not None:
-                    self.health_manager.retire(phys_seg)
-                else:
-                    health.retired.add(phys_seg)
-                raise SegmentRetiredError(phys_seg)
-            self.corrections_recorded += int(positions.size)
-        if self.ecc.at_capacity(phys_seg) and self.health_manager is not None:
-            self.health_manager.mark_retiring(phys_seg)
+        self.verify_reads += len(phys)
+        differs = (readback != expected).any(axis=1)
+        if not differs.any() and not self.ecc.any_entries():
+            return []
+        size = self.device.segment_size
+        dead = self.device.health.retired
+        failed = []
+        for row, phys_addr in enumerate(phys.tolist()):
+            seg = phys_addr // size
+            if seg in dead:
+                continue
+            if differs[row]:
+                positions = np.flatnonzero(
+                    np.unpackbits(readback[row] ^ expected[row])
+                )
+                if not self.ecc.record(
+                    seg,
+                    (phys_addr % size) * 8 + positions,
+                    np.unpackbits(expected[row])[positions],
+                ):
+                    self.health_manager.retire(seg)
+                    failed.append(row)
+                    continue
+                self.corrections_recorded += int(positions.size)
+            if self.ecc.at_capacity(seg):
+                self.health_manager.mark_retiring(seg)
+        return failed
 
     def torn_program(self, logical_addr: int, data: bytes | np.ndarray) -> None:
         """Program ``data`` as a crash-interrupted write.
@@ -193,44 +211,98 @@ class MemoryController:
     def write_many(
         self, logical_addrs, values
     ) -> list[WriteResult]:
-        """Write one value per logical address, batched when possible.
+        """Write one value per logical address, batched.
 
-        Equal-length values landing in distinct segments (with no active
-        wear-leveling remapper, whose mid-batch remaps would be
-        order-dependent) take the vectorised read/prepare/program path;
-        anything else falls back to per-row :meth:`write` calls with
-        identical semantics.
+        Rows of equal length take one vectorised read/prepare/program/
+        verify pass per length; rows may share a segment as long as they
+        do not overlap (overlapping rows are serialised in batch order).
+        A row that is alone in its pass, and every row under an active
+        wear-leveling remapper (whose mid-batch remaps are
+        order-dependent), goes through :meth:`write`.
+
+        Raises:
+            SegmentRetiredError: verification retired the segment of at
+                least one row.  ``exc.rows`` lists those rows and
+                ``exc.results`` the per-row results (``None`` at retired
+                rows); every other row stays written and verified.
         """
         rows = [self._as_u8(v) for v in values]
-        logical_addrs = [int(a) for a in logical_addrs]
-        if len(rows) != len(logical_addrs):
+        addrs = [int(a) for a in logical_addrs]
+        if len(rows) != len(addrs):
             raise ValueError("logical_addrs length must match value count")
-        if not rows:
-            return []
-        length = rows[0].size
-        batched = (
-            len(rows) > 1
-            and not self.verify_writes
-            and isinstance(self.wear_leveling, NoWearLeveling)
-            and all(r.size == length for r in rows)
+        results: list[WriteResult | None] = [None] * len(rows)
+        retired: list[int] = []
+        for batch in self._batches(addrs, rows):
+            if len(batch) == 1:
+                (i,) = batch
+                try:
+                    results[i] = self.write(addrs[i], rows[i])
+                except SegmentRetiredError:
+                    retired.append(i)
+                continue
+            length = rows[batch[0]].size
+            logical = [addrs[i] for i in batch]
+            phys = np.array(
+                [self._map(addr, length)[0] for addr in logical],
+                dtype=np.int64,
+            )
+            old = self.device.read_arrays(phys, length)
+            if self.ecc is not None:
+                old = self._corrected_rows(phys, old)
+            stored, masks, aux = self.scheme.prepare_many(
+                logical, old, np.stack([rows[i] for i in batch])
+            )
+            written = self.device.program_many(phys, stored, masks, aux)
+            for i, result in zip(batch, written):
+                results[i] = result
+            if self.verify_writes:
+                for row in self._verify(phys, old, stored, masks):
+                    results[batch[row]] = None
+                    retired.append(batch[row])
+        if retired:
+            retired.sort()
+            raise SegmentRetiredError(
+                self._map(addrs[retired[0]], 1)[0]
+                // self.device.segment_size,
+                rows=retired,
+                results=results,
+            )
+        return results
+
+    def _batches(self, addrs: list[int], rows: list[np.ndarray]):
+        """Split a ``write_many`` call into passes: lists of row indices
+        of one length that never overlap each other."""
+        n = len(rows)
+        if n < 2 or not isinstance(self.wear_leveling, NoWearLeveling):
+            yield from ([i] for i in range(n))
+            return
+        spans = sorted(
+            (addr, addr + row.size) for addr, row in zip(addrs, rows)
         )
-        if batched:
-            phys = np.empty(len(rows), dtype=np.int64)
-            segments = np.empty(len(rows), dtype=np.int64)
-            for i, logical_addr in enumerate(logical_addrs):
-                phys[i], segments[i] = self._map(logical_addr, length)
-            batched = np.unique(segments).size == segments.size
-        if not batched:
-            return [
-                self.write(addr, row)
-                for addr, row in zip(logical_addrs, rows)
-            ]
-        old_rows = self.device.read_arrays(phys, length)
-        data = np.stack(rows)
-        stored, masks, aux = self.scheme.prepare_many(
-            logical_addrs, old_rows, data
-        )
-        return self.device.program_many(phys, stored, masks, aux)
+        if all(a[1] <= b[0] for a, b in zip(spans, spans[1:])):
+            runs = [range(n)]
+        else:
+            # Overlapping rows are order-dependent: close the current run
+            # at every row that touches one already in it.
+            runs, seen = [[]], []
+            for i in range(n):
+                lo, hi = addrs[i], addrs[i] + rows[i].size
+                if any(lo < b and a < hi for a, b in seen):
+                    runs.append([])
+                    seen = []
+                runs[-1].append(i)
+                seen.append((lo, hi))
+        sizes = [row.size for row in rows]
+        for run in runs:
+            yield from self._by_length(run, sizes)
+
+    @staticmethod
+    def _by_length(rows, lengths) -> list[list[int]]:
+        """``rows`` grouped by ``lengths[row]``, first-seen order kept."""
+        groups: dict[int, list[int]] = {}
+        for i in rows:
+            groups.setdefault(lengths[i], []).append(i)
+        return list(groups.values())
 
     def read(self, logical_addr: int, length: int) -> bytes:
         """Read ``length`` logical bytes from ``logical_addr`` (patched
@@ -246,6 +318,24 @@ class MemoryController:
         stored = self.device.read_array(phys_addr, length)
         stored = self._corrected(phys_addr, stored)
         return self.scheme.decode(logical_addr, stored).tobytes()
+
+    def read_many(self, logical_addrs, lengths) -> list[bytes]:
+        """:meth:`read` of ``lengths[i]`` bytes at each address, as one
+        gather per distinct length."""
+        addrs = [int(a) for a in logical_addrs]
+        out = [b""] * len(addrs)
+        for rows in self._by_length(range(len(addrs)), lengths):
+            length = lengths[rows[0]]
+            phys = np.array(
+                [self._map(addrs[i], length)[0] for i in rows],
+                dtype=np.int64,
+            )
+            stored = self.device.read_arrays(phys, length)
+            if self.ecc is not None:
+                stored = self._corrected_rows(phys, stored)
+            for i, row in zip(rows, stored):
+                out[i] = self.scheme.decode(addrs[i], row).tobytes()
+        return out
 
     def refresh(self, logical_addr: int, length: int) -> int:
         """Persistently heal a range: margin-read the true stored content
@@ -294,6 +384,13 @@ class MemoryController:
         return self.ecc.correct(
             phys_addr // size, stored, phys_addr % size
         )
+
+    def _corrected_rows(self, phys, stored: np.ndarray) -> np.ndarray:
+        """:meth:`_corrected` for a ``(B, L)`` gather, in place."""
+        if self.ecc.any_entries():
+            for row, phys_addr in enumerate(phys.tolist()):
+                stored[row] = self._corrected(phys_addr, stored[row])
+        return stored
 
     def segment_address(self, index: int) -> int:
         """Logical byte address of logical segment ``index``."""

@@ -290,6 +290,12 @@ class NVMDevice:
         self._last_program_tick = np.zeros(n_bits, dtype=np.int64)
         self._drift_packed = np.zeros(self.capacity_bytes, dtype=np.uint8)
 
+    def detach_buffer(self) -> None:
+        """Stop using an external ``content_buffer``: keep a private copy
+        of the content and drop the view, releasing the buffer export so
+        the owner (e.g. a ``SharedMemory`` block) can be closed."""
+        self._content = self._content.copy()
+
     @property
     def n_segments(self) -> int:
         """Number of fixed-size segments on the device."""
@@ -338,8 +344,7 @@ class NVMDevice:
         calls; the gather itself is one fancy-indexed copy.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
-        for addr in addrs:
-            self._check_range(int(addr), length)
+        self._check_ranges(addrs, length)
         n = addrs.size
         self.stats.reads += n
         self.stats.bytes_read += n * length
@@ -468,7 +473,7 @@ class NVMDevice:
             self._bit_wear[addr * 8 + bit_positions] += 1
 
         if self._wear_count is not None:
-            self._note_wear(addr, mask)
+            self._note_wear(addr * 8 + np.flatnonzero(np.unpackbits(mask)))
 
         return WriteResult(
             bits_programmed=bits_programmed,
@@ -511,8 +516,7 @@ class NVMDevice:
             raise ValueError("addrs length must match data row count")
         if n_rows == 0:
             return []
-        for addr in addrs:
-            self._check_range(int(addr), length)
+        self._check_ranges(addrs, length)
         if n_rows > 1:
             ordered = np.sort(addrs)
             if int(np.min(ordered[1:] - ordered[:-1])) < length:
@@ -555,7 +559,10 @@ class NVMDevice:
                 )
                 self._apply_masked(int(addrs[i]), new[i], masks[i])
                 if self._wear_count is not None:
-                    self._note_wear(int(addrs[i]), masks[i])
+                    self._note_wear(
+                        int(addrs[i]) * 8
+                        + np.flatnonzero(np.unpackbits(masks[i]))
+                    )
         else:
             self._content[idx] = np.bitwise_or(
                 np.bitwise_and(old, np.bitwise_not(eff_masks)),
@@ -565,14 +572,13 @@ class NVMDevice:
                 self._drift_packed[idx] = np.bitwise_and(
                     self._drift_packed[idx], np.bitwise_not(eff_masks)
                 )
-                rows, cols = np.nonzero(np.unpackbits(eff_masks, axis=1))
-                if rows.size:
-                    self._last_program_tick[addrs[rows] * 8 + cols] = (
-                        self._clock
-                    )
+                self._last_program_tick[
+                    self._pulsed_bits(addrs, eff_masks)
+                ] = self._clock
             if self._wear_count is not None:
-                for i in range(n_rows):
-                    self._note_wear(int(addrs[i]), masks[i])
+                # Rows never overlap, so one pass over the whole batch
+                # charges and kills exactly the cells a row loop would.
+                self._note_wear(self._pulsed_bits(addrs, masks))
 
         flips_masks = np.bitwise_and(eff_masks, np.bitwise_xor(old, new))
         bits_programmed = popcount_rows(masks)
@@ -618,8 +624,7 @@ class NVMDevice:
                 self.segment_write_count[lo : hi + 1] += 1
 
         if self._bit_wear is not None:
-            rows, cols = np.nonzero(np.unpackbits(masks, axis=1))
-            np.add.at(self._bit_wear, addrs[rows] * 8 + cols, 1)
+            self._bit_wear[self._pulsed_bits(addrs, masks)] += 1
 
         return [
             WriteResult(
@@ -635,16 +640,16 @@ class NVMDevice:
 
     # ------------------------------------------------------------------ wear
 
-    def _note_wear(self, addr: int, mask: np.ndarray) -> None:
-        """Charge one program cycle to every masked cell and mark cells
-        whose budget is now exhausted as stuck (at their current value).
+    def _note_wear(self, positions: np.ndarray) -> None:
+        """Charge one program cycle to every pulsed cell (``positions``:
+        distinct absolute bit indices) and mark cells whose budget is now
+        exhausted as stuck (at their current value).
 
         The exhausting pulse itself still landed — a cell fails *after*
         reaching its budget, so subsequent programs are the ones that
-        silently fail.  Fires ``"device.stuck_at"`` once per program call
-        that kills at least one new cell.
+        silently fail.  Fires ``"device.stuck_at"`` once per call that
+        kills at least one new cell.
         """
-        positions = addr * 8 + np.flatnonzero(np.unpackbits(mask))
         if positions.size == 0:
             return
         self._wear_count[positions] += 1
@@ -999,6 +1004,13 @@ class NVMDevice:
             if positions.size:
                 self._last_program_tick[positions] = self._clock
 
+    @staticmethod
+    def _pulsed_bits(addrs: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Absolute bit indices of every masked cell of a ``(B, L)`` batch
+        (distinct, because batched rows never overlap)."""
+        rows, cols = np.nonzero(np.unpackbits(masks, axis=1))
+        return addrs[rows] * 8 + cols
+
     def _dirty_lines(self, addr: int, mask: np.ndarray) -> int:
         line = self.energy_model.cache_line_bytes
         first_line = addr // line
@@ -1012,6 +1024,13 @@ class NVMDevice:
         padded[offset : offset + mask.size] = mask
         per_line = padded.reshape(n_lines, line)
         return int(np.count_nonzero(per_line.any(axis=1)))
+
+    def _check_ranges(self, addrs: np.ndarray, length: int) -> None:
+        """:meth:`_check_range` for a whole batch: only the extreme
+        addresses can fall outside the device."""
+        if addrs.size:
+            self._check_range(int(addrs.min()), length)
+            self._check_range(int(addrs.max()), length)
 
     def _check_range(self, addr: int, length: int) -> None:
         if length <= 0:

@@ -106,6 +106,10 @@ class ErrorCorrectingPointers:
 
     # ------------------------------------------------------------ inspection
 
+    def any_entries(self) -> bool:
+        """Whether any segment holds a correction entry."""
+        return bool(self._entries)
+
     def entries_used(self, segment: int) -> int:
         """Correction entries consumed by ``segment``."""
         return len(self._entries.get(segment, ()))

@@ -46,16 +46,26 @@ class SegmentRetiredError(RuntimeError):
     """A write failed verification beyond the segment's ECP capacity.
 
     The segment is retired: its address must be quarantined and the write
-    retried elsewhere.  Carries the failing physical segment on
-    ``.segment``.
+    retried elsewhere.  Carries the (first) failing physical segment on
+    ``.segment``; a batched ``write_many`` additionally reports which
+    rows retired on ``.rows`` and the per-row results (``None`` at
+    retired rows) on ``.results`` — every other row stays written.
     """
 
-    def __init__(self, segment: int, message: str | None = None) -> None:
+    def __init__(
+        self,
+        segment: int,
+        message: str | None = None,
+        rows=(),
+        results=(),
+    ) -> None:
         super().__init__(
             message
             or f"segment {segment} exceeded its ECP correction capacity"
         )
         self.segment = segment
+        self.rows = list(rows)
+        self.results = list(results)
 
 
 class HealthState:

@@ -4,18 +4,21 @@ Layout of the reserved log region (the pool's first ``log_segments``
 segments)::
 
     [byte 0]         active flag (1 = a transaction's undo log is live)
-    [bytes 16..]     undo records, one per transactional write:
-                     [addr: 8B][length: 4B][old data: length B]
-                     [crc32: 4B][valid: 1B]
+    [bytes 1..8]     sequence number of the transaction the log belongs to
+    [bytes 16..]     undo records, one contiguous run per transaction:
+                     [addr: 8B][length: 4B][old data: length B][crc32: 4B]
+                     ... closed by a zeroed record header when room is left
 
-The undo log holds one transaction at a time (records restart at offset 16
-on every ``TX_BEGIN``), matching PMDK's per-transaction undo logs.  Each
-record is guarded twice against tearing: the ``valid`` byte is pre-zeroed
-*before* the record body is written and set to 1 only after the full body
-and checksum have landed, and the CRC32 covers header plus old data, so a
-record torn at any byte is never replayed.  :meth:`PersistentPool.recover`
-rolls back a transaction that was active when the process died; it is
-idempotent, so a crash *during* recovery is itself recoverable.
+The undo log holds one transaction at a time and transactions are *staged*
+(see :mod:`repro.pmem.transaction`): commit persists every undo record of
+the transaction as one segment-chunked run, then raises the header (active
+flag + sequence, one write), applies the in-place writes and clears the
+flag.  A record's CRC32 covers the transaction's sequence number, the
+record header and the old data, so a record torn at any byte — and an
+intact record a *previous* transaction left at the same offset — is never
+replayed.  :meth:`PersistentPool.recover` rolls back a transaction that was
+active when the process died; it is idempotent, so a crash *during*
+recovery is itself recoverable.
 
 After the log the pool can reserve ``meta_segments`` further segments for
 application metadata (the KV store keeps its persistent catalog there —
@@ -32,12 +35,40 @@ from collections import deque
 from repro.nvm.controller import MemoryController
 from repro.nvm.health import SegmentRetiredError
 from repro.pmem.transaction import Transaction
+from repro.testing.faults import CrashError
 
 _LOG_HEADER_BYTES = 16
+_LOG_HEADER = struct.Struct("<BQ")
 _RECORD_HEADER = struct.Struct("<QI")
 _RECORD_CRC = struct.Struct("<I")
-#: Bytes after the old data: the CRC32 plus the valid byte.
-_RECORD_TRAILER = _RECORD_CRC.size + 1
+
+
+def iter_log_records(controller: MemoryController, log_segments: int):
+    """Yield ``(addr, old_data)`` for every intact undo record of the
+    transaction the log header names, in log order.
+
+    The one parser of the log format — recovery, the abort path and the
+    offline checker all read the log through it.  The scan ends at the
+    first record whose framing or sequence-stamped CRC fails: the closing
+    zero header, a torn tail, or a stale record of an earlier transaction.
+    Whether the log is *active* is the caller's question (byte 0).
+    """
+    size = controller.segment_size
+    log = b"".join(
+        controller.read(i * size, size) for i in range(log_segments)
+    )
+    stamp = log[1 : _LOG_HEADER.size]
+    offset = _LOG_HEADER_BYTES
+    while offset + _RECORD_HEADER.size + _RECORD_CRC.size <= len(log):
+        addr, length = _RECORD_HEADER.unpack_from(log, offset)
+        end = offset + _RECORD_HEADER.size + length
+        if length == 0 or end + _RECORD_CRC.size > len(log):
+            return
+        body = log[offset:end]
+        if _RECORD_CRC.unpack_from(log, end)[0] != zlib.crc32(stamp + body):
+            return
+        yield addr, body[_RECORD_HEADER.size :]
+        offset = end + _RECORD_CRC.size
 
 
 class PersistentPool:
@@ -55,7 +86,8 @@ class PersistentPool:
         faults: optional :class:`repro.testing.faults.FaultInjector`.  When
             set, the pool fires the ``"tx.begin"``, ``"tx.log"``,
             ``"tx.write"``, ``"tx.commit"`` and ``"recover.rollback"``
-            sites; the write-capable ones (``tx.log``, ``tx.write``,
+            sites; the write-capable ones (``tx.log`` — once per
+            transaction, the whole record run — ``tx.write`` and
             ``recover.rollback``) support torn-write injection.
     """
 
@@ -78,7 +110,9 @@ class PersistentPool:
         self.meta_segments = meta_segments
         self.faults = faults
         self._log_capacity = log_segments * controller.segment_size
-        self._log_head = _LOG_HEADER_BYTES
+        # Sequence number of the last transaction; read off the media by
+        # the first commit (the log header is its only durable home).
+        self._sequence: int | None = None
         self._tx_active = False
         self._free: deque[int] = deque(
             controller.segment_address(i)
@@ -116,8 +150,8 @@ class PersistentPool:
     @staticmethod
     def record_overhead_bytes() -> int:
         """Log bytes one transactional write of ``n`` bytes costs, minus
-        ``n`` (header + checksum + valid byte)."""
-        return _RECORD_HEADER.size + _RECORD_TRAILER
+        ``n`` (record header + checksum)."""
+        return _RECORD_HEADER.size + _RECORD_CRC.size
 
     def meta_address(self, index: int) -> int:
         """Byte address of reserved metadata segment ``index``."""
@@ -227,7 +261,6 @@ class PersistentPool:
         when re-opening existing data.
         """
         self.controller.write(0, b"\x00")
-        self._log_head = _LOG_HEADER_BYTES
         self._tx_active = False
 
     # ---------------------------------------------------------------- crash
@@ -235,10 +268,10 @@ class PersistentPool:
     def recover(self) -> int:
         """Roll back a transaction left active by a crash.
 
-        Scans the media-resident log: if the active flag is set, every
-        *intact* undo record (valid byte set and CRC matching) is replayed
-        in reverse order, then the log is cleared.  Returns the number of
-        records rolled back.
+        If the log's active flag is set, every *intact* undo record of the
+        transaction the header names (see :func:`iter_log_records`) is
+        replayed in reverse order, then the flag is cleared.  Returns the
+        number of records rolled back.
 
         Idempotent: the active flag is cleared only after every record has
         been replayed, so a crash mid-recovery (even one tearing a rollback
@@ -246,34 +279,121 @@ class PersistentPool:
         """
         self.recovered_records = 0
         self._tx_active = False
-        flag = self.controller.read(0, 1)[0]
-        if flag != 1:
+        if self.controller.read(0, 1)[0] != 1:
             return 0
-        records = []
-        offset = _LOG_HEADER_BYTES
-        while (
-            offset + _RECORD_HEADER.size + _RECORD_TRAILER <= self._log_capacity
-        ):
-            header = self._log_read(offset, _RECORD_HEADER.size)
-            addr, length = _RECORD_HEADER.unpack(header)
-            if length == 0 or length > self._log_capacity:
-                break  # end of records (or torn header)
-            record_end = offset + _RECORD_HEADER.size + length
-            if record_end + _RECORD_TRAILER > self._log_capacity:
-                break
-            # The valid byte is written only after the full record body and
-            # checksum; a record torn by a crash never has it set.
-            valid = self._log_read(record_end + _RECORD_CRC.size, 1)[0]
-            if valid != 1:
-                break
-            old = self._log_read(offset + _RECORD_HEADER.size, length)
-            (crc_stored,) = _RECORD_CRC.unpack(
-                self._log_read(record_end, _RECORD_CRC.size)
+        self.recovered_records = self._log_rollback()
+        return self.recovered_records
+
+    # ------------------------------------------------- log-region internals
+
+    def _fire(self, site: str, **kwargs) -> None:
+        """Hit a fault site when an injector is attached."""
+        if self.faults is not None:
+            self.faults.fire(site, **kwargs)
+
+    def _log_begin(self) -> None:
+        """TX_BEGIN: claim the (single) undo log.  Nothing touches the
+        media until commit."""
+        if self._tx_active:
+            raise RuntimeError(
+                "a transaction is already active on this pool; the undo log "
+                "holds one transaction at a time"
             )
-            if crc_stored != (zlib.crc32(header + old) & 0xFFFFFFFF):
-                break  # torn record masquerading behind a stale valid byte
-            records.append((addr, old))
-            offset = record_end + _RECORD_TRAILER
+        self._fire("tx.begin")
+        self._tx_active = True
+
+    def _log_commit(self, writes: list[tuple[int, bytes]]) -> None:
+        """TX_COMMIT of the staged ``writes``: undo records, header,
+        in-place writes, header clear — in that order.
+
+        The header is raised only once the whole record run is on the
+        media, and nothing is written in place before the header is up, so
+        a crash at any point either finds an inactive log over untouched
+        data or an active log that undoes every in-place write.  A
+        non-crash failure rolls the transaction back here.
+        """
+        if not writes:
+            self._fire("tx.commit")
+            self._tx_active = False
+            return
+        controller = self.controller
+        header_up = False
+        try:
+            if self._sequence is None:
+                self._sequence = _LOG_HEADER.unpack(
+                    controller.read(0, _LOG_HEADER.size)
+                )[1]
+            self._sequence = (self._sequence + 1) & 0xFFFFFFFFFFFFFFFF
+            header = _LOG_HEADER.pack(1, self._sequence)
+            stamp = header[1:]
+            addrs, data = zip(*writes)
+            run = bytearray()
+            for addr, old in zip(
+                addrs, controller.read_many(addrs, [len(d) for d in data])
+            ):
+                body = _RECORD_HEADER.pack(addr, len(old)) + old
+                run += body + _RECORD_CRC.pack(zlib.crc32(stamp + body))
+            # A zeroed header closes the run: whatever an earlier
+            # transaction left behind it is unreachable even if it carries
+            # this sequence number (a crashed attempt re-numbered after a
+            # restart).
+            room = self._log_capacity - _LOG_HEADER_BYTES - len(run)
+            run = bytes(run) + bytes(min(room, _RECORD_HEADER.size))
+            self._fire(
+                "tx.log",
+                payload_len=len(run),
+                payload_writer=lambda n: self._log_persist(run[:n], True),
+            )
+            self._log_persist(run)
+            header_up = True
+            controller.write(0, header)
+            for addr, new in writes:
+                self._fire(
+                    "tx.write",
+                    payload_len=len(new),
+                    payload_writer=lambda n, a=addr, d=new: (
+                        controller.torn_program(a, d[:n])
+                    ),
+                )
+            controller.write_many(addrs, data)
+            self._fire("tx.commit")
+        except CrashError:
+            raise
+        except BaseException:
+            # Before the header went up nothing was written in place (and
+            # the log must not be replayed: under the old header it still
+            # holds the *previous* transaction's records).
+            if header_up:
+                self._log_rollback()
+            self._tx_active = False
+            raise
+        self._log_finish()
+
+    def _log_persist(self, run: bytes, torn: bool = False) -> None:
+        """Write the record run behind the header, one row per log segment
+        it touches (``torn``: through the crash-interrupted program path,
+        which needs no live controller afterwards)."""
+        seg = self.controller.segment_size
+        offsets, chunks = [], []
+        offset, end = _LOG_HEADER_BYTES, _LOG_HEADER_BYTES + len(run)
+        while offset < end:
+            stop = min(end, offset - offset % seg + seg)
+            offsets.append(offset)
+            chunks.append(
+                run[offset - _LOG_HEADER_BYTES : stop - _LOG_HEADER_BYTES]
+            )
+            offset = stop
+        if torn:
+            for offset, chunk in zip(offsets, chunks):
+                self.controller.torn_program(offset, chunk)
+        else:
+            self.controller.write_many(offsets, chunks)
+
+    def _log_rollback(self) -> int:
+        """Replay the logged transaction's records in reverse (the
+        ``recover.rollback`` site fires per record) and clear the header;
+        returns the record count."""
+        records = list(iter_log_records(self.controller, self.log_segments))
         for addr, old in reversed(records):
             self._fire(
                 "recover.rollback",
@@ -291,117 +411,12 @@ class PersistentPool:
                 # rollback stays best-effort for it.
                 pass
         self._log_finish()
-        self.recovered_records = len(records)
         return len(records)
-
-    # ------------------------------------------------- log-region internals
-
-    def _fire(self, site: str, **kwargs) -> None:
-        """Hit a fault site when an injector is attached."""
-        if self.faults is not None:
-            self.faults.fire(site, **kwargs)
-
-    def _log_begin(self) -> None:
-        """TX_BEGIN: reset the record cursor and raise the active flag."""
-        if self._tx_active:
-            raise RuntimeError(
-                "a transaction is already active on this pool; the undo log "
-                "holds one transaction at a time"
-            )
-        self._fire("tx.begin")
-        self._tx_active = True
-        self._log_head = _LOG_HEADER_BYTES
-        self._log_terminate(self._log_head)
-        self.controller.write(0, b"\x01")
-
-    def _log_record(self, addr: int, old: bytes) -> None:
-        """Append one undo record and mark it valid."""
-        body = _RECORD_HEADER.pack(addr, len(old)) + old
-        total = len(body) + _RECORD_TRAILER
-        if self._log_head + total > self._log_capacity:
-            raise RuntimeError(
-                "undo log full: transaction touches more data than the log "
-                f"region holds ({self.log_capacity_bytes} B)"
-            )
-        head = self._log_head
-        valid_offset = head + len(body) + _RECORD_CRC.size
-        # Pre-zero the valid byte: the log region is reused across
-        # transactions, so the offset may hold a stale 1 from an earlier
-        # record — a torn body write must never pair with it.  The next
-        # record's header sits right after the valid byte, so zeroing it
-        # (which terminates a recovery scan before any stale records) rides
-        # in the same write.
-        tail_zero = 1
-        if head + total + _RECORD_HEADER.size + _RECORD_TRAILER <= (
-            self._log_capacity
-        ):
-            tail_zero += _RECORD_HEADER.size
-        self._log_write(valid_offset, b"\x00" * tail_zero)
-        payload = body + _RECORD_CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
-        self._fire(
-            "tx.log",
-            payload_len=len(payload),
-            payload_writer=lambda n: self._log_write(
-                head, payload[:n], torn=True
-            ),
-        )
-        self._log_write(head, payload)
-        # The valid byte is persisted only after the body and checksum.
-        self._log_write(valid_offset, b"\x01")
-        self._log_head = head + total
-
-    def _log_terminate(self, offset: int) -> None:
-        """Zero the next record header (length 0 ends the recovery scan)."""
-        if offset + _RECORD_HEADER.size + _RECORD_TRAILER <= self._log_capacity:
-            self._log_write(offset, b"\x00" * _RECORD_HEADER.size)
-
-    def _log_rollback(self) -> None:
-        """Abort path: replay this transaction's records in reverse."""
-        records = []
-        offset = _LOG_HEADER_BYTES
-        while offset < self._log_head:
-            header = self._log_read(offset, _RECORD_HEADER.size)
-            addr, length = _RECORD_HEADER.unpack(header)
-            old = self._log_read(offset + _RECORD_HEADER.size, length)
-            records.append((addr, old))
-            offset += _RECORD_HEADER.size + length + _RECORD_TRAILER
-        for addr, old in reversed(records):
-            try:
-                self.controller.write(addr, old)
-            except SegmentRetiredError:
-                pass  # best-effort restore onto just-retired media
 
     def _log_finish(self) -> None:
         """Clear the active flag; the log is logically empty."""
         self.controller.write(0, b"\x00")
-        self._log_head = _LOG_HEADER_BYTES
         self._tx_active = False
-
-    def _log_write(self, offset: int, data: bytes, torn: bool = False) -> None:
-        """Segment-chunked write inside the log region (``torn`` routes
-        through the crash-interrupted program path of the controller)."""
-        if not data:
-            return
-        write = (
-            self.controller.torn_program if torn else self.controller.write
-        )
-        seg = self.controller.segment_size
-        cursor = 0
-        while cursor < len(data):
-            room = seg - ((offset + cursor) % seg)
-            chunk = data[cursor : cursor + room]
-            write(offset + cursor, chunk)
-            cursor += len(chunk)
-
-    def _log_read(self, offset: int, length: int) -> bytes:
-        """Segment-chunked read inside the log region."""
-        seg = self.controller.segment_size
-        out = b""
-        while len(out) < length:
-            room = seg - ((offset + len(out)) % seg)
-            take = min(room, length - len(out))
-            out += self.controller.read(offset + len(out), take)
-        return out
 
     def _check_object_address(self, addr: int) -> None:
         """Reject addresses that are not object segments of this pool."""

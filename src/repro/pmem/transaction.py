@@ -1,20 +1,22 @@
 """Undo-log transactions over the simulated NVM (PMDK ``tx`` style).
 
-Each transactional write first persists an undo record — the target
-address, length, and *old* content — into the pool's media-resident log
-region, marks the record valid, and only then writes the new data in place.
-Commit clears the log's active flag; abort (an exception inside the
-``with`` block) replays the undo records in reverse.
+Transactions are *staged*: :meth:`Transaction.write` only records the
+intended write, and commit (leaving the ``with`` block normally) does the
+media work in four steps — read every target's *old* content in one
+batched read, persist all undo records as one contiguous run in the
+pool's media-resident log region, apply the writes in place as one batched
+write, clear the log's active flag.  Abort (an exception inside the
+``with`` block) simply drops the staged writes: nothing has touched the
+media yet.  Reads inside the block therefore still see the old content.
 
-Because the log lives on the simulated media, a *crash* mid-transaction
-(abandoning the pool object) is recoverable: a new
-:class:`~repro.pmem.pool.PersistentPool` constructed over the same device
-with ``recover=True`` finds the active log and rolls the half-applied
-transaction back — see ``tests/pmem/test_crash_recovery.py``.  A
-:class:`~repro.testing.faults.CrashError` raised at a fault site inside the
-``with`` block is treated as process death: the context manager performs
-*no* rollback and no cleanup, leaving the media exactly as the crash left
-it for a later recovery to repair.
+Because the log lives on the simulated media, a *crash* mid-commit is
+recoverable: a new :class:`~repro.pmem.pool.PersistentPool` constructed
+over the same device with ``recover=True`` finds the active log and rolls
+the half-applied transaction back — see ``tests/pmem/test_crash_recovery.py``.
+A :class:`~repro.testing.faults.CrashError` raised at a fault site is
+treated as process death: the context manager performs *no* rollback and
+no cleanup, leaving the media exactly as the crash left it for a later
+recovery to repair.
 
 All log traffic is real device writes, so transactional overhead shows up
 in the energy/latency accounting, as it does on real Optane through PMDK.
@@ -46,6 +48,8 @@ class Transaction:
         self._pool = pool
         self._active = False
         self._finished = False
+        self._writes: list[tuple[int, bytes]] = []
+        self._log_bytes = 0
 
     def __enter__(self) -> "Transaction":
         if self._active:
@@ -60,51 +64,38 @@ class Transaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        self._active = False
+        self._finished = True
         if exc_type is not None and issubclass(exc_type, CrashError):
-            # Simulated process death: nothing more touches the media.  The
-            # active undo log stays behind for recover() to roll back.
-            self._active = False
-            self._finished = True
+            # Simulated process death: nothing more touches the media.
             return False
         if exc_type is None:
-            self._commit()
+            # Commit: a crash inside leaves the active undo log behind for
+            # recover() to roll back; any other failure is rolled back by
+            # the pool before it propagates.
+            self._pool._log_commit(self._writes)
             return False
-        self._rollback()
-        self._active = False
+        # Abort: the staged writes never reached the media.
+        self._pool._tx_active = False
         # Swallow only explicit aborts; real errors propagate.
         return exc_type is TransactionAborted
 
     def write(self, addr: int, data: bytes) -> None:
-        """Log the old content of ``[addr, addr+len)``, then write in place."""
+        """Stage an in-place write of ``data`` at ``addr``; commit logs the
+        range's old content before applying it."""
         if not self._active:
             raise RuntimeError("transaction is not active")
-        old = self._pool.controller.read(addr, len(data))
-        self._pool._log_record(addr, old)
-        # The undo record is persisted and valid: a crash (or torn write)
-        # from here on is rolled back from the log.
-        self._pool._fire(
-            "tx.write",
-            payload_len=len(data),
-            payload_writer=lambda n: self._pool.controller.torn_program(
-                addr, data[:n]
-            ),
-        )
-        self._pool.controller.write(addr, data)
+        self._log_bytes += self._pool.record_overhead_bytes() + len(data)
+        if self._log_bytes > self._pool.log_capacity_bytes:
+            raise RuntimeError(
+                "undo log full: transaction touches more data than the log "
+                f"region holds ({self._pool.log_capacity_bytes} B)"
+            )
+        self._writes.append((addr, as_bytes(data)))
 
     def abort(self) -> None:
-        """Roll back everything written so far and leave the ``with`` block."""
+        """Drop everything staged so far and leave the ``with`` block."""
         raise TransactionAborted()
-
-    def _commit(self) -> None:
-        self._pool._fire("tx.commit")
-        self._pool._log_finish()
-        self._active = False
-        self._finished = True
-
-    def _rollback(self) -> None:
-        self._pool._log_rollback()
-        self._pool._log_finish()
-        self._finished = True
 
 
 def as_bytes(data) -> bytes:

@@ -405,14 +405,15 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
                 shard.resume_maintenance()
     finally:
         beat_stop.set()
-        # Release our view of the media.  NumPy may still hold exported
-        # buffer pointers through the device array; process exit reclaims
-        # them either way.
-        shard = None
+        # Release our view of the media: the device's content array is
+        # the only export of ``shm.buf``, and it must be gone before
+        # ``close()`` (or ``SharedMemory.__del__`` prints a BufferError).
+        if shard is not None:
+            shard.device.detach_buffer()
         try:
             shm.close()
         except BufferError:
-            pass
+            pass  # a shard that failed mid-build may still hold its view
 
 
 class _WorkerHandle:

@@ -28,6 +28,7 @@ marker (CI's ``crash-sweep`` job).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,10 +166,18 @@ def weave_compaction(trace, *, compact_every: int = 6) -> list[tuple]:
     return out
 
 
-def apply_trace(store: KVStore, trace, oracle: dict[bytes, bytes]) -> int:
+def apply_trace(
+    store: KVStore, trace, oracle: dict[bytes, bytes],
+    in_flight: list | None = None,
+) -> int:
     """Apply ``trace``, acknowledging each op into ``oracle`` only after the
     call returns.  Returns the number of acknowledged operations; a crash
     propagates with the oracle still reflecting only acknowledged state.
+
+    A ``("put_many", items)`` op commits in batch order, one catalog
+    transaction per group of pairs, so a crash inside it may leave a
+    *prefix* of the batch durable: while the call runs its pairs sit in
+    ``in_flight`` (when given) for :func:`check_durable_invariants`.
 
     A wear-out degradation to read-only ends the trace early (the refused
     op was never acknowledged, so the oracle stays exact); deterministic
@@ -182,6 +191,16 @@ def apply_trace(store: KVStore, trace, oracle: dict[bytes, bytes]) -> int:
             except StoreReadOnlyError:
                 return acked
             oracle[op[1]] = op[2]
+        elif op[0] == "put_many":
+            if in_flight is not None:
+                in_flight[:] = op[1]
+            try:
+                store.put_many(op[1])
+            except StoreReadOnlyError:
+                return acked
+            oracle.update(op[1])
+            if in_flight is not None:
+                in_flight.clear()
         elif op[0] == "delete":
             try:
                 store.delete(op[1])
@@ -220,13 +239,14 @@ def apply_trace(store: KVStore, trace, oracle: dict[bytes, bytes]) -> int:
 
 
 def check_durable_invariants(
-    store: KVStore, oracle: dict[bytes, bytes]
+    store: KVStore, oracle: dict[bytes, bytes], in_flight=()
 ) -> None:
     """Assert the full durability contract of a (re-opened) store.
 
     - recovered contents equal the acknowledged oracle exactly — no lost
       acknowledged PUT, no phantom un-acknowledged PUT, no resurrected
-      DELETE;
+      DELETE — except that some *prefix* of the ``in_flight`` pairs (the
+      ``put_many`` batch a crash interrupted) may have committed on top;
     - pool accounting exact: free ∪ allocated ∪ retired = all object
       segments, pairwise disjoint;
     - the DAP holds exactly the placeable addresses — free minus the
@@ -241,6 +261,11 @@ def check_durable_invariants(
     """
     pool, catalog = store.pool, store.catalog
     contents = dict(store.items())
+    oracle = dict(oracle)
+    for key, value in in_flight:
+        if contents == oracle:
+            break
+        oracle[key] = value
     assert contents == oracle, (
         f"store/oracle divergence: only-in-store="
         f"{ {k: v for k, v in contents.items() if oracle.get(k) != v} } "
@@ -450,6 +475,7 @@ def run_crash_sweep(
     sites=DEFAULT_CRASH_SITES,
     torn_sites=DEFAULT_TORN_SITES,
     torn_fraction: float = 0.5,
+    torn_byte_sites=(),
     check_fsck: bool = False,
     progress=None,
 ) -> CrashSweepReport:
@@ -457,6 +483,9 @@ def run_crash_sweep(
     check invariants after each crash.  Returns a report whose
     ``failures`` list is empty iff the durability contract held at every
     single point.
+
+    Every firing of a site in ``torn_byte_sites`` is additionally torn at
+    *every* byte of its payload (0 bytes persisted up to all of them).
 
     With ``check_fsck`` the crashed device is additionally snapshotted
     and run through the offline checker (:func:`repro.tools.fsck.fsck`)
@@ -470,32 +499,53 @@ def run_crash_sweep(
     # crash-free end state (also populates the final oracle).
     faults = FaultInjector()
     device, _, store = harness.fresh(faults)
+    # Crash points start with the trace: formatting fresh media is not a
+    # recovery scenario (``device.program`` fires there too).
+    all_sites = {*sites, *torn_sites, *torn_byte_sites}
+    setup_hits = {site: faults.hits(site) for site in all_sites}
     oracle: dict[bytes, bytes] = {}
     apply_trace(store, trace, oracle)
-    report.site_hits = {site: faults.hits(site) for site in sites}
+    hits = {site: faults.hits(site) - setup_hits[site] for site in all_sites}
+    report.site_hits = {site: hits[site] for site in sites}
     check_durable_invariants(harness.reopen(device), oracle)
 
-    points = [
+    # (site, k-th firing, tear): no tear, a payload fraction (float) or an
+    # exact persisted byte count (int; grows by one until the payload is
+    # covered).
+    points = deque(
         (site, k, None)
         for site in sites
         for k in range(report.site_hits[site])
-    ]
-    points += [
+    )
+    points.extend(
         (site, k, torn_fraction)
         for site in torn_sites
-        for k in range(report.site_hits.get(site, 0))
-    ]
+        for k in range(hits[site])
+    )
+    points.extend(
+        (site, k, 0) for site in torn_byte_sites for k in range(hits[site])
+    )
+    n_points = 0
 
-    for site, k, tear in points:
-        label = f"{site}#{k}" + ("+torn" if tear is not None else "")
+    while points:
+        site, k, tear = points.popleft()
+        n_points += 1
+        by_bytes = isinstance(tear, int)
+        label = f"{site}#{k}" + (
+            "" if tear is None else f"+torn@{tear}" if by_bytes else "+torn"
+        )
         faults = FaultInjector()
-        faults.arm(site, error=CrashError, after=k, times=1,
-                   torn_fraction=tear)
         device, _, store = harness.fresh(faults)
+        rule = faults.arm(
+            site, error=CrashError, after=k, times=1,
+            torn_fraction=None if by_bytes else tear,
+            torn_bytes=tear if by_bytes else None,
+        )
         oracle = {}
+        in_flight: list = []
         crashed = False
         try:
-            apply_trace(store, trace, oracle)
+            apply_trace(store, trace, oracle, in_flight)
         except CrashError:
             crashed = True
         except Exception as exc:  # pragma: no cover - harness failure
@@ -508,19 +558,21 @@ def run_crash_sweep(
         report.crash_points += 1
         if tear is not None:
             report.torn_points += 1
+        if by_bytes and tear < rule.payload_len:
+            points.append((site, k, tear + 1))
         del store  # process death: only the device survives
         if check_fsck:
             _fsck_crashed_device(harness, device, label, report)
         try:
             recovered = harness.reopen(device)
-            check_durable_invariants(recovered, oracle)
+            check_durable_invariants(recovered, oracle, in_flight)
         except AssertionError as exc:
             report.failures.append(f"{label}: {exc}")
         except Exception as exc:
             report.failures.append(f"{label}: recovery error {exc!r}")
         if progress is not None:
             progress(label, report)
-    report.clean_replays = len(points) - report.crash_points
+    report.clean_replays = n_points - report.crash_points
     return report
 
 

@@ -76,6 +76,10 @@ class FaultRule:
         torn_fraction: when acting on a write-capable site, persist this
             fraction of the payload bytes (rounded down) before raising —
             a device-level torn write.  ``None`` tears nothing.
+        torn_bytes: like ``torn_fraction`` but an exact byte count (capped
+            at the payload length); byte-by-byte sweeps use it.
+        payload_len: size of the payload the rule last tore (so a sweep
+            knows when ``torn_bytes`` has covered the whole payload).
     """
 
     site: str
@@ -84,6 +88,8 @@ class FaultRule:
     after: int = 0
     times: int | None = 1
     torn_fraction: float | None = None
+    torn_bytes: int | None = None
+    payload_len: int = field(default=0, init=False)
     hits: int = field(default=0, init=False)
     fired: int = field(default=0, init=False)
     torn_writes: int = field(default=0, init=False)
@@ -127,11 +133,13 @@ class FaultInjector:
         after: int = 0,
         times: int | None = 1,
         torn_fraction: float | None = None,
+        torn_bytes: int | None = None,
     ) -> FaultRule:
         """Arm ``site``; the next ``fire(site)`` (after ``after`` skips)
         sleeps ``delay`` seconds and raises ``error``, up to ``times`` times.
-        With ``torn_fraction`` set, a write-capable site first persists that
-        fraction of its payload (a torn write) before the error is raised.
+        With ``torn_fraction`` (or ``torn_bytes``) set, a write-capable site
+        first persists that fraction (that many bytes) of its payload — a
+        torn write — before the error is raised.
 
         Arming a site that carries no ``error`` and no ``delay`` raises
         ``ValueError`` — such a rule could never act.
@@ -146,6 +154,8 @@ class FaultInjector:
             raise ValueError("times must be positive (or None for forever)")
         if torn_fraction is not None and not 0.0 <= torn_fraction <= 1.0:
             raise ValueError("torn_fraction must be in [0, 1]")
+        if torn_bytes is not None and torn_bytes < 0:
+            raise ValueError("torn_bytes must be non-negative")
         rule = FaultRule(
             site,
             error=error,
@@ -153,6 +163,7 @@ class FaultInjector:
             after=after,
             times=times,
             torn_fraction=torn_fraction,
+            torn_bytes=torn_bytes,
         )
         with self._lock:
             self._rules[site] = rule
@@ -219,13 +230,14 @@ class FaultInjector:
         # Sleep outside the lock so a slow site never blocks other sites.
         if rule.delay > 0.0:
             time.sleep(rule.delay)
-        if (
-            rule.torn_fraction is not None
-            and payload_writer is not None
-            and payload_len > 0
-        ):
-            keep = int(payload_len * rule.torn_fraction)
+        tears = rule.torn_fraction is not None or rule.torn_bytes is not None
+        if tears and payload_writer is not None and payload_len > 0:
+            if rule.torn_bytes is not None:
+                keep = rule.torn_bytes
+            else:
+                keep = int(payload_len * rule.torn_fraction)
             if keep > 0:
                 payload_writer(min(keep, payload_len))
             rule.torn_writes += 1
+            rule.payload_len = payload_len
         rule._raise()

@@ -4,10 +4,12 @@
 snapshot *read-only* (nothing is repaired or rolled back) and
 cross-checks every layer of the persistent format:
 
-- **Undo log** — the active flag and every record's framing, CRC32 and
-  valid byte.  An active transaction is not an error (recovery rolls it
-  back on the next open), but its pending records downgrade value-level
-  findings to warnings: their segments are in a legitimately torn state.
+- **Undo log** — the active flag and, through the pool's own
+  :func:`~repro.pmem.pool.iter_log_records`, every intact record of the
+  transaction the header names.  An active transaction is not an error
+  (recovery rolls it back on the next open), but its pending records
+  downgrade value-level findings to warnings: their segments are in a
+  legitimately torn state.
 - **Catalog** — every live record's value bytes are read back through
   the controller (ECP-corrected when the snapshot carries a wear-out
   model) and checked against the record's CRC32; duplicate live keys are
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
@@ -37,11 +38,7 @@ from pathlib import Path
 from repro.nvm.controller import MemoryController
 from repro.nvm.device import NVMDevice
 from repro.pmem.catalog import DEFAULT_KEY_CAPACITY, PersistentCatalog
-from repro.pmem.pool import PersistentPool
-
-_LOG_HEADER_BYTES = 16
-_RECORD_HEADER = struct.Struct("<QI")
-_RECORD_CRC = struct.Struct("<I")
+from repro.pmem.pool import PersistentPool, iter_log_records
 
 
 @dataclass
@@ -70,16 +67,6 @@ class FsckReport:
         self.warnings.append(message)
 
 
-def _read(controller, addr: int, length: int) -> bytes:
-    """Segment-chunked controller read (log records cross boundaries)."""
-    seg = controller.segment_size
-    out = b""
-    while len(out) < length:
-        room = seg - ((addr + len(out)) % seg)
-        out += controller.read(addr + len(out), min(room, length - len(out)))
-    return out
-
-
 def _scan_undo_log(controller, pool, report: FsckReport) -> set[int]:
     """Check the undo-log region; returns the set of media addresses the
     pending (not yet rolled back) transaction has undo records for."""
@@ -94,36 +81,9 @@ def _scan_undo_log(controller, pool, report: FsckReport) -> set[int]:
         "undo log: transaction left active by a crash "
         "(recovery will roll it back on the next open)"
     )
-    capacity = pool.log_segments * controller.segment_size
-    trailer = _RECORD_CRC.size + 1
-    offset = _LOG_HEADER_BYTES
-    while offset + _RECORD_HEADER.size + trailer <= capacity:
-        header = _read(controller, offset, _RECORD_HEADER.size)
-        addr, length = _RECORD_HEADER.unpack(header)
-        if length == 0 or length > capacity:
-            break  # scan terminator (or torn header) — same rule as recover
-        record_end = offset + _RECORD_HEADER.size + length
-        if record_end + trailer > capacity:
-            break
-        valid = _read(controller, record_end + _RECORD_CRC.size, 1)[0]
-        if valid != 1:
-            break  # torn tail: recovery stops here too
-        old = _read(controller, offset + _RECORD_HEADER.size, length)
-        (crc_stored,) = _RECORD_CRC.unpack(
-            _read(controller, record_end, _RECORD_CRC.size)
-        )
-        if crc_stored != (zlib.crc32(header + old) & 0xFFFFFFFF):
-            # A stale valid byte over a torn body; recovery ends its scan
-            # here, so later records are unreachable — worth flagging.
-            report.warning(
-                f"undo log: record at offset {offset} has a set valid byte "
-                "but a failing CRC (torn body; recovery stops scanning here)"
-            )
-            break
-        for byte in range(addr, addr + length):
-            pending.add(byte)
+    for addr, old in iter_log_records(controller, pool.log_segments):
+        pending.update(range(addr, addr + len(old)))
         report.pending_undo_records += 1
-        offset = record_end + trailer
     return pending
 
 

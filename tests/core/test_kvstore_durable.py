@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import KVStore
 from repro.core.config import fast_test_config
-from repro.nvm import MemoryController, NVMDevice
+from repro.nvm import MemoryController, NVMDevice, WearOutConfig
 from repro.pmem import PersistentCatalog, PersistentPool
 from repro.testing import (
     CrashError,
@@ -151,6 +151,87 @@ class TestCrashedPut:
         assert set(store.engine.free_addresses()) == free_before
         store.put(b"k", b"recovered")  # still fully usable
         assert store.get(b"k") == b"recovered"
+
+
+class TestGroupCommit:
+    """``put_many`` writes the batch's values to free segments, then
+    publishes their catalog records a transaction-full of pairs at a
+    time."""
+
+    ITEMS = [(b"k%02d" % i, bytes([i + 1]) * (i + 5)) for i in range(8)]
+
+    def test_batch_commits_in_few_transactions(self, harness):
+        faults = FaultInjector()
+        device, _, store = harness.fresh(faults)
+        store.put_many(self.ITEMS)
+        per_tx = store._pairs_per_tx
+        assert 1 < per_tx < len(self.ITEMS)
+        assert faults.hits("tx.begin") == -(-len(self.ITEMS) // per_tx)
+        # One undo-record run per transaction, not one record write each.
+        assert faults.hits("tx.log") == faults.hits("tx.begin")
+        check_durable_invariants(store, dict(self.ITEMS))
+        check_durable_invariants(harness.reopen(device), dict(self.ITEMS))
+
+    def test_failed_group_keeps_and_counts_the_committed_prefix(
+        self, harness
+    ):
+        """A non-crash failure in the second transaction leaves the first
+        group committed *and counted* toward the retrain cooldown, and
+        un-claims every address it did not publish."""
+        faults = FaultInjector()
+        device, _, store = harness.fresh(faults)
+        policy = store.engine.policy
+        counted = policy._writes_since_retrain
+        faults.arm("tx.commit", error=OSError("media error"), after=1)
+        with pytest.raises(OSError):
+            store.put_many(self.ITEMS)
+        committed = dict(self.ITEMS[: store._pairs_per_tx])
+        assert policy._writes_since_retrain - counted == len(committed)
+        check_durable_invariants(store, committed)
+        store.put_many(self.ITEMS)  # still fully usable
+        check_durable_invariants(harness.reopen(device), dict(self.ITEMS))
+
+    def test_repeated_key_supersedes_its_first_occurrence(self, harness):
+        faults = FaultInjector()
+        device, _, store = harness.fresh(faults)
+        store.put(b"a", b"zero")
+        addrs = store.put_many(
+            [(b"a", b"first"), (b"b", b"other"), (b"a", b"second!")]
+        )
+        # One transaction for the whole batch: the first occurrence was
+        # superseded before it could become visible, so only the last
+        # value is published and the first's segment is free again.
+        assert faults.hits("tx.begin") == 2
+        assert store.get(b"a") == b"second!"
+        assert addrs[0] in store.pool.free_addresses()
+        assert addrs[0] in store.engine.free_addresses()
+        assert sorted(e.key for e in store.catalog.scan()) == [b"a", b"b"]
+        expected = {b"a": b"second!", b"b": b"other"}
+        check_durable_invariants(store, expected)
+        reopened = harness.reopen(device)
+        assert reopened.recovery.duplicate_keys_dropped == 0
+        check_durable_invariants(reopened, expected)
+
+    def test_mixed_value_lengths_under_verify(self):
+        """Values of different lengths share one batch on verifying media:
+        the controller batches them per length."""
+        mortal = KVCrashHarness(wearout=WearOutConfig(seed=3))
+        device, _, store = mortal.fresh(FaultInjector())
+        controller = store.engine.controller
+        assert controller.verify_writes
+        items = [
+            (b"k%02d" % i, bytes([i + 1]) * length)
+            for i, length in enumerate([64, 7, 64, 1, 33, 7, 64, 33])
+        ]
+        verified = controller.verify_reads
+        writes = device.stats.writes
+        store.put_many(items)
+        # Every device write of the batch was read back and verified.
+        assert controller.verify_reads - verified == (
+            device.stats.writes - writes
+        )
+        check_durable_invariants(store, dict(items))
+        check_durable_invariants(mortal.reopen(device), dict(items))
 
 
 class TestConstruction:

@@ -7,9 +7,10 @@ and transaction-boundary site — and runs in CI's dedicated crash-sweep
 job (``pytest -m crash``).
 """
 
+import numpy as np
 import pytest
 
-from repro.nvm import DriftConfig
+from repro.nvm import DriftConfig, WearOutConfig
 from repro.testing import (
     DEFAULT_CRASH_SITES,
     DEFAULT_TORN_SITES,
@@ -37,6 +38,98 @@ def drift_harness():
         seed=7,
         drift=DriftConfig(retention_mean=8, retention_sigma=0.3, seed=3),
     )
+
+
+@pytest.fixture(scope="module")
+def mortal_harness():
+    """Stores on media mortal enough that segments hit ECP capacity and
+    retire mid-trace (verify-after-write on, a few reserved spares)."""
+    return KVCrashHarness(
+        n_segments=48,
+        segment_size=64,
+        seed=7,
+        wearout=WearOutConfig(
+            endurance_mean=6, endurance_sigma=0.5, seed=5, ecp_entries=1
+        ),
+        spares=4,
+    )
+
+
+#: Every site a durable ``put_many`` fires, media programs included.
+BATCH_SITES = (
+    "tx.begin", "tx.log", "tx.write", "tx.commit", "device.write",
+    "device.program",
+)
+
+
+def make_batched_trace(n_batches: int, seed: int, batch: int = 8):
+    """``put_many`` batches over a small key space: every batch mixes
+    inserts and updates with values of mixed lengths and repeats its first
+    key (a different value) further down; a delete and a get in between
+    keep later batches inserting."""
+    rng = np.random.default_rng(seed)
+    keys = [b"user%03d" % i for i in range(12)]
+    trace = []
+    for _ in range(n_batches):
+        picks = [keys[i] for i in rng.choice(len(keys), batch - 1, False)]
+        picks.insert(batch // 2 + 1, picks[0])
+        trace.append(("put_many", [
+            (key, rng.integers(0, 256, int(rng.integers(1, 65)),
+                               dtype=np.uint8).tobytes())
+            for key in picks
+        ]))
+        trace.append(("delete", picks[1]))
+        trace.append(("get", picks[2]))
+    return trace
+
+
+def test_small_batched_sweep_recovers(mortal_harness):
+    """A crash at every point a group-committed ``put_many`` passes
+    through — value writes to free segments, the record run, the header,
+    every in-place catalog write — leaves acknowledged batches intact and
+    at most a *prefix* of the interrupted one."""
+    report = run_crash_sweep(
+        mortal_harness, make_batched_trace(1, seed=5), sites=BATCH_SITES,
+    )
+    assert report.passed, report.failures[:5]
+    for site in BATCH_SITES:
+        assert report.site_hits[site] > 0, f"{site} never fired"
+    # One batch of 8 pairs needs several transactions at this log size,
+    # and commits them in far fewer than one per pair would.
+    assert 2 <= report.site_hits["tx.begin"] - 1 < 8
+
+
+@pytest.mark.crash
+def test_batched_sweep_acceptance(mortal_harness):
+    """Acceptance criterion for group commit: ``put_many`` B=8 batches
+    (updates, inserts, a repeated key, mixed lengths) on media that
+    retires segments mid-batch, crashed at every fired transaction, device
+    and wear-out point — and, on a shorter trace, torn at *every byte* of
+    every undo-record run.  Each crash recovers to acknowledged ⇒ new,
+    un-acknowledged ⇒ a prefix of the batch, with the offline checker
+    clean on the crashed media."""
+    sites = BATCH_SITES + WEAROUT_CRASH_SITES
+    report = run_crash_sweep(
+        mortal_harness, make_batched_trace(4, seed=11), sites=sites,
+        check_fsck=True,
+    )
+    assert report.passed, (
+        f"{len(report.failures)} of {report.crash_points} crash points "
+        f"failed; first: {report.failures[:3]}"
+    )
+    for site in sites:
+        assert report.site_hits[site] > 0, f"{site} never fired"
+    assert report.clean_replays == 0
+
+    torn = run_crash_sweep(
+        mortal_harness, make_batched_trace(2, seed=11), sites=(),
+        torn_sites=(), torn_byte_sites=("tx.log",), check_fsck=True,
+    )
+    assert torn.passed, (
+        f"{len(torn.failures)} of {torn.crash_points} torn points failed; "
+        f"first: {torn.failures[:3]}"
+    )
+    assert torn.torn_points > 1000
 
 
 def test_small_sweep_every_point_recovers(harness):

@@ -11,8 +11,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.nvm import MemoryController, NVMDevice
+from repro.nvm import MemoryController, NVMDevice, WearOutConfig
+from repro.nvm.health import SegmentRetiredError
 from repro.nvm.wear_leveling import SegmentSwapWearLeveling
 
 SEGMENT_SIZE = 64
@@ -189,3 +192,88 @@ class TestControllerWriteMany:
     def test_empty(self):
         controller = MemoryController(_device())
         assert controller.write_many([], []) == []
+
+
+def _aged_controller(cycles: int, ecp_entries: int):
+    """A controller over media aged ``cycles`` program cycles past a tiny
+    endurance budget: many cells are already stuck, so verify-after-write
+    has corrections to record and segments to retire."""
+    device = _device(
+        wearout=WearOutConfig(
+            endurance_mean=6, endurance_sigma=0.4, seed=2,
+            ecp_entries=ecp_entries,
+        )
+    )
+    device.age(cycles)
+    return MemoryController(device), device
+
+
+def _verify_twin(seed: int, n_segments: int, cycles: int, ecp_entries: int):
+    """Write the same rows through ``write_many`` and row by row; returns
+    the retired rows after asserting the two controllers are twins."""
+    rng = np.random.default_rng(seed)
+    addrs, values = [], []
+    for seg in rng.choice(N_SEGMENTS, size=n_segments, replace=False):
+        base = int(seg) * SEGMENT_SIZE
+        # Whole-segment rows and pairs of half-segment rows sharing one
+        # segment: two lengths, hence two batched passes.
+        spans = [(0, 64)] if rng.random() < 0.5 else [(0, 24), (32, 24)]
+        for offset, length in spans:
+            addrs.append(base + offset)
+            values.append(
+                rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+            )
+    batched, batched_dev = _aged_controller(cycles, ecp_entries)
+    scalar, scalar_dev = _aged_controller(cycles, ecp_entries)
+
+    try:
+        got = batched.write_many(addrs, values)
+        got_retired = []
+    except SegmentRetiredError as exc:
+        got, got_retired = exc.results, exc.rows
+    expected, expected_retired = [], []
+    for row, (addr, value) in enumerate(zip(addrs, values)):
+        try:
+            expected.append(scalar.write(addr, value))
+        except SegmentRetiredError:
+            expected.append(None)
+            expected_retired.append(row)
+
+    assert got == expected
+    assert got_retired == expected_retired
+    np.testing.assert_array_equal(
+        batched_dev.peek(0, batched_dev.capacity_bytes),
+        scalar_dev.peek(0, scalar_dev.capacity_bytes),
+    )
+    _assert_stats_equal(batched_dev.stats, scalar_dev.stats)
+    for a, b in zip(
+        batched_dev.ecc.state_arrays(), scalar_dev.ecc.state_arrays()
+    ):
+        np.testing.assert_array_equal(a, b)
+    assert batched.verify_reads == scalar.verify_reads == len(addrs)
+    assert batched.corrections_recorded == scalar.corrections_recorded
+    assert batched_dev.health.retired == scalar_dev.health.retired
+    assert batched_dev.health.retiring == scalar_dev.health.retiring
+    assert batched_dev.stuck_cell_count() == scalar_dev.stuck_cell_count()
+    return got_retired
+
+
+class TestWriteManyVerifyTwin:
+    """``write_many`` verifies in-batch (one read-back per pass); on aged
+    media it must stay the exact twin of row-by-row ``write`` calls."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_segments=st.integers(1, 10),
+        cycles=st.integers(0, 2),  # 3+ cycles kill every segment outright
+        ecp_entries=st.integers(1, 16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_by_row_write(
+        self, seed, n_segments, cycles, ecp_entries
+    ):
+        _verify_twin(seed, n_segments, cycles, ecp_entries)
+
+    def test_one_row_retires_the_rest_stay_written(self):
+        retired = _verify_twin(seed=0, n_segments=8, cycles=1, ecp_entries=1)
+        assert retired == [1]

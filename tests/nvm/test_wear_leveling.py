@@ -129,9 +129,9 @@ class TestStartGap:
 
 class TestWriteManyScalarFallback:
     """``controller.write_many`` must fall back to per-row writes — with
-    byte-identical results — whenever batching is unsafe: an active
-    wear-leveling remapper (mid-batch remaps are order-dependent) or
-    verify-after-write."""
+    byte-identical results — under an active wear-leveling remapper
+    (mid-batch remaps are order-dependent).  Verify-after-write is batched
+    too; its twin lives in ``test_batched_device.py``."""
 
     def _workload(self, controller, seed=5, n_writes=24):
         rng = np.random.default_rng(seed)
@@ -171,38 +171,3 @@ class TestWriteManyScalarFallback:
                 seg
             ) == ctrl_seq.wear_leveling.to_physical(seg)
             assert ctrl_many.read(seg * 64, 64) == ctrl_seq.read(seg * 64, 64)
-
-    def test_batched_equals_sequential_under_verify(self):
-        from repro.nvm import WearOutConfig
-
-        def worn():
-            dev = NVMDevice(
-                capacity_bytes=16 * 64,
-                segment_size=64,
-                initial_fill="random",
-                seed=9,
-                wearout=WearOutConfig(
-                    endurance_mean=6, endurance_sigma=0.4, seed=2,
-                    ecp_entries=96,
-                ),
-            )
-            return MemoryController(dev), dev
-
-        ctrl_many, dev_many = worn()
-        ctrl_seq, dev_seq = worn()
-        addrs, values = self._workload(ctrl_many, n_writes=16)
-
-        assert ctrl_many.write_many(addrs, values) == [
-            ctrl_seq.write(a, v) for a, v in zip(addrs, values)
-        ]
-        assert np.array_equal(
-            dev_many.peek(0, dev_many.capacity_bytes),
-            dev_seq.peek(0, dev_seq.capacity_bytes),
-        )
-        assert (
-            ctrl_many.corrections_recorded == ctrl_seq.corrections_recorded
-        )
-        for got, want in zip(
-            dev_many.ecc.state_arrays(), dev_seq.ecc.state_arrays()
-        ):
-            assert np.array_equal(got, want)

@@ -1,9 +1,15 @@
 """Crash-consistency tests: recovery from the media-resident undo log.
 
-A "crash" is simulated by abandoning the pool object mid-transaction and
-constructing a fresh :class:`PersistentPool` over the *same device* with
-``recover=True`` — exactly what a restart over real persistent memory does.
+Transactions are staged, so the media is only at risk *during commit*.  A
+"crash" is simulated by a :class:`CrashError` at the ``tx.commit`` site —
+undo records persisted, header raised, every write applied in place, flag
+not yet cleared — followed by constructing a fresh :class:`PersistentPool`
+over the *same device* with ``recover=True``, exactly what a restart over
+real persistent memory does.
 """
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -22,16 +28,26 @@ def make_device(n_segments=24, seed=0):
     )
 
 
+def crash_at_commit(pool, writes: list[tuple[int, bytes]]):
+    """Run ``writes`` in one transaction of ``pool`` and 'crash' at the
+    commit point: everything is applied in place, the log is still active,
+    and the DRAM pool object is to be discarded."""
+    pool.faults = FaultInjector()
+    pool.faults.arm("tx.commit", error=CrashError)
+    with pytest.raises(CrashError):
+        with pool.transaction() as tx:
+            for addr, data in writes:
+                tx.write(addr, data)
+
+
 def crash_mid_transaction(device, payloads: list[tuple[int, bytes]]):
-    """Open a pool, write ``payloads`` inside a transaction, then 'crash'
-    (never commit).  Returns the allocated addresses."""
+    """Open a pool and crash a transaction writing ``payloads`` to freshly
+    allocated segments.  Returns the allocated addresses."""
     pool = PersistentPool(MemoryController(device), log_segments=8)
     addrs = [pool.alloc() for _ in range(len(payloads))]
-    tx = pool.transaction()
-    tx.__enter__()
-    for addr, (_, data) in zip(addrs, payloads):
-        tx.write(addr, data)
-    # No __exit__: process dies here. The DRAM pool object is discarded.
+    crash_at_commit(
+        pool, [(addr, data) for addr, (_, data) in zip(addrs, payloads)]
+    )
     return addrs
 
 
@@ -41,11 +57,10 @@ class TestCrashRecovery:
         pool = PersistentPool(MemoryController(device), log_segments=8)
         addr = pool.alloc()
         pool.write(addr, b"STABLE" + bytes(58))
-        # Crash mid-transaction on the same device.
-        tx = pool.transaction()
-        tx.__enter__()
-        tx.write(addr, b"TORN" + bytes(60))
-        del tx, pool
+        # Crash mid-commit on the same device.
+        crash_at_commit(pool, [(addr, b"TORN" + bytes(60))])
+        assert device.peek(addr, 4).tobytes() == b"TORN"
+        del pool
 
         recovered = PersistentPool(
             MemoryController(device), log_segments=8, recover=True
@@ -99,7 +114,8 @@ class TestCrashRecovery:
 
     def test_stale_records_from_prior_tx_not_replayed(self):
         """After tx1 commits, a crash in a smaller tx2 must roll back only
-        tx2's records — the scan terminator stops before tx1 leftovers."""
+        tx2's records — the run's closing header (and the sequence stamp)
+        stop the scan before tx1 leftovers."""
         device = make_device(seed=5)
         pool = PersistentPool(MemoryController(device), log_segments=8)
         a, b, c = pool.alloc(), pool.alloc(), pool.alloc()
@@ -107,10 +123,8 @@ class TestCrashRecovery:
             tx.write(a, b"1" * 64)
             tx.write(b, b"2" * 64)
             tx.write(c, b"3" * 64)
-        tx2 = pool.transaction()
-        tx2.__enter__()
-        tx2.write(a, b"X" * 64)  # tx2: one record, then crash
-        del tx2, pool
+        crash_at_commit(pool, [(a, b"X" * 64)])  # tx2: one record
+        del pool
 
         recovered = PersistentPool(
             MemoryController(device), log_segments=8, recover=True
@@ -215,35 +229,52 @@ class TestCrashRecovery:
         assert recovered.recovered_records == 1
         assert recovered.read(addr, 3) == b"OLD"
 
-    def test_torn_log_record_over_stale_valid_byte(self):
-        """The log region is reused: after a committed multi-record
-        transaction, a crash tearing the *first* log write of the next
-        transaction leaves stale bytes (including a stale valid byte
-        further out) behind the torn record.  The CRC and pre-zeroed valid
-        byte must keep recovery from replaying garbage."""
+    def test_stale_older_sequence_record_not_replayed(self):
+        """The log region is reused: a run torn exactly at a record
+        boundary leaves an *intact* record of an earlier transaction right
+        behind the new records.  Its CRC covers the older sequence number,
+        so even under an active header naming the new transaction the
+        scan stops in front of it."""
         device = make_device(seed=12)
         faults = FaultInjector()
-        pool = PersistentPool(
-            MemoryController(device), log_segments=8, faults=faults
-        )
+        controller = MemoryController(device)
+        pool = PersistentPool(controller, log_segments=8, faults=faults)
         a, b = pool.alloc(), pool.alloc()
-        with pool.transaction() as tx:  # big committed tx fills the log
+        with pool.transaction() as tx:  # records for a, then b
             tx.write(a, b"1" * 64)
             tx.write(b, b"2" * 64)
-        with pool.transaction() as tx:
-            tx.write(a, b"3" * 64)
-        # Next transaction: tear its first (and only) undo record.
-        faults.arm("tx.log", error=CrashError, torn_fraction=0.6)
+        record = pool.record_overhead_bytes() + 64
+        # Next transaction: its run (a, b, closing header) is torn after
+        # exactly one record, so b's stale record survives at the tear.
+        faults.arm(
+            "tx.log", error=CrashError,
+            torn_fraction=record / (2 * record + 12),
+        )
         with pytest.raises(CrashError):
             with pool.transaction() as tx:
-                tx.write(a, b"X" * 64)
+                tx.write(a, b"3" * 64)
+                tx.write(b, b"4" * 64)
+        log = b"".join(controller.read(i * 64, 64) for i in range(8))
+        stale = log[16 + record : 16 + 2 * record]
+        addr, length = struct.unpack_from("<QI", stale)
+        assert (addr, length) == (b, 64)  # intact, from the first tx
+        sequence = struct.unpack_from("<Q", log, 1)[0]
+        assert struct.unpack_from("<I", stale, 12 + 64)[0] == zlib.crc32(
+            struct.pack("<Q", sequence) + stale[: 12 + 64]
+        )
+        # The torn run itself never replays: the header was not raised.
         recovered = PersistentPool(
             MemoryController(device), log_segments=8, recover=True
         )
-        # The torn record must not replay; nothing was written in place,
-        # so the committed content stands.
         assert recovered.recovered_records == 0
-        assert recovered.read(a, 64) == b"3" * 64
+        # Worst case: had the header gone up for the torn transaction,
+        # only its own record replays — never the stale one behind it.
+        controller.write(0, struct.pack("<BQ", 1, sequence + 1))
+        recovered = PersistentPool(
+            MemoryController(device), log_segments=8, recover=True
+        )
+        assert recovered.recovered_records == 1
+        assert recovered.read(a, 64) == b"1" * 64
         assert recovered.read(b, 64) == b"2" * 64
 
     def test_recovery_under_random_crashes(self):
@@ -263,11 +294,8 @@ class TestCrashRecovery:
             ]
             crash = rng.random() < 0.5
             if crash:
-                tx = pool.transaction()
-                tx.__enter__()
-                for addr, data in writes:
-                    tx.write(addr, data)
-                # Crash + restart.
+                crash_at_commit(pool, writes)
+                # Restart.
                 pool = PersistentPool(
                     MemoryController(device), log_segments=8, recover=True
                 )

@@ -179,6 +179,34 @@ class TestTransactions:
                 for addr in addrs:
                     tx.write(addr, b"Z" * 64)  # 4x(16+64+5) > 112 B of log
 
+    def test_failed_commit_leaves_previous_transaction_committed(self):
+        """A commit that fails before its header goes up (here: a staged
+        write crossing a segment boundary) must not replay the log — it
+        still holds the *previous* transaction's undo records."""
+        pool, _ = make_pool(n_segments=16, log_segments=6)
+        addr = pool.alloc()
+        with pool.transaction() as tx:
+            tx.write(addr, b"1" * 64)
+        with pytest.raises(ValueError, match="segment boundary"):
+            with pool.transaction() as tx:
+                tx.write(addr, b"2" * 64)
+                tx.write(addr + 32, b"x" * 64)
+        assert pool.read(addr, 64) == b"1" * 64
+        with pool.transaction() as tx:  # the pool stays usable
+            tx.write(addr, b"3" * 64)
+        assert pool.read(addr, 64) == b"3" * 64
+
+    def test_writes_are_staged_until_commit(self):
+        pool, dev = make_pool()
+        addr = pool.alloc()
+        pool.write(addr, b"X" * 64)
+        writes = dev.stats.writes
+        with pool.transaction() as tx:
+            tx.write(addr, b"Y" * 64)
+            assert pool.read(addr, 64) == b"X" * 64
+            assert dev.stats.writes == writes  # nothing on the media yet
+        assert pool.read(addr, 64) == b"Y" * 64
+
     def test_nested_transaction_raises(self):
         """The undo log holds one transaction; nesting must fail loudly
         instead of silently resetting the first transaction's records."""
