@@ -82,7 +82,7 @@ def run_figure2(seed: int = 0) -> list[list]:
                 seed_values, psi, scheme=scheme_factory()
             )
             placer = ArbitraryPlacer(
-                [i * SEGMENT for i in range(N_SEGMENTS)]
+                [i * SEGMENT for i in range(controller.n_segments)]
             )
             for value in stream:
                 addr = placer.choose(None)

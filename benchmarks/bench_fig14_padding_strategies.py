@@ -84,10 +84,11 @@ def run_figure14(seed: int = 0) -> list[list]:
                 lstm=lstm if strategy == "learned" else None,
             )
             flips = []
-            for item in test_bits:
-                cropped = crop(item, position)
-                padded = padder.pad(cropped, memory_ones_fraction=memory_fraction)
-                cluster = engine.pipeline.model.predict_one(padded)
+            crops = [crop(item, position) for item in test_bits]
+            clusters = engine.pipeline.model.predict(
+                padder.pad_batch(crops, memory_ones_fraction=memory_fraction)
+            )
+            for cropped, cluster in zip(crops, clusters.tolist()):
                 addr = engine.dap.get(cluster, centroids=engine.pipeline.centroids)
                 old_bits = np.unpackbits(engine.controller.peek(addr, SEGMENT))
                 # Only the real (cropped) bits are written; measure their

@@ -64,12 +64,13 @@ def run_figure15(seed: int = 0) -> list[list]:
             SEGMENT * 8, strategy="learned", position="end", seed=seed, lstm=lstm
         )
         flips = []
-        for item in test_bits:
-            keep = item.size - int(item.size * percent / 100.0)
-            keep -= keep % 8
+        keep = test_bits.shape[1] - int(test_bits.shape[1] * percent / 100.0)
+        keep -= keep % 8
+        clusters = engine.pipeline.model.predict(
+            padder.pad_batch(list(test_bits[:, :keep]))
+        )
+        for item, cluster in zip(test_bits, clusters.tolist()):
             cropped = item[:keep]
-            padded = padder.pad(cropped)
-            cluster = engine.pipeline.model.predict_one(padded)
             addr = engine.dap.get(cluster, centroids=engine.pipeline.centroids)
             old_bits = np.unpackbits(engine.controller.peek(addr, SEGMENT))
             # Written bits only: the first `keep` bits.

@@ -52,11 +52,14 @@ class DynamicAddressPool:
         self._neighbor_order: np.ndarray | None = None
 
     def populate(self, labels, addresses) -> None:
-        """Bulk-load (cluster, address) pairs during initialisation.
+        """Append each address to its cluster's free list (initialisation,
+        relabelling, recycling) under one lock acquisition.
 
         Raises:
+            KeyError: when a label is not a cluster of this pool.
             ValueError: when an address is quarantined (retired segments
-                must never re-enter the free lists).
+                must never re-enter the free lists; recycle those through
+                :meth:`quarantine`-aware callers).
         """
         with self._lock:
             for label, addr in zip(labels, addresses):
@@ -68,36 +71,25 @@ class DynamicAddressPool:
                 self._pools[int(label)].append(addr)
 
     def get(self, cluster: int, centroids: np.ndarray | None = None) -> int:
-        """Pop the first free address of ``cluster``.
-
-        When the cluster is empty and ``centroids`` are given, falls back to
-        the nearest non-empty cluster by centroid distance; without
-        centroids, falls back to the fullest non-empty cluster.
-
-        Raises:
-            RuntimeError: when every cluster is empty.
+        """Pop the first free address of ``cluster``: a one-entry
+        :meth:`get_many` (same fallback, same :class:`PoolExhaustedError`).
         """
-        with self._lock:
-            pool = self._pools[cluster]
-            if pool:
-                return pool.popleft()
-            fallback = self._fallback_cluster(cluster, centroids)
-            if fallback is None:
-                raise PoolExhaustedError(
-                    "dynamic address pool is exhausted"
-                )
-            return self._pools[fallback].popleft()
+        return self.get_many([cluster], centroids)[0]
 
     def get_many(
         self, clusters, centroids: np.ndarray | None = None
     ) -> list[int]:
-        """Pop one free address per entry of ``clusters`` under a single
-        lock acquisition (the batched write path's claim step).
+        """Pop the first free address of each entry of ``clusters`` under
+        a single lock acquisition (the write path's claim step).
 
-        Falls back per entry exactly like :meth:`get`.  All-or-nothing: if
-        the pool runs out partway through, every address popped so far is
-        pushed back (in order) and ``RuntimeError`` is raised, so pool
-        accounting stays exact.
+        When an entry's cluster is empty and ``centroids`` are given, falls
+        back to the nearest non-empty cluster by centroid distance; without
+        centroids, falls back to the fullest non-empty cluster.
+
+        Raises:
+            PoolExhaustedError: when every cluster is empty.  All-or-
+                nothing: every address popped so far is pushed back (in
+                order) first, so pool accounting stays exact.
         """
         with self._lock:
             popped: list[tuple[int, int]] = []
@@ -121,20 +113,9 @@ class DynamicAddressPool:
             return out
 
     def add(self, cluster: int, addr: int) -> None:
-        """Recycle ``addr`` into ``cluster`` (the DELETE path).
-
-        Raises:
-            ValueError: when ``addr`` is quarantined — retired segments
-                must be recycled through :meth:`quarantine`-aware callers.
-        """
-        if not 0 <= cluster < self.n_clusters:
-            raise KeyError(f"cluster {cluster} out of range")
-        with self._lock:
-            if int(addr) in self._quarantined:
-                raise ValueError(
-                    f"address {addr} is quarantined and cannot be pooled"
-                )
-            self._pools[cluster].append(int(addr))
+        """Recycle ``addr`` into ``cluster`` (the DELETE path): a one-pair
+        :meth:`populate`, ``KeyError`` on an unknown cluster included."""
+        self.populate([cluster], [addr])
 
     def take(self, addr: int) -> bool:
         """Claim a *specific* free address, removing it from whichever
@@ -237,10 +218,8 @@ class DynamicAddressPool:
 
     def memory_footprint_bytes(self) -> int:
         """Estimated DRAM footprint of the pool (Figure 7)."""
-        with self._lock:
-            entries = sum(len(pool) for pool in self._pools.values())
         return (
-            entries * self.BYTES_PER_ENTRY
+            self.free_count() * self.BYTES_PER_ENTRY
             + self.n_clusters * self.BYTES_PER_CLUSTER
         )
 

@@ -80,34 +80,19 @@ class WriteBatcher:
         return len(self._buffer)
 
     def put(self, value: bytes) -> PendingValue:
-        """Buffer a value; returns a handle that resolves after flush.
-
-        Values longer than a segment are rejected — write those directly
-        through the engine.
-        """
-        if not isinstance(value, bytes) or not value:
-            raise TypeError("values must be non-empty bytes")
-        if len(value) > self.segment_size:
-            raise ValueError(
-                f"value of {len(value)} bytes exceeds the "
-                f"{self.segment_size}-byte batch size"
-            )
-        if len(self._buffer) + len(value) > self.segment_size:
-            self.flush()
-        handle = PendingValue(self, len(self._buffer), len(value))
-        self._buffer.extend(value)
-        self._open_handles.append(handle)
-        return handle
+        """Buffer a value; returns a handle that resolves after flush
+        (a one-value :meth:`put_many`)."""
+        return self.put_many([value])[0]
 
     def put_many(self, values: list[bytes]) -> list[PendingValue]:
         """Buffer many values; full batches are written in one engine call.
 
-        Behaves like sequential :meth:`put` calls, except every batch that
-        fills up along the way is flushed through ``engine.write_many`` —
-        one forward pass and one vectorised device write for all of them.
-        On a write failure no batcher state changes: the engine has already
-        un-claimed the batch addresses and none of the values (or handles)
-        are committed.
+        Every batch that fills up along the way is flushed through
+        ``engine.write_many`` — one forward pass and one vectorised device
+        write for all of them.  Values longer than a segment are rejected —
+        write those directly through the engine.  On a write failure no
+        batcher state changes: the engine has already un-claimed the batch
+        addresses and none of the values (or handles) are committed.
         """
         values = list(values)
         for value in values:
@@ -119,46 +104,43 @@ class WriteBatcher:
                     f"{self.segment_size}-byte batch size"
                 )
         handles: list[PendingValue] = []
-        payloads: list[bytes] = []
-        payload_handles: list[list[PendingValue]] = []
+        full: list[tuple[bytearray, list[PendingValue]]] = []
         buffer = bytearray(self._buffer)
         open_handles = list(self._open_handles)
         for value in values:
             if len(buffer) + len(value) > self.segment_size:
-                payloads.append(
-                    bytes(buffer).ljust(self.segment_size, bytes([self.pad_byte]))
-                )
-                payload_handles.append(open_handles)
-                buffer = bytearray()
-                open_handles = []
+                full.append((buffer, open_handles))
+                buffer, open_handles = bytearray(), []
             handle = PendingValue(self, len(buffer), len(value))
             buffer.extend(value)
             open_handles.append(handle)
             handles.append(handle)
-        if payloads:
-            results = self.engine.write_many(payloads)
-            for (addr, _), batch in zip(results, payload_handles):
-                self._live_bytes[addr] = sum(h._length for h in batch)
-                for handle in batch:
-                    handle._resolve(addr)
-        self._buffer = buffer
-        self._open_handles = open_handles
+        self._write_batches(full)
+        self._buffer, self._open_handles = buffer, open_handles
         return handles
 
     def flush(self) -> int | None:
         """Write the open batch through the engine; returns its address."""
         if not self._buffer:
             return None
-        payload = bytes(self._buffer).ljust(
-            self.segment_size, bytes([self.pad_byte])
-        )
-        addr, _ = self.engine.write(payload)
-        self._live_bytes[addr] = sum(h._length for h in self._open_handles)
-        for handle in self._open_handles:
-            handle._resolve(addr)
-        self._buffer = bytearray()
-        self._open_handles = []
+        (addr,) = self._write_batches([(self._buffer, self._open_handles)])
+        self._buffer, self._open_handles = bytearray(), []
         return addr
+
+    def _write_batches(self, batches) -> list[int]:
+        """Write each ``(buffer, handles)`` batch as one padded segment —
+        all of them in one ``engine.write_many`` — and resolve its handles."""
+        if not batches:
+            return []
+        pad = bytes([self.pad_byte])
+        results = self.engine.write_many(
+            [bytes(buffer).ljust(self.segment_size, pad) for buffer, _ in batches]
+        )
+        for (addr, _), (_, handles) in zip(results, batches):
+            self._live_bytes[addr] = sum(h._length for h in handles)
+            for handle in handles:
+                handle._resolve(addr)
+        return [addr for addr, _ in results]
 
     def read(self, locator: BatchLocator) -> bytes:
         """Read one batched value back through the engine's controller."""

@@ -158,11 +158,7 @@ class E2NVM:
         Returns the training history (loss curves) of the pipeline.
         """
         if addresses is not None:
-            fit_set = list(addresses)
-            for addr in fit_set:
-                self._check_segment_address(addr)
-                if addr in self._allocated:
-                    raise ValueError(f"address {addr} is allocated")
+            fit_set = self._check_free(addresses)
             swap_addresses: list[int] | None = fit_set
         elif self.pipeline.trained:
             fit_set = self.dap.snapshot_addresses()
@@ -187,13 +183,9 @@ class E2NVM:
         its cluster's free list; no retraining happens.
         """
         self._require_trained()
-        addresses = list(addresses)
+        addresses = self._check_free(addresses)
         if not addresses:
             return
-        for addr in addresses:
-            self._check_segment_address(addr)
-            if addr in self._allocated:
-                raise ValueError(f"address {addr} is allocated")
         labels = self.pipeline.predict_segments(self._segment_bits(addresses))
         with self._swap_lock:
             self.dap.populate(labels, addresses)
@@ -216,32 +208,11 @@ class E2NVM:
                 f"pipeline width {pipeline.input_bits} does not match the "
                 f"device's {self.input_bits} bits per segment"
             )
-        quarantined = self.dap.quarantined()
-        free_addresses = [
-            a for a in free_addresses if a not in quarantined
-        ]
-        for addr in free_addresses:
-            self._check_segment_address(addr)
-            if addr in self._allocated:
-                raise ValueError(f"address {addr} is allocated")
-        bits = None
-        if free_addresses:
-            bits = self._segment_bits(free_addresses)
-        with self._swap_lock:
-            new_dap = DynamicAddressPool(self.config.n_clusters)
-            new_dap.adopt_quarantine(quarantined)
-            if free_addresses:
-                new_dap.populate(
-                    pipeline.predict_segments(bits), free_addresses
-                )
-            self.pipeline = pipeline
-            self.dap = new_dap
-            self._model_epoch += 1
-            # Adopted models carry no distilled student (none was trained
-            # alongside them); attach one with :meth:`attach_student`.
-            self.fast.install(self._model_epoch, None)
-        if bits is not None:
-            self._refresh_ones_fraction(bits)
+        # Adopted models carry no distilled student (none was trained
+        # alongside them); attach one with :meth:`attach_student`.
+        self._refresh_ones_fraction(
+            self._swap_in(pipeline, self._check_free(free_addresses))
+        )
 
     def mark_allocated(self, addr: int) -> None:
         """Register ``addr`` as live without going through :meth:`place`.
@@ -316,13 +287,10 @@ class E2NVM:
         then (when enabled) the distilled student — and only runs the full
         model forward pass on genuinely novel content.  Every tier runs
         *outside* the swap lock — concurrent writers only serialise on the
-        DAP pop.  The model epoch is re-validated under the lock before
-        claiming (covering cached and student-served predictions alike); if
-        a background retrain swapped the model mid-prediction, the value is
-        simply re-predicted with the new model.  After
-        ``config.place_epoch_retries`` lock-free attempts the prediction
-        runs *under* the swap lock, so a hostile retrain cadence delays a
-        writer by at most N forward passes instead of starving it.
+        DAP pop — and the model epoch is re-validated under the lock before
+        claiming (covering cached and student-served predictions alike);
+        see :meth:`_with_valid_epoch` for the bounded retry when a
+        background retrain swaps the model mid-prediction.
 
         When the predicted cluster is empty the pool falls back first-fit
         to the nearest non-empty cluster, so placement degrades gracefully
@@ -335,9 +303,9 @@ class E2NVM:
         cache/student-miss remainder) and one (short) swap-lock acquisition.
 
         Cluster assignments are identical to per-value :meth:`place` calls
-        (``predict_batch`` is bit-exact with sequential prediction, and the
-        memo cache replays exactly the installed model's earlier answer for
-        identical content); the DAP pop is all-or-nothing, so a
+        (``predict_batch`` does not depend on how values are batched, and
+        the memo cache replays exactly the installed model's earlier answer
+        for identical content); the DAP pop is all-or-nothing, so a
         pool-exhaustion failure leaves the pool untouched.
 
         See :meth:`place` for the epoch re-validation and bounded-retry
@@ -346,33 +314,42 @@ class E2NVM:
         self._require_trained()
         if not values:
             return []
+
+        def claim(clusters, pipeline):
+            addrs = self.dap.get_many(clusters, centroids=pipeline.centroids)
+            self._allocated.update(addrs)
+            return addrs
+
+        return self._with_valid_epoch(values, claim)
+
+    def _with_valid_epoch(self, contents: list, commit):
+        """Predict ``contents`` lock-free, then run ``commit(clusters,
+        pipeline)`` under the swap lock once the model epoch validates.
+
+        A swap that landed mid-prediction means the labels belong to a
+        retired model: re-predict, at most ``config.place_epoch_retries``
+        times.  The final attempt predicts *under* the swap lock, where no
+        swap can interleave — slower (the swap worker blocks on us), but a
+        hostile retrain cadence delays a caller by at most N forward
+        passes instead of starving it.
+        """
         for _ in range(self.config.place_epoch_retries):
             pipeline = self.pipeline
             epoch = self._model_epoch
             clusters = self.fast.predict(
-                values, pipeline, epoch,
+                contents, pipeline, epoch,
                 memory_ones_fraction=self._memory_ones_fraction,
             )
             with self._swap_lock:
-                if epoch != self._model_epoch:
-                    continue  # model swapped mid-prediction: re-predict
-                addrs = self.dap.get_many(
-                    clusters, centroids=pipeline.centroids
-                )
-                self._allocated.update(addrs)
-                return addrs
-        # Retries exhausted (a swap landed on every attempt): predict under
-        # the swap lock, where no swap can interleave.  Slower — the swap
-        # worker blocks on us — but guaranteed to terminate.
+                if epoch == self._model_epoch:
+                    return commit(clusters, pipeline)
         with self._swap_lock:
             pipeline = self.pipeline
             clusters = self.fast.predict(
-                values, pipeline, self._model_epoch,
+                contents, pipeline, self._model_epoch,
                 memory_ones_fraction=self._memory_ones_fraction,
             )
-            addrs = self.dap.get_many(clusters, centroids=pipeline.centroids)
-            self._allocated.update(addrs)
-            return addrs
+            return commit(clusters, pipeline)
 
     def write(self, value: bytes) -> tuple[int, WriteResult]:
         """Algorithm 1 end-to-end for one value; see :meth:`write_many`."""
@@ -545,18 +522,14 @@ class E2NVM:
         so the teacher fallback (``predict_batch``) is bit-exact with the
         former ``predict_segments`` path.
 
-        Like :meth:`place`, the re-encoding runs outside the swap lock and
-        is retried if a model swap lands mid-flight (the recycled addresses
-        must be labelled by the *installed* model, or they would pollute
-        the freshly relabelled pool).
+        Like :meth:`place`, the re-encoding runs outside the swap lock
+        under the same bounded epoch-validated retry (the recycled
+        addresses must be labelled by the *installed* model, or they would
+        pollute the freshly relabelled pool).
 
         A freed address whose segment has been retired (or is retiring)
         is quarantined instead of re-pooled — its media is dead (or
         dying) and must never be handed out again.
-
-        Like :meth:`place_many`, the epoch-mismatch retry is bounded by
-        ``config.place_epoch_retries``; the final attempt re-encodes under
-        the swap lock so a hostile retrain cadence cannot starve a release.
         """
         self._require_trained()
         addrs = list(addrs)
@@ -569,29 +542,15 @@ class E2NVM:
             bytes(self.controller.peek(addr, self.segment_size))
             for addr in addrs
         ]
-        for _ in range(self.config.place_epoch_retries):
-            pipeline = self.pipeline
-            epoch = self._model_epoch
-            clusters = self.fast.predict(
-                contents, pipeline, epoch,
-                memory_ones_fraction=self._memory_ones_fraction,
-            )
-            with self._swap_lock:
-                if epoch != self._model_epoch:
-                    continue  # model swapped mid-encode: re-label
-                self._repool(addrs, clusters)
-                return
-        with self._swap_lock:
-            clusters = self.fast.predict(
-                contents, self.pipeline, self._model_epoch,
-                memory_ones_fraction=self._memory_ones_fraction,
-            )
-            self._repool(addrs, clusters)
+        self._with_valid_epoch(
+            contents, lambda clusters, _: self._repool(addrs, clusters)
+        )
 
     def _repool(self, addrs: list[int], clusters) -> None:
         """Return freed addresses to the DAP (or quarantine dying ones);
         the caller holds the swap lock with a validated epoch."""
         health = self.health
+        labels, healthy = [], []
         for addr, cluster in zip(addrs, clusters):
             self._allocated.discard(addr)
             if health is not None and health.is_unplaceable(
@@ -599,7 +558,9 @@ class E2NVM:
             ):
                 self.dap.quarantine(addr)
             else:
-                self.dap.add(int(cluster), addr)
+                labels.append(cluster)
+                healthy.append(addr)
+        self.dap.populate(labels, healthy)
 
     def maybe_retrain(self) -> bool:
         """Run the retrain policy; starts a *background* retrain on FIRE.
@@ -873,8 +834,9 @@ class E2NVM:
         pipeline: EncoderPipeline,
         addresses: list[int] | None,
         student=None,
-    ) -> None:
-        """Atomically install ``pipeline`` and a relabelled pool.
+    ) -> np.ndarray:
+        """Atomically install ``pipeline`` and a relabelled pool; returns
+        the bit contents of the segments it relabelled.
 
         Under the swap lock: snapshot the pool, relabel the free set with
         the new model, and swap both — the fast placement layer adopts the
@@ -893,15 +855,16 @@ class E2NVM:
                     self.faults.fire("train.relabel")
                 new_dap = DynamicAddressPool(self.config.n_clusters)
                 new_dap.adopt_quarantine(quarantined)
+                bits = self._segment_bits(free_now)
                 if free_now:
-                    labels = pipeline.predict_segments(
-                        self._segment_bits(free_now)
+                    new_dap.populate(
+                        pipeline.predict_segments(bits), free_now
                     )
-                    new_dap.populate(labels, free_now)
                 self.pipeline = pipeline
                 self.dap = new_dap
                 self._model_epoch += 1
                 self.fast.install(self._model_epoch, student)
+                return bits
             except BaseException:
                 self.dap.restore(saved)
                 with self._retrain_admin_lock:
@@ -938,6 +901,15 @@ class E2NVM:
         if contents_bits.size:
             self._memory_ones_fraction = float(contents_bits.mean())
         self._ones_fraction_age = 0
+
+    def _check_free(self, addresses) -> list[int]:
+        """``addresses`` as a list of placeable, unallocated segments."""
+        addresses = list(addresses)
+        for addr in addresses:
+            self._check_segment_address(addr)
+            if addr in self._allocated:
+                raise ValueError(f"address {addr} is allocated")
+        return addresses
 
     def _check_segment_address(self, addr: int) -> None:
         if addr % self.segment_size:

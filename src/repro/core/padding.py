@@ -142,26 +142,9 @@ class Padder:
     ) -> np.ndarray:
         """Return a ``target_bits``-long vector containing the data + padding.
 
-        Args:
-            data_bits: the item's bits (length ``p`` ≤ ``target_bits``).
-            memory_ones_fraction: ones fraction of the memory pool content,
-                required by the ``memory`` strategy.
+        One-item :meth:`pad_batch`; see there for the arguments.
         """
-        data = np.asarray(data_bits, dtype=np.float32).reshape(-1)
-        if data.size > self.target_bits:
-            raise ValueError(
-                f"item of {data.size} bits exceeds model width {self.target_bits}"
-            )
-        self.tracker.observe(data)
-        q = self.target_bits - data.size
-        if q == 0:
-            return data.copy()
-
-        n_before, n_after = split_pad_counts(q, self.position)
-        before, after = self._make_pad(
-            data, n_before, n_after, memory_ones_fraction
-        )
-        return assemble(data, before, after, self.position)
+        return self.pad_batch([data_bits], memory_ones_fraction)[0]
 
     def pad_batch(
         self,
@@ -170,13 +153,15 @@ class Padder:
     ) -> np.ndarray:
         """Pad a batch of items into one ``(B, target_bits)`` matrix.
 
-        Bit-exact with ``B`` sequential :meth:`pad` calls in item order: the
+        Independent of how a stream of items is cut into batches: the
         dataset tracker is folded item by item and the stochastic strategies
         draw from the RNG one item at a time, so a batched prediction and a
-        per-value prediction see identical model inputs.  The win is the
-        allocation pattern — one output matrix filled by slice assignment
-        instead of ``B`` per-item ``np.concatenate`` chains — and, above
-        this, a single batched model forward pass.
+        per-value prediction see identical model inputs.
+
+        Args:
+            items: each item's bits (length ``p`` ≤ ``target_bits``).
+            memory_ones_fraction: ones fraction of the memory pool content,
+                required by the ``memory`` strategy.
         """
         rows = [
             np.asarray(bits, dtype=np.float32).reshape(-1) for bits in items
@@ -230,12 +215,9 @@ class Padder:
         n_after: int,
         memory_ones_fraction: float | None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        # ``zero``/``one`` never get here: ``pad_batch`` pre-fills them.
         total = n_before + n_after
-        if self.strategy == "zero":
-            pad = np.zeros(total, dtype=np.float32)
-        elif self.strategy == "one":
-            pad = np.ones(total, dtype=np.float32)
-        elif self.strategy == "random":
+        if self.strategy == "random":
             pad = self._bernoulli(0.5, total)
         elif self.strategy == "input":
             p = float(data.mean()) if data.size else 0.5
@@ -249,9 +231,7 @@ class Padder:
                 )
             pad = self._bernoulli(float(memory_ones_fraction), total)
         else:  # learned
-            assert self.lstm is not None
-            pad = self._learned_pad(data, n_before, n_after)
-            return pad
+            return self._learned_pad(data, n_before, n_after)
         return pad[:n_before], pad[n_before:]
 
     def _learned_pad(

@@ -114,13 +114,7 @@ class EncoderPipeline:
         memory_ones_fraction: float | None = None,
     ) -> int:
         """Cluster id for a value, padding it to the model width if short."""
-        bits = self._to_bits(value)
-        with self._pad_lock:
-            padded = self.padder.pad(bits, memory_ones_fraction)
-        start = time.perf_counter()
-        cluster = self.model.predict_one(padded)
-        self._record_predictions(1, time.perf_counter() - start)
-        return cluster
+        return int(self.predict_batch([value], memory_ones_fraction)[0])
 
     def predict_batch(
         self,
@@ -129,11 +123,9 @@ class EncoderPipeline:
     ) -> np.ndarray:
         """Cluster ids for many values via one padded batch forward pass.
 
-        Equivalent to ``[predict_cluster(v) for v in values]`` — padding is
-        bit-exact with the sequential path (see ``Padder.pad_batch``) — but
-        the encoder runs one stacked matmul instead of ``B`` single-row
-        passes, and the batch counts as ``B`` predictions in the latency
-        statistics.
+        The result does not depend on how values are cut into batches
+        (see ``Padder.pad_batch``); the encoder runs one stacked matmul and
+        the batch counts as ``B`` predictions in the latency statistics.
         """
         if not values:
             return np.empty(0, dtype=np.int64)

@@ -16,13 +16,12 @@ Crash tolerance
 A segment copy is only crash-safe when data is written to a *free* segment
 first and the mapping committed *last*: the old location then stays intact
 until the mapping no longer points at it.  :class:`StartGapWearLeveling`
-has this property by construction (the gap is free).  The legacy in-place
-exchange of :class:`SegmentSwapWearLeveling` does **not** — a crash between
-its two programs leaves one segment half-overwritten with the mapping still
-pointing at it.  Its ``scratch=True`` mode fixes this by reserving one
-physical segment as a rotating scratch area and performing every swap as
-two gap-style moves, each committing the mapping only after its copy
-landed.
+has this property by construction (the gap is free).
+:class:`SegmentSwapWearLeveling` gets it by reserving one physical segment
+as a rotating scratch area and performing every swap as two gap-style
+moves, each committing the mapping only after its copy landed — an
+in-place exchange would leave one segment half-overwritten, with the
+mapping still pointing at it, if a crash fell between its two programs.
 
 Policies expose ``mapping_state()`` / ``restore_mapping()`` plus an
 ``on_mapping_commit`` callback, modelling the hardware's persistent remap
@@ -49,6 +48,11 @@ class NoWearLeveling:
         """Bind to a device (no state needed)."""
         self._n_segments = device.n_segments
 
+    @property
+    def logical_segments(self) -> int:
+        """Logical segments exposed (every physical one)."""
+        return self._n_segments
+
     def to_physical(self, logical_segment: int) -> int:
         """Physical segment currently backing ``logical_segment``."""
         return logical_segment
@@ -60,32 +64,26 @@ class NoWearLeveling:
 class SegmentSwapWearLeveling:
     """Swap the just-written segment with a random peer every ψ writes.
 
+    The last physical segment starts as a rotating scratch area (one
+    segment of logical capacity) and every swap is two crash-safe
+    gap-style moves through it: copy-to-free first, mapping commit last.
+
     Args:
         period: ψ, the number of writes between swaps; ``period=1`` swaps on
             every write (the adversarial case of Figure 2).
         seed: RNG seed for peer selection.
-        scratch: reserve the last physical segment as a rotating scratch
-            area and perform swaps as two crash-safe gap-style moves
-            (copy-to-free first, mapping commit last).  Costs one segment
-            of logical capacity; the default keeps the legacy in-place
-            exchange, which is *not* crash-tolerant.
     """
 
     def __init__(
-        self,
-        period: int,
-        seed: int | np.random.Generator | None = 0,
-        scratch: bool = False,
+        self, period: int, seed: int | np.random.Generator | None = 0
     ):
         if period < 1:
             raise ValueError("period must be >= 1")
         self.period = period
-        self.scratch = scratch
         self._rng = rng_from_seed(seed)
         self._writes_since_swap = 0
         self.swaps_performed = 0
         self._logical_to_physical: np.ndarray | None = None
-        self._physical_to_logical: np.ndarray | None = None
         self._scratch_seg: int | None = None
         self._n: int | None = None
         #: Called after every mapping-table commit (models the hardware
@@ -94,24 +92,18 @@ class SegmentSwapWearLeveling:
 
     def attach(self, device: NVMDevice) -> None:
         n = device.n_segments
+        if n < 2:
+            raise ValueError("segment swap needs at least 2 segments")
         self._n = n
-        if self.scratch and n < 2:
-            raise ValueError("scratch mode needs at least 2 segments")
-        logical = n - 1 if self.scratch else n
-        self._logical_to_physical = np.arange(logical, dtype=np.int64)
-        self._physical_to_logical = np.arange(n, dtype=np.int64)
-        if self.scratch:
-            self._scratch_seg = n - 1
-            self._physical_to_logical[n - 1] = -1
-        else:
-            self._scratch_seg = None
+        self._logical_to_physical = np.arange(n - 1, dtype=np.int64)
+        self._scratch_seg = n - 1
 
     @property
     def logical_segments(self) -> int:
-        """Logical segments exposed (physical minus the scratch, if any)."""
+        """Logical segments exposed (physical minus the scratch)."""
         if self._n is None:
             raise RuntimeError("wear leveler not attached to a device")
-        return self._n - 1 if self.scratch else self._n
+        return self._n - 1
 
     def to_physical(self, logical_segment: int) -> int:
         if self._logical_to_physical is None:
@@ -132,7 +124,6 @@ class SegmentSwapWearLeveling:
         assert self._logical_to_physical is not None
         return {
             "l2p": self._logical_to_physical.copy(),
-            "p2l": self._physical_to_logical.copy(),
             "scratch_seg": self._scratch_seg,
             "writes_since_swap": self._writes_since_swap,
             "swaps_performed": self.swaps_performed,
@@ -141,7 +132,6 @@ class SegmentSwapWearLeveling:
     def restore_mapping(self, state: dict) -> None:
         """Reinstate a :meth:`mapping_state` snapshot (crash recovery)."""
         self._logical_to_physical = state["l2p"].copy()
-        self._physical_to_logical = state["p2l"].copy()
         self._scratch_seg = state["scratch_seg"]
         self._writes_since_swap = state["writes_since_swap"]
         self.swaps_performed = state["swaps_performed"]
@@ -153,47 +143,6 @@ class SegmentSwapWearLeveling:
     # ----------------------------------------------------------------- swaps
 
     def _swap(self, device: NVMDevice, logical_segment: int) -> None:
-        assert self._logical_to_physical is not None
-        assert self._physical_to_logical is not None
-        n = device.n_segments
-        if self.scratch:
-            if n < 3:
-                return  # one scratch + one data segment: nothing to swap with
-            self._swap_via_scratch(device, logical_segment)
-            return
-        if n < 2:
-            return
-        phys_a = int(self._logical_to_physical[logical_segment])
-        phys_b = int(self._rng.integers(0, n))
-        if phys_b == phys_a:
-            phys_b = (phys_b + 1) % n
-
-        if device.faults is not None:
-            device.faults.fire("wl.swap")
-        size = device.segment_size
-        addr_a = phys_a * size
-        addr_b = phys_b * size
-        content_a = device.read_array(addr_a, size)
-        content_b = device.read_array(addr_b, size)
-        # Physically exchange the contents, programming only differing bits.
-        # NOT crash-safe: a crash between the two programs corrupts segment
-        # a with the mapping still pointing at it (use scratch=True).
-        diff = np.bitwise_xor(content_a, content_b)
-        if diff.any():
-            device.program(addr_a, content_b, program_mask=diff)
-            device.program(addr_b, content_a, program_mask=diff)
-
-        logical_b = int(self._physical_to_logical[phys_b])
-        self._logical_to_physical[logical_segment] = phys_b
-        self._logical_to_physical[logical_b] = phys_a
-        self._physical_to_logical[phys_a] = logical_b
-        self._physical_to_logical[phys_b] = logical_segment
-        self.swaps_performed += 1
-        self._commit_mapping()
-
-    def _swap_via_scratch(
-        self, device: NVMDevice, logical_segment: int
-    ) -> None:
         """Crash-safe swap: two gap-style moves through the scratch segment.
 
         Each move copies into the currently *free* segment and commits the
@@ -202,42 +151,38 @@ class SegmentSwapWearLeveling:
         scratch rotates (a → b's old home → ...) which adds start-gap-like
         drift on top of the random swaps.
         """
-        assert self._scratch_seg is not None
-        n = self._n
-        phys_a = int(self._logical_to_physical[logical_segment])
-        # Random peer among data segments (not a, not the scratch).
-        phys_b = int(self._rng.integers(0, n))
-        while phys_b == phys_a or phys_b == self._scratch_seg:
-            phys_b = (phys_b + 1) % n
-        logical_b = int(self._physical_to_logical[phys_b])
+        others = self.logical_segments - 1
+        if others < 1:
+            return  # one scratch + one data segment: nothing to swap with
+        # Random peer among the other logical segments.
+        peer = int(self._rng.integers(0, others))
+        if peer >= logical_segment:
+            peer += 1
 
         if device.faults is not None:
             device.faults.fire("wl.swap")
         # Move 1: a's content into the scratch; a's old home becomes free.
-        self._move_into_free(device, phys_a, logical_segment)
+        self._move_into_free(device, logical_segment)
         # Move 2: b's content into a's old home; b's becomes the scratch.
-        self._move_into_free(device, phys_b, logical_b)
+        self._move_into_free(device, peer)
         self.swaps_performed += 1
 
-    def _move_into_free(
-        self, device: NVMDevice, src_phys: int, logical: int
-    ) -> None:
+    def _move_into_free(self, device: NVMDevice, logical: int) -> None:
         """One gap-style move: program the free scratch segment with the
-        source's content, then commit the mapping update."""
+        logical segment's content, then commit the mapping update."""
         assert self._scratch_seg is not None
         if device.faults is not None:
             device.faults.fire("wl.gap_move")
         size = device.segment_size
+        src = int(self._logical_to_physical[logical])
         dst = self._scratch_seg
-        content = device.read_array(src_phys * size, size)
+        content = device.read_array(src * size, size)
         resident = device.read_array(dst * size, size)
         diff = np.bitwise_xor(content, resident)
         if diff.any():
             device.program(dst * size, content, program_mask=diff)
         self._logical_to_physical[logical] = dst
-        self._physical_to_logical[dst] = logical
-        self._physical_to_logical[src_phys] = -1
-        self._scratch_seg = src_phys
+        self._scratch_seg = src
         self._commit_mapping()
 
 

@@ -61,6 +61,7 @@ import os
 import signal
 import threading
 import time
+from functools import partial
 from multiprocessing import shared_memory
 from multiprocessing.sharedctypes import RawValue
 from threading import RLock
@@ -157,6 +158,53 @@ class ShardHungError(ShardCrashedError):
         self.deadline_s = deadline_s
 
 
+def _gather(attempts, hung_deadline_s: float | None) -> list:
+    """The ``call_many`` contract both backends share.
+
+    ``attempts`` yields one ``(shard_id, attempt)`` pair per request, in
+    request order; ``attempt()`` returns that request's result or raises.
+    Every attempt runs — a dead shard never stops the survivors — and the
+    results come back request-aligned.  If any shard was unavailable, one
+    :class:`ShardCrashedError` (:class:`ShardHungError` when every failure
+    was a hang) naming all of them is raised with ``partial_results``
+    (``None`` at failed requests) and the per-shard ``shard_status`` map
+    attached; otherwise the first ordinary error, deferred until every
+    attempt has run, is re-raised."""
+    results: list = []
+    status: dict[int, str] = {}
+    first_error: Exception | None = None
+    for shard_id, attempt in attempts:
+        try:
+            results.append(attempt())
+            status.setdefault(shard_id, "ok")
+            continue
+        except ShardHungError:
+            status[shard_id] = "hung"
+        except ShardCrashedError:
+            status[shard_id] = "crashed"
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            status[shard_id] = "error"
+            first_error = first_error or exc
+        results.append(None)
+    bad = sorted(s for s, st in status.items() if st in ("crashed", "hung"))
+    if bad:
+        if all(status[s] == "hung" for s in bad):
+            exc = ShardHungError(bad, hung_deadline_s)
+        else:
+            exc = ShardCrashedError(bad)
+        exc.partial_results = results
+        exc.shard_status = status
+        raise exc
+    if first_error is not None:
+        raise first_error
+    return results
+
+
+def _raise(exc: BaseException):
+    """An attempt that failed before :func:`_gather` ran it."""
+    raise exc
+
+
 class InProcessBackend:
     """All shards in this process; one lock per shard (per-shard lock
     domains — never a global one).
@@ -251,41 +299,17 @@ class InProcessBackend:
     ):
         """Execute ``(shard_id, op, args, kwargs)`` requests; results in
         request order.  Sequential here — the in-process backend is the
-        semantics baseline, not the fast path — but failure semantics
-        match the process backend: survivors still execute and their
-        results ride on the raised error (``partial_results``).
-        ``deadline`` is accepted for interface parity and ignored (calls
-        run on the caller's thread)."""
-        results: list = []
-        status: dict[int, str] = {}
-        first_error: BaseException | None = None
-        for shard_id, op, args, kwargs in requests:
-            try:
-                results.append(self.call(shard_id, op, args, kwargs))
-            except ShardHungError:
-                status[shard_id] = "hung"
-                results.append(None)
-            except ShardCrashedError:
-                status[shard_id] = "crashed"
-                results.append(None)
-            except Exception as exc:  # noqa: BLE001 - deferred like process
-                status[shard_id] = "error"
-                first_error = first_error or exc
-                results.append(None)
-            else:
-                status.setdefault(shard_id, "ok")
-        bad = [s for s, st in status.items() if st in ("crashed", "hung")]
-        if bad:
-            if all(status[s] == "hung" for s in bad):
-                exc = ShardHungError(bad, DEFAULT_DEADLINE_S)
-            else:
-                exc = ShardCrashedError(bad)
-            exc.partial_results = results
-            exc.shard_status = status
-            raise exc
-        if first_error is not None:
-            raise first_error
-        return results
+        semantics baseline, not the fast path — with the failure semantics
+        of :func:`_gather`, like the process backend.  ``deadline`` is
+        accepted for interface parity and ignored (calls run on the
+        caller's thread)."""
+        return _gather(
+            (
+                (shard_id, partial(self.call, shard_id, op, args, kwargs))
+                for shard_id, op, args, kwargs in requests
+            ),
+            DEFAULT_DEADLINE_S,
+        )
 
     # ------------------------------------------------------------- liveness
 
@@ -611,73 +635,37 @@ class ProcessBackend:
         on a hung worker.
 
         If any worker dies or hangs mid-batch, the surviving shards'
-        responses are still drained (their sub-batches commit normally)
-        and a single :class:`ShardCrashedError`/:class:`ShardHungError`
-        naming every dead shard is raised — with ``partial_results``
-        (request-aligned, survivors' results included) and a per-shard
-        ``shard_status`` map attached so callers can keep the committed
-        work."""
-        sent: list[tuple[int, _WorkerHandle, float | None] | None] = []
-        status_by_shard: dict[int, str] = {}
+        responses are still drained (their sub-batches commit normally);
+        see :func:`_gather` for what is raised and what rides on it."""
+        attempts = []
         for shard_id, op, args, kwargs in requests:
             handle = self._handles[shard_id]
             handle.lock.acquire()
             try:
                 self._send(handle, (op, args, kwargs))
-            except ShardHungError:
+            except ShardCrashedError as exc:
                 handle.lock.release()
-                status_by_shard[shard_id] = "hung"
-                sent.append(None)
-            except ShardCrashedError:
-                handle.lock.release()
-                status_by_shard[shard_id] = "crashed"
-                sent.append(None)
+                attempts.append((shard_id, partial(_raise, exc)))
             else:
-                sent.append((
-                    shard_id,
-                    handle,
-                    self._deadline_for(op) if deadline is ... else deadline,
-                ))
-        results = []
-        first_error: BaseException | None = None
-        for entry in sent:
-            if entry is None:
-                results.append(None)
-                continue
-            shard_id, handle, deadline = entry
-            try:
-                status, payload = self._recv(handle, deadline)
-            except ShardHungError:
-                status_by_shard[shard_id] = "hung"
-                results.append(None)
-                continue
-            except ShardCrashedError:
-                status_by_shard[shard_id] = "crashed"
-                results.append(None)
-                continue
-            finally:
-                handle.lock.release()
-            if status == "err":
-                status_by_shard[shard_id] = "error"
-                first_error = first_error or payload
-                results.append(None)
-            else:
-                status_by_shard.setdefault(shard_id, "ok")
-                results.append(payload)
-        bad = sorted(
-            s for s, st in status_by_shard.items() if st in ("crashed", "hung")
-        )
-        if bad:
-            if all(status_by_shard[s] == "hung" for s in bad):
-                exc = ShardHungError(bad, self.deadline_s)
-            else:
-                exc = ShardCrashedError(bad)
-            exc.partial_results = results
-            exc.shard_status = status_by_shard
-            raise exc
-        if first_error is not None:
-            raise first_error
-        return results
+                if deadline is ...:
+                    op_deadline = self._deadline_for(op)
+                else:
+                    op_deadline = deadline
+                attempts.append(
+                    (shard_id, partial(self._collect, handle, op_deadline))
+                )
+        return _gather(attempts, self.deadline_s)
+
+    def _collect(self, handle: _WorkerHandle, deadline: float | None):
+        """Second half of a fanned-out request: await the reply and
+        release the shard's conversation lock."""
+        try:
+            status, payload = self._recv(handle, deadline)
+        finally:
+            handle.lock.release()
+        if status == "err":
+            raise payload
+        return payload
 
     # ------------------------------------------------------------- liveness
 

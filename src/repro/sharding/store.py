@@ -873,23 +873,24 @@ class ShardedKVStore:
                 report.outcomes[i] = fallback.outcomes[j]
         return report
 
+    def _broadcast(self, op: str, *args, deadline: float | None = ...) -> list:
+        """Run ``op(*args)`` on every shard; results in shard order."""
+        return self.backend.call_many(
+            [(s, op, args, None) for s in range(self.n_shards)],
+            deadline=deadline,
+        )
+
     def __len__(self) -> int:
         if self.rebalance_active:
             # Mid-drain a key can sit on both owners; count distinct keys.
             return len(self.keys())
-        return sum(
-            self.backend.call_many(
-                [(s, "len", (), None) for s in range(self.n_shards)]
-            )
-        )
+        return sum(self._broadcast("len"))
 
     def keys(self) -> list[bytes]:
         """All keys across shards, sorted (each shard yields its own in
         order; the facade merges).  During a rebalance a key may appear
         on both its old and new owner mid-batch; the merge dedupes."""
-        per_shard = self.backend.call_many(
-            [(s, "keys", (), None) for s in range(self.n_shards)]
-        )
+        per_shard = self._broadcast("keys")
         out: list[bytes] = []
         for ks in per_shard:
             out.extend(ks)
@@ -908,33 +909,23 @@ class ShardedKVStore:
         starts its own single-flight background retrain under its own
         locks — no cross-shard barrier, no global lock.  Returns which
         shards actually started one (``False`` = already retraining)."""
-        return self.backend.call_many(
-            [(s, "retrain", (), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("retrain")
 
     def wait_for_retrain(self, timeout: float | None = None) -> list[bool]:
-        return self.backend.call_many(
-            [(s, "wait_retrain", (timeout,), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("wait_retrain", timeout)
 
     def model_epochs(self) -> list[int]:
-        return self.backend.call_many(
-            [(s, "model_epoch", (), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("model_epoch")
 
     def advance_time(self, ticks: int = 1) -> list[int]:
         """Advance every shard's retention clock (drift model) by
         ``ticks``; returns newly drifted cells per shard."""
-        return self.backend.call_many(
-            [(s, "advance_time", (ticks,), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("advance_time", ticks)
 
     def age(self, cycles: int = 1) -> list[int]:
         """Accelerated media aging (wearout model) on every shard;
         returns newly dead cells per shard."""
-        return self.backend.call_many(
-            [(s, "age", (cycles,), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("age", cycles)
 
     # ------------------------------------------------------------- maintenance
 
@@ -942,45 +933,25 @@ class ShardedKVStore:
         """Start each shard's in-worker maintenance loops (scrubber,
         compactor, retrain ticker — whatever the spec attached); returns
         per-shard running counts."""
-        return self.backend.call_many(
-            [(s, "start_maintenance", (), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("start_maintenance")
 
     def stop_maintenance(self, timeout: float | None = 5.0) -> list:
-        return self.backend.call_many(
-            [
-                (s, "stop_maintenance", (timeout,), None)
-                for s in range(self.n_shards)
-            ]
-        )
+        return self._broadcast("stop_maintenance", timeout)
 
     def pause_maintenance(self) -> list:
-        return self.backend.call_many(
-            [(s, "pause_maintenance", (), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("pause_maintenance")
 
     def resume_maintenance(self) -> list:
-        return self.backend.call_many(
-            [(s, "resume_maintenance", (), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("resume_maintenance")
 
     def maintenance_info(self) -> list[list[dict]]:
         """Per-shard maintenance-loop snapshots (name, running, paused,
         rounds completed, last error) — the facade-level rollup of each
         worker process's background cadence."""
-        return self.backend.call_many(
-            [(s, "maintenance_info", (), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("maintenance_info")
 
     def drain_relocations(self, budget: int | None = None) -> int:
-        return sum(
-            self.backend.call_many(
-                [
-                    (s, "drain_relocations", (budget,), None)
-                    for s in range(self.n_shards)
-                ]
-            )
-        )
+        return sum(self._broadcast("drain_relocations", budget))
 
     # --------------------------------------------------------------- telemetry
 
@@ -989,11 +960,7 @@ class ShardedKVStore:
         :func:`aggregate_telemetry` for the rollup semantics); with a
         supervisor attached, its restart/breaker/recovery counters ride
         along under ``"supervisor"``."""
-        out = aggregate_telemetry(
-            self.backend.call_many(
-                [(s, "telemetry", (), None) for s in range(self.n_shards)]
-            )
-        )
+        out = aggregate_telemetry(self._broadcast("telemetry"))
         if self.supervisor is not None:
             out["supervisor"] = self.supervisor.telemetry()
         return out
@@ -1012,9 +979,7 @@ class ShardedKVStore:
     def recovery_reports(self) -> list:
         """Per-shard :class:`RecoveryReport` (``None`` for shards built
         fresh rather than recovered)."""
-        return self.backend.call_many(
-            [(s, "recovery_report", (), None) for s in range(self.n_shards)]
-        )
+        return self._broadcast("recovery_report")
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -1032,10 +997,7 @@ class ShardedKVStore:
         ``deadline`` overrides the per-op RPC budget (process backend)."""
         if self.root is None:
             raise ValueError("volatile sharded store has no snapshot paths")
-        self.backend.call_many(
-            [(s, "save", (), None) for s in range(self.n_shards)],
-            deadline=deadline,
-        )
+        self._broadcast("save", deadline=deadline)
 
     def close(self) -> None:
         """Snapshot durable shards, then shut the backend down (worker
@@ -1055,12 +1017,10 @@ class ShardedKVStore:
             self.supervisor.stop()
         try:
             if self.root is not None:
-                grace = getattr(self.backend, "close_grace_s", None)
                 try:
-                    if grace is None:
-                        self.save()
-                    else:
-                        self.save(deadline=grace)
+                    self.save(
+                        deadline=getattr(self.backend, "close_grace_s", ...)
+                    )
                 except ShardUnavailableError:
                     pass  # dead/hung shards can't snapshot; recovery covers them
         finally:

@@ -609,12 +609,12 @@ def _fsck_crashed_device(
 
 #: Sites the wear-leveling sweep crashes at: the start of every swap, every
 #: gap-style move, and every raw media program (the latter also with a torn
-#: variant, which is what exposes the legacy in-place exchange).
+#: variant, which is what an in-place exchange would not survive).
 WL_CRASH_SITES = ("wl.swap", "wl.gap_move", "device.program")
 WL_TORN_SITES = ("device.program",)
 
 #: Wear-leveling modes the sweep can build.
-WL_MODES = ("swap-legacy", "swap-scratch", "start-gap")
+WL_MODES = ("swap-scratch", "start-gap")
 
 
 @dataclass
@@ -634,10 +634,8 @@ class WearLevelingSweepReport:
 
 
 def _make_leveler(mode: str, period: int, seed: int):
-    if mode == "swap-legacy":
-        return SegmentSwapWearLeveling(period, seed=seed)
     if mode == "swap-scratch":
-        return SegmentSwapWearLeveling(period, seed=seed, scratch=True)
+        return SegmentSwapWearLeveling(period, seed=seed)
     if mode == "start-gap":
         return StartGapWearLeveling(period)
     raise ValueError(f"unknown wear-leveling mode {mode!r}; pick from {WL_MODES}")
@@ -665,9 +663,8 @@ def run_wear_leveling_crash_sweep(
     the surviving device.  The contract checked is the device-level one —
     a crash may corrupt *the segment being written* (transactional
     durability above is the KV store's job) but must never corrupt any
-    other logical segment.  ``swap-scratch`` and ``start-gap`` pass it;
-    the legacy in-place exchange (``swap-legacy``) demonstrably does not
-    (a torn mid-swap program destroys the peer segment's committed data).
+    other logical segment.  Both modes pass it: every copy lands in a free
+    segment before the mapping commits.
     """
     report = WearLevelingSweepReport(mode=mode, writes=n_writes)
 

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.address_pool import DynamicAddressPool
+from repro.core.address_pool import DynamicAddressPool, PoolExhaustedError
 
 
 class TestBasics:
@@ -38,8 +38,29 @@ class TestBasics:
 
     def test_exhausted_raises(self):
         pool = DynamicAddressPool(2)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(PoolExhaustedError):
             pool.get(0)
+        with pytest.raises(PoolExhaustedError):
+            pool.get_many([0])
+
+    def test_get_is_get_many_of_one(self):
+        """``get`` is a one-entry ``get_many``: same pops, same fallback."""
+        centroids = np.array([[0.0, 0.0], [5.0, 5.0], [0.5, 0.5]])
+        scalar, batched = DynamicAddressPool(3), DynamicAddressPool(3)
+        for pool in (scalar, batched):
+            pool.populate([1, 1, 2], [10, 20, 30])
+        for cluster in (1, 0, 0):
+            assert scalar.get(cluster, centroids=centroids) == (
+                batched.get_many([cluster], centroids=centroids)[0]
+            )
+        assert scalar.sizes() == batched.sizes()
+
+    def test_get_many_exhaustion_is_all_or_nothing(self):
+        pool = DynamicAddressPool(2)
+        pool.populate([0, 1], [10, 20])
+        with pytest.raises(PoolExhaustedError):
+            pool.get_many([0, 1, 1])
+        assert pool.snapshot() == {0: (10,), 1: (20,)}
 
     def test_drain_empties_everything(self):
         pool = DynamicAddressPool(2)

@@ -1,11 +1,15 @@
 """Batched write-path equivalence and concurrency properties.
 
-The batched path (``pad_batch`` → ``predict_batch`` → ``DAP.get_many`` →
-``controller.write_many``) must be observationally identical to the
-sequential one: same padded inputs, same cluster assignments, same
-addresses, same accounting.  Equivalence is checked with *twin* objects —
-two identically-seeded padders/pipelines/engines, one driven sequentially
-and one batched — so the shared RNG/tracker state stays in lockstep.
+The write path (``pad_batch`` → ``predict_batch`` → ``DAP.get_many`` →
+``controller.write_many``) must not depend on how a stream of values is
+cut into batches: same padded inputs, same cluster assignments, same
+addresses, same accounting.  Above the controller the scalar entry points
+(``pad``, ``predict_cluster``) are one-item wrappers over the batched
+body, so these tests compare one batch of ``B`` with ``B`` batches of one
+— the per-item RNG/tracker contract — using *twin* objects: two
+identically-seeded padders/pipelines/engines, one driven value by value
+and one batched.  At the controller both bodies exist and the engine
+tests compare them.
 """
 
 from __future__ import annotations
@@ -62,8 +66,11 @@ class TestPadBatchEquivalence:
 
     def test_pad_batch_oversize_item_raises(self):
         padder = _make_padder("zero", "end")
+        oversize = np.zeros(PAD_BITS + 1, dtype=np.float32)
         with pytest.raises(ValueError, match="exceeds model width"):
-            padder.pad_batch([np.zeros(PAD_BITS + 1, dtype=np.float32)])
+            padder.pad_batch([oversize])
+        with pytest.raises(ValueError, match="exceeds model width"):
+            padder.pad(oversize)
 
 
 PIPE_VALUE_BYTES = 16
@@ -100,6 +107,8 @@ class TestPredictBatchEquivalence:
         )
     )
     def test_predict_batch_matches_sequential(self, pipeline_pair, values):
+        """One batch of B equals B ``predict_cluster`` calls (batches of
+        one): the padder RNG and tracker advance value by value."""
         batch_pipe, seq_pipe = pipeline_pair
         batched = batch_pipe.predict_batch(values, memory_ones_fraction=0.35)
         sequential = [

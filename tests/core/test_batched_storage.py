@@ -112,6 +112,8 @@ class TestWriteBatcherPutMany:
         return WriteBatcher(make_engine(seed=seed))
 
     def test_matches_sequential_puts(self):
+        """One ``put_many`` of B equals B one-value ``put`` calls (``put``
+        wraps ``put_many``): batch cuts fall at the same values."""
         sequential = WriteBatcher(make_engine(seed=83))
         batched = WriteBatcher(make_engine(seed=83))
         rng = np.random.default_rng(8)

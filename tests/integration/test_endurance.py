@@ -171,16 +171,6 @@ class TestWearLevelingCrashSafety:
         assert report.passed, report.failures[:3]
         assert report.crash_points > 0 and report.torn_points > 0
 
-    def test_legacy_swap_is_torn_write_unsafe(self):
-        """The legacy in-place exchange demonstrably loses committed data
-        when a mid-swap program tears — the reason it is not the default."""
-        report = run_wear_leveling_crash_sweep(
-            "swap-legacy", n_segments=8, n_writes=24, period=2
-        )
-        assert not report.passed
-        assert all("+torn" in failure for failure in report.failures)
-        assert any("committed data" in failure for failure in report.failures)
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_wear_leveling_crash_sweep("bogus")

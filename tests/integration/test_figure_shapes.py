@@ -53,7 +53,8 @@ class TestFigure2Shape:
             )
             wear = SegmentSwapWearLeveling(period=psi, seed=2)
             controller = MemoryController(device, wear_leveling=wear)
-            for i, v in enumerate(seed_values):
+            # The leveler's scratch segment is not logically addressable.
+            for i, v in enumerate(seed_values[: controller.n_segments]):
                 controller.write(i * 64, v)
             device.reset_stats()
             engine = E2NVM(controller, fast_test_config(n_clusters=4, seed=2))

@@ -24,7 +24,8 @@ def make_controller(wl, n_segments=16, seed=9):
 
 class TestNoWearLeveling:
     def test_identity_mapping(self):
-        controller, _ = make_controller(NoWearLeveling())
+        controller, device = make_controller(NoWearLeveling())
+        assert controller.n_segments == device.n_segments
         for seg in range(controller.n_segments):
             assert controller.wear_leveling.to_physical(seg) == seg
 
@@ -55,12 +56,27 @@ class TestSegmentSwap:
             assert controller.read(seg * 64, 64) == data
 
     def test_mapping_is_bijective_after_swaps(self):
+        """Logical segments map one-to-one onto every physical segment
+        except the (rotating) scratch."""
         wl = SegmentSwapWearLeveling(period=1, seed=3)
-        controller, _ = make_controller(wl)
+        controller, device = make_controller(wl)
         for i in range(40):
             controller.write((i % controller.n_segments) * 64, bytes(64))
         physical = [wl.to_physical(s) for s in range(controller.n_segments)]
-        assert sorted(physical) == list(range(controller.n_segments))
+        assert sorted(physical + [wl._scratch_seg]) == list(
+            range(device.n_segments)
+        )
+
+    def test_exposes_one_less_segment(self):
+        controller, device = make_controller(
+            SegmentSwapWearLeveling(period=2)
+        )
+        assert controller.n_segments == device.n_segments - 1
+
+    def test_too_small_device_raises(self):
+        dev = NVMDevice(capacity_bytes=64, segment_size=64)
+        with pytest.raises(ValueError):
+            SegmentSwapWearLeveling(period=1).attach(dev)
 
     def test_swap_traffic_is_accounted(self):
         wl = SegmentSwapWearLeveling(period=1, seed=4)
@@ -146,10 +162,9 @@ class TestWriteManyScalarFallback:
         "make_wl",
         [
             lambda: SegmentSwapWearLeveling(period=2, seed=3),
-            lambda: SegmentSwapWearLeveling(period=2, seed=3, scratch=True),
             lambda: StartGapWearLeveling(period=2),
         ],
-        ids=["swap-legacy", "swap-scratch", "start-gap"],
+        ids=["swap-scratch", "start-gap"],
     )
     def test_batched_equals_sequential_under_wear_leveling(self, make_wl):
         ctrl_many, dev_many = make_controller(make_wl())
