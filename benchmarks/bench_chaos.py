@@ -105,6 +105,10 @@ def check_chaos(result: dict) -> int:
         failures.append(f"{result['corrupt_keys']} torn/corrupt value(s)")
     if not result["fsck_ok"]:
         failures.append("post-drill fsck found errors")
+    if not result["ok"] and not failures:
+        # The drill's own verdict also covers what the summary does not
+        # itemise (orphaned or duplicated keys in the final read-back).
+        failures.append("the drill's safety contract does not hold")
     if result["availability"] < 0.6:
         # BENCH_chaos.json reports 0.7625; a supervision regression can
         # tank availability without losing a single byte (breakers stuck

@@ -413,6 +413,7 @@ class E2NVM:
                 for i, addr in zip(todo, replaced):
                     addrs[i] = addr
         except BaseException:
+            # Also KeyboardInterrupt/SystemExit: claimed addresses would leak.
             self.release_many([addr for addr in addrs if addr is not None])
             raise
         return addrs, results, retired
@@ -446,7 +447,7 @@ class E2NVM:
                 self.quarantine_address(addrs[row])
                 self.adopt_spare()
             return exc.results, exc.rows
-        except BaseException:
+        except Exception:
             self.failed_writes += len(values)
             raise
 
@@ -481,6 +482,7 @@ class E2NVM:
         try:
             (result,), failed = self._write_claimed([addr], [value])
         except BaseException:
+            # Also KeyboardInterrupt/SystemExit: un-claim the address.
             self.release(addr)
             raise
         if failed:
@@ -738,6 +740,7 @@ class E2NVM:
             )
             self._swap_in(pipeline, swap_addresses, student=student)
         except BaseException:
+            # Also KeyboardInterrupt/SystemExit: started == succeeded + failed.
             if was_retrain:
                 with self._retrain_admin_lock:
                     self.retrain_stats.failed += 1
@@ -866,6 +869,7 @@ class E2NVM:
                 self.fast.install(self._model_epoch, student)
                 return bits
             except BaseException:
+                # Also KeyboardInterrupt/SystemExit: no half-relabelled pool.
                 self.dap.restore(saved)
                 with self._retrain_admin_lock:
                     self.retrain_stats.pool_restores += 1

@@ -110,18 +110,15 @@ class KVStore:
         self.index = index if index is not None else RedBlackTree()
         self.pool = pool
         self.catalog = catalog
-        # Per-address validity flags.  In durable mode this mirrors the
-        # catalog's persisted flag bits; in volatile mode (no segment
-        # headers) it is the only copy.
-        self._valid: dict[int, bool] = {}
-        # Reverse map address → key for live values, used by wear-out
-        # relocation to find which key a retiring segment belongs to.
-        self._by_addr: dict[int, bytes] = {}
+        # The one address-keyed DRAM mirror, ``addr → (key, crc, heat)`` per
+        # live value.  Presence is the validity flag (durable mode: mirrors
+        # the catalog's persisted bit; volatile mode: the only copy);
+        # ``key`` is the reverse map relocation, scrubbing and wear
+        # leveling use; ``crc`` mirrors the persisted CRC32 every read is
+        # verified against (``None``: engine-level write, no checksum on
+        # record); ``heat`` is the write-temperature stamp below.
+        self._live: dict[int, tuple[bytes, int | None, int]] = {}
         self._next_epoch = 1
-        # CRC32 of every live value, keyed by address — the DRAM mirror of
-        # the catalog's persisted checksum (and, in volatile mode, the only
-        # copy).  Every read is verified against it; see _read_value().
-        self._crc_by_addr: dict[int, int] = {}
         # Degraded mode: set when wear-out retirement exhausts the last
         # placement option; see :class:`StoreReadOnlyError`.
         self._read_only = False
@@ -138,12 +135,12 @@ class KVStore:
         self.corrupt_reads_detected = 0
         self.read_repairs = 0
         self.corrupt_relocations_skipped = 0
-        # Write-temperature tracking for static wear leveling: a per-address
-        # "last user write" sequence stamp.  Migrations forward the stamp
-        # unchanged (moving a value does not make it hot), so coldness =
-        # _write_seq - stamp measures genuine dormancy.  DRAM-only; recovery
-        # re-seeds it from catalog epochs (an equivalent monotone clock).
-        self._heat_by_addr: dict[int, int] = {}
+        # Write-temperature tracking for static wear leveling: the heat
+        # stamp of a live address is the "last user write" sequence number.
+        # Migrations forward the stamp unchanged (moving a value does not
+        # make it hot), so coldness = _write_seq - stamp measures genuine
+        # dormancy.  DRAM-only; recovery re-seeds it from catalog epochs
+        # (an equivalent monotone clock).
         self._write_seq = 0
         #: Pairs one undo-log transaction can publish (durable mode).
         self._pairs_per_tx = (
@@ -295,16 +292,13 @@ class KVStore:
             engine.mark_allocated(addr)
             pool.mark_allocated(addr)
             store.index.put(key, (addr, entry.value_len))
-            store._valid[addr] = True
-            store._by_addr[addr] = key
-            store._crc_by_addr[addr] = entry.crc
             # Approximate the write-temperature stamp from the persisted
             # epoch: both are monotone per-PUT clocks, so relative
             # coldness survives the crash even though the DRAM heat map
             # does not.  (Migration bumps the epoch, so a value moved by
             # wear leveling looks warmer after recovery than before — a
             # conservative error: it only delays re-migrating it.)
-            store._heat_by_addr[addr] = entry.epoch
+            store._live[addr] = (key, entry.crc, entry.epoch)
             # Recovery-time integrity scan: verify every live value against
             # its persisted CRC.  Mismatches (resistance drift while the
             # store was down, or media damage) are only *counted* here —
@@ -413,7 +407,7 @@ class KVStore:
         # home), so a crash anywhere inside one never changes observable
         # store contents — whereas relocating after the commit would open
         # a window where this PUT is committed but not yet acknowledged.
-        self._maybe_relocate()
+        self.drain_relocations()
         values = [value for _, value in items]
         for last_try in (False, True):
             try:
@@ -460,24 +454,23 @@ class KVStore:
                 except CrashError:
                     raise
                 except BaseException:
+                    # Also KeyboardInterrupt/SystemExit: the pool rolled the
+                    # transaction back; un-claim what never went live.
                     self.engine.release_many(addrs[start:])
                     raise
             stale = []
             for i in live:
                 (key, value), addr = items[i], addrs[i]
                 old = self.index.get(key)
-                self._valid[addr] = True
-                self._by_addr[addr] = key
-                self._crc_by_addr[addr] = crcs[i]
                 self._write_seq += 1
-                self._heat_by_addr[addr] = self._write_seq
+                self._live[addr] = (key, crcs[i], self._write_seq)
                 self.index.put(key, (addr, len(value)))
                 if self.pool is not None:
                     self.pool.mark_allocated(addr)
                 if old is not None:
                     # UPDATE: the previous location is recycled
                     # (Algorithm 2's path).
-                    self._forget(old[0])
+                    self._live.pop(old[0], None)
                     stale.append(old[0])
             self._recycle_many(stale)
             if superseded:
@@ -505,13 +498,6 @@ class KVStore:
                         len(value), epoch, crc=crc,
                     )
         self._next_epoch += len(group)
-
-    def _forget(self, addr: int) -> None:
-        """Drop the DRAM mirrors of a no-longer-live address."""
-        self._valid[addr] = False
-        self._by_addr.pop(addr, None)
-        self._crc_by_addr.pop(addr, None)
-        self._heat_by_addr.pop(addr, None)
 
     def _check_durable_key(self, key: bytes) -> None:
         if len(key) > self.catalog.key_capacity:
@@ -552,8 +538,9 @@ class KVStore:
         return self._write_seq
 
     def heat_of(self, addr: int) -> int | None:
-        """Temperature stamp of a live address (``None`` when untracked)."""
-        return self._heat_by_addr.get(addr)
+        """Temperature stamp of a live address (``None`` when not live)."""
+        live = self._live.get(addr)
+        return None if live is None else live[2]
 
     def _fire_site(self, site: str) -> None:
         if self.engine.faults is not None:
@@ -576,9 +563,10 @@ class KVStore:
                 return None
             addr, length = entry
             value = self.engine.controller.read(addr, length)
-            if self.index.get(key) != entry or not self._valid.get(addr):
+            live = self._live.get(addr)
+            if live is None or self.index.get(key) != entry:
                 continue  # moved mid-read (relocation/update); retry
-            expected = self._crc_by_addr.get(addr)
+            expected = live[1]
             if expected is None:
                 return value  # no checksum on record (engine-level write)
             if zlib.crc32(value) & 0xFFFFFFFF == expected:
@@ -634,7 +622,7 @@ class KVStore:
             with self.pool.transaction() as tx:
                 self.catalog.tx_clear(tx, self.pool.object_index(addr))
         self.index.delete(key)
-        self._forget(addr)
+        self._live.pop(addr, None)
         self._recycle_many([addr])
         return True
 
@@ -719,14 +707,6 @@ class KVStore:
             "now read-only"
         ) from exc
 
-    def _maybe_relocate(self) -> None:
-        """Drain the whole relocation queue opportunistically at the
-        *start* of every PUT (see :meth:`drain_relocations`): relocations
-        are content-neutral, so doing them before this PUT's own write
-        adds no window where a crash could leave the caller's PUT
-        committed but unacknowledged."""
-        self.drain_relocations()
-
     def drain_relocations(self, budget: int | None = None) -> int:
         """Evacuate live values off retiring segments (ECP at capacity).
 
@@ -756,9 +736,10 @@ class KVStore:
                     return moved
                 popped += 1
                 addr = seg * self.engine.segment_size
-                key = self._by_addr.get(addr)
-                if key is None:
+                live = self._live.get(addr)
+                if live is None:
                     continue  # freed since it was queued; nothing to move
+                key = live[0]
                 entry = self.index.get(key)
                 if entry is None or entry[0] != addr:
                     continue
@@ -831,7 +812,7 @@ class KVStore:
             return False
         if not self.engine.claim_address(target_addr):
             return False
-        heat = self._heat_by_addr.get(old_addr)
+        heat = self.heat_of(old_addr)
         self._fire_site("compact.migrate")
         try:
             self.engine.write_at(target_addr, value)
@@ -845,7 +826,7 @@ class KVStore:
         if heat is not None:
             # Forward the temperature stamp (the fresh-write stamp the
             # install set would make every migrated value look hot).
-            self._heat_by_addr[target_addr] = heat
+            self._live[target_addr] = (*self._live[target_addr][:2], heat)
         return True
 
     def placement_telemetry(self) -> dict:

@@ -33,7 +33,7 @@ compactor never touches the media behind the catalog's back, which is
 what keeps fsck and the crash sweep authoritative over its work.
 
 Like the scrubber, the compactor is duck-typed over the store (the
-``_by_addr`` liveness mirror and the heat stamps) to keep the ``nvm``
+``_live`` address mirror with its heat stamps) to keep the ``nvm``
 layer import-free of ``core``.
 """
 
@@ -189,11 +189,8 @@ class Compactor(MaintenanceWorker):
         now = self.store.write_seq
         best = None
         best_key = None
-        for addr, key in list(self.store._by_addr.items()):
-            if key is None:
-                continue
-            heat = self.store.heat_of(addr)
-            if heat is None or now - heat < self.dormancy_writes:
+        for addr, (key, _, heat) in list(self.store._live.items()):
+            if now - heat < self.dormancy_writes:
                 continue  # recently written: not dormant
             src_wear = int(wear[addr // seg_size])
             if dst_wear - src_wear < self.min_wear_gap:

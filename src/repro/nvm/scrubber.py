@@ -116,10 +116,10 @@ class Scrubber(MaintenanceWorker):
         mid-flight merely rewrites bytes nobody reads.
         """
         addr = segment * self.controller.segment_size
-        key = self.store._by_addr.get(addr)
-        if key is None:
+        live = self.store._live.get(addr)
+        if live is None:
             return 0
-        entry = self.store.index.get(key)
+        entry = self.store.index.get(live[0])
         if entry is None or entry[0] != addr:
             return 0
         length = entry[1]
@@ -137,10 +137,10 @@ class Scrubber(MaintenanceWorker):
         self.stats.refresh_writes += 1
         self.stats.bits_healed += healed
 
-        expected = self.store._crc_by_addr.get(addr)
-        if expected is not None:
+        live = self.store._live.get(addr)
+        if live is not None and live[1] is not None:
             value = self.controller.read(addr, length)
-            if zlib.crc32(value) & 0xFFFFFFFF != expected:
+            if zlib.crc32(value) & 0xFFFFFFFF != live[1]:
                 # Refresh could not restore the recorded bytes: real
                 # corruption, not drift.  Count it and escalate — reads of
                 # this key will raise CorruptValueError.
@@ -160,8 +160,7 @@ class Scrubber(MaintenanceWorker):
         self._round_counter += 1
         live = [
             addr // self.controller.segment_size
-            for addr, key in list(self.store._by_addr.items())
-            if key is not None
+            for addr in list(self.store._live)
         ]
         wear = self.device.segment_write_count
         # Least-recently-scrubbed first; ties broken toward the most worn

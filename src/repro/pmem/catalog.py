@@ -30,7 +30,7 @@ instead of serving garbage.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.pmem.pool import PersistentPool
 
@@ -121,6 +121,31 @@ class PersistentCatalog:
             ):
                 return meta
         raise ValueError("device too small to hold a catalog")
+
+    @classmethod
+    def immortal_metadata(
+        cls,
+        model,
+        n_segments: int,
+        log_segments: int,
+        segment_size: int,
+        key_capacity: int = DEFAULT_KEY_CAPACITY,
+    ):
+        """``model`` — a ``WearOutConfig``/``DriftConfig`` or ``None`` —
+        with the undo-log + catalog prefix made immortal, unless the
+        caller chose a prefix themselves.
+
+        Those regions model over-provisioned metadata media: a worn-out
+        or drifted log record would (correctly) be refused at recovery —
+        a dead undo log is unrecoverable by design — so durable stores on
+        mortal media keep them out of the endurance and retention models.
+        """
+        if model is None or model.immortal_prefix_segments:
+            return model
+        meta = cls.meta_segments_for(
+            n_segments, log_segments, segment_size, key_capacity
+        )
+        return replace(model, immortal_prefix_segments=log_segments + meta)
 
     def record_address(self, slot: int) -> int:
         """Media byte address of the record for object segment ``slot``."""

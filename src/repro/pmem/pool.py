@@ -360,6 +360,7 @@ class PersistentPool:
         except CrashError:
             raise
         except BaseException:
+            # Also KeyboardInterrupt/SystemExit: roll back a raised header.
             # Before the header went up nothing was written in place (and
             # the log must not be replayed: under the old header it still
             # holds the *previous* transaction's records).

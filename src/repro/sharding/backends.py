@@ -401,6 +401,7 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
         try:
             shard = Shard.build(spec, mode, content_buffer=shm.buf)
         except BaseException as exc:
+            # Also KeyboardInterrupt/SystemExit: _await_ready must hear why.
             _send_error(conn, exc)
             return
         conn.send(("ready", spec.shard_id))
@@ -422,6 +423,8 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
                 # parent's shared-memory block and survive verbatim.
                 os._exit(_CRASH_EXIT_STATUS)
             except BaseException as exc:
+                # Also KeyboardInterrupt/SystemExit: every request gets its
+                # reply (the parent re-raises a non-Exception payload at once).
                 _send_error(conn, exc)
             else:
                 conn.send(("ok", result))
@@ -523,6 +526,7 @@ class ProcessBackend:
             for handle in self._handles:
                 self._await_ready(handle)
         except BaseException:
+            # Also KeyboardInterrupt/SystemExit: reap spawned workers + shm.
             self.close()
             raise
 

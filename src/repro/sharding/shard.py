@@ -33,7 +33,7 @@ identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.config import E2NVMConfig
 from repro.core.kvstore import KVStore
@@ -196,6 +196,10 @@ class Shard:
                 "volatile shards cannot be reopened (no catalog to "
                 "recover from); only durable shards survive restarts"
             )
+        geometry = (
+            spec.n_segments, spec.log_segments, spec.segment_size,
+            spec.key_capacity,
+        )
         if mode == "open":
             if spec.path is None:
                 raise ValueError("open mode needs spec.path")
@@ -211,24 +215,11 @@ class Shard:
                 )
         else:
             wearout, drift = spec.wearout, spec.drift
-            if spec.durable and (wearout is not None or drift is not None):
-                # The undo log and catalog model over-provisioned metadata
-                # media: a worn-out or drifted log record would (correctly)
-                # be refused at recovery, so unless the caller chose a
-                # prefix themselves the reserved region is made immortal —
-                # the same default the crash-sweep harness applies.
-                prefix = spec.log_segments + PersistentCatalog.meta_segments_for(
-                    spec.n_segments,
-                    spec.log_segments,
-                    spec.segment_size,
-                    spec.key_capacity,
+            if spec.durable:
+                wearout = PersistentCatalog.immortal_metadata(
+                    wearout, *geometry
                 )
-                if wearout is not None and wearout.immortal_prefix_segments == 0:
-                    wearout = replace(
-                        wearout, immortal_prefix_segments=prefix
-                    )
-                if drift is not None and drift.immortal_prefix_segments == 0:
-                    drift = replace(drift, immortal_prefix_segments=prefix)
+                drift = PersistentCatalog.immortal_metadata(drift, *geometry)
             device = NVMDevice(
                 capacity_bytes=spec.capacity_bytes,
                 segment_size=spec.segment_size,
@@ -243,47 +234,30 @@ class Shard:
 
             engine = E2NVM(MemoryController(device), spec.config)
             engine.train()
-            store = KVStore(engine)
-            shard = cls(spec, store, device, pool=None)
-            if spec.maintenance and spec.retrain_interval_s > 0:
-                shard.maintenance_workers.append(
-                    RetrainTicker(engine, interval_s=spec.retrain_interval_s)
-                )
-            if spec.maintenance:
-                shard.start_maintenance()
-            return shard
-
-        pool = PersistentPool(
-            MemoryController(device),
-            log_segments=spec.log_segments,
-            meta_segments=PersistentCatalog.meta_segments_for(
-                spec.n_segments,
-                spec.log_segments,
-                spec.segment_size,
-                spec.key_capacity,
-            ),
-        )
-        if mode == "create":
-            store = KVStore.create(
-                pool, config=spec.config, key_capacity=spec.key_capacity
-            )
+            shard = cls(spec, KVStore(engine), device, pool=None)
         else:
-            store = KVStore.open(
+            pool = PersistentPool(
+                MemoryController(device),
+                log_segments=spec.log_segments,
+                meta_segments=PersistentCatalog.meta_segments_for(*geometry),
+            )
+            build_store = KVStore.create if mode == "create" else KVStore.open
+            store = build_store(
                 pool, config=spec.config, key_capacity=spec.key_capacity
             )
-        shard = cls(spec, store, device, pool=pool)
-        if spec.scrubber:
-            shard.maintenance_workers.append(
-                Scrubber(
-                    store,
-                    segments_per_round=spec.n_segments,
-                    interval_s=spec.scrub_interval_s,
+            shard = cls(spec, store, device, pool=pool)
+            if spec.scrubber:
+                shard.maintenance_workers.append(
+                    Scrubber(
+                        store,
+                        segments_per_round=spec.n_segments,
+                        interval_s=spec.scrub_interval_s,
+                    )
                 )
-            )
-        if spec.compactor:
-            shard.maintenance_workers.append(
-                Compactor(store, interval_s=spec.compact_interval_s)
-            )
+            if spec.compactor:
+                shard.maintenance_workers.append(
+                    Compactor(store, interval_s=spec.compact_interval_s)
+                )
         if spec.maintenance and spec.retrain_interval_s > 0:
             shard.maintenance_workers.append(
                 RetrainTicker(

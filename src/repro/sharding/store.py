@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.config import E2NVMConfig
@@ -200,6 +201,27 @@ def _make_backend(
     raise ValueError(f"unknown backend {backend!r}")
 
 
+def _per_shard(
+    template: ShardSpec, n_shards: int, base_seed: int, root: Path | None
+) -> list[ShardSpec]:
+    """One spec per shard from ``template``.  Seeds are distinct: each
+    channel's free media starts with its own content mix, so per-shard
+    models cluster independently."""
+    return [
+        replace(
+            template,
+            shard_id=shard_id,
+            seed=base_seed + shard_id,
+            path=(
+                str(root / f"shard-{shard_id}.npz")
+                if root is not None
+                else None
+            ),
+        )
+        for shard_id in range(n_shards)
+    ]
+
+
 class BatchReport(list):
     """Result of a degraded-mode batch op: a plain list of per-item
     results (``== [...]`` with a list still holds) plus an explicit
@@ -280,59 +302,6 @@ class ShardedKVStore:
 
     # ----------------------------------------------------------- construction
 
-    @staticmethod
-    def _build_specs(
-        n_shards: int,
-        *,
-        segment_size: int,
-        n_segments_per_shard: int,
-        durable: bool,
-        log_segments: int,
-        key_capacity: int,
-        config: E2NVMConfig | None,
-        base_seed: int,
-        root: Path | None,
-        scrubber: bool,
-        compactor: bool,
-        maintenance: bool = False,
-        scrub_interval_s: float = 0.05,
-        compact_interval_s: float = 0.1,
-        retrain_interval_s: float = 0.0,
-        wearout=None,
-        drift=None,
-    ) -> list[ShardSpec]:
-        specs = []
-        for shard_id in range(n_shards):
-            specs.append(
-                ShardSpec(
-                    shard_id=shard_id,
-                    segment_size=segment_size,
-                    n_segments=n_segments_per_shard,
-                    durable=durable,
-                    log_segments=log_segments,
-                    key_capacity=key_capacity,
-                    # Distinct per-shard seeds: each channel's free media
-                    # starts with its own content mix, so per-shard models
-                    # cluster independently.
-                    seed=base_seed + shard_id,
-                    config=config if config is not None else E2NVMConfig(),
-                    path=(
-                        str(root / f"shard-{shard_id}.npz")
-                        if root is not None
-                        else None
-                    ),
-                    scrubber=scrubber,
-                    compactor=compactor,
-                    maintenance=maintenance,
-                    scrub_interval_s=scrub_interval_s,
-                    compact_interval_s=compact_interval_s,
-                    retrain_interval_s=retrain_interval_s,
-                    wearout=wearout,
-                    drift=drift,
-                )
-            )
-        return specs
-
     @classmethod
     def create(
         cls,
@@ -375,16 +344,13 @@ class ShardedKVStore:
         # intent; creating over a reused directory discards any journal.
         RebalanceJournal(root=root, old_ring={}, new_ring={}).remove()
         ring = HashRing(n_shards, seed=ring_seed, vnodes=vnodes, weights=weights)
-        specs = cls._build_specs(
-            n_shards,
+        template = ShardSpec(
+            shard_id=0,
             segment_size=segment_size,
-            n_segments_per_shard=n_segments_per_shard,
-            durable=True,
+            n_segments=n_segments_per_shard,
             log_segments=log_segments,
             key_capacity=key_capacity,
-            config=config,
-            base_seed=base_seed,
-            root=root,
+            config=config if config is not None else E2NVMConfig(),
             scrubber=scrubber,
             compactor=compactor,
             maintenance=maintenance,
@@ -394,6 +360,7 @@ class ShardedKVStore:
             wearout=wearout,
             drift=drift,
         )
+        specs = _per_shard(template, n_shards, base_seed, root)
         store = cls(
             _make_backend(
                 specs, "create", backend, start_method, deadline_s, op_deadlines
@@ -432,21 +399,18 @@ class ShardedKVStore:
         """Create a volatile sharded store (no pool/catalog, no manifest) —
         the benchmark configuration."""
         ring = HashRing(n_shards, seed=ring_seed, vnodes=vnodes, weights=weights)
-        specs = cls._build_specs(
-            n_shards,
+        template = ShardSpec(
+            shard_id=0,
             segment_size=segment_size,
-            n_segments_per_shard=n_segments_per_shard,
+            n_segments=n_segments_per_shard,
             durable=False,
             log_segments=0,
             key_capacity=0,
-            config=config,
-            base_seed=base_seed,
-            root=None,
-            scrubber=False,
-            compactor=False,
+            config=config if config is not None else E2NVMConfig(),
             maintenance=maintenance,
             retrain_interval_s=retrain_interval_s,
         )
+        specs = _per_shard(template, n_shards, base_seed, None)
         return cls(
             _make_backend(
                 specs, "create", backend, start_method, deadline_s, op_deadlines

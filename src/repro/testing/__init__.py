@@ -4,6 +4,11 @@
   exercising the engine's recovery paths (failed retrains, slow fits,
   device write errors), plus :class:`CrashError` and torn-write rules
   for crash-consistency testing.
+- :mod:`repro.testing.model` — the durability contract, stated once:
+  :class:`~repro.testing.model.DurabilityModel` (what a read may return
+  after a fault, per promised strength) and
+  :func:`~repro.testing.model.sweep_crash_points` (the one crash-point
+  enumeration loop).  Every harness below takes its verdicts from it.
 - :mod:`repro.testing.crash_sweep` — an exhaustive crash-point sweep
   harness: replays a seeded workload crashing at every fired fault site
   (including torn writes), re-opens the store from the media, and checks
@@ -14,6 +19,8 @@
   all-shards-healthy with zero lost acknowledged writes and clean fsck.
 """
 
+from importlib import import_module
+
 from repro.testing.faults import (
     CrashError,
     FaultError,
@@ -21,11 +28,12 @@ from repro.testing.faults import (
     FaultRule,
 )
 
-# crash_sweep sits above the KV store, which itself depends on the fault
-# layer; importing it eagerly here would close an import cycle, so its
+# crash_sweep sits above the KV store and chaos above the sharded store
+# (facade + supervisor), which themselves depend on the fault layer;
+# importing either eagerly here would close an import cycle, so their
 # names resolve lazily (PEP 562) on first access.
-_CRASH_SWEEP_NAMES = frozenset(
-    {
+_LAZY = {
+    "crash_sweep": (
         "CrashSweepReport",
         "DEFAULT_CRASH_SITES",
         "DEFAULT_TORN_SITES",
@@ -44,36 +52,21 @@ _CRASH_SWEEP_NAMES = frozenset(
         "run_wear_leveling_crash_sweep",
         "weave_aging",
         "weave_compaction",
-    }
-)
-
-# chaos sits above the sharded store (facade + supervisor) and resolves
-# lazily for the same cycle-avoidance reason.
-_CHAOS_NAMES = frozenset(
-    {
-        "ChaosReport",
-        "FAULT_KINDS",
-        "run_chaos_drill",
-    }
-)
+    ),
+    "chaos": ("ChaosReport", "FAULT_KINDS", "run_chaos_drill"),
+}
 
 __all__ = [
     "CrashError",
     "FaultError",
     "FaultInjector",
     "FaultRule",
-    *sorted(_CRASH_SWEEP_NAMES),
-    *sorted(_CHAOS_NAMES),
+    *(name for names in _LAZY.values() for name in sorted(names)),
 ]
 
 
 def __getattr__(name: str):
-    if name in _CRASH_SWEEP_NAMES:
-        from repro.testing import crash_sweep
-
-        return getattr(crash_sweep, name)
-    if name in _CHAOS_NAMES:
-        from repro.testing import chaos
-
-        return getattr(chaos, name)
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(import_module(f"{__name__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

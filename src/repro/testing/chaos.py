@@ -20,70 +20,104 @@ One drill round:
      transaction (``os._exit``, no response, no cleanup);
 
 2. issue a ``put_many`` batch spanning every shard under the ``partial``
-   degraded policy and record, per key, what the outcome report admits:
-   an ``"ok"`` item is **acknowledged** (its value must survive, full
-   stop); a failed item may have committed or not (the shard died
-   mid-batch), so either the old or the new value is acceptable;
+   degraded policy, in flight in the
+   :class:`~repro.testing.model.DurabilityModel` as ``either``: an
+   ``"ok"`` item is **acknowledged**, a failed one may have committed or
+   not (the shard died mid-batch);
 3. advance the wearout and drift clocks (the in-worker scrubber heals
    drift on its own cadence while all this is going on);
 4. let the :class:`~repro.sharding.supervisor.ShardSupervisor` converge
    the fleet back to healthy and verify every acknowledged write reads
    back.
 
-After the last round the drill closes the store and runs
-:func:`repro.tools.fsck.fsck` over every shard snapshot — recovery that
-leaves the media inconsistent must not pass.
+After the last round the drill reads everything back for the model to
+judge, closes the store and runs :func:`repro.tools.fsck.fsck_sharded`
+over it — recovery that leaves the media inconsistent must not pass.
+The rebalance storm shares the fleet, the acknowledgement bookkeeping
+and that final step (:class:`_Fleet`).
 
-The harness is a library (the chaos tests and ``bench_chaos.py`` both
-drive it) and is deliberately seeded: a failing round is reproducible
-from its seed.
+The harness is a library: the chaos tests and ``bench_chaos.py`` both
+drive it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
+import shutil
 import signal
 import tempfile
 import threading
 import time
+from contextlib import AbstractContextManager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.config import E2NVMConfig, fast_test_config
+from repro.core.config import fast_test_config
 from repro.nvm.device import DriftConfig, WearOutConfig
-from repro.sharding import ShardedKVStore, ShardSupervisor
+from repro.sharding import RebalanceJournal, ShardedKVStore, ShardSupervisor
 from repro.sharding.backends import ShardUnavailableError
-from repro.tools.fsck import fsck
+from repro.testing.model import (
+    EITHER,
+    CrashSweepReport,
+    DurabilityModel,
+    sweep_crash_points,
+)
+from repro.tools.fsck import fsck_sharded
 
 #: Fault species the drill draws from (uniformly, seeded).
 FAULT_KINDS = ("kill", "stop", "crash")
 
+#: The fleet every harness here runs on.
+N_SHARDS = 3
+_GEOMETRY = dict(segment_size=64, log_segments=4, key_capacity=32)
+#: Keys the drill's batches draw from (later rounds overwrite — the
+#: idempotent-upsert path retries depend on) / the rebalance preload.
+DRILL_KEY_SPACE = 24
+REBALANCE_KEYS = 48
+REBALANCE_WEIGHTS = (2.0, 1.0, 0.5)
+#: Per-round and final convergence budget of the supervised drills.
+HEAL_TIMEOUT_S = 120.0
+
+
+def _key(key_no: int) -> bytes:
+    return f"key-{key_no:04d}".encode()
+
+
+def _create_store(root, seed: int, n_segments_per_shard: int, **options):
+    return ShardedKVStore.create(
+        root,
+        N_SHARDS,
+        n_segments_per_shard=n_segments_per_shard,
+        config=fast_test_config(),
+        base_seed=seed + 7,
+        **_GEOMETRY,
+        **options,
+    )
+
 
 @dataclass
-class ChaosReport:
-    """Everything a drill asserts on (and the benchmark reports)."""
+class _FleetReport:
+    """The safety contract both supervised drills assert on."""
 
     rounds: int
-    faults: dict = field(default_factory=dict)
-    #: Items acknowledged ok / total items attempted, per round.
+    #: Items acknowledged ok / total items attempted.
     acked_items: int = 0
     total_items: int = 0
-    #: Acknowledged keys whose final read did not return the acked value.
+    #: Findings of the final read-back, by kind (see
+    #: :class:`~repro.testing.model.Finding`): acknowledged values that
+    #: did not read back; values nobody wrote (torn — never acceptable);
+    #: live keys that must not exist.
     lost_writes: list = field(default_factory=list)
-    #: Unacknowledged keys whose final read returned neither the old nor
-    #: the new candidate value (torn/corrupt — never acceptable).
     corrupt_keys: list = field(default_factory=list)
+    orphan_keys: list = field(default_factory=list)
+    #: Keys live on more than one shard.
+    duplicate_keys: list = field(default_factory=list)
     all_healthy: bool = False
     fsck_ok: bool = False
     fsck_errors: list = field(default_factory=list)
-    recovery_count: int = 0
-    recovery_time_mean_s: float = 0.0
-    recovery_time_max_s: float = 0.0
-    watchdog_kills: int = 0
-    restarts: int = 0
     duration_s: float = 0.0
-    converge_s: float = 0.0
 
     @property
     def availability(self) -> float:
@@ -92,66 +126,151 @@ class ChaosReport:
 
     @property
     def ok(self) -> bool:
-        """The drill's contract: converged healthy, zero lost acknowledged
-        writes, no torn values, clean fsck on every shard."""
+        """Converged healthy, zero lost acknowledged writes, nothing torn,
+        orphaned or duplicated, cross-shard fsck clean."""
         return (
             self.all_healthy
             and not self.lost_writes
             and not self.corrupt_keys
+            and not self.orphan_keys
+            and not self.duplicate_keys
             and self.fsck_ok
         )
 
     def summary(self) -> dict:
+        """The ``SUMMARY_KEYS`` of this report as plain data (what the
+        benchmarks emit): finding lists shrink to their counts."""
+        values = ((key, getattr(self, key)) for key in self.SUMMARY_KEYS)
         return {
-            "rounds": self.rounds,
-            "faults": dict(self.faults),
-            "availability": self.availability,
-            "acked_items": self.acked_items,
-            "total_items": self.total_items,
-            "lost_writes": len(self.lost_writes),
-            "corrupt_keys": len(self.corrupt_keys),
-            "all_healthy": self.all_healthy,
-            "fsck_ok": self.fsck_ok,
-            "recovery_count": self.recovery_count,
-            "recovery_time_mean_s": self.recovery_time_mean_s,
-            "recovery_time_max_s": self.recovery_time_max_s,
-            "watchdog_kills": self.watchdog_kills,
-            "restarts": self.restarts,
-            "duration_s": self.duration_s,
-            "converge_s": self.converge_s,
-            "ok": self.ok,
+            key: len(value) if isinstance(value, list) else value
+            for key, value in values
         }
+
+
+@dataclass
+class ChaosReport(_FleetReport):
+    """Everything a drill asserts on (and the benchmark reports)."""
+
+    faults: dict = field(default_factory=dict)
+    recovery_count: int = 0
+    recovery_time_mean_s: float = 0.0
+    recovery_time_max_s: float = 0.0
+    watchdog_kills: int = 0
+    restarts: int = 0
+    converge_s: float = 0.0
+
+    SUMMARY_KEYS = (
+        "rounds", "faults", "availability", "acked_items", "total_items",
+        "lost_writes", "corrupt_keys", "all_healthy", "fsck_ok",
+        "recovery_count", "recovery_time_mean_s", "recovery_time_max_s",
+        "watchdog_kills", "restarts", "duration_s", "converge_s", "ok",
+    )
+
+
+class _Fleet(AbstractContextManager):
+    """What the drill and the storm share: a supervised process-backend
+    store under the ``partial`` policy, the model of what it was told, and
+    the report being filled in.  A context manager — leaving it stops the
+    supervisor and closes the store on every path, and removes a
+    temporary root unless the drill failed (or raised)."""
+
+    def __init__(
+        self, root, report: _FleetReport, seed: int, *,
+        n_segments_per_shard: int, restart_budget: int, **shard_options,
+    ) -> None:
+        self.owns_root = root is None
+        self.root = Path(root) if root is not None else Path(tempfile.mkdtemp())
+        self.report = report
+        self.model = DurabilityModel()
+        self.started = time.monotonic()
+        self.store = _create_store(
+            self.root, seed, n_segments_per_shard, backend="process",
+            degraded="partial", deadline_s=30.0, **shard_options,
+        )
+        self.supervisor = ShardSupervisor(
+            self.store,
+            interval_s=0.05,
+            heartbeat_timeout_s=0.5,
+            restart_budget=restart_budget,
+            stable_after_s=0.5,
+            auto_start=True,
+        )
+
+    def __exit__(self, *exc) -> None:
+        self.supervisor.stop()
+        self.store.close()  # idempotent
+        if self.owns_root and self.report.ok:
+            shutil.rmtree(self.root, ignore_errors=True)
+
+    def kill_later(self, shard_id: int, rng, lo: float, hi: float):
+        """Start a timer that SIGKILLs ``shard_id``'s worker ``lo``–``hi``
+        seconds from now; ``None`` when the shard is already down."""
+        pid = self.store.backend.worker_pid(shard_id)
+        if pid is None or not self.store.shard_alive(shard_id):
+            return None
+        timer = threading.Timer(rng.uniform(lo, hi), _kill_quietly, (pid,))
+        timer.start()
+        return timer
+
+    def put_many(self, items) -> None:
+        """One foreground batch under ``partial``, acknowledged item by
+        item as its outcome report admits."""
+        self.model.begin(items, EITHER)
+        try:
+            outcomes = self.store.put_many(items).outcomes
+        except ShardUnavailableError:
+            # partial mode degrades unavailability, but an overlapping
+            # fault can still surface here (e.g. every shard down);
+            # nothing in this batch is acknowledged.
+            outcomes = ["error"] * len(items)
+        self.report.total_items += len(items)
+        self.report.acked_items += self.model.ack(outcomes)
+
+    def verify_and_close(self) -> None:
+        """The final step: read everything back for the model to judge,
+        then close the store and run the cross-shard offline checker."""
+        report, store = self.report, self.store
+        try:
+            live = store.keys()
+        except ShardUnavailableError:
+            live, report.all_healthy = [], False
+        keys = sorted(self.model.keys() | set(live))
+        final = store.get_many(keys)
+        if not final.ok:
+            report.all_healthy = False
+        by_kind = {
+            "lost": report.lost_writes,
+            "corrupt": report.corrupt_keys,
+            "phantom": report.orphan_keys,
+        }
+        for finding in self.model.check(zip(keys, final)):
+            by_kind[finding.kind].append(finding)
+        report.duplicate_keys = sorted(
+            key for key in set(live) if live.count(key) > 1
+        )
+        store.close()
+        fsck_report = fsck_sharded(self.root)
+        report.fsck_ok = fsck_report.ok
+        report.fsck_errors = fsck_report.all_errors
+        report.duration_s = time.monotonic() - self.started
 
 
 def run_chaos_drill(
     root: str | Path | None = None,
     *,
-    n_shards: int = 3,
     rounds: int = 6,
     batch_size: int = 24,
-    key_space: int = 24,
     seed: int = 0,
-    segment_size: int = 64,
-    n_segments_per_shard: int = 128,
-    log_segments: int = 4,
-    key_capacity: int = 32,
-    config: E2NVMConfig | None = None,
-    heartbeat_timeout_s: float = 0.5,
-    restart_budget: int = 5,
-    heal_timeout_s: float = 60.0,
-    age_cycles_per_round: int = 1,
-    drift_ticks_per_round: int = 2_000,
+    heal_timeout_s: float = HEAL_TIMEOUT_S,
     faults: tuple[str, ...] = FAULT_KINDS,
 ) -> ChaosReport:
     """Run one seeded chaos drill; see the module docstring for the plot.
 
     Args:
         root: store directory (a temp dir when ``None``; it is left on
-            disk only if the drill raises).
+            disk only if the drill fails or raises).
         rounds: fault-injection rounds.
-        batch_size: items per ``put_many`` round (keys drawn from a
-            ``key_space``-sized pool, so later rounds overwrite — the
-            idempotent-upsert path retries depend on).
+        batch_size: items per ``put_many`` round.
         seed: drives every random choice (victim shard, fault kind, kill
             timing, values) — a failure reproduces from its seed.
         heal_timeout_s: per-round and final convergence budget.
@@ -162,49 +281,21 @@ def run_chaos_drill(
         if kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
     rng = random.Random(seed)
-    owns_root = root is None
-    root = Path(root) if root is not None else Path(tempfile.mkdtemp())
     report = ChaosReport(rounds=rounds, faults={k: 0 for k in faults})
-    t_start = time.monotonic()
-
-    store = ShardedKVStore.create(
-        root,
-        n_shards,
-        segment_size=segment_size,
-        n_segments_per_shard=n_segments_per_shard,
-        config=config if config is not None else fast_test_config(),
-        backend="process",
-        log_segments=log_segments,
-        key_capacity=key_capacity,
+    with _Fleet(
+        root, report, seed,
+        n_segments_per_shard=128,
+        restart_budget=5,
         scrubber=True,
         compactor=True,
         maintenance=True,
         retrain_interval_s=0.2,
         wearout=WearOutConfig(endurance_mean=1e8, seed=seed),
         drift=DriftConfig(retention_mean=50_000.0, seed=seed),
-        degraded="partial",
-        deadline_s=30.0,
-        base_seed=seed + 7,
-    )
-    supervisor = ShardSupervisor(
-        store,
-        interval_s=0.05,
-        heartbeat_timeout_s=heartbeat_timeout_s,
-        restart_budget=restart_budget,
-        stable_after_s=0.5,
-        auto_start=True,
-    )
-
-    #: key -> set of byte strings the final read may legally return.
-    #: Acknowledged puts collapse the set to {new value}.
-    acceptable: dict[bytes, set] = {}
-
-    def value_for(round_no: int, key_no: int) -> bytes:
-        return f"r{round_no}.k{key_no}.{rng.randrange(1 << 30)}".encode()
-
-    try:
+    ) as fleet:
+        store, supervisor = fleet.store, fleet.supervisor
         for round_no in range(rounds):
-            victim = rng.randrange(n_shards)
+            victim = rng.randrange(N_SHARDS)
             kind = rng.choice(list(faults))
             report.faults[kind] += 1
             timer = None
@@ -213,115 +304,53 @@ def run_chaos_drill(
                 if pid is not None and store.shard_alive(victim):
                     os.kill(pid, signal.SIGSTOP)
             elif kind == "crash":
-                try:
+                # Already down?  The round still writes.
+                with suppress(ShardUnavailableError):
                     store.backend.call(victim, "arm_crash", ("tx.write",))
-                except ShardUnavailableError:
-                    pass  # already down; the round still writes
             elif kind == "kill":
-                pid = store.backend.worker_pid(victim)
-                if pid is not None and store.shard_alive(victim):
-                    delay = rng.uniform(0.005, 0.05)
-                    timer = threading.Timer(
-                        delay, lambda p=pid: _kill_quietly(p)
-                    )
-                    timer.start()
+                timer = fleet.kill_later(victim, rng, 0.005, 0.05)
 
-            key_nos = rng.sample(range(key_space), min(batch_size, key_space))
-            items = []
-            for key_no in key_nos:
-                key = f"key-{key_no:04d}".encode()
-                items.append((key, value_for(round_no, key_no)))
+            key_nos = rng.sample(
+                range(DRILL_KEY_SPACE), min(batch_size, DRILL_KEY_SPACE)
+            )
             try:
-                batch = store.put_many(items)
-                outcomes = batch.outcomes
-            except ShardUnavailableError as exc:
-                # partial mode degrades unavailability, but an overlapping
-                # fault can still surface here (e.g. every shard down);
-                # nothing in this batch is acknowledged.
-                outcomes = ["error"] * len(items)
+                fleet.put_many([
+                    (
+                        _key(key_no),
+                        f"r{round_no}.k{key_no}.{rng.randrange(1 << 30)}"
+                        .encode(),
+                    )
+                    for key_no in key_nos
+                ])
             finally:
                 if timer is not None:
                     timer.cancel()
-            report.total_items += len(items)
-            for (key, value), outcome in zip(items, outcomes):
-                if outcome == "ok":
-                    report.acked_items += 1
-                    acceptable[key] = {value}
-                else:
-                    # May or may not have committed before the fault; both
-                    # values are acceptable until a later acked overwrite.
-                    acceptable.setdefault(key, {None}).add(value)
 
-            # Media keeps aging while the fleet is degraded; dead shards
-            # just miss this tick (their clocks resume after reopen).
-            for broadcast in (
-                lambda: store.age(age_cycles_per_round),
-                lambda: store.advance_time(drift_ticks_per_round),
-            ):
-                try:
-                    broadcast()
-                except ShardUnavailableError:
-                    pass
+            # Media keeps aging while the fleet is degraded (one wear
+            # cycle, 2000 drift ticks a round); dead shards just miss
+            # this tick (their clocks resume after reopen).
+            for broadcast, amount in ((store.age, 1), (store.advance_time, 2_000)):
+                with suppress(ShardUnavailableError):
+                    broadcast(amount)
 
             if not supervisor.await_healthy(timeout=heal_timeout_s):
                 break  # report.all_healthy stays False
 
-        report.converge_s = time.monotonic() - t_start
+        report.converge_s = time.monotonic() - fleet.started
         report.all_healthy = supervisor.await_healthy(timeout=heal_timeout_s)
-
-        # Every acknowledged write must read back; unacknowledged writes
-        # must read back as one of their acceptable values.
-        keys = sorted(acceptable)
-        final = store.get_many(keys)
-        if not final.ok:
-            report.all_healthy = False
-        for key, value in zip(keys, final):
-            allowed = acceptable[key]
-            if value not in allowed:
-                if len(allowed) == 1:
-                    report.lost_writes.append(
-                        (key, next(iter(allowed)), value)
-                    )
-                else:
-                    report.corrupt_keys.append((key, value))
-
         sup_tel = supervisor.telemetry()
         report.recovery_count = sup_tel["recovery_count"]
         report.recovery_time_mean_s = sup_tel["recovery_time_mean_s"]
         report.recovery_time_max_s = sup_tel["recovery_time_max_s"]
         report.watchdog_kills = sup_tel["watchdog_kills"]
         report.restarts = sup_tel["restarts"]
-
-        store.close()
-        fsck_ok = True
-        for shard_id in range(n_shards):
-            result = fsck(
-                root / f"shard-{shard_id}.npz",
-                log_segments=log_segments,
-                key_capacity=key_capacity,
-            )
-            if not result.ok:
-                fsck_ok = False
-                report.fsck_errors.extend(
-                    f"shard {shard_id}: {err}" for err in result.errors
-                )
-        report.fsck_ok = fsck_ok
-        report.duration_s = time.monotonic() - t_start
-    finally:
-        supervisor.stop()
-        store.close()  # idempotent; covers the raise path
-        if owns_root and report.ok:
-            for path in root.glob("*"):
-                path.unlink()
-            root.rmdir()
+        fleet.verify_and_close()
     return report
 
 
 def _kill_quietly(pid: int) -> None:
-    try:
+    with suppress(ProcessLookupError, PermissionError):
         os.kill(pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
 
 
 # --------------------------------------------------------------------------
@@ -329,284 +358,161 @@ def _kill_quietly(pid: int) -> None:
 # --------------------------------------------------------------------------
 
 #: Coordinator-side fault sites of the rebalance protocol (fired by the
-#: :class:`~repro.sharding.rebalance.Rebalancer` in the facade's process).
-REBALANCE_CRASH_SITES = (
-    "rebalance.copy",
-    "rebalance.delete",
-    "rebalance.flip",
-)
+#: :class:`~repro.sharding.rebalance.Rebalancer` in the facade's process),
+#: each with the journal state ``open()`` must find after a crash there:
+#: copy/delete crashes land mid-drain and resume it; the flip crash lands
+#: past the point of no return and rolls forward without draining.
+_RESUMES_FROM = {
+    "rebalance.copy": "draining",
+    "rebalance.delete": "draining",
+    "rebalance.flip": "flipped",
+}
+REBALANCE_CRASH_SITES = tuple(_RESUMES_FROM)
 
 
-@dataclass
-class RebalanceSweepCase:
-    """One crash point: ``site`` at its ``k``-th firing."""
-
-    site: str
-    k: int
-    crashed: bool = False
-    #: Journal state observed at reopen ("resumed" paths) or ``None``
-    #: when the crash landed after the journal was already retired.
-    resumed_from: str | None = None
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
+def _preload(rng) -> list[tuple[bytes, bytes]]:
+    return [
+        (_key(i), f"value-{i}-{rng.randrange(1 << 20)}".encode())
+        for i in range(REBALANCE_KEYS)
+    ]
 
 
-@dataclass
-class RebalanceSweepReport:
-    """Findings of one :func:`run_rebalance_crash_sweep`."""
+def check_exactly_once(store, model) -> list[str]:
+    """The placement contract of a sharded store, read shard by shard:
+    every shard serves exactly the ``model`` (a
+    :class:`~repro.testing.model.DurabilityModel` or a mapping of
+    acknowledged pairs) restricted to the keys the ring routes to it — no
+    key lost, duplicated on a second shard, or holding a wrong value.
 
-    site_firings: dict = field(default_factory=dict)
-    cases: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.cases) and all(c.ok for c in self.cases)
-
-    def summary(self) -> dict:
-        return {
-            "site_firings": dict(self.site_firings),
-            "cases": len(self.cases),
-            "failed": [
-                (c.site, c.k, c.errors) for c in self.cases if not c.ok
-            ],
-            "ok": self.ok,
-        }
-
-
-def _verify_rebalanced(store, oracle, case_errors) -> None:
-    """Every acked key readable with its exact value, on exactly its ring
-    owner — the exactly-once contract after recovery."""
-    for key, value in oracle.items():
-        owner = store.shard_of(key)
-        holders = []
-        for shard_id in range(store.n_shards):
-            got = store.backend.call(shard_id, "get", (key,))
-            if got is not None:
-                holders.append(shard_id)
-                if got != value:
-                    case_errors.append(
-                        f"key {key!r} on shard {shard_id}: wrong value"
-                    )
+    While a rebalance is live a key may sit on its old owner, its new one
+    or both, so a shard may hold any subset — values are still judged on
+    every holder, the facade must serve every key, and placement is
+    asserted once the drain has finished.  Returns one message per
+    violation."""
+    if not isinstance(model, DurabilityModel):
+        model = DurabilityModel(model)
+    keys = sorted(model.keys())
+    messages = []
+    for shard_id in range(store.n_shards):
+        values = store.backend.call(shard_id, "get_many", (keys,))
+        held = {k: v for k, v in zip(keys, values) if v is not None}
         if store.rebalance_active:
-            continue  # placement asserted after the resumed drain finishes
-        if holders != [owner]:
-            case_errors.append(
-                f"key {key!r} held by shards {holders}, owner is {owner}"
-            )
+            owned = set(held)
+        else:
+            owned = {k for k in keys if store.shard_of(k) == shard_id}
+        messages += [
+            f"shard {shard_id}: {finding}"
+            for finding in model.check(held, owned.__contains__)
+        ]
+    if store.rebalance_active:
+        messages += map(str, model.check(zip(keys, store.get_many(keys))))
+    return messages
 
 
 def run_rebalance_crash_sweep(
-    root: str | Path | None = None,
-    *,
-    n_shards: int = 3,
-    n_keys: int = 48,
-    seed: int = 0,
-    weights: tuple = (2.0, 1.0, 0.5),
-    batch_size: int = 8,
-    segment_size: int = 64,
-    n_segments_per_shard: int = 256,
-    log_segments: int = 4,
-    key_capacity: int = 32,
-    sites: tuple = REBALANCE_CRASH_SITES,
-    config: E2NVMConfig | None = None,
-) -> RebalanceSweepReport:
+    root: str | Path | None = None, *, seed: int = 0
+) -> CrashSweepReport:
     """Crash the rebalance *coordinator* at every firing of every fault
     site, then prove ``open()`` recovers.
 
-    The run is deterministic: a baseline pass (unarmed injector — hits
-    are counted anyway) fixes how many times each site fires, then one
-    fresh store per ``(site, k)`` is driven into a :class:`CrashError` at
-    exactly the ``k``-th firing.  The shards themselves did not crash —
-    only the coordinator died mid-protocol — so their media survives
-    (``close()`` snapshots them, the in-process analogue of worker
-    processes outliving the facade); ``open()`` must then resume the
-    drain or roll the flip forward, after which every preloaded key is
-    readable with its exact value on exactly its ring owner, the journal
-    is gone, and cross-shard fsck is clean.  Worker-side crashes are the
-    storm drill's job (:func:`run_rebalance_storm`).
+    The run is deterministic (same seed, same keys, same batches → same
+    firing schedule in every replay), so
+    :func:`~repro.testing.model.sweep_crash_points` can enumerate it.  The
+    shards themselves do not crash — only the coordinator dies
+    mid-protocol — so their media survives (``close()`` snapshots them,
+    the in-process analogue of worker processes outliving the facade);
+    ``open()`` must then resume the drain or roll the flip forward, after
+    which every preloaded key is readable with its exact value on exactly
+    its ring owner (:func:`check_exactly_once` — a drain is content-neutral,
+    so the model is just the acknowledged preload), the journal is gone,
+    and cross-shard fsck is clean.  Worker-side crashes are the storm
+    drill's job (:func:`run_rebalance_storm`).
     """
-    from repro.sharding.rebalance import RebalanceJournal
-    from repro.testing.faults import CrashError, FaultInjector
-    from repro.tools.fsck import fsck_sharded
-
-    rng = random.Random(seed)
     owns_root = root is None
     root = Path(root) if root is not None else Path(tempfile.mkdtemp())
-    report = RebalanceSweepReport()
-    oracle = {
-        f"key-{i:04d}".encode(): f"value-{i}-{rng.randrange(1 << 20)}".encode()
-        for i in range(n_keys)
-    }
+    model = DurabilityModel(_preload(random.Random(seed)))
+    replays = itertools.count()
 
-    def build(case_root):
-        store = ShardedKVStore.create(
-            case_root,
-            n_shards,
-            segment_size=segment_size,
-            n_segments_per_shard=n_segments_per_shard,
-            config=config if config is not None else fast_test_config(),
-            log_segments=log_segments,
-            key_capacity=key_capacity,
-            base_seed=seed + 7,
-        )
-        store.put_many(list(oracle.items()))
-        return store
+    def build(faults):
+        case_root = root / f"replay-{next(replays)}"
+        store = _create_store(case_root, seed, 256)
+        store.put_many(list(model.acked.items()))
+        return case_root, store, faults
 
-    def drive(store, faults):
-        rebalancer = store.begin_rebalance(
-            weights=weights, batch_size=batch_size
-        )
-        rebalancer.faults = faults
-        rebalancer.drain_until_done(timeout_s=60.0)
-        rebalancer.finalize()
-
-    try:
-        # Baseline: same seed, same keys, same batches -> same firing
-        # schedule in every armed run below.
-        baseline_root = root / "baseline"
-        faults = FaultInjector()
-        store = build(baseline_root)
+    def drive(state):
+        _, store, faults = state
         try:
-            drive(store, faults)
+            rebalancer = store.begin_rebalance(
+                weights=REBALANCE_WEIGHTS, batch_size=8
+            )
+            rebalancer.faults = faults
+            rebalancer.drain_until_done(timeout_s=60.0)
+            rebalancer.finalize()
         finally:
             store.close()
-        report.site_firings = {s: faults.hits(s) for s in sites}
 
-        for site in sites:
-            for k in range(report.site_firings[site]):
-                case = RebalanceSweepCase(site=site, k=k)
-                report.cases.append(case)
-                case_root = root / f"{site.replace('.', '-')}-{k}"
-                faults = FaultInjector()
-                faults.arm(site, error=CrashError, after=k)
-                store = build(case_root)
-                try:
-                    drive(store, faults)
-                except CrashError:
-                    case.crashed = True
-                finally:
-                    store.close()
-                if not case.crashed:
-                    case.errors.append(
-                        f"site never fired a {k}-th time; baseline drift?"
-                    )
-                    continue
-                journal = RebalanceJournal.load(case_root)
-                case.resumed_from = (
-                    journal.state if journal is not None else None
-                )
-                store = ShardedKVStore.open(case_root)
-                try:
-                    _verify_rebalanced(store, oracle, case.errors)
-                    if store.rebalance_active:
-                        store.rebalancer.drain_until_done(timeout_s=60.0)
-                        store.rebalancer.finalize()
-                    if store.ring.describe().get("weights") != list(weights):
-                        case.errors.append(
-                            "recovered ring does not carry the new weights"
-                        )
-                    _verify_rebalanced(store, oracle, case.errors)
-                    if RebalanceJournal.load(case_root) is not None:
-                        case.errors.append("journal survived finalize")
-                finally:
-                    store.close()
-                fsck_report = fsck_sharded(case_root)
-                if not fsck_report.ok:
-                    case.errors.extend(
-                        fsck_report.errors
-                        + [e for r in fsck_report.shards for e in r.errors]
-                    )
-    finally:
-        if owns_root and report.ok:
-            import shutil
+    def recover_and_check(state):
+        case_root, _, faults = state
+        # No site armed: the crash-free baseline, whose journal is retired.
+        crashed_at = next(filter(faults.armed, REBALANCE_CRASH_SITES), None)
+        expected = _RESUMES_FROM.get(crashed_at)
+        journal = RebalanceJournal.load(case_root)
+        found = journal.state if journal is not None else None
+        if found != expected:
+            yield f"reopen found the journal {found!r}, expected {expected!r}"
+        store = ShardedKVStore.open(case_root)
+        try:
+            yield from check_exactly_once(store, model)
+            if store.rebalance_active:
+                store.rebalancer.drain_until_done(timeout_s=60.0)
+                store.rebalancer.finalize()
+            if store.ring.describe().get("weights") != list(REBALANCE_WEIGHTS):
+                yield "recovered ring does not carry the new weights"
+            yield from check_exactly_once(store, model)
+            if RebalanceJournal.load(case_root) is not None:
+                yield "journal survived finalize"
+        finally:
+            store.close()
+        yield from fsck_sharded(case_root).all_errors
 
-            shutil.rmtree(root, ignore_errors=True)
+    report = sweep_crash_points(
+        build, drive, recover_and_check, REBALANCE_CRASH_SITES
+    )
+    if owns_root and report.passed:
+        shutil.rmtree(root, ignore_errors=True)
     return report
 
 
 @dataclass
-class RebalanceStormReport:
+class RebalanceStormReport(_FleetReport):
     """Findings of one :func:`run_rebalance_storm`."""
 
-    rounds: int
     kills: int = 0
-    acked_items: int = 0
-    total_items: int = 0
-    lost_writes: list = field(default_factory=list)
-    corrupt_keys: list = field(default_factory=list)
-    orphan_keys: list = field(default_factory=list)
-    duplicate_keys: list = field(default_factory=list)
-    all_healthy: bool = False
     finalized: bool = False
-    fsck_ok: bool = False
-    fsck_errors: list = field(default_factory=list)
     keys_copied: int = 0
     keys_deleted: int = 0
     pauses: int = 0
-    duration_s: float = 0.0
-
-    @property
-    def availability(self) -> float:
-        return self.acked_items / self.total_items if self.total_items else 1.0
 
     @property
     def ok(self) -> bool:
-        """The drill's contract: the rebalance finished despite both
-        endpoints being SIGKILLed mid-drain, the fleet converged healthy,
-        and no acked write was lost, duplicated, or orphaned."""
-        return (
-            self.all_healthy
-            and self.finalized
-            and not self.lost_writes
-            and not self.corrupt_keys
-            and not self.orphan_keys
-            and not self.duplicate_keys
-            and self.fsck_ok
-        )
+        """The fleet contract, and the rebalance finished despite both
+        endpoints being SIGKILLed mid-drain."""
+        return super().ok and self.finalized
 
-    def summary(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "kills": self.kills,
-            "availability": self.availability,
-            "acked_items": self.acked_items,
-            "total_items": self.total_items,
-            "lost_writes": len(self.lost_writes),
-            "corrupt_keys": len(self.corrupt_keys),
-            "orphan_keys": len(self.orphan_keys),
-            "duplicate_keys": len(self.duplicate_keys),
-            "all_healthy": self.all_healthy,
-            "finalized": self.finalized,
-            "fsck_ok": self.fsck_ok,
-            "keys_copied": self.keys_copied,
-            "keys_deleted": self.keys_deleted,
-            "pauses": self.pauses,
-            "duration_s": self.duration_s,
-            "ok": self.ok,
-        }
+    SUMMARY_KEYS = (
+        "rounds", "kills", "availability", "acked_items", "total_items",
+        "lost_writes", "corrupt_keys", "orphan_keys", "duplicate_keys",
+        "all_healthy", "finalized", "fsck_ok", "keys_copied",
+        "keys_deleted", "pauses", "duration_s", "ok",
+    )
 
 
 def run_rebalance_storm(
     root: str | Path | None = None,
     *,
-    n_shards: int = 3,
     rounds: int = 4,
-    n_keys: int = 48,
-    batch_size: int = 16,
-    drain_budget: int = 8,
     seed: int = 0,
-    weights: tuple = (2.0, 1.0, 0.5),
-    segment_size: int = 64,
-    n_segments_per_shard: int = 256,
-    log_segments: int = 4,
-    key_capacity: int = 32,
-    config: E2NVMConfig | None = None,
-    heartbeat_timeout_s: float = 0.5,
-    restart_budget: int = 8,
-    heal_timeout_s: float = 60.0,
+    heal_timeout_s: float = HEAL_TIMEOUT_S,
 ) -> RebalanceStormReport:
     """SIGKILL the *source and target* worker processes mid-drain, while
     foreground writes keep flowing, and prove the migration still lands.
@@ -617,111 +523,43 @@ def run_rebalance_storm(
     shards and requeues their batches), push a foreground ``put_many``
     under the ``partial`` policy (acked items must survive, full stop),
     and let the supervisor heal the fleet.  After the last round the
-    drain runs to completion, the rebalance finalizes, and the report
-    checks: every acked value reads back, no key is lost, duplicated
-    across shards, or orphaned (present but never written), and
-    cross-shard fsck on the closed store is clean.
+    drain runs to completion, the rebalance finalizes, and the shared
+    final step (:meth:`_Fleet.verify_and_close`) judges the read-back and
+    runs cross-shard fsck on the closed store.
     """
-    from repro.tools.fsck import fsck_sharded
-
     rng = random.Random(seed)
-    owns_root = root is None
-    root = Path(root) if root is not None else Path(tempfile.mkdtemp())
     report = RebalanceStormReport(rounds=rounds)
-    t_start = time.monotonic()
-
-    store = ShardedKVStore.create(
-        root,
-        n_shards,
-        segment_size=segment_size,
-        n_segments_per_shard=n_segments_per_shard,
-        config=config if config is not None else fast_test_config(),
-        backend="process",
-        log_segments=log_segments,
-        key_capacity=key_capacity,
-        degraded="partial",
-        deadline_s=30.0,
-        base_seed=seed + 7,
-    )
-    supervisor = ShardSupervisor(
-        store,
-        interval_s=0.05,
-        heartbeat_timeout_s=heartbeat_timeout_s,
-        restart_budget=restart_budget,
-        stable_after_s=0.5,
-        auto_start=True,
-    )
-
-    acceptable: dict[bytes, set] = {}
-    try:
-        preload = [
-            (
-                f"key-{i:04d}".encode(),
-                f"value-{i}-{rng.randrange(1 << 20)}".encode(),
-            )
-            for i in range(n_keys)
-        ]
-        batch = store.put_many(preload)
-        report.total_items += len(preload)
-        for (key, value), outcome in zip(preload, batch.outcomes):
-            if outcome == "ok":
-                report.acked_items += 1
-                acceptable[key] = {value}
-            else:
-                acceptable.setdefault(key, {None}).add(value)
-
+    with _Fleet(
+        root, report, seed, n_segments_per_shard=256, restart_budget=8
+    ) as fleet:
+        store, supervisor = fleet.store, fleet.supervisor
+        fleet.put_many(_preload(rng))
         rebalancer = store.begin_rebalance(
-            weights=weights, batch_size=batch_size
+            weights=REBALANCE_WEIGHTS, batch_size=16
         )
         rebalancer.drain(0)  # populate the queue so next_pair() can aim
 
         for round_no in range(rounds):
-            timers = []
-            pair = rebalancer.next_pair()
-            if pair is not None:
-                victims = {s for s in pair if store.shard_alive(s)}
-                for shard_id in victims:
-                    pid = store.backend.worker_pid(shard_id)
-                    if pid is None:
-                        continue
-                    timer = threading.Timer(
-                        rng.uniform(0.002, 0.02),
-                        lambda p=pid: _kill_quietly(p),
-                    )
-                    timer.start()
-                    timers.append(timer)
-                    report.kills += 1
+            timers = [
+                timer
+                for shard_id in set(rebalancer.next_pair() or ())
+                if (timer := fleet.kill_later(shard_id, rng, 0.002, 0.02))
+            ]
+            report.kills += len(timers)
             try:
                 # Keep draining through the kills: batches that land on a
                 # dead endpoint pause and requeue, the rest keep moving.
                 for _ in range(4):
-                    rebalancer.drain(drain_budget)
+                    rebalancer.drain(8)
                     time.sleep(0.01)
             finally:
                 for timer in timers:
                     timer.cancel()
 
-            key_nos = rng.sample(range(n_keys), min(12, n_keys))
-            items = [
-                (
-                    f"key-{i:04d}".encode(),
-                    f"r{round_no}-{i}-{rng.randrange(1 << 20)}".encode(),
-                )
-                for i in key_nos
-            ]
-            try:
-                batch = store.put_many(items)
-                outcomes = batch.outcomes
-            except ShardUnavailableError:
-                outcomes = ["error"] * len(items)
-            report.total_items += len(items)
-            for (key, value), outcome in zip(items, outcomes):
-                if outcome == "ok":
-                    report.acked_items += 1
-                    acceptable[key] = {value}
-                else:
-                    acceptable.setdefault(key, {None}).add(value)
-
+            fleet.put_many([
+                (_key(i), f"r{round_no}-{i}-{rng.randrange(1 << 20)}".encode())
+                for i in rng.sample(range(REBALANCE_KEYS), 12)
+            ])
             if not supervisor.await_healthy(timeout=heal_timeout_s):
                 break
 
@@ -732,39 +570,5 @@ def run_rebalance_storm(
         report.keys_copied = rebalancer.keys_copied
         report.keys_deleted = rebalancer.keys_deleted
         report.pauses = rebalancer.pauses
-
-        keys = sorted(acceptable)
-        final = store.get_many(keys)
-        if not final.ok:
-            report.all_healthy = False
-        for key, value in zip(keys, final):
-            allowed = acceptable[key]
-            if value not in allowed:
-                if len(allowed) == 1:
-                    report.lost_writes.append(
-                        (key, next(iter(allowed)), value)
-                    )
-                else:
-                    report.corrupt_keys.append((key, value))
-        live = store.keys()
-        report.duplicate_keys = sorted(
-            key for key in set(live) if live.count(key) > 1
-        )
-        report.orphan_keys = sorted(set(live) - set(acceptable))
-
-        store.close()
-        fsck_report = fsck_sharded(root)
-        report.fsck_ok = fsck_report.ok
-        if not fsck_report.ok:
-            report.fsck_errors = fsck_report.errors + [
-                e for r in fsck_report.shards for e in r.errors
-            ]
-        report.duration_s = time.monotonic() - t_start
-    finally:
-        supervisor.stop()
-        store.close()
-        if owns_root and report.ok:
-            import shutil
-
-            shutil.rmtree(root, ignore_errors=True)
+        fleet.verify_and_close()
     return report

@@ -248,8 +248,13 @@ class ShardedFsckReport:
     rebalance_state: str | None = None
 
     @property
+    def all_errors(self) -> list[str]:
+        """Cross-shard errors followed by every shard's own."""
+        return self.errors + [e for r in self.shards for e in r.errors]
+
+    @property
     def ok(self) -> bool:
-        return not self.errors and all(r.ok for r in self.shards)
+        return not self.all_errors
 
     def error(self, message: str) -> None:
         self.errors.append(message)
@@ -392,9 +397,7 @@ def main(argv=None) -> int:
             print(f"  WARNING: {message}")
         for message in report.errors:
             print(f"  ERROR: {message}")
-        n_errors = len(report.errors) + sum(
-            len(r.errors) for r in report.shards
-        )
+        n_errors = len(report.all_errors)
         print(f"  {'clean' if report.ok else f'{n_errors} error(s)'}")
         return 0 if report.ok else 1
     report = fsck(

@@ -47,9 +47,9 @@ class TestCrcContract:
         oracle = fill(store)
         for key, value in oracle.items():
             addr, _ = store.index.get(key)
-            assert store._crc_by_addr[addr] == zlib.crc32(value) & 0xFFFFFFFF
+            assert store._live[addr][1] == zlib.crc32(value) & 0xFFFFFFFF
         store.delete(b"k00")
-        assert len(store._crc_by_addr) == len(oracle) - 1
+        assert len(store._live) == len(oracle) - 1
 
     def test_get_repairs_drifted_value_via_scrubber(self, harness):
         device, _, store = harness.fresh(FaultInjector())

@@ -191,6 +191,43 @@ class TestGroupCommit:
         store.put_many(self.ITEMS)  # still fully usable
         check_durable_invariants(harness.reopen(device), dict(self.ITEMS))
 
+    def test_keyboard_interrupt_between_log_and_in_place_writes(self, harness):
+        """A ``KeyboardInterrupt`` at ``tx.write`` of the *second* group —
+        its record run and header are on the media, its in-place batch is
+        not — is not a crash: the live store rolls the group back, keeps
+        the committed first group, releases every address it had claimed
+        and keeps serving; the media is reopenable and fsck-clean."""
+        faults = FaultInjector()
+        device, _, store = harness.fresh(faults)
+        store.put(b"k00", b"old")
+        per_tx = store._pairs_per_tx
+        # In-place writes of the first group, counted on a twin.
+        twin_faults = FaultInjector()
+        _, _, twin = harness.fresh(twin_faults)
+        twin.put(b"k00", b"old")
+        first_group = -twin_faults.hits("tx.write")
+        twin.put_many(self.ITEMS[:per_tx])
+        first_group += twin_faults.hits("tx.write")
+
+        logged, committed_txs = faults.hits("tx.log"), faults.hits("tx.commit")
+        with faults.injected(
+            "tx.write", error=KeyboardInterrupt, after=first_group
+        ):
+            with pytest.raises(KeyboardInterrupt):
+                store.put_many(self.ITEMS)
+        assert faults.hits("tx.log") - logged == 2  # second run is down
+        assert faults.hits("tx.commit") - committed_txs == 1
+        committed = dict(self.ITEMS[:per_tx])
+        # Contents, pool/DAP accounting (nothing left claimed) and catalog
+        # of the *live* store, then of the media alone.
+        check_durable_invariants(store, committed)
+        assert harness.fsck(device) == []
+        check_durable_invariants(harness.reopen(device), committed)
+        device.faults = faults
+        store.put_many(self.ITEMS)  # the next PUT succeeds
+        check_durable_invariants(store, dict(self.ITEMS))
+        check_durable_invariants(harness.reopen(device), dict(self.ITEMS))
+
     def test_repeated_key_supersedes_its_first_occurrence(self, harness):
         faults = FaultInjector()
         device, _, store = harness.fresh(faults)

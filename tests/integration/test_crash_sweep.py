@@ -10,7 +10,9 @@ job (``pytest -m crash``).
 import numpy as np
 import pytest
 
+from repro.core.kvstore import KVStore
 from repro.nvm import DriftConfig, WearOutConfig
+from repro.pmem.pool import PersistentPool
 from repro.testing import (
     DEFAULT_CRASH_SITES,
     DEFAULT_TORN_SITES,
@@ -55,6 +57,9 @@ def mortal_harness():
     )
 
 
+#: The tier-1 small sweep's trace (also what the mutation tests poison).
+SMALL_TRACE = make_ycsb_trace(30, n_keys=8, value_size=64, seed=3)
+
 #: Every site a durable ``put_many`` fires, media programs included.
 BATCH_SITES = (
     "tx.begin", "tx.log", "tx.write", "tx.commit", "device.write",
@@ -97,6 +102,13 @@ def test_small_batched_sweep_recovers(mortal_harness):
     # One batch of 8 pairs needs several transactions at this log size,
     # and commits them in far fewer than one per pair would.
     assert 2 <= report.site_hits["tx.begin"] - 1 < 8
+    # Pinned: a refactor of the harness must not enumerate fewer points.
+    assert report.site_hits == {
+        "tx.begin": 4, "tx.log": 4, "tx.write": 10, "tx.commit": 4,
+        "device.write": 8, "device.program": 37,
+    }
+    assert (report.crash_points, report.torn_points) == (81, 14)
+    assert report.clean_replays == 0
 
 
 @pytest.mark.crash
@@ -133,8 +145,7 @@ def test_batched_sweep_acceptance(mortal_harness):
 
 
 def test_small_sweep_every_point_recovers(harness):
-    trace = make_ycsb_trace(30, n_keys=8, value_size=64, seed=3)
-    report = run_crash_sweep(harness, trace)
+    report = run_crash_sweep(harness, SMALL_TRACE)
     assert report.passed, report.failures[:5]
     # Every instrumented site was actually reached and crashed at — except
     # the wear-out, drift and GC sites, which an immortal, drift-free
@@ -151,8 +162,64 @@ def test_small_sweep_every_point_recovers(harness):
     assert report.crash_points == sum(report.site_hits.values()) + sum(
         report.site_hits[s] for s in DEFAULT_TORN_SITES
     )
-    assert report.torn_points > 0
+    # Pinned: a refactor of the harness must not enumerate fewer points.
+    assert {s: n for s, n in report.site_hits.items() if n} == {
+        "device.write": 20, "tx.begin": 20, "tx.log": 20, "tx.write": 33,
+        "tx.commit": 20,
+    }
+    assert (report.crash_points, report.torn_points) == (166, 53)
     assert report.clean_replays == 0
+
+
+def test_oracle_catches_a_skipped_undo_rollback(harness, monkeypatch):
+    """The small sweep with a seeded defect: recovery clears the log
+    header without replaying the undo records.  Every crash between a
+    transaction's first in-place write and its commit then leaves
+    half-applied state behind, and the sweep must say so."""
+    monkeypatch.setattr(
+        PersistentPool, "_log_rollback", lambda pool: pool._log_finish() or 0
+    )
+    report = run_crash_sweep(harness, SMALL_TRACE)
+    assert report.crash_points == 166 and not report.passed
+    assert len(report.failures) >= report.site_hits["tx.commit"]
+    assert not any(f.startswith("baseline") for f in report.failures)
+
+
+def test_oracle_catches_an_altered_acknowledged_value(harness, monkeypatch):
+    """The small sweep with a seeded defect: after the trace (and the
+    crash) an acknowledged value is overwritten behind the model's back —
+    checksum and catalog consistent, so only the model can tell.  Every
+    point that recovers a non-empty store must be reported ``corrupt``."""
+    reopen = harness.reopen
+
+    def tampering_reopen(device):
+        store = reopen(device)
+        for key in list(store.keys())[:1]:
+            store.put(key, b"not what was acknowledged")
+        return store
+
+    monkeypatch.setattr(harness, "reopen", tampering_reopen)
+    report = run_crash_sweep(harness, SMALL_TRACE)
+    assert len(report.failures) > report.crash_points // 2
+    assert all("corrupt: key" in failure for failure in report.failures)
+
+
+def test_oracle_catches_a_non_prefix_subset_of_a_batch(harness, monkeypatch):
+    """A batched sweep with a seeded defect: ``put_many`` publishes its
+    groups in *reverse* batch order, so a crash between two groups leaves
+    a suffix of the batch visible.  The crash-free run is
+    indistinguishable (distinct keys); the prefix rule must flag the
+    crashes in between."""
+    install = KVStore._install
+    monkeypatch.setattr(
+        KVStore, "_install",
+        lambda store, items, addrs: install(store, items[::-1], addrs[::-1]),
+    )
+    batch = [(b"user%03d" % i, bytes([i + 1]) * (i + 9)) for i in range(8)]
+    report = run_crash_sweep(harness, [("put_many", batch)], sites=BATCH_SITES)
+    assert not any(f.startswith("baseline") for f in report.failures)
+    assert report.site_hits["tx.begin"] > 2
+    assert any("phantom: key" in failure for failure in report.failures)
 
 
 def test_trace_generator_is_deterministic():
@@ -178,6 +245,13 @@ def test_small_drift_sweep_recovers(drift_harness):
     assert report.passed, report.failures[:5]
     for site in DRIFT_CRASH_SITES:
         assert report.site_hits[site] > 0, f"{site} never fired"
+    # Pinned: a refactor of the harness must not enumerate fewer points.
+    assert {s: n for s, n in report.site_hits.items() if n} == {
+        "device.write": 11, "tx.begin": 13, "tx.log": 13, "tx.write": 20,
+        "tx.commit": 13, "device.drift_flip": 4, "scrub.refresh": 4,
+    }
+    assert (report.crash_points, report.torn_points) == (111, 33)
+    assert report.clean_replays == 0
 
 
 @pytest.mark.scrub
@@ -212,6 +286,6 @@ def test_exhaustive_sweep_acceptance(harness):
         f"{len(report.failures)} of {report.crash_points} crash points "
         f"failed; first: {report.failures[:3]}"
     )
-    assert report.ops >= 200
+    assert len(trace) >= 200
     assert report.crash_points > 1000
     assert report.torn_points > 300

@@ -162,14 +162,23 @@ class TestWearLevelingCrashSafety:
             "swap-scratch", n_segments=8, n_writes=24, period=2
         )
         assert report.passed, report.failures[:3]
-        assert report.crash_points > 0 and report.torn_points > 0
+        # Pinned: a harness refactor must not enumerate fewer points.
+        assert report.site_hits == {
+            "wl.swap": 12, "wl.gap_move": 24, "device.program": 48,
+        }
+        assert (report.crash_points, report.torn_points) == (132, 48)
+        assert report.clean_replays == 0
 
     def test_start_gap_sweep_passes(self):
         report = run_wear_leveling_crash_sweep(
             "start-gap", n_segments=8, n_writes=24, period=2
         )
         assert report.passed, report.failures[:3]
-        assert report.crash_points > 0 and report.torn_points > 0
+        assert report.site_hits == {
+            "wl.swap": 0, "wl.gap_move": 12, "device.program": 36,
+        }
+        assert (report.crash_points, report.torn_points) == (84, 36)
+        assert report.clean_replays == 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -122,7 +122,7 @@ class TestScrubbing:
         fill(store, n_keys=1)
         scrubber = Scrubber(store, escalate_after=2)
         device = store.engine.controller.device
-        [addr] = [a for a, k in store._by_addr.items() if k is not None]
+        [addr] = store._live
         segment = addr // SEGMENT
 
         class _AlwaysDrifty:

@@ -17,6 +17,7 @@ from repro.sharding import (
     RebalanceJournal,
     ShardedKVStore,
 )
+from repro.testing.chaos import check_exactly_once
 from repro.tools.fsck import fsck_sharded
 
 WEIGHTS = (2.0, 1.0, 0.5)
@@ -47,17 +48,6 @@ def _preload(store, n=60):
     return oracle
 
 
-def _assert_exactly_once(store, oracle):
-    for key, value in oracle.items():
-        owner = store.shard_of(key)
-        for shard_id in range(store.n_shards):
-            got = store.backend.call(shard_id, "get", (key,))
-            if shard_id == owner:
-                assert got == value, (key, shard_id)
-            else:
-                assert got is None, (key, shard_id, "duplicate")
-
-
 class TestLifecycle:
     def test_plan_drain_finalize(self, tmp_path):
         store = _create(tmp_path / "store")
@@ -71,7 +61,7 @@ class TestLifecycle:
         assert not store.rebalance_active
         assert RebalanceJournal.load(tmp_path / "store") is None
         assert store.ring.weights == WEIGHTS
-        _assert_exactly_once(store, oracle)
+        assert check_exactly_once(store, oracle) == []
         store.close()
 
     def test_drain_moves_exactly_the_diff(self, tmp_path):
@@ -161,7 +151,7 @@ class TestDualRouting:
         rebalancer.finalize()
         assert rebalancer.copies_skipped >= 1
         assert store.get(victim) == b"FRESH"
-        _assert_exactly_once(store, oracle)
+        assert check_exactly_once(store, oracle) == []
         store.close()
 
     def test_delete_hits_both_owners(self, tmp_path):
@@ -176,7 +166,7 @@ class TestDualRouting:
         rebalancer.drain_until_done(timeout_s=30.0)
         rebalancer.finalize()
         assert store.get(victim) is None, "drain resurrected a deleted key"
-        _assert_exactly_once(store, oracle)
+        assert check_exactly_once(store, oracle) == []
         store.close()
 
 
@@ -191,11 +181,11 @@ class TestRecovery:
         reopened = ShardedKVStore.open(root, config=fast_test_config())
         assert reopened.rebalance_active
         assert reopened.rebalancer.state == "draining"
-        for key, value in oracle.items():
-            assert reopened.get(key) == value
+        # Mid-drain: right values on every holder, every key served.
+        assert check_exactly_once(reopened, oracle) == []
         reopened.rebalancer.drain_until_done(timeout_s=30.0)
         reopened.rebalancer.finalize()
-        _assert_exactly_once(reopened, oracle)
+        assert check_exactly_once(reopened, oracle) == []
         reopened.close()
 
     def test_reopen_rolls_flipped_forward(self, tmp_path):
@@ -212,7 +202,7 @@ class TestRecovery:
         assert not reopened.rebalance_active
         assert reopened.ring.weights == WEIGHTS
         assert RebalanceJournal.load(root) is None
-        _assert_exactly_once(reopened, oracle)
+        assert check_exactly_once(reopened, oracle) == []
         reopened.close()
 
     def test_create_discards_stale_journal(self, tmp_path):
@@ -240,7 +230,7 @@ class TestRecovery:
         store.backend.reopen_shard(source)
         rebalancer.drain_until_done(timeout_s=30.0)
         rebalancer.finalize()
-        _assert_exactly_once(store, oracle)
+        assert check_exactly_once(store, oracle) == []
         store.close()
 
 

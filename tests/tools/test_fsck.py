@@ -52,9 +52,7 @@ class TestVerdicts:
 
     def test_flipped_value_bit_is_an_error(self, harness, tmp_path):
         def flip(device, store):
-            addr = next(
-                a for a, k in store._by_addr.items() if k is not None
-            )
+            addr = next(iter(store._live))
             device._content[addr] ^= 0x01
 
         path, _, _ = snapshot(harness, tmp_path, mutate=flip)
@@ -116,9 +114,7 @@ class TestCli:
         # Corrupt one live byte and re-save under a new name.
         from repro.nvm import NVMDevice
 
-        live_addr = next(
-            a for a, k in store._by_addr.items() if k is not None
-        )
+        live_addr = next(iter(store._live))
         bad = NVMDevice.load(path)
         bad._content[live_addr] ^= 0xFF
         bad_path = tmp_path / "bad.npz"
