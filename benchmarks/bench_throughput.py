@@ -16,6 +16,13 @@ inference, two-tier fast placement, and sharded multi-channel overhauls:
   gate only arms on runners with enough cores (a 1-core box measures IPC
   overhead, not scaling, and is annotated as such);
 - **p50/p99 place latency** — per-call ``engine.place`` wall time;
+- **device** — what one simulated write costs the *host*: ``program_many``
+  of 16 rows of 256 B (cache-line aligned), 52 B (unaligned, a catalog
+  record) and 1 B (a flag byte) on mortal media against ``read_arrays`` of
+  the same rows, interleaved in one process, minimum over repetitions.
+  The gate is the write/read *ratio* per shape — both sides scale with
+  the machine, so it arms on a noisy one-core runner where a host-time
+  floor cannot;
 - **cached** — the same loops on a Zipfian-skewed trace (YCSB-style: a
   small working set re-written constantly) against an engine with the
   fingerprint memo cache and the distilled student placer enabled, plus
@@ -28,9 +35,9 @@ when: single-thread ops/s regresses >30%; sharded aggregate ops/s
 regresses >30% (only compared like-for-like — both runs on the same
 ``cpu_count`` and backend); 4-shard scaling falls below its floor on a
 multi-core runner; the cached-path p50 place latency exceeds its ceiling;
-the memo cache reports zero hits on the skewed trace; or the student
-placer serves zero requests there (a dormant student is dead weight on
-the fast path).
+the memo cache reports zero hits on the skewed trace; the student placer
+serves zero requests there (a dormant student is dead weight on the fast
+path); or a device shape's write/read ratio exceeds its ceiling.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from common import (
     print_table,
     seeded_engine,
 )
+from repro.nvm import NVMDevice, WearOutConfig
 from repro.sharding import ShardedKVStore
 from repro.workloads.zipfian import ZipfianGenerator
 
@@ -79,6 +87,28 @@ SHARD_N_SEGMENTS = 128
 SHARD_SCALING_MIN_CPUS = 4
 #: Required 4-shard vs 1-shard aggregate speedup on a multi-core runner.
 SHARD_SCALING_FLOOR = 2.5
+
+
+#: Device-section shapes: row length and offset of each row within its
+#: 256-B segment (0 = cache-line aligned).
+DEVICE_SHAPES = {"16x256": (256, 0), "16x52": (52, 7), "16x1": (1, 7)}
+DEVICE_ROWS = 16
+#: Fraction of cells each row pulses — ``ship_update_b32``'s DCW masks.
+DEVICE_MASK_DENSITY = 0.12
+DEVICE_REPS = 15
+DEVICE_CALLS_PER_REP = 20
+#: ``--check`` fails when ``program_many`` costs more than this many
+#: ``read_arrays`` of the same rows: 1.25x the largest of 27 runs of the
+#: kernels this section arrived with (PR 20: 26-30 / 16-18 / 15-17 on a
+#: quiet box, 118-131 us over 4.1-4.3 us at 16x256; 40 / 19.5 / 17.5 at
+#: worst with a neighbour loading the memory bus, which slows the 16-MB
+#: wear arrays of the write and not the L1-resident read).  The
+#: denominator is this module's own ``read_arrays``: a read-path
+#: regression *loosens* this gate, so judge the two columns, not only
+#: the ratio, when it moves.  PR 20's parent read 25.5 / 27.0 / 25.7 —
+#: 381 us over 14.9 us — because both sides got cheaper together; its
+#: write kernels over today's reads would read about 90 / 48 / 37.
+DEVICE_RATIO_CEILING = {"16x256": 50.0, "16x52": 24.0, "16x1": 22.0}
 
 
 def _make_values(n: int, seed: int = 11) -> list[bytes]:
@@ -237,6 +267,51 @@ def _run_sharded_section(quick: bool) -> dict:
     return out
 
 
+def _run_device_section() -> dict:
+    """Host cost of the simulated medium, per shape: best-of-N
+    ``program_many`` and ``read_arrays`` on mortal media, the two
+    interleaved so both see the same machine."""
+    segment, n_segments = 256, 512
+    device = NVMDevice(
+        n_segments * segment, segment, initial_fill="random", seed=1,
+        wearout=WearOutConfig(seed=3),
+    )
+    rng = np.random.default_rng(0)
+    cases = {}
+    for name, (length, offset) in DEVICE_SHAPES.items():
+        segs = rng.choice(n_segments, DEVICE_ROWS, replace=False)
+        addrs = segs.astype(np.int64) * segment + offset
+        new = rng.integers(0, 256, (DEVICE_ROWS, length), dtype=np.uint8)
+        masks = np.packbits(
+            rng.random((DEVICE_ROWS, length * 8)) < DEVICE_MASK_DENSITY,
+            axis=1,
+        )
+        cases[name] = (addrs, new, masks)
+
+    def per_call_us(call) -> float:
+        start = time.perf_counter()
+        for _ in range(DEVICE_CALLS_PER_REP):
+            call()
+        return (time.perf_counter() - start) / DEVICE_CALLS_PER_REP * 1e6
+
+    write = dict.fromkeys(cases, float("inf"))
+    read = dict.fromkeys(cases, float("inf"))
+    for _ in range(DEVICE_REPS):
+        for name, (addrs, new, masks) in cases.items():
+            write[name] = min(write[name], per_call_us(
+                lambda: device.program_many(addrs, new, masks)))
+            read[name] = min(read[name], per_call_us(
+                lambda: device.read_arrays(addrs, new.shape[1])))
+    return {
+        name: {
+            "program_many_us": round(write[name], 1),
+            "read_arrays_us": round(read[name], 1),
+            "write_read_ratio": round(write[name] / read[name], 1),
+        }
+        for name in cases
+    }
+
+
 def _run_cached_section(quick: bool) -> dict:
     """The skewed-trace run against the cache+student engine."""
     n_ops = 400 if quick else 2000
@@ -292,6 +367,7 @@ def run_throughput(quick: bool = False) -> dict:
             engine.pipeline.mean_prediction_latency_us, 1
         ),
         "cached": _run_cached_section(quick),
+        "device": _run_device_section(),
     }
 
 
@@ -324,6 +400,15 @@ def report(result: dict) -> None:
     print(
         f"sharded scaling 4-vs-1: {sharded['scaling_x_4']}x"
         + (f" [{note}]" if note else "")
+    )
+    print_table(
+        "Host cost of the simulated medium (16 rows, mortal media)",
+        ["shape", "program_many us", "read_arrays us", "write/read"],
+        [
+            [name, e["program_many_us"], e["read_arrays_us"],
+             e["write_read_ratio"]]
+            for name, e in result["device"].items()
+        ],
     )
     lat = result["place_latency_us"]
     clat = cached["place_latency_us"]
@@ -445,6 +530,23 @@ def _check_cached(result: dict) -> int:
     return failures
 
 
+def _check_device(result: dict) -> int:
+    """Gate the device section: per shape, one ``program_many`` may cost
+    at most ``DEVICE_RATIO_CEILING`` ``read_arrays`` of the same rows."""
+    failures = 0
+    for name, ceiling in DEVICE_RATIO_CEILING.items():
+        ratio = result["device"][name]["write_read_ratio"]
+        if ratio > ceiling:
+            print(
+                f"REGRESSION: device {name} program_many costs {ratio}x "
+                f"read_arrays, over the {ceiling}x ceiling"
+            )
+            failures += 1
+        else:
+            print(f"[device {name} OK: write/read {ratio}x <= {ceiling}x]")
+    return failures
+
+
 def check_regression(result: dict) -> int:
     """Compare against the committed baseline; 0 = OK, 1 = regressed."""
     if not JSON_PATH.exists():
@@ -471,6 +573,7 @@ def check_regression(result: dict) -> int:
         )
     failures += _check_sharded(baseline, result)
     failures += _check_cached(result)
+    failures += _check_device(result)
     return 1 if failures else 0
 
 
@@ -483,8 +586,8 @@ def main() -> None:
         "of overwriting it; exit 1 on a >30%% throughput regression "
         "(single-thread or like-for-like sharded), 4-shard scaling below "
         f"{SHARD_SCALING_FLOOR}x on a multi-core runner, a cached-path "
-        "p50 over its ceiling, zero cache hits, or a dormant student on "
-        "the skewed trace",
+        "p50 over its ceiling, zero cache hits, a dormant student on the "
+        "skewed trace, or a device write/read ratio over its ceiling",
     )
     args = parser.parse_args()
     result = run_throughput(quick=args.quick)

@@ -62,15 +62,21 @@ class MemoryController:
         self.scheme = scheme if scheme is not None else DCW()
         self.wear_leveling = wear_leveling or NoWearLeveling()
         self.wear_leveling.attach(device)
+        # Immutable geometry, fixed here rather than re-derived through
+        # the device and the wear leveler on every access.
+        #: Placement granularity, forwarded from the device.
+        self.segment_size = device.segment_size
+        #: Logical segment count (wear leveling may reserve spares).
+        self.n_segments = self.wear_leveling.logical_segments
+        # The batched bodies serve the identity mapping only.
+        self._identity = isinstance(self.wear_leveling, NoWearLeveling)
         if verify_writes is None:
             verify_writes = device.wearout is not None
         if verify_writes and device.ecc is None:
             raise ValueError(
                 "verify_writes needs a device with a wearout model"
             )
-        if verify_writes and not isinstance(
-            self.wear_leveling, NoWearLeveling
-        ):
+        if verify_writes and not self._identity:
             raise ValueError(
                 "verify_writes cannot be combined with active wear "
                 "leveling: remapping would detach segments from their "
@@ -83,16 +89,6 @@ class MemoryController:
         )
         self.verify_reads = 0
         self.corrections_recorded = 0
-
-    @property
-    def segment_size(self) -> int:
-        """Placement granularity, forwarded from the device."""
-        return self.device.segment_size
-
-    @property
-    def n_segments(self) -> int:
-        """Logical segment count (wear leveling may reserve spares)."""
-        return self.wear_leveling.logical_segments
 
     @property
     def stats(self):
@@ -126,23 +122,25 @@ class MemoryController:
             mask = plan.program_mask
             failed = self._verify(
                 np.array([phys_addr], dtype=np.int64),
+                self.device.read_array(phys_addr, data.size)[None, :],
                 old_stored[None, :],
                 plan.stored[None, :],
                 None if mask is None else mask[None, :],
             )
             if failed:
-                raise SegmentRetiredError(
-                    phys_addr // self.device.segment_size
-                )
+                raise SegmentRetiredError(phys_addr // self.segment_size)
         self.wear_leveling.after_write(self.device, segment)
         return result
 
-    def _verify(self, phys, old_corrected, stored, masks) -> list[int]:
-        """Read back just-programmed rows (one ``(B, L)`` gather), patch
-        them through the ECP table and compare against the intended
-        content; record fresh correction entries for any cell the program
-        pulse failed on.  Returns the rows whose segment had to be retired
-        (every other row stays written and verified).
+    def _verify(
+        self, phys, readback, old_corrected, stored, masks
+    ) -> list[int]:
+        """Patch the ``readback`` of just-programmed rows (the caller's
+        one accounted read of the ``(B, L)`` batch) through the ECP table
+        and compare it against the intended content; record fresh
+        correction entries for any cell the program pulse failed on.
+        Returns the rows whose segment had to be retired (every other row
+        stays written and verified).
 
         Already-retired segments are exempt: undo-log rollback restores
         old data onto them best-effort (their surviving cells still hold
@@ -151,18 +149,14 @@ class MemoryController:
         if masks is None:
             expected = stored
         else:
-            expected = np.bitwise_or(
-                np.bitwise_and(old_corrected, np.bitwise_not(masks)),
-                np.bitwise_and(stored, masks),
-            )
-        readback = self._corrected_rows(
-            phys, self.device.read_arrays(phys, expected.shape[1])
-        )
+            expected = old_corrected ^ (masks & (old_corrected ^ stored))
+        readback = self._corrected_rows(phys, readback)
         self.verify_reads += len(phys)
-        differs = (readback != expected).any(axis=1)
+        differs = readback != expected
         if not differs.any() and not self.ecc.any_entries():
             return []
-        size = self.device.segment_size
+        differs = differs.any(axis=1)
+        size = self.segment_size
         dead = self.device.health.retired
         failed = []
         for row, phys_addr in enumerate(phys.tolist()):
@@ -224,78 +218,81 @@ class MemoryController:
                 ``exc.results`` the per-row results (``None`` at retired
                 rows); every other row stays written and verified.
         """
-        rows = [self._as_u8(v) for v in values]
+        # Bytes pass as they are; anything else is validated and copied
+        # once, so every pass below joins and measures plain bytes.
+        values = [
+            v if isinstance(v, bytes) else self._as_u8(v).tobytes()
+            for v in values
+        ]
         addrs = [int(a) for a in logical_addrs]
-        if len(rows) != len(addrs):
+        if len(values) != len(addrs):
             raise ValueError("logical_addrs length must match value count")
-        results: list[WriteResult | None] = [None] * len(rows)
+        sizes = [len(v) for v in values]
+        results: list[WriteResult | None] = [None] * len(values)
         retired: list[int] = []
-        for batch in self._batches(addrs, rows):
+        for batch in self._batches(addrs, sizes):
             if len(batch) == 1:
                 # Not an unfinished merge: a lone row through the batched
-                # body below costs 71–95 µs against 19–29 µs here (91–110
-                # vs 32–69 µs verified), and a lone ``read_many`` row
-                # 5.5–10.4 µs against ``read``'s 1.1–2.1 µs — the
+                # body below costs 51–80 µs against 17–26 µs here (78–114
+                # vs 30–47 µs verified), and a lone ``read_many`` row
+                # 7.8–13.5 µs against ``read``'s 1.1–2.1 µs — the
                 # ``ship_point_ycsb_b`` path (DESIGN.md, "Arity policy").
                 (i,) = batch
                 try:
-                    results[i] = self.write(addrs[i], rows[i])
+                    results[i] = self.write(addrs[i], values[i])
                 except SegmentRetiredError:
                     retired.append(i)
                 continue
-            length = rows[batch[0]].size
+            length = sizes[batch[0]]
             logical = [addrs[i] for i in batch]
-            phys = np.array(
-                [self._map(addr, length)[0] for addr in logical],
-                dtype=np.int64,
-            )
+            phys = self._map_many(logical, length)
             old = self.device.read_arrays(phys, length)
             if self.ecc is not None:
                 old = self._corrected_rows(phys, old)
-            stored, masks, aux = self.scheme.prepare_many(
-                logical, old, np.stack([rows[i] for i in batch])
-            )
+            data = np.frombuffer(
+                b"".join(values[i] for i in batch), dtype=np.uint8
+            ).reshape(-1, length)
+            stored, masks, aux = self.scheme.prepare_many(logical, old, data)
             written = self.device.program_many(phys, stored, masks, aux)
             for i, result in zip(batch, written):
                 results[i] = result
             if self.verify_writes:
-                for row in self._verify(phys, old, stored, masks):
+                readback = self.device.read_arrays(phys, length)
+                for row in self._verify(phys, readback, old, stored, masks):
                     results[batch[row]] = None
                     retired.append(batch[row])
         if retired:
             retired.sort()
             raise SegmentRetiredError(
-                self._map(addrs[retired[0]], 1)[0]
-                // self.device.segment_size,
+                self._map(addrs[retired[0]], 1)[0] // self.segment_size,
                 rows=retired,
                 results=results,
             )
         return results
 
-    def _batches(self, addrs: list[int], rows: list[np.ndarray]):
+    def _batches(self, addrs: list[int], sizes: list[int]):
         """Split a ``write_many`` call into passes: lists of row indices
         of one length that never overlap each other."""
-        n = len(rows)
-        if n < 2 or not isinstance(self.wear_leveling, NoWearLeveling):
+        n = len(sizes)
+        if n < 2 or not self._identity:
             yield from ([i] for i in range(n))
             return
-        spans = sorted(
-            (addr, addr + row.size) for addr, row in zip(addrs, rows)
-        )
-        if all(a[1] <= b[0] for a, b in zip(spans, spans[1:])):
+        spans = sorted(zip(addrs, sizes))
+        if all(
+            a + size <= b for (a, size), (b, _) in zip(spans, spans[1:])
+        ):
             runs = [range(n)]
         else:
             # Overlapping rows are order-dependent: close the current run
             # at every row that touches one already in it.
             runs, seen = [[]], []
             for i in range(n):
-                lo, hi = addrs[i], addrs[i] + rows[i].size
+                lo, hi = addrs[i], addrs[i] + sizes[i]
                 if any(lo < b and a < hi for a, b in seen):
                     runs.append([])
                     seen = []
                 runs[-1].append(i)
                 seen.append((lo, hi))
-        sizes = [row.size for row in rows]
         for run in runs:
             yield from self._by_length(run, sizes)
 
@@ -329,10 +326,7 @@ class MemoryController:
         out = [b""] * len(addrs)
         for rows in self._by_length(range(len(addrs)), lengths):
             length = lengths[rows[0]]
-            phys = np.array(
-                [self._map(addrs[i], length)[0] for i in rows],
-                dtype=np.int64,
-            )
+            phys = self._map_many([addrs[i] for i in rows], length)
             stored = self.device.read_arrays(phys, length)
             if self.ecc is not None:
                 stored = self._corrected_rows(phys, stored)
@@ -383,7 +377,7 @@ class MemoryController:
     def _corrected(self, phys_addr: int, stored: np.ndarray) -> np.ndarray:
         if self.ecc is None:
             return stored
-        size = self.device.segment_size
+        size = self.segment_size
         return self.ecc.correct(
             phys_addr // size, stored, phys_addr % size
         )
@@ -399,10 +393,30 @@ class MemoryController:
         """Logical byte address of logical segment ``index``."""
         if not 0 <= index < self.n_segments:
             raise IndexError(f"logical segment {index} out of range")
-        return index * self.device.segment_size
+        return index * self.segment_size
+
+    def _map_many(self, logical_addrs: list[int], length: int) -> np.ndarray:
+        """Physical address of each ``length``-byte access of a batch.
+        Under the identity policy the whole batch is mapped and
+        bounds-checked in one vectorised step; a violation (and every
+        remapping policy) goes row by row through :meth:`_map`, which
+        raises what the scalar form raises."""
+        size = self.segment_size
+        phys = np.array(logical_addrs, dtype=np.int64)
+        if (
+            self._identity
+            and 0 <= min(logical_addrs)
+            and max(logical_addrs) < self.n_segments * size
+            and int((phys % size).max()) + length <= size
+        ):
+            return phys
+        return np.array(
+            [self._map(addr, length)[0] for addr in logical_addrs],
+            dtype=np.int64,
+        )
 
     def _map(self, logical_addr: int, length: int) -> tuple[int, int]:
-        size = self.device.segment_size
+        size = self.segment_size
         segment = logical_addr // size
         offset = logical_addr % size
         if offset + length > size:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +114,7 @@ class DriftConfig:
     immortal_prefix_segments: int = 0
 
 
-@dataclass(frozen=True)
-class WriteResult:
+class WriteResult(NamedTuple):
     """Outcome of one media write."""
 
     bits_programmed: int
@@ -188,6 +188,8 @@ class NVMDevice:
             )
         self.capacity_bytes = capacity_bytes
         self.segment_size = segment_size
+        #: Number of fixed-size segments on the device.
+        self.n_segments = capacity_bytes // segment_size
         self.energy_model = energy_model or EnergyModel()
         self.latency_model = latency_model or LatencyModel()
         self.faults = faults
@@ -233,6 +235,12 @@ class NVMDevice:
         self._wear_count: np.ndarray | None = None
         self._endurance_budget: np.ndarray | None = None
         self._stuck_packed: np.ndarray | None = None
+        # Cells set in ``_stuck_packed`` / ``_drift_packed``, kept where
+        # cells die, drift and heal: an overlay with nothing to say (no
+        # cell stuck yet, none drifted yet) skips its gather on every
+        # read and write.
+        self._n_stuck = 0
+        self._n_drifted = 0
         self.ecc: ErrorCorrectingPointers | None = None
         self.health: HealthState | None = None
         if wearout is not None:
@@ -245,6 +253,10 @@ class NVMDevice:
         self._clock = 0
         if drift is not None:
             self._init_drift(drift)
+        # Whether any overlay needs the positions of the pulsed cells.
+        self._tracks_cells = (
+            track_bit_wear or wearout is not None or drift is not None
+        )
 
     def _init_wearout(self, cfg: WearOutConfig) -> None:
         if cfg.endurance_mean < 1:
@@ -296,11 +308,6 @@ class NVMDevice:
         the owner (e.g. a ``SharedMemory`` block) can be closed."""
         self._content = self._content.copy()
 
-    @property
-    def n_segments(self) -> int:
-        """Number of fixed-size segments on the device."""
-        return self.capacity_bytes // self.segment_size
-
     def segment_address(self, index: int) -> int:
         """Byte address of segment ``index``."""
         if not 0 <= index < self.n_segments:
@@ -331,7 +338,7 @@ class NVMDevice:
         self.stats.read_energy_pj += self.energy_model.read_energy(length)
         self.stats.read_latency_ns += self.latency_model.read_latency(length)
         out = self._content[addr : addr + length].copy()
-        if self._drift_packed is not None:
+        if self._n_drifted:
             np.bitwise_xor(
                 out, self._drift_packed[addr : addr + length], out=out
             )
@@ -352,10 +359,11 @@ class NVMDevice:
         self.stats.read_latency_ns += n * self.latency_model.read_latency(
             length
         )
-        idx = addrs[:, None] + np.arange(length)
-        out = self._content[idx]
-        if self._drift_packed is not None:
-            np.bitwise_xor(out, self._drift_packed[idx], out=out)
+        out = self._rows(self._content, length)[addrs]
+        if self._n_drifted:
+            np.bitwise_xor(
+                out, self._rows(self._drift_packed, length)[addrs], out=out
+            )
         return out
 
     def peek(self, addr: int, length: int) -> np.ndarray:
@@ -366,7 +374,7 @@ class NVMDevice:
         """
         self._check_range(addr, length)
         out = self._content[addr : addr + length].copy()
-        if self._drift_packed is not None:
+        if self._n_drifted:
             np.bitwise_xor(
                 out, self._drift_packed[addr : addr + length], out=out
             )
@@ -409,7 +417,7 @@ class NVMDevice:
             mask = self._as_u8(program_mask)
             if mask.size != length:
                 raise ValueError("program_mask length must match data length")
-        if self._drift_packed is not None:
+        if self._n_drifted:
             # Any write refreshes drifted cells in its range: schemes plan
             # masks against *sensed* old content, so a drifted cell whose
             # sensed value happens to match the target would otherwise be
@@ -418,35 +426,20 @@ class NVMDevice:
             mask = np.bitwise_or(
                 mask, self._drift_packed[addr : addr + length]
             )
+        bits_programmed = popcount_array(mask)
+        cells = (
+            addr * 8 + self._pulsed_bits(mask) if self._tracks_cells else None
+        )
 
         if self.faults is not None:
-            # A torn write persists only the first n programmed bytes; no
-            # accounting happens (the stats are DRAM and die with the
-            # process the injector is about to kill).
-            self.faults.fire(
-                "device.program",
-                payload_len=length,
-                payload_writer=lambda n: self._apply_masked(
-                    addr, new[:n], mask[:n]
-                ),
-            )
-
-        old = self._content[addr : addr + length]
+            self._fire_program(addr, new, mask, cells)
         # Pulses aimed at stuck cells silently fail: they cost energy and
         # wear (counted from the full mask) but can no longer flip anything.
-        if self._stuck_packed is not None:
-            eff_mask = np.bitwise_and(
-                mask,
-                np.bitwise_not(self._stuck_packed[addr : addr + length]),
-            )
-        else:
-            eff_mask = mask
-        flips_mask = np.bitwise_and(eff_mask, np.bitwise_xor(old, new))
-        bits_programmed = popcount_array(mask)
-        bits_flipped = popcount_array(flips_mask)
-        dirty_lines = self._dirty_lines(addr, mask)
-
-        self._apply_masked(addr, new, mask)
+        bits_flipped = popcount_array(
+            self._apply_masked(addr, new, mask, cells)
+        )
+        offset = addr % self.energy_model.cache_line_bytes
+        dirty_lines = int(self._dirty_lines(offset, offset, mask[None, :])[0])
 
         energy = self.energy_model.write_energy(
             length, bits_programmed, dirty_lines, aux_bits
@@ -468,20 +461,14 @@ class NVMDevice:
         last_seg = (addr + length - 1) // self.segment_size
         self.segment_write_count[first_seg : last_seg + 1] += 1
 
-        if self._bit_wear is not None and bits_programmed:
-            bit_positions = np.flatnonzero(np.unpackbits(mask))
-            self._bit_wear[addr * 8 + bit_positions] += 1
-
+        if self._bit_wear is not None:
+            self._bit_wear[cells] += 1
         if self._wear_count is not None:
-            self._note_wear(addr * 8 + np.flatnonzero(np.unpackbits(mask)))
+            self._note_wear(cells)
 
         return WriteResult(
-            bits_programmed=bits_programmed,
-            bits_flipped=bits_flipped,
-            dirty_lines=dirty_lines,
-            aux_bits=aux_bits,
-            energy_pj=energy,
-            latency_ns=latency,
+            bits_programmed, bits_flipped, dirty_lines, aux_bits,
+            energy, latency,
         )
 
     def program_many(
@@ -497,7 +484,9 @@ class NVMDevice:
         row order) — including the per-row ``"device.program"`` fault site,
         so a mid-batch crash or torn write persists exactly the rows (and
         row prefix) that a sequential loop would have — but the accounting
-        is one vectorised pass instead of ``B`` scalar ones.
+        is one vectorised pass instead of ``B`` scalar ones: a dozen NumPy
+        calls over the packed bytes plus work proportional to the cells
+        actually pulsed.
 
         Args:
             addrs: one media address per row.
@@ -514,134 +503,111 @@ class NVMDevice:
         n_rows, length = new.shape
         if addrs.size != n_rows:
             raise ValueError("addrs length must match data row count")
+        ordered = self._check_ranges(addrs, length)
         if n_rows == 0:
             return []
-        self._check_ranges(addrs, length)
-        if n_rows > 1:
-            ordered = np.sort(addrs)
-            if int(np.min(ordered[1:] - ordered[:-1])) < length:
-                raise ValueError("program_many rows must not overlap")
+        if n_rows > 1 and int((ordered[1:] - ordered[:-1]).min()) < length:
+            raise ValueError("program_many rows must not overlap")
         if program_masks is None:
             masks = np.full((n_rows, length), 0xFF, dtype=np.uint8)
         else:
             masks = np.atleast_2d(np.asarray(program_masks, dtype=np.uint8))
             if masks.shape != new.shape:
                 raise ValueError("program_mask shape must match data shape")
-        aux = np.broadcast_to(
-            np.asarray(aux_bits, dtype=np.int64), (n_rows,)
-        )
+        aux = np.empty(n_rows, dtype=np.int64)
+        aux[:] = aux_bits
 
-        idx = addrs[:, None] + np.arange(length)
-        if self._drift_packed is not None:
+        if self._n_drifted:
             # Force-pulse drifted cells in every written row (see program()).
-            masks = np.bitwise_or(masks, self._drift_packed[idx])
-        old = self._content[idx].copy()
-        # Capture the pre-call stuck state: rows never overlap, so per-row
-        # flip accounting matches a sequential loop exactly.
-        if self._stuck_packed is not None:
-            eff_masks = np.bitwise_and(
-                masks, np.bitwise_not(self._stuck_packed[idx])
+            masks = np.bitwise_or(
+                masks, self._rows(self._drift_packed, length)[addrs]
             )
-        else:
-            eff_masks = masks
+        bits_programmed = popcount_rows(masks)
+        cells = None
+        if self._tracks_cells:
+            # Flat (row * 8L + column) positions plus each row's offset.
+            row_starts = (addrs - np.arange(0, n_rows * length, length)) * 8
+            cells = self._pulsed_bits(masks) + np.repeat(
+                row_starts, bits_programmed
+            )
 
-        if self.faults is not None:
+        if self.faults is None:
+            # Rows never overlap, so one pass over the whole batch writes,
+            # charges and kills exactly the cells a row loop would.
+            flips = self._apply_masked(addrs, new, masks, cells)
+            if self._wear_count is not None:
+                self._note_wear(cells)
+        else:
             # Fire the fault site and persist row by row, in row order, so
             # crash points land between rows exactly as in a scalar loop
             # (including ``device.stuck_at`` firings between rows).
-            for i in range(n_rows):
-                self.faults.fire(
-                    "device.program",
-                    payload_len=length,
-                    payload_writer=lambda n, i=i: self._apply_masked(
-                        int(addrs[i]), new[i, :n], masks[i, :n]
-                    ),
+            flips = np.empty_like(new)
+            row_cells = (
+                np.split(cells, np.cumsum(bits_programmed)[:-1])
+                if cells is not None
+                else [None] * n_rows
+            )
+            for i, addr in enumerate(addrs.tolist()):
+                self._fire_program(addr, new[i], masks[i], row_cells[i])
+                flips[i] = self._apply_masked(
+                    addr, new[i], masks[i], row_cells[i]
                 )
-                self._apply_masked(int(addrs[i]), new[i], masks[i])
                 if self._wear_count is not None:
-                    self._note_wear(
-                        int(addrs[i]) * 8
-                        + np.flatnonzero(np.unpackbits(masks[i]))
-                    )
-        else:
-            self._content[idx] = np.bitwise_or(
-                np.bitwise_and(old, np.bitwise_not(eff_masks)),
-                np.bitwise_and(new, eff_masks),
-            )
-            if self._drift_packed is not None:
-                self._drift_packed[idx] = np.bitwise_and(
-                    self._drift_packed[idx], np.bitwise_not(eff_masks)
-                )
-                self._last_program_tick[
-                    self._pulsed_bits(addrs, eff_masks)
-                ] = self._clock
-            if self._wear_count is not None:
-                # Rows never overlap, so one pass over the whole batch
-                # charges and kills exactly the cells a row loop would.
-                self._note_wear(self._pulsed_bits(addrs, masks))
+                    self._note_wear(row_cells[i])
 
-        flips_masks = np.bitwise_and(eff_masks, np.bitwise_xor(old, new))
-        bits_programmed = popcount_rows(masks)
-        bits_flipped = popcount_rows(flips_masks)
-
-        line = self.energy_model.cache_line_bytes
-        if length % line == 0 and not np.any(addrs % line):
-            per_line = masks.reshape(n_rows, length // line, line)
-            dirty_lines = np.count_nonzero(
-                per_line.any(axis=2), axis=1
-            ).astype(np.int64)
-        else:
-            dirty_lines = np.array(
-                [
-                    self._dirty_lines(int(addrs[i]), masks[i])
-                    for i in range(n_rows)
-                ],
-                dtype=np.int64,
-            )
-
-        energy = self.energy_model.write_energy_many(
+        bits_flipped = popcount_rows(flips)
+        offsets = addrs % self.energy_model.cache_line_bytes
+        dirty_lines = self._dirty_lines(offsets, int(offsets.max()), masks)
+        energy = self.energy_model.write_energy(
             length, bits_programmed, dirty_lines, aux
         )
-        latency = self.latency_model.write_latency_many(
+        latency = self.latency_model.write_latency(
             length, bits_programmed + aux, dirty_lines
         )
 
+        # Integer columns go to Python lists once, for the totals and the
+        # per-row results alike; the float totals keep NumPy's summation
+        # order.
+        programmed, flipped, dirty, aux_rows = (
+            column.tolist()
+            for column in (bits_programmed, bits_flipped, dirty_lines, aux)
+        )
         self.stats.writes += n_rows
         self.stats.bytes_written += n_rows * length
-        self.stats.bits_programmed += int(bits_programmed.sum())
-        self.stats.bits_flipped += int(bits_flipped.sum())
-        self.stats.aux_bits_programmed += int(aux.sum())
-        self.stats.dirty_lines_written += int(dirty_lines.sum())
+        self.stats.bits_programmed += sum(programmed)
+        self.stats.bits_flipped += sum(flipped)
+        self.stats.aux_bits_programmed += sum(aux_rows)
+        self.stats.dirty_lines_written += sum(dirty)
         self.stats.write_energy_pj += float(energy.sum())
         self.stats.write_latency_ns += float(latency.sum())
 
-        first_seg = addrs // self.segment_size
-        last_seg = (addrs + length - 1) // self.segment_size
-        if np.array_equal(first_seg, last_seg):
-            np.add.at(self.segment_write_count, first_seg, 1)
-        else:
-            for lo, hi in zip(first_seg, last_seg):
-                self.segment_write_count[lo : hi + 1] += 1
+        size = self.segment_size
+        segs, within = np.divmod(addrs, size)
+        reach = int(within.max()) + length - 1
+        if reach >= size:
+            # Rows crossing segment boundaries count once in each.
+            last = segs + (within + (length - 1)) // size
+            grid = segs[:, None] + np.arange(reach // size + 1)
+            segs = grid[grid <= last[:, None]]
+        np.add.at(self.segment_write_count, segs, 1)
 
         if self._bit_wear is not None:
-            self._bit_wear[self._pulsed_bits(addrs, masks)] += 1
+            self._bit_wear[cells] += 1
 
-        return [
-            WriteResult(
-                bits_programmed=int(bits_programmed[i]),
-                bits_flipped=int(bits_flipped[i]),
-                dirty_lines=int(dirty_lines[i]),
-                aux_bits=int(aux[i]),
-                energy_pj=float(energy[i]),
-                latency_ns=float(latency[i]),
+        return list(
+            map(
+                WriteResult._make,
+                zip(
+                    programmed, flipped, dirty, aux_rows,
+                    energy.tolist(), latency.tolist(),
+                ),
             )
-            for i in range(n_rows)
-        ]
+        )
 
     # ------------------------------------------------------------------ wear
 
-    def _note_wear(self, positions: np.ndarray) -> None:
-        """Charge one program cycle to every pulsed cell (``positions``:
+    def _note_wear(self, cells: np.ndarray) -> None:
+        """Charge one program cycle to every pulsed cell (``cells``:
         distinct absolute bit indices) and mark cells whose budget is now
         exhausted as stuck (at their current value).
 
@@ -650,24 +616,14 @@ class NVMDevice:
         silently fail.  Fires ``"device.stuck_at"`` once per call that
         kills at least one new cell.
         """
-        if positions.size == 0:
+        worn = self._wear_count[cells] + 1
+        self._wear_count[cells] = worn
+        exhausted = worn >= self._endurance_budget[cells]
+        if not exhausted.any():
             return
-        self._wear_count[positions] += 1
-        dead = positions[
-            self._wear_count[positions] >= self._endurance_budget[positions]
-        ]
-        if dead.size == 0:
-            return
-        already = (self._stuck_packed[dead // 8] >> (7 - dead % 8)) & 1
-        fresh = dead[already == 0]
-        if fresh.size == 0:
-            return
-        np.bitwise_or.at(
-            self._stuck_packed,
-            fresh // 8,
-            (0x80 >> (fresh % 8)).astype(np.uint8),
-        )
-        if self.faults is not None:
+        fresh = self._mark(self._stuck_packed, cells[exhausted])
+        self._n_stuck += fresh
+        if fresh and self.faults is not None:
             self.faults.fire("device.stuck_at")
 
     def age(self, cycles: int) -> int:
@@ -683,16 +639,12 @@ class NVMDevice:
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
         self._wear_count += cycles
-        dead = np.flatnonzero(self._wear_count >= self._endurance_budget)
-        already = (self._stuck_packed[dead // 8] >> (7 - dead % 8)) & 1
-        fresh = dead[already == 0]
-        if fresh.size:
-            np.bitwise_or.at(
-                self._stuck_packed,
-                fresh // 8,
-                (0x80 >> (fresh % 8)).astype(np.uint8),
-            )
-        return int(fresh.size)
+        fresh = self._mark(
+            self._stuck_packed,
+            np.flatnonzero(self._wear_count >= self._endurance_budget),
+        )
+        self._n_stuck += fresh
+        return fresh
 
     # ------------------------------------------------------------------ drift
 
@@ -718,21 +670,14 @@ class NVMDevice:
         self._clock += ticks
         age = self._clock - self._last_program_tick
         due = np.flatnonzero(age >= self._effective_drift_budget())
-        if self._stuck_packed is not None and due.size:
+        if self._n_stuck and due.size:
             # Stuck cells are frozen charge — they neither drift nor heal.
-            stuck = (self._stuck_packed[due // 8] >> (7 - due % 8)) & 1
-            due = due[stuck == 0]
-        already = (self._drift_packed[due // 8] >> (7 - due % 8)) & 1
-        fresh = due[already == 0]
-        if fresh.size:
-            np.bitwise_or.at(
-                self._drift_packed,
-                fresh // 8,
-                (0x80 >> (fresh % 8)).astype(np.uint8),
-            )
-            if self.faults is not None:
-                self.faults.fire("device.drift_flip")
-        return int(fresh.size)
+            due = due[self._flagged(self._stuck_packed, due) == 0]
+        fresh = self._mark(self._drift_packed, due)
+        self._n_drifted += fresh
+        if fresh and self.faults is not None:
+            self.faults.fire("device.drift_flip")
+        return fresh
 
     def _effective_drift_budget(self) -> np.ndarray:
         """Per-cell retention budget after wear acceleration."""
@@ -760,16 +705,12 @@ class NVMDevice:
 
     def drifted_cell_count(self) -> int:
         """Cells currently sensing flipped (0 without a drift model)."""
-        if self._drift_packed is None:
-            return 0
-        return popcount_array(self._drift_packed)
+        return self._n_drifted
 
     def stuck_cell_count(self) -> int:
         """Cells permanently stuck at their current value (0 without a
         wear-out model)."""
-        if self._stuck_packed is None:
-            return 0
-        return popcount_array(self._stuck_packed)
+        return self._n_stuck
 
     def stuck_mask(self, addr: int, length: int) -> np.ndarray:
         """Packed per-bit stuck flags for ``[addr, addr + length)``."""
@@ -947,6 +888,7 @@ class NVMDevice:
                 device._endurance_budget[:] = archive["endurance_budget"]
                 device._wear_count[:] = archive["wear_count"]
                 device._stuck_packed[:] = archive["stuck_packed"]
+                device._n_stuck = popcount_array(device._stuck_packed)
                 device.ecc.restore_state(
                     archive["ecp_segments"],
                     archive["ecp_offsets"],
@@ -968,69 +910,136 @@ class NVMDevice:
                 device._drift_budget[:] = archive["drift_budget"]
                 device._last_program_tick[:] = archive["drift_last_program"]
                 device._drift_packed[:] = archive["drift_packed"]
+                device._n_drifted = popcount_array(device._drift_packed)
                 device._clock = int(archive["drift_clock"][0])
         return device
 
     # -------------------------------------------------------------- internals
 
-    def _apply_masked(
-        self, addr: int, new: np.ndarray, mask: np.ndarray
-    ) -> None:
-        """Masked bits take the new value, unmasked bits keep the old.
+    def _fire_program(self, addr: int, new, mask, cells) -> None:
+        """Fire ``"device.program"`` ahead of one row's write.  A torn
+        write persists only the first ``n`` programmed bytes; no
+        accounting happens (the stats are DRAM and die with the process
+        the injector is about to kill)."""
+        self.faults.fire(
+            "device.program",
+            payload_len=new.size,
+            payload_writer=lambda n: self._apply_masked(
+                addr,
+                new[:n],
+                mask[:n],
+                None if cells is None else cells[cells < (addr + n) * 8],
+            ),
+        )
+
+    def _apply_masked(self, at, new, mask, cells) -> np.ndarray:
+        """Masked bits take the new value, unmasked bits keep the old;
+        returns the mask of cells whose value changed.
 
         The single choke point through which all media mutation flows
-        (scalar, batched and torn-write paths alike): stuck cells are
-        stripped from the mask here, so no path can ever change one.
+        (scalar, batched and torn-write paths alike; ``at`` is one address
+        or one per row of a ``(B, L)`` batch): stuck cells are stripped
+        from the mask here, so no path can ever change one.  ``cells`` are
+        the positions of ``mask``'s set bits (see :meth:`_pulsed_bits`),
+        read only with a drift model.
         """
-        if new.size == 0:
-            return
-        if self._stuck_packed is not None:
+        length = new.shape[-1]
+        if self._n_stuck:
             mask = np.bitwise_and(
                 mask,
-                np.bitwise_not(self._stuck_packed[addr : addr + new.size]),
+                np.bitwise_not(self._rows(self._stuck_packed, length)[at]),
             )
-        old = self._content[addr : addr + new.size]
-        self._content[addr : addr + new.size] = np.bitwise_or(
-            np.bitwise_and(old, np.bitwise_not(mask)),
-            np.bitwise_and(new, mask),
-        )
+        content = self._rows(self._content, length)
+        old = content[at]
+        flips = np.bitwise_and(mask, np.bitwise_xor(old, new))
+        content[at] = np.bitwise_xor(old, flips)
         if self._drift_packed is not None:
             # An effective pulse restores a drifted cell and restarts its
             # retention timer (stuck cells were stripped above and never
             # drift in the first place).
-            region = self._drift_packed[addr : addr + new.size]
-            np.bitwise_and(region, np.bitwise_not(mask), out=region)
-            positions = addr * 8 + np.flatnonzero(np.unpackbits(mask))
-            if positions.size:
-                self._last_program_tick[positions] = self._clock
+            if self._n_drifted:
+                drift = self._rows(self._drift_packed, length)
+                drifted = drift[at]
+                healed = np.bitwise_and(drifted, mask)
+                drift[at] = np.bitwise_xor(drifted, healed)
+                self._n_drifted -= popcount_array(healed)
+            if self._n_stuck:
+                cells = cells[self._flagged(self._stuck_packed, cells) == 0]
+            self._last_program_tick[cells] = self._clock
+        return flips
 
     @staticmethod
-    def _pulsed_bits(addrs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Absolute bit indices of every masked cell of a ``(B, L)`` batch
-        (distinct, because batched rows never overlap)."""
-        rows, cols = np.nonzero(np.unpackbits(masks, axis=1))
-        return addrs[rows] * 8 + cols
+    def _rows(plane: np.ndarray, length: int) -> np.ndarray:
+        """Every ``length``-byte window of a per-byte plane (the content
+        or a packed overlay) as an ``(n, length)`` view: ``rows[addrs]``
+        gathers a batch (and ``rows[addrs] = x`` scatters one) as one
+        contiguous copy per row in place of one index per byte;
+        ``rows[addr]`` is the slice.  Built per use (0.6 us) — a kept view
+        would have to follow every rebinding of its plane."""
+        return np.ndarray(
+            (plane.size - length + 1, length), np.uint8, plane, 0, (1, 1)
+        )
 
-    def _dirty_lines(self, addr: int, mask: np.ndarray) -> int:
+    @staticmethod
+    def _pulsed_bits(masks: np.ndarray) -> np.ndarray:
+        """Flat bit indices (``byte * 8 + bit``, MSB first, ascending) of
+        every set cell of ``masks`` — the one place that turns masks into
+        cell positions; callers add where their rows start."""
+        return np.flatnonzero(np.unpackbits(masks).view(np.bool_))
+
+    @staticmethod
+    def _flagged(packed: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The 0/1 flag of each cell in a packed per-bit overlay."""
+        return (packed[cells >> 3] >> (7 - (cells & 7))) & 1
+
+    @classmethod
+    def _mark(cls, packed: np.ndarray, cells: np.ndarray) -> int:
+        """Set the flags of ``cells`` in a packed overlay; returns how
+        many were not set before."""
+        fresh = cells[cls._flagged(packed, cells) == 0]
+        np.bitwise_or.at(
+            packed, fresh >> 3, (0x80 >> (fresh & 7)).astype(np.uint8)
+        )
+        return int(fresh.size)
+
+    def _dirty_lines(self, offsets, reach: int, masks: np.ndarray):
+        """Per-row count of cache lines holding at least one masked cell
+        of a ``(B, L)`` batch.  ``offsets``: where each row starts within
+        its first line (one int for a lone row); ``reach``: the largest."""
         line = self.energy_model.cache_line_bytes
-        first_line = addr // line
-        last_line = (addr + mask.size - 1) // line
-        n_lines = last_line - first_line + 1
-        if n_lines == 1:
-            return int(mask.any())
-        # Pad the mask out to whole lines, then check each line for activity.
-        padded = np.zeros(n_lines * line, dtype=np.uint8)
-        offset = addr - first_line * line
-        padded[offset : offset + mask.size] = mask
-        per_line = padded.reshape(n_lines, line)
-        return int(np.count_nonzero(per_line.any(axis=1)))
+        n_rows, length = masks.shape
+        n_slots = -(-(reach + length) // line)
+        if n_slots == 1:
+            return masks.any(axis=1).astype(np.int64)
+        if n_slots * line != length:
+            # Unaligned rows: lay each out at its offset in a row of whole
+            # lines — at most ``ceil(L / line) + 1`` line slots.
+            slots = np.zeros((n_rows, n_slots * line), dtype=np.uint8)
+            if n_rows == 1:
+                slots[0, reach : reach + length] = masks[0]
+            else:
+                slots.reshape(-1)[
+                    (np.arange(n_rows) * (n_slots * line) + offsets)[:, None]
+                    + np.arange(length)
+                ] = masks
+            masks = slots
+        return masks.reshape(n_rows, n_slots, line).any(axis=2).sum(axis=1)
 
-    def _check_ranges(self, addrs: np.ndarray, length: int) -> None:
-        """:meth:`_check_range` for a whole batch: only the extreme
-        addresses can fall outside the device."""
-        if addrs.size:
-            self._check_range(int(addrs.min()), length)
-            self._check_range(int(addrs.max()), length)
+    def _check_ranges(self, addrs: np.ndarray, length: int) -> np.ndarray:
+        """:meth:`_check_range` for a whole batch — only the extreme
+        addresses can fall outside the device.  Returns the addresses
+        sorted (``program_many`` reads its overlap test off them)."""
+        if length <= 0:
+            raise ValueError("length must be positive")
+        ordered = np.sort(addrs)
+        if ordered.size and (
+            ordered[0] < 0 or ordered[-1] + length > self.capacity_bytes
+        ):
+            raise IndexError(
+                f"access [{ordered[0]}, {ordered[-1] + length}) outside "
+                f"device of {self.capacity_bytes} bytes"
+            )
+        return ordered
 
     def _check_range(self, addr: int, length: int) -> None:
         if length <= 0:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -62,31 +60,14 @@ class EnergyModel:
         n_dirty_lines: int,
         n_aux_bits: int = 0,
     ) -> float:
-        """Energy (pJ) for one write of ``n_bytes`` with the given activity."""
+        """Energy (pJ) for one write of ``n_bytes`` with the given activity
+        (ints, or per-write arrays for a batch of same-size writes)."""
         if n_bytes <= 0:
             raise ValueError("write size must be positive")
         return (
             self.static_write_energy_pj
             + n_dirty_lines * self.line_energy_pj
             + (n_programmed_bits + n_aux_bits) * self.flip_energy_pj
-        )
-
-    def write_energy_many(
-        self,
-        n_bytes: int,
-        n_programmed_bits,
-        n_dirty_lines,
-        n_aux_bits=0,
-    ):
-        """Vectorised :meth:`write_energy`: per-write activity arrays in,
-        per-write energy array out (same-size writes only)."""
-        if n_bytes <= 0:
-            raise ValueError("write size must be positive")
-        return (
-            self.static_write_energy_pj
-            + np.asarray(n_dirty_lines) * self.line_energy_pj
-            + (np.asarray(n_programmed_bits) + np.asarray(n_aux_bits))
-            * self.flip_energy_pj
         )
 
     def read_energy(self, n_bytes: int) -> float:

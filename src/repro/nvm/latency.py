@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -31,26 +29,14 @@ class LatencyModel:
     def write_latency(
         self, n_bytes: int, n_programmed_bits: int, n_dirty_lines: int
     ) -> float:
-        """Latency (ns) for one write with the given activity."""
+        """Latency (ns) for one write with the given activity (ints, or
+        per-write arrays for a batch of same-size writes)."""
         if n_bytes <= 0:
             raise ValueError("write size must be positive")
         return (
             self.static_write_ns
             + n_dirty_lines * self.line_write_ns
             + n_programmed_bits * self.bit_program_ns
-        )
-
-    def write_latency_many(
-        self, n_bytes: int, n_programmed_bits, n_dirty_lines
-    ):
-        """Vectorised :meth:`write_latency`: per-write activity arrays in,
-        per-write latency array out (same-size writes only)."""
-        if n_bytes <= 0:
-            raise ValueError("write size must be positive")
-        return (
-            self.static_write_ns
-            + np.asarray(n_dirty_lines) * self.line_write_ns
-            + np.asarray(n_programmed_bits) * self.bit_program_ns
         )
 
     def read_latency(self, n_bytes: int) -> float:

@@ -106,6 +106,8 @@ class PersistentPool:
         if log_segments + meta_segments >= controller.n_segments:
             raise ValueError("log_segments must leave allocatable space")
         self.controller = controller
+        #: Object allocation granularity (the controller's, fixed here).
+        self.segment_size = controller.segment_size
         self.log_segments = log_segments
         self.meta_segments = meta_segments
         self.faults = faults
@@ -126,11 +128,6 @@ class PersistentPool:
         self.recovered_records = 0
         if recover:
             self.recover()
-
-    @property
-    def segment_size(self) -> int:
-        """Object allocation granularity."""
-        return self.controller.segment_size
 
     @property
     def object_start_segment(self) -> int:

@@ -1,0 +1,199 @@
+"""Pinned simulated counters.
+
+The medium is the instrument: a change meant only to make the simulator
+cheaper on the host must leave every simulated statistic identical.  This
+test replays one fixed seeded trace of ``put_many``/``put``/``get``/
+``delete`` on three stores and compares the device's full ``DeviceStats``,
+``segment_write_count.sum()``, total per-cell wear,
+``stuck_cell_count()`` and the retired-segment count with constants
+recorded at the commit *before* the device's write-side accounting was
+rewritten (PR 20's parent) — integers exactly, the float totals to 1e-9
+relative.
+
+A PR that changes what a write costs on purpose (fewer metadata flips,
+say) updates ``PINNED`` in the open, in the same diff; ``python
+tests/integration/test_pinned_counters.py`` prints the current values.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.core import E2NVM, KVStore
+from repro.core.config import fast_test_config
+from repro.nvm import MemoryController, NVMDevice, WearOutConfig
+from repro.testing import FaultInjector, KVCrashHarness
+
+SEGMENT_SIZE = 64
+N_KEYS = 14
+N_OPS = 90
+#: Tiny endurance: cells die, ECP entries fill and segments retire
+#: inside the trace, yet the store never runs out of places to write.
+WEAROUT = WearOutConfig(
+    endurance_mean=14, endurance_sigma=0.5, seed=5, ecp_entries=5
+)
+
+
+def _trace(max_value: int) -> list[tuple]:
+    rng = np.random.default_rng(2020)
+    keys = [b"key-%02d" % i for i in range(N_KEYS)]
+
+    def value():
+        length = int(rng.integers(1, max_value + 1))
+        return rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+
+    trace = []
+    for _ in range(N_OPS):
+        roll = rng.random()
+        key = keys[int(rng.integers(N_KEYS))]
+        if roll < 0.45:
+            picks = rng.integers(N_KEYS, size=int(rng.integers(2, 9)))
+            trace.append(("put_many", [(keys[k], value()) for k in picks]))
+        elif roll < 0.65:
+            trace.append(("put", key, value()))
+        elif roll < 0.85:
+            trace.append(("get", key))
+        else:
+            trace.append(("delete", key))
+    return trace
+
+
+def _durable_mortal():
+    """The store ``KVCrashHarness`` builds: durable pool, mortal media,
+    verify-after-write, a fault injector attached (so ``program_many``
+    takes its row-by-row path)."""
+    harness = KVCrashHarness(
+        n_segments=64, segment_size=SEGMENT_SIZE, seed=7, wearout=WEAROUT,
+        spares=2,
+    )
+    device, _, store = harness.fresh(FaultInjector())
+    return device, store
+
+
+def _volatile(**device_kwargs):
+    device = NVMDevice(
+        capacity_bytes=40 * SEGMENT_SIZE,
+        segment_size=SEGMENT_SIZE,
+        initial_fill="random",
+        seed=7,
+        **device_kwargs,
+    )
+    engine = E2NVM(MemoryController(device), fast_test_config())
+    engine.train()
+    return device, KVStore(engine)
+
+
+CASES = {
+    "durable_mortal": _durable_mortal,
+    # No injector: the vectorised ``program_many`` path.
+    "volatile_immortal": lambda: _volatile(track_bit_wear=True),
+    "volatile_mortal": lambda: _volatile(wearout=WEAROUT),
+}
+
+
+def measure(case: str) -> dict:
+    device, store = CASES[case]()
+    model: dict[bytes, bytes] = {}
+    # Durable values carry a length + CRC header inside the segment.
+    max_value = SEGMENT_SIZE - 16 if case == "durable_mortal" else SEGMENT_SIZE
+    for op in _trace(max_value):
+        if op[0] == "put_many":
+            store.put_many(op[1])
+            model.update(op[1])
+        elif op[0] == "put":
+            store.put(op[1], op[2])
+            model[op[1]] = op[2]
+        elif op[0] == "get":
+            assert store.get(op[1]) == model.get(op[1])
+        else:
+            assert store.delete(op[1]) == (model.pop(op[1], None) is not None)
+    assert dict(store.items()) == model
+    wear = device._wear_count if device.wearout else device.bit_wear
+    return {
+        **dataclasses.asdict(device.stats),
+        "segment_writes": int(device.segment_write_count.sum()),
+        "cell_wear": int(wear.sum()),
+        "stuck_cells": device.stuck_cell_count(),
+        "retired_segments": (
+            len(device.health.retired) if device.health else 0
+        ),
+    }
+
+
+PINNED: dict[str, dict] = {
+    "durable_mortal": {
+        "writes": 1310,
+        "reads": 3092,
+        "bytes_written": 34712,
+        "bytes_read": 78490,
+        "bits_programmed": 55823,
+        "bits_flipped": 55722,
+        "aux_bits_programmed": 0,
+        "dirty_lines_written": 1308,
+        "write_energy_pj": 8289150.0,
+        "read_energy_pj": 8907350.0,
+        "write_latency_ns": 526591.1499999984,
+        "read_latency_ns": 553111.4999999942,
+        "segment_writes": 1310,
+        "cell_wear": 55823,
+        "stuck_cells": 119,
+        "retired_segments": 6,
+    },
+    "volatile_immortal": {
+        "writes": 226,
+        "reads": 251,
+        "bytes_written": 7738,
+        "bytes_read": 8626,
+        "bits_programmed": 30647,
+        "bits_flipped": 30647,
+        "aux_bits_programmed": 0,
+        "dirty_lines_written": 226,
+        "write_energy_pj": 2481550.0,
+        "read_energy_pj": 756890.0,
+        "write_latency_ns": 91932.35000000003,
+        "read_latency_ns": 45689.099999999984,
+        "segment_writes": 226,
+        "cell_wear": 30647,
+        "stuck_cells": 0,
+        "retired_segments": 0,
+    },
+    "volatile_mortal": {
+        "writes": 230,
+        "reads": 487,
+        "bytes_written": 7906,
+        "bytes_read": 16748,
+        "bits_programmed": 31449,
+        "bits_flipped": 31374,
+        "aux_bits_programmed": 0,
+        "dirty_lines_written": 230,
+        "write_energy_pj": 2538450.0,
+        "read_energy_pj": 1468720.0,
+        "write_latency_ns": 93572.45000000003,
+        "read_latency_ns": 88651.79999999978,
+        "segment_writes": 230,
+        "cell_wear": 31449,
+        "stuck_cells": 113,
+        "retired_segments": 2,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_simulated_counters_match_the_recorded_parent(case):
+    got = measure(case)
+    want = PINNED[case]
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, float):
+            assert got[name] == pytest.approx(value, rel=1e-9), name
+        else:
+            assert got[name] == value, name
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({case: measure(case) for case in sorted(CASES)})

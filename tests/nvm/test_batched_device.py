@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nvm import MemoryController, NVMDevice, WearOutConfig
+from repro.nvm import DriftConfig, MemoryController, NVMDevice, WearOutConfig
 from repro.nvm.health import SegmentRetiredError
 from repro.nvm.wear_leveling import SegmentSwapWearLeveling
 
@@ -100,8 +100,8 @@ class TestProgramMany:
         assert got == expected
 
     def test_unaligned_rows_match_sequential(self):
-        # Rows not aligned to cache lines exercise the per-row
-        # dirty-line fallback.
+        # Rows not aligned to cache lines are laid out at their offsets
+        # over whole line slots to count dirty lines.
         batched, sequential = _device(), _device()
         rng = np.random.default_rng(13)
         addrs = np.array([3, 200, 530], dtype=np.int64)
@@ -115,6 +115,56 @@ class TestProgramMany:
         assert got == expected
         _assert_stats_equal(batched.stats, sequential.stats)
 
+    @pytest.mark.parametrize("length, offset", [(SEGMENT_SIZE, 0), (17, 5)])
+    def test_matches_sequential_program_wearing_out_and_drifting(
+        self, length, offset
+    ):
+        # Wear-out and drift on together, over rounds that kill cells in
+        # the middle of a batch and drift others between batches: every
+        # overlay must stay the sequential loop's, pulse for pulse.
+        kwargs = dict(
+            track_bit_wear=True,
+            wearout=WearOutConfig(
+                endurance_mean=3, endurance_sigma=0.5, seed=2
+            ),
+            drift=DriftConfig(
+                retention_mean=3, retention_sigma=0.5, seed=4, wear_scale=0.5
+            ),
+        )
+        batched, sequential = _device(**kwargs), _device(**kwargs)
+        rng = np.random.default_rng(21)
+        capacity = batched.capacity_bytes
+        for round_ in range(8):
+            segs = rng.choice(N_SEGMENTS, size=6, replace=False)
+            addrs = (segs * SEGMENT_SIZE + offset).astype(np.int64)
+            new = rng.integers(0, 256, size=(6, length), dtype=np.uint8)
+            masks = rng.integers(0, 256, size=(6, length), dtype=np.uint8)
+            got = batched.program_many(addrs, new, masks)
+            expected = [
+                sequential.program(int(a), new[i], masks[i])
+                for i, a in enumerate(addrs)
+            ]
+            assert got == expected
+            for device in (batched, sequential):
+                device.advance_time(1 + round_ % 3)
+            _assert_stats_equal(batched.stats, sequential.stats)
+            for view in ("peek", "stuck_mask", "drift_mask"):
+                np.testing.assert_array_equal(
+                    getattr(batched, view)(0, capacity),
+                    getattr(sequential, view)(0, capacity),
+                )
+            np.testing.assert_array_equal(
+                batched._wear_count, sequential._wear_count
+            )
+            np.testing.assert_array_equal(
+                batched.bit_wear, sequential.bit_wear
+            )
+            np.testing.assert_array_equal(
+                batched.segment_write_count, sequential.segment_write_count
+            )
+        assert batched.stuck_cell_count() > 0
+        assert batched.stats.bits_flipped < batched.stats.bits_programmed
+
     def test_overlapping_rows_raise(self):
         device = _device()
         new = np.zeros((2, SEGMENT_SIZE), dtype=np.uint8)
@@ -127,6 +177,17 @@ class TestProgramMany:
             np.empty(0, dtype=np.int64),
             np.empty((0, SEGMENT_SIZE), dtype=np.uint8),
         ) == []
+
+    def test_empty_batch_still_needs_a_positive_length(self):
+        # The scalar forms refuse a zero-length access; so do the batched
+        # ones, rows or no rows.
+        device = _device()
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="length must be positive"):
+            device.program_many(empty, np.empty((0, 0), dtype=np.uint8))
+        with pytest.raises(ValueError, match="length must be positive"):
+            device.read_arrays(empty, 0)
+        assert device.read_arrays(empty, 8).shape == (0, 8)
 
 
 class TestControllerWriteMany:
