@@ -8,16 +8,21 @@ runs over byte-identical devices in four ways:
 - **volatile** — the historical simulator mode (DRAM index and flags,
   values written straight through the engine);
 - **durable** — values written to free segments, then published through
-  undo-log transactions that maintain the persistent per-segment catalog;
+  undo-log transactions that maintain the persistent per-key catalog;
 
 each as **scalar** ``put`` calls and as ``put_many`` batches of
 ``BATCH`` pairs.  A durable PUT costs the value write plus its share of a
 group commit: the undo records of the catalog writes (one contiguous run
-per transaction), the log header raise and clear, the catalog record and
-— for an update — the superseded record's flag byte.  Before group
-commit (``BEFORE``, measured at the parent commit with this same PUT
-stream) every pair paid a transaction of its own, undo copy of the value
-included: 17 device writes per PUT, batched or not.
+per transaction: 36 B for an update's 20 mutable record bytes, 17 B for an
+insert's flag byte), the log header raise and clear, and one in-place
+write of the key's catalog record — a scalar PUT is exactly 5 device
+writes, a batched one 2.81 (179 bit flips against 122 volatile).  While
+the catalog was indexed by segment an update forwarded the whole record
+to a new slot and cleared the old one's flag: 6.96 scalar / 4.55 batched
+writes and 202 batched flips per PUT on this same stream.  Before group
+commit (``BEFORE``, measured at that PR's parent commit with this same
+PUT stream) every pair paid a transaction of its own, undo copy of the
+value included: 17 device writes per PUT, batched or not.
 
 Results land in ``BENCH_durability.json``.
 """

@@ -20,9 +20,9 @@ The store runs in one of two modes:
 - **durable** (:meth:`KVStore.create` / :meth:`KVStore.open` over a
   :class:`~repro.pmem.pool.PersistentPool`): a value is first written to
   its free — hence unreachable — segment, then an undo-log transaction
-  publishes its :class:`~repro.pmem.catalog.PersistentCatalog` record
-  (and resets the superseded one) failure-atomically, a whole batch of
-  pairs per transaction; the paper's Algorithm 2 validity flag becomes a
+  publishes it in its key's :class:`~repro.pmem.catalog.PersistentCatalog`
+  record (one in-place write per pair) failure-atomically, a whole batch
+  of pairs per transaction; the paper's Algorithm 2 validity flag becomes a
   persisted bit, and :meth:`KVStore.open` rebuilds the index, validity
   map, allocator state and DAP from the media alone after a crash.  See
   the README's "Durability contract" section.
@@ -31,6 +31,7 @@ The store runs in one of two modes:
 from __future__ import annotations
 
 import zlib
+from bisect import insort
 from dataclasses import dataclass
 
 from repro.core.address_pool import PoolExhaustedError
@@ -110,14 +111,17 @@ class KVStore:
         self.index = index if index is not None else RedBlackTree()
         self.pool = pool
         self.catalog = catalog
-        # The one address-keyed DRAM mirror, ``addr → (key, crc, heat)`` per
-        # live value.  Presence is the validity flag (durable mode: mirrors
-        # the catalog's persisted bit; volatile mode: the only copy);
-        # ``key`` is the reverse map relocation, scrubbing and wear
-        # leveling use; ``crc`` mirrors the persisted CRC32 every read is
-        # verified against (``None``: engine-level write, no checksum on
-        # record); ``heat`` is the write-temperature stamp below.
-        self._live: dict[int, tuple[bytes, int | None, int]] = {}
+        # The one address-keyed DRAM mirror, ``addr → (key, crc, heat,
+        # record)`` per live value.  Presence is the validity flag (durable
+        # mode: mirrors the catalog's persisted bit; volatile mode: the
+        # only copy); ``key`` is the reverse map relocation, scrubbing and
+        # wear leveling use; ``crc`` mirrors the persisted CRC32 every read
+        # is verified against (``None``: engine-level write, no checksum
+        # on record); ``heat`` is the write-temperature stamp below;
+        # ``record`` is the key's catalog record id (``None`` when volatile).
+        self._live: dict[int, tuple[bytes, int | None, int, int | None]] = {}
+        #: Catalog record ids no live key holds, ascending (durable mode).
+        self._free_records = list(range(catalog.n_records)) if catalog else []
         self._next_epoch = 1
         # Degraded mode: set when wear-out retirement exhausts the last
         # placement option; see :class:`StoreReadOnlyError`.
@@ -214,30 +218,26 @@ class KVStore:
         catalog = PersistentCatalog(pool, key_capacity)
         cls._check_log_capacity(pool, catalog)
 
-        # Catalog scan: newest epoch wins should a duplicate key ever
-        # surface (it cannot under atomic PUTs; this is defensive).
-        live: dict[bytes, object] = {}
+        # Catalog scan, newest epoch first: a record whose key or segment
+        # a newer record already claimed — or that names no object segment
+        # — is dropped (it cannot happen under atomic PUTs; this is the
+        # one defensive rule).
+        keys: set[bytes] = set()
+        taken: dict[int, object] = {}  # value address -> its live record
         dropped = 0
-        max_epoch = 0
-        for entry in catalog.scan():
-            max_epoch = max(max_epoch, entry.epoch)
-            other = live.get(entry.key)
-            if other is None or entry.epoch > other.epoch:
-                if other is not None:
-                    dropped += 1
-                    catalog.pool.write(
-                        catalog.record_address(other.slot), b"\x00"
-                    )
-                live[entry.key] = entry
-            else:
+        entries = sorted(catalog.scan(), key=lambda e: -e.epoch)
+        max_epoch = entries[0].epoch if entries else 0
+        for entry in entries:
+            addr = (
+                pool.object_address(entry.segment)
+                if entry.segment < pool.capacity_objects else None
+            )
+            if addr is None or entry.key in keys or addr in taken:
                 dropped += 1
-                catalog.pool.write(catalog.record_address(entry.slot), b"\x00")
-
-        live_addrs = {
-            entry.key: pool.object_address(entry.slot)
-            for entry in live.values()
-        }
-        taken = set(live_addrs.values())
+                pool.write(catalog.record_address(entry.record), b"\x00")
+            else:
+                keys.add(entry.key)
+                taken[addr] = entry
 
         # Wear-out state lives on the device object (simulated media
         # metadata): retired/retiring segments and reserved spares survive
@@ -286,9 +286,12 @@ class KVStore:
             engine.train(addresses=free_addrs)
 
         store = cls(engine, index=index, pool=pool, catalog=catalog)
+        store._free_records = sorted(
+            set(store._free_records) - {e.record for e in taken.values()}
+        )
         crc_mismatches = 0
-        for key, entry in live.items():
-            addr = live_addrs[key]
+        for addr, entry in sorted(taken.items()):
+            key = entry.key
             engine.mark_allocated(addr)
             pool.mark_allocated(addr)
             store.index.put(key, (addr, entry.value_len))
@@ -298,7 +301,7 @@ class KVStore:
             # does not.  (Migration bumps the epoch, so a value moved by
             # wear leveling looks warmer after recovery than before — a
             # conservative error: it only delays re-migrating it.)
-            store._live[addr] = (key, entry.crc, entry.epoch)
+            store._live[addr] = (key, entry.crc, entry.epoch, entry.record)
             # Recovery-time integrity scan: verify every live value against
             # its persisted CRC.  Mismatches (resistance drift while the
             # store was down, or media damage) are only *counted* here —
@@ -316,7 +319,7 @@ class KVStore:
             # next PUT resumes their evacuation.
             engine.dap.adopt_quarantine(unplaceable | spare_addrs)
             seg_size = pool.segment_size
-            for addr in sorted(unplaceable - taken):
+            for addr in sorted(unplaceable - taken.keys()):
                 pool.retire(addr)
             health = engine.health
             if health is not None:
@@ -325,7 +328,7 @@ class KVStore:
                         health.queue_relocation(seg)
         store.recovery = RecoveryReport(
             rolled_back_records=rolled_back,
-            live_objects=len(live),
+            live_objects=len(taken),
             free_objects=len(free_addrs),
             duplicate_keys_dropped=dropped,
             max_epoch=max_epoch,
@@ -338,16 +341,14 @@ class KVStore:
     def _check_log_capacity(
         pool: PersistentPool, catalog: PersistentCatalog
     ) -> int:
-        """The undo log must hold the largest transaction one pair can
-        form — a ``tx_move``: one full catalog record plus one flag byte
-        (values are written outside the transaction).  Returns how many
-        such pairs one transaction holds."""
-        overhead = pool.record_overhead_bytes()
-        worst = (overhead + catalog.record_size) + (overhead + 1)
+        """The undo log must hold the largest undo record a pair forms —
+        an UPDATE's (an INSERT or DELETE logs one flag byte; values are
+        written outside it).  Returns the pairs one transaction holds."""
+        worst = pool.record_overhead_bytes() + catalog.MUTABLE_BYTES
         if pool.log_capacity_bytes < worst:
             raise ValueError(
-                f"undo log of {pool.log_capacity_bytes} B cannot hold a "
-                f"worst-case PUT transaction of {worst} B; raise log_segments"
+                f"undo log of {pool.log_capacity_bytes} B cannot hold the "
+                f"{worst} B undo record of an UPDATE; raise log_segments"
             )
         return pool.log_capacity_bytes // worst
 
@@ -446,9 +447,10 @@ class KVStore:
             last = {items[i][0]: i for i in group}
             live = [i for i in group if last[items[i][0]] == i]
             superseded = [addrs[i] for i in group if last[items[i][0]] != i]
+            records = [None] * len(live)
             if self.pool is not None:
                 try:
-                    self._commit_catalog(
+                    records = self._commit_catalog(
                         [(*items[i], addrs[i], crcs[i]) for i in live]
                     )
                 except CrashError:
@@ -459,11 +461,11 @@ class KVStore:
                     self.engine.release_many(addrs[start:])
                     raise
             stale = []
-            for i in live:
+            for i, record in zip(live, records):
                 (key, value), addr = items[i], addrs[i]
                 old = self.index.get(key)
                 self._write_seq += 1
-                self._live[addr] = (key, crcs[i], self._write_seq)
+                self._live[addr] = (key, crcs[i], self._write_seq, record)
                 self.index.put(key, (addr, len(value)))
                 if self.pool is not None:
                     self.pool.mark_allocated(addr)
@@ -477,27 +479,34 @@ class KVStore:
                 self.engine.release_many(superseded)
             self.engine.record_committed_writes(len(group))
 
-    def _commit_catalog(self, group) -> None:
+    def _commit_catalog(self, group) -> list[int]:
         """One undo-log transaction publishing ``(key, value, addr, crc)``
-        pairs.  UPDATEs forward the record: full record at the new slot,
-        old flag reset (newest-epoch-wins keeps exactly one copy across
-        any crash point)."""
+        pairs; returns each pair's catalog record id.  An UPDATE rewrites
+        the key's record in place; an INSERT fills the lowest free record
+        id, claimed only once the transaction has committed."""
+        records = []
+        free = self._free_records
+        claimed = 0
         with self.pool.transaction() as tx:
             for epoch, (key, value, addr, crc) in enumerate(
                 group, self._next_epoch
             ):
-                slot = self.pool.object_index(addr)
+                segment = self.pool.object_index(addr)
                 old = self.index.get(key)
                 if old is None:
+                    records.append(free[claimed])
+                    claimed += 1
                     self.catalog.tx_set(
-                        tx, slot, key, len(value), epoch, crc=crc
+                        tx, records[-1], segment, key, len(value), epoch, crc
                     )
                 else:
+                    records.append(self._live[old[0]][3])
                     self.catalog.tx_move(
-                        tx, self.pool.object_index(old[0]), slot, key,
-                        len(value), epoch, crc=crc,
+                        tx, records[-1], segment, len(value), epoch, crc
                     )
         self._next_epoch += len(group)
+        del free[:claimed]
+        return records
 
     def _check_durable_key(self, key: bytes) -> None:
         if len(key) > self.catalog.key_capacity:
@@ -619,8 +628,10 @@ class KVStore:
         if self.pool is not None:
             # The persisted validity-flag reset is the durable part; it
             # commits before any DRAM structure changes.
+            record = self._live[addr][3]
             with self.pool.transaction() as tx:
-                self.catalog.tx_clear(tx, self.pool.object_index(addr))
+                self.catalog.tx_clear(tx, record)
+            insort(self._free_records, record)
         self.index.delete(key)
         self._live.pop(addr, None)
         self._recycle_many([addr])
@@ -777,7 +788,7 @@ class KVStore:
 
         The move reuses the normal PUT path end to end — DCW differential
         write onto the (free) target, energy/endurance accounting, CRC,
-        then catalog record forwarding
+        then the catalog record's in-place re-pointing
         (:meth:`PersistentCatalog.tx_move`) in one undo-log transaction —
         so fsck and the crash sweep stay authoritative over migrated
         values, and a crash at any point leaves exactly one committed
@@ -826,7 +837,8 @@ class KVStore:
         if heat is not None:
             # Forward the temperature stamp (the fresh-write stamp the
             # install set would make every migrated value look hot).
-            self._live[target_addr] = (*self._live[target_addr][:2], heat)
+            live = self._live[target_addr]
+            self._live[target_addr] = (*live[:2], heat, live[3])
         return True
 
     def placement_telemetry(self) -> dict:

@@ -189,7 +189,7 @@ class Compactor(MaintenanceWorker):
         now = self.store.write_seq
         best = None
         best_key = None
-        for addr, (key, _, heat) in list(self.store._live.items()):
+        for addr, (key, _, heat, _) in list(self.store._live.items()):
             if now - heat < self.dormancy_writes:
                 continue  # recently written: not dormant
             src_wear = int(wear[addr // seg_size])

@@ -1,30 +1,34 @@
-"""Persistent per-segment catalog: the media-resident store descriptor.
+"""Persistent per-key catalog: the media-resident store descriptor.
 
-One fixed-size record per object segment lives in the pool's reserved
-metadata region, so the media alone describes the KV store::
+One fixed-size record per *live key* lives in the pool's reserved metadata
+region, so the media alone describes the KV store.  A record id is claimed
+at the key's first insert, kept for the key's life and released by DELETE;
+the record *names* the object segment that holds the value::
 
-    [0]      flags       (bit 0 = valid: the segment holds a live value)
-    [1]      reserved    (always 0)
+    [0]      flags       (bit 0 = valid: the record describes a live key)
+    [1]      version     (record layout version, 1)
     [2:4]    key length  (u16)
     [4:8]    value length(u32)
     [8:16]   epoch       (u64, monotonically increasing per PUT)
     [16:20]  value CRC32 (u32, checksum of the value bytes)
-    [20:..]  key bytes   (zero-padded to ``key_capacity``)
+    [20:24]  segment     (u32, object-segment index of the value)
+    [24:..]  key bytes   (zero-padded to ``key_capacity``)
 
+Bytes 4..24 are everything an UPDATE or a migration changes, so moving a
+key's value is *one* in-place write of those 20 bytes (``tx_move``).
 Records never cross a segment boundary (each metadata segment holds
-``segment_size // record_size`` of them), so a record update is a single
-in-segment write and composes with the pool's undo-log transactions:
-``tx_set``/``tx_clear`` make header+value+flag updates failure-atomic.
+``segment_size // record_size`` of them), so a record write is a single
+in-segment write the pool's undo-log transactions make failure-atomic.
 
 The validity flag is the paper's Algorithm 2 flag bit made real: DELETE
 resets a *persisted* bit, and recovery rebuilds the index, validity map and
 Dynamic Address Pool purely from a catalog scan.
 
-The value CRC32 is the store's end-to-end integrity contract: it is written
-in the same transaction as the value bytes (so record and value can never
-disagree after recovery), verified on every GET and during the recovery
-scan, and is what lets the read path *detect* resistance-drift corruption
-instead of serving garbage.
+The value CRC32 is the store's end-to-end integrity contract: it is
+published in the same write as the segment index, after the value bytes
+reached that (until then free) segment, so record and value can never
+disagree after recovery; every GET and the recovery scan verify it, which
+is what lets the read path *detect* drift instead of serving garbage.
 """
 
 from __future__ import annotations
@@ -34,20 +38,27 @@ from dataclasses import dataclass, replace
 
 from repro.pmem.pool import PersistentPool
 
-# flags, reserved, key_len, value_len, epoch, value_crc32
-_RECORD = struct.Struct("<BBHIQI")
+_FIXED = struct.Struct("<BBH")  # flags, version, key_len
+_MUTABLE = struct.Struct("<IQII")  # value_len, epoch, value_crc32, segment
+_RECORD = struct.Struct(_FIXED.format + _MUTABLE.format[1:])
 _FLAG_VALID = 0x01
+_VERSION = 1
 
-#: Default key capacity; records are then 60 B, fitting the 64 B segments
+#: Default key capacity; records are then 64 B, exactly the 64 B segments
 #: used throughout the test/benchmark geometry.
 DEFAULT_KEY_CAPACITY = 40
+
+
+class CatalogLayoutError(ValueError):
+    """A live record carries a layout version this code cannot parse."""
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     """One decoded live record of the persistent catalog."""
 
-    slot: int
+    record: int
+    segment: int
     key: bytes
     value_len: int
     epoch: int
@@ -60,9 +71,13 @@ class PersistentCatalog:
     Args:
         pool: the :class:`PersistentPool` whose object segments the catalog
             describes; its ``meta_segments`` must cover one record per
-            object segment (size the pool with :meth:`meta_segments_for`).
+            object segment — the most keys that can be live at once (size
+            the pool with :meth:`meta_segments_for`).
         key_capacity: maximum key length the records can hold.
     """
+
+    #: Record bytes an UPDATE rewrites, hence undo-logs (INSERT: 1, the flag).
+    MUTABLE_BYTES = _MUTABLE.size
 
     def __init__(
         self, pool: PersistentPool, key_capacity: int = DEFAULT_KEY_CAPACITY
@@ -78,14 +93,14 @@ class PersistentCatalog:
                 f"{pool.segment_size} B segment; lower key_capacity"
             )
         self.records_per_segment = pool.segment_size // self.record_size
-        self.n_slots = pool.capacity_objects
+        self.n_records = pool.capacity_objects
         needed = self.segments_needed(
-            self.n_slots, pool.segment_size, key_capacity
+            self.n_records, pool.segment_size, key_capacity
         )
         if pool.meta_segments < needed:
             raise ValueError(
                 f"pool reserves {pool.meta_segments} metadata segments but "
-                f"the catalog needs {needed} for {self.n_slots} objects"
+                f"the catalog needs {needed} for {self.n_records} objects"
             )
 
     # ------------------------------------------------------------- geometry
@@ -147,11 +162,11 @@ class PersistentCatalog:
         )
         return replace(model, immortal_prefix_segments=log_segments + meta)
 
-    def record_address(self, slot: int) -> int:
-        """Media byte address of the record for object segment ``slot``."""
-        if not 0 <= slot < self.n_slots:
-            raise IndexError(f"catalog slot {slot} out of range")
-        segment, offset = divmod(slot, self.records_per_segment)
+    def record_address(self, record: int) -> int:
+        """Media byte address of record id ``record``."""
+        if not 0 <= record < self.n_records:
+            raise IndexError(f"catalog record {record} out of range")
+        segment, offset = divmod(record, self.records_per_segment)
         return self.pool.meta_address(segment) + offset * self.record_size
 
     # ----------------------------------------------------------- mutations
@@ -162,82 +177,87 @@ class PersistentCatalog:
         Call once when creating a store on fresh media; formatting is a
         plain bulk write, not a transaction.
         """
-        zeros = b"\x00" * self.pool.segment_size
-        for i in range(self.pool.meta_segments):
-            self.pool.write(self.pool.meta_address(i), zeros)
+        pool = self.pool
+        pool.controller.write_many(
+            [pool.meta_address(i) for i in range(pool.meta_segments)],
+            [b"\x00" * pool.segment_size] * pool.meta_segments,
+        )
+
+    def _mutable(self, segment: int, value_len: int, epoch: int, crc: int):
+        """The 20 record bytes that describe the current value."""
+        if not 0 < value_len <= self.pool.segment_size:
+            raise ValueError(f"value length {value_len} out of range")
+        return _MUTABLE.pack(value_len, epoch, crc & 0xFFFFFFFF, segment)
 
     def tx_set(
-        self, tx, slot: int, key: bytes, value_len: int, epoch: int,
-        crc: int = 0,
+        self, tx, record: int, segment: int, key: bytes, value_len: int,
+        epoch: int, crc: int = 0,
     ) -> None:
-        """Transactionally write a full live record for ``slot``.
-
-        ``crc`` is the CRC32 of the value bytes; writing it in the same
-        transaction as the value keeps record and value consistent across
-        any crash point.
+        """Transactionally write a full live record — a key's INSERT —
+        onto the *free* (flag clear) id ``record``, naming the object
+        segment that already holds the value.  Only the flag is undo-
+        logged: it is byte 0, so a record torn at any byte rolls back to
+        "invalid", and whatever sits behind a clear flag is dead metadata.
         """
         if len(key) > self.key_capacity:
             raise ValueError(
                 f"key of {len(key)} bytes exceeds catalog key capacity "
                 f"{self.key_capacity}"
             )
-        if not 0 < value_len <= self.pool.segment_size:
-            raise ValueError(f"value length {value_len} out of range")
-        record = _RECORD.pack(
-            _FLAG_VALID, 0, len(key), value_len, epoch, crc & 0xFFFFFFFF
-        ) + key.ljust(self.key_capacity, b"\x00")
-        tx.write(self.record_address(slot), record)
+        data = (
+            _FIXED.pack(_FLAG_VALID, _VERSION, len(key))
+            + self._mutable(segment, value_len, epoch, crc)
+            + key.ljust(self.key_capacity, b"\x00")
+        )
+        tx.write(self.record_address(record), data, undo_len=1)
 
-    def tx_clear(self, tx, slot: int) -> None:
-        """Transactionally reset the validity flag of ``slot`` (Algorithm 2:
-        one persisted bit; the rest of the record becomes dead metadata)."""
-        tx.write(self.record_address(slot), b"\x00")
+    def tx_clear(self, tx, record: int) -> None:
+        """Transactionally reset the validity flag of ``record`` (Algorithm
+        2: one persisted bit; the rest of the record becomes dead metadata)."""
+        tx.write(self.record_address(record), b"\x00")
 
     def tx_move(
-        self, tx, old_slot: int, new_slot: int, key: bytes, value_len: int,
-        epoch: int, crc: int = 0,
+        self, tx, record: int, segment: int, value_len: int, epoch: int,
+        crc: int = 0,
     ) -> None:
-        """Transactionally forward a live record to a new slot — the
-        catalog half of a migration (update-in-place PUTs, relocation off
-        retiring segments, and the compactor's wear-leveling swaps all
-        route through it).
-
-        The full record is written at ``new_slot`` and ``old_slot``'s
-        validity flag is reset in the *same* undo-log transaction, so a
-        crash mid-move rolls both back together.  The moved record carries
-        a fresh ``epoch``: even if a duplicate pair ever survived to a
-        recovery scan, newest-epoch-wins resolution keeps exactly the
-        forwarded copy — which is what makes migration crash-safe without
-        any extra forwarding table on the media.
-        """
-        self.tx_set(tx, new_slot, key, value_len, epoch, crc=crc)
-        self.tx_clear(tx, old_slot)
+        """Transactionally point live ``record`` at a new value — the
+        catalog half of an UPDATE and of every migration (relocation,
+        wear-leveling swap, rebalance copy): one in-place write of the 20
+        mutable bytes; a crash leaves the key its old value or its new."""
+        tx.write(
+            self.record_address(record) + _FIXED.size,
+            self._mutable(segment, value_len, epoch, crc),
+        )
 
     # --------------------------------------------------------------- reads
 
-    def read(self, slot: int) -> CatalogEntry | None:
-        """Decode the record of ``slot``; ``None`` when invalid or garbage."""
-        raw = self.pool.read(self.record_address(slot), self.record_size)
-        flags, _, key_len, value_len, epoch, crc = _RECORD.unpack(
-            raw[: _RECORD.size]
-        )
+    def read(self, record: int) -> CatalogEntry | None:
+        """Decode ``record``; ``None`` when invalid or garbage, and a
+        :class:`CatalogLayoutError` for a live record of another layout.
+        The segment index is returned as found: range and uniqueness are
+        the caller's checks (recovery drops, fsck reports)."""
+        raw = self.pool.read(self.record_address(record), self.record_size)
+        (flags, version, key_len, value_len, epoch, crc,
+         segment) = _RECORD.unpack_from(raw)
         if flags != _FLAG_VALID:
             return None
+        if version != _VERSION:
+            raise CatalogLayoutError(
+                f"catalog record {record} has layout version {version}: "
+                "segment-indexed catalog written before PR 22; recreate "
+                "the store"
+            )
         if key_len == 0 or key_len > self.key_capacity:
             return None
         if value_len == 0 or value_len > self.pool.segment_size:
             return None
         key = raw[_RECORD.size : _RECORD.size + key_len]
-        return CatalogEntry(slot=slot, key=key, value_len=value_len,
-                            epoch=epoch, crc=crc)
+        return CatalogEntry(record=record, segment=segment, key=key,
+                            value_len=value_len, epoch=epoch, crc=crc)
 
     def scan(self):
-        """Yield every live :class:`CatalogEntry`, in slot order."""
-        for slot in range(self.n_slots):
-            entry = self.read(slot)
+        """Yield every live :class:`CatalogEntry`, in record-id order."""
+        for record in range(self.n_records):
+            entry = self.read(record)
             if entry is not None:
                 yield entry
-
-    def max_epoch(self) -> int:
-        """Highest epoch across live records (0 when the store is empty)."""
-        return max((e.epoch for e in self.scan()), default=0)

@@ -299,8 +299,9 @@ class PersistentPool:
         self._fire("tx.begin")
         self._tx_active = True
 
-    def _log_commit(self, writes: list[tuple[int, bytes]]) -> None:
-        """TX_COMMIT of the staged ``writes``: undo records, header,
+    def _log_commit(self, writes: list[tuple[int, bytes, int]]) -> None:
+        """TX_COMMIT of the staged ``(addr, data, undo_len)`` writes: undo
+        records (the leading ``undo_len`` old bytes of each range), header,
         in-place writes, header clear — in that order.
 
         The header is raised only once the whole record run is on the
@@ -323,10 +324,10 @@ class PersistentPool:
             self._sequence = (self._sequence + 1) & 0xFFFFFFFFFFFFFFFF
             header = _LOG_HEADER.pack(1, self._sequence)
             stamp = header[1:]
-            addrs, data = zip(*writes)
+            addrs, data, undo_lens = zip(*writes)
             run = bytearray()
             for addr, old in zip(
-                addrs, controller.read_many(addrs, [len(d) for d in data])
+                addrs, controller.read_many(addrs, undo_lens)
             ):
                 body = _RECORD_HEADER.pack(addr, len(old)) + old
                 run += body + _RECORD_CRC.pack(zlib.crc32(stamp + body))
@@ -344,7 +345,7 @@ class PersistentPool:
             self._log_persist(run)
             header_up = True
             controller.write(0, header)
-            for addr, new in writes:
+            for addr, new in zip(addrs, data):
                 self._fire(
                     "tx.write",
                     payload_len=len(new),

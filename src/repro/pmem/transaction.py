@@ -48,7 +48,7 @@ class Transaction:
         self._pool = pool
         self._active = False
         self._finished = False
-        self._writes: list[tuple[int, bytes]] = []
+        self._writes: list[tuple[int, bytes, int]] = []
         self._log_bytes = 0
 
     def __enter__(self) -> "Transaction":
@@ -80,18 +80,23 @@ class Transaction:
         # Swallow only explicit aborts; real errors propagate.
         return exc_type is TransactionAborted
 
-    def write(self, addr: int, data: bytes) -> None:
+    def write(
+        self, addr: int, data: bytes, undo_len: int | None = None
+    ) -> None:
         """Stage an in-place write of ``data`` at ``addr``; commit logs the
-        range's old content before applying it."""
+        range's old content before applying it — or only its leading
+        ``undo_len`` bytes, when restoring those alone undoes the write
+        (a catalog insert: the flag byte decides whether the rest counts)."""
         if not self._active:
             raise RuntimeError("transaction is not active")
-        self._log_bytes += self._pool.record_overhead_bytes() + len(data)
+        undo_len = len(data) if undo_len is None else undo_len
+        self._log_bytes += self._pool.record_overhead_bytes() + undo_len
         if self._log_bytes > self._pool.log_capacity_bytes:
             raise RuntimeError(
                 "undo log full: transaction touches more data than the log "
                 f"region holds ({self._pool.log_capacity_bytes} B)"
             )
-        self._writes.append((addr, as_bytes(data)))
+        self._writes.append((addr, as_bytes(data), undo_len))
 
     def abort(self) -> None:
         """Drop everything staged so far and leave the ``with`` block."""

@@ -118,8 +118,6 @@ def make_ycsb_trace(
     return trace
 
 
-
-
 def _weave(trace, extras) -> list[tuple]:
     """``trace`` with each ``(every, op)`` of ``extras`` appended after
     every ``every``-th op (``0`` = never)."""
@@ -228,10 +226,11 @@ def check_durable_invariants(store: KVStore, model) -> None:
       segments, pairwise disjoint;
     - the DAP holds exactly the placeable addresses — free minus the
       quarantined set (retired/retiring segments, reserved spares) — each
-      exactly once, and every free address has a clear validity flag in
-      the catalog;
-    - every allocated address carries a valid catalog record that agrees
-      with the index.
+      exactly once;
+    - every allocated segment is named by exactly one live catalog record,
+      no live record names a free segment, each record's key and length
+      agree with the index, and the free record ids are exactly the ids
+      no live record holds.
 
     On a store without a wear-out model the retired and quarantined sets
     are empty and this reduces to the original contract.
@@ -273,17 +272,19 @@ def check_durable_invariants(store: KVStore, model) -> None:
     for key, (addr, length) in store.index.items():
         indexed[addr] = (key, length)
     assert set(indexed) == allocated, "index addresses != allocated segments"
-    for addr in free:
-        assert catalog.read(pool.object_index(addr)) is None, (
-            f"free segment {addr} still has a valid catalog flag"
+    named = {}
+    for entry in catalog.scan():
+        addr = pool.object_address(entry.segment)
+        assert addr not in named, f"two live records name segment {addr}"
+        named[addr] = entry.record
+        assert (entry.key, entry.value_len) == indexed.get(addr), (
+            f"record {entry.record} naming {addr} disagrees with the index"
         )
-    for addr in allocated:
-        entry = catalog.read(pool.object_index(addr))
-        assert entry is not None, f"allocated segment {addr} has no record"
-        key, length = indexed[addr]
-        assert entry.key == key and entry.value_len == length, (
-            f"catalog record of {addr} disagrees with the index"
-        )
+        assert store._live[addr][3] == entry.record
+    assert set(named) == allocated, "segments named != segments allocated"
+    assert store._free_records == sorted(
+        set(range(catalog.n_records)) - set(named.values())
+    ), "free record ids are not exactly the ids no live record holds"
 
 
 class KVCrashHarness:

@@ -10,10 +10,11 @@ cross-checks every layer of the persistent format:
   (recovery rolls it back on the next open), but its pending records
   downgrade value-level findings to warnings: their segments are in a
   legitimately torn state.
-- **Catalog** — every live record's value bytes are read back through
-  the controller (ECP-corrected when the snapshot carries a wear-out
-  model) and checked against the record's CRC32; duplicate live keys are
-  flagged.
+- **Catalog** — every live record must name an object segment no other
+  live record names; the value bytes there are read back through the
+  controller (ECP-corrected when the snapshot carries a wear-out model)
+  and checked against the record's CRC32; duplicate live keys and
+  records of another layout version are errors.
 - **ECP table** — entry counts within per-segment capacity, bit offsets
   within the segment, replacement bits actually bits.
 - **Health/catalog agreement** — live values on retired segments
@@ -37,7 +38,11 @@ from pathlib import Path
 
 from repro.nvm.controller import MemoryController
 from repro.nvm.device import NVMDevice
-from repro.pmem.catalog import DEFAULT_KEY_CAPACITY, PersistentCatalog
+from repro.pmem.catalog import (
+    DEFAULT_KEY_CAPACITY,
+    CatalogLayoutError,
+    PersistentCatalog,
+)
 from repro.pmem.pool import PersistentPool, iter_log_records
 
 
@@ -67,10 +72,10 @@ class FsckReport:
         self.warnings.append(message)
 
 
-def _scan_undo_log(controller, pool, report: FsckReport) -> set[int]:
-    """Check the undo-log region; returns the set of media addresses the
-    pending (not yet rolled back) transaction has undo records for."""
-    pending: set[int] = set()
+def _scan_undo_log(controller, pool, report: FsckReport) -> dict[int, int]:
+    """Check the undo-log region; returns ``media address -> old byte``
+    for all the pending (not yet rolled back) transaction has records for."""
+    pending: dict[int, int] = {}
     flag = controller.read(0, 1)[0]
     if flag not in (0, 1):
         report.error(f"undo log: active flag holds garbage byte {flag:#x}")
@@ -82,57 +87,75 @@ def _scan_undo_log(controller, pool, report: FsckReport) -> set[int]:
         "(recovery will roll it back on the next open)"
     )
     for addr, old in iter_log_records(controller, pool.log_segments):
-        pending.update(range(addr, addr + len(old)))
+        pending.update(zip(range(addr, addr + len(old)), old))
         report.pending_undo_records += 1
     return pending
 
 
-def _touched(pending: set[int], addr: int, length: int) -> bool:
-    return any(a in pending for a in range(addr, addr + length))
+def _finding(report, message: str, pending: bool) -> None:
+    """An error — unless recovery is about to rewrite the record."""
+    if pending:
+        report.warning(
+            message + " — covered by a pending undo record, recovery "
+            "will roll it back"
+        )
+    else:
+        report.error(message)
 
 
-def _scan_catalog(controller, pool, catalog, pending, report) -> None:
-    seen_keys: dict[bytes, tuple[int, bool]] = {}
-    for slot in range(catalog.n_slots):
-        entry = catalog.read(slot)
+def _scan_catalog(controller, pool, catalog, pending, report) -> set[int]:
+    """Check every live record; returns the device segments they name."""
+    seen_keys: dict[bytes, int] = {}
+    named: dict[int, tuple[int, bool]] = {}
+    for record in range(catalog.n_records):
+        record_address = catalog.record_address(record)
+        if pending.get(record_address) == 0:
+            continue  # an INSERT caught mid-commit: recovery resets the flag
+        try:
+            entry = catalog.read(record)
+        except CatalogLayoutError as exc:
+            report.error(str(exc))
+            break
         if entry is None:
             continue
-        addr = pool.object_address(slot)
-        record_pending = _touched(
-            pending, catalog.record_address(slot), catalog.record_size
-        ) or _touched(pending, addr, entry.value_len)
-        value = pool.read(addr, entry.value_len)
-        if zlib.crc32(value) & 0xFFFFFFFF != entry.crc:
-            message = (
-                f"slot {slot} (segment address {addr}): value of key "
-                f"{entry.key!r} fails its catalog CRC32"
-            )
-            if record_pending:
-                report.warning(
-                    message + " — covered by a pending undo record, "
-                    "recovery will roll it back"
-                )
-            else:
-                report.error(message)
-        else:
-            report.values_ok += 1
+        torn = any(
+            record_address + i in pending for i in range(catalog.record_size)
+        )
         if entry.key in seen_keys:
-            other_slot, other_pending = seen_keys[entry.key]
-            message = (
-                f"duplicate live key {entry.key!r} in slots "
-                f"{other_slot} and {slot}"
+            report.error(
+                f"duplicate live key {entry.key!r} in records "
+                f"{seen_keys[entry.key]} and {record}"
             )
-            # A migration (``tx_move``) writes the forwarded record and
-            # clears the old one in a single transaction; a crash between
-            # the two leaves a duplicate pair with *one* side covered by
-            # the pending undo log — recovery rolls it back.
-            if record_pending or other_pending:
-                report.warning(message + " — pending undo record")
-            else:
-                report.error(message)
+        seen_keys.setdefault(entry.key, record)
+        if entry.segment >= pool.capacity_objects:
+            _finding(
+                report,
+                f"record {record} (key {entry.key!r}) names segment index "
+                f"{entry.segment}, outside the object range",
+                torn,
+            )
+            continue
+        addr = pool.object_address(entry.segment)
+        other, other_torn = named.setdefault(addr, (record, torn))
+        if other != record:
+            _finding(
+                report,
+                f"records {other} and {record} both name the segment at "
+                f"address {addr}",
+                torn or other_torn,
+            )
+        value = pool.read(addr, entry.value_len)
+        if zlib.crc32(value) & 0xFFFFFFFF == entry.crc:
+            report.values_ok += 1
         else:
-            seen_keys[entry.key] = (slot, record_pending)
+            _finding(
+                report,
+                f"record {record} (segment address {addr}): value of key "
+                f"{entry.key!r} fails its catalog CRC32",
+                torn,
+            )
     report.live_keys = sorted(seen_keys)
+    return {addr // pool.segment_size for addr in named}
 
 
 def _scan_ecp(device, report: FsckReport) -> None:
@@ -160,14 +183,10 @@ def _scan_ecp(device, report: FsckReport) -> None:
             )
 
 
-def _scan_health(device, pool, catalog, report: FsckReport) -> None:
+def _scan_health(device, live_segments: set[int], report) -> None:
     health = getattr(device, "health", None)
     if health is None:
         return
-    live_segments = {
-        pool.object_address(entry.slot) // device.segment_size
-        for entry in catalog.scan()
-    }
     for seg in sorted(health.retired & live_segments):
         report.warning(
             f"retired segment {seg} still holds a live catalog value "
@@ -227,9 +246,9 @@ def fsck(
     catalog = PersistentCatalog(pool, key_capacity=key_capacity)
 
     pending = _scan_undo_log(controller, pool, report)
-    _scan_catalog(controller, pool, catalog, pending, report)
+    live_segments = _scan_catalog(controller, pool, catalog, pending, report)
     _scan_ecp(device, report)
-    _scan_health(device, pool, catalog, report)
+    _scan_health(device, live_segments, report)
     return report
 
 

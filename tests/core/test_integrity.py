@@ -186,7 +186,7 @@ class TestCatalogCrcCrashConsistency:
         recovered = plain_harness.reopen(device)
         assert recovered.recovery.crc_mismatches == 0
         for entry in recovered.catalog.scan():
-            addr = recovered.pool.object_address(entry.slot)
+            addr = recovered.pool.object_address(entry.segment)
             value = recovered.pool.read(addr, entry.value_len)
             assert zlib.crc32(value) & 0xFFFFFFFF == entry.crc
 

@@ -52,7 +52,7 @@ class TestDurableLifecycle:
         store.put(b"a", b"z")
         epochs = sorted(e.epoch for e in store.catalog.scan())
         assert len(epochs) == len(set(epochs)) == 2  # live records only
-        assert store.catalog.max_epoch() == 3
+        assert epochs[-1] == 3
 
     def test_key_exceeding_capacity_raises(self, harness):
         _, _, store = harness.fresh(FaultInjector())
@@ -100,7 +100,32 @@ class TestReopenFromMedia:
         reopened.delete(b"b")
         assert dict(reopened.items()) == {b"a": b"1-updated", b"c": b"3"}
         # Epochs continue past the recovered maximum.
-        assert reopened.catalog.max_epoch() > 2
+        assert max(e.epoch for e in reopened.catalog.scan()) > 2
+
+    @pytest.mark.parametrize("defect", ["key", "segment", "stray"])
+    def test_open_keeps_the_newest_of_two_conflicting_records(
+        self, harness, defect
+    ):
+        """The one defensive rule of recovery, on damage atomic PUTs cannot
+        produce: of two live records with one key, or naming one segment,
+        the newest epoch wins; a record naming no object segment goes."""
+        device, _, store = harness.fresh(FaultInjector())
+        store.put(b"a", b"older")  # record 0, epoch 1
+        store.put(b"b", b"newer")  # record 1, epoch 2
+        rec0, rec1 = (store.catalog.record_address(r) for r in (0, 1))
+        if defect == "key":  # record 0's key becomes "b"
+            device._content[rec0 + 24] = ord("b")
+        elif defect == "segment":  # record 0 names record 1's segment
+            device._content[rec0 + 20 : rec0 + 24] = (
+                device._content[rec1 + 20 : rec1 + 24]
+            )
+        else:  # record 0 names a segment index past the object range
+            device._content[rec0 + 20 : rec0 + 24] = 0xFF
+        del store
+        reopened = harness.reopen(device)
+        assert reopened.recovery.duplicate_keys_dropped == 1
+        check_durable_invariants(reopened, {b"b": b"newer"})
+        assert reopened.catalog.read(0) is None
 
     def test_reopen_empty_store(self, harness):
         device, _, store = harness.fresh(FaultInjector())
@@ -116,7 +141,9 @@ class TestCrashedPut:
         faults = FaultInjector()
         device, _, store = harness.fresh(faults)
         store.put(b"k", b"stable")
-        faults.arm("tx.write", error=CrashError, after=1, torn_fraction=0.5)
+        # An UPDATE's one in-place write: torn 10 bytes into the record's
+        # 20 mutable bytes (new length + epoch, old CRC + segment).
+        faults.arm("tx.write", error=CrashError, torn_fraction=0.5)
         with pytest.raises(CrashError):
             store.put(b"k", b"doomed")
         del store
@@ -278,16 +305,18 @@ class TestConstruction:
             KVStore(store.engine, pool=pool)
 
     def test_undersized_log_rejected(self):
-        """create() must refuse a log too small for a worst-case PUT."""
+        """create() must refuse a log too small for a worst-case PUT —
+        an UPDATE's 36-B undo record against a 32 - 16 = 16 B log — and
+        say which shape did not fit."""
         device = NVMDevice(
-            capacity_bytes=32 * 64, segment_size=64,
+            capacity_bytes=32 * 32, segment_size=32,
             initial_fill="random", seed=0,
         )
-        meta = PersistentCatalog.meta_segments_for(32, 1, 64, 16)
+        meta = PersistentCatalog.meta_segments_for(32, 1, 32, 8)
         pool = PersistentPool(
             MemoryController(device), log_segments=1, meta_segments=meta
         )
-        with pytest.raises(ValueError, match="undo log"):
+        with pytest.raises(ValueError, match=r"undo log .* an UPDATE"):
             KVStore.create(
-                pool, config=fast_test_config(), key_capacity=16
+                pool, config=fast_test_config(), key_capacity=8
             )

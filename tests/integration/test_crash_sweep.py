@@ -103,11 +103,14 @@ def test_small_batched_sweep_recovers(mortal_harness):
     # and commits them in far fewer than one per pair would.
     assert 2 <= report.site_hits["tx.begin"] - 1 < 8
     # Pinned: a refactor of the harness must not enumerate fewer points.
+    # (Before the per-key catalog: 4 transactions, 10 in-place writes, 37
+    # programs — six 36-B pairs now fit the 240-B log where three 69-B
+    # ones did, and an update is one in-place write, not two.)
     assert report.site_hits == {
-        "tx.begin": 4, "tx.log": 4, "tx.write": 10, "tx.commit": 4,
-        "device.write": 8, "device.program": 37,
+        "tx.begin": 3, "tx.log": 3, "tx.write": 8, "tx.commit": 3,
+        "device.write": 8, "device.program": 26,
     }
-    assert (report.crash_points, report.torn_points) == (81, 14)
+    assert (report.crash_points, report.torn_points) == (62, 11)
     assert report.clean_replays == 0
 
 
@@ -141,7 +144,8 @@ def test_batched_sweep_acceptance(mortal_harness):
         f"{len(torn.failures)} of {torn.crash_points} torn points failed; "
         f"first: {torn.failures[:3]}"
     )
-    assert torn.torn_points > 1000
+    # Every byte of every run: 445 now, 1000+ while a pair logged 85 B.
+    assert torn.torn_points > 400
 
 
 def test_small_sweep_every_point_recovers(harness):
@@ -163,11 +167,13 @@ def test_small_sweep_every_point_recovers(harness):
         report.site_hits[s] for s in DEFAULT_TORN_SITES
     )
     # Pinned: a refactor of the harness must not enumerate fewer points.
+    # (``tx.write`` was 33 while each of the 13 updates cleared a second
+    # record; every other site fires exactly as before.)
     assert {s: n for s, n in report.site_hits.items() if n} == {
-        "device.write": 20, "tx.begin": 20, "tx.log": 20, "tx.write": 33,
+        "device.write": 20, "tx.begin": 20, "tx.log": 20, "tx.write": 20,
         "tx.commit": 20,
     }
-    assert (report.crash_points, report.torn_points) == (166, 53)
+    assert (report.crash_points, report.torn_points) == (140, 40)
     assert report.clean_replays == 0
 
 
@@ -180,7 +186,7 @@ def test_oracle_catches_a_skipped_undo_rollback(harness, monkeypatch):
         PersistentPool, "_log_rollback", lambda pool: pool._log_finish() or 0
     )
     report = run_crash_sweep(harness, SMALL_TRACE)
-    assert report.crash_points == 166 and not report.passed
+    assert report.crash_points == 140 and not report.passed
     assert len(report.failures) >= report.site_hits["tx.commit"]
     assert not any(f.startswith("baseline") for f in report.failures)
 
@@ -215,7 +221,8 @@ def test_oracle_catches_a_non_prefix_subset_of_a_batch(harness, monkeypatch):
         KVStore, "_install",
         lambda store, items, addrs: install(store, items[::-1], addrs[::-1]),
     )
-    batch = [(b"user%03d" % i, bytes([i + 1]) * (i + 9)) for i in range(8)]
+    # 16 pairs: three groups at this log size (six 36-B pairs each).
+    batch = [(b"user%03d" % i, bytes([i + 1]) * (i + 9)) for i in range(16)]
     report = run_crash_sweep(harness, [("put_many", batch)], sites=BATCH_SITES)
     assert not any(f.startswith("baseline") for f in report.failures)
     assert report.site_hits["tx.begin"] > 2
@@ -247,10 +254,10 @@ def test_small_drift_sweep_recovers(drift_harness):
         assert report.site_hits[site] > 0, f"{site} never fired"
     # Pinned: a refactor of the harness must not enumerate fewer points.
     assert {s: n for s, n in report.site_hits.items() if n} == {
-        "device.write": 11, "tx.begin": 13, "tx.log": 13, "tx.write": 20,
+        "device.write": 11, "tx.begin": 13, "tx.log": 13, "tx.write": 13,
         "tx.commit": 13, "device.drift_flip": 4, "scrub.refresh": 4,
     }
-    assert (report.crash_points, report.torn_points) == (111, 33)
+    assert (report.crash_points, report.torn_points) == (97, 26)
     assert report.clean_replays == 0
 
 
@@ -275,6 +282,48 @@ def test_drift_scrub_sweep_acceptance(drift_harness):
     assert report.torn_points > 0
 
 
+class WideKeyHarness(KVCrashHarness):
+    """The default 40-B key field: 24 + 40 = 64-B records, one per segment."""
+
+    key_capacity = 40
+
+
+@pytest.mark.crash
+def test_record_writes_torn_at_every_byte_recover():
+    """Every in-place catalog write torn at *every* byte: an UPDATE's 20
+    mutable bytes (the key then reads its old value or its new one, never
+    an old segment under a new CRC — here always the old one: the undo
+    record restores all 20), an INSERT's 64-B record, whose undo record is
+    the flag byte alone (the record rolls back to invalid and its id is
+    free again — also when the torn record lies over dead metadata naming
+    a key that is live elsewhere), and a DELETE's flag byte.  fsck runs on
+    the crashed media at every point."""
+    a, b, c, d = (b"user%03d" % i for i in range(4))
+    value = [bytes([i + 1]) * (9 + 5 * i) for i in range(10)]
+    trace = [
+        ("put", a, value[0]), ("put", b, value[1]), ("put", a, value[2]),
+        ("delete", a), ("delete", b),
+        # b returns on record 0; record 1 still spells "b" behind a clear
+        # flag, and c's insert is torn over it.
+        ("put", b, value[3]), ("put", c, value[4]), ("put", b, value[5]),
+        ("put_many", [(a, value[6]), (c, value[7]), (d, value[8])]),
+        ("put", d, value[9]), ("get", b),
+    ]
+    inserts, updates, deletes = 6, 4, 2
+    report = run_crash_sweep(
+        WideKeyHarness(), trace, sites=(), torn_sites=(),
+        torn_byte_sites=("tx.write",), check_fsck=True,
+    )
+    assert report.passed, (
+        f"{len(report.failures)} of {report.crash_points} torn points "
+        f"failed; first: {report.failures[:3]}"
+    )
+    assert report.torn_points == (
+        inserts * (64 + 1) + updates * (20 + 1) + deletes * (1 + 1)
+    )
+    assert report.clean_replays == 0
+
+
 @pytest.mark.crash
 def test_exhaustive_sweep_acceptance(harness):
     """Acceptance criterion: >=200 ops, a crash at every fired
@@ -287,5 +336,7 @@ def test_exhaustive_sweep_acceptance(harness):
         f"failed; first: {report.failures[:3]}"
     )
     assert len(trace) >= 200
-    assert report.crash_points > 1000
-    assert report.torn_points > 300
+    # 991 / 290 — 145 fewer firings of ``tx.write`` than when each update
+    # also cleared a second record, every other site unchanged.
+    assert report.crash_points > 900
+    assert report.torn_points > 250

@@ -58,7 +58,7 @@ class TestPersistenceJourney:
         store2 = KVStore(engine2)
         for key, entry in sidecar.items():
             store2.index.put(key, entry)
-            store2._live[entry[0]] = (key, None, 0)
+            store2._live[entry[0]] = (key, None, 0, None)
 
         # Everything written in session 1 is readable in session 2.
         for key, value in contents.items():

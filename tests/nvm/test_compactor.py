@@ -272,17 +272,17 @@ class TestCompactorRounds:
     def test_migrate_forwards_catalog_record(self):
         store = make_store()
         oracle = fill(store, n_keys=1)
-        old_addr = store.index.get(b"k00")[0]
+        [before] = store.catalog.scan()
         target = store.engine.dap.snapshot_addresses()[0]
 
         assert store.migrate(b"k00", target) is True
         assert store.get(b"k00") == oracle[b"k00"]
-        # tx_move: the record travelled and the old slot's flag is reset,
-        # in one transaction.
-        pool = store.pool
-        assert store.catalog.read(pool.object_index(old_addr)) is None
-        entry = store.catalog.read(pool.object_index(target))
-        assert entry is not None and entry.key == b"k00"
+        # tx_move: the key keeps its record id; the record now names the
+        # target segment under a fresh epoch.
+        [after] = store.catalog.scan()
+        assert (after.record, after.key) == (before.record, b"k00")
+        assert after.segment == store.pool.object_index(target)
+        assert after.epoch > before.epoch
 
     def test_validates_parameters(self):
         store = make_store()

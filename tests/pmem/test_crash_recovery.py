@@ -86,6 +86,29 @@ class TestCrashRecovery:
         for addr, old in baseline.items():
             assert recovered.read(addr, 64) == old
 
+    def test_partial_undo_restores_only_the_logged_prefix(self):
+        """``undo_len``: the whole payload is written in place, but only
+        its first byte is logged — rollback restores that byte alone (a
+        catalog insert: a clear flag byte makes the rest dead metadata)
+        and the log pays for one byte, not sixty-four."""
+        device = make_device(seed=9)
+        pool = PersistentPool(MemoryController(device), log_segments=1)
+        addr = pool.alloc()
+        pool.write(addr, bytes(64))
+        pool.faults = FaultInjector()
+        pool.faults.arm("tx.commit", error=CrashError)
+        with pytest.raises(CrashError), pool.transaction() as tx:
+            # 64 + 16 B of full undo would not fit the 48-B log.
+            tx.write(addr, b"\x01" + b"K" * 63, undo_len=1)
+        assert device.peek(addr, 2).tobytes() == b"\x01K"
+        del pool
+
+        recovered = PersistentPool(
+            MemoryController(device), log_segments=1, recover=True
+        )
+        assert recovered.recovered_records == 1
+        assert recovered.read(addr, 64) == b"\x00" + b"K" * 63
+
     def test_committed_transaction_survives_recovery(self):
         device = make_device(seed=3)
         pool = PersistentPool(MemoryController(device), log_segments=8)

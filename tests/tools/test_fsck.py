@@ -1,10 +1,19 @@
 """Offline fsck: clean stores pass, every injected defect is reported."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from repro.nvm import NVMDevice
+from repro.nvm.device import WearOutConfig
+from repro.pmem.catalog import CatalogLayoutError
 from repro.testing import CrashError, FaultInjector, KVCrashHarness
 from repro.tools.fsck import fsck, main
+
+#: Record layout v1: the key bytes follow the 24-B header, whose last
+#: four bytes are the u32 segment index.
+KEY_AT = 24
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +40,13 @@ def snapshot(harness, tmp_path, mutate=None, faults=None, n_keys=5):
     path = tmp_path / "store.npz"
     device.save(path)
     return path, store, crashed
+
+
+def poke_segment(device, store, record: int, segment: int) -> None:
+    at = store.catalog.record_address(record) + KEY_AT - 4
+    device._content[at : at + 4] = np.frombuffer(
+        struct.pack("<I", segment), np.uint8
+    )
 
 
 def run_fsck(path, harness):
@@ -62,21 +78,76 @@ class TestVerdicts:
 
     def test_duplicate_live_key_is_an_error(self, harness, tmp_path):
         def duplicate(device, store):
-            entries = list(store.catalog.scan())
-            src, dst = entries[0], entries[1]
-            src_addr = store.catalog.record_address(src.slot)
-            dst_addr = store.catalog.record_address(dst.slot)
-            record = store.pool.read(src_addr, store.catalog.record_size)
-            # Clone slot 0's record over slot 1's — two live records now
-            # claim the same key (and slot 1's value fails the cloned CRC).
-            device._content[
-                dst_addr : dst_addr + store.catalog.record_size
-            ] = np.frombuffer(record, dtype=np.uint8)
+            # Record 1 takes record 0's key bytes (equal lengths): two live
+            # records now claim one key, each over its own intact value.
+            src, dst = (store.catalog.record_address(r) for r in (0, 1))
+            device._content[dst + KEY_AT : dst + KEY_AT + 3] = (
+                device._content[src + KEY_AT : src + KEY_AT + 3]
+            )
 
         path, _, _ = snapshot(harness, tmp_path, mutate=duplicate)
-        report = run_fsck(path, harness)
-        assert not report.ok
-        assert any("duplicate live key" in e for e in report.errors)
+        [error] = run_fsck(path, harness).errors
+        assert "duplicate live key b'k00' in records 0 and 1" in error
+
+    def test_two_records_naming_one_segment_is_an_error(
+        self, harness, tmp_path
+    ):
+        def share(device, store):
+            # Record 1 takes record 0's mutable bytes — length, epoch, CRC
+            # and segment — so it names record 0's (CRC-clean) value.
+            src, dst = (store.catalog.record_address(r) for r in (0, 1))
+            device._content[dst + 4 : dst + KEY_AT] = (
+                device._content[src + 4 : src + KEY_AT]
+            )
+
+        path, _, _ = snapshot(harness, tmp_path, mutate=share)
+        [error] = run_fsck(path, harness).errors
+        assert "records 0 and 1 both name the segment" in error
+
+    def test_segment_index_out_of_range_is_an_error(self, harness, tmp_path):
+        def stray(device, store):
+            poke_segment(device, store, 1, store.pool.capacity_objects)
+
+        path, _, _ = snapshot(harness, tmp_path, mutate=stray)
+        [error] = run_fsck(path, harness).errors
+        assert "record 1" in error and "outside the object range" in error
+
+    def test_live_record_naming_a_spare_is_an_error(self, tmp_path):
+        mortal = KVCrashHarness(
+            n_segments=48, segment_size=64, seed=7,
+            wearout=WearOutConfig(seed=3), spares=2,
+        )
+
+        def onto_spare(device, store):
+            # Move record 1's value bytes onto a reserved spare and point
+            # the record there: CRC-clean, uniquely named — and a spare.
+            entry = store.catalog.read(1)
+            old = store.pool.object_address(entry.segment)
+            spare = device.health.spares[0]
+            device._content[spare : spare + 64] = device._content[
+                old : old + 64
+            ]
+            poke_segment(device, store, 1, store.pool.object_index(spare))
+
+        path, _, _ = snapshot(mortal, tmp_path, mutate=onto_spare)
+        [error] = run_fsck(path, mortal).errors
+        assert "spare segment" in error and "live in the catalog" in error
+
+    def test_segment_indexed_catalog_is_refused(self, harness, tmp_path):
+        """Layout version 0 — the pre-PR-22 record, whose slot *was* the
+        address: flags, reserved 0, key length, value length, epoch, CRC,
+        key — is refused by fsck and by open, by name, not mis-parsed."""
+        def downgrade(device, store):
+            v0 = struct.pack("<BBHIQI", 1, 0, 3, 48, 1, 0) + b"k00"
+            at = store.catalog.record_address(0)
+            device._content[at : at + len(v0)] = np.frombuffer(v0, np.uint8)
+
+        path, _, _ = snapshot(harness, tmp_path, mutate=downgrade)
+        cause = "segment-indexed catalog written before PR 22"
+        [error] = run_fsck(path, harness).errors
+        assert cause in error
+        with pytest.raises(CatalogLayoutError, match=cause):
+            harness.reopen(NVMDevice.load(path))
 
     def test_crashed_transaction_is_a_warning_not_error(
         self, harness, tmp_path
@@ -112,8 +183,6 @@ class TestCli:
         assert "clean" in capsys.readouterr().out
 
         # Corrupt one live byte and re-save under a new name.
-        from repro.nvm import NVMDevice
-
         live_addr = next(iter(store._live))
         bad = NVMDevice.load(path)
         bad._content[live_addr] ^= 0xFF
