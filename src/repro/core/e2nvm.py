@@ -876,11 +876,10 @@ class E2NVM:
                 raise
 
     def _segment_bits(self, addresses) -> np.ndarray:
-        rows = np.empty((len(addresses), self.input_bits), dtype=np.float64)
+        packed = np.empty((len(addresses), self.segment_size), dtype=np.uint8)
         for i, addr in enumerate(addresses):
-            content = self.controller.peek(addr, self.segment_size)
-            rows[i] = np.unpackbits(content)
-        return rows
+            packed[i] = self.controller.peek(addr, self.segment_size)
+        return np.unpackbits(packed, axis=1).astype(np.float64)
 
     def _note_write_for_ones_fraction(self, count: int = 1) -> None:
         """Periodically re-sample free-segment content so memory-based

@@ -115,6 +115,7 @@ class JointVAEKMeans:
             self.history["joint_loss"].append(float(np.mean(losses)))
             # Refresh the centroids against the moved latent space.
             self.kmeans.fit(self.vae.transform(X))
+        self.vae.release_step_buffers()
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

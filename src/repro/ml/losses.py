@@ -12,26 +12,41 @@ import numpy as np
 _EPS = 1e-7
 
 
-def bernoulli_nll(targets: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
+def bernoulli_nll(
+    targets: np.ndarray, probs: np.ndarray, work: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Binary cross-entropy between 0/1 ``targets`` and probabilities.
 
     Returns ``(loss, grad_wrt_logits)`` — the gradient is w.r.t. the
     *pre-sigmoid logits* (the usual fused form ``probs - targets``), since
     every caller pairs this loss with a sigmoid output.
+
+    ``work``, when given, is a float64 array of shape ``(2, *probs.shape)``
+    the function computes in instead of allocating its temporaries — a
+    training loop passes the same one every step; the returned gradient is
+    then ``work[0]``.
     """
     targets = np.asarray(targets, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     if targets.shape != probs.shape:
         raise ValueError(f"shape mismatch: {targets.shape} vs {probs.shape}")
+    if work is None:
+        work = np.empty((2, *probs.shape))
     batch = max(len(targets), 1)
-    loss = float(
-        -(
-            targets * np.log(probs + _EPS)
-            + (1.0 - targets) * np.log(1.0 - probs + _EPS)
-        ).sum()
-        / batch
-    )
-    grad_logits = (probs - targets) / batch
+    # nll = -(targets * log(probs + eps)
+    #         + (1 - targets) * log(1 - probs + eps)), second term first.
+    term, nll = work
+    np.subtract(1.0, probs, out=term)
+    term += _EPS
+    np.log(term, out=term)
+    term *= np.subtract(1.0, targets, out=nll)
+    np.add(probs, _EPS, out=nll)
+    np.log(nll, out=nll)
+    nll *= targets
+    nll += term
+    loss = float(-nll.sum() / batch)
+    grad_logits = np.subtract(probs, targets, out=term)
+    grad_logits /= batch
     return loss, grad_logits
 
 

@@ -175,6 +175,7 @@ class LSTMPredictor:
             history.append(float(np.mean(losses)))
             if verbose:
                 print(f"lstm epoch {epoch + 1}/{epochs}  loss {history[-1]:.4f}")
+        self.head.release_step_buffers()
         self.trained = True
         return history
 
@@ -187,7 +188,7 @@ class LSTMPredictor:
             )
         seq = window.reshape(1, self.steps, self.chunk_bits)
         h = self.cell.forward(seq)
-        return self.head.forward(h)[0]
+        return self.head.infer(h)[0]
 
     def generate(self, context_bits: np.ndarray, n_bits: int) -> np.ndarray:
         """Continue ``context_bits`` with ``n_bits`` of predicted padding.

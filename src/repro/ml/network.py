@@ -47,11 +47,21 @@ class MLP:
             x = layer.infer(x)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backprop through every layer; returns gradient w.r.t. the input."""
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backprop through every layer; returns the gradient w.r.t. the
+        input (``None`` with ``input_grad=False``, which skips computing
+        it — for a network fed by data rather than by another layer)."""
         for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
+            grad_out = layer.backward(
+                grad_out, input_grad or layer is not self.layers[0]
+            )
         return grad_out
+
+    def release_step_buffers(self) -> None:
+        for layer in self.layers:
+            layer.release_step_buffers()
 
     def zero_grad(self) -> None:
         for layer in self.layers:

@@ -53,6 +53,9 @@ class VAE:
         self.kl_weight = kl_weight
         self._rng = rng_from_seed(seed)
         self._sigmoid = Sigmoid()
+        #: Step buffer of :meth:`train_batch`, sized for the largest batch
+        #: seen: the decoded probabilities and the loss's two work arrays.
+        self._step_buffer: np.ndarray | None = None
 
         hidden = tuple(hidden)
         self.trunk = MLP(
@@ -104,6 +107,9 @@ class VAE:
         both already normalised per batch — to co-train auxiliary objectives.
         """
         x = self._as_batch(x)
+        if self._step_buffer is None or self._step_buffer.shape[1] < len(x):
+            self._step_buffer = np.empty((3, *x.shape))
+        buffers = self._step_buffer[:, : len(x)]
 
         h = self.trunk.forward(x)
         mu = self.mu_head.forward(h)
@@ -113,8 +119,8 @@ class VAE:
         z = mu + eps * std
 
         logits = self.decoder.forward(z)
-        probs = self._sigmoid.forward(logits)
-        bce, dlogits = bernoulli_nll(x, probs)
+        probs = self._sigmoid.forward(logits, out=buffers[0])
+        bce, dlogits = bernoulli_nll(x, probs, work=buffers[1:])
         kl, kl_dmu, kl_dlogvar = gaussian_kl(mu, logvar)
 
         extra_loss = 0.0
@@ -127,7 +133,8 @@ class VAE:
         dmu = dz + self.kl_weight * kl_dmu
         dlogvar = dz * eps * 0.5 * std + self.kl_weight * kl_dlogvar
         dh = self.mu_head.backward(dmu) + self.logvar_head.backward(dlogvar)
-        self.trunk.backward(dh)
+        # The trunk reads data, not a layer: nothing consumes d(loss)/dx.
+        self.trunk.backward(dh, input_grad=False)
         optimizer.step(self.params, self.grads)
 
         total = bce + self.kl_weight * kl + float(extra_loss)
@@ -188,6 +195,7 @@ class VAE:
                     stale_epochs += 1
                     if stale_epochs >= patience:
                         break
+        self.release_step_buffers()
         return history
 
     def evaluate(self, X: np.ndarray, batch_size: int = 256) -> float:
@@ -207,29 +215,29 @@ class VAE:
 
     # -------------------------------------------------------------- plumbing
 
+    @property
+    def _parts(self) -> tuple:
+        """The four sub-networks, in parameter order."""
+        return (self.trunk, self.mu_head, self.logvar_head, self.decoder)
+
     def zero_grad(self) -> None:
-        self.trunk.zero_grad()
-        self.mu_head.zero_grad()
-        self.logvar_head.zero_grad()
-        self.decoder.zero_grad()
+        for part in self._parts:
+            part.zero_grad()
+
+    def release_step_buffers(self) -> None:
+        """Drop the training pass's buffers, here and in every layer; a
+        training loop calls this when it is done (:meth:`fit` does)."""
+        self._step_buffer = None
+        for part in self._parts:
+            part.release_step_buffers()
 
     @property
     def params(self) -> list[np.ndarray]:
-        return (
-            self.trunk.params
-            + self.mu_head.params
-            + self.logvar_head.params
-            + self.decoder.params
-        )
+        return [p for part in self._parts for p in part.params]
 
     @property
     def grads(self) -> list[np.ndarray]:
-        return (
-            self.trunk.grads
-            + self.mu_head.grads
-            + self.logvar_head.grads
-            + self.decoder.grads
-        )
+        return [g for part in self._parts for g in part.grads]
 
     def _as_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

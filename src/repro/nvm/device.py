@@ -264,22 +264,31 @@ class NVMDevice:
         if not 0 <= cfg.immortal_prefix_segments <= self.n_segments:
             raise ValueError("immortal_prefix_segments out of range")
         n_bits = self.capacity_bytes * 8
-        rng = rng_from_seed(cfg.seed)
-        budgets = rng.lognormal(
-            mean=math.log(cfg.endurance_mean),
-            sigma=cfg.endurance_sigma,
-            size=n_bits,
+        self._endurance_budget = self._cell_budgets(
+            cfg.seed, cfg.endurance_mean, cfg.endurance_sigma,
+            cfg.immortal_prefix_segments,
         )
-        self._endurance_budget = np.maximum(budgets, 1.0).astype(np.int64)
-        immortal = cfg.immortal_prefix_segments * self.segment_size * 8
-        if immortal:
-            self._endurance_budget[:immortal] = _IMMORTAL_BUDGET
         self._wear_count = np.zeros(n_bits, dtype=np.int64)
         self._stuck_packed = np.zeros(self.capacity_bytes, dtype=np.uint8)
         self.ecc = ErrorCorrectingPointers(
             self.segment_size, cfg.ecp_entries
         )
         self.health = HealthState()
+
+    def _cell_budgets(
+        self, seed, mean: float, sigma: float, immortal_segments: int
+    ) -> np.ndarray:
+        """One lognormal int64 budget per cell, at least 1; cells of the
+        immortal prefix never run out."""
+        budgets = rng_from_seed(seed).lognormal(
+            mean=math.log(mean), sigma=sigma, size=self.capacity_bytes * 8
+        )
+        # Clamped in place and cast once: each extra pass is a fresh 4 MB
+        # per 64 KiB of media.
+        np.maximum(budgets, 1.0, out=budgets)
+        budgets = budgets.astype(np.int64)
+        budgets[: immortal_segments * self.segment_size * 8] = _IMMORTAL_BUDGET
+        return budgets
 
     def _init_drift(self, cfg: DriftConfig) -> None:
         if cfg.retention_mean < 1:
@@ -289,16 +298,10 @@ class NVMDevice:
         if not 0 <= cfg.immortal_prefix_segments <= self.n_segments:
             raise ValueError("immortal_prefix_segments out of range")
         n_bits = self.capacity_bytes * 8
-        rng = rng_from_seed(cfg.seed)
-        budgets = rng.lognormal(
-            mean=math.log(cfg.retention_mean),
-            sigma=cfg.retention_sigma,
-            size=n_bits,
+        self._drift_budget = self._cell_budgets(
+            cfg.seed, cfg.retention_mean, cfg.retention_sigma,
+            cfg.immortal_prefix_segments,
         )
-        self._drift_budget = np.maximum(budgets, 1.0).astype(np.int64)
-        immortal = cfg.immortal_prefix_segments * self.segment_size * 8
-        if immortal:
-            self._drift_budget[:immortal] = _IMMORTAL_BUDGET
         self._last_program_tick = np.zeros(n_bits, dtype=np.int64)
         self._drift_packed = np.zeros(self.capacity_bytes, dtype=np.uint8)
 

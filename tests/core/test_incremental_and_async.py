@@ -1,5 +1,9 @@
 """Incremental DAP indexing and background retraining (§4.1.4, §5.3)."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.core import E2NVM
@@ -106,6 +110,64 @@ class TestBackgroundRetraining:
         assert engine.dap.free_count() == 128
         addr, _ = engine.write(b"after" * 12 + b"zzzz")
         assert engine.allocated_count == 1
+
+    def test_predictions_are_unmoved_by_a_concurrent_fit(self):
+        """The training pass reuses step buffers; the prediction path must
+        share none of them.  Predictor threads (more than cores) hammer
+        the serving pipeline's ``predict_batch`` while ``train_async``
+        fits and swaps a new model on the same engine: every batch must
+        equal the serial answer."""
+        engine, _ = partial_engine(fraction=1.0, seed=48)
+        serving = engine.pipeline
+        rng = np.random.default_rng(48)
+        batches = [
+            [rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
+             for _ in range(16)]
+            for _ in range(3)
+        ]
+        serial = [serving.predict_batch(batch) for batch in batches]
+        mismatches: list[int] = []
+        rounds = [0] * len(batches)
+        retrains: list[threading.Thread] = []
+        go = threading.Event()
+
+        def predictor(k: int) -> None:
+            go.wait(timeout=60)
+            while rounds[k] < 200 and (
+                rounds[k] < 20 or any(t.is_alive() for t in retrains)
+            ):
+                got = serving.predict_batch(batches[k])
+                if not np.array_equal(got, serial[k]):
+                    mismatches.append(k)
+                rounds[k] += 1
+
+        threads = [
+            threading.Thread(target=predictor, args=(k,))
+            for k in range(len(batches))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            retrains.append(engine.train_async())
+            go.set()
+            for thread in threads + retrains:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + retrains)
+        assert engine.retrain_count == 1
+        assert engine.pipeline is not serving
+        assert min(rounds) >= 20
+        assert mismatches == []
+        # The fitted model kept no step buffer alive.
+        vae = engine.pipeline.model.vae
+        assert vae._step_buffer is None
+        assert all(
+            layer._out_buffer is None
+            for layer in vae.trunk.layers + vae.decoder.layers
+        )
 
     def test_async_retrain_requires_trained_engine(self):
         device = make_device(seed=46)

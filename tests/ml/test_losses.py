@@ -41,6 +41,38 @@ class TestBernoulliNLL:
         with pytest.raises(ValueError):
             bernoulli_nll(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("rows", [64, 5, 0])
+    def test_in_place_form_gives_the_expression_bits(self, rows):
+        """The work-array form is the one-expression form of before PR 23,
+        bit for bit, whether the caller lends the arrays or not — soft
+        targets and saturated probabilities included."""
+        rng = np.random.default_rng(rows)
+        targets = (rng.random((rows, 96)) > 0.5).astype(np.float64)
+        targets[::3] = rng.random(targets[::3].shape)
+        probs = rng.random((rows, 96))
+        probs[:, :4] = [0.0, 1.0, 1e-300, 1.0 - 2**-53]
+        batch = max(rows, 1)
+        eps = 1e-7
+        want_loss = float(
+            -(
+                targets * np.log(probs + eps)
+                + (1.0 - targets) * np.log(1.0 - probs + eps)
+            ).sum()
+            / batch
+        )
+        want_grad = (probs - targets) / batch
+        kept = (targets.copy(), probs.copy())
+        # A work array sized for a larger batch, lent as a leading slice.
+        work = np.full((2, rows + 3, 96), np.nan)
+        for lent in (None, work[:, :rows]):
+            loss, grad = bernoulli_nll(targets, probs, work=lent)
+            assert loss.hex() == want_loss.hex()
+            assert grad.tobytes() == want_grad.tobytes()
+        assert rows == 0 or np.shares_memory(grad, work)
+        assert np.isnan(work[:, rows:]).all()
+        assert targets.tobytes() == kept[0].tobytes()
+        assert probs.tobytes() == kept[1].tobytes()
+
 
 class TestGaussianKL:
     def test_standard_normal_is_zero(self):
