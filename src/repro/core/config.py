@@ -20,7 +20,6 @@ class E2NVMConfig:
         latent_dim: VAE latent width (paper example: 10).
         hidden: encoder trunk widths; the decoder mirrors them.
         gamma: weight of the K-means loss during joint fine-tuning.
-        kl_weight: weight of the KL term in the VAE loss.
         pretrain_epochs: VAE-only epochs before joint training.
         joint_epochs: joint VAE+K-means fine-tuning epochs.
         batch_size: SGD mini-batch size.
@@ -71,12 +70,6 @@ class E2NVMConfig:
             ``placement_telemetry()["student_low_agreement"]`` — making a
             student that will sit dormant behind ``student_confidence``
             visible instead of failing silent.
-        student_epochs / student_lr: distillation schedule of the student
-            head (full-batch softmax regression).
-        place_epoch_retries: lock-free placement retries after a model swap
-            lands mid-prediction before the engine predicts *under* the
-            swap lock — bounding writer latency against a hostile retrain
-            cadence instead of starving.
         seed: seed for every stochastic component.
     """
 
@@ -84,7 +77,6 @@ class E2NVMConfig:
     latent_dim: int = 10
     hidden: tuple[int, ...] = (128, 64)
     gamma: float = 0.1
-    kl_weight: float = 1.0
     pretrain_epochs: int = 8
     joint_epochs: int = 4
     batch_size: int = 64
@@ -105,9 +97,6 @@ class E2NVMConfig:
     student_enabled: bool = False
     student_confidence: float = 0.9
     student_agreement_warn: float = 0.8
-    student_epochs: int = 120
-    student_lr: float = 0.05
-    place_epoch_retries: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -125,10 +114,6 @@ class E2NVMConfig:
             raise ValueError("student_confidence must be in [0, 1]")
         if not 0.0 <= self.student_agreement_warn <= 1.0:
             raise ValueError("student_agreement_warn must be in [0, 1]")
-        if self.student_epochs <= 0:
-            raise ValueError("student_epochs must be positive")
-        if self.place_epoch_retries < 1:
-            raise ValueError("place_epoch_retries must be >= 1")
         self.hidden = tuple(self.hidden)
         if not self.hidden:
             raise ValueError("hidden must name at least one layer width")

@@ -49,6 +49,11 @@ from repro.nvm.device import WriteResult
 from repro.nvm.health import SegmentRetiredError
 from repro.util.rng import rng_from_seed
 
+#: Lock-free placement retries after a model swap lands mid-prediction
+#: before the engine predicts *under* the swap lock — bounding writer
+#: latency against a hostile retrain cadence instead of starving.
+PLACE_EPOCH_RETRIES = 8
+
 
 class E2NVM:
     """Memory-aware write placement over a :class:`MemoryController`.
@@ -327,13 +332,13 @@ class E2NVM:
         pipeline)`` under the swap lock once the model epoch validates.
 
         A swap that landed mid-prediction means the labels belong to a
-        retired model: re-predict, at most ``config.place_epoch_retries``
+        retired model: re-predict, at most :data:`PLACE_EPOCH_RETRIES`
         times.  The final attempt predicts *under* the swap lock, where no
         swap can interleave — slower (the swap worker blocks on us), but a
         hostile retrain cadence delays a caller by at most N forward
         passes instead of starving it.
         """
-        for _ in range(self.config.place_epoch_retries):
+        for _ in range(PLACE_EPOCH_RETRIES):
             pipeline = self.pipeline
             epoch = self._model_epoch
             clusters = self.fast.predict(

@@ -88,8 +88,6 @@ class KVStore:
 
     Args:
         engine: a trained (or to-be-trained) :class:`E2NVM` engine.
-        index: the key → location index; defaults to a red-black tree, as in
-            Figure 3 ("RB-Tree.put(D, A)").
         pool: optional :class:`PersistentPool` enabling the durable,
             transactional write path; prefer :meth:`create`/:meth:`open`
             over passing it directly.
@@ -100,7 +98,6 @@ class KVStore:
     def __init__(
         self,
         engine: E2NVM,
-        index=None,
         *,
         pool: PersistentPool | None = None,
         catalog: PersistentCatalog | None = None,
@@ -108,7 +105,9 @@ class KVStore:
         if (pool is None) != (catalog is None):
             raise ValueError("durable mode needs both pool and catalog")
         self.engine = engine
-        self.index = index if index is not None else RedBlackTree()
+        #: The key → location index: a red-black tree, as in Figure 3
+        #: ("RB-Tree.put(D, A)").
+        self.index = RedBlackTree()
         self.pool = pool
         self.catalog = catalog
         # The one address-keyed DRAM mirror, ``addr → (key, crc, heat,
@@ -162,7 +161,6 @@ class KVStore:
         faults=None,
         key_capacity: int = DEFAULT_KEY_CAPACITY,
         pipeline=None,
-        index=None,
     ) -> "KVStore":
         """Format fresh media and build a durable store over ``pool``.
 
@@ -185,7 +183,7 @@ class KVStore:
             engine.adopt(pipeline, engine.free_addresses())
         else:
             engine.train()
-        return cls(engine, index=index, pool=pool, catalog=catalog)
+        return cls(engine, pool=pool, catalog=catalog)
 
     @classmethod
     def open(
@@ -196,7 +194,6 @@ class KVStore:
         faults=None,
         key_capacity: int = DEFAULT_KEY_CAPACITY,
         pipeline=None,
-        index=None,
     ) -> "KVStore":
         """Re-open an existing store from the media alone (full recovery).
 
@@ -285,7 +282,7 @@ class KVStore:
         else:
             engine.train(addresses=free_addrs)
 
-        store = cls(engine, index=index, pool=pool, catalog=catalog)
+        store = cls(engine, pool=pool, catalog=catalog)
         store._free_records = sorted(
             set(store._free_records) - {e.record for e in taken.values()}
         )
@@ -840,16 +837,6 @@ class KVStore:
             live = self._live[target_addr]
             self._live[target_addr] = (*live[:2], heat, live[3])
         return True
-
-    def placement_telemetry(self) -> dict:
-        """Fast placement layer telemetry for this store's engine.
-
-        PUT/``put_many`` route placement through the engine's two-tier fast
-        layer (fingerprint memo cache, then the distilled student placer)
-        before any model forward pass; this exposes its hit/miss/serve
-        counters for monitoring and benchmarks.
-        """
-        return self.engine.placement_telemetry()
 
     def scan(self, start_key: bytes, end_key: bytes) -> list[tuple[bytes, bytes]]:
         """All (key, value) pairs with start_key <= key <= end_key, in order."""

@@ -28,6 +28,11 @@ from repro.ml.student import StudentPlacer, featurize_bits
 from repro.util.bits import bytes_to_bits, bytes_to_bits_many
 from repro.util.rng import rng_from_seed
 
+#: Distillation schedule of the student head (full-batch softmax
+#: regression): epochs and Adam learning rate.
+STUDENT_EPOCHS = 120
+STUDENT_LR = 0.05
+
 
 class EncoderPipeline:
     """Trainable segment-content → cluster-id model.
@@ -59,7 +64,6 @@ class EncoderPipeline:
             joint_epochs=config.joint_epochs,
             batch_size=config.batch_size,
             lr=config.lr,
-            kl_weight=config.kl_weight,
             seed=self._rng,
         )
         self.tracker = DatasetDistributionTracker()
@@ -158,8 +162,8 @@ class EncoderPipeline:
         student.fit(
             featurize_bits(X, self.input_bits // 8),
             labels,
-            epochs=self.config.student_epochs,
-            lr=self.config.student_lr,
+            epochs=STUDENT_EPOCHS,
+            lr=STUDENT_LR,
         )
         return student
 

@@ -6,6 +6,11 @@ import numpy as np
 
 from repro.util.rng import rng_from_seed
 
+#: Lloyd iteration cap, and the relative inertia improvement below which a
+#: run counts as converged.
+MAX_ITER = 100
+TOL = 1e-4
+
 
 def _pairwise_sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (len(X), len(C))."""
@@ -32,16 +37,12 @@ class KMeans:
     def __init__(
         self,
         n_clusters: int,
-        max_iter: int = 100,
-        tol: float = 1e-4,
         n_init: int = 1,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         if n_clusters <= 0:
             raise ValueError("n_clusters must be positive")
         self.n_clusters = n_clusters
-        self.max_iter = max_iter
-        self.tol = tol
         self.n_init = n_init
         self._rng = rng_from_seed(seed)
         self.cluster_centers_: np.ndarray | None = None
@@ -84,12 +85,12 @@ class KMeans:
         centers = self._init_plus_plus(X)
         prev_inertia = np.inf
         iteration = 0
-        for iteration in range(1, self.max_iter + 1):
+        for iteration in range(1, MAX_ITER + 1):
             dists = _pairwise_sq_distances(X, centers)
             labels = dists.argmin(axis=1)
             inertia = float(dists[np.arange(len(X)), labels].sum())
             if np.isfinite(prev_inertia) and (
-                prev_inertia - inertia <= self.tol * max(prev_inertia, 1e-12)
+                prev_inertia - inertia <= TOL * max(prev_inertia, 1e-12)
             ):
                 # Converged: centers were not moved after this assignment, so
                 # (centers, labels, inertia) are mutually consistent.

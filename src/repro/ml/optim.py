@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Adam's moment decay rates (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+
 
 class SGD:
     """Stochastic gradient descent with optional momentum."""
@@ -38,15 +42,11 @@ class Adam:
     def __init__(
         self,
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
@@ -58,11 +58,11 @@ class Adam:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
+        bias1 = 1.0 - BETA1**self._t
+        bias2 = 1.0 - BETA2**self._t
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

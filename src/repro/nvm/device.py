@@ -135,7 +135,6 @@ class NVMDevice:
         segment_size: allocation/placement granularity used by the storage
             layer (the paper's "memory segment").
         energy_model: cost model for energy accounting.
-        latency_model: cost model for latency accounting.
         track_bit_wear: maintain a per-bit programming counter (8 counters per
             byte of capacity) for wear CDF analysis.
         initial_fill: ``"zero"`` or ``"random"`` initial media content;
@@ -171,7 +170,6 @@ class NVMDevice:
         capacity_bytes: int,
         segment_size: int,
         energy_model: EnergyModel | None = None,
-        latency_model: LatencyModel | None = None,
         track_bit_wear: bool = False,
         initial_fill: str = "zero",
         seed: int | np.random.Generator | None = None,
@@ -191,7 +189,7 @@ class NVMDevice:
         #: Number of fixed-size segments on the device.
         self.n_segments = capacity_bytes // segment_size
         self.energy_model = energy_model or EnergyModel()
-        self.latency_model = latency_model or LatencyModel()
+        self.latency_model = LatencyModel()
         self.faults = faults
         self.stats = DeviceStats()
 
@@ -835,7 +833,6 @@ class NVMDevice:
         cls,
         path,
         energy_model: EnergyModel | None = None,
-        latency_model: LatencyModel | None = None,
         content_buffer=None,
     ) -> "NVMDevice":
         """Restore a device from a :meth:`save` snapshot.
@@ -874,7 +871,6 @@ class NVMDevice:
                 capacity_bytes=capacity,
                 segment_size=segment_size,
                 energy_model=energy_model,
-                latency_model=latency_model,
                 track_bit_wear="bit_wear" in archive,
                 wearout=wearout,
                 drift=drift,

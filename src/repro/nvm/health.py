@@ -55,13 +55,11 @@ class SegmentRetiredError(RuntimeError):
     def __init__(
         self,
         segment: int,
-        message: str | None = None,
         rows=(),
         results=(),
     ) -> None:
         super().__init__(
-            message
-            or f"segment {segment} exceeded its ECP correction capacity"
+            f"segment {segment} exceeded its ECP correction capacity"
         )
         self.segment = segment
         self.rows = list(rows)
@@ -96,7 +94,7 @@ class HealthState:
             sorted(self.reclaimed),
         )
 
-    def restore_arrays(self, retired, retiring, spares, reclaimed=()) -> None:
+    def restore_arrays(self, retired, retiring, spares, reclaimed) -> None:
         self.retired = {int(s) for s in retired}
         self.retiring = {int(s) for s in retiring}
         self.spares = [int(a) for a in spares]

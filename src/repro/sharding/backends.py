@@ -74,14 +74,12 @@ from repro.testing.faults import CrashError
 #: memory.
 _CRASH_EXIT_STATUS = 17
 
-#: Default per-op response deadline (seconds).  ``None`` entries in
-#: ``op_deadlines`` disable the deadline for that op (the heartbeat
-#: watchdog still covers a wedged worker).
+#: Default per-op response deadline (seconds).
 DEFAULT_DEADLINE_S = 60.0
 
-#: Ops whose duration is caller-controlled or legitimately long; their
-#: deadline defaults to unbounded (watchdog-covered) instead of
-#: ``deadline_s``.
+#: Ops whose duration is caller-controlled or legitimately long: their
+#: deadline is this entry (``None`` = unbounded; the heartbeat watchdog
+#: still covers a wedged worker) instead of the backend's ``deadline_s``.
 DEFAULT_OP_DEADLINES: dict[str, float | None] = {
     "wait_retrain": None,
 }
@@ -387,8 +385,7 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
 
     The heartbeat thread starts *before* the build so a worker stuck in
     model training still reads as alive; maintenance workers (scrubber /
-    compactor / retrain ticker) are paused around each foreground op and
-    stopped on clean shutdown."""
+    compactor / retrain ticker) are stopped on clean shutdown."""
     shm = shared_memory.SharedMemory(name=shm_name)
     heartbeat.value = time.monotonic()
     beat_stop = threading.Event()
@@ -414,7 +411,6 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
                 shard.stop_maintenance()
                 conn.send(("ok", None))
                 return
-            shard.pause_maintenance()
             try:
                 result = shard.execute(op, args, kwargs)
             except CrashError:
@@ -428,8 +424,6 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
                 _send_error(conn, exc)
             else:
                 conn.send(("ok", result))
-            finally:
-                shard.resume_maintenance()
     finally:
         beat_stop.set()
         # Release our view of the media: the device's content array is
@@ -472,47 +466,33 @@ class ProcessBackend:
             (``"create"`` or ``"open"``).  Workers build — including model
             training and recovery — **in parallel**: a sharded store
             recovers shard-by-shard on real cores.
-        start_method: multiprocessing start method; default prefers
-            ``fork`` (cheap, inherits the imported stack) and falls back
-            to the platform default elsewhere.
         deadline_s: default per-RPC response deadline; a worker that
             does not answer in time is killed and the call raises
             :class:`ShardHungError`.  ``None`` disables deadlines (the
-            heartbeat watchdog still covers wedged workers).
-        op_deadlines: per-op deadline overrides (``{"op": seconds}``;
-            ``None`` values mean unbounded for that op).  Merged over
-            :data:`DEFAULT_OP_DEADLINES`.
-        kill_grace_s: seconds between SIGTERM and SIGKILL when a worker
-            must die.
-        boot_deadline_s: seconds a fresh worker gets to report ready.
+            heartbeat watchdog still covers wedged workers).  Ops listed
+            in :data:`DEFAULT_OP_DEADLINES` use their entry instead.
+
+    Workers start by ``fork`` where the platform has it (cheap, inherits
+    the imported stack) and by the platform default elsewhere; the
+    SIGTERM→SIGKILL, shutdown and boot budgets are the module's
+    ``DEFAULT_*_S`` constants.
     """
 
     def __init__(
         self,
         specs: list[ShardSpec],
         mode: str,
-        start_method: str | None = None,
         *,
         deadline_s: float | None = DEFAULT_DEADLINE_S,
-        op_deadlines: dict[str, float | None] | None = None,
-        kill_grace_s: float = DEFAULT_KILL_GRACE_S,
-        close_grace_s: float = DEFAULT_CLOSE_GRACE_S,
-        boot_deadline_s: float = DEFAULT_BOOT_DEADLINE_S,
     ) -> None:
         self.specs = list(specs)
         self.deadline_s = deadline_s
-        self.op_deadlines = dict(DEFAULT_OP_DEADLINES)
-        if op_deadlines:
-            self.op_deadlines.update(op_deadlines)
-        self.kill_grace_s = kill_grace_s
-        self.close_grace_s = close_grace_s
-        self.boot_deadline_s = boot_deadline_s
         self.kills = [0] * len(specs)
         self.reopens = [0] * len(specs)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else None
-        self._ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else None
+        )
         self._handles: list[_WorkerHandle] = []
         try:
             for spec in specs:
@@ -535,9 +515,7 @@ class ProcessBackend:
         return len(self._handles)
 
     def _deadline_for(self, op: str) -> float | None:
-        if op in self.op_deadlines:
-            return self.op_deadlines[op]
-        return self.deadline_s
+        return DEFAULT_OP_DEADLINES.get(op, self.deadline_s)
 
     def _spawn(self, handle: _WorkerHandle, mode: str) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -560,7 +538,7 @@ class ProcessBackend:
         handle.hung = False
 
     def _await_ready(self, handle: _WorkerHandle) -> None:
-        status, payload = self._recv(handle, self.boot_deadline_s)
+        status, payload = self._recv(handle, DEFAULT_BOOT_DEADLINE_S)
         if status != "ready":
             raise payload
 
@@ -581,7 +559,7 @@ class ProcessBackend:
         except (EOFError, OSError):
             was_hung = handle.hung
             handle.crashed = True
-            self._join_bounded(handle.process, self.kill_grace_s)
+            self._join_bounded(handle.process, DEFAULT_KILL_GRACE_S)
             if was_hung:
                 raise ShardHungError(
                     [handle.spec.shard_id], deadline
@@ -597,7 +575,7 @@ class ProcessBackend:
             handle.conn.send(message)
         except (BrokenPipeError, OSError):
             handle.crashed = True
-            self._join_bounded(handle.process, self.kill_grace_s)
+            self._join_bounded(handle.process, DEFAULT_KILL_GRACE_S)
             raise ShardCrashedError([handle.spec.shard_id]) from None
 
     @staticmethod
@@ -701,13 +679,13 @@ class ProcessBackend:
         self.kills[shard_id] += 1
         process = handle.process
         if process is None or not process.is_alive():
-            self._join_bounded(process, self.kill_grace_s)
+            self._join_bounded(process, DEFAULT_KILL_GRACE_S)
             return
         process.terminate()
-        process.join(self.kill_grace_s)
+        process.join(DEFAULT_KILL_GRACE_S)
         if process.is_alive():
             process.kill()
-            process.join(self.kill_grace_s)
+            process.join(DEFAULT_KILL_GRACE_S)
 
     def reopen_shard(self, shard_id: int) -> None:
         """Recover a crashed or hung shard: spawn a fresh worker
@@ -716,7 +694,7 @@ class ProcessBackend:
 
         Bounded: a still-running (hung) worker is killed first, every
         join carries a timeout, and the fresh worker's readiness wait is
-        capped by ``boot_deadline_s``."""
+        capped by :data:`DEFAULT_BOOT_DEADLINE_S`."""
         handle = self._handles[shard_id]
         with handle.lock:
             if not handle.crashed and handle.process.is_alive():
@@ -729,7 +707,7 @@ class ProcessBackend:
                 # SIGSTOP'd worker nobody killed yet): end it for real.
                 self.kill_shard(shard_id, hung=handle.hung)
             handle.conn.close()
-            self._join_bounded(handle.process, self.kill_grace_s)
+            self._join_bounded(handle.process, DEFAULT_KILL_GRACE_S)
             self._spawn(handle, "attach")
             self._await_ready(handle)
             self.reopens[shard_id] += 1
@@ -745,19 +723,19 @@ class ProcessBackend:
                 if not handle.crashed and handle.process.is_alive():
                     try:
                         handle.conn.send(("__shutdown__", (), None))
-                        if handle.conn.poll(self.close_grace_s):
+                        if handle.conn.poll(DEFAULT_CLOSE_GRACE_S):
                             handle.conn.recv()
                     except (EOFError, OSError, BrokenPipeError):
                         pass
                 handle.conn.close()
             if handle.process is not None:
-                handle.process.join(self.close_grace_s)
+                handle.process.join(DEFAULT_CLOSE_GRACE_S)
                 if handle.process.is_alive():
                     handle.process.terminate()
-                    handle.process.join(self.kill_grace_s)
+                    handle.process.join(DEFAULT_KILL_GRACE_S)
                 if handle.process.is_alive():
                     handle.process.kill()
-                    handle.process.join(self.kill_grace_s)
+                    handle.process.join(DEFAULT_KILL_GRACE_S)
         for handle in self._handles:
             try:
                 handle.shm.close()

@@ -21,9 +21,9 @@ With ``spec.maintenance`` set, the shard's scrubber/compactor — and a
 *supervised inside the shard's own process* on the shared
 :class:`~repro.nvm.worker.MaintenanceWorker` loop: each worker process
 scrubs its own drift, compacts its own retirements and retrains its own
-model on its own cadence, with no facade broadcast required.  Foreground
-ops gate the loops (``pause_maintenance``/``resume_maintenance``), and
-per-worker loop state rolls up through :meth:`Shard.execute` telemetry.
+model on its own cadence, with no facade broadcast required.
+:meth:`Shard.execute` gates the loops around every foreground op, and
+per-worker loop state rolls up through its telemetry.
 
 Every operation the facade fans out arrives through :meth:`Shard.execute`,
 a single string-keyed dispatch — the request/response pipe protocol of the
@@ -33,7 +33,7 @@ identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.config import E2NVMConfig
 from repro.core.kvstore import KVStore
@@ -45,6 +45,10 @@ from repro.nvm.worker import MaintenanceWorker
 from repro.pmem.catalog import PersistentCatalog
 from repro.pmem.pool import PersistentPool
 from repro.testing.faults import CrashError, FaultInjector
+
+
+#: Sleep between in-shard compaction rounds.
+COMPACT_INTERVAL_S = 0.1
 
 
 class RetrainTicker(MaintenanceWorker):
@@ -92,7 +96,6 @@ class ShardSpec:
             their own background cadence inside the shard's process,
             instead of leaving them manually driven.
         scrub_interval_s: sleep between in-shard scrub rounds.
-        compact_interval_s: sleep between in-shard compaction rounds.
         retrain_interval_s: sleep between retrain-policy consultations
             (``0`` disables the ticker).
         wearout: optional endurance model for the shard's device.  Like
@@ -115,7 +118,6 @@ class ShardSpec:
     compactor: bool = False
     maintenance: bool = False
     scrub_interval_s: float = 0.05
-    compact_interval_s: float = 0.1
     retrain_interval_s: float = 0.0
     wearout: WearOutConfig | None = None
     drift: DriftConfig | None = None
@@ -131,20 +133,9 @@ class ShardSpec:
         ``KVStore.open``'s config; device snapshots carry the wear/drift
         *state* themselves)."""
         return {
-            "shard_id": self.shard_id,
-            "segment_size": self.segment_size,
-            "n_segments": self.n_segments,
-            "durable": self.durable,
-            "log_segments": self.log_segments,
-            "key_capacity": self.key_capacity,
-            "seed": self.seed,
-            "path": self.path,
-            "scrubber": self.scrubber,
-            "compactor": self.compactor,
-            "maintenance": self.maintenance,
-            "scrub_interval_s": self.scrub_interval_s,
-            "compact_interval_s": self.compact_interval_s,
-            "retrain_interval_s": self.retrain_interval_s,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("config", "wearout", "drift")
         }
 
 
@@ -256,7 +247,7 @@ class Shard:
                 )
             if spec.compactor:
                 shard.maintenance_workers.append(
-                    Compactor(store, interval_s=spec.compact_interval_s)
+                    Compactor(store, interval_s=COMPACT_INTERVAL_S)
                 )
         if spec.maintenance and spec.retrain_interval_s > 0:
             shard.maintenance_workers.append(
@@ -270,17 +261,15 @@ class Shard:
 
     # -------------------------------------------------------- maintenance
 
-    def start_maintenance(self) -> int:
-        """Start every attached maintenance loop (idempotent per worker);
-        returns how many are running."""
+    def start_maintenance(self) -> None:
+        """Start every attached maintenance loop (idempotent per worker)."""
         for worker in self.maintenance_workers:
             worker.start()
-        return sum(w.running for w in self.maintenance_workers)
 
-    def stop_maintenance(self, timeout: float | None = 5.0) -> None:
+    def stop_maintenance(self) -> None:
         """Stop and join every maintenance loop (bounded joins)."""
         for worker in self.maintenance_workers:
-            worker.stop(timeout)
+            worker.stop()
 
     def pause_maintenance(self) -> None:
         """Gate the loops around a foreground op: no *new* round starts
@@ -300,11 +289,17 @@ class Shard:
 
     def execute(self, op: str, args: tuple = (), kwargs: dict | None = None):
         """Run one facade operation; the single entry point both backends
-        use, so in-process and worker-process shards behave identically."""
+        use, so in-process and worker-process shards behave identically —
+        the maintenance loops are gated around the op here, not by the
+        caller."""
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             raise ValueError(f"unknown shard op {op!r}")
-        return handler(*args, **(kwargs or {}))
+        self.pause_maintenance()
+        try:
+            return handler(*args, **(kwargs or {}))
+        finally:
+            self.resume_maintenance()
 
     # Operations.  Results must be picklable (they cross the process
     # backend's response pipe).
@@ -390,24 +385,6 @@ class Shard:
         """Advance this shard's retention clock (drift model); returns
         newly drifted cells."""
         return self.device.advance_time(ticks)
-
-    def _op_scrub_round(self) -> dict:
-        """One synchronous scrub round (manual drive / tests)."""
-        if self.store.scrubber is None:
-            raise RuntimeError("shard has no scrubber attached")
-        return self.store.scrubber.scrub_round()
-
-    def _op_start_maintenance(self) -> int:
-        return self.start_maintenance()
-
-    def _op_stop_maintenance(self, timeout: float | None = 5.0) -> None:
-        self.stop_maintenance(timeout)
-
-    def _op_pause_maintenance(self) -> None:
-        self.pause_maintenance()
-
-    def _op_resume_maintenance(self) -> None:
-        self.resume_maintenance()
 
     def _op_maintenance_info(self) -> list[dict]:
         return self.maintenance_info()

@@ -48,6 +48,8 @@ from pathlib import Path
 
 from repro.core.config import E2NVMConfig
 from repro.sharding.backends import (
+    DEFAULT_CLOSE_GRACE_S,
+    DEFAULT_DEADLINE_S,
     InProcessBackend,
     ProcessBackend,
     ShardUnavailableError,
@@ -65,6 +67,10 @@ DEGRADED_MODES = ("fail_fast", "partial", "block")
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+
+#: Per-shard manifest keys of settings that have since become constants.
+#: A manifest written before still opens: the key is dropped by name.
+_RETIRED_SHARD_KEYS = ("compact_interval_s",)
 
 #: Aggregate-by-sum keys of each shard's placement telemetry.
 _PLACEMENT_SUM_KEYS = (
@@ -179,28 +185,6 @@ def aggregate_telemetry(shard_telemetries: list[dict]) -> dict:
     return out
 
 
-def _make_backend(
-    specs: list[ShardSpec],
-    mode: str,
-    backend: str,
-    start_method,
-    deadline_s: float | None,
-    op_deadlines: dict | None,
-):
-    if backend == "inprocess":
-        # Deadlines are an RPC concept; in-process calls run on the
-        # caller's thread and cannot be usefully timed out.
-        return InProcessBackend(specs, mode)
-    if backend == "process":
-        kwargs: dict = {"start_method": start_method}
-        if deadline_s is not None:
-            kwargs["deadline_s"] = deadline_s
-        if op_deadlines is not None:
-            kwargs["op_deadlines"] = op_deadlines
-        return ProcessBackend(specs, mode, **kwargs)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def _per_shard(
     template: ShardSpec, n_shards: int, base_seed: int, root: Path | None
 ) -> list[ShardSpec]:
@@ -262,10 +246,10 @@ class ShardedKVStore:
         backend,
         ring: HashRing,
         specs: list[ShardSpec],
-        root: Path | None = None,
-        backend_name: str = "inprocess",
-        degraded: str = "fail_fast",
-        block_timeout_s: float = 30.0,
+        root: Path | None,
+        backend_name: str,
+        degraded: str,
+        block_timeout_s: float,
     ) -> None:
         if degraded not in DEGRADED_MODES:
             raise ValueError(
@@ -320,23 +304,22 @@ class ShardedKVStore:
         scrubber: bool = False,
         compactor: bool = False,
         base_seed: int = 7,
-        start_method: str | None = None,
         maintenance: bool = False,
         scrub_interval_s: float = 0.05,
-        compact_interval_s: float = 0.1,
         retrain_interval_s: float = 0.0,
         wearout=None,
         drift=None,
         degraded: str = "fail_fast",
         block_timeout_s: float = 30.0,
-        deadline_s: float | None = None,
-        op_deadlines: dict | None = None,
+        deadline_s: float | None = DEFAULT_DEADLINE_S,
     ) -> "ShardedKVStore":
         """Create a durable sharded store under directory ``root``.
 
         Formats ``n_shards`` fresh shard slices (each trains its own
         engine — in parallel under the process backend) and writes the
         manifest.  Device snapshot files appear on :meth:`close`.
+        ``deadline_s`` is the process backend's per-RPC response budget
+        (see :class:`~repro.sharding.backends.ProcessBackend`).
         """
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
@@ -355,22 +338,13 @@ class ShardedKVStore:
             compactor=compactor,
             maintenance=maintenance,
             scrub_interval_s=scrub_interval_s,
-            compact_interval_s=compact_interval_s,
             retrain_interval_s=retrain_interval_s,
             wearout=wearout,
             drift=drift,
         )
-        specs = _per_shard(template, n_shards, base_seed, root)
-        store = cls(
-            _make_backend(
-                specs, "create", backend, start_method, deadline_s, op_deadlines
-            ),
-            ring,
-            specs,
-            root=root,
-            backend_name=backend,
-            degraded=degraded,
-            block_timeout_s=block_timeout_s,
+        store = cls._assemble(
+            _per_shard(template, n_shards, base_seed, root), "create", ring,
+            root, backend, degraded, block_timeout_s, deadline_s,
         )
         store._write_manifest()
         return store
@@ -384,21 +358,14 @@ class ShardedKVStore:
         n_segments_per_shard: int = 128,
         config: E2NVMConfig | None = None,
         backend: str = "inprocess",
-        ring_seed: int = 0,
-        vnodes: int = 128,
-        weights=None,
         base_seed: int = 7,
-        start_method: str | None = None,
-        maintenance: bool = False,
-        retrain_interval_s: float = 0.0,
         degraded: str = "fail_fast",
         block_timeout_s: float = 30.0,
-        deadline_s: float | None = None,
-        op_deadlines: dict | None = None,
+        deadline_s: float | None = DEFAULT_DEADLINE_S,
     ) -> "ShardedKVStore":
-        """Create a volatile sharded store (no pool/catalog, no manifest) —
-        the benchmark configuration."""
-        ring = HashRing(n_shards, seed=ring_seed, vnodes=vnodes, weights=weights)
+        """Create a volatile sharded store (no pool/catalog, no manifest,
+        no maintenance loops, the default ring) — the benchmark
+        configuration."""
         template = ShardSpec(
             shard_id=0,
             segment_size=segment_size,
@@ -407,20 +374,11 @@ class ShardedKVStore:
             log_segments=0,
             key_capacity=0,
             config=config if config is not None else E2NVMConfig(),
-            maintenance=maintenance,
-            retrain_interval_s=retrain_interval_s,
         )
-        specs = _per_shard(template, n_shards, base_seed, None)
-        return cls(
-            _make_backend(
-                specs, "create", backend, start_method, deadline_s, op_deadlines
-            ),
-            ring,
-            specs,
-            root=None,
-            backend_name=backend,
-            degraded=degraded,
-            block_timeout_s=block_timeout_s,
+        return cls._assemble(
+            _per_shard(template, n_shards, base_seed, None), "create",
+            HashRing(n_shards), None, backend, degraded, block_timeout_s,
+            deadline_s,
         )
 
     @classmethod
@@ -430,14 +388,12 @@ class ShardedKVStore:
         *,
         config: E2NVMConfig | None = None,
         backend: str | None = None,
-        start_method: str | None = None,
         maintenance: bool | None = None,
         wearout=None,
         drift=None,
         degraded: str = "fail_fast",
         block_timeout_s: float = 30.0,
-        deadline_s: float | None = None,
-        op_deadlines: dict | None = None,
+        deadline_s: float | None = DEFAULT_DEADLINE_S,
     ) -> "ShardedKVStore":
         """Reopen the store at ``root`` from its manifest: identical ring
         (same routing for every key) and full per-shard recovery — undo
@@ -457,39 +413,53 @@ class ShardedKVStore:
                 f"manifest version {manifest.get('version')} not supported"
             )
         ring = HashRing(**manifest["ring"])
-        specs = [
-            ShardSpec(
-                config=config if config is not None else E2NVMConfig(),
-                wearout=wearout,
-                drift=drift,
-                **(
-                    entry
-                    if maintenance is None
-                    else {**entry, "maintenance": maintenance}
-                ),
-            )
-            for entry in manifest["shards"]
-        ]
+        code_carried = {
+            "config": config if config is not None else E2NVMConfig(),
+            "wearout": wearout,
+            "drift": drift,
+        }
+        specs = []
+        for entry in manifest["shards"]:
+            # An unknown key still raises (``ShardSpec`` refuses it); a
+            # retired one is a setting that has since become a constant.
+            entry = {
+                k: v for k, v in entry.items() if k not in _RETIRED_SHARD_KEYS
+            }
+            if maintenance is not None:
+                entry["maintenance"] = maintenance
+            specs.append(ShardSpec(**entry, **code_carried))
         if len(specs) != ring.n_shards:
             raise ValueError(
                 f"manifest lists {len(specs)} shards but the ring expects "
                 f"{ring.n_shards}"
             )
-        backend_name = backend or manifest.get("backend", "inprocess")
-        store = cls(
-            _make_backend(
-                specs, "open", backend_name, start_method, deadline_s,
-                op_deadlines,
-            ),
-            ring,
-            specs,
-            root=root,
-            backend_name=backend_name,
-            degraded=degraded,
-            block_timeout_s=block_timeout_s,
+        store = cls._assemble(
+            specs, "open", ring, root,
+            backend or manifest.get("backend", "inprocess"),
+            degraded, block_timeout_s, deadline_s,
         )
         store._resume_rebalance()
         return store
+
+    @classmethod
+    def _assemble(
+        cls, specs, mode, ring, root, backend, degraded, block_timeout_s,
+        deadline_s,
+    ) -> "ShardedKVStore":
+        """Backend + ring + facade, put together in one place: ``create``,
+        ``create_volatile`` and ``open`` differ only in where their specs
+        and their ring come from."""
+        if backend == "inprocess":
+            # Deadlines are an RPC concept; in-process calls run on the
+            # caller's thread and cannot be usefully timed out.
+            built = InProcessBackend(specs, mode)
+        elif backend == "process":
+            built = ProcessBackend(specs, mode, deadline_s=deadline_s)
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
+        return cls(
+            built, ring, specs, root, backend, degraded, block_timeout_s
+        )
 
     def _resume_rebalance(self) -> None:
         """Roll an unfinished ``rebalance.json`` forward on open.
@@ -561,7 +531,6 @@ class ShardedKVStore:
         self,
         *,
         weights=None,
-        vnodes: int | None = None,
         batch_size: int = 32,
     ) -> Rebalancer:
         """Plan a rebalance to a re-weighted ring and enter dual routing.
@@ -575,10 +544,10 @@ class ShardedKVStore:
             reb.drain_until_done()                                # drain
             reb.finalize()                                        # flip
 
-        Only the ring's weights and vnodes may change — the shard count
-        is fixed (growing the fleet is a different operation: it needs new
-        media, not just new routing).  Durable stores only: the journal
-        is what makes a mid-migration crash recoverable."""
+        Only the ring's weights change — the shard count is fixed (growing
+        the fleet is a different operation: it needs new media, not just
+        new routing).  Durable stores only: the journal is what makes a
+        mid-migration crash recoverable."""
         if self.root is None:
             raise RebalanceError(
                 "volatile stores cannot rebalance (no directory to journal "
@@ -588,12 +557,7 @@ class ShardedKVStore:
             raise RebalanceInProgressError(
                 "a rebalance is already in flight; finalize it first"
             )
-        new_ring = HashRing(
-            self.ring.n_shards,
-            seed=self.ring.seed,
-            vnodes=self.ring.vnodes if vnodes is None else vnodes,
-            weights=weights,
-        )
+        new_ring = self.ring.with_weights(weights)
         if new_ring.describe() == self.ring.describe():
             raise RebalanceError(
                 "new ring routes identically to the current one; nothing "
@@ -893,21 +857,6 @@ class ShardedKVStore:
 
     # ------------------------------------------------------------- maintenance
 
-    def start_maintenance(self) -> list[int]:
-        """Start each shard's in-worker maintenance loops (scrubber,
-        compactor, retrain ticker — whatever the spec attached); returns
-        per-shard running counts."""
-        return self._broadcast("start_maintenance")
-
-    def stop_maintenance(self, timeout: float | None = 5.0) -> list:
-        return self._broadcast("stop_maintenance", timeout)
-
-    def pause_maintenance(self) -> list:
-        return self._broadcast("pause_maintenance")
-
-    def resume_maintenance(self) -> list:
-        return self._broadcast("resume_maintenance")
-
     def maintenance_info(self) -> list[list[dict]]:
         """Per-shard maintenance-loop snapshots (name, running, paused,
         rounds completed, last error) — the facade-level rollup of each
@@ -982,9 +931,7 @@ class ShardedKVStore:
         try:
             if self.root is not None:
                 try:
-                    self.save(
-                        deadline=getattr(self.backend, "close_grace_s", ...)
-                    )
+                    self.save(deadline=DEFAULT_CLOSE_GRACE_S)
                 except ShardUnavailableError:
                     pass  # dead/hung shards can't snapshot; recovery covers them
         finally:

@@ -19,7 +19,7 @@ compactor:
   reopened automatically: a fresh worker re-attaches to the surviving
   shared-memory media and runs ordinary undo-log recovery.  Failed
   reopen attempts back off exponentially (``backoff_base_s`` doubling up
-  to ``backoff_cap_s``).
+  to :data:`BACKOFF_CAP_S`).
 - **Restart budget + circuit breaker** — each instability episode gets at
   most ``restart_budget`` reopen attempts.  A shard that exhausts the
   budget trips its per-shard breaker to ``open``: the supervisor stops
@@ -44,6 +44,9 @@ from dataclasses import dataclass, field
 
 from repro.nvm.worker import MaintenanceWorker
 from repro.sharding.backends import ShardUnavailableError
+
+#: Ceiling of the exponential backoff between failed reopen attempts.
+BACKOFF_CAP_S = 2.0
 
 
 class ShardCircuitOpenError(ShardUnavailableError):
@@ -118,7 +121,7 @@ class ShardSupervisor(MaintenanceWorker):
         restart_budget: reopen attempts per instability episode before
             the breaker trips.
         backoff_base_s: first retry delay after a failed reopen; doubles
-            per failure up to ``backoff_cap_s``.
+            per failure up to :data:`BACKOFF_CAP_S`.
         stable_after_s: a shard alive this long after its last reopen has
             its episode counter reset (the next fault starts a fresh
             budget).
@@ -133,7 +136,6 @@ class ShardSupervisor(MaintenanceWorker):
         heartbeat_timeout_s: float = 1.0,
         restart_budget: int = 3,
         backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
         stable_after_s: float = 5.0,
         auto_start: bool = False,
     ) -> None:
@@ -147,7 +149,6 @@ class ShardSupervisor(MaintenanceWorker):
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.restart_budget = restart_budget
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.stable_after_s = stable_after_s
         self.health = [
             ShardHealth(shard_id) for shard_id in range(store.n_shards)
@@ -286,7 +287,7 @@ class ShardSupervisor(MaintenanceWorker):
         except Exception as exc:  # noqa: BLE001 - supervision must survive
             health.last_error = repr(exc)
             backoff = min(
-                self.backoff_cap_s,
+                BACKOFF_CAP_S,
                 self.backoff_base_s * (2 ** (health.attempts - 1)),
             )
             health.next_retry_at = now + backoff

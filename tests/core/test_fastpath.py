@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.e2nvm import PLACE_EPOCH_RETRIES
 from repro.core.fastpath import FastPlacementLayer, PlacementCache, fingerprint
 from repro.nvm import MemoryController
 
@@ -438,7 +439,7 @@ class TestBoundedEpochRetries:
         del engine.pipeline.predict_batch  # restore before the release
         engine.release(addr)
         # N lock-free retries plus the final under-lock prediction.
-        assert len(forward_passes) == engine.config.place_epoch_retries + 1
+        assert len(forward_passes) == PLACE_EPOCH_RETRIES + 1
 
     def test_release_many_terminates_under_hostile_swap_cadence(self):
         engine = make_engine(seed=13, fastpath_cache_size=0)
@@ -453,7 +454,7 @@ class TestBoundedEpochRetries:
 
         engine.pipeline.predict_batch = hostile
         engine.release(addr)  # must terminate
-        assert len(calls) == engine.config.place_epoch_retries + 1
+        assert len(calls) == PLACE_EPOCH_RETRIES + 1
         assert engine.allocated_count == 0
 
     def test_writer_makes_progress_while_model_swaps_in_tight_loop(self):

@@ -23,6 +23,10 @@ from repro.sharding import (
     ShardHungError,
     ShardSupervisor,
 )
+from repro.sharding.backends import (
+    DEFAULT_CLOSE_GRACE_S,
+    DEFAULT_KILL_GRACE_S,
+)
 
 pytestmark = pytest.mark.sharding
 
@@ -95,7 +99,7 @@ class TestWatchdog:
                 store.backend.call(2, "get", (b"k",), deadline=deadline)
             elapsed = time.monotonic() - t0
             # deadline + SIGTERM grace + SIGKILL grace, with slack.
-            bound = deadline + 2 * store.backend.kill_grace_s + 1.0
+            bound = deadline + 2 * DEFAULT_KILL_GRACE_S + 1.0
             assert elapsed < bound
             # The shard is killed (pipe desynchronised ⇒ unusable) and
             # reopen recovers it from the surviving media.
@@ -220,7 +224,7 @@ class TestBoundedTeardown:
         """Satellite: close() must escalate SIGTERM→SIGKILL instead of
         joining a stopped worker forever."""
         store = _create(tmp_path)
-        grace = store.backend.close_grace_s + 2 * store.backend.kill_grace_s
+        grace = DEFAULT_CLOSE_GRACE_S + 2 * DEFAULT_KILL_GRACE_S
         store.put_many(_items(12))
         os.kill(store.backend.worker_pid(1), signal.SIGSTOP)
         t0 = time.monotonic()

@@ -19,6 +19,7 @@ from repro.core.e2nvm import E2NVM
 from repro.core.kvstore import KVStore
 from repro.nvm.controller import MemoryController
 from repro.nvm.device import NVMDevice
+from repro.nvm.worker import MaintenanceWorker
 from repro.pmem.catalog import PersistentCatalog
 from repro.pmem.pool import PersistentPool
 from repro.sharding import ShardedKVStore
@@ -190,6 +191,28 @@ class TestFacadeOps:
         )
 
 
+class TestMaintenanceGate:
+    def test_in_process_ops_gate_the_maintenance_loops(self):
+        """``Shard.execute`` is the one body both backends run: the loops
+        are paused for the length of an op — raising ops included — on the
+        in-process backend too, not only inside a worker process."""
+        worker = MaintenanceWorker(interval_s=0.01, name="recording")
+        with ShardedKVStore.create_volatile(
+            1,
+            segment_size=SEGMENT_SIZE,
+            n_segments_per_shard=N_SEGMENTS,
+            config=_config(),
+        ) as store:
+            shard = store.backend.shard(0)
+            shard.maintenance_workers.append(worker)
+            shard._op_probe = lambda: worker.paused
+            assert store.backend.call(0, "probe") is True
+            assert worker.paused is False
+            with pytest.raises(ValueError):
+                store.backend.call(0, "save")  # volatile: no snapshot path
+            assert worker.paused is False
+
+
 class TestManifest:
     def test_create_close_open_round_trip(self, tmp_path):
         root = tmp_path / "store"
@@ -224,6 +247,76 @@ class TestManifest:
     def test_open_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ShardedKVStore.open(tmp_path / "nope")
+
+    def _durable(self, root, **kwargs):
+        return ShardedKVStore.create(
+            root,
+            2,
+            segment_size=SEGMENT_SIZE,
+            n_segments_per_shard=N_SEGMENTS,
+            config=_config(),
+            log_segments=4,
+            key_capacity=16,
+            **kwargs,
+        )
+
+    def test_open_maintenance_overrides_the_manifest_flag(self, tmp_path):
+        def running(store):
+            return [[w["running"] for w in ws] for ws in store.maintenance_info()]
+
+        root = tmp_path / "store"
+        with self._durable(root, scrubber=True) as store:
+            assert running(store) == [[False], [False]]
+        with ShardedKVStore.open(
+            root, config=_config(), maintenance=True
+        ) as store:
+            assert running(store) == [[True], [True]]
+        # An override is not written back: the manifest's flag stands.
+        with ShardedKVStore.open(root, config=_config()) as store:
+            assert running(store) == [[False], [False]]
+
+    def test_manifest_written_before_a_setting_was_retired_still_opens(
+        self, tmp_path
+    ):
+        """A per-shard entry as the parent of the surface PR wrote it:
+        ``compact_interval_s`` has since become a constant and is dropped
+        by name; a key nobody ever wrote is still refused."""
+        root = tmp_path / "store"
+        items = _trace(16)
+        with self._durable(root, ring_seed=42) as store:
+            store.put_many(items)
+        shard_entry = """{
+          "shard_id": %d, "segment_size": 64, "n_segments": 96,
+          "durable": true, "log_segments": 4, "key_capacity": 16,
+          "seed": %d, "path": %s,
+          "scrubber": false, "compactor": false, "maintenance": false,
+          "scrub_interval_s": 0.05, "compact_interval_s": 0.1,
+          "retrain_interval_s": 0.0%s
+        }"""
+        manifest = """{
+          "version": 1,
+          "ring": {"n_shards": 2, "seed": 42, "vnodes": 128},
+          "backend": "inprocess",
+          "shards": [%s, %s]
+        }"""
+
+        def write_manifest(extra=""):
+            entries = [
+                shard_entry
+                % (i, 7 + i, json.dumps(str(root / f"shard-{i}.npz")), extra)
+                for i in range(2)
+            ]
+            (root / MANIFEST_NAME).write_text(manifest % tuple(entries))
+
+        write_manifest()
+        with ShardedKVStore.open(root, config=_config()) as reopened:
+            assert reopened.get_many([k for k, _ in items]) == [
+                v for _, v in items
+            ]
+
+        write_manifest(', "compact_budget": 4')
+        with pytest.raises(TypeError, match="compact_budget"):
+            ShardedKVStore.open(root, config=_config())
 
 
 def _shard_telemetry(

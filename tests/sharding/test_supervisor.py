@@ -88,6 +88,20 @@ class TestSupervisorHealing:
             sup.run_once()  # healthy + stable_after elapsed: episode over
             assert sup.health[0].attempts == 0
 
+    def test_failed_reopen_backs_off_before_the_next_attempt(self):
+        with _store() as store:
+            sup = _supervisor(store, backoff_base_s=0.5)
+            store.backend.inject_crash(0)
+            store.backend.inject_reopen_failures(0, 1)
+            failed_at = time.monotonic()
+            sup.run_once()  # attempt 1 fails: the next one waits 0.5 s
+            sup.run_once()  # inside the window: no attempt is burned
+            assert sup.health[0].attempts == 1
+            assert not store.shard_alive(0)
+            assert sup.await_healthy(timeout=5.0)
+            assert time.monotonic() - failed_at >= 0.5
+            assert sup.health[0].attempts == 2
+
     def test_await_healthy_runs_rounds_inline(self):
         with _store() as store:
             sup = _supervisor(store)
