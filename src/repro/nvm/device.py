@@ -18,10 +18,10 @@ counters (needed for the Figure 19 wear CDFs) are optional because they cost
 
 With a :class:`WearOutConfig` the device additionally models *endurance
 exhaustion*: every cell draws a per-cell endurance budget (lognormal
-variation around the configured mean, seeded) and, once its programming
-count exceeds that budget, becomes **stuck-at** its current value —
-subsequent programming pulses to it silently fail and reads return the
-stuck value.  The device then also carries an
+variation around the configured mean, seeded), counts its program pulses
+down from it and, once none are left, becomes **stuck-at** its current
+value — subsequent programming pulses to it silently fail and reads return
+the stuck value.  The device then also carries an
 :class:`~repro.nvm.ecc.ErrorCorrectingPointers` table and a
 :class:`~repro.nvm.health.HealthState` (both persisted by
 :meth:`NVMDevice.save`); the controller's verify-after-write path uses them
@@ -43,7 +43,7 @@ by rewriting ``sensed XOR drift_mask``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +58,12 @@ from repro.util.rng import rng_from_seed
 
 #: Budget assigned to cells exempted from wear-out (``immortal_prefix``).
 _IMMORTAL_BUDGET = np.int64(2**62)
+#: Snapshot keys of the ECP table and of the health state, in the order
+#: their ``state_arrays`` / ``snapshot_arrays`` return them.
+_ECP_KEYS = ("ecp_segments", "ecp_offsets", "ecp_values")
+_HEALTH_KEYS = (
+    "health_retired", "health_retiring", "health_spares", "health_reclaimed"
+)
 
 
 @dataclass(frozen=True)
@@ -200,28 +206,20 @@ class NVMDevice:
                     f"content_buffer of {backing.size} B cannot back "
                     f"{capacity_bytes} B of media"
                 )
-            self._content = backing[:capacity_bytes]
-            if initial_fill == "zero":
-                self._content[:] = 0
-            elif initial_fill == "random":
-                rng = rng_from_seed(seed)
-                self._content[:] = rng.integers(
-                    0, 256, size=capacity_bytes, dtype=np.uint8
-                )
-            elif initial_fill != "keep":
-                raise ValueError(f"unknown initial_fill {initial_fill!r}")
-        elif initial_fill == "zero":
-            self._content = np.zeros(capacity_bytes, dtype=np.uint8)
-        elif initial_fill == "random":
-            rng = rng_from_seed(seed)
-            self._content = rng.integers(
-                0, 256, size=capacity_bytes, dtype=np.uint8
-            )
         elif initial_fill == "keep":
             raise ValueError(
                 'initial_fill="keep" needs a content_buffer to keep'
             )
         else:
+            backing = np.empty(capacity_bytes, dtype=np.uint8)
+        self._content = backing[:capacity_bytes]
+        if initial_fill == "zero":
+            self._content[:] = 0
+        elif initial_fill == "random":
+            self._content[:] = rng_from_seed(seed).integers(
+                0, 256, size=capacity_bytes, dtype=np.uint8
+            )
+        elif initial_fill != "keep":
             raise ValueError(f"unknown initial_fill {initial_fill!r}")
 
         self.segment_write_count = np.zeros(self.n_segments, dtype=np.int64)
@@ -230,8 +228,10 @@ class NVMDevice:
             self._bit_wear = np.zeros(capacity_bytes * 8, dtype=np.int64)
 
         self.wearout = wearout
-        self._wear_count: np.ndarray | None = None
-        self._endurance_budget: np.ndarray | None = None
+        # Program pulses each cell has left before it sticks: the endurance
+        # draw, counted down.  A cell's wear is its redrawn budget minus
+        # this (:meth:`wear_count`), so the budget itself is not kept.
+        self._pulses_left: np.ndarray | None = None
         self._stuck_packed: np.ndarray | None = None
         # Cells set in ``_stuck_packed`` / ``_drift_packed``, kept where
         # cells die, drift and heal: an overlay with nothing to say (no
@@ -261,23 +261,24 @@ class NVMDevice:
             raise ValueError("endurance_mean must be at least 1")
         if not 0 <= cfg.immortal_prefix_segments <= self.n_segments:
             raise ValueError("immortal_prefix_segments out of range")
-        n_bits = self.capacity_bytes * 8
-        self._endurance_budget = self._cell_budgets(
-            cfg.seed, cfg.endurance_mean, cfg.endurance_sigma,
-            cfg.immortal_prefix_segments,
-        )
-        self._wear_count = np.zeros(n_bits, dtype=np.int64)
+        self._pulses_left = self._cell_budgets(cfg)
         self._stuck_packed = np.zeros(self.capacity_bytes, dtype=np.uint8)
         self.ecc = ErrorCorrectingPointers(
             self.segment_size, cfg.ecp_entries
         )
         self.health = HealthState()
 
-    def _cell_budgets(
-        self, seed, mean: float, sigma: float, immortal_segments: int
-    ) -> np.ndarray:
-        """One lognormal int64 budget per cell, at least 1; cells of the
-        immortal prefix never run out."""
+    def _cell_budgets(self, cfg) -> np.ndarray:
+        """One lognormal int64 budget per cell, at least 1, drawn from
+        ``cfg`` (a :class:`WearOutConfig` or :class:`DriftConfig`: both
+        lead with mean, sigma, seed and end with the immortal prefix);
+        cells of the immortal prefix never run out.  A pure function of
+        ``cfg`` and the geometry — budgets are redrawn when needed, never
+        stored — so the seed must be an int (no OS entropy, no shared
+        stream)."""
+        mean, sigma, seed, _, immortal_segments = astuple(cfg)
+        if not isinstance(seed, (int, np.integer)):
+            raise TypeError(f"budget seed must be an int, not {seed!r}")
         budgets = rng_from_seed(seed).lognormal(
             mean=math.log(mean), sigma=sigma, size=self.capacity_bytes * 8
         )
@@ -295,12 +296,10 @@ class NVMDevice:
             raise ValueError("wear_scale must be non-negative")
         if not 0 <= cfg.immortal_prefix_segments <= self.n_segments:
             raise ValueError("immortal_prefix_segments out of range")
-        n_bits = self.capacity_bytes * 8
-        self._drift_budget = self._cell_budgets(
-            cfg.seed, cfg.retention_mean, cfg.retention_sigma,
-            cfg.immortal_prefix_segments,
+        self._drift_budget = self._cell_budgets(cfg)
+        self._last_program_tick = np.zeros(
+            self.capacity_bytes * 8, dtype=np.int64
         )
-        self._last_program_tick = np.zeros(n_bits, dtype=np.int64)
         self._drift_packed = np.zeros(self.capacity_bytes, dtype=np.uint8)
 
     def detach_buffer(self) -> None:
@@ -464,7 +463,7 @@ class NVMDevice:
 
         if self._bit_wear is not None:
             self._bit_wear[cells] += 1
-        if self._wear_count is not None:
+        if self._pulses_left is not None:
             self._note_wear(cells)
 
         return WriteResult(
@@ -536,7 +535,7 @@ class NVMDevice:
             # Rows never overlap, so one pass over the whole batch writes,
             # charges and kills exactly the cells a row loop would.
             flips = self._apply_masked(addrs, new, masks, cells)
-            if self._wear_count is not None:
+            if self._pulses_left is not None:
                 self._note_wear(cells)
         else:
             # Fire the fault site and persist row by row, in row order, so
@@ -553,7 +552,7 @@ class NVMDevice:
                 flips[i] = self._apply_masked(
                     addr, new[i], masks[i], row_cells[i]
                 )
-                if self._wear_count is not None:
+                if self._pulses_left is not None:
                     self._note_wear(row_cells[i])
 
         bits_flipped = popcount_rows(flips)
@@ -609,17 +608,17 @@ class NVMDevice:
 
     def _note_wear(self, cells: np.ndarray) -> None:
         """Charge one program cycle to every pulsed cell (``cells``:
-        distinct absolute bit indices) and mark cells whose budget is now
-        exhausted as stuck (at their current value).
+        distinct absolute bit indices) and mark cells with no pulses left
+        as stuck (at their current value).
 
         The exhausting pulse itself still landed — a cell fails *after*
         reaching its budget, so subsequent programs are the ones that
         silently fail.  Fires ``"device.stuck_at"`` once per call that
         kills at least one new cell.
         """
-        worn = self._wear_count[cells] + 1
-        self._wear_count[cells] = worn
-        exhausted = worn >= self._endurance_budget[cells]
+        left = self._pulses_left[cells] - 1
+        self._pulses_left[cells] = left
+        exhausted = left <= 0
         if not exhausted.any():
             return
         fresh = self._mark(self._stuck_packed, cells[exhausted])
@@ -635,17 +634,24 @@ class NVMDevice:
         value, exactly as organic wear-out would leave them.  Returns the
         number of cells that died.  Requires a wear-out model.
         """
-        if self._wear_count is None:
+        if self._pulses_left is None:
             raise RuntimeError("device was created without a wearout model")
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        self._wear_count += cycles
+        self._pulses_left -= cycles
         fresh = self._mark(
-            self._stuck_packed,
-            np.flatnonzero(self._wear_count >= self._endurance_budget),
+            self._stuck_packed, np.flatnonzero(self._pulses_left <= 0)
         )
         self._n_stuck += fresh
         return fresh
+
+    def wear_count(self) -> np.ndarray:
+        """Program cycles charged so far to each cell of mortal media (a
+        fresh array): the redrawn endurance budgets minus the pulses
+        left.  Requires a wear-out model."""
+        if self._pulses_left is None:
+            raise RuntimeError("device was created without a wearout model")
+        return self._cell_budgets(self.wearout) - self._pulses_left
 
     # ------------------------------------------------------------------ drift
 
@@ -686,7 +692,7 @@ class NVMDevice:
         scale = self.drift.wear_scale
         if scale <= 0:
             return base
-        wear = self._wear_count if self._wear_count is not None \
+        wear = self.wear_count() if self.wearout is not None \
             else self._bit_wear
         if wear is None:
             return base
@@ -759,7 +765,7 @@ class NVMDevice:
                     "lifetime_estimate_basis": "bit_wear",
                 }
             )
-        if self._wear_count is not None:
+        if self.wearout is not None:
             summary["stuck_cells"] = self.stuck_cell_count()
         return summary
 
@@ -774,6 +780,12 @@ class NVMDevice:
 
         This models the *non-volatility* of the device: a later
         :meth:`load` resumes with identical content and wear counters.
+        The snapshot holds the content, segment write counts, geometry,
+        ``bit_wear`` when tracked and, per fault model, its config row,
+        per-cell wear, the stuck plane, ECP and health state (wear-out) or
+        the retention timers, drifted plane and clock (drift).  The
+        per-cell budgets are not stored: they are a pure function of the
+        config row and the geometry, and :meth:`load` redraws them.
         Aggregate stats are transient (they model the measurement session)
         and are not saved.
         """
@@ -785,44 +797,19 @@ class NVMDevice:
         if self._bit_wear is not None:
             arrays["bit_wear"] = self._bit_wear
         if self.wearout is not None:
-            cfg = self.wearout
-            arrays["wearout_params"] = np.array(
-                [
-                    cfg.endurance_mean,
-                    cfg.endurance_sigma,
-                    float(cfg.seed),
-                    float(cfg.ecp_entries),
-                    float(cfg.immortal_prefix_segments),
-                ]
-            )
-            arrays["endurance_budget"] = self._endurance_budget
-            arrays["wear_count"] = self._wear_count
+            arrays["wearout_params"] = self._params(self.wearout)
+            # Wear rather than the countdown: mostly zeros, so it compresses.
+            arrays["wear_count"] = self.wear_count()
             arrays["stuck_packed"] = self._stuck_packed
-            segs, offs, vals = self.ecc.state_arrays()
-            arrays["ecp_segments"] = segs
-            arrays["ecp_offsets"] = offs
-            arrays["ecp_values"] = vals
-            retired, retiring, spares, reclaimed = (
-                self.health.snapshot_arrays()
-            )
-            arrays["health_retired"] = np.asarray(retired, dtype=np.int64)
-            arrays["health_retiring"] = np.asarray(retiring, dtype=np.int64)
-            arrays["health_spares"] = np.asarray(spares, dtype=np.int64)
-            arrays["health_reclaimed"] = np.asarray(
-                reclaimed, dtype=np.int64
+            arrays.update(zip(_ECP_KEYS, self.ecc.state_arrays()))
+            arrays.update(
+                (key, np.asarray(values, dtype=np.int64))
+                for key, values in zip(
+                    _HEALTH_KEYS, self.health.snapshot_arrays()
+                )
             )
         if self.drift is not None:
-            cfg = self.drift
-            arrays["drift_params"] = np.array(
-                [
-                    cfg.retention_mean,
-                    cfg.retention_sigma,
-                    float(cfg.seed),
-                    cfg.wear_scale,
-                    float(cfg.immortal_prefix_segments),
-                ]
-            )
-            arrays["drift_budget"] = self._drift_budget
+            arrays["drift_params"] = self._params(self.drift)
             arrays["drift_last_program"] = self._last_program_tick
             arrays["drift_packed"] = self._drift_packed
             arrays["drift_clock"] = np.array([self._clock], dtype=np.int64)
@@ -839,34 +826,16 @@ class NVMDevice:
 
         ``content_buffer`` backs the restored content array with an
         external buffer (see :class:`NVMDevice`); the snapshot's bytes are
-        copied into it.
+        copied into it.  Snapshots that also carry ``endurance_budget`` /
+        ``drift_budget`` (the layout before budgets were redrawn) load
+        the same way: those keys equal the redraw and are not read.
         """
         with np.load(path) as archive:
             capacity, segment_size = (int(x) for x in archive["geometry"])
-            wearout = None
-            if "wearout_params" in archive:
-                mean, sigma, seed, entries, immortal = archive[
-                    "wearout_params"
-                ]
-                wearout = WearOutConfig(
-                    endurance_mean=float(mean),
-                    endurance_sigma=float(sigma),
-                    seed=int(seed),
-                    ecp_entries=int(entries),
-                    immortal_prefix_segments=int(immortal),
-                )
-            drift = None
-            if "drift_params" in archive:
-                mean, sigma, seed, wear_scale, immortal = archive[
-                    "drift_params"
-                ]
-                drift = DriftConfig(
-                    retention_mean=float(mean),
-                    retention_sigma=float(sigma),
-                    seed=int(seed),
-                    wear_scale=float(wear_scale),
-                    immortal_prefix_segments=int(immortal),
-                )
+            wearout = cls._config(WearOutConfig, archive, "wearout_params")
+            drift = cls._config(DriftConfig, archive, "drift_params")
+            # The constructor redraws every per-cell budget from the
+            # configs; what follows restores the state on top of them.
             device = cls(
                 capacity_bytes=capacity,
                 segment_size=segment_size,
@@ -882,36 +851,47 @@ class NVMDevice:
                 assert device._bit_wear is not None
                 device._bit_wear[:] = archive["bit_wear"]
             if wearout is not None:
-                # The saved arrays override the freshly drawn budgets —
-                # dead cells must never resurrect on a reopened store.
-                device._endurance_budget[:] = archive["endurance_budget"]
-                device._wear_count[:] = archive["wear_count"]
+                # Countdowns resume where the wear left them, and dead
+                # cells never resurrect on a reopened store.
+                device._pulses_left -= archive["wear_count"]
                 device._stuck_packed[:] = archive["stuck_packed"]
                 device._n_stuck = popcount_array(device._stuck_packed)
-                device.ecc.restore_state(
-                    archive["ecp_segments"],
-                    archive["ecp_offsets"],
-                    archive["ecp_values"],
-                )
+                device.ecc.restore_state(*(archive[k] for k in _ECP_KEYS))
                 device.health.restore_arrays(
-                    archive["health_retired"],
-                    archive["health_retiring"],
-                    archive["health_spares"],
-                    # Snapshots from before capacity reclamation carry no
-                    # reclaimed set; treat them as having none.
-                    archive["health_reclaimed"]
-                    if "health_reclaimed" in archive
-                    else (),
+                    *(archive[k] for k in _HEALTH_KEYS)
                 )
             if drift is not None:
-                # Restore the exact budgets, timers, clock and drifted set
-                # — a reopened device must keep sensing the same flips.
-                device._drift_budget[:] = archive["drift_budget"]
+                # Restore the exact timers, clock and drifted set — a
+                # reopened device must keep sensing the same flips.
                 device._last_program_tick[:] = archive["drift_last_program"]
                 device._drift_packed[:] = archive["drift_packed"]
                 device._n_drifted = popcount_array(device._drift_packed)
                 device._clock = int(archive["drift_clock"][0])
         return device
+
+    @staticmethod
+    def _params(cfg) -> np.ndarray:
+        """A fault-model config as the float64 row a snapshot stores: its
+        fields in declaration order.  The budgets are redrawn from this
+        row on load, so every field must survive the cast exactly."""
+        values = astuple(cfg)
+        row = np.array(values, dtype=np.float64)
+        if row.tolist() != list(values):
+            raise ValueError(f"{cfg!r} does not survive a float64 snapshot")
+        return row
+
+    @staticmethod
+    def _config(kind, archive, key: str):
+        """The ``kind`` config a snapshot's :meth:`_params` row describes
+        (each field cast back to its default's type), or ``None``."""
+        if key not in archive:
+            return None
+        return kind(
+            *(
+                type(f.default)(value)
+                for f, value in zip(fields(kind), archive[key])
+            )
+        )
 
     # -------------------------------------------------------------- internals
 

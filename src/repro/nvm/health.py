@@ -5,12 +5,15 @@ Two pieces with very different lifetimes cooperate here:
 
 - :class:`HealthState` is *media state*.  It lives on the
   :class:`~repro.nvm.device.NVMDevice` object (``device.health``), models a
-  reserved metadata region on the media, survives a simulated crash (the
-  device object is the media) and round-trips through
-  ``NVMDevice.save()/load()``.  It records which physical segments are
-  retired (ECP capacity exceeded — never place data there again), which
-  are retiring (at ECP capacity — still readable, evacuate soon) and which
-  addresses are reserved spares.
+  reserved metadata region on the media, survives an in-process simulated
+  crash (the device object is the media) and round-trips through
+  ``NVMDevice.save()/load()``.  It does *not* survive the death of a
+  process-backend shard worker: only the content bytes live in shared
+  memory, and the restarted worker re-attaches them to a fresh device
+  with no health, ECP or stuck-cell state.  It records which physical
+  segments are retired (ECP capacity exceeded — never place data there
+  again), which are retiring (at ECP capacity — still readable, evacuate
+  soon) and which addresses are reserved spares.
 - :class:`HealthManager` is *policy*.  One is created per
   :class:`~repro.nvm.controller.MemoryController` when verify-after-write
   is enabled; it mutates the device-resident state, fires the

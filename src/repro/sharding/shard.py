@@ -174,7 +174,9 @@ class Shard:
                 runs full recovery; ``"attach"`` re-adopts already-live
                 media in ``content_buffer`` (the post-crash path of the
                 process backend: the worker died, the shared-memory media
-                did not) and runs the same recovery.
+                did not) and runs the same recovery.  Only the content
+                is re-adopted: wear, stuck cells, ECP, health and the
+                drift clock start over on a fresh device.
             content_buffer: optional external buffer backing the device
                 content array (see :class:`NVMDevice`).
         """

@@ -327,8 +327,9 @@ def run_chaos_drill(
                     timer.cancel()
 
             # Media keeps aging while the fleet is degraded (one wear
-            # cycle, 2000 drift ticks a round); dead shards just miss
-            # this tick (their clocks resume after reopen).
+            # cycle, 2000 drift ticks a round); dead shards miss this
+            # tick, and a restarted worker's device starts its wear and
+            # drift clocks over from zero (only the content survives).
             for broadcast, amount in ((store.age, 1), (store.advance_time, 2_000)):
                 with suppress(ShardUnavailableError):
                     broadcast(amount)

@@ -112,7 +112,7 @@ def measure(case: str) -> dict:
         else:
             assert store.delete(op[1]) == (model.pop(op[1], None) is not None)
     assert dict(store.items()) == model
-    wear = device._wear_count if device.wearout else device.bit_wear
+    wear = device.wear_count() if device.wearout else device.bit_wear
     return {
         **dataclasses.asdict(device.stats),
         "segment_writes": int(device.segment_write_count.sum()),

@@ -51,7 +51,9 @@ class ReferenceDevice:
         self.wear = [0] * n_cells
         self.stuck = [False] * n_cells
         self.endurance = (
-            device._endurance_budget.tolist() if self.mortal else None
+            device._cell_budgets(device.wearout).tolist()
+            if self.mortal
+            else None
         )
 
         self.drifting = device.drift is not None

@@ -154,7 +154,7 @@ class TestProgramMany:
                     getattr(sequential, view)(0, capacity),
                 )
             np.testing.assert_array_equal(
-                batched._wear_count, sequential._wear_count
+                batched.wear_count(), sequential.wear_count()
             )
             np.testing.assert_array_equal(
                 batched.bit_wear, sequential.bit_wear

@@ -86,7 +86,7 @@ def _assert_same(device: NVMDevice, ref: ReferenceDevice, faults) -> None:
     assert device.drifted_cell_count() == sum(ref.drifted)
     assert device.clock == ref.clock
     if ref.mortal:
-        assert device._wear_count.tolist() == ref.wear
+        assert device.wear_count().tolist() == ref.wear
     if ref.bit_wear is not None:
         assert device.bit_wear.tolist() == ref.bit_wear
     assert device.segment_write_count.tolist() == ref.segment_writes

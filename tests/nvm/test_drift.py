@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nvm import DriftConfig, MemoryController, NVMDevice
+from repro.nvm import DriftConfig, MemoryController, NVMDevice, WearOutConfig
 from repro.testing import FaultInjector
 from repro.util.bits import popcount_array
 
@@ -11,7 +11,8 @@ SEGMENT = 64
 
 
 def make_drift_device(
-    retention_mean=10, n_segments=8, *, seed=7, track_bit_wear=False, **cfg
+    retention_mean=10, n_segments=8, *, seed=7, track_bit_wear=False,
+    wearout=None, **cfg
 ):
     return NVMDevice(
         capacity_bytes=n_segments * SEGMENT,
@@ -19,6 +20,7 @@ def make_drift_device(
         initial_fill="random",
         seed=seed,
         track_bit_wear=track_bit_wear,
+        wearout=wearout,
         drift=DriftConfig(
             retention_mean=retention_mean, retention_sigma=0.3, seed=3, **cfg
         ),
@@ -147,6 +149,34 @@ class TestWearAndImmortality:
         fast.advance_time(10)
         assert popcount_array(fast.drift_mask(0, SEGMENT)) > popcount_array(
             slow.drift_mask(0, SEGMENT)
+        )
+
+    def test_wear_scale_reads_the_endurance_countdown(self):
+        # On mortal media the coupling reads each cell's cycles off the
+        # endurance countdown.  A bit-wear-tracking twin given the same
+        # cycles (two whole-device pulses stand in for ``age(2)``, which
+        # ``bit_wear`` does not see) must drift exactly the same cells.
+        counted = make_drift_device(
+            retention_mean=30, wear_scale=5.0, track_bit_wear=True
+        )
+        mortal = make_drift_device(
+            retention_mean=30, wear_scale=5.0,
+            wearout=WearOutConfig(endurance_mean=1e6, seed=2),
+        )
+        ones = np.full(SEGMENT, 0xFF, dtype=np.uint8)
+        for device in (counted, mortal):
+            for i in range(10):
+                device.program(i % 3 * SEGMENT, ones * (i % 2), ones)
+        mortal.age(2)
+        for _ in range(2):
+            counted.program(0, np.zeros(8 * SEGMENT, np.uint8), None)
+        np.testing.assert_array_equal(mortal.wear_count(), counted.bit_wear)
+        counted.advance_time(10)
+        mortal.advance_time(10)
+        assert popcount_array(mortal.drift_mask(0, 8 * SEGMENT)) > 0
+        np.testing.assert_array_equal(
+            mortal.drift_mask(0, 8 * SEGMENT),
+            counted.drift_mask(0, 8 * SEGMENT),
         )
 
     def test_immortal_prefix_never_drifts(self):

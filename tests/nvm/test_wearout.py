@@ -27,14 +27,17 @@ class TestBudgets:
         a = worn_device(wearout=WearOutConfig(endurance_mean=10, seed=3))
         b = worn_device(wearout=WearOutConfig(endurance_mean=10, seed=3))
         c = worn_device(wearout=WearOutConfig(endurance_mean=10, seed=4))
-        assert np.array_equal(a._endurance_budget, b._endurance_budget)
-        assert not np.array_equal(a._endurance_budget, c._endurance_budget)
+        budgets = [dev._cell_budgets(dev.wearout) for dev in (a, b, c)]
+        assert np.array_equal(budgets[0], budgets[1])
+        assert not np.array_equal(budgets[0], budgets[2])
+        # The countdown starts at the draw: a fresh device has no wear.
+        assert not a.wear_count().any()
 
     def test_budgets_at_least_one_cycle(self):
         dev = worn_device(
             wearout=WearOutConfig(endurance_mean=1, endurance_sigma=2.0)
         )
-        assert int(dev._endurance_budget.min()) >= 1
+        assert int(dev._cell_budgets(dev.wearout).min()) >= 1
 
     def test_immortal_prefix(self):
         cfg = WearOutConfig(
@@ -42,8 +45,9 @@ class TestBudgets:
         )
         dev = worn_device(wearout=cfg)
         prefix_bits = 2 * dev.segment_size * 8
-        assert int(dev._endurance_budget[:prefix_bits].min()) > 10**15
-        assert int(dev._endurance_budget[prefix_bits:].max()) <= 4
+        budgets = dev._cell_budgets(dev.wearout)
+        assert int(budgets[:prefix_bits].min()) > 10**15
+        assert int(budgets[prefix_bits:].max()) <= 4
 
     def test_immortal_prefix_out_of_range(self):
         with pytest.raises(ValueError, match="immortal_prefix_segments"):
@@ -52,6 +56,13 @@ class TestBudgets:
                     endurance_mean=2, immortal_prefix_segments=99
                 )
             )
+
+    def test_budget_seed_must_redraw_the_same_budgets(self):
+        # Wear is the redrawn budget minus the countdown: a seed that draws
+        # anew each time (OS entropy, a shared generator) is refused.
+        for seed in (None, np.random.default_rng(1)):
+            with pytest.raises(TypeError, match="seed must be an int"):
+                worn_device(wearout=WearOutConfig(seed=seed))
 
     def test_endurance_mean_validated(self):
         with pytest.raises(ValueError, match="endurance_mean"):
@@ -214,8 +225,8 @@ class TestSnapshotRoundTrip:
         loaded = NVMDevice.load(path)
 
         assert loaded.wearout == cfg
-        assert np.array_equal(loaded._endurance_budget, dev._endurance_budget)
-        assert np.array_equal(loaded._wear_count, dev._wear_count)
+        assert np.array_equal(loaded._pulses_left, dev._pulses_left)
+        assert np.array_equal(loaded.wear_count(), dev.wear_count())
         assert np.array_equal(loaded._stuck_packed, dev._stuck_packed)
         assert np.array_equal(
             loaded.peek(0, loaded.capacity_bytes),

@@ -16,13 +16,14 @@ import pytest
 
 from repro.core.config import fast_test_config
 from repro.core.e2nvm import E2NVM
-from repro.core.kvstore import KVStore
+from repro.core.kvstore import KVStore, StoreReadOnlyError
 from repro.nvm.controller import MemoryController
-from repro.nvm.device import NVMDevice
+from repro.nvm.device import NVMDevice, WearOutConfig
 from repro.nvm.worker import MaintenanceWorker
 from repro.pmem.catalog import PersistentCatalog
 from repro.pmem.pool import PersistentPool
 from repro.sharding import ShardedKVStore
+from repro.sharding.shard import Shard, ShardSpec
 from repro.sharding.store import MANIFEST_NAME, aggregate_telemetry
 
 SEGMENT_SIZE = 64
@@ -317,6 +318,77 @@ class TestManifest:
         write_manifest(', "compact_budget": 4')
         with pytest.raises(TypeError, match="compact_budget"):
             ShardedKVStore.open(root, config=_config())
+
+
+class TestShardSnapshot:
+    def test_ship_geometry_snapshot_stays_small(self, tmp_path):
+        """What ``close()`` writes for one mortal shard of the shipped
+        geometry after its half of the 256-key load: content, wear, the
+        stuck plane and the small tables.  Storing the per-cell budget
+        plane as well would take it to 1.87 MB."""
+        root = tmp_path / "store"
+        rng = np.random.default_rng(5)
+        with ShardedKVStore.create(
+            root,
+            1,
+            segment_size=256,
+            n_segments_per_shard=256,
+            config=_config(),
+            log_segments=8,
+            key_capacity=32,
+            wearout=WearOutConfig(seed=3),
+        ) as store:
+            values = rng.integers(0, 256, (128, 200), dtype=np.uint8)
+            store.put_many([
+                (b"user%05d" % i, row.tobytes())
+                for i, row in enumerate(values)
+            ])
+        assert (root / "shard-0.npz").stat().st_size <= 256 * 1024
+
+
+class TestWorkerReattach:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="attach builds a fresh device: stuck cells, ECP entries, "
+        "health sets and the drift clock of a dead worker are lost "
+        "(ROADMAP item 3)",
+    )
+    def test_reattach_keeps_the_media_state_of_a_worn_shard(self, tmp_path):
+        """A durable mortal shard worn to read-only, then re-attached to
+        its live media buffer as a restarted worker would be: the media's
+        wear state and every acknowledged key must survive."""
+        spec = ShardSpec(
+            shard_id=0,
+            segment_size=SEGMENT_SIZE,
+            n_segments=N_SEGMENTS,
+            log_segments=4,
+            key_capacity=16,
+            seed=SEED,
+            config=_config(),
+            path=str(tmp_path / "shard-0.npz"),
+            wearout=WearOutConfig(
+                endurance_mean=6, endurance_sigma=0.3, seed=2
+            ),
+        )
+        media = bytearray(spec.capacity_bytes)
+        worn = Shard.build(spec, "create", content_buffer=media)
+        rng = np.random.default_rng(3)
+        acked = {}
+        with pytest.raises(StoreReadOnlyError):
+            for i in range(5000):
+                key = b"key-%d" % (i % 8)
+                value = rng.integers(0, 256, 40, dtype=np.uint8).tobytes()
+                worn.store.put(key, value)
+                acked[key] = value
+        stuck = worn.device.stuck_cell_count()
+        retired = set(worn.device.health.retired)
+        assert stuck > 0 and retired
+
+        restarted = Shard.build(spec, "attach", content_buffer=media)
+        assert restarted.device.stuck_cell_count() == stuck
+        assert restarted.device.health.retired == retired
+        for key, value in acked.items():
+            assert restarted.store.get(key) == value
 
 
 def _shard_telemetry(
