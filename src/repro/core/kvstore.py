@@ -552,38 +552,111 @@ class KVStore:
         if self.engine.faults is not None:
             self.engine.faults.fire(site)
 
+    def get_many(self, keys: list[bytes]) -> list[bytes | None]:
+        """:meth:`get` of each key, in order, as one batch: one index walk
+        per key, one device gather for every hit, then each row checked
+        against its CRC.  A duplicate key is read once per occurrence, an
+        absent one not at all.  A row that raced a relocation or update is
+        re-read through :meth:`get`'s retry loop; a CRC mismatch goes
+        through the same repair ladder and raises the same
+        :class:`CorruptValueError`.
+
+        Every key costs the device what its :meth:`get` would, except where
+        the gather has read a row before an earlier one was checked (see
+        DESIGN.md, "Arity policy"): rows after a raising one were already
+        read, and a key repeated after its scrubber repair was gathered
+        stale, so its check pays one more ECP re-read and counts one more
+        detected corruption and one more repair.
+        """
+        out: list[bytes | None] = [None] * len(keys)
+        hits = []  # (position, entry, live tuple seen before the read)
+        for i, key in enumerate(keys):
+            entry = self.index.get(key)
+            if entry is not None:
+                hits.append((i, entry, self._live.get(entry[0])))
+        if not hits:
+            return out
+        values = self.engine.controller.read_many(
+            [entry[0] for _, entry, _ in hits],
+            [entry[1] for _, entry, _ in hits],
+        )
+        for (i, entry, live), value in zip(hits, values):
+            key = keys[i]
+            if self._settled(key, entry[0], live):
+                value = self._verified(key, entry, live, value)
+                if value is not None:
+                    out[i] = value
+                    continue
+            out[i] = self._read_value(key)  # raced: the scalar retry loop
+        return out
+
+    def _settled(self, key: bytes, addr: int, live) -> bool:
+        """The one read-validation rule of :meth:`get` and
+        :meth:`get_many`: bytes read at ``addr`` are the value of ``key``
+        when the ``_live`` tuple seen before the read is still installed
+        after it and names ``key``.
+
+        This holds because a segment holds the value its installed tuple
+        describes: values are only written to free segments, and
+        :meth:`_install` installs a value's new tuple before it pops the
+        old one, which happens before the old segment is recycled.  A
+        segment re-used while we read therefore carries a *new* tuple.
+        ``migrate``'s heat forwarding also swaps the tuple, which costs a
+        retry and nothing else.
+        """
+        return (
+            live is not None
+            and live[0] == key
+            and self._live.get(addr) is live
+        )
+
+    def _verified(self, key: bytes, entry, live, value: bytes):
+        """``value``, read at a settled ``entry``, checked against the CRC
+        in ``live``: the value itself, its repair, or ``None`` when the
+        read must be retried.
+
+        A mismatch is believed only while the index still names
+        ``entry``: otherwise the length read with may be that of an older
+        value at a since-recycled address.
+        """
+        expected = live[1]
+        if expected is None:
+            return value  # no checksum on record (engine-level write)
+        if zlib.crc32(value) & 0xFFFFFFFF == expected:
+            return value
+        if self.index.get(key) != entry:
+            return None
+        addr, length = entry
+        repaired = self._attempt_repair(key, addr, length, expected)
+        if repaired is not None:
+            return repaired
+        raise CorruptValueError(
+            f"value of key {key!r} at address {addr} fails its CRC32 "
+            "and could not be repaired"
+        )
+
     def _read_value(self, key: bytes) -> bytes | None:
         """Read, verify and (if needed) repair the value of ``key``.
 
         The read is raced against concurrent relocation/update of the same
-        key: after the media read, the index entry and validity flag are
-        re-checked, and the read retries when the value moved mid-flight
-        (the read-after-retire window of background evacuation).  A CRC
-        mismatch on a stable entry goes through the repair ladder —
-        ECP-corrected re-read, then scrubber refresh-write — and raises
-        :class:`CorruptValueError` when nothing restores matching bytes.
+        key (:meth:`_settled`), and retries when the value moved
+        mid-flight (the read-after-retire window of background
+        evacuation).  A CRC mismatch on a stable entry goes through the
+        repair ladder — ECP-corrected re-read, then scrubber refresh-write
+        — and raises :class:`CorruptValueError` when nothing restores
+        matching bytes.
         """
         for _ in range(16):
             entry = self.index.get(key)
             if entry is None:
                 return None
             addr, length = entry
-            value = self.engine.controller.read(addr, length)
             live = self._live.get(addr)
-            if live is None or self.index.get(key) != entry:
-                continue  # moved mid-read (relocation/update); retry
-            expected = live[1]
-            if expected is None:
-                return value  # no checksum on record (engine-level write)
-            if zlib.crc32(value) & 0xFFFFFFFF == expected:
-                return value
-            repaired = self._attempt_repair(key, addr, length, expected)
-            if repaired is not None:
-                return repaired
-            raise CorruptValueError(
-                f"value of key {key!r} at address {addr} fails its CRC32 "
-                "and could not be repaired"
-            )
+            value = self.engine.controller.read(addr, length)
+            if self._settled(key, addr, live):
+                value = self._verified(key, entry, live, value)
+                if value is not None:
+                    return value
         raise RuntimeError(
             f"read of key {key!r} kept racing concurrent relocation"
         )
@@ -839,13 +912,14 @@ class KVStore:
         return True
 
     def scan(self, start_key: bytes, end_key: bytes) -> list[tuple[bytes, bytes]]:
-        """All (key, value) pairs with start_key <= key <= end_key, in order."""
-        out = []
-        for key, _ in self.index.range(start_key, end_key):
-            value = self._read_value(key)
-            if value is not None:
-                out.append((key, value))
-        return out
+        """All (key, value) pairs with start_key <= key <= end_key, in order
+        (one :meth:`get_many` gather)."""
+        keys = [key for key, _ in self.index.range(start_key, end_key)]
+        return [
+            (key, value)
+            for key, value in zip(keys, self.get_many(keys))
+            if value is not None
+        ]
 
     def items(self):
         """Yield every (key, value) pair in key order (CRC-verified)."""

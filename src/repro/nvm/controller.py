@@ -321,11 +321,16 @@ class MemoryController:
 
     def read_many(self, logical_addrs, lengths) -> list[bytes]:
         """:meth:`read` of ``lengths[i]`` bytes at each address, as one
-        gather per distinct length."""
+        gather per distinct length.  A length with one row goes through
+        :meth:`read`, as :meth:`write_many`'s lone rows go through
+        :meth:`write`: same accounting, a fraction of the host cost."""
         addrs = [int(a) for a in logical_addrs]
         out = [b""] * len(addrs)
         for rows in self._by_length(range(len(addrs)), lengths):
             length = lengths[rows[0]]
+            if len(rows) == 1:
+                out[rows[0]] = self.read(addrs[rows[0]], length)
+                continue
             phys = self._map_many([addrs[i] for i in rows], length)
             stored = self.device.read_arrays(phys, length)
             if self.ecc is not None:

@@ -172,6 +172,12 @@ class HashRing:
         self.seed = seed
         self.vnodes = vnodes
         self.weights = weights
+        # Keying blake2b costs a compression of the key block: keys are
+        # hashed on a ``.copy()`` of this pre-keyed hasher, which gives the
+        # digests of :func:`_hash64` at a fraction of the cost.
+        self._hasher = hashlib.blake2b(
+            digest_size=8, key=seed.to_bytes(8, "little", signed=False)
+        )
         points: list[tuple[int, int]] = []
         for shard in range(n_shards):
             for replica in range(self.vnodes_of(shard)):
@@ -192,7 +198,9 @@ class HashRing:
         """The key's 64-bit ring position (exposed for diff/arc tooling)."""
         if not isinstance(key, bytes):
             raise TypeError("keys must be bytes")
-        return _hash64(key, self.seed)
+        hasher = self._hasher.copy()
+        hasher.update(key)
+        return _POINT.unpack(hasher.digest())[0]
 
     def _owner_at(self, h: int) -> int:
         """Owner of hash position ``h``: the first ring point at or after

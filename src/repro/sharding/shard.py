@@ -316,7 +316,7 @@ class Shard:
         return self.store.get(key)
 
     def _op_get_many(self, keys: list[bytes]) -> list[bytes | None]:
-        return [self.store.get(key) for key in keys]
+        return self.store.get_many(keys)
 
     def _op_delete(self, key: bytes) -> bool:
         return self.store.delete(key)
@@ -331,7 +331,7 @@ class Shard:
         Returns per-item whether the insert happened."""
         inserted = []
         for key, value in items:
-            if self.store.get(key) is None:
+            if key not in self.store:
                 self.store.put(key, value)
                 inserted.append(True)
             else:

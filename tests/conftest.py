@@ -6,6 +6,8 @@ dominant cost; tests that mutate engine state build their own.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,18 @@ def make_device(seed: int = 7, segment_size: int = SEGMENT_SIZE,
         seed=seed,
         **kwargs,
     )
+
+
+def assert_stats_equal(a, b) -> None:
+    """Device stats of a batched body and its scalar twin: integer
+    counters match exactly, float accumulators to 1e-12 (a batch adds
+    ``n * cost`` where a loop adds ``cost`` n times)."""
+    for field in dataclasses.fields(a):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(va, float):
+            assert va == pytest.approx(vb, rel=1e-12), field.name
+        else:
+            assert va == vb, field.name
 
 
 def make_engine(

@@ -26,7 +26,7 @@ from repro.core.padding import Padder, PaddingPosition, PaddingStrategy
 from repro.core.pipeline import EncoderPipeline
 from repro.ml.lstm import LSTMPredictor
 
-from tests.conftest import SEGMENT_SIZE, make_engine
+from tests.conftest import SEGMENT_SIZE, assert_stats_equal, make_engine
 
 PAD_BITS = 96
 
@@ -128,19 +128,6 @@ class TestPredictBatchEquivalence:
         assert pipeline.mean_prediction_latency_us > 0.0
 
 
-def _assert_stats_equal(a, b):
-    """Integer counters must match exactly; float accumulators to 1e-12
-    (the batched path sums per-write costs in a different order)."""
-    import dataclasses
-
-    for field in dataclasses.fields(a):
-        va, vb = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(va, float):
-            assert va == pytest.approx(vb, rel=1e-12), field.name
-        else:
-            assert va == vb, field.name
-
-
 class TestWriteManyEquivalence:
     def _values(self, n, rng, length=SEGMENT_SIZE):
         return [
@@ -155,7 +142,7 @@ class TestWriteManyEquivalence:
         sequential = [seq_engine.write(v) for v in values]
         batched = bat_engine.write_many(values)
         assert batched == sequential  # same addresses AND WriteResults
-        _assert_stats_equal(seq_engine.stats.snapshot(), bat_engine.stats.snapshot())
+        assert_stats_equal(seq_engine.stats.snapshot(), bat_engine.stats.snapshot())
         assert seq_engine.dap.sizes() == bat_engine.dap.sizes()
 
     def test_write_many_mixed_lengths_matches_sequential(self):
@@ -169,7 +156,7 @@ class TestWriteManyEquivalence:
         sequential = [seq_engine.write(v) for v in values]
         batched = bat_engine.write_many(values)
         assert batched == sequential
-        _assert_stats_equal(seq_engine.stats.snapshot(), bat_engine.stats.snapshot())
+        assert_stats_equal(seq_engine.stats.snapshot(), bat_engine.stats.snapshot())
 
     def test_write_many_empty(self):
         engine = make_engine(seed=37)

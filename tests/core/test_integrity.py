@@ -1,6 +1,7 @@
 """End-to-end data integrity: catalog CRCs, the repair ladder, recovery
 verification and the read-vs-relocation race."""
 
+import sys
 import threading
 
 import numpy as np
@@ -116,40 +117,53 @@ class TestCrcContract:
 
 class TestRelocationReadRace:
     def test_concurrent_gets_never_see_torn_relocation(self, plain_harness):
-        """Satellite b: GET racing an in-flight relocation must never
-        return stale or foreign bytes — the epoch re-check retries."""
+        """GET and batched GET racing an in-flight relocation must never
+        return stale or foreign bytes — the ``_live`` re-check retries."""
         _, _, store = plain_harness.fresh(FaultInjector())
         oracle = fill(store, n_keys=4, size=40)
         keys = list(oracle)
+        # Two versions per key, all the same length: a read may return
+        # either version of its own key, never another key's bytes.
+        versions = {key: (v, v[::-1]) for key, v in oracle.items()}
         errors: list[BaseException] = []
         stop = threading.Event()
 
-        def reader():
+        def reader(batched):
             try:
                 while not stop.is_set():
-                    for key in keys:
-                        value = store.get(key)
-                        if value is not None and value != oracle[key]:
+                    if batched:
+                        values = store.get_many(keys + keys[::-1])
+                    else:
+                        values = [store.get(key) for key in keys]
+                    for key, value in zip(keys + keys[::-1], values):
+                        if value is not None and value not in versions[key]:
                             raise AssertionError(
                                 f"{key!r}: read {value!r}"
                             )
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads = [
+            threading.Thread(target=reader, args=(batched,))
+            for batched in (False, True, True)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave readers and the writer
         for thread in threads:
             thread.start()
         try:
-            # Overwrite in place repeatedly: each PUT retires the old
-            # segment for its key and lands the value on a fresh one —
-            # the exact window the epoch check guards.
-            for _ in range(150):
+            # Overwrite repeatedly: each PUT retires the old segment for
+            # its key and lands the value on a fresh one — the exact
+            # window the ``_live`` re-check guards.
+            for round_ in range(150):
                 for key in keys:
-                    store.put(key, oracle[key])
+                    store.put(key, versions[key][round_ % 2])
         finally:
             stop.set()
             for thread in threads:
                 thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[:2]
 
 

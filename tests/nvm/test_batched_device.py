@@ -7,8 +7,6 @@ same media content, same wear counters.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +15,8 @@ from hypothesis import strategies as st
 from repro.nvm import DriftConfig, MemoryController, NVMDevice, WearOutConfig
 from repro.nvm.health import SegmentRetiredError
 from repro.nvm.wear_leveling import SegmentSwapWearLeveling
+
+from tests.conftest import assert_stats_equal
 
 SEGMENT_SIZE = 64
 N_SEGMENTS = 24
@@ -32,15 +32,6 @@ def _device(**kwargs) -> NVMDevice:
     )
 
 
-def _assert_stats_equal(a, b):
-    for field in dataclasses.fields(a):
-        va, vb = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(va, float):
-            assert va == pytest.approx(vb, rel=1e-12), field.name
-        else:
-            assert va == vb, field.name
-
-
 class TestReadArrays:
     def test_matches_read_array_loop(self):
         batched, sequential = _device(), _device()
@@ -50,7 +41,7 @@ class TestReadArrays:
             [sequential.read_array(a, SEGMENT_SIZE) for a in addrs]
         )
         np.testing.assert_array_equal(rows, expected)
-        _assert_stats_equal(batched.stats, sequential.stats)
+        assert_stats_equal(batched.stats, sequential.stats)
 
     def test_out_of_range_raises(self):
         device = _device()
@@ -78,7 +69,7 @@ class TestProgramMany:
             for i, a in enumerate(addrs)
         ]
         assert got == expected
-        _assert_stats_equal(batched.stats, sequential.stats)
+        assert_stats_equal(batched.stats, sequential.stats)
         np.testing.assert_array_equal(
             batched.peek(0, batched.capacity_bytes),
             sequential.peek(0, sequential.capacity_bytes),
@@ -113,7 +104,7 @@ class TestProgramMany:
             for i, a in enumerate(addrs)
         ]
         assert got == expected
-        _assert_stats_equal(batched.stats, sequential.stats)
+        assert_stats_equal(batched.stats, sequential.stats)
 
     @pytest.mark.parametrize("length, offset", [(SEGMENT_SIZE, 0), (17, 5)])
     def test_matches_sequential_program_wearing_out_and_drifting(
@@ -147,7 +138,7 @@ class TestProgramMany:
             assert got == expected
             for device in (batched, sequential):
                 device.advance_time(1 + round_ % 3)
-            _assert_stats_equal(batched.stats, sequential.stats)
+            assert_stats_equal(batched.stats, sequential.stats)
             for view in ("peek", "stuck_mask", "drift_mask"):
                 np.testing.assert_array_equal(
                     getattr(batched, view)(0, capacity),
@@ -205,7 +196,7 @@ class TestControllerWriteMany:
             sequential.write(a, v) for a, v in zip(addrs, values)
         ]
         assert got == expected
-        _assert_stats_equal(batched.stats, sequential.stats)
+        assert_stats_equal(batched.stats, sequential.stats)
         for addr in addrs:
             assert batched.read(addr, SEGMENT_SIZE) == sequential.read(
                 addr, SEGMENT_SIZE
@@ -253,6 +244,43 @@ class TestControllerWriteMany:
     def test_empty(self):
         controller = MemoryController(_device())
         assert controller.write_many([], []) == []
+
+
+class TestControllerReadMany:
+    def test_matches_sequential_read(self):
+        batched = MemoryController(_device())
+        sequential = MemoryController(_device())
+        # Two 64-B rows (one gather), a lone 24-B row and a repeat.
+        addrs = [0, 5 * SEGMENT_SIZE, 9 * SEGMENT_SIZE + 8, 0]
+        lengths = [SEGMENT_SIZE, SEGMENT_SIZE, 24, SEGMENT_SIZE]
+        got = batched.read_many(addrs, lengths)
+        expected = [sequential.read(a, n) for a, n in zip(addrs, lengths)]
+        assert got == expected
+        assert_stats_equal(batched.stats, sequential.stats)
+
+    def test_lone_length_row_goes_through_read(self, monkeypatch):
+        controller = MemoryController(_device())
+        device = controller.device
+        calls = {"read": 0, "read_arrays": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            controller, "read", counted("read", controller.read)
+        )
+        monkeypatch.setattr(
+            device, "read_arrays", counted("read_arrays", device.read_arrays)
+        )
+        controller.read_many([0, SEGMENT_SIZE, 128], [SEGMENT_SIZE, 8, 8])
+        assert calls == {"read": 1, "read_arrays": 1}
+        reads = device.stats.reads
+        controller.read_many([SEGMENT_SIZE], [SEGMENT_SIZE])
+        assert calls == {"read": 2, "read_arrays": 1}
+        assert device.stats.reads == reads + 1
 
 
 def _aged_controller(cycles: int, ecp_entries: int):
@@ -306,7 +334,7 @@ def _verify_twin(seed: int, n_segments: int, cycles: int, ecp_entries: int):
         batched_dev.peek(0, batched_dev.capacity_bytes),
         scalar_dev.peek(0, scalar_dev.capacity_bytes),
     )
-    _assert_stats_equal(batched_dev.stats, scalar_dev.stats)
+    assert_stats_equal(batched_dev.stats, scalar_dev.stats)
     for a, b in zip(
         batched_dev.ecc.state_arrays(), scalar_dev.ecc.state_arrays()
     ):

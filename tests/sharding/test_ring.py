@@ -54,6 +54,56 @@ class TestRouting:
         )
 
 
+class TestPinnedRouting:
+    """Positions and owners recorded before the ring hashed off one
+    pre-keyed hasher: stores on disk must keep routing every key to the
+    shard that holds it.  ``pin-252`` hashes past the last ring point and
+    wraps to the first."""
+
+    KEYS = [
+        b"", b"a", b"user0000000042", bytes(range(32)), b"\xff" * 17,
+        b"pin-252",
+    ] + [b"pin-%d" % i for i in range(6)]
+    HASHES = [
+        8925204107607939296, 17866401776938812617, 15719847440761660162,
+        14901966613898472208, 6687594985562762914, 18408742390219113166,
+        17532957536989631351, 4366034338137758070, 4179790909600410628,
+        10109028904474458644, 2623072771874338945, 8695582716038473589,
+    ]
+
+    @pytest.mark.parametrize(
+        "manifest, owners, groups",
+        [
+            (
+                {"n_shards": 3, "seed": 11, "vnodes": 16},
+                [0, 1, 2, 2, 2, 0, 2, 2, 2, 1, 2, 1],
+                {0: [0, 5], 1: [1, 9, 11], 2: [2, 3, 4, 6, 7, 8, 10]},
+            ),
+            (
+                {
+                    "n_shards": 3, "seed": 11, "vnodes": 16,
+                    "weights": [2.0, 1.0, 0.5],
+                },
+                [0, 0, 0, 0, 0, 0, 1, 2, 2, 1, 0, 1],
+                {0: [0, 1, 2, 3, 4, 5, 10], 1: [6, 9, 11], 2: [7, 8]},
+            ),
+        ],
+        ids=["uniform", "weighted"],
+    )
+    def test_manifest_ring_routes_as_recorded(self, manifest, owners, groups):
+        ring = HashRing(**manifest)
+        assert [ring.hash_key(k) for k in self.KEYS] == self.HASHES
+        assert [ring.shard_of(k) for k in self.KEYS] == owners
+        assert ring.partition(self.KEYS) == groups
+        assert ring.describe() == manifest
+
+    def test_partition_refuses_non_bytes(self):
+        with pytest.raises(TypeError):
+            HashRing(2).partition([b"ok", "not-bytes"])
+        with pytest.raises(TypeError):
+            HashRing(2).partition([bytearray(b"mutable")])
+
+
 class TestBalance:
     def test_near_uniform_distribution(self):
         # Deterministic (fixed seeds) rather than hypothesis-driven: balance

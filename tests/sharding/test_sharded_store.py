@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import fast_test_config
 from repro.core.e2nvm import E2NVM
-from repro.core.kvstore import KVStore, StoreReadOnlyError
+from repro.core.kvstore import CorruptValueError, KVStore, StoreReadOnlyError
 from repro.nvm.controller import MemoryController
 from repro.nvm.device import NVMDevice, WearOutConfig
 from repro.nvm.worker import MaintenanceWorker
@@ -25,6 +25,7 @@ from repro.pmem.pool import PersistentPool
 from repro.sharding import ShardedKVStore
 from repro.sharding.shard import Shard, ShardSpec
 from repro.sharding.store import MANIFEST_NAME, aggregate_telemetry
+from repro.testing import FaultInjector, KVCrashHarness
 
 SEGMENT_SIZE = 64
 N_SEGMENTS = 96
@@ -212,6 +213,29 @@ class TestMaintenanceGate:
             with pytest.raises(ValueError):
                 store.backend.call(0, "save")  # volatile: no snapshot path
             assert worker.paused is False
+
+
+class TestCopyAbsent:
+    def test_presence_of_a_corrupt_value_suppresses_the_copy(self):
+        """The rebalance copy asks the index whether the key is here: a
+        value failing its CRC at the new owner neither raises mid-drain
+        nor gets overwritten by the stale source copy, and no device
+        access is spent on the question."""
+        device, pool, store = KVCrashHarness(seed=SEED).fresh(FaultInjector())
+        store.put(b"held", b"x" * 40)
+        addr, _ = store.index.get(b"held")
+        device._content[addr] ^= 0xFF  # no repair path can undo this
+        with pytest.raises(CorruptValueError):
+            store.get(b"held")
+        shard = Shard(ShardSpec(0, SEGMENT_SIZE, 96), store, device, pool)
+        before = device.stats.snapshot()
+        copy = [(b"held", b"stale")]
+        assert shard.execute("copy_absent", (copy,)) == [False]
+        assert device.stats.snapshot() == before
+        assert store.index.get(b"held") == (addr, 40)
+        copy = [(b"new", b"fresh")]
+        assert shard.execute("copy_absent", (copy,)) == [True]
+        assert store.get(b"new") == b"fresh"
 
 
 class TestManifest:
