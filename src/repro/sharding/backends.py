@@ -25,20 +25,33 @@ spawns a fresh worker that re-attaches to the same block and runs ordinary
 undo-log recovery — only that shard's in-flight transaction rolls back;
 every other shard never notices.
 
+The pipe carries one frame per message: ``send_bytes`` of a plain
+``pickle.dumps`` at the highest protocol, ``pickle.loads`` of
+``recv_bytes`` (:func:`_encode` / :func:`_decode`, used at both ends).
+Nothing that crosses it needs ``multiprocessing``'s reducers — ops take
+and return bytes, ints, lists, dicts, dataclasses and exceptions — and
+both ends run the same interpreter.  Every message is encoded *before*
+anything is written, so a frame is either fully on the wire or never
+started: a value that will not pickle fails its own request (or, in a
+worker, becomes an error reply) and can never leave a half-spoken
+conversation behind.
+
 Liveness is supervised, not assumed:
 
-- Every RPC has a **deadline**: the response wait is a
-  ``Connection.poll(timeout)``, never a bare ``recv()``.  A worker that
-  does not answer in time is *hung* — after a deadline the pipe is
-  desynchronised (a late reply could pair with the wrong request), so the
-  only safe recovery is to kill the worker and raise
-  :class:`ShardHungError`; a fresh worker then re-attaches to the media.
+- Every RPC has a **deadline**: the response wait is a ``select.poll``
+  registered once per worker on the parent's pipe end, never a bare
+  ``recv_bytes()``.  A worker that does not answer in time is *hung* —
+  after a deadline the pipe is desynchronised (a late reply could pair
+  with the wrong request), so the only safe recovery is to kill the
+  worker and raise :class:`ShardHungError`; a fresh worker then
+  re-attaches to the media.  The process backend is POSIX-only (``fork``,
+  SIGSTOP drills), and ``select.poll`` is its one wait.
 - Every worker ships a **heartbeat**: a background thread stamping a
   monotonic timestamp into a shared value ~10×/s.  A SIGSTOP'd or
   wedged worker stops beating long before any RPC deadline expires, and
   the :class:`~repro.sharding.supervisor.ShardSupervisor` watchdog kills
-  it from outside — which closes the pipe and wakes any in-flight
-  ``poll`` immediately.
+  it from outside — which closes the pipe and wakes any in-flight wait
+  immediately (POLLHUP, then EOF).
 - **Teardown is bounded**: ``close()`` and ``reopen_shard()`` never issue
   an unbounded ``join()``/``recv()``; a worker that does not exit within
   its grace period is SIGTERM'd, then SIGKILL'd (SIGKILL also reaps
@@ -58,6 +71,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import select
 import signal
 import threading
 import time
@@ -96,6 +111,11 @@ DEFAULT_BOOT_DEADLINE_S = 300.0
 
 #: Worker heartbeat stamp period (seconds).
 HEARTBEAT_INTERVAL_S = 0.05
+
+#: The pipe's wire format, one frame per message at both ends:
+#: ``conn.send_bytes(_encode(msg))`` and ``_decode(conn.recv_bytes())``.
+_encode = partial(pickle.dumps, protocol=pickle.HIGHEST_PROTOCOL)
+_decode = pickle.loads
 
 
 class ShardUnavailableError(RuntimeError):
@@ -366,9 +386,12 @@ def _send_error(conn, exc: BaseException) -> None:
     """Ship an exception to the parent, degrading to a picklable stand-in
     when the original will not survive the pipe."""
     try:
-        conn.send(("err", exc))
+        frame = _encode(("err", exc))
     except Exception:
-        conn.send(("err", RuntimeError(f"{type(exc).__name__}: {exc}")))
+        frame = _encode(
+            ("err", RuntimeError(f"{type(exc).__name__}: {exc}"))
+        )
+    conn.send_bytes(frame)
 
 
 def _beat(heartbeat, stop: threading.Event) -> None:
@@ -401,18 +424,20 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
             # Also KeyboardInterrupt/SystemExit: _await_ready must hear why.
             _send_error(conn, exc)
             return
-        conn.send(("ready", spec.shard_id))
+        conn.send_bytes(_encode(("ready", spec.shard_id)))
         while True:
             try:
-                op, args, kwargs = conn.recv()
+                op, args, kwargs = _decode(conn.recv_bytes())
             except EOFError:
                 return  # parent went away; nothing to serve
             if op == "__shutdown__":
                 shard.stop_maintenance()
-                conn.send(("ok", None))
+                conn.send_bytes(_encode(("ok", None)))
                 return
             try:
-                result = shard.execute(op, args, kwargs)
+                # Encoded inside the try: a result that will not pickle is
+                # answered as an error, and the worker keeps serving.
+                reply = _encode(("ok", shard.execute(op, args, kwargs)))
             except CrashError:
                 # Simulated power loss on this channel: die without a
                 # response or any cleanup.  The media bytes live in the
@@ -423,7 +448,7 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
                 # reply (the parent re-raises a non-Exception payload at once).
                 _send_error(conn, exc)
             else:
-                conn.send(("ok", result))
+                conn.send_bytes(reply)
     finally:
         beat_stop.set()
         # Release our view of the media: the device's content array is
@@ -443,13 +468,15 @@ class _WorkerHandle:
     ``lock`` serialises the send→recv conversation (and reopen) per
     shard; ``kill_shard`` deliberately does *not* take it — an os-level
     kill closes the worker's pipe end, which wakes any in-flight
-    ``poll`` immediately with EOF."""
+    ``poller.poll`` immediately with EOF.  ``poller`` is registered on
+    ``conn`` once per spawn, so every wait reuses it."""
 
     def __init__(self, spec: ShardSpec, shm) -> None:
         self.spec = spec
         self.shm = shm
         self.process = None
         self.conn = None
+        self.poller = None
         self.crashed = False
         self.hung = False
         self.lock = RLock()
@@ -532,8 +559,11 @@ class ProcessBackend:
         )
         process.start()
         child_conn.close()
+        poller = select.poll()
+        poller.register(parent_conn, select.POLLIN)
         handle.process = process
         handle.conn = parent_conn
+        handle.poller = poller
         handle.crashed = False
         handle.hung = False
 
@@ -543,19 +573,23 @@ class ProcessBackend:
             raise payload
 
     def _recv(self, handle: _WorkerHandle, deadline: float | None):
-        """Bounded response wait: ``poll(deadline)`` then ``recv()``.
+        """Bounded response wait on the handle's poller (the deadline in
+        ms; ``None`` blocks in ``recv_bytes``), then decode one frame.
 
         A missed deadline means the pipe is desynchronised (a late reply
         would pair with the wrong request), so the worker is killed and
         the call raises :class:`ShardHungError`.  A closed pipe (worker
-        died, or the watchdog killed it from outside) raises
-        :class:`ShardCrashedError`/:class:`ShardHungError` immediately —
-        the RPC never outlives the worker."""
+        died, or the watchdog killed it from outside) wakes the poll with
+        POLLHUP and ``recv_bytes`` raises EOF: that is
+        :class:`ShardCrashedError`/:class:`ShardHungError` at once — the
+        RPC never outlives the worker."""
         try:
-            if deadline is not None and not handle.conn.poll(deadline):
+            if deadline is not None and not handle.poller.poll(
+                deadline * 1000.0
+            ):
                 self.kill_shard(handle.spec.shard_id, hung=True)
                 raise ShardHungError([handle.spec.shard_id], deadline)
-            return handle.conn.recv()
+            frame = handle.conn.recv_bytes()
         except (EOFError, OSError):
             was_hung = handle.hung
             handle.crashed = True
@@ -565,14 +599,15 @@ class ProcessBackend:
                     [handle.spec.shard_id], deadline
                 ) from None
             raise ShardCrashedError([handle.spec.shard_id]) from None
+        return _decode(frame)
 
-    def _send(self, handle: _WorkerHandle, message) -> None:
+    def _send(self, handle: _WorkerHandle, frame: bytes) -> None:
         if handle.crashed:
             if handle.hung:
                 raise ShardHungError([handle.spec.shard_id], None)
             raise ShardCrashedError([handle.spec.shard_id])
         try:
-            handle.conn.send(message)
+            handle.conn.send_bytes(frame)
         except (BrokenPipeError, OSError):
             handle.crashed = True
             self._join_bounded(handle.process, DEFAULT_KILL_GRACE_S)
@@ -595,8 +630,9 @@ class ProcessBackend:
         handle = self._handles[shard_id]
         if deadline is ...:
             deadline = self._deadline_for(op)
+        frame = _encode((op, args, kwargs))
         with handle.lock:
-            self._send(handle, (op, args, kwargs))
+            self._send(handle, frame)
             status, payload = self._recv(handle, deadline)
         if status == "err":
             raise payload
@@ -616,15 +652,27 @@ class ProcessBackend:
         to keep a best-effort snapshot from waiting out a long op budget
         on a hung worker.
 
+        Every request is encoded before any is sent: one that will not
+        pickle fails only its own attempt, without touching its shard's
+        pipe or lock, while the others run and are collected as usual.
         If any worker dies or hangs mid-batch, the surviving shards'
         responses are still drained (their sub-batches commit normally);
         see :func:`_gather` for what is raised and what rides on it."""
+        frames = []
+        for _, op, args, kwargs in requests:
+            try:
+                frames.append(_encode((op, args, kwargs)))
+            except Exception as exc:  # noqa: BLE001 - _gather re-raises it
+                frames.append(exc)
         attempts = []
-        for shard_id, op, args, kwargs in requests:
+        for (shard_id, op, _, _), frame in zip(requests, frames):
+            if isinstance(frame, Exception):
+                attempts.append((shard_id, partial(_raise, frame)))
+                continue
             handle = self._handles[shard_id]
             handle.lock.acquire()
             try:
-                self._send(handle, (op, args, kwargs))
+                self._send(handle, frame)
             except ShardCrashedError as exc:
                 handle.lock.release()
                 attempts.append((shard_id, partial(_raise, exc)))
@@ -722,9 +770,11 @@ class ProcessBackend:
             with handle.lock:
                 if not handle.crashed and handle.process.is_alive():
                     try:
-                        handle.conn.send(("__shutdown__", (), None))
-                        if handle.conn.poll(DEFAULT_CLOSE_GRACE_S):
-                            handle.conn.recv()
+                        handle.conn.send_bytes(
+                            _encode(("__shutdown__", (), None))
+                        )
+                        if handle.poller.poll(DEFAULT_CLOSE_GRACE_S * 1000.0):
+                            handle.conn.recv_bytes()
                     except (EOFError, OSError, BrokenPipeError):
                         pass
                 handle.conn.close()

@@ -62,6 +62,7 @@ from repro.sharding.rebalance import (
 )
 from repro.sharding.ring import HashRing
 from repro.sharding.shard import ShardSpec
+from repro.sharding.supervisor import ShardCircuitOpenError
 
 DEGRADED_MODES = ("fail_fast", "partial", "block")
 
@@ -602,8 +603,6 @@ class ShardedKVStore:
         at an open breaker raises, never silently drops.  ``block``
         retries through supervisor healing until ``block_timeout_s``.
         """
-        from repro.sharding.supervisor import ShardCircuitOpenError
-
         if self.degraded != "block":
             if self._breaker_open(shard_id):
                 if self.degraded == "partial" and op == "get":
@@ -683,8 +682,6 @@ class ShardedKVStore:
         died mid-batch) is safe: re-putting a committed key overwrites
         it with the same value.
         """
-        from repro.sharding.supervisor import ShardCircuitOpenError
-
         out: list = [None] * n_items
         outcomes = ["ok"] * n_items
         mode = self.degraded

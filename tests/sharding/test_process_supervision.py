@@ -3,8 +3,8 @@
 Marked ``sharding`` (excluded from tier-1): every test spawns worker
 processes.  These are the fidelity twins of ``test_supervisor.py`` —
 the SIGSTOP here is a real signal against a real PID, the deadline is a
-real ``Connection.poll`` timeout, and recovery re-attaches real
-shared-memory media.
+real ``select.poll`` timeout on the worker's pipe, and recovery
+re-attaches real shared-memory media.
 """
 
 from __future__ import annotations
