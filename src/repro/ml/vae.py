@@ -89,14 +89,13 @@ class VAE:
         return mu, logvar
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        """Deterministic latent representation (the posterior mean)."""
-        mu, _ = self.encode(X)
-        return mu
+        """Deterministic latent representation (the posterior mean):
+        :meth:`encode`'s ``mu`` without the log-variance head."""
+        return self.mu_head.infer(self.trunk.infer(self._as_batch(X)))
 
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
         """Bit probabilities reconstructed through the posterior mean."""
-        mu, _ = self.encode(X)
-        return self._sigmoid.forward(self.decoder.infer(mu))
+        return self._sigmoid.forward(self.decoder.infer(self.transform(X)))
 
     # --------------------------------------------------------------- training
 

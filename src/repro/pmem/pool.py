@@ -3,22 +3,42 @@
 Layout of the reserved log region (the pool's first ``log_segments``
 segments)::
 
-    [byte 0]         active flag (1 = a transaction's undo log is live)
-    [bytes 1..8]     sequence number of the transaction the log belongs to
+    [bytes 0..7]     sequence number of the transaction the log belongs to
+                     (big-endian)
+    [byte 8]         active flag (1 = a transaction's undo log is live)
+    [bytes 9..15]    reserved, zero
     [bytes 16..]     undo records, one contiguous run per transaction:
                      [addr: 8B][length: 4B][old data: length B][crc32: 4B]
                      ... closed by a zeroed record header when room is left
 
 The undo log holds one transaction at a time and transactions are *staged*
-(see :mod:`repro.pmem.transaction`): commit persists every undo record of
-the transaction as one segment-chunked run, then raises the header (active
-flag + sequence, one write), applies the in-place writes and clears the
-flag.  A record's CRC32 covers the transaction's sequence number, the
-record header and the old data, so a record torn at any byte — and an
-intact record a *previous* transaction left at the same offset — is never
-replayed.  :meth:`PersistentPool.recover` rolls back a transaction that was
-active when the process died; it is idempotent, so a crash *during*
-recovery is itself recoverable.
+(see :mod:`repro.pmem.transaction`): commit writes the whole log in one
+pass — header (sequence, raised flag), every undo record and the closing
+record header, as one payload from byte 0, one row per log segment it
+touches, row 0 first — then applies the in-place writes and clears the
+flag (one byte).  A record's CRC32 covers the transaction's sequence
+number, the record header and the old data, so a record torn at any byte
+— and an intact record a *previous* transaction left at the same offset —
+is never replayed.  :meth:`PersistentPool.recover` rolls back a
+transaction that was active when the process died; it is idempotent, so a
+crash *during* recovery is itself recoverable.
+
+Why one pass is crash-safe.  A torn write persists a prefix of its bytes,
+in address order, and
+
+- the flag lands only after the full sequence, so a raised flag always
+  names the transaction whose records follow it.  (With the flag in front
+  of the sequence, a tear one byte in would raise it under the *previous*
+  sequence, whose committed records still pass their CRC: recovery would
+  roll back committed data.)
+- nothing is written in place until every row of the payload is on the
+  media, so a log torn anywhere — mid-header, mid-record, between rows —
+  lies over untouched data, and replaying its intact records rewrites
+  what is already there;
+- recovery replays only records whose sequence-stamped CRC checks;
+- the sequence is big-endian, so a tear inside it (flag still down)
+  leaves a number no smaller than the last one used: the next
+  transaction never reuses the sequence of records still in the log.
 
 After the log the pool can reserve ``meta_segments`` further segments for
 application metadata (the KV store keeps its persistent catalog there —
@@ -37,10 +57,20 @@ from repro.nvm.health import SegmentRetiredError
 from repro.pmem.transaction import Transaction
 from repro.testing.faults import CrashError
 
+#: The undo-log header at byte 0: ``(sequence, active flag)``.
+LOG_HEADER = struct.Struct(">QB")
+#: Offset of the active flag, behind every byte of the sequence.
+LOG_FLAG_AT = LOG_HEADER.size - 1
+#: Header plus reserved zero bytes; the record run starts here.
 _LOG_HEADER_BYTES = 16
-_LOG_HEADER = struct.Struct("<BQ")
 _RECORD_HEADER = struct.Struct("<QI")
 _RECORD_CRC = struct.Struct("<I")
+
+
+def log_active_flag(controller: MemoryController) -> int:
+    """The log header's active-flag byte: 1 while a transaction's undo log
+    is live, 0 when the log is logically empty, anything else damage."""
+    return controller.read(LOG_FLAG_AT, 1)[0]
 
 
 def iter_log_records(controller: MemoryController, log_segments: int):
@@ -51,13 +81,14 @@ def iter_log_records(controller: MemoryController, log_segments: int):
     offline checker all read the log through it.  The scan ends at the
     first record whose framing or sequence-stamped CRC fails: the closing
     zero header, a torn tail, or a stale record of an earlier transaction.
-    Whether the log is *active* is the caller's question (byte 0).
+    Whether the log is *active* is the caller's question
+    (:func:`log_active_flag`).
     """
     size = controller.segment_size
     log = b"".join(
         controller.read(i * size, size) for i in range(log_segments)
     )
-    stamp = log[1 : _LOG_HEADER.size]
+    stamp = log[:LOG_FLAG_AT]
     offset = _LOG_HEADER_BYTES
     while offset + _RECORD_HEADER.size + _RECORD_CRC.size <= len(log):
         addr, length = _RECORD_HEADER.unpack_from(log, offset)
@@ -87,8 +118,9 @@ class PersistentPool:
             set, the pool fires the ``"tx.begin"``, ``"tx.log"``,
             ``"tx.write"``, ``"tx.commit"`` and ``"recover.rollback"``
             sites; the write-capable ones (``tx.log`` — once per
-            transaction, the whole record run — ``tx.write`` and
-            ``recover.rollback``) support torn-write injection.
+            transaction, the whole log payload, header included —
+            ``tx.write`` and ``recover.rollback``) support torn-write
+            injection.
     """
 
     def __init__(
@@ -250,14 +282,16 @@ class PersistentPool:
         return Transaction(self)
 
     def format(self) -> None:
-        """Initialise the log header on fresh media.
+        """Initialise the log header on fresh media: sequence 0, flag
+        down, reserved bytes zero (one write).
 
         A brand-new (or randomly filled) device may carry a garbage active
         flag; formatting clears it so the first :meth:`recover` does not
         replay noise.  Call once when *creating* a pool on new media, never
         when re-opening existing data.
         """
-        self.controller.write(0, b"\x00")
+        self.controller.write(0, bytes(_LOG_HEADER_BYTES))
+        self._sequence = 0
         self._tx_active = False
 
     # ---------------------------------------------------------------- crash
@@ -276,7 +310,7 @@ class PersistentPool:
         """
         self.recovered_records = 0
         self._tx_active = False
-        if self.controller.read(0, 1)[0] != 1:
+        if log_active_flag(self.controller) != 1:
             return 0
         self.recovered_records = self._log_rollback()
         return self.recovered_records
@@ -300,14 +334,15 @@ class PersistentPool:
         self._tx_active = True
 
     def _log_commit(self, writes: list[tuple[int, bytes, int]]) -> None:
-        """TX_COMMIT of the staged ``(addr, data, undo_len)`` writes: undo
-        records (the leading ``undo_len`` old bytes of each range), header,
-        in-place writes, header clear — in that order.
+        """TX_COMMIT of the staged ``(addr, data, undo_len)`` writes: the
+        log payload (header with the flag raised, then an undo record of
+        the leading ``undo_len`` old bytes of each range), the in-place
+        writes, the flag clear — in that order.
 
-        The header is raised only once the whole record run is on the
-        media, and nothing is written in place before the header is up, so
-        a crash at any point either finds an inactive log over untouched
-        data or an active log that undoes every in-place write.  A
+        Nothing is written in place before every row of the payload is on
+        the media, so a crash at any point either finds an inactive log
+        over untouched data or an active log that undoes every in-place
+        write (the module docstring says why a torn payload is safe).  A
         non-crash failure rolls the transaction back here.
         """
         if not writes:
@@ -315,36 +350,35 @@ class PersistentPool:
             self._tx_active = False
             return
         controller = self.controller
-        header_up = False
+        persisting = applying = False
         try:
             if self._sequence is None:
-                self._sequence = _LOG_HEADER.unpack(
-                    controller.read(0, _LOG_HEADER.size)
-                )[1]
+                self._sequence = LOG_HEADER.unpack(
+                    controller.read(0, LOG_HEADER.size)
+                )[0]
             self._sequence = (self._sequence + 1) & 0xFFFFFFFFFFFFFFFF
-            header = _LOG_HEADER.pack(1, self._sequence)
-            stamp = header[1:]
+            header = LOG_HEADER.pack(self._sequence, 1)
+            stamp = header[:LOG_FLAG_AT]
             addrs, data, undo_lens = zip(*writes)
-            run = bytearray()
+            payload = bytearray(header.ljust(_LOG_HEADER_BYTES, b"\0"))
             for addr, old in zip(
                 addrs, controller.read_many(addrs, undo_lens)
             ):
                 body = _RECORD_HEADER.pack(addr, len(old)) + old
-                run += body + _RECORD_CRC.pack(zlib.crc32(stamp + body))
+                payload += body + _RECORD_CRC.pack(zlib.crc32(stamp + body))
             # A zeroed header closes the run: whatever an earlier
             # transaction left behind it is unreachable even if it carries
-            # this sequence number (a crashed attempt re-numbered after a
-            # restart).
-            room = self._log_capacity - _LOG_HEADER_BYTES - len(run)
-            run = bytes(run) + bytes(min(room, _RECORD_HEADER.size))
+            # this sequence number.
+            room = self._log_capacity - len(payload)
+            payload = bytes(payload) + bytes(min(room, _RECORD_HEADER.size))
             self._fire(
                 "tx.log",
-                payload_len=len(run),
-                payload_writer=lambda n: self._log_persist(run[:n], True),
+                payload_len=len(payload),
+                payload_writer=lambda n: self._log_persist(payload[:n], True),
             )
-            self._log_persist(run)
-            header_up = True
-            controller.write(0, header)
+            persisting = True
+            self._log_persist(payload)
+            applying = True
             for addr, new in zip(addrs, data):
                 self._fire(
                     "tx.write",
@@ -358,30 +392,28 @@ class PersistentPool:
         except CrashError:
             raise
         except BaseException:
-            # Also KeyboardInterrupt/SystemExit: roll back a raised header.
-            # Before the header went up nothing was written in place (and
-            # the log must not be replayed: under the old header it still
-            # holds the *previous* transaction's records).
-            if header_up:
+            # Also KeyboardInterrupt/SystemExit.  Once in-place writes may
+            # have begun, the log undoes them.  While the payload was being
+            # written nothing was written in place, so lowering the flag
+            # its first row may have raised is enough — and replaying would
+            # be wrong: had row 0 not landed, the header would still name
+            # the *previous* transaction, whose records pass their CRC.
+            if applying:
                 self._log_rollback()
+            elif persisting:
+                self._log_finish()
             self._tx_active = False
             raise
         self._log_finish()
 
-    def _log_persist(self, run: bytes, torn: bool = False) -> None:
-        """Write the record run behind the header, one row per log segment
-        it touches (``torn``: through the crash-interrupted program path,
-        which needs no live controller afterwards)."""
+    def _log_persist(self, payload: bytes, torn: bool = False) -> None:
+        """Write the log payload from byte 0, one row per log segment it
+        touches, row 0 (the header's) first (``torn``: through the
+        crash-interrupted program path, which needs no live controller
+        afterwards)."""
         seg = self.controller.segment_size
-        offsets, chunks = [], []
-        offset, end = _LOG_HEADER_BYTES, _LOG_HEADER_BYTES + len(run)
-        while offset < end:
-            stop = min(end, offset - offset % seg + seg)
-            offsets.append(offset)
-            chunks.append(
-                run[offset - _LOG_HEADER_BYTES : stop - _LOG_HEADER_BYTES]
-            )
-            offset = stop
+        offsets = range(0, len(payload), seg)
+        chunks = [payload[offset : offset + seg] for offset in offsets]
         if torn:
             for offset, chunk in zip(offsets, chunks):
                 self.controller.torn_program(offset, chunk)
@@ -390,7 +422,7 @@ class PersistentPool:
 
     def _log_rollback(self) -> int:
         """Replay the logged transaction's records in reverse (the
-        ``recover.rollback`` site fires per record) and clear the header;
+        ``recover.rollback`` site fires per record) and clear the flag;
         returns the record count."""
         records = list(iter_log_records(self.controller, self.log_segments))
         for addr, old in reversed(records):
@@ -414,7 +446,7 @@ class PersistentPool:
 
     def _log_finish(self) -> None:
         """Clear the active flag; the log is logically empty."""
-        self.controller.write(0, b"\x00")
+        self.controller.write(LOG_FLAG_AT, b"\x00")
         self._tx_active = False
 
     def _check_object_address(self, addr: int) -> None:

@@ -3,11 +3,11 @@
 Transactions are *staged*: :meth:`Transaction.write` only records the
 intended write, and commit (leaving the ``with`` block normally) does the
 media work in four steps — read every target's *old* content in one
-batched read, persist all undo records as one contiguous run in the
-pool's media-resident log region, apply the writes in place as one batched
-write, clear the log's active flag.  Abort (an exception inside the
-``with`` block) simply drops the staged writes: nothing has touched the
-media yet.  Reads inside the block therefore still see the old content.
+batched read, persist the log header (raised active flag) and all undo
+records as one payload in the pool's media-resident log region, apply the
+writes in place as one batched write, clear the log's active flag.  Abort
+(an exception inside the ``with`` block) simply drops the staged writes:
+nothing has touched the media yet.  Reads inside the block therefore still see the old content.
 
 Because the log lives on the simulated media, a *crash* mid-commit is
 recoverable: a new :class:`~repro.pmem.pool.PersistentPool` constructed

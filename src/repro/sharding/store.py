@@ -47,6 +47,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.core.config import E2NVMConfig
+from repro.pmem.pool import LOG_FLAG_AT
 from repro.sharding.backends import (
     DEFAULT_CLOSE_GRACE_S,
     DEFAULT_DEADLINE_S,
@@ -67,11 +68,29 @@ from repro.sharding.supervisor import ShardCircuitOpenError
 DEGRADED_MODES = ("fail_fast", "partial", "block")
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+#: 2: every shard's undo-log header is ``(sequence, active flag)``, the
+#: flag behind the sequence (:data:`repro.pmem.pool.LOG_HEADER`).
+MANIFEST_VERSION = 2
 
-#: Per-shard manifest keys of settings that have since become constants.
-#: A manifest written before still opens: the key is dropped by name.
-_RETIRED_SHARD_KEYS = ("compact_interval_s",)
+
+def check_manifest_version(manifest: dict) -> None:
+    """Refuse a manifest of another version: the one rule
+    :meth:`ShardedKVStore.open` and the offline checker share.  A
+    version-1 store keeps the undo-log flag in front of the sequence;
+    read with this layout, a crashed shard's rollback would be silently
+    skipped.
+
+    Raises:
+        ValueError: naming the version and the log layout this code reads.
+    """
+    version = manifest.get("version")
+    if version != MANIFEST_VERSION:
+        raise ValueError(
+            f"manifest version {version} not supported: this code reads "
+            f"version {MANIFEST_VERSION}, whose shards keep the undo-log "
+            f"active flag behind the sequence, at byte {LOG_FLAG_AT} "
+            "(version 1 kept it in front); recreate the store and reload"
+        )
 
 #: Aggregate-by-sum keys of each shard's placement telemetry.
 _PLACEMENT_SUM_KEYS = (
@@ -409,10 +428,7 @@ class ShardedKVStore:
         (``None`` keeps it)."""
         root = Path(root)
         manifest = json.loads((root / MANIFEST_NAME).read_text())
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise ValueError(
-                f"manifest version {manifest.get('version')} not supported"
-            )
+        check_manifest_version(manifest)
         ring = HashRing(**manifest["ring"])
         code_carried = {
             "config": config if config is not None else E2NVMConfig(),
@@ -421,11 +437,7 @@ class ShardedKVStore:
         }
         specs = []
         for entry in manifest["shards"]:
-            # An unknown key still raises (``ShardSpec`` refuses it); a
-            # retired one is a setting that has since become a constant.
-            entry = {
-                k: v for k, v in entry.items() if k not in _RETIRED_SHARD_KEYS
-            }
+            # An unknown key raises: ``ShardSpec`` refuses it.
             if maintenance is not None:
                 entry["maintenance"] = maintenance
             specs.append(ShardSpec(**entry, **code_carried))

@@ -43,7 +43,11 @@ from repro.pmem.catalog import (
     CatalogLayoutError,
     PersistentCatalog,
 )
-from repro.pmem.pool import PersistentPool, iter_log_records
+from repro.pmem.pool import (
+    PersistentPool,
+    iter_log_records,
+    log_active_flag,
+)
 
 
 @dataclass
@@ -76,7 +80,7 @@ def _scan_undo_log(controller, pool, report: FsckReport) -> dict[int, int]:
     """Check the undo-log region; returns ``media address -> old byte``
     for all the pending (not yet rolled back) transaction has records for."""
     pending: dict[int, int] = {}
-    flag = controller.read(0, 1)[0]
+    flag = log_active_flag(controller)
     if flag not in (0, 1):
         report.error(f"undo log: active flag holds garbage byte {flag:#x}")
         return pending
@@ -299,11 +303,15 @@ def fsck_sharded(root) -> ShardedFsckReport:
     other misplacement or duplication is an error either way.  The
     authoritative ring is the journal's *new* ring when one is active —
     writes already route by it — and the manifest ring otherwise.
+
+    A manifest of a version :meth:`ShardedKVStore.open` refuses is one
+    error, and nothing else is checked.
     """
     # Local import: the tool must stay importable for single snapshots
     # even if the sharding package grows heavier dependencies.
     from repro.sharding.rebalance import RebalanceJournal
     from repro.sharding.ring import HashRing
+    from repro.sharding.store import check_manifest_version
 
     root = Path(root)
     report = ShardedFsckReport(root=str(root))
@@ -312,6 +320,13 @@ def fsck_sharded(root) -> ShardedFsckReport:
         report.error(f"{root} has no manifest.json (not a sharded store?)")
         return report
     manifest = json.loads(manifest_path.read_text())
+    try:
+        # Another version's shards have another media layout: judging
+        # them by this one would misread their undo logs.
+        check_manifest_version(manifest)
+    except ValueError as exc:
+        report.error(str(exc))
+        return report
     ring = HashRing(**manifest["ring"])
     old_ring = None
     journal = RebalanceJournal.load(root)

@@ -5,12 +5,14 @@ over; controller, pool, catalog, index, validity map, allocator and DAP
 are all rebuilt by :meth:`KVStore.open`.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import KVStore
 from repro.core.config import fast_test_config
 from repro.nvm import MemoryController, NVMDevice, WearOutConfig
 from repro.pmem import PersistentCatalog, PersistentPool
+from repro.pmem.pool import LOG_FLAG_AT
 from repro.testing import (
     CrashError,
     FaultInjector,
@@ -296,6 +298,40 @@ class TestGroupCommit:
         )
         check_durable_invariants(store, dict(items))
         check_durable_invariants(mortal.reopen(device), dict(items))
+
+
+class TestLogWrites:
+    """The header raise rides in the first row of the record run, so a
+    transaction writes the log header's 16 bytes exactly twice: with its
+    payload's first row, and as the 1-byte flag clear."""
+
+    def test_scalar_update_costs_four_device_writes(
+        self, harness, monkeypatch
+    ):
+        faults = FaultInjector()
+        device, _, store = harness.fresh(faults)
+        store.put(b"k", b"first")
+        header_rows = []
+        for name in ("program", "program_many"):
+            method = getattr(device, name)
+
+            def spy(addrs, *args, _method=method, **kwargs):
+                header_rows.extend(
+                    a for a in np.atleast_1d(addrs).tolist() if a < 16
+                )
+                return _method(addrs, *args, **kwargs)
+
+            monkeypatch.setattr(device, name, spy)
+        writes, logged = device.stats.writes, faults.hits("tx.log")
+        # Value, log payload (one row), catalog record, flag clear.
+        store.put(b"k", b"second")
+        assert device.stats.writes - writes == 4
+        store.put_many(TestGroupCommit.ITEMS)
+        store.delete(b"k")
+        transactions = faults.hits("tx.log") - logged
+        assert transactions > 3
+        assert len(header_rows) == 2 * transactions
+        assert set(header_rows) == {0, LOG_FLAG_AT}
 
 
 class TestConstruction:

@@ -90,9 +90,9 @@ def make_batched_trace(n_batches: int, seed: int, batch: int = 8):
 
 def test_small_batched_sweep_recovers(mortal_harness):
     """A crash at every point a group-committed ``put_many`` passes
-    through — value writes to free segments, the record run, the header,
-    every in-place catalog write — leaves acknowledged batches intact and
-    at most a *prefix* of the interrupted one."""
+    through — value writes to free segments, the log payload (header and
+    record run), every in-place catalog write — leaves acknowledged
+    batches intact and at most a *prefix* of the interrupted one."""
     report = run_crash_sweep(
         mortal_harness, make_batched_trace(1, seed=5), sites=BATCH_SITES,
     )
@@ -105,12 +105,15 @@ def test_small_batched_sweep_recovers(mortal_harness):
     # Pinned: a refactor of the harness must not enumerate fewer points.
     # (Before the per-key catalog: 4 transactions, 10 in-place writes, 37
     # programs — six 36-B pairs now fit the 240-B log where three 69-B
-    # ones did, and an update is one in-place write, not two.)
+    # ones did, and an update is one in-place write, not two.  The
+    # log-header fold took one program per transaction: 26 -> 23, crash
+    # points 62 -> 59 — the header raise is now a byte range of the
+    # ``tx.log`` payload, torn at every byte by the acceptance sweep.)
     assert report.site_hits == {
         "tx.begin": 3, "tx.log": 3, "tx.write": 8, "tx.commit": 3,
-        "device.write": 8, "device.program": 26,
+        "device.write": 8, "device.program": 23,
     }
-    assert (report.crash_points, report.torn_points) == (62, 11)
+    assert (report.crash_points, report.torn_points) == (59, 11)
     assert report.clean_replays == 0
 
 
@@ -120,7 +123,8 @@ def test_batched_sweep_acceptance(mortal_harness):
     (updates, inserts, a repeated key, mixed lengths) on media that
     retires segments mid-batch, crashed at every fired transaction, device
     and wear-out point — and, on a shorter trace, torn at *every byte* of
-    every undo-record run.  Each crash recovers to acknowledged ⇒ new,
+    every log payload, header bytes 0–8 included.  Each crash recovers to
+    acknowledged ⇒ new,
     un-acknowledged ⇒ a prefix of the batch, with the offline checker
     clean on the crashed media."""
     sites = BATCH_SITES + WEAROUT_CRASH_SITES
@@ -144,8 +148,10 @@ def test_batched_sweep_acceptance(mortal_harness):
         f"{len(torn.failures)} of {torn.crash_points} torn points failed; "
         f"first: {torn.failures[:3]}"
     )
-    # Every byte of every run: 445 now, 1000+ while a pair logged 85 B.
-    assert torn.torn_points > 400
+    # Every byte of every payload: 541 now — the 16 header bytes of each
+    # of six transactions ride in it since the header fold (445 before,
+    # 1000+ while a pair logged 85 B).
+    assert torn.torn_points > 500
 
 
 def test_small_sweep_every_point_recovers(harness):

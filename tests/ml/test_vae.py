@@ -25,10 +25,13 @@ class TestVAEForward:
         assert logvar.shape == (5, 3)
 
     def test_transform_is_posterior_mean(self):
+        """``transform`` skips the log-variance head, and its result is
+        ``encode``'s ``mu`` bit for bit."""
         vae = tiny_vae()
-        X = np.zeros((4, 16))
+        X = np.random.default_rng(3).integers(0, 2, (4, 16)).astype(float)
         mu, _ = vae.encode(X)
-        assert np.allclose(vae.transform(X), mu)
+        assert np.array_equal(vae.transform(X), mu)
+        assert np.array_equal(vae.transform(X[0]), vae.encode(X[0])[0])
 
     def test_reconstruct_returns_probabilities(self):
         vae = tiny_vae()

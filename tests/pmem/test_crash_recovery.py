@@ -16,6 +16,7 @@ import pytest
 
 from repro.nvm import MemoryController, NVMDevice
 from repro.pmem import PersistentPool
+from repro.pmem.pool import LOG_FLAG_AT, LOG_HEADER, log_active_flag
 from repro.testing import CrashError, FaultInjector
 
 
@@ -245,7 +246,7 @@ class TestCrashRecovery:
         # No rollback happened: the in-place write is still on the media
         # and the log is still active.
         assert device.peek(addr, 3).tobytes() == b"NEW"
-        assert device.peek(0, 1)[0] == 1
+        assert device.peek(LOG_FLAG_AT, 1)[0] == 1
         recovered = PersistentPool(
             MemoryController(device), log_segments=8, recover=True
         )
@@ -253,11 +254,13 @@ class TestCrashRecovery:
         assert recovered.read(addr, 3) == b"OLD"
 
     def test_stale_older_sequence_record_not_replayed(self):
-        """The log region is reused: a run torn exactly at a record
+        """The log region is reused: a payload torn exactly at a record
         boundary leaves an *intact* record of an earlier transaction right
-        behind the new records.  Its CRC covers the older sequence number,
-        so even under an active header naming the new transaction the
-        scan stops in front of it."""
+        behind the new records — under a header already raised for the
+        new transaction, since the flag lands with the payload's first
+        row.  The stale record's CRC covers the older sequence number, so
+        the scan stops in front of it: only the torn transaction's own
+        record replays."""
         device = make_device(seed=12)
         faults = FaultInjector()
         controller = MemoryController(device)
@@ -267,32 +270,23 @@ class TestCrashRecovery:
             tx.write(a, b"1" * 64)
             tx.write(b, b"2" * 64)
         record = pool.record_overhead_bytes() + 64
-        # Next transaction: its run (a, b, closing header) is torn after
-        # exactly one record, so b's stale record survives at the tear.
-        faults.arm(
-            "tx.log", error=CrashError,
-            torn_fraction=record / (2 * record + 12),
-        )
+        # Next transaction: its payload (header, a, b, closing header) is
+        # torn after exactly one record, so b's stale record survives.
+        faults.arm("tx.log", error=CrashError, torn_bytes=16 + record)
         with pytest.raises(CrashError):
             with pool.transaction() as tx:
                 tx.write(a, b"3" * 64)
                 tx.write(b, b"4" * 64)
         log = b"".join(controller.read(i * 64, 64) for i in range(8))
+        sequence, flag = LOG_HEADER.unpack_from(log)
+        assert flag == 1  # the torn transaction's header is up
         stale = log[16 + record : 16 + 2 * record]
         addr, length = struct.unpack_from("<QI", stale)
         assert (addr, length) == (b, 64)  # intact, from the first tx
-        sequence = struct.unpack_from("<Q", log, 1)[0]
+        older = LOG_HEADER.pack(sequence - 1, 1)[:LOG_FLAG_AT]
         assert struct.unpack_from("<I", stale, 12 + 64)[0] == zlib.crc32(
-            struct.pack("<Q", sequence) + stale[: 12 + 64]
+            older + stale[: 12 + 64]
         )
-        # The torn run itself never replays: the header was not raised.
-        recovered = PersistentPool(
-            MemoryController(device), log_segments=8, recover=True
-        )
-        assert recovered.recovered_records == 0
-        # Worst case: had the header gone up for the torn transaction,
-        # only its own record replays — never the stale one behind it.
-        controller.write(0, struct.pack("<BQ", 1, sequence + 1))
         recovered = PersistentPool(
             MemoryController(device), log_segments=8, recover=True
         )
@@ -332,3 +326,86 @@ class TestCrashRecovery:
                     committed[addr] = data
             for addr, expected in committed.items():
                 assert pool.read(addr, 64) == expected, round_idx
+
+
+class TestHeaderFold:
+    """The header raise rides in the first row of the record run: one
+    payload from byte 0 — sequence, active flag, records, closing header
+    — torn at every byte."""
+
+    A = [b"A" * 64, b"B" * 64, b"C" * 64]
+    B = [b"x" * 64, b"y" * 64]
+    #: A's sequence: B's (``0x0100…00``) carries through all eight bytes.
+    SEQUENCE_A = 0x00FF_FFFF_FFFF_FFFF
+
+    def tear_b(self, n: int):
+        """Commit A (three records), then crash B (two records, over A's
+        first two) with ``n`` bytes of its payload on the media; returns
+        the device, A's addresses and the tear rule."""
+        device = make_device(seed=13)
+        controller = MemoryController(device)
+        controller.write(0, LOG_HEADER.pack(self.SEQUENCE_A - 1, 0))
+        faults = FaultInjector()
+        pool = PersistentPool(controller, log_segments=8, faults=faults)
+        addrs = [pool.alloc() for _ in self.A]
+        with pool.transaction() as tx:
+            for addr, value in zip(addrs, self.A):
+                tx.write(addr, value)
+        rule = faults.arm("tx.log", error=CrashError, torn_bytes=n)
+        with pytest.raises(CrashError), pool.transaction() as tx:
+            for addr, value in zip(addrs, self.B):
+                tx.write(addr, value)
+        return device, addrs, rule
+
+    def test_torn_at_every_byte(self):
+        """A's values are never rolled back; up to byte 8 the flag is
+        still down and nothing replays; from byte 9 on exactly B's intact
+        records replay — never A's third record, intact right behind B's
+        run at the tear after B's last record.  And a tear inside the
+        sequence never hands the next transaction a sequence already
+        stamped on a record in the log."""
+        record = PersistentPool.record_overhead_bytes() + 64
+        payload = 16 + 2 * record + 12
+        for n in range(payload + 1):
+            device, addrs, rule = self.tear_b(n)
+            assert rule.payload_len == payload
+            recovered = PersistentPool(
+                MemoryController(device), log_segments=8, recover=True
+            )
+            intact = sum(16 + (i + 1) * record <= n for i in range(2))
+            assert recovered.recovered_records == (
+                0 if n <= LOG_FLAG_AT else intact
+            ), n
+            assert [recovered.read(a, 64) for a in addrs] == self.A, n
+            assert log_active_flag(recovered.controller) == 0, n
+            with recovered.transaction() as tx:
+                tx.write(addrs[0], b"z" * 64)
+            sequence, _ = LOG_HEADER.unpack(
+                recovered.controller.read(0, LOG_HEADER.size)
+            )
+            assert sequence > self.SEQUENCE_A, n
+
+    def test_interrupt_between_payload_rows_lowers_the_flag(self):
+        """A non-crash failure after the payload's first row landed (the
+        flag is up) but before the rest did: nothing was written in
+        place, so the live pool lowers the flag without replaying, and
+        the media stays clean for the next transaction."""
+        faults = FaultInjector()
+        device = NVMDevice(
+            capacity_bytes=24 * 64, segment_size=64,
+            initial_fill="random", seed=14, faults=faults,
+        )
+        pool = PersistentPool(MemoryController(device), log_segments=8)
+        pool.format()
+        addrs = [pool.alloc() for _ in self.A]
+        before = [pool.read(a, 64) for a in addrs]
+        # The payload's rows are the first programs of the commit.
+        faults.arm("device.program", error=KeyboardInterrupt, after=1)
+        with pytest.raises(KeyboardInterrupt), pool.transaction() as tx:
+            for addr, value in zip(addrs, self.A):
+                tx.write(addr, value)
+        assert device.peek(LOG_FLAG_AT, 1)[0] == 0
+        assert [pool.read(a, 64) for a in addrs] == before
+        with pool.transaction() as tx:
+            tx.write(addrs[0], b"z" * 64)
+        assert pool.read(addrs[0], 64) == b"z" * 64

@@ -10,6 +10,7 @@ routing, and telemetry aggregates with counter-correct semantics.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,8 +25,13 @@ from repro.pmem.catalog import PersistentCatalog
 from repro.pmem.pool import PersistentPool
 from repro.sharding import ShardedKVStore
 from repro.sharding.shard import Shard, ShardSpec
-from repro.sharding.store import MANIFEST_NAME, aggregate_telemetry
+from repro.sharding.store import (
+    MANIFEST_NAME,
+    MANIFEST_VERSION,
+    aggregate_telemetry,
+)
 from repro.testing import FaultInjector, KVCrashHarness
+from repro.tools.fsck import fsck_sharded
 
 SEGMENT_SIZE = 64
 N_SEGMENTS = 96
@@ -300,46 +306,49 @@ class TestManifest:
         with ShardedKVStore.open(root, config=_config()) as store:
             assert running(store) == [[False], [False]]
 
-    def test_manifest_written_before_a_setting_was_retired_still_opens(
-        self, tmp_path
-    ):
-        """A per-shard entry as the parent of the surface PR wrote it:
-        ``compact_interval_s`` has since become a constant and is dropped
-        by name; a key nobody ever wrote is still refused."""
+    def test_pre_fold_manifest_is_refused_by_name(self, tmp_path):
+        """A manifest as stores written before the log-header fold carry
+        it — version 1, whose shards keep the undo-log flag in front of
+        the sequence, and a ``compact_interval_s`` since made a constant —
+        is refused by ``open`` and reported by the offline checker, both
+        naming the log layout.  At this version an unknown shard key is
+        refused too."""
         root = tmp_path / "store"
-        items = _trace(16)
         with self._durable(root, ring_seed=42) as store:
-            store.put_many(items)
+            store.put_many(_trace(16))
         shard_entry = """{
           "shard_id": %d, "segment_size": 64, "n_segments": 96,
           "durable": true, "log_segments": 4, "key_capacity": 16,
           "seed": %d, "path": %s,
           "scrubber": false, "compactor": false, "maintenance": false,
-          "scrub_interval_s": 0.05, "compact_interval_s": 0.1,
-          "retrain_interval_s": 0.0%s
+          "scrub_interval_s": 0.05, "retrain_interval_s": 0.0%s
         }"""
         manifest = """{
-          "version": 1,
+          "version": %d,
           "ring": {"n_shards": 2, "seed": 42, "vnodes": 128},
           "backend": "inprocess",
           "shards": [%s, %s]
         }"""
 
-        def write_manifest(extra=""):
+        def write_manifest(version, extra):
             entries = [
                 shard_entry
                 % (i, 7 + i, json.dumps(str(root / f"shard-{i}.npz")), extra)
                 for i in range(2)
             ]
-            (root / MANIFEST_NAME).write_text(manifest % tuple(entries))
+            (root / MANIFEST_NAME).write_text(
+                manifest % (version, *entries)
+            )
 
-        write_manifest()
-        with ShardedKVStore.open(root, config=_config()) as reopened:
-            assert reopened.get_many([k for k, _ in items]) == [
-                v for _, v in items
-            ]
+        write_manifest(1, ', "compact_interval_s": 0.1')
+        cause = "manifest version 1 not supported: .* undo-log active flag"
+        with pytest.raises(ValueError, match=cause):
+            ShardedKVStore.open(root, config=_config())
+        report = fsck_sharded(root)
+        [error] = report.all_errors
+        assert re.search(cause, error) and report.shards == []
 
-        write_manifest(', "compact_budget": 4')
+        write_manifest(MANIFEST_VERSION, ', "compact_budget": 4')
         with pytest.raises(TypeError, match="compact_budget"):
             ShardedKVStore.open(root, config=_config())
 

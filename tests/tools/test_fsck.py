@@ -8,6 +8,7 @@ import pytest
 from repro.nvm import NVMDevice
 from repro.nvm.device import WearOutConfig
 from repro.pmem.catalog import CatalogLayoutError
+from repro.pmem.pool import LOG_FLAG_AT
 from repro.testing import CrashError, FaultInjector, KVCrashHarness
 from repro.tools.fsck import fsck, main
 
@@ -162,13 +163,19 @@ class TestVerdicts:
         assert report.pending_undo_records > 0
 
     def test_garbage_active_flag_is_an_error(self, harness, tmp_path):
-        def garbage(device, store):
-            device._content[0] = 0x7F
+        """The flag is the header byte behind the sequence: garbage there
+        is an error, while any byte inside the sequence is a number."""
+        def garbage(at):
+            def mutate(device, store):
+                device._content[at] = 0x7F
+            return mutate
 
-        path, _, _ = snapshot(harness, tmp_path, mutate=garbage)
+        path, _, _ = snapshot(harness, tmp_path, mutate=garbage(LOG_FLAG_AT))
         report = run_fsck(path, harness)
         assert not report.ok
         assert any("active flag" in e for e in report.errors)
+        path, _, _ = snapshot(harness, tmp_path, mutate=garbage(0))
+        assert run_fsck(path, harness).ok
 
 
 class TestCli:
