@@ -1,28 +1,25 @@
-"""Durability overhead: volatile vs transactional KV write path, per PUT.
+"""Durability overhead: volatile vs durable KV write path, per PUT.
 
 The paper's Figure 1 experiment "use[s] PMDK's transactions to persist
 writes" and pays the undo-log traffic on every write; this benchmark
-quantifies that price for the full KV store.  The same seeded PUT stream
-runs over byte-identical devices in four ways:
+quantifies what durability costs the full KV store.  The same seeded PUT
+stream runs over byte-identical devices in four ways:
 
 - **volatile** — the historical simulator mode (DRAM index and flags,
   values written straight through the engine);
-- **durable** — values written to free segments, then published through
-  undo-log transactions that maintain the persistent per-key catalog;
+- **durable** — values written to free segments, then published in the
+  non-newest of two self-checking slots of each key's persistent catalog
+  record (no log);
 
 each as **scalar** ``put`` calls and as ``put_many`` batches of
-``BATCH`` pairs.  A durable PUT costs the value write plus its share of a
-group commit: the undo records of the catalog writes (one contiguous run
-per transaction: 36 B for an update's 20 mutable record bytes, 17 B for an
-insert's flag byte), the log header raise and clear, and one in-place
-write of the key's catalog record — a scalar PUT is exactly 5 device
-writes, a batched one 2.81 (179 bit flips against 122 volatile).  While
-the catalog was indexed by segment an update forwarded the whole record
-to a new slot and cleared the old one's flag: 6.96 scalar / 4.55 batched
-writes and 202 batched flips per PUT on this same stream.  Before group
-commit (``BEFORE``, measured at that PR's parent commit with this same
-PUT stream) every pair paid a transaction of its own, undo copy of the
-value included: 17 device writes per PUT, batched or not.
+``BATCH`` pairs.  A durable PUT costs the value write plus one catalog
+row — a 22-B slot for an update, the key and a slot in one 40-B row for
+an insert — so it is exactly 2 device writes, scalar or batched: there is
+no log left for a batch to amortise.  With the undo log a scalar PUT was
+5 device writes and a batched one 2.81; while the catalog was indexed by
+segment 6.96 / 4.55; before group commit (``BEFORE``, measured with this
+same PUT stream) every pair paid a transaction of its own, undo copy of
+the value included: 17 device writes per PUT, batched or not.
 
 Results land in ``BENCH_durability.json``.
 """
@@ -39,13 +36,12 @@ from repro.testing.crash_sweep import make_ycsb_trace
 
 SEGMENT_SIZE = 64
 N_SEGMENTS = 96
-LOG_SEGMENTS = 4
 KEY_CAPACITY = 16
 N_PUTS = 233
 BATCH = 8
 JSON_PATH = REPO_ROOT / "BENCH_durability.json"
 META_SEGMENTS = PersistentCatalog.meta_segments_for(
-    N_SEGMENTS, LOG_SEGMENTS, SEGMENT_SIZE, KEY_CAPACITY
+    N_SEGMENTS, SEGMENT_SIZE, KEY_CAPACITY
 )
 METRICS = (
     ("device writes", "writes"),
@@ -78,16 +74,14 @@ def _store(durable: bool) -> tuple[NVMDevice, KVStore]:
     config = fast_test_config()
     if durable:
         pool = PersistentPool(
-            MemoryController(device),
-            log_segments=LOG_SEGMENTS,
-            meta_segments=META_SEGMENTS,
+            MemoryController(device), meta_segments=META_SEGMENTS
         )
         return device, KVStore.create(
             pool, config=config, key_capacity=KEY_CAPACITY
         )
     engine = E2NVM(
         MemoryController(device), config,
-        reserved_segments=LOG_SEGMENTS + META_SEGMENTS,
+        reserved_segments=META_SEGMENTS,
     )
     engine.train()
     return device, KVStore(engine)
@@ -122,7 +116,6 @@ def run_durability_overhead(seed: int = 0) -> dict:
         "n_puts": len(puts),
         "batch": BATCH,
         "segment_size": SEGMENT_SIZE,
-        "log_segments": LOG_SEGMENTS,
         "per_put": per_put,
         "durable_before": BEFORE,
     }
@@ -155,19 +148,12 @@ def test_bench_durability_overhead(benchmark):
     durable, before = result["per_put"]["durable"], result["durable_before"]
     volatile = result["per_put"]["volatile"]
     for shape in ("scalar", "batched"):
-        # Transactions must cost more (log traffic is real device
-        # traffic)...
-        assert durable[shape]["device writes"] > 1.5 * (
-            volatile[shape]["device writes"]
-        )
-        # ...but group commit keeps it well under the per-pair commit.
+        # A durable PUT is its value and one catalog row, nothing else...
+        assert durable[shape]["device writes"] == 2.0
+        assert volatile[shape]["device writes"] == 1.0
+        # ...well under the per-pair undo-logged commit.
         for name, _ in METRICS:
             assert durable[shape][name] < 0.6 * before[shape][name], name
-    # Batching amortises the log header and record run over the group.
-    assert (
-        durable["batched"]["device writes"]
-        < durable["scalar"]["device writes"]
-    )
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ data, then overwrites each block with content x% different (Hamming) and
 measures per-round latency and energy, observing up to ~56% energy savings
 for similar content.
 
-We reproduce the exact protocol over the simulated device + pmem layer:
-PMDK transactions persist the writes, and the controller's DCW substrate
-programs only differing cells.
+We reproduce the protocol over the simulated device + pmem layer: each
+overwrite is one pool transaction (a commit group with no undo log, as
+the durable store commits), and the controller's DCW substrate programs
+only differing cells.  PMDK's undo-log write is not modelled.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def run_figure1(seed: int = 0) -> list[list]:
             segment_size=BLOCK_SIZE,
             initial_fill="zero",
         )
-        pool = PersistentPool(MemoryController(device), log_segments=2)
+        pool = PersistentPool(MemoryController(device))
         blocks = [pool.alloc() for _ in range(N_BLOCKS)]
         # Round setup: initialise all blocks with random data.
         contents = {}

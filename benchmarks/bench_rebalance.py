@@ -62,7 +62,6 @@ def run_rebalance(quick: bool = False) -> dict:
         segment_size=128,
         n_segments_per_shard=max(96, n_keys * 2),
         config=fast_test_config(),
-        log_segments=4,
         key_capacity=32,
         ring_seed=SEED,
         vnodes=32,

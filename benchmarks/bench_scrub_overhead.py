@@ -38,7 +38,6 @@ from repro.pmem.catalog import PersistentCatalog
 from repro.pmem.pool import PersistentPool
 
 SEGMENT = 64
-LOG_SEGMENTS = 4
 KEY_CAPACITY = 16
 SEED = 7
 JSON_PATH = REPO_ROOT / "BENCH_scrub.json"
@@ -59,13 +58,13 @@ def _drift_config(meta_segments: int) -> DriftConfig:
         retention_mean=40,
         retention_sigma=0.4,
         seed=3,
-        immortal_prefix_segments=LOG_SEGMENTS + meta_segments,
+        immortal_prefix_segments=meta_segments,
     )
 
 
 def _fresh_store(n_segments: int, pipeline=None) -> KVStore:
     meta_segments = PersistentCatalog.meta_segments_for(
-        n_segments, LOG_SEGMENTS, SEGMENT, KEY_CAPACITY
+        n_segments, SEGMENT, KEY_CAPACITY
     )
     device = NVMDevice(
         capacity_bytes=n_segments * SEGMENT,
@@ -76,7 +75,6 @@ def _fresh_store(n_segments: int, pipeline=None) -> KVStore:
     )
     pool = PersistentPool(
         MemoryController(device),
-        log_segments=LOG_SEGMENTS,
         meta_segments=meta_segments,
     )
     return KVStore.create(

@@ -67,8 +67,8 @@ class E2NVM:
             ``"pipeline.fit"``), letting tests force training failures,
             slow fits, and device write errors.
         reserved_segments: leading segments the engine must never place
-            values in (a :class:`~repro.pmem.pool.PersistentPool`'s undo
-            log and catalog regions); training, the DAP and placement all
+            values in (a :class:`~repro.pmem.pool.PersistentPool`'s
+            catalog region); training, the DAP and placement all
             operate on the remaining *object* segments only.
     """
 

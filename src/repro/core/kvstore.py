@@ -19,13 +19,13 @@ The store runs in one of two modes:
   and validity flags are DRAM-only and die with the process;
 - **durable** (:meth:`KVStore.create` / :meth:`KVStore.open` over a
   :class:`~repro.pmem.pool.PersistentPool`): a value is first written to
-  its free — hence unreachable — segment, then an undo-log transaction
-  publishes it in its key's :class:`~repro.pmem.catalog.PersistentCatalog`
-  record (one in-place write per pair) failure-atomically, a whole batch
-  of pairs per transaction; the paper's Algorithm 2 validity flag becomes a
-  persisted bit, and :meth:`KVStore.open` rebuilds the index, validity
-  map, allocator state and DAP from the media alone after a crash.  See
-  the README's "Durability contract" section.
+  its free — hence unreachable — segment, then one commit group publishes
+  it in a slot of its key's :class:`~repro.pmem.catalog.PersistentCatalog`
+  record (one write per pair, the record's non-newest slot), a whole
+  batch of pairs per commit; the paper's Algorithm 2 validity flag
+  becomes a persisted tombstone, and :meth:`KVStore.open` rebuilds the
+  index, validity map, allocator state and DAP from the media alone after
+  a crash.  See the README's "Durability contract" section.
 """
 
 from __future__ import annotations
@@ -39,7 +39,11 @@ from repro.core.config import E2NVMConfig
 from repro.core.e2nvm import E2NVM
 from repro.index.rbtree import RedBlackTree
 from repro.nvm.health import SegmentRetiredError
-from repro.pmem.catalog import DEFAULT_KEY_CAPACITY, PersistentCatalog
+from repro.pmem.catalog import (
+    DEFAULT_KEY_CAPACITY,
+    MAX_BATCH,
+    PersistentCatalog,
+)
 from repro.pmem.pool import PersistentPool
 from repro.testing.faults import CrashError
 
@@ -66,7 +70,9 @@ class CorruptValueError(RuntimeError):
 class RecoveryReport:
     """What :meth:`KVStore.open` found and rebuilt from the media."""
 
-    rolled_back_records: int
+    #: Slots of the batch a crash interrupted that recovery dropped (and
+    #: zeroed): those past the batch's first missing index.
+    dropped_slots: int
     live_objects: int
     free_objects: int
     duplicate_keys_dropped: int
@@ -145,10 +151,6 @@ class KVStore:
         # dormancy.  DRAM-only; recovery re-seeds it from catalog epochs
         # (an equivalent monotone clock).
         self._write_seq = 0
-        #: Pairs one undo-log transaction can publish (durable mode).
-        self._pairs_per_tx = (
-            self._check_log_capacity(pool, catalog) if pool is not None else 0
-        )
 
     # ------------------------------------------------------- durable set-up
 
@@ -164,14 +166,11 @@ class KVStore:
     ) -> "KVStore":
         """Format fresh media and build a durable store over ``pool``.
 
-        Initialises the undo log and catalog, then trains the placement
-        engine on the (empty) object segments — or adopts an already
-        trained ``pipeline`` when given, e.g. a deserialised model or a
-        test harness's shared one.
+        Zeroes the catalog, then trains the placement engine on the (empty)
+        object segments — or adopts an already trained ``pipeline`` when
+        given, e.g. a deserialised model or a test harness's shared one.
         """
         catalog = PersistentCatalog(pool, key_capacity)
-        cls._check_log_capacity(pool, catalog)
-        pool.format()
         catalog.format()
         engine = E2NVM(
             pool.controller,
@@ -197,12 +196,13 @@ class KVStore:
     ) -> "KVStore":
         """Re-open an existing store from the media alone (full recovery).
 
-        1. Runs the pool's undo-log rollback, repairing any transaction a
-           crash left half-applied (idempotent — a crash *during* recovery
-           just recovers again).
-        2. Scans the persistent catalog: every valid record rebuilds one
-           index entry, validity flag and allocator registration.
-        3. Re-encodes the free segments through the trained pipeline to
+        1. Resolves the persistent catalog (:meth:`PersistentCatalog.
+           recover`): the batch a crash interrupted keeps its longest
+           batch-order prefix and the rest is zeroed (idempotent — a crash
+           *during* recovery just recovers again); every live record
+           rebuilds one index entry, validity flag and allocator
+           registration.
+        2. Re-encodes the free segments through the trained pipeline to
            reconstruct the DAP cluster pools — the same re-cluster path
            DELETE takes.  Pass ``pipeline`` (e.g. a deserialised model) to
            skip retraining; with ``None`` a fresh model is trained on the
@@ -211,30 +211,34 @@ class KVStore:
         No DRAM state of the previous incarnation is consulted; the report
         of what was rebuilt lands on :attr:`recovery`.
         """
-        rolled_back = pool.recover()
         catalog = PersistentCatalog(pool, key_capacity)
-        cls._check_log_capacity(pool, catalog)
+        resolution = catalog.recover()
 
-        # Catalog scan, newest epoch first: a record whose key or segment
+        # Live records, newest epoch first: a record whose key or segment
         # a newer record already claimed — or that names no object segment
-        # — is dropped (it cannot happen under atomic PUTs; this is the
-        # one defensive rule).
+        # — is deleted (it cannot happen under atomic PUTs; this is the
+        # one defensive rule), each by a tombstone batch of its own.
         keys: set[bytes] = set()
         taken: dict[int, object] = {}  # value address -> its live record
-        dropped = 0
-        entries = sorted(catalog.scan(), key=lambda e: -e.epoch)
-        max_epoch = entries[0].epoch if entries else 0
-        for entry in entries:
+        stale = []
+        max_epoch = resolution.max_epoch
+        for entry in sorted(resolution.entries, key=lambda e: -e.epoch):
             addr = (
                 pool.object_address(entry.segment)
                 if entry.segment < pool.capacity_objects else None
             )
             if addr is None or entry.key in keys or addr in taken:
-                dropped += 1
-                pool.write(catalog.record_address(entry.record), b"\x00")
+                stale.append(entry)
             else:
                 keys.add(entry.key)
                 taken[addr] = entry
+        if stale:
+            with pool.transaction() as tx:
+                cleared = [
+                    (e.record, catalog.tx_clear(tx, e.record, epoch))
+                    for epoch, e in enumerate(stale, max_epoch + 1)
+                ]
+            catalog.published(cleared)
 
         # Wear-out state lives on the device object (simulated media
         # metadata): retired/retiring segments and reserved spares survive
@@ -306,7 +310,7 @@ class KVStore:
             value = pool.read(addr, entry.value_len)
             if zlib.crc32(value) & 0xFFFFFFFF != entry.crc:
                 crc_mismatches += 1
-        store._next_epoch = max_epoch + 1
+        store._next_epoch = max_epoch + len(stale) + 1
         store._write_seq = max_epoch
 
         if health_state is not None:
@@ -324,30 +328,15 @@ class KVStore:
                     if seg * seg_size in taken:
                         health.queue_relocation(seg)
         store.recovery = RecoveryReport(
-            rolled_back_records=rolled_back,
+            dropped_slots=len(resolution.dropped),
             live_objects=len(taken),
             free_objects=len(free_addrs),
-            duplicate_keys_dropped=dropped,
+            duplicate_keys_dropped=len(stale),
             max_epoch=max_epoch,
             crc_mismatches=crc_mismatches,
             reclaimed_segments=reclaimed_on_open,
         )
         return store
-
-    @staticmethod
-    def _check_log_capacity(
-        pool: PersistentPool, catalog: PersistentCatalog
-    ) -> int:
-        """The undo log must hold the largest undo record a pair forms —
-        an UPDATE's (an INSERT or DELETE logs one flag byte; values are
-        written outside it).  Returns the pairs one transaction holds."""
-        worst = pool.record_overhead_bytes() + catalog.MUTABLE_BYTES
-        if pool.log_capacity_bytes < worst:
-            raise ValueError(
-                f"undo log of {pool.log_capacity_bytes} B cannot hold the "
-                f"{worst} B undo record of an UPDATE; raise log_segments"
-            )
-        return pool.log_capacity_bytes // worst
 
     # -------------------------------------------------------------- training
 
@@ -383,11 +372,11 @@ class KVStore:
         re-placed and retried alone).  In durable mode the values are
         still unreachable at that point — a crash simply leaves them as
         free-segment content for recovery to re-cluster — and become
-        visible when their catalog records commit: as many pairs per
-        undo-log transaction as the log holds, in batch order.  A crash
-        mid-batch therefore leaves a *prefix* of the batch committed, as
-        sequential :meth:`put` calls would, and the batch is acknowledged
-        only after its last transaction.
+        visible when their catalog slots commit, the whole batch in one
+        catalog pass.  A crash mid-batch leaves a *prefix* of the batch
+        committed, as sequential :meth:`put` calls would (recovery trims
+        the interrupted batch at its first missing slot), and the batch
+        is acknowledged only after the pass.
         """
         items = list(items)
         for key, value in items:
@@ -426,11 +415,10 @@ class KVStore:
     def _install(self, items, addrs: list[int]) -> None:
         """Make written values the live ones of their keys and recycle the
         addresses they supersede.  Volatile mode only has DRAM mirrors to
-        update; durable mode first commits the catalog records — one
-        undo-log transaction per ``_pairs_per_tx`` pairs, in batch order,
-        so a failure leaves a committed prefix — and un-claims the
-        addresses of a failed (rolled-back) transaction and of everything
-        after it before the error propagates.  A :class:`CrashError`
+        update; durable mode first commits the catalog slots, one batch
+        at a time (:meth:`_batches`), and a failed commit un-claims its
+        own addresses and everything after them before the error
+        propagates (:meth:`_commit_catalog`).  A :class:`CrashError`
         propagates raw: no DRAM cleanup, the harness re-opens from media.
 
         A key repeated within one group keeps only its last value: the
@@ -438,25 +426,16 @@ class KVStore:
         their segments go straight back to the pool.
         """
         crcs = [zlib.crc32(value) & 0xFFFFFFFF for _, value in items]
-        step = self._pairs_per_tx or len(items)
-        for start in range(0, len(items), step):
-            group = range(start, min(start + step, len(items)))
+        for group in self._batches(items):
             last = {items[i][0]: i for i in group}
             live = [i for i in group if last[items[i][0]] == i]
             superseded = [addrs[i] for i in group if last[items[i][0]] != i]
             records = [None] * len(live)
             if self.pool is not None:
-                try:
-                    records = self._commit_catalog(
-                        [(*items[i], addrs[i], crcs[i]) for i in live]
-                    )
-                except CrashError:
-                    raise
-                except BaseException:
-                    # Also KeyboardInterrupt/SystemExit: the pool rolled the
-                    # transaction back; un-claim what never went live.
-                    self.engine.release_many(addrs[start:])
-                    raise
+                records = self._commit_catalog(
+                    [(*items[i], addrs[i], crcs[i]) for i in live],
+                    addrs[group.start:],
+                )
             stale = []
             for i, record in zip(live, records):
                 (key, value), addr = items[i], addrs[i]
@@ -476,33 +455,86 @@ class KVStore:
                 self.engine.release_many(superseded)
             self.engine.record_committed_writes(len(group))
 
-    def _commit_catalog(self, group) -> list[int]:
-        """One undo-log transaction publishing ``(key, value, addr, crc)``
-        pairs; returns each pair's catalog record id.  An UPDATE rewrites
-        the key's record in place; an INSERT fills the lowest free record
-        id, claimed only once the transaction has committed."""
-        records = []
-        free = self._free_records
-        claimed = 0
-        with self.pool.transaction() as tx:
-            for epoch, (key, value, addr, crc) in enumerate(
-                group, self._next_epoch
+    def _batches(self, items):
+        """The groups :meth:`_install` publishes ``items`` in: all of them
+        at once in volatile mode; in durable mode, consecutive batches of
+        distinct keys, at most :data:`~repro.pmem.catalog.MAX_BATCH`
+        pairs each — a key that repeats starts the next batch.  A crash
+        keeps a batch-order prefix of the interrupted batch, so every
+        crash state stays a prefix of the call; dropping a repeated key's
+        first occurrence instead would leave states no prefix matches."""
+        if self.pool is None:
+            yield range(len(items))
+            return
+        start = 0
+        while start < len(items):
+            seen: set[bytes] = set()
+            end = start
+            while (
+                end < len(items)
+                and end - start < MAX_BATCH
+                and items[end][0] not in seen
             ):
-                segment = self.pool.object_index(addr)
-                old = self.index.get(key)
-                if old is None:
-                    records.append(free[claimed])
-                    claimed += 1
-                    self.catalog.tx_set(
-                        tx, records[-1], segment, key, len(value), epoch, crc
-                    )
-                else:
-                    records.append(self._live[old[0]][3])
-                    self.catalog.tx_move(
-                        tx, records[-1], segment, len(value), epoch, crc
-                    )
-        self._next_epoch += len(group)
-        del free[:claimed]
+                seen.add(items[end][0])
+                end += 1
+            yield range(start, end)
+            start = end
+
+    def _commit_catalog(self, group, claimed: list[int]) -> list[int]:
+        """One commit group publishing ``(key, value, addr, crc)`` pairs as
+        one batch — a ``None`` value is a DELETE's tombstone — and
+        returns each pair's catalog record id.  Every slot carries the
+        batch's first epoch and the pair's index.  An UPDATE writes the
+        non-newest slot of the key's record; an INSERT fills the lowest
+        free record id, claimed only once the commit has landed.  On a
+        non-crash failure the addresses in ``claimed`` are un-claimed."""
+        epoch = self._next_epoch
+        self._next_epoch += len(group)  # a failed batch burns its epochs
+        catalog = self.catalog
+        free = self._free_records
+        records, slots = [], []
+        inserts = 0
+        try:
+            with self.pool.transaction() as tx:
+                for index, (key, value, addr, crc) in enumerate(group):
+                    old = self.index.get(key)
+                    if old is None:
+                        record = free[inserts]
+                        inserts += 1
+                        slot = catalog.tx_set(
+                            tx, record, self.pool.object_index(addr), key,
+                            len(value), epoch, index, crc,
+                        )
+                    elif value is None:
+                        record = self._live[old[0]][3]
+                        slot = catalog.tx_clear(tx, record, epoch)
+                    else:
+                        record = self._live[old[0]][3]
+                        slot = catalog.tx_move(
+                            tx, record, key, self.pool.object_index(addr),
+                            len(value), epoch, index, crc,
+                        )
+                    records.append(record)
+                    slots.append((record, slot))
+        except CrashError:
+            raise
+        except BaseException:
+            # Hazard 3 (DESIGN.md, "A log-free commit"): with no log, slots
+            # that landed before the failure stay valid, and a later reopen
+            # would let them win over segments this process is about to
+            # release and reuse.  So zero every slot the batch staged, and
+            # only then un-claim.  Also KeyboardInterrupt/SystemExit: an
+            # interrupt lands between rows just as an error does, and the
+            # process may carry on with this store.  Should the zeroing
+            # fail too, the store stays read-only until a reopen resolves
+            # the media.
+            self._read_only = True
+            catalog.invalidate(slots)
+            self._read_only = False
+            self.engine.release_many(claimed)
+            raise
+        catalog.published(slots)
+        del free[:inserts]
         return records
 
     def _check_durable_key(self, key: bytes) -> None:
@@ -696,11 +728,9 @@ class KVStore:
             return False
         addr, _ = entry
         if self.pool is not None:
-            # The persisted validity-flag reset is the durable part; it
-            # commits before any DRAM structure changes.
-            record = self._live[addr][3]
-            with self.pool.transaction() as tx:
-                self.catalog.tx_clear(tx, record)
+            # The persisted tombstone is the durable part; it commits
+            # before any DRAM structure changes.
+            [record] = self._commit_catalog([(key, None, addr, 0)], [])
             insort(self._free_records, record)
         self.index.delete(key)
         self._live.pop(addr, None)
@@ -858,11 +888,10 @@ class KVStore:
 
         The move reuses the normal PUT path end to end — DCW differential
         write onto the (free) target, energy/endurance accounting, CRC,
-        then the catalog record's in-place re-pointing
-        (:meth:`PersistentCatalog.tx_move`) in one undo-log transaction —
-        so fsck and the crash sweep stay authoritative over migrated
-        values, and a crash at any point leaves exactly one committed
-        copy.  The value's
+        then the catalog record's re-pointing in its non-newest slot
+        (:meth:`PersistentCatalog.tx_move`) — so fsck and the crash sweep
+        stay authoritative over migrated values, and a crash at any point
+        leaves exactly one committed copy.  The value's
         write-temperature stamp is forwarded unchanged: migration must not
         make cold data look hot.
 

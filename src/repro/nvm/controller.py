@@ -155,9 +155,9 @@ class MemoryController:
         the program pulse failed on.  Returns the rows whose segment had
         to be retired (every other row stays written and verified).
 
-        Already-retired segments are exempt: undo-log rollback restores
-        old data onto them best-effort (their surviving cells still hold
-        it) and must not cascade into further retirement errors.
+        Already-retired segments are exempt: a write onto one is
+        best-effort (its surviving cells still hold their data) and must
+        not cascade into further retirement errors.
         """
         readback = self._corrected_rows(phys, readback)
         self.verify_reads += len(phys)
@@ -239,7 +239,7 @@ class MemoryController:
         sizes = [len(v) for v in values]
         results: list[WriteResult | None] = [None] * len(values)
         retired: list[int] = []
-        for batch in self._batches(addrs, sizes):
+        for batch in self.passes(addrs, sizes):
             if len(batch) == 1:
                 # Not an unfinished merge: a lone row through the batched
                 # body below costs 51–80 µs against 17–26 µs here (78–114
@@ -280,9 +280,12 @@ class MemoryController:
             )
         return results
 
-    def _batches(self, addrs: list[int], sizes: list[int]):
-        """Split a ``write_many`` call into passes: lists of row indices
-        of one length that never overlap each other."""
+    def passes(self, addrs: list[int], sizes: list[int]):
+        """The passes :meth:`write_many` programs rows ``sizes[i]`` bytes
+        long at ``addrs[i]`` in, in programming order: lists of row
+        indices of one length that never overlap each other.  The one
+        statement of that order (a fault injector that crashes a
+        ``write_many`` mid-way replays it)."""
         n = len(sizes)
         if n < 2 or not self._identity:
             yield from ([i] for i in range(n))

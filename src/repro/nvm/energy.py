@@ -20,8 +20,9 @@ A write therefore decomposes into::
 The defaults are calibrated against the paper's Figure 1 protocol — PMDK
 transactions (read old + undo-log write + data write) overwriting 256 B
 blocks — so that an identical-content overwrite saves ≈56% of the round's
-memory energy versus a 100%-different overwrite.  See
-``benchmarks/bench_fig01_hamming_energy.py`` for the end-to-end sweep.
+memory energy versus a 100%-different overwrite.  The store's own commit
+writes no undo log, so ``benchmarks/bench_fig01_hamming_energy.py``, which
+overwrites through it, measures the data write alone.
 """
 
 from __future__ import annotations

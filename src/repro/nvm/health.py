@@ -74,7 +74,7 @@ class HealthState:
 
     def __init__(self) -> None:
         #: Physical segments whose ECP capacity was exceeded; dead for
-        #: placement, reads still served (rolled-back old data is intact
+        #: placement, reads still served (the old data is intact
         #: because stuck cells hold exactly the bits they refused to flip).
         self.retired: set[int] = set()
         #: Physical segments at (but not beyond) ECP capacity: still

@@ -6,14 +6,14 @@ programming model over the simulated device:
 
 - :class:`~repro.pmem.pool.PersistentPool` — an object pool with a
   segment-granularity allocator (``pmemobj_alloc``-style);
-- :class:`~repro.pmem.transaction.Transaction` — undo-log transactions
-  (``TX_BEGIN``/``TX_ADD``-style): old content is logged to a reserved NVM
-  log region before in-place writes, so the log traffic's energy cost is
-  part of every transactional write, exactly as on real PMDK;
+- :class:`~repro.pmem.transaction.Transaction` — commit groups
+  (``TX_BEGIN``-style staging, no log): staged writes land in one batched
+  device write;
 - :class:`~repro.pmem.catalog.PersistentCatalog` — a media-resident
-  per-segment record table (key, value length, validity flag, epoch) so
-  the device alone describes the KV store and a restart can rebuild every
-  DRAM structure from a catalog scan.
+  per-key record table whose two self-checking slots make every catalog
+  write failure-atomic without a log, so the device alone describes the
+  KV store and a restart can rebuild every DRAM structure from a catalog
+  scan.
 """
 
 from repro.pmem.catalog import CatalogEntry, PersistentCatalog

@@ -1,55 +1,45 @@
-"""Undo-log transactions over the simulated NVM (PMDK ``tx`` style).
+"""Commit groups over the simulated NVM (PMDK ``tx`` style, minus the log).
 
-Transactions are *staged*: :meth:`Transaction.write` only records the
-intended write, and commit (leaving the ``with`` block normally) does the
-media work in four steps — read every target's *old* content in one
-batched read, persist the log header (raised active flag) and all undo
-records as one payload in the pool's media-resident log region, apply the
-writes in place as one batched write, clear the log's active flag.  Abort
-(an exception inside the ``with`` block) simply drops the staged writes:
-nothing has touched the media yet.  Reads inside the block therefore still see the old content.
+A :class:`Transaction` is *staged*: :meth:`Transaction.write` only records
+the intended write, and commit (leaving the ``with`` block normally) lands
+every staged write in one batched ``write_many`` through
+:meth:`~repro.pmem.pool.PersistentPool.commit` — no log, no undo read.
+Abort (an exception inside the ``with`` block) simply drops the staged
+writes: nothing has touched the media yet, so reads inside the block
+still see the old content.
 
-Because the log lives on the simulated media, a *crash* mid-commit is
-recoverable: a new :class:`~repro.pmem.pool.PersistentPool` constructed
-over the same device with ``recover=True`` finds the active log and rolls
-the half-applied transaction back — see ``tests/pmem/test_crash_recovery.py``.
-A :class:`~repro.testing.faults.CrashError` raised at a fault site is
-treated as process death: the context manager performs *no* rollback and
-no cleanup, leaving the media exactly as the crash left it for a later
-recovery to repair.
-
-All log traffic is real device writes, so transactional overhead shows up
-in the energy/latency accounting, as it does on real Optane through PMDK.
+A commit is *not* failure-atomic by itself: a crash inside it may land
+any subset of its rows, one of them torn.  Its one client, the KV
+store's catalog, makes that safe by construction — every row writes a
+slot no reader depends on yet, each slot checks itself, and recovery
+keeps the longest batch-order prefix of the newest batch (see
+:mod:`repro.pmem.catalog`).  A :class:`~repro.testing.faults.CrashError`
+is process death: nothing more touches the media.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.testing.faults import CrashError
-
 
 class TransactionAborted(Exception):
-    """Raised by :meth:`Transaction.abort` to roll back explicitly."""
+    """Raised by :meth:`Transaction.abort` to drop the staged writes."""
 
 
 class Transaction:
-    """One undo-log transaction; use as a context manager.
+    """One commit group; use as a context manager.
 
-    Created by :meth:`repro.pmem.pool.PersistentPool.transaction`.  Only one
-    transaction may be active per pool at a time (the log holds one
-    transaction's records); beginning a second while one is active raises
-    ``RuntimeError`` instead of silently corrupting the first transaction's
-    undo records.  Transaction objects are single-use: re-entering one that
-    already committed or rolled back also raises.
+    Created by :meth:`repro.pmem.pool.PersistentPool.transaction`.
+    Transaction objects are single-use: re-entering one that already
+    committed or aborted raises ``RuntimeError``.
     """
 
     def __init__(self, pool) -> None:
         self._pool = pool
         self._active = False
         self._finished = False
-        self._writes: list[tuple[int, bytes, int]] = []
-        self._log_bytes = 0
+        self._addrs: list[int] = []
+        self._data: list[bytes] = []
 
     def __enter__(self) -> "Transaction":
         if self._active:
@@ -59,44 +49,26 @@ class Transaction:
                 "transaction objects are single-use; begin a new one with "
                 "pool.transaction()"
             )
-        self._pool._log_begin()
         self._active = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._active = False
         self._finished = True
-        if exc_type is not None and issubclass(exc_type, CrashError):
-            # Simulated process death: nothing more touches the media.
-            return False
         if exc_type is None:
-            # Commit: a crash inside leaves the active undo log behind for
-            # recover() to roll back; any other failure is rolled back by
-            # the pool before it propagates.
-            self._pool._log_commit(self._writes)
+            if self._addrs:
+                self._pool.commit(self._addrs, self._data, "catalog.write")
             return False
-        # Abort: the staged writes never reached the media.
-        self._pool._tx_active = False
-        # Swallow only explicit aborts; real errors propagate.
+        # Abort: the staged writes never reached the media.  Swallow only
+        # explicit aborts; real errors (and crashes) propagate.
         return exc_type is TransactionAborted
 
-    def write(
-        self, addr: int, data: bytes, undo_len: int | None = None
-    ) -> None:
-        """Stage an in-place write of ``data`` at ``addr``; commit logs the
-        range's old content before applying it — or only its leading
-        ``undo_len`` bytes, when restoring those alone undoes the write
-        (a catalog insert: the flag byte decides whether the rest counts)."""
+    def write(self, addr: int, data: bytes) -> None:
+        """Stage a write of ``data`` at ``addr``."""
         if not self._active:
             raise RuntimeError("transaction is not active")
-        undo_len = len(data) if undo_len is None else undo_len
-        self._log_bytes += self._pool.record_overhead_bytes() + undo_len
-        if self._log_bytes > self._pool.log_capacity_bytes:
-            raise RuntimeError(
-                "undo log full: transaction touches more data than the log "
-                f"region holds ({self._pool.log_capacity_bytes} B)"
-            )
-        self._writes.append((addr, as_bytes(data), undo_len))
+        self._addrs.append(addr)
+        self._data.append(as_bytes(data))
 
     def abort(self) -> None:
         """Drop everything staged so far and leave the ``with`` block."""

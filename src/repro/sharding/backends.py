@@ -22,8 +22,8 @@ The shared-memory media is the crash story: a worker process dying
 mid-operation (simulated power loss on one channel) takes its DRAM state
 with it but not the media bytes.  :meth:`ProcessBackend.reopen_shard`
 spawns a fresh worker that re-attaches to the same block and runs ordinary
-undo-log recovery — only that shard's in-flight transaction rolls back;
-every other shard never notices.
+catalog recovery — only that shard's in-flight batch is trimmed to a
+prefix; every other shard never notices.
 
 The pipe carries one frame per message: ``send_bytes`` of a plain
 ``pickle.dumps`` at the highest protocol, ``pickle.loads`` of
@@ -144,8 +144,8 @@ class ShardCrashedError(ShardUnavailableError):
     The facade's data on every *other* shard is unaffected; call
     ``ShardedKVStore.reopen_shard(shard_id)`` (or let the
     :class:`~repro.sharding.supervisor.ShardSupervisor` do it) to recover
-    the crashed one from its surviving shared-memory media (undo-log
-    rollback included).
+    the crashed one from its surviving shared-memory media (its in-flight
+    batch trimmed by catalog recovery).
     """
 
     def __init__(self, shard_ids: list[int]) -> None:
@@ -738,7 +738,7 @@ class ProcessBackend:
     def reopen_shard(self, shard_id: int) -> None:
         """Recover a crashed or hung shard: spawn a fresh worker
         re-attached to the surviving shared-memory media and run normal
-        recovery (undo rollback + catalog scan + DAP rebuild) there.
+        recovery (catalog resolve + DAP rebuild) there.
 
         Bounded: a still-running (hung) worker is killed first, every
         join carries a timeout, and the fresh worker's readiness wait is

@@ -78,10 +78,9 @@ class ShardSpec:
         shard_id: position of this shard in the facade's shard list.
         segment_size: bytes per segment of the shard's device.
         n_segments: segments on the shard's device.
-        durable: build a transactional ``KVStore.create``/``open`` store
-            over a :class:`PersistentPool` (with undo log and catalog);
-            ``False`` builds the volatile store used by benchmarks.
-        log_segments: undo-log segments of a durable shard's pool.
+        durable: build a ``KVStore.create``/``open`` store over a
+            :class:`PersistentPool` and its catalog; ``False`` builds the
+            volatile store used by benchmarks.
         key_capacity: catalog key capacity of a durable shard.
         seed: device initial-content seed (shards get distinct seeds so
             their initial free-content clusterings differ, as independent
@@ -109,8 +108,7 @@ class ShardSpec:
     segment_size: int
     n_segments: int
     durable: bool = True
-    log_segments: int = 2
-    key_capacity: int = 32
+    key_capacity: int = 16
     seed: int = 0
     config: E2NVMConfig = field(default_factory=E2NVMConfig)
     path: str | None = None
@@ -189,10 +187,7 @@ class Shard:
                 "volatile shards cannot be reopened (no catalog to "
                 "recover from); only durable shards survive restarts"
             )
-        geometry = (
-            spec.n_segments, spec.log_segments, spec.segment_size,
-            spec.key_capacity,
-        )
+        geometry = (spec.n_segments, spec.segment_size, spec.key_capacity)
         if mode == "open":
             if spec.path is None:
                 raise ValueError("open mode needs spec.path")
@@ -231,7 +226,6 @@ class Shard:
         else:
             pool = PersistentPool(
                 MemoryController(device),
-                log_segments=spec.log_segments,
                 meta_segments=PersistentCatalog.meta_segments_for(*geometry),
             )
             build_store = KVStore.create if mode == "create" else KVStore.open

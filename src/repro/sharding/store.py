@@ -47,7 +47,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.core.config import E2NVMConfig
-from repro.pmem.pool import LOG_FLAG_AT
 from repro.sharding.backends import (
     DEFAULT_CLOSE_GRACE_S,
     DEFAULT_DEADLINE_S,
@@ -68,28 +67,29 @@ from repro.sharding.supervisor import ShardCircuitOpenError
 DEGRADED_MODES = ("fail_fast", "partial", "block")
 
 MANIFEST_NAME = "manifest.json"
-#: 2: every shard's undo-log header is ``(sequence, active flag)``, the
-#: flag behind the sequence (:data:`repro.pmem.pool.LOG_HEADER`).
-MANIFEST_VERSION = 2
+#: 3: every shard's catalog record keeps two self-checking slots and
+#: there is no undo log (:mod:`repro.pmem.catalog`).
+MANIFEST_VERSION = 3
 
 
 def check_manifest_version(manifest: dict) -> None:
     """Refuse a manifest of another version: the one rule
-    :meth:`ShardedKVStore.open` and the offline checker share.  A
-    version-1 store keeps the undo-log flag in front of the sequence;
-    read with this layout, a crashed shard's rollback would be silently
-    skipped.
+    :meth:`ShardedKVStore.open` and the offline checker share.  Versions
+    1 and 2 put an undo log in front of a one-version catalog; read with
+    this layout, a crashed shard's half-applied transaction would never
+    be rolled back.
 
     Raises:
-        ValueError: naming the version and the log layout this code reads.
+        ValueError: naming the version and the layout this code reads.
     """
     version = manifest.get("version")
     if version != MANIFEST_VERSION:
         raise ValueError(
             f"manifest version {version} not supported: this code reads "
-            f"version {MANIFEST_VERSION}, whose shards keep the undo-log "
-            f"active flag behind the sequence, at byte {LOG_FLAG_AT} "
-            "(version 1 kept it in front); recreate the store and reload"
+            f"version {MANIFEST_VERSION}, whose shards keep two "
+            "self-checking slots per catalog record and no log (version 2 "
+            "kept an undo log, its flag behind the sequence at byte 8); "
+            "recreate the store and reload"
         )
 
 #: Aggregate-by-sum keys of each shard's placement telemetry.
@@ -319,8 +319,8 @@ class ShardedKVStore:
         ring_seed: int = 0,
         vnodes: int = 128,
         weights=None,
-        log_segments: int = 2,
-        key_capacity: int = 32,
+        log_segments: int | None = None,
+        key_capacity: int = 16,
         scrubber: bool = False,
         compactor: bool = False,
         base_seed: int = 7,
@@ -340,6 +340,8 @@ class ShardedKVStore:
         manifest.  Device snapshot files appear on :meth:`close`.
         ``deadline_s`` is the process backend's per-RPC response budget
         (see :class:`~repro.sharding.backends.ProcessBackend`).
+        ``log_segments`` is accepted and ignored: stores have no log, and
+        the frozen end-to-end benchmark still passes it.
         """
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
@@ -351,7 +353,6 @@ class ShardedKVStore:
             shard_id=0,
             segment_size=segment_size,
             n_segments=n_segments_per_shard,
-            log_segments=log_segments,
             key_capacity=key_capacity,
             config=config if config is not None else E2NVMConfig(),
             scrubber=scrubber,
@@ -391,7 +392,6 @@ class ShardedKVStore:
             segment_size=segment_size,
             n_segments=n_segments_per_shard,
             durable=False,
-            log_segments=0,
             key_capacity=0,
             config=config if config is not None else E2NVMConfig(),
         )
@@ -416,8 +416,8 @@ class ShardedKVStore:
         deadline_s: float | None = DEFAULT_DEADLINE_S,
     ) -> "ShardedKVStore":
         """Reopen the store at ``root`` from its manifest: identical ring
-        (same routing for every key) and full per-shard recovery — undo
-        rollback, catalog scan, DAP re-adoption — shard by shard, in
+        (same routing for every key) and full per-shard recovery —
+        catalog resolve, DAP re-adoption — shard by shard, in
         parallel under the process backend.
 
         ``backend`` overrides the manifest's backend (a store created

@@ -17,7 +17,7 @@ compactor:
   in-flight RPC on that shard immediately.
 - **Self-healing restarts** — a dead shard (crashed or freshly killed) is
   reopened automatically: a fresh worker re-attaches to the surviving
-  shared-memory media and runs ordinary undo-log recovery.  Failed
+  shared-memory media and runs ordinary catalog recovery.  Failed
   reopen attempts back off exponentially (``backoff_base_s`` doubling up
   to :data:`BACKOFF_CAP_S`).
 - **Restart budget + circuit breaker** — each instability episode gets at

@@ -16,8 +16,8 @@ One drill round:
    - ``"stop"``: SIGSTOP the worker — a wedged controller that stops
      heartbeating but holds its pipe open; only the watchdog can tell;
    - ``"crash"``: arm a :class:`~repro.testing.faults.CrashError` at
-     ``tx.write`` so the *next* write to that shard dies inside the
-     transaction (``os._exit``, no response, no cleanup);
+     ``catalog.write`` so the *next* write to that shard dies inside its
+     catalog commit (``os._exit``, no response, no cleanup);
 
 2. issue a ``put_many`` batch spanning every shard under the ``partial``
    degraded policy, in flight in the
@@ -71,7 +71,7 @@ FAULT_KINDS = ("kill", "stop", "crash")
 
 #: The fleet every harness here runs on.
 N_SHARDS = 3
-_GEOMETRY = dict(segment_size=64, log_segments=4, key_capacity=32)
+_GEOMETRY = dict(segment_size=64, key_capacity=16)
 #: Keys the drill's batches draw from (later rounds overwrite — the
 #: idempotent-upsert path retries depend on) / the rebalance preload.
 DRILL_KEY_SPACE = 24
@@ -306,7 +306,7 @@ def run_chaos_drill(
             elif kind == "crash":
                 # Already down?  The round still writes.
                 with suppress(ShardUnavailableError):
-                    store.backend.call(victim, "arm_crash", ("tx.write",))
+                    store.backend.call(victim, "arm_crash", ("catalog.write",))
             elif kind == "kill":
                 timer = fleet.kill_later(victim, rng, 0.005, 0.05)
 

@@ -4,9 +4,10 @@ The harness answers one question mechanically: *is there any single point
 in the write path where a crash — including a torn media write — loses
 acknowledged data or corrupts the store?*  It replays a seeded YCSB-style
 trace once per crash point, where a crash point is the *k*-th firing of one
-instrumented fault site (``device.write``, ``tx.begin``, ``tx.log``,
-``tx.write``, ``tx.commit`` — optionally with a torn-write variant that
-persists only a payload prefix).  Each replay:
+instrumented fault site (``device.write`` ahead of a value write,
+``catalog.write`` once per row of a catalog commit — optionally with a
+torn-write variant that persists the rows before it and a prefix of its
+own).  Each replay:
 
 1. builds a byte-identical fresh device/pool/store (same seeds, same
    pre-trained pipeline) and arms exactly one crash point;
@@ -76,11 +77,11 @@ DRIFT_CRASH_SITES = ("device.drift_flip", "scrub.refresh")
 GC_CRASH_SITES = ("compact.migrate", "compact.reclaim", "wl.swap")
 #: Sites every sweep crashes at (each *k*-th firing of each).
 DEFAULT_CRASH_SITES = (
-    "device.write", "tx.begin", "tx.log", "tx.write", "tx.commit",
+    "device.write", "catalog.write",
     *WEAROUT_CRASH_SITES, *DRIFT_CRASH_SITES, *GC_CRASH_SITES,
 )
 #: Write-capable sites additionally swept with torn-write variants.
-DEFAULT_TORN_SITES = ("tx.log", "tx.write")
+DEFAULT_TORN_SITES = ("catalog.write",)
 
 
 def make_ycsb_trace(
@@ -163,8 +164,8 @@ def weave_compaction(trace, *, compact_every: int = 6) -> list[tuple]:
 
 
 #: Trace ops that change contents, with the strength they are in flight
-#: under: a ``put``/``delete`` is one transaction; a ``put_many`` commits
-#: in batch order, one catalog transaction per group of pairs.
+#: under: a ``put``/``delete`` is one slot write; a ``put_many`` is one
+#: batch, which recovery trims to a batch-order prefix.
 _MUTATIONS = {"put": EXACT, "delete": EXACT, "put_many": PREFIX}
 
 
@@ -297,7 +298,6 @@ class KVCrashHarness:
     replay deterministic.
     """
 
-    log_segments = 4
     key_capacity = 16
 
     def __init__(
@@ -317,9 +317,7 @@ class KVCrashHarness:
         self.config = fast_test_config()
         self.spares = spares
         self.gc = gc
-        geometry = (
-            n_segments, self.log_segments, segment_size, self.key_capacity
-        )
+        geometry = (n_segments, segment_size, self.key_capacity)
         self.meta_segments = PersistentCatalog.meta_segments_for(*geometry)
         self.wearout = PersistentCatalog.immortal_metadata(wearout, *geometry)
         self.drift = PersistentCatalog.immortal_metadata(drift, *geometry)
@@ -330,7 +328,6 @@ class KVCrashHarness:
     def _pool(self, device, faults) -> PersistentPool:
         return PersistentPool(
             MemoryController(device),
-            log_segments=self.log_segments,
             meta_segments=self.meta_segments,
             faults=faults,
         )
@@ -391,16 +388,12 @@ class KVCrashHarness:
 
     def fsck(self, device: NVMDevice) -> list[str]:
         """Snapshot ``device`` and run the offline checker on it; returns
-        its *errors* (warnings — a pending undo transaction, values
-        awaiting relocation — are the expected face of a crash)."""
+        its *errors* (warnings — slots an interrupted batch will drop,
+        values awaiting relocation — are the expected face of a crash)."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "device.npz"
             device.save(path)
-            report = fsck(
-                path,
-                log_segments=self.log_segments,
-                key_capacity=self.key_capacity,
-            )
+            report = fsck(path, key_capacity=self.key_capacity)
         return [f"fsck: {message}" for message in report.errors]
 
 
@@ -424,6 +417,11 @@ def run_crash_sweep(
     With ``check_fsck`` the crashed device is additionally snapshotted
     and run through the offline checker (:meth:`KVCrashHarness.fsck`)
     *before* recovery: any fsck *error* at any crash point is a failure.
+
+    A recovery that wrote to the media (it zeroed dropped slots) is
+    followed by a second one, with no write between them, which must
+    serve the same state: nothing the first one wrote may change what
+    the next reopen resolves.
     """
     trace = list(trace)
 
@@ -441,7 +439,13 @@ def run_crash_sweep(
         device, _, model = state
         if check_fsck:
             yield from harness.fsck(device)
-        check_durable_invariants(harness.reopen(device), model)
+        store = harness.reopen(device)
+        check_durable_invariants(store, model)
+        if store.recovery.dropped_slots:
+            served = dict(store.items())
+            again = dict(harness.reopen(device).items())
+            if again != served:
+                yield f"a second recovery served {again}, not {served}"
 
     return sweep_crash_points(
         build, drive, recover_and_check, sites, torn_sites, torn_byte_sites

@@ -16,9 +16,9 @@ Crash-consistency testing builds on two extensions:
 
 - :class:`CrashError` models *process death*.  It derives from
   ``BaseException`` so ordinary ``except Exception`` cleanup handlers do
-  not treat it as a recoverable error, and the persistent-memory layer
-  deliberately skips transaction rollback when it sees one — the media is
-  left exactly as it was at the crash point, as on a real power failure.
+  not treat it as a recoverable error, and the KV store deliberately
+  skips its failure cleanup when it sees one — the media is left exactly
+  as it was at the crash point, as on a real power failure.
 - *Torn writes*: a rule armed with ``torn_fraction`` acts on write-capable
   sites (those passing ``payload_writer``/``payload_len`` to
   :meth:`FaultInjector.fire`) by first persisting only a prefix of the
@@ -34,8 +34,8 @@ Usage::
     with faults.injected("device.write", error=OSError("media error")):
         engine.write(value)   # raises OSError, address un-claimed
 
-    # Crash with a torn media write at the 3rd transactional write:
-    faults.arm("tx.write", error=CrashError, after=2, torn_fraction=0.5)
+    # Crash with a torn media write at the 3rd catalog row of a commit:
+    faults.arm("catalog.write", error=CrashError, after=2, torn_fraction=0.5)
 """
 
 from __future__ import annotations

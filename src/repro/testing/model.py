@@ -8,12 +8,12 @@ is a dict-backed reference store that records acknowledgements and holds
 the operation a fault interrupted with the **strength** the
 configuration under test promises for un-acknowledged work:
 
-- ``exact`` — un-acked ⇒ absent.  Every deterministic fault site on one
-  store fires before the undo log is cleared, so recovery rolls the
-  interrupted transaction back: nothing of it may be visible.
+- ``exact`` — un-acked ⇒ absent.  A scalar PUT or DELETE is one slot
+  write, and every deterministic fault site on one store fires before it
+  is whole: nothing of it may be visible.
 - ``prefix`` — some prefix of an ordered batch.  ``put_many`` publishes
-  its pairs in batch order, several per transaction; a crash between two
-  transactions leaves the earlier ones committed.
+  its pairs as one batch, and recovery trims an interrupted batch at its
+  first missing slot, so a crash leaves a batch-order prefix.
 - ``either`` — per key, old or new.  A SIGKILL lands between any two
   instructions, also after the commit and before the reply, and a batch
   spanning shards commits on the survivors: each un-acked key holds its

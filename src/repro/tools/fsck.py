@@ -4,17 +4,14 @@
 snapshot *read-only* (nothing is repaired or rolled back) and
 cross-checks every layer of the persistent format:
 
-- **Undo log** — the active flag and, through the pool's own
-  :func:`~repro.pmem.pool.iter_log_records`, every intact record of the
-  transaction the header names.  An active transaction is not an error
-  (recovery rolls it back on the next open), but its pending records
-  downgrade value-level findings to warnings: their segments are in a
-  legitimately torn state.
-- **Catalog** — every live record must name an object segment no other
-  live record names; the value bytes there are read back through the
-  controller (ECP-corrected when the snapshot carries a wear-out model)
-  and checked against the record's CRC32; duplicate live keys and
-  records of another layout version are errors.
+- **Catalog** — resolved by the catalog's own recovery rule
+  (:meth:`~repro.pmem.catalog.PersistentCatalog.resolve`), writing
+  nothing: the slots of a batch a crash interrupted that recovery will
+  drop are a warning, not an error.  Every live record must name an
+  object segment no other live record names; the value bytes there are
+  read back through the controller (ECP-corrected when the snapshot
+  carries a wear-out model) and checked against the record's CRC32;
+  duplicate live keys and records of another layout version are errors.
 - **ECP table** — entry counts within per-segment capacity, bit offsets
   within the segment, replacement bits actually bits.
 - **Health/catalog agreement** — live values on retired segments
@@ -43,11 +40,7 @@ from repro.pmem.catalog import (
     CatalogLayoutError,
     PersistentCatalog,
 )
-from repro.pmem.pool import (
-    PersistentPool,
-    iter_log_records,
-    log_active_flag,
-)
+from repro.pmem.pool import PersistentPool
 
 
 @dataclass
@@ -59,8 +52,8 @@ class FsckReport:
     warnings: list[str] = field(default_factory=list)
     #: Live catalog entries whose value CRC verified clean.
     values_ok: int = 0
-    #: Intact undo records of a transaction left active by a crash.
-    pending_undo_records: int = 0
+    #: Slots of a crash-interrupted batch that recovery will drop.
+    pending_dropped_slots: int = 0
     #: Distinct live catalog keys (the cross-shard checker routes these
     #: through the manifest ring).
     live_keys: list[bytes] = field(default_factory=list)
@@ -76,55 +69,24 @@ class FsckReport:
         self.warnings.append(message)
 
 
-def _scan_undo_log(controller, pool, report: FsckReport) -> dict[int, int]:
-    """Check the undo-log region; returns ``media address -> old byte``
-    for all the pending (not yet rolled back) transaction has records for."""
-    pending: dict[int, int] = {}
-    flag = log_active_flag(controller)
-    if flag not in (0, 1):
-        report.error(f"undo log: active flag holds garbage byte {flag:#x}")
-        return pending
-    if flag == 0:
-        return pending
-    report.warning(
-        "undo log: transaction left active by a crash "
-        "(recovery will roll it back on the next open)"
-    )
-    for addr, old in iter_log_records(controller, pool.log_segments):
-        pending.update(zip(range(addr, addr + len(old)), old))
-        report.pending_undo_records += 1
-    return pending
-
-
-def _finding(report, message: str, pending: bool) -> None:
-    """An error — unless recovery is about to rewrite the record."""
-    if pending:
-        report.warning(
-            message + " — covered by a pending undo record, recovery "
-            "will roll it back"
-        )
-    else:
-        report.error(message)
-
-
-def _scan_catalog(controller, pool, catalog, pending, report) -> set[int]:
+def _scan_catalog(pool, catalog, report: FsckReport) -> set[int]:
     """Check every live record; returns the device segments they name."""
-    seen_keys: dict[bytes, int] = {}
-    named: dict[int, tuple[int, bool]] = {}
-    for record in range(catalog.n_records):
-        record_address = catalog.record_address(record)
-        if pending.get(record_address) == 0:
-            continue  # an INSERT caught mid-commit: recovery resets the flag
-        try:
-            entry = catalog.read(record)
-        except CatalogLayoutError as exc:
-            report.error(str(exc))
-            break
-        if entry is None:
-            continue
-        torn = any(
-            record_address + i in pending for i in range(catalog.record_size)
+    try:
+        resolution = catalog.resolve()
+    except CatalogLayoutError as exc:
+        report.error(str(exc))
+        return set()
+    if resolution.dropped:
+        report.pending_dropped_slots = len(resolution.dropped)
+        report.warning(
+            f"catalog: {len(resolution.dropped)} slot(s) of a batch a crash "
+            "interrupted lie past its first missing index (recovery drops "
+            "them on the next open)"
         )
+    seen_keys: dict[bytes, int] = {}
+    named: dict[int, int] = {}
+    for entry in resolution.entries:
+        record = entry.record
         if entry.key in seen_keys:
             report.error(
                 f"duplicate live key {entry.key!r} in records "
@@ -132,31 +94,25 @@ def _scan_catalog(controller, pool, catalog, pending, report) -> set[int]:
             )
         seen_keys.setdefault(entry.key, record)
         if entry.segment >= pool.capacity_objects:
-            _finding(
-                report,
+            report.error(
                 f"record {record} (key {entry.key!r}) names segment index "
-                f"{entry.segment}, outside the object range",
-                torn,
+                f"{entry.segment}, outside the object range"
             )
             continue
         addr = pool.object_address(entry.segment)
-        other, other_torn = named.setdefault(addr, (record, torn))
+        other = named.setdefault(addr, record)
         if other != record:
-            _finding(
-                report,
+            report.error(
                 f"records {other} and {record} both name the segment at "
-                f"address {addr}",
-                torn or other_torn,
+                f"address {addr}"
             )
         value = pool.read(addr, entry.value_len)
         if zlib.crc32(value) & 0xFFFFFFFF == entry.crc:
             report.values_ok += 1
         else:
-            _finding(
-                report,
+            report.error(
                 f"record {record} (segment address {addr}): value of key "
-                f"{entry.key!r} fails its catalog CRC32",
-                torn,
+                f"{entry.key!r} fails its catalog CRC32"
             )
     report.live_keys = sorted(seen_keys)
     return {addr // pool.segment_size for addr in named}
@@ -223,34 +179,23 @@ def _scan_health(device, live_segments: set[int], report) -> None:
         )
 
 
-def fsck(
-    path,
-    *,
-    log_segments: int = 2,
-    key_capacity: int = DEFAULT_KEY_CAPACITY,
-) -> FsckReport:
+def fsck(path, *, key_capacity: int = DEFAULT_KEY_CAPACITY) -> FsckReport:
     """Check the store snapshot at ``path``; see the module docstring.
 
-    ``log_segments`` and ``key_capacity`` must match the values the store
-    was created with — they fix the media layout and are not themselves
-    recorded on the media (real deployments bake them into a superblock).
+    ``key_capacity`` must match the value the store was created with — it
+    fixes the media layout and is not itself recorded on the media (real
+    deployments bake it into a superblock).
     """
     report = FsckReport(path=str(path))
     device = NVMDevice.load(path)
     controller = MemoryController(device)
     meta_segments = PersistentCatalog.meta_segments_for(
-        controller.n_segments,
-        log_segments,
-        controller.segment_size,
-        key_capacity,
+        controller.n_segments, controller.segment_size, key_capacity
     )
-    pool = PersistentPool(
-        controller, log_segments=log_segments, meta_segments=meta_segments
-    )
+    pool = PersistentPool(controller, meta_segments=meta_segments)
     catalog = PersistentCatalog(pool, key_capacity=key_capacity)
 
-    pending = _scan_undo_log(controller, pool, report)
-    live_segments = _scan_catalog(controller, pool, catalog, pending, report)
+    live_segments = _scan_catalog(pool, catalog, report)
     _scan_ecp(device, report)
     _scan_health(device, live_segments, report)
     return report
@@ -322,7 +267,7 @@ def fsck_sharded(root) -> ShardedFsckReport:
     manifest = json.loads(manifest_path.read_text())
     try:
         # Another version's shards have another media layout: judging
-        # them by this one would misread their undo logs.
+        # them by this one would misread their catalogs.
         check_manifest_version(manifest)
     except ValueError as exc:
         report.error(str(exc))
@@ -350,11 +295,7 @@ def fsck_sharded(root) -> ShardedFsckReport:
                 "save; recovery covers it on open) — placement unchecked"
             )
             continue
-        shard_report = fsck(
-            snapshot,
-            log_segments=entry["log_segments"],
-            key_capacity=entry["key_capacity"],
-        )
+        shard_report = fsck(snapshot, key_capacity=entry["key_capacity"])
         report.shards.append(shard_report)
         for key in shard_report.live_keys:
             holders.setdefault(key, []).append(shard_id)
@@ -402,11 +343,6 @@ def main(argv=None) -> int:
         help="path to a device snapshot (.npz) or a sharded store directory",
     )
     parser.add_argument(
-        "--log-segments", type=int, default=2,
-        help="undo-log segments the store was created with (default: 2; "
-        "ignored for directories — the manifest records each shard's)",
-    )
-    parser.add_argument(
         "--key-capacity", type=int, default=DEFAULT_KEY_CAPACITY,
         help="catalog key capacity the store was created with "
         f"(default: {DEFAULT_KEY_CAPACITY}; ignored for directories)",
@@ -434,15 +370,11 @@ def main(argv=None) -> int:
         n_errors = len(report.all_errors)
         print(f"  {'clean' if report.ok else f'{n_errors} error(s)'}")
         return 0 if report.ok else 1
-    report = fsck(
-        args.pool,
-        log_segments=args.log_segments,
-        key_capacity=args.key_capacity,
-    )
+    report = fsck(args.pool, key_capacity=args.key_capacity)
     print(f"fsck {report.path}")
     print(
         f"  {report.values_ok} live value(s) verified, "
-        f"{report.pending_undo_records} pending undo record(s)"
+        f"{report.pending_dropped_slots} slot(s) pending invalidation"
     )
     for message in report.warnings:
         print(f"  WARNING: {message}")

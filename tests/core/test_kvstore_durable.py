@@ -1,18 +1,16 @@
-"""Durable-mode KVStore tests: transactional writes and full recovery.
+"""Durable-mode KVStore tests: slot commits and full recovery.
 
 A "restart" here is the real thing: the device is the only object carried
 over; controller, pool, catalog, index, validity map, allocator and DAP
 are all rebuilt by :meth:`KVStore.open`.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import KVStore
 from repro.core.config import fast_test_config
 from repro.nvm import MemoryController, NVMDevice, WearOutConfig
 from repro.pmem import PersistentCatalog, PersistentPool
-from repro.pmem.pool import LOG_FLAG_AT
 from repro.testing import (
     CrashError,
     FaultInjector,
@@ -83,13 +81,13 @@ class TestReopenFromMedia:
         check_durable_invariants(reopened, oracle)
         report = reopened.recovery
         assert report is not None
-        assert report.rolled_back_records == 0  # clean shutdown
+        assert report.dropped_slots == 0  # clean shutdown
         assert report.live_objects == len(oracle)
         assert report.free_objects == (
             reopened.pool.capacity_objects - len(oracle)
         )
         assert report.duplicate_keys_dropped == 0
-        assert report.max_epoch == 20
+        assert report.max_epoch == 21  # 20 PUTs and a DELETE's tombstone
 
     def test_reopened_store_stays_fully_functional(self, harness):
         device, _, store = harness.fresh(FaultInjector())
@@ -112,17 +110,23 @@ class TestReopenFromMedia:
         produce: of two live records with one key, or naming one segment,
         the newest epoch wins; a record naming no object segment goes."""
         device, _, store = harness.fresh(FaultInjector())
-        store.put(b"a", b"older")  # record 0, epoch 1
+        store.put(b"a", b"older")  # record 0, epoch 1, slot A
         store.put(b"b", b"newer")  # record 1, epoch 2
-        rec0, rec1 = (store.catalog.record_address(r) for r in (0, 1))
+        catalog = store.catalog
+        older, newer = catalog.read(0), catalog.read(1)
+        key, segment = b"a", older.segment
         if defect == "key":  # record 0's key becomes "b"
-            device._content[rec0 + 24] = ord("b")
+            key = b"b"
         elif defect == "segment":  # record 0 names record 1's segment
-            device._content[rec0 + 20 : rec0 + 24] = (
-                device._content[rec1 + 20 : rec1 + 24]
-            )
+            segment = newer.segment
         else:  # record 0 names a segment index past the object range
-            device._content[rec0 + 20 : rec0 + 24] = 0xFF
+            segment = 0xFFFFFFFF
+        # Rewrite record 0 as a valid INSERT of slot A, checksums and all
+        # (the pool stands in for the transaction: the row lands at once).
+        catalog._target[0] = 0
+        catalog.tx_set(
+            store.pool, 0, segment, key, older.value_len, 1, 0, older.crc
+        )
         del store
         reopened = harness.reopen(device)
         assert reopened.recovery.duplicate_keys_dropped == 1
@@ -143,9 +147,8 @@ class TestCrashedPut:
         faults = FaultInjector()
         device, _, store = harness.fresh(faults)
         store.put(b"k", b"stable")
-        # An UPDATE's one in-place write: torn 10 bytes into the record's
-        # 20 mutable bytes (new length + epoch, old CRC + segment).
-        faults.arm("tx.write", error=CrashError, torn_fraction=0.5)
+        # An UPDATE's one slot write, torn 11 bytes into its 22.
+        faults.arm("catalog.write", error=CrashError, torn_fraction=0.5)
         with pytest.raises(CrashError):
             store.put(b"k", b"doomed")
         del store
@@ -153,12 +156,12 @@ class TestCrashedPut:
         check_durable_invariants(reopened, {b"k": b"stable"})
 
     def test_unacked_put_is_invisible_after_crash(self, harness):
-        """Crashing at the commit site (before the flag clears) must leave
+        """Crashing at the commit's site (before its row lands) must leave
         the un-acknowledged PUT invisible."""
         faults = FaultInjector()
         device, _, store = harness.fresh(faults)
         store.put(b"old", b"acked")
-        faults.arm("tx.commit", error=CrashError)
+        faults.arm("catalog.write", error=CrashError)
         with pytest.raises(CrashError):
             store.put(b"new", b"never-acked")
         del store
@@ -166,13 +169,13 @@ class TestCrashedPut:
         check_durable_invariants(reopened, {b"old": b"acked"})
 
     def test_non_crash_error_unclaims_address(self, harness):
-        """An ordinary failure inside the transaction rolls back and
+        """An ordinary failure inside the commit zeroes its slot and
         returns the placed address to the DAP (no leak, store usable)."""
         faults = FaultInjector()
         _, _, store = harness.fresh(faults)
         store.put(b"k", b"stable")
         free_before = set(store.pool.free_addresses())
-        with faults.injected("tx.write", error=OSError("media error")):
+        with faults.injected("catalog.write", error=OSError("media error")):
             with pytest.raises(OSError):
                 store.put(b"k", b"doomed")
         assert store.get(b"k") == b"stable"
@@ -184,78 +187,80 @@ class TestCrashedPut:
 
 class TestGroupCommit:
     """``put_many`` writes the batch's values to free segments, then
-    publishes their catalog records a transaction-full of pairs at a
-    time."""
+    publishes their catalog slots in one commit per batch of distinct
+    keys."""
 
     ITEMS = [(b"k%02d" % i, bytes([i + 1]) * (i + 5)) for i in range(8)]
 
-    def test_batch_commits_in_few_transactions(self, harness):
+    def test_batch_commits_in_few_transactions(self, harness, monkeypatch):
         faults = FaultInjector()
-        device, _, store = harness.fresh(faults)
+        device, pool, store = harness.fresh(faults)
+        commits = []
+        commit = pool.commit
+        monkeypatch.setattr(
+            pool, "commit", lambda *args: commits.append(args) or commit(*args)
+        )
         store.put_many(self.ITEMS)
-        per_tx = store._pairs_per_tx
-        assert 1 < per_tx < len(self.ITEMS)
-        assert faults.hits("tx.begin") == -(-len(self.ITEMS) // per_tx)
-        # One undo-record run per transaction, not one record write each.
-        assert faults.hits("tx.log") == faults.hits("tx.begin")
+        # One commit, one row per pair: no log to fill.
+        assert len(commits) == 1
+        assert faults.hits("catalog.write") == len(self.ITEMS)
         check_durable_invariants(store, dict(self.ITEMS))
         check_durable_invariants(harness.reopen(device), dict(self.ITEMS))
 
     def test_failed_group_keeps_and_counts_the_committed_prefix(
         self, harness
     ):
-        """A non-crash failure in the second transaction leaves the first
-        group committed *and counted* toward the retrain cooldown, and
-        un-claims every address it did not publish."""
+        """A repeated key starts a second batch; a non-crash failure in
+        its commit leaves the first batch committed *and counted* toward
+        the retrain cooldown, and un-claims every address it did not
+        publish."""
         faults = FaultInjector()
         device, _, store = harness.fresh(faults)
         policy = store.engine.policy
         counted = policy._writes_since_retrain
-        faults.arm("tx.commit", error=OSError("media error"), after=1)
+        items = self.ITEMS[:5] + [(b"k00", b"again")] + self.ITEMS[5:]
+        faults.arm("catalog.write", error=OSError("media error"), after=5)
         with pytest.raises(OSError):
-            store.put_many(self.ITEMS)
-        committed = dict(self.ITEMS[: store._pairs_per_tx])
+            store.put_many(items)
+        committed = dict(items[:5])
         assert policy._writes_since_retrain - counted == len(committed)
         check_durable_invariants(store, committed)
-        store.put_many(self.ITEMS)  # still fully usable
-        check_durable_invariants(harness.reopen(device), dict(self.ITEMS))
+        store.put_many(items)  # still fully usable
+        check_durable_invariants(harness.reopen(device), dict(items))
 
-    def test_keyboard_interrupt_between_log_and_in_place_writes(self, harness):
-        """A ``KeyboardInterrupt`` at ``tx.write`` of the *second* group —
-        its record run and header are on the media, its in-place batch is
-        not — is not a crash: the live store rolls the group back, keeps
-        the committed first group, releases every address it had claimed
-        and keeps serving; the media is reopenable and fsck-clean."""
+    def test_keyboard_interrupt_mid_commit_keeps_the_committed_prefix(
+        self, harness
+    ):
+        """A ``KeyboardInterrupt`` between two rows of the *second* batch's
+        commit — its first slot is on the media — is not a crash: the live
+        store zeroes that batch's slots, keeps the committed first batch,
+        releases every address it had claimed and keeps serving; the media
+        is reopenable and fsck-clean."""
         faults = FaultInjector()
         device, _, store = harness.fresh(faults)
         store.put(b"k00", b"old")
-        per_tx = store._pairs_per_tx
-        # In-place writes of the first group, counted on a twin.
-        twin_faults = FaultInjector()
-        _, _, twin = harness.fresh(twin_faults)
-        twin.put(b"k00", b"old")
-        first_group = -twin_faults.hits("tx.write")
-        twin.put_many(self.ITEMS[:per_tx])
-        first_group += twin_faults.hits("tx.write")
-
-        logged, committed_txs = faults.hits("tx.log"), faults.hits("tx.commit")
+        items = self.ITEMS[:4] + [(b"k00", b"again")] + self.ITEMS[4:]
+        # Programs of the call: its 9 values, the first batch's slots (an
+        # UPDATE, then three INSERTs in their own pass), then the second
+        # batch's first row.
+        programs = faults.hits("device.program")
         with faults.injected(
-            "tx.write", error=KeyboardInterrupt, after=first_group
+            "device.program", error=KeyboardInterrupt, after=9 + 4 + 1
         ):
             with pytest.raises(KeyboardInterrupt):
-                store.put_many(self.ITEMS)
-        assert faults.hits("tx.log") - logged == 2  # second run is down
-        assert faults.hits("tx.commit") - committed_txs == 1
-        committed = dict(self.ITEMS[:per_tx])
+                store.put_many(items)
+        # ...then the zeroing of the second batch's five slots.
+        assert faults.hits("device.program") - programs == 15 + 5
+        committed = {b"k00": b"old", **dict(items[:4])}
         # Contents, pool/DAP accounting (nothing left claimed) and catalog
         # of the *live* store, then of the media alone.
         check_durable_invariants(store, committed)
         assert harness.fsck(device) == []
         check_durable_invariants(harness.reopen(device), committed)
         device.faults = faults
-        store.put_many(self.ITEMS)  # the next PUT succeeds
-        check_durable_invariants(store, dict(self.ITEMS))
-        check_durable_invariants(harness.reopen(device), dict(self.ITEMS))
+        store.put_many(items)  # the next PUT succeeds
+        check_durable_invariants(store, dict(items))
+        check_durable_invariants(harness.reopen(device), dict(items))
 
     def test_repeated_key_supersedes_its_first_occurrence(self, harness):
         faults = FaultInjector()
@@ -264,10 +269,10 @@ class TestGroupCommit:
         addrs = store.put_many(
             [(b"a", b"first"), (b"b", b"other"), (b"a", b"second!")]
         )
-        # One transaction for the whole batch: the first occurrence was
-        # superseded before it could become visible, so only the last
-        # value is published and the first's segment is free again.
-        assert faults.hits("tx.begin") == 2
+        # The repeat starts a second batch, so every crash state is a
+        # prefix of the call: "first" goes live, then "second!" replaces
+        # it and its segment is recycled.
+        assert faults.hits("catalog.write") == 1 + 3
         assert store.get(b"a") == b"second!"
         assert addrs[0] in store.pool.free_addresses()
         assert addrs[0] in store.engine.free_addresses()
@@ -300,38 +305,32 @@ class TestGroupCommit:
         check_durable_invariants(mortal.reopen(device), dict(items))
 
 
-class TestLogWrites:
-    """The header raise rides in the first row of the record run, so a
-    transaction writes the log header's 16 bytes exactly twice: with its
-    payload's first row, and as the 1-byte flag clear."""
+class TestSlotWrites:
+    """What each mutation costs the device: the value (when there is
+    one) and one catalog row, nothing else."""
 
-    def test_scalar_update_costs_four_device_writes(
-        self, harness, monkeypatch
-    ):
-        faults = FaultInjector()
-        device, _, store = harness.fresh(faults)
+    def test_scalar_update_costs_two_device_writes(self, harness):
+        device, _, store = harness.fresh(FaultInjector())
         store.put(b"k", b"first")
-        header_rows = []
-        for name in ("program", "program_many"):
-            method = getattr(device, name)
+        writes = device.stats.writes
+        store.put(b"k", b"second")  # value, slot
+        assert device.stats.writes - writes == 2
 
-            def spy(addrs, *args, _method=method, **kwargs):
-                header_rows.extend(
-                    a for a in np.atleast_1d(addrs).tolist() if a < 16
-                )
-                return _method(addrs, *args, **kwargs)
+    def test_insert_costs_two_and_delete_one(self, harness):
+        device, _, store = harness.fresh(FaultInjector())
+        writes = device.stats.writes
+        store.put(b"k", b"v")  # value, key + slot
+        assert device.stats.writes - writes == 2
+        store.delete(b"k")  # tombstone slot
+        assert device.stats.writes - writes == 3
+        store.put(b"k", b"w")  # into the record the delete freed
+        assert device.stats.writes - writes == 5
 
-            monkeypatch.setattr(device, name, spy)
-        writes, logged = device.stats.writes, faults.hits("tx.log")
-        # Value, log payload (one row), catalog record, flag clear.
-        store.put(b"k", b"second")
-        assert device.stats.writes - writes == 4
+    def test_put_many_of_fresh_keys_costs_two_per_pair(self, harness):
+        device, _, store = harness.fresh(FaultInjector())
+        writes = device.stats.writes
         store.put_many(TestGroupCommit.ITEMS)
-        store.delete(b"k")
-        transactions = faults.hits("tx.log") - logged
-        assert transactions > 3
-        assert len(header_rows) == 2 * transactions
-        assert set(header_rows) == {0, LOG_FLAG_AT}
+        assert device.stats.writes - writes == 2 * len(TestGroupCommit.ITEMS)
 
 
 class TestConstruction:
@@ -340,19 +339,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="both pool and catalog"):
             KVStore(store.engine, pool=pool)
 
-    def test_undersized_log_rejected(self):
-        """create() must refuse a log too small for a worst-case PUT —
-        an UPDATE's 36-B undo record against a 32 - 16 = 16 B log — and
-        say which shape did not fit."""
+    def test_record_wider_than_a_segment_rejected(self):
+        """A record — two 22-B slots, two header bytes and the key — must
+        fit one segment; the error names the key capacity that would."""
         device = NVMDevice(
-            capacity_bytes=32 * 32, segment_size=32,
+            capacity_bytes=32 * 64, segment_size=64,
             initial_fill="random", seed=0,
         )
-        meta = PersistentCatalog.meta_segments_for(32, 1, 32, 8)
-        pool = PersistentPool(
-            MemoryController(device), log_segments=1, meta_segments=meta
-        )
-        with pytest.raises(ValueError, match=r"undo log .* an UPDATE"):
+        pool = PersistentPool(MemoryController(device), meta_segments=8)
+        with pytest.raises(ValueError, match="key_capacity 18 or less fits"):
             KVStore.create(
-                pool, config=fast_test_config(), key_capacity=8
+                pool, config=fast_test_config(), key_capacity=32
             )
+        with pytest.raises(ValueError, match="key_capacity 18 or less"):
+            PersistentCatalog.meta_segments_for(32, 64, 19)

@@ -2,9 +2,9 @@
 
 Tier 1 runs a small-but-complete sweep (every fired site, torn variants
 included).  The ``crash``-marked test is the acceptance sweep — a seeded
-YCSB-style trace of 200+ operations crashed at every fired device-write
-and transaction-boundary site — and runs in CI's dedicated crash-sweep
-job (``pytest -m crash``).
+YCSB-style trace of 200+ operations crashed at every fired value write
+and catalog row — and runs in CI's dedicated crash-sweep job
+(``pytest -m crash``).
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.kvstore import KVStore
 from repro.nvm import DriftConfig, WearOutConfig
-from repro.pmem.pool import PersistentPool
+from repro.pmem.catalog import PersistentCatalog
 from repro.testing import (
     DEFAULT_CRASH_SITES,
     DEFAULT_TORN_SITES,
@@ -61,10 +61,7 @@ def mortal_harness():
 SMALL_TRACE = make_ycsb_trace(30, n_keys=8, value_size=64, seed=3)
 
 #: Every site a durable ``put_many`` fires, media programs included.
-BATCH_SITES = (
-    "tx.begin", "tx.log", "tx.write", "tx.commit", "device.write",
-    "device.program",
-)
+BATCH_SITES = ("catalog.write", "device.write", "device.program")
 
 
 def make_batched_trace(n_batches: int, seed: int, batch: int = 8):
@@ -90,30 +87,22 @@ def make_batched_trace(n_batches: int, seed: int, batch: int = 8):
 
 def test_small_batched_sweep_recovers(mortal_harness):
     """A crash at every point a group-committed ``put_many`` passes
-    through — value writes to free segments, the log payload (header and
-    record run), every in-place catalog write — leaves acknowledged
-    batches intact and at most a *prefix* of the interrupted one."""
+    through — value writes to free segments, every catalog row, whole
+    or torn with the rows before it landed — leaves acknowledged batches
+    intact and at most a *prefix* of the interrupted one."""
     report = run_crash_sweep(
         mortal_harness, make_batched_trace(1, seed=5), sites=BATCH_SITES,
     )
     assert report.passed, report.failures[:5]
     for site in BATCH_SITES:
         assert report.site_hits[site] > 0, f"{site} never fired"
-    # One batch of 8 pairs needs several transactions at this log size,
-    # and commits them in far fewer than one per pair would.
-    assert 2 <= report.site_hits["tx.begin"] - 1 < 8
     # Pinned: a refactor of the harness must not enumerate fewer points.
-    # (Before the per-key catalog: 4 transactions, 10 in-place writes, 37
-    # programs — six 36-B pairs now fit the 240-B log where three 69-B
-    # ones did, and an update is one in-place write, not two.  The
-    # log-header fold took one program per transaction: 26 -> 23, crash
-    # points 62 -> 59 — the header raise is now a byte range of the
-    # ``tx.log`` payload, torn at every byte by the acceptance sweep.)
+    # One row per pair and one for the DELETE: the batch's repeated key
+    # starts a second batch, so 8 pairs are 8 rows.
     assert report.site_hits == {
-        "tx.begin": 3, "tx.log": 3, "tx.write": 8, "tx.commit": 3,
-        "device.write": 8, "device.program": 23,
+        "catalog.write": 9, "device.write": 8, "device.program": 17,
     }
-    assert (report.crash_points, report.torn_points) == (59, 11)
+    assert (report.crash_points, report.torn_points) == (43, 9)
     assert report.clean_replays == 0
 
 
@@ -121,10 +110,11 @@ def test_small_batched_sweep_recovers(mortal_harness):
 def test_batched_sweep_acceptance(mortal_harness):
     """Acceptance criterion for group commit: ``put_many`` B=8 batches
     (updates, inserts, a repeated key, mixed lengths) on media that
-    retires segments mid-batch, crashed at every fired transaction, device
+    retires segments mid-batch, crashed at every fired catalog, device
     and wear-out point — and, on a shorter trace, torn at *every byte* of
-    every log payload, header bytes 0–8 included.  Each crash recovers to
-    acknowledged ⇒ new,
+    every catalog row, the rows before it in ``write_many`` order landed
+    (so the survivors of a batch need not be a prefix of it).  Each crash
+    recovers to acknowledged ⇒ new,
     un-acknowledged ⇒ a prefix of the batch, with the offline checker
     clean on the crashed media."""
     sites = BATCH_SITES + WEAROUT_CRASH_SITES
@@ -142,16 +132,16 @@ def test_batched_sweep_acceptance(mortal_harness):
 
     torn = run_crash_sweep(
         mortal_harness, make_batched_trace(2, seed=11), sites=(),
-        torn_sites=(), torn_byte_sites=("tx.log",), check_fsck=True,
+        torn_sites=(), torn_byte_sites=("catalog.write",), check_fsck=True,
     )
     assert torn.passed, (
         f"{len(torn.failures)} of {torn.crash_points} torn points failed; "
         f"first: {torn.failures[:3]}"
     )
-    # Every byte of every payload: 541 now — the 16 header bytes of each
-    # of six transactions ride in it since the header fold (445 before,
-    # 1000+ while a pair logged 85 B).
-    assert torn.torn_points > 500
+    # Every byte of every row: 0 up to its length, except that the last
+    # row of a commit stops before its last byte that differs from the
+    # media (that byte landing is the commit point).
+    assert torn.torn_points == 534
 
 
 def test_small_sweep_every_point_recovers(harness):
@@ -173,27 +163,27 @@ def test_small_sweep_every_point_recovers(harness):
         report.site_hits[s] for s in DEFAULT_TORN_SITES
     )
     # Pinned: a refactor of the harness must not enumerate fewer points.
-    # (``tx.write`` was 33 while each of the 13 updates cleared a second
-    # record; every other site fires exactly as before.)
+    # Every PUT and DELETE is one catalog row.
     assert {s: n for s, n in report.site_hits.items() if n} == {
-        "device.write": 20, "tx.begin": 20, "tx.log": 20, "tx.write": 20,
-        "tx.commit": 20,
+        "device.write": 20, "catalog.write": 20,
     }
-    assert (report.crash_points, report.torn_points) == (140, 40)
+    assert (report.crash_points, report.torn_points) == (60, 20)
     assert report.clean_replays == 0
 
 
-def test_oracle_catches_a_skipped_undo_rollback(harness, monkeypatch):
-    """The small sweep with a seeded defect: recovery clears the log
-    header without replaying the undo records.  Every crash between a
-    transaction's first in-place write and its commit then leaves
-    half-applied state behind, and the sweep must say so."""
+def test_oracle_catches_a_skipped_gap_trim(harness, monkeypatch):
+    """A batched sweep with a seeded defect: recovery keeps every valid
+    slot of the interrupted batch instead of trimming it at its first
+    missing index.  ``write_many`` runs rows in passes by length, so a
+    crash can land a later pair's 22-B UPDATE slot before an earlier
+    pair's 40-B INSERT row, and the sweep must report what then shows."""
     monkeypatch.setattr(
-        PersistentPool, "_log_rollback", lambda pool: pool._log_finish() or 0
+        PersistentCatalog, "_past_the_gap", staticmethod(lambda _: set())
     )
-    report = run_crash_sweep(harness, SMALL_TRACE)
-    assert report.crash_points == 140 and not report.passed
-    assert len(report.failures) >= report.site_hits["tx.commit"]
+    report = run_crash_sweep(
+        harness, make_batched_trace(2, seed=5), sites=("catalog.write",)
+    )
+    assert report.crash_points == 36 and not report.passed
     assert not any(f.startswith("baseline") for f in report.failures)
 
 
@@ -218,20 +208,18 @@ def test_oracle_catches_an_altered_acknowledged_value(harness, monkeypatch):
 
 def test_oracle_catches_a_non_prefix_subset_of_a_batch(harness, monkeypatch):
     """A batched sweep with a seeded defect: ``put_many`` publishes its
-    groups in *reverse* batch order, so a crash between two groups leaves
-    a suffix of the batch visible.  The crash-free run is
-    indistinguishable (distinct keys); the prefix rule must flag the
-    crashes in between."""
+    pairs in *reverse* batch order, so a crash that lands the first rows
+    of the commit leaves a suffix of the batch visible.  The crash-free
+    run is indistinguishable (distinct keys); the prefix rule must flag
+    the crashes in between."""
     install = KVStore._install
     monkeypatch.setattr(
         KVStore, "_install",
         lambda store, items, addrs: install(store, items[::-1], addrs[::-1]),
     )
-    # 16 pairs: three groups at this log size (six 36-B pairs each).
     batch = [(b"user%03d" % i, bytes([i + 1]) * (i + 9)) for i in range(16)]
     report = run_crash_sweep(harness, [("put_many", batch)], sites=BATCH_SITES)
     assert not any(f.startswith("baseline") for f in report.failures)
-    assert report.site_hits["tx.begin"] > 2
     assert any("phantom: key" in failure for failure in report.failures)
 
 
@@ -260,17 +248,17 @@ def test_small_drift_sweep_recovers(drift_harness):
         assert report.site_hits[site] > 0, f"{site} never fired"
     # Pinned: a refactor of the harness must not enumerate fewer points.
     assert {s: n for s, n in report.site_hits.items() if n} == {
-        "device.write": 11, "tx.begin": 13, "tx.log": 13, "tx.write": 13,
-        "tx.commit": 13, "device.drift_flip": 4, "scrub.refresh": 4,
+        "device.write": 11, "catalog.write": 13, "device.drift_flip": 4,
+        "scrub.refresh": 5,
     }
-    assert (report.crash_points, report.torn_points) == (97, 26)
+    assert (report.crash_points, report.torn_points) == (46, 13)
     assert report.clean_replays == 0
 
 
 @pytest.mark.scrub
 def test_drift_scrub_sweep_acceptance(drift_harness):
     """Acceptance criterion: an aged, scrubbed workload crashed at every
-    fired site — drift flips, scrub refreshes, torn log/value writes —
+    fired site — drift flips, scrub refreshes, torn catalog rows —
     recovers to exactly the acknowledged state at all of them."""
     trace = weave_aging(
         make_ycsb_trace(60, n_keys=8, value_size=48, seed=11),
@@ -288,53 +276,81 @@ def test_drift_scrub_sweep_acceptance(drift_harness):
     assert report.torn_points > 0
 
 
-class WideKeyHarness(KVCrashHarness):
-    """The default 40-B key field: 24 + 40 = 64-B records, one per segment."""
-
-    key_capacity = 40
-
-
 @pytest.mark.crash
-def test_record_writes_torn_at_every_byte_recover():
-    """Every in-place catalog write torn at *every* byte: an UPDATE's 20
-    mutable bytes (the key then reads its old value or its new one, never
-    an old segment under a new CRC — here always the old one: the undo
-    record restores all 20), an INSERT's 64-B record, whose undo record is
-    the flag byte alone (the record rolls back to invalid and its id is
-    free again — also when the torn record lies over dead metadata naming
-    a key that is live elsewhere), and a DELETE's flag byte.  fsck runs on
-    the crashed media at every point."""
+def test_catalog_rows_torn_at_every_byte_recover(harness):
+    """Every catalog row torn at *every* byte, fsck on the crashed media
+    at each point: an UPDATE's 22-B slot (the key then reads its old
+    value or its new one), an INSERT's 40-B row of slot and key — also
+    onto the record a DELETE of the *same* key just freed, whose
+    tombstone must stay the newest slot (hazard 2), and onto one whose
+    old key differs — and a DELETE's tombstone.  The ``put_many`` rows
+    are torn with every row before them in ``write_many`` order landed,
+    so its survivors include non-prefix subsets for recovery to trim."""
     a, b, c, d = (b"user%03d" % i for i in range(4))
     value = [bytes([i + 1]) * (9 + 5 * i) for i in range(10)]
     trace = [
         ("put", a, value[0]), ("put", b, value[1]), ("put", a, value[2]),
-        ("delete", a), ("delete", b),
-        # b returns on record 0; record 1 still spells "b" behind a clear
-        # flag, and c's insert is torn over it.
-        ("put", b, value[3]), ("put", c, value[4]), ("put", b, value[5]),
-        ("put_many", [(a, value[6]), (c, value[7]), (d, value[8])]),
+        ("delete", a), ("put", a, value[3]), ("delete", b),
+        # c lands on b's freed record, whose slots spell "b".
+        ("put", c, value[4]), ("put", c, value[5]),
+        ("put_many", [(a, value[6]), (d, value[7]), (c, value[8])]),
         ("put", d, value[9]), ("get", b),
     ]
-    inserts, updates, deletes = 6, 4, 2
     report = run_crash_sweep(
-        WideKeyHarness(), trace, sites=(), torn_sites=(),
-        torn_byte_sites=("tx.write",), check_fsck=True,
+        harness, trace, sites=(), torn_sites=(),
+        torn_byte_sites=("catalog.write",), check_fsck=True,
     )
     assert report.passed, (
         f"{len(report.failures)} of {report.crash_points} torn points "
         f"failed; first: {report.failures[:3]}"
     )
-    assert report.torn_points == (
-        inserts * (64 + 1) + updates * (20 + 1) + deletes * (1 + 1)
+    # 5 INSERT rows (40 B), 5 UPDATE and 2 DELETE slots (22 B): every
+    # byte count from 0 up to the row's length, except that the last row
+    # of a commit stops before its last byte that differs from the media
+    # (that byte landing is the commit point; an INSERT's key padding and
+    # a re-inserted key's own bytes are already in place).
+    assert report.torn_points == 320
+    assert report.clean_replays == 0
+
+
+@pytest.mark.crash
+def test_insert_into_a_freed_record_torn_at_every_byte(harness):
+    """An INSERT of a *different* key into the record a DELETE just
+    freed, right after a completed two-pair batch, torn at every byte:
+    the key is left part old, part new (the keys differ in every byte
+    and in length).  The DELETE's tombstone must stay valid whatever the
+    key bytes read, or the newest batch is the two-pair one, whose slot
+    in this record the INSERT overwrote, and ``b`` is lost."""
+    a, b, c, d = b"aa", b"bb", b"user000000000001", b"\xffzq"
+    trace = [
+        ("put_many", [(a, b"1" * 9), (b, b"2" * 9)]),
+        ("delete", a),
+        ("put", c, b"3" * 9),  # onto a's record
+        ("put_many", [(c, b"4" * 9), (d, b"5" * 9)]),
+        ("delete", c),
+        ("put_many", [(a, b"6" * 9), (d, b"7" * 9)]),  # a onto c's record
+        ("get", b),
+    ]
+    report = run_crash_sweep(
+        harness, trace, sites=(), torn_sites=(),
+        torn_byte_sites=("catalog.write",), check_fsck=True,
     )
+    assert report.passed, (
+        f"{len(report.failures)} of {report.crash_points} torn points "
+        f"failed; first: {report.failures[:3]}"
+    )
+    # 5 INSERT rows (40 B), 2 UPDATE and 2 DELETE slots (22 B), each
+    # commit's last row stopping before its last differing byte.
+    assert report.torn_points == 264
     assert report.clean_replays == 0
 
 
 @pytest.mark.crash
 def test_exhaustive_sweep_acceptance(harness):
     """Acceptance criterion: >=200 ops, a crash at every fired
-    device.write / tx.* site, torn-write variants included — and every
-    single crash point recovers to exactly the acknowledged state."""
+    device.write / catalog.write site, torn-write variants included — and
+    every single crash point recovers to exactly the acknowledged
+    state."""
     trace = make_ycsb_trace(200, n_keys=10, value_size=64, seed=11)
     report = run_crash_sweep(harness, trace)
     assert report.passed, (
@@ -342,7 +358,5 @@ def test_exhaustive_sweep_acceptance(harness):
         f"failed; first: {report.failures[:3]}"
     )
     assert len(trace) >= 200
-    # 991 / 290 — 145 fewer firings of ``tx.write`` than when each update
-    # also cleared a second record, every other site unchanged.
-    assert report.crash_points > 900
-    assert report.torn_points > 250
+    # One value write and one catalog row per PUT, one row per DELETE.
+    assert (report.crash_points, report.torn_points) == (411, 145)

@@ -123,7 +123,6 @@ class TestUnprotectedStore:
         )
         pool = PersistentPool(
             MemoryController(device, verify_writes=False),
-            log_segments=h.log_segments,
             meta_segments=h.meta_segments,
         )
         store = KVStore.create(

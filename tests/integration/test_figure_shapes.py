@@ -22,7 +22,7 @@ class TestFigure1Shape:
             device = NVMDevice(
                 capacity_bytes=10 * 256, segment_size=256, initial_fill="zero"
             )
-            pool = PersistentPool(MemoryController(device), log_segments=2)
+            pool = PersistentPool(MemoryController(device))
             rng = np.random.default_rng(1)
             addr = pool.alloc()
             old = rng.integers(0, 256, 256, dtype=np.uint8)

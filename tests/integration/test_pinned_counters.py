@@ -7,9 +7,9 @@ test replays one fixed seeded trace of ``put_many``/``put``/``get``/
 ``segment_write_count.sum()``, total per-cell wear,
 ``stuck_cell_count()`` and the retired-segment count with constants
 recorded at the commit *before* the device's write-side accounting was
-rewritten (PR 20's parent; the durable arm re-recorded by PR 22, which
-changed what a durable PUT writes on purpose) — integers exactly, the
-float totals to 1e-9 relative.
+rewritten (the durable arm re-recorded by each change that altered what a
+durable PUT writes on purpose, below) — integers exactly, the float
+totals to 1e-9 relative.
 
 A PR that changes what a write costs on purpose (fewer metadata flips,
 say) updates ``PINNED`` in the open, in the same diff; ``python
@@ -143,23 +143,33 @@ PINNED: dict[str, dict] = {
     # the sequence starts at 0 from format(), so its carries and the
     # records' CRCs differ (bits flipped 49934 -> 49883).  Stuck cells and
     # retirements did not move, nor did the volatile arms.
+    #
+    # Re-recorded by the log-free commit (two self-checking slots per
+    # catalog record replace the undo log): a PUT is its value and one
+    # slot row, a DELETE one tombstone slot, so writes 792 -> 528 and,
+    # with their DCW old-content and verify reads, reads 1848 -> 1082;
+    # bits flipped 49883 -> 42872.  A key repeated in a ``put_many`` now
+    # starts a second batch, and without the log's segments the catalog
+    # starts at segment 0, so values land elsewhere: stuck cells 116 ->
+    # 114 and two segments retire at the tail of the trace.  The volatile
+    # arms did not move.
     "durable_mortal": {
-        "writes": 792,
-        "reads": 1848,
-        "bytes_written": 23304,
-        "bytes_read": 51243,
-        "bits_programmed": 49974,
-        "bits_flipped": 49883,
+        "writes": 528,
+        "reads": 1082,
+        "bytes_written": 14039,
+        "bytes_read": 28651,
+        "bits_programmed": 42956,
+        "bits_flipped": 42872,
         "aux_bits_programmed": 0,
-        "dirty_lines_written": 791,
-        "write_energy_pj": 5823100.0,
-        "read_energy_pj": 5388645.0,
-        "write_latency_ns": 319198.6999999996,
-        "read_latency_ns": 332095.0499999998,
-        "segment_writes": 792,
-        "cell_wear": 49974,
-        "stuck_cells": 116,
-        "retired_segments": 0,
+        "dirty_lines_written": 528,
+        "write_energy_pj": 4365400.0,
+        "read_energy_pj": 3134765.0,
+        "write_latency_ns": 213347.8,
+        "read_latency_ns": 193967.85000000047,
+        "segment_writes": 528,
+        "cell_wear": 42956,
+        "stuck_cells": 114,
+        "retired_segments": 2,
     },
     "volatile_immortal": {
         "writes": 226,

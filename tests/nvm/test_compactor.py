@@ -20,7 +20,6 @@ from repro.testing import FaultInjector
 
 SEGMENT = 64
 N_SEGMENTS = 40
-LOG_SEGMENTS = 4
 KEY_CAPACITY = 16
 
 _PIPELINE = {}
@@ -31,7 +30,7 @@ def make_store(*, endurance_mean=10**6, spares=0, faults=None, seed=7):
     that nothing retires on its own — tests drive the health transitions
     explicitly."""
     meta = PersistentCatalog.meta_segments_for(
-        N_SEGMENTS, LOG_SEGMENTS, SEGMENT, KEY_CAPACITY
+        N_SEGMENTS, SEGMENT, KEY_CAPACITY
     )
     device = NVMDevice(
         capacity_bytes=N_SEGMENTS * SEGMENT,
@@ -44,12 +43,11 @@ def make_store(*, endurance_mean=10**6, spares=0, faults=None, seed=7):
             endurance_sigma=0.01,
             seed=5,
             ecp_entries=2,
-            immortal_prefix_segments=LOG_SEGMENTS + meta,
+            immortal_prefix_segments=meta,
         ),
     )
     pool = PersistentPool(
         MemoryController(device),
-        log_segments=LOG_SEGMENTS,
         meta_segments=meta,
         faults=faults,
     )

@@ -20,7 +20,6 @@ from repro.testing import FaultInjector
 
 SEGMENT = 64
 N_SEGMENTS = 48
-LOG_SEGMENTS = 4
 KEY_CAPACITY = 16
 
 _PIPELINE = {}
@@ -28,7 +27,7 @@ _PIPELINE = {}
 
 def make_store(retention_mean=10, *, faults=None, seed=7):
     meta = PersistentCatalog.meta_segments_for(
-        N_SEGMENTS, LOG_SEGMENTS, SEGMENT, KEY_CAPACITY
+        N_SEGMENTS, SEGMENT, KEY_CAPACITY
     )
     device = NVMDevice(
         capacity_bytes=N_SEGMENTS * SEGMENT,
@@ -40,12 +39,11 @@ def make_store(retention_mean=10, *, faults=None, seed=7):
             retention_mean=retention_mean,
             retention_sigma=0.3,
             seed=3,
-            immortal_prefix_segments=LOG_SEGMENTS + meta,
+            immortal_prefix_segments=meta,
         ),
     )
     pool = PersistentPool(
         MemoryController(device),
-        log_segments=LOG_SEGMENTS,
         meta_segments=meta,
         faults=faults,
     )

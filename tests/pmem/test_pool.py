@@ -1,24 +1,26 @@
-"""Persistent pool and transaction tests."""
+"""Persistent pool and commit-group (transaction) tests."""
 
 import pytest
 
 from repro.nvm import MemoryController, NVMDevice
 from repro.pmem import PersistentPool
+from repro.testing import FaultError, FaultInjector
 
 
-def make_pool(n_segments=16, log_segments=2, seed=0):
+def make_pool(n_segments=16, meta_segments=2, seed=0):
     dev = NVMDevice(
         capacity_bytes=n_segments * 64,
         segment_size=64,
         initial_fill="random",
         seed=seed,
     )
-    return PersistentPool(MemoryController(dev), log_segments=log_segments), dev
+    pool = PersistentPool(MemoryController(dev), meta_segments=meta_segments)
+    return pool, dev
 
 
 class TestAllocator:
-    def test_capacity_excludes_log(self):
-        pool, _ = make_pool(n_segments=16, log_segments=2)
+    def test_capacity_excludes_metadata(self):
+        pool, _ = make_pool(n_segments=16, meta_segments=2)
         assert pool.capacity_objects == 14
 
     def test_alloc_free_cycle(self):
@@ -28,7 +30,7 @@ class TestAllocator:
         assert pool.alloc() is not None
 
     def test_alloc_exhaustion(self):
-        pool, _ = make_pool(n_segments=4, log_segments=2)
+        pool, _ = make_pool(n_segments=4, meta_segments=2)
         pool.alloc()
         pool.alloc()
         with pytest.raises(RuntimeError):
@@ -41,21 +43,11 @@ class TestAllocator:
         with pytest.raises(KeyError, match="double free"):
             pool.free(addr)
 
-    def test_free_rejects_log_region_address(self):
-        pool, _ = make_pool(log_segments=2)
-        with pytest.raises(ValueError, match="log"):
-            pool.free(64)  # inside the 2-segment log region
-
     def test_free_rejects_metadata_region_address(self):
-        dev = NVMDevice(
-            capacity_bytes=16 * 64, segment_size=64,
-            initial_fill="random", seed=0,
-        )
-        pool = PersistentPool(
-            MemoryController(dev), log_segments=2, meta_segments=2
-        )
-        with pytest.raises(ValueError, match="metadata"):
-            pool.free(3 * 64)
+        pool, _ = make_pool(meta_segments=2)
+        for addr in (0, 64):
+            with pytest.raises(ValueError, match="metadata"):
+                pool.free(addr)
 
     def test_free_rejects_unaligned_address(self):
         pool, _ = make_pool()
@@ -84,21 +76,23 @@ class TestAllocator:
     def test_mark_allocated_many_is_fast_path(self):
         """O(1) per call: re-registering every segment of a larger pool
         must not degrade (the old implementation rebuilt a list per call)."""
-        pool, _ = make_pool(n_segments=256, log_segments=2)
+        pool, _ = make_pool(n_segments=256)
         for addr in list(pool.free_addresses()):
             pool.mark_allocated(addr)
         assert pool.free_addresses() == []
         assert len(pool.allocated_addresses()) == pool.capacity_objects
 
-    def test_allocations_avoid_log_region(self):
-        pool, _ = make_pool(log_segments=3)
+    def test_allocations_avoid_metadata_region(self):
+        pool, _ = make_pool(meta_segments=3)
         for _ in range(pool.capacity_objects):
             assert pool.alloc() >= 3 * 64
 
     def test_validation(self):
         dev = NVMDevice(capacity_bytes=128, segment_size=64)
         with pytest.raises(ValueError):
-            PersistentPool(MemoryController(dev), log_segments=2)
+            PersistentPool(MemoryController(dev), meta_segments=2)
+        with pytest.raises(ValueError):
+            PersistentPool(MemoryController(dev), meta_segments=-1)
 
 
 class TestTransactions:
@@ -129,7 +123,7 @@ class TestTransactions:
         assert pool.read(addr, 64) == b"X" * 64
 
     def test_multi_write_rollback_order(self):
-        pool, _ = make_pool(n_segments=16, log_segments=6)
+        pool, _ = make_pool(n_segments=16)
         a, b = pool.alloc(), pool.alloc()
         pool.write(a, b"1" * 64)
         pool.write(b, b"2" * 64)
@@ -147,9 +141,9 @@ class TestTransactions:
         with pytest.raises(RuntimeError):
             tx.write(pool.alloc(), b"x")
 
-    def test_undo_log_traffic_is_accounted(self):
-        """Transactional writes must cost more than raw writes (log traffic),
-        which is how PMDK overhead appears in Figure 1."""
+    def test_commit_costs_only_the_staged_writes(self):
+        """No log: a transactional write costs the device exactly what
+        the same raw write does (Figure 1's overwrite pays no log)."""
         pool_tx, dev_tx = make_pool(seed=5)
         pool_raw, dev_raw = make_pool(seed=5)
         addr_tx = pool_tx.alloc()
@@ -158,38 +152,85 @@ class TestTransactions:
         with pool_tx.transaction() as tx:
             tx.write(addr_tx, payload)
         pool_raw.write(addr_raw, payload)
-        assert dev_tx.stats.writes > dev_raw.stats.writes
-        assert dev_tx.stats.write_energy_pj > dev_raw.stats.write_energy_pj
+        assert dev_tx.stats == dev_raw.stats
 
-    def test_log_reused_across_transactions(self):
-        """Each transaction restarts the per-tx undo log (PMDK style)."""
-        pool, _ = make_pool(n_segments=8, log_segments=2)
+    def test_sequential_transactions_commit_in_order(self):
+        pool, _ = make_pool(n_segments=8)
         addr = pool.alloc()
         for i in range(20):
             with pool.transaction() as tx:
                 tx.write(addr, bytes([i]) * 64)
         assert pool.read(addr, 64) == bytes([19]) * 64
 
-    def test_oversized_transaction_raises(self):
-        """A transaction bigger than the log region is rejected upfront."""
-        pool, _ = make_pool(n_segments=8, log_segments=2)
-        addrs = [pool.alloc() for _ in range(4)]
-        with pytest.raises(RuntimeError):
+    def test_large_transaction_is_one_batched_write(self):
+        """No log to fill: a commit group of any size lands in one
+        ``write_many`` — one device write per row, nothing else."""
+        pool, dev = make_pool(n_segments=16)
+        addrs = [pool.alloc() for _ in range(12)]
+        before = dev.stats.snapshot()
+        with pool.transaction() as tx:
+            for i, addr in enumerate(addrs):
+                tx.write(addr, bytes([i]) * 64)
+        assert (dev.stats - before).writes == 12
+        for i, addr in enumerate(addrs):
+            assert pool.read(addr, 64) == bytes([i]) * 64
+
+    def test_commit_fires_its_site_per_row_in_write_order(self):
+        """Rows fire in the order ``write_many`` programs them (passes by
+        length, first-seen length first), and a torn firing of one lands
+        the rows before it plus a prefix of its own."""
+        pool, _ = make_pool(n_segments=16)
+        a, b, c = (pool.alloc() for _ in range(3))
+        for addr in (a, b, c):
+            pool.write(addr, bytes(64))
+        pool.faults = FaultInjector()
+        pool.faults.arm(
+            "catalog.write", error=FaultError, after=1, torn_bytes=4
+        )
+        with pytest.raises(FaultError):
             with pool.transaction() as tx:
-                for addr in addrs:
-                    tx.write(addr, b"Z" * 64)  # 4x(16+64+5) > 112 B of log
+                tx.write(a, b"A" * 32)
+                tx.write(b, b"B" * 16)
+                tx.write(c, b"C" * 32)
+        # Pass order a, c (32 B), then b: a landed, c torn at 4 bytes.
+        assert pool.faults.hits("catalog.write") == 2
+        assert pool.read(a, 32) == b"A" * 32
+        assert pool.read(c, 8) == b"CCCC" + bytes(4)
+        assert pool.read(b, 16) == bytes(16)
+
+    def test_passes_are_the_order_write_many_programs(self):
+        """``controller.passes`` — the order the commit's site fires in —
+        is the order ``write_many`` puts rows on the device."""
+        pool, dev = make_pool(n_segments=16)
+        addrs = [pool.alloc() for _ in range(5)]
+        data = [b"A" * 32, b"B" * 16, b"C" * 32, b"D" * 8, b"E" * 16]
+        programmed = []
+        program, program_many = dev.program, dev.program_many
+
+        def one(addr, *args, **kwargs):
+            programmed.append(int(addr))
+            return program(addr, *args, **kwargs)
+
+        def many(phys, *args, **kwargs):
+            programmed.extend(int(a) for a in phys)
+            return program_many(phys, *args, **kwargs)
+
+        dev.program, dev.program_many = one, many
+        pool.controller.write_many(addrs, data)
+        passes = pool.controller.passes(addrs, [len(d) for d in data])
+        assert programmed == [addrs[i] for rows in passes for i in rows]
+        assert programmed == [addrs[i] for i in (0, 2, 1, 4, 3)]
 
     def test_failed_commit_leaves_previous_transaction_committed(self):
-        """A commit that fails before its header goes up (here: a staged
-        write crossing a segment boundary) must not replay the log — it
-        still holds the *previous* transaction's undo records."""
-        pool, _ = make_pool(n_segments=16, log_segments=6)
+        """A commit whose only staged write crosses a segment boundary is
+        refused before anything lands: the previous transaction's
+        content stays, and the pool stays usable."""
+        pool, _ = make_pool(n_segments=16)
         addr = pool.alloc()
         with pool.transaction() as tx:
             tx.write(addr, b"1" * 64)
         with pytest.raises(ValueError, match="segment boundary"):
             with pool.transaction() as tx:
-                tx.write(addr, b"2" * 64)
                 tx.write(addr + 32, b"x" * 64)
         assert pool.read(addr, 64) == b"1" * 64
         with pool.transaction() as tx:  # the pool stays usable
@@ -205,19 +246,6 @@ class TestTransactions:
             tx.write(addr, b"Y" * 64)
             assert pool.read(addr, 64) == b"X" * 64
             assert dev.stats.writes == writes  # nothing on the media yet
-        assert pool.read(addr, 64) == b"Y" * 64
-
-    def test_nested_transaction_raises(self):
-        """The undo log holds one transaction; nesting must fail loudly
-        instead of silently resetting the first transaction's records."""
-        pool, _ = make_pool()
-        addr = pool.alloc()
-        pool.write(addr, b"X" * 64)
-        with pool.transaction() as tx:
-            tx.write(addr, b"Y" * 64)
-            with pytest.raises(RuntimeError, match="already active"):
-                pool.transaction().__enter__()
-        # The outer transaction still committed intact.
         assert pool.read(addr, 64) == b"Y" * 64
 
     def test_transaction_object_reuse_raises(self):

@@ -1,4 +1,4 @@
-"""Property tests: transactions vs. a shadow model under random schedules."""
+"""Property tests: commit groups vs. a shadow model under random schedules."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ def build_pool(seed=0, n_segments=20):
         initial_fill="random",
         seed=seed,
     )
-    return PersistentPool(MemoryController(device), log_segments=8)
+    return PersistentPool(MemoryController(device))
 
 
 @st.composite

@@ -29,7 +29,6 @@ def _create(tmp_path, backend: str) -> ShardedKVStore:
         n_segments_per_shard=64,
         config=fast_test_config(),
         backend=backend,
-        log_segments=4,
         key_capacity=16,
     )
 

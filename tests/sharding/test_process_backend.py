@@ -46,7 +46,6 @@ def store(tmp_path):
         n_segments_per_shard=N_SEGMENTS,
         config=_config(),
         backend="process",
-        log_segments=4,
         key_capacity=16,
     )
     yield store
@@ -116,11 +115,12 @@ class TestShardCrash:
 
         batch = _items(12, seed=29, prefix=b"crash")
         victim = store.shard_of(batch[0][0])
-        # Arm a simulated power loss inside the victim's undo-log write
-        # path: the worker dies mid-transaction via os._exit, after some
-        # earlier PUTs of the batch committed.
+        # Arm a simulated power loss inside the victim's catalog commit:
+        # the worker dies via os._exit once three of its batch's slot rows
+        # are on the media.
         store.backend.call(
-            victim, "arm_crash", ("tx.write",), {"after": 2}
+            victim, "arm_crash", ("catalog.write",),
+            {"after": 2, "torn_fraction": 1.0},
         )
 
         with pytest.raises(ShardCrashedError) as excinfo:
@@ -140,22 +140,24 @@ class TestShardCrash:
             if store.shard_of(key) != victim:
                 assert store.get(key) == value
 
-        # A fresh worker re-attaches to the surviving media and runs undo
-        # recovery: only the victim's in-flight transaction rolls back.
+        # A fresh worker re-attaches to the surviving media and runs
+        # catalog recovery: the victim keeps the prefix of its slice of
+        # the batch that landed (its rows are all INSERTs of one length,
+        # so they land in batch order).
         store.reopen_shard(victim)
         assert store.shard_alive(victim)
         report = store.backend.call(victim, "recovery_report")
-        assert report.rolled_back_records >= 1
+        assert report.dropped_slots == 0
 
-        # Every pre-crash key on the victim survived; each crashed-batch
-        # key on the victim is either fully committed or fully absent.
+        # Every pre-crash key on the victim survived; of the crashed
+        # batch, exactly its first three keys on the victim did.
         for key, value in base:
             if store.shard_of(key) == victim:
                 assert store.get(key) == value
-        for key, value in batch:
-            if store.shard_of(key) == victim:
-                got = store.get(key)
-                assert got == value or got is None
+        slice_ = [(k, v) for k, v in batch if store.shard_of(k) == victim]
+        assert [store.get(k) for k, _ in slice_] == [
+            v if i < 3 else None for i, (_, v) in enumerate(slice_)
+        ]
 
         # And the shard takes writes again.
         store.put(b"after-crash", b"y" * 40)
@@ -164,7 +166,7 @@ class TestShardCrash:
     def test_crashed_shard_errors_until_reopened(self, store):
         store.put_many(_items(12))
         victim = store.shard_of(b"doom")
-        store.backend.call(victim, "arm_crash", ("tx.begin",), {"after": 0})
+        store.backend.call(victim, "arm_crash", ("catalog.write",), {"after": 0})
         with pytest.raises(ShardCrashedError):
             store.put(b"doom", b"z" * 40)
         # Further calls to the dead shard fail fast with the same error.

@@ -32,7 +32,6 @@ pytestmark = pytest.mark.sharding
 
 SEGMENT_SIZE = 64
 N_SEGMENTS = 64
-LOG_SEGMENTS = 4
 KEY_CAPACITY = 16
 
 
@@ -55,7 +54,6 @@ def _create(tmp_path, **kwargs):
         segment_size=SEGMENT_SIZE,
         n_segments_per_shard=N_SEGMENTS,
         backend="process",
-        log_segments=LOG_SEGMENTS,
         key_capacity=KEY_CAPACITY,
         **kwargs,
     )

@@ -28,7 +28,6 @@ def _create(root, **overrides):
         segment_size=64,
         n_segments_per_shard=256,
         config=fast_test_config(),
-        log_segments=4,
         key_capacity=16,
         ring_seed=11,
         vnodes=16,

@@ -111,7 +111,6 @@ class TestSingleShardEquivalence:
             n_segments_per_shard=N_SEGMENTS,
             config=_config(),
             base_seed=SEED,
-            log_segments=4,
             key_capacity=16,
         )
         device = NVMDevice(
@@ -122,9 +121,8 @@ class TestSingleShardEquivalence:
         )
         pool = PersistentPool(
             MemoryController(device),
-            log_segments=4,
             meta_segments=PersistentCatalog.meta_segments_for(
-                N_SEGMENTS, 4, SEGMENT_SIZE, 16
+                N_SEGMENTS, SEGMENT_SIZE, 16
             ),
         )
         plain = KVStore.create(pool, config=_config(), key_capacity=16)
@@ -253,7 +251,6 @@ class TestManifest:
             segment_size=SEGMENT_SIZE,
             n_segments_per_shard=N_SEGMENTS,
             config=_config(),
-            log_segments=4,
             key_capacity=16,
             ring_seed=42,
         )
@@ -286,7 +283,6 @@ class TestManifest:
             segment_size=SEGMENT_SIZE,
             n_segments_per_shard=N_SEGMENTS,
             config=_config(),
-            log_segments=4,
             key_capacity=16,
             **kwargs,
         )
@@ -307,18 +303,17 @@ class TestManifest:
             assert running(store) == [[False], [False]]
 
     def test_pre_fold_manifest_is_refused_by_name(self, tmp_path):
-        """A manifest as stores written before the log-header fold carry
-        it — version 1, whose shards keep the undo-log flag in front of
-        the sequence, and a ``compact_interval_s`` since made a constant —
-        is refused by ``open`` and reported by the offline checker, both
-        naming the log layout.  At this version an unknown shard key is
-        refused too."""
+        """A manifest as stores written before the two-slot catalog carry
+        it — version 2, whose shards keep an undo log (``log_segments``)
+        in front of a one-version catalog — is refused by ``open`` and
+        reported by the offline checker, both naming the log layout.  At
+        this version an unknown shard key is refused too."""
         root = tmp_path / "store"
         with self._durable(root, ring_seed=42) as store:
             store.put_many(_trace(16))
         shard_entry = """{
           "shard_id": %d, "segment_size": 64, "n_segments": 96,
-          "durable": true, "log_segments": 4, "key_capacity": 16,
+          "durable": true, "key_capacity": 16,
           "seed": %d, "path": %s,
           "scrubber": false, "compactor": false, "maintenance": false,
           "scrub_interval_s": 0.05, "retrain_interval_s": 0.0%s
@@ -340,8 +335,8 @@ class TestManifest:
                 manifest % (version, *entries)
             )
 
-        write_manifest(1, ', "compact_interval_s": 0.1')
-        cause = "manifest version 1 not supported: .* undo-log active flag"
+        write_manifest(2, ', "log_segments": 4')
+        cause = "manifest version 2 not supported: .* kept an undo log"
         with pytest.raises(ValueError, match=cause):
             ShardedKVStore.open(root, config=_config())
         report = fsck_sharded(root)
@@ -367,7 +362,6 @@ class TestShardSnapshot:
             segment_size=256,
             n_segments_per_shard=256,
             config=_config(),
-            log_segments=8,
             key_capacity=32,
             wearout=WearOutConfig(seed=3),
         ) as store:
@@ -384,7 +378,7 @@ class TestWorkerReattach:
         strict=True,
         reason="attach builds a fresh device: stuck cells, ECP entries, "
         "health sets and the drift clock of a dead worker are lost "
-        "(ROADMAP item 3)",
+        "(ROADMAP item 1)",
     )
     def test_reattach_keeps_the_media_state_of_a_worn_shard(self, tmp_path):
         """A durable mortal shard worn to read-only, then re-attached to
@@ -394,7 +388,6 @@ class TestWorkerReattach:
             shard_id=0,
             segment_size=SEGMENT_SIZE,
             n_segments=N_SEGMENTS,
-            log_segments=4,
             key_capacity=16,
             seed=SEED,
             config=_config(),

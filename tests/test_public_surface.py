@@ -270,7 +270,6 @@ class TestManifestEntryIsTheSpec:
             segment_size=128,
             n_segments=96,
             durable=False,
-            log_segments=5,
             key_capacity=24,
             seed=9,
             path="/tmp/shard-2.npz",

@@ -1,6 +1,6 @@
 """Offline fsck: clean stores pass, every injected defect is reported."""
 
-import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +8,11 @@ import pytest
 from repro.nvm import NVMDevice
 from repro.nvm.device import WearOutConfig
 from repro.pmem.catalog import CatalogLayoutError
-from repro.pmem.pool import LOG_FLAG_AT
 from repro.testing import CrashError, FaultInjector, KVCrashHarness
 from repro.tools.fsck import fsck, main
 
-#: Record layout v1: the key bytes follow the 24-B header, whose last
-#: four bytes are the u32 segment index.
-KEY_AT = 24
+#: Record layout v2: slot A, then the layout version byte.
+VERSION_AT = 22
 
 
 @pytest.fixture(scope="module")
@@ -43,19 +41,22 @@ def snapshot(harness, tmp_path, mutate=None, faults=None, n_keys=5):
     return path, store, crashed
 
 
-def poke_segment(device, store, record: int, segment: int) -> None:
-    at = store.catalog.record_address(record) + KEY_AT - 4
-    device._content[at : at + 4] = np.frombuffer(
-        struct.pack("<I", segment), np.uint8
+def forge(store, record: int, **fields) -> None:
+    """Rewrite ``record`` as one valid slot A — its live entry with
+    ``fields`` replaced, checksums and all: damage atomic PUTs cannot
+    produce.  (The pool stands in for the transaction: the row lands at
+    once.)"""
+    catalog = store.catalog
+    entry = replace(catalog.read(record), **fields)
+    catalog._target[record] = 0
+    catalog.tx_set(
+        store.pool, record, entry.segment, entry.key, entry.value_len,
+        entry.epoch, 0, entry.crc,
     )
 
 
 def run_fsck(path, harness):
-    return fsck(
-        path,
-        log_segments=harness.log_segments,
-        key_capacity=harness.key_capacity,
-    )
+    return fsck(path, key_capacity=harness.key_capacity)
 
 
 class TestVerdicts:
@@ -65,7 +66,7 @@ class TestVerdicts:
         assert report.ok, report.errors
         assert not report.warnings
         assert report.values_ok == len(store)
-        assert report.pending_undo_records == 0
+        assert report.pending_dropped_slots == 0
 
     def test_flipped_value_bit_is_an_error(self, harness, tmp_path):
         def flip(device, store):
@@ -79,12 +80,9 @@ class TestVerdicts:
 
     def test_duplicate_live_key_is_an_error(self, harness, tmp_path):
         def duplicate(device, store):
-            # Record 1 takes record 0's key bytes (equal lengths): two live
-            # records now claim one key, each over its own intact value.
-            src, dst = (store.catalog.record_address(r) for r in (0, 1))
-            device._content[dst + KEY_AT : dst + KEY_AT + 3] = (
-                device._content[src + KEY_AT : src + KEY_AT + 3]
-            )
+            # Record 1 takes record 0's key: two live records now claim
+            # one key, each over its own intact value.
+            forge(store, 1, key=b"k00")
 
         path, _, _ = snapshot(harness, tmp_path, mutate=duplicate)
         [error] = run_fsck(path, harness).errors
@@ -94,11 +92,12 @@ class TestVerdicts:
         self, harness, tmp_path
     ):
         def share(device, store):
-            # Record 1 takes record 0's mutable bytes — length, epoch, CRC
-            # and segment — so it names record 0's (CRC-clean) value.
-            src, dst = (store.catalog.record_address(r) for r in (0, 1))
-            device._content[dst + 4 : dst + KEY_AT] = (
-                device._content[src + 4 : src + KEY_AT]
+            # Record 1 takes record 0's segment, length and CRC, so it
+            # names record 0's (CRC-clean) value.
+            entry = store.catalog.read(0)
+            forge(
+                store, 1, segment=entry.segment, value_len=entry.value_len,
+                crc=entry.crc,
             )
 
         path, _, _ = snapshot(harness, tmp_path, mutate=share)
@@ -107,7 +106,7 @@ class TestVerdicts:
 
     def test_segment_index_out_of_range_is_an_error(self, harness, tmp_path):
         def stray(device, store):
-            poke_segment(device, store, 1, store.pool.capacity_objects)
+            forge(store, 1, segment=store.pool.capacity_objects)
 
         path, _, _ = snapshot(harness, tmp_path, mutate=stray)
         [error] = run_fsck(path, harness).errors
@@ -128,23 +127,23 @@ class TestVerdicts:
             device._content[spare : spare + 64] = device._content[
                 old : old + 64
             ]
-            poke_segment(device, store, 1, store.pool.object_index(spare))
+            forge(store, 1, segment=store.pool.object_index(spare))
 
         path, _, _ = snapshot(mortal, tmp_path, mutate=onto_spare)
         [error] = run_fsck(path, mortal).errors
         assert "spare segment" in error and "live in the catalog" in error
 
-    def test_segment_indexed_catalog_is_refused(self, harness, tmp_path):
-        """Layout version 0 — the pre-PR-22 record, whose slot *was* the
-        address: flags, reserved 0, key length, value length, epoch, CRC,
-        key — is refused by fsck and by open, by name, not mis-parsed."""
+    def test_older_record_layout_is_refused(self, harness, tmp_path):
+        """A record whose layout version byte is neither 0 (never
+        written) nor 2 — as the one-version layout's bytes read through
+        this one may be — is refused by fsck and by open, by name, not
+        mis-parsed."""
         def downgrade(device, store):
-            v0 = struct.pack("<BBHIQI", 1, 0, 3, 48, 1, 0) + b"k00"
-            at = store.catalog.record_address(0)
-            device._content[at : at + len(v0)] = np.frombuffer(v0, np.uint8)
+            at = store.catalog.record_address(0) + VERSION_AT
+            device._content[at] = 1
 
         path, _, _ = snapshot(harness, tmp_path, mutate=downgrade)
-        cause = "segment-indexed catalog written before PR 22"
+        cause = "layout version 1: written before the two-slot layout"
         [error] = run_fsck(path, harness).errors
         assert cause in error
         with pytest.raises(CatalogLayoutError, match=cause):
@@ -153,39 +152,32 @@ class TestVerdicts:
     def test_crashed_transaction_is_a_warning_not_error(
         self, harness, tmp_path
     ):
+        """A batch crashed with a later slot on the media and an earlier
+        one torn: the slots recovery will drop are a warning, and the
+        view fsck checks is the one recovery will serve."""
         faults = FaultInjector()
-        faults.arm("tx.commit", error=CrashError, after=2, times=1)
-        path, _, crashed = snapshot(harness, tmp_path, faults=faults)
-        assert crashed
+        device, _, store = harness.fresh(faults)
+        store.put_many([(b"k00", b"a"), (b"k01", b"b")])
+        # Write order: the two 22-B UPDATE slots, then the 40-B INSERT
+        # row of index 1 — torn, so index 2 lies past the gap.
+        faults.arm("catalog.write", error=CrashError, after=2, torn_bytes=9)
+        with pytest.raises(CrashError):
+            store.put_many([(b"k00", b"c"), (b"k02", b"d"), (b"k01", b"e")])
+        path = tmp_path / "store.npz"
+        device.save(path)
         report = run_fsck(path, harness)
-        assert report.ok, report.errors  # recovery will roll it back
-        assert any("active" in w for w in report.warnings)
-        assert report.pending_undo_records > 0
-
-    def test_garbage_active_flag_is_an_error(self, harness, tmp_path):
-        """The flag is the header byte behind the sequence: garbage there
-        is an error, while any byte inside the sequence is a number."""
-        def garbage(at):
-            def mutate(device, store):
-                device._content[at] = 0x7F
-            return mutate
-
-        path, _, _ = snapshot(harness, tmp_path, mutate=garbage(LOG_FLAG_AT))
-        report = run_fsck(path, harness)
-        assert not report.ok
-        assert any("active flag" in e for e in report.errors)
-        path, _, _ = snapshot(harness, tmp_path, mutate=garbage(0))
-        assert run_fsck(path, harness).ok
+        assert report.ok, report.errors  # recovery will drop the slot
+        assert any("first missing index" in w for w in report.warnings)
+        assert report.pending_dropped_slots == 1
+        assert report.values_ok == 2
+        recovered = harness.reopen(NVMDevice.load(path))
+        assert dict(recovered.items()) == {b"k00": b"c", b"k01": b"b"}
 
 
 class TestCli:
     def test_exit_codes(self, harness, tmp_path, capsys):
         path, store, _ = snapshot(harness, tmp_path)
-        argv = [
-            str(path),
-            "--log-segments", str(harness.log_segments),
-            "--key-capacity", str(harness.key_capacity),
-        ]
+        argv = [str(path), "--key-capacity", str(harness.key_capacity)]
         assert main(argv) == 0
         assert "clean" in capsys.readouterr().out
 
