@@ -12,11 +12,12 @@ package models the same structure at the storage layer:
 - :class:`~repro.sharding.shard.Shard` — one full vertical slice:
   ``NVMDevice`` + controller + engine (DAP, fastpath, retraining) +
   ``KVStore`` (catalog, recovery) + optional scrubber/compactor workers;
-- :mod:`~repro.sharding.backends` — two execution backends: an in-process
-  one (correctness baseline, works everywhere) and a ``multiprocessing``
-  one where every shard runs in its own worker process with the device
-  array in ``SharedMemory``, so batched puts fan out across real cores and
-  aggregate ops/s multiplies instead of serialising on the GIL;
+- :class:`~repro.sharding.backends.ShardBackend` — the one execution
+  backend, over one transport per shard: direct (the shard on the
+  caller's thread; correctness baseline, works everywhere) or a pipe to a
+  worker process holding the device array in ``SharedMemory``, so batched
+  puts fan out across real cores and aggregate ops/s multiplies instead
+  of serialising on the GIL;
 - :class:`~repro.sharding.store.ShardedKVStore` — the facade: batch ops
   routed by shard (one engine call per shard), cross-shard telemetry
   rollup, per-shard epoch events, manifest-based create/open/close with
@@ -33,8 +34,7 @@ package models the same structure at the storage layer:
 """
 
 from repro.sharding.backends import (
-    InProcessBackend,
-    ProcessBackend,
+    ShardBackend,
     ShardCrashedError,
     ShardHungError,
     ShardUnavailableError,
@@ -53,15 +53,14 @@ from repro.sharding.supervisor import ShardCircuitOpenError, ShardSupervisor
 __all__ = [
     "BatchReport",
     "HashRing",
-    "InProcessBackend",
     "MovedArc",
-    "ProcessBackend",
     "RebalanceError",
     "RebalanceInProgressError",
     "RebalanceJournal",
     "Rebalancer",
     "RingDiff",
     "Shard",
+    "ShardBackend",
     "ShardCircuitOpenError",
     "ShardCrashedError",
     "ShardHungError",

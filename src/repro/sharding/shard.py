@@ -8,8 +8,8 @@ its own clusters, model epoch, wear state and lock domain, so shards
 compose with the E2-NVM placement scheme instead of fighting it
 (Predict-and-Write's per-group clustering, PAPERS.md).
 
-The same :class:`Shard` object serves both execution backends.  The
-in-process backend holds N of them directly; the process backend builds one
+The same :class:`Shard` object serves both shard transports.  The direct
+transport holds one in this process; the pipe transport builds one
 *inside each worker* from a picklable :class:`ShardSpec`, with the device
 content array living in a ``SharedMemory`` block owned by the parent — the
 media survives a worker crash exactly like real NVM survives power loss,
@@ -27,7 +27,7 @@ per-worker loop state rolls up through its telemetry.
 
 Every operation the facade fans out arrives through :meth:`Shard.execute`,
 a single string-keyed dispatch — the request/response pipe protocol of the
-process backend and the direct calls of the in-process backend stay
+pipe transport and the direct calls of the direct transport stay
 identical by construction.
 """
 
@@ -284,7 +284,7 @@ class Shard:
     # ------------------------------------------------------------ dispatch
 
     def execute(self, op: str, args: tuple = (), kwargs: dict | None = None):
-        """Run one facade operation; the single entry point both backends
+        """Run one facade operation; the single entry point both transports
         use, so in-process and worker-process shards behave identically —
         the maintenance loops are gated around the op here, not by the
         caller."""

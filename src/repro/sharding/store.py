@@ -50,8 +50,7 @@ from repro.core.config import E2NVMConfig
 from repro.sharding.backends import (
     DEFAULT_CLOSE_GRACE_S,
     DEFAULT_DEADLINE_S,
-    InProcessBackend,
-    ProcessBackend,
+    ShardBackend,
     ShardUnavailableError,
 )
 from repro.sharding.rebalance import (
@@ -263,24 +262,28 @@ class ShardedKVStore:
 
     def __init__(
         self,
-        backend,
-        ring: HashRing,
         specs: list[ShardSpec],
+        mode: str,
+        ring: HashRing,
         root: Path | None,
-        backend_name: str,
+        backend: str,
         degraded: str,
         block_timeout_s: float,
+        deadline_s: float | None,
     ) -> None:
+        """``create``, ``create_volatile`` and ``open`` differ only in
+        where the specs and the ring come from; ``mode`` is
+        :meth:`Shard.build`'s."""
         if degraded not in DEGRADED_MODES:
             raise ValueError(
                 f"unknown degraded mode {degraded!r}; pick from "
                 f"{DEGRADED_MODES}"
             )
-        self.backend = backend
+        self.backend = ShardBackend(specs, mode, backend, deadline_s)
         self.ring = ring
         self.specs = list(specs)
         self.root = root
-        self.backend_name = backend_name
+        self.backend_name = backend
         self.degraded = degraded
         self.block_timeout_s = block_timeout_s
         #: Attached :class:`~repro.sharding.supervisor.ShardSupervisor`
@@ -338,8 +341,8 @@ class ShardedKVStore:
         Formats ``n_shards`` fresh shard slices (each trains its own
         engine — in parallel under the process backend) and writes the
         manifest.  Device snapshot files appear on :meth:`close`.
-        ``deadline_s`` is the process backend's per-RPC response budget
-        (see :class:`~repro.sharding.backends.ProcessBackend`).
+        ``deadline_s`` is the per-call response budget (see
+        :class:`~repro.sharding.backends.ShardBackend`).
         ``log_segments`` is accepted and ignored: stores have no log, and
         the frozen end-to-end benchmark still passes it.
         """
@@ -363,7 +366,7 @@ class ShardedKVStore:
             wearout=wearout,
             drift=drift,
         )
-        store = cls._assemble(
+        store = cls(
             _per_shard(template, n_shards, base_seed, root), "create", ring,
             root, backend, degraded, block_timeout_s, deadline_s,
         )
@@ -395,7 +398,7 @@ class ShardedKVStore:
             key_capacity=0,
             config=config if config is not None else E2NVMConfig(),
         )
-        return cls._assemble(
+        return cls(
             _per_shard(template, n_shards, base_seed, None), "create",
             HashRing(n_shards), None, backend, degraded, block_timeout_s,
             deadline_s,
@@ -446,33 +449,13 @@ class ShardedKVStore:
                 f"manifest lists {len(specs)} shards but the ring expects "
                 f"{ring.n_shards}"
             )
-        store = cls._assemble(
+        store = cls(
             specs, "open", ring, root,
             backend or manifest.get("backend", "inprocess"),
             degraded, block_timeout_s, deadline_s,
         )
         store._resume_rebalance()
         return store
-
-    @classmethod
-    def _assemble(
-        cls, specs, mode, ring, root, backend, degraded, block_timeout_s,
-        deadline_s,
-    ) -> "ShardedKVStore":
-        """Backend + ring + facade, put together in one place: ``create``,
-        ``create_volatile`` and ``open`` differ only in where their specs
-        and their ring come from."""
-        if backend == "inprocess":
-            # Deadlines are an RPC concept; in-process calls run on the
-            # caller's thread and cannot be usefully timed out.
-            built = InProcessBackend(specs, mode)
-        elif backend == "process":
-            built = ProcessBackend(specs, mode, deadline_s=deadline_s)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        return cls(
-            built, ring, specs, root, backend, degraded, block_timeout_s
-        )
 
     def _resume_rebalance(self) -> None:
         """Roll an unfinished ``rebalance.json`` forward on open.
@@ -906,9 +889,9 @@ class ShardedKVStore:
     # ---------------------------------------------------------------- lifecycle
 
     def reopen_shard(self, shard_id: int) -> None:
-        """Recover one crashed shard (process backend): a fresh worker
-        re-attaches to the surviving shared-memory media and runs normal
-        recovery there.  Other shards are untouched throughout."""
+        """Recover one crashed shard (under the process backend a fresh
+        worker re-attaches to the surviving shared-memory media and runs
+        normal recovery there).  Other shards are untouched throughout."""
         self.backend.reopen_shard(shard_id)
 
     def shard_alive(self, shard_id: int) -> bool:

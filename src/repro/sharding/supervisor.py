@@ -30,10 +30,10 @@ compactor:
   episode counter reset.  ``reset(shard_id)`` closes the breaker by
   hand (operator intervention) and heals immediately.
 
-The supervisor is backend-agnostic: it only needs ``shard_alive``,
-``heartbeat_age``, ``kill_shard`` and ``reopen_shard``, which both the
-process backend (real processes, real signals) and the in-process backend
-(simulation hooks — tier-1 testable) provide.
+The supervisor only needs the backend's ``shard_alive``,
+``heartbeat_age``, ``kill_shard`` and ``reopen_shard``, stated once over
+either transport: worker processes (real signals) or the caller's thread,
+where :mod:`repro.testing.transport` simulates hangs and failed reopens.
 """
 
 from __future__ import annotations

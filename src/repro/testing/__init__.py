@@ -17,6 +17,9 @@
   kill/SIGSTOP/crash faults against live worker processes mid-batch
   while aging and drift advance, asserting supervised convergence to
   all-shards-healthy with zero lost acknowledged writes and clean fsck.
+- :mod:`repro.testing.transport` — :class:`FaultyTransport`, a shard
+  transport wrapper simulating hangs and failed restarts on a built
+  sharded store.
 """
 
 from importlib import import_module
@@ -28,10 +31,10 @@ from repro.testing.faults import (
     FaultRule,
 )
 
-# crash_sweep sits above the KV store and chaos above the sharded store
-# (facade + supervisor), which themselves depend on the fault layer;
-# importing either eagerly here would close an import cycle, so their
-# names resolve lazily (PEP 562) on first access.
+# crash_sweep sits above the KV store, and chaos and transport above the
+# sharded store, which themselves depend on the fault layer; importing
+# any of them eagerly here would close an import cycle, so their names
+# resolve lazily (PEP 562) on first access.
 _LAZY = {
     "crash_sweep": (
         "CrashSweepReport",
@@ -54,6 +57,7 @@ _LAZY = {
         "weave_compaction",
     ),
     "chaos": ("ChaosReport", "FAULT_KINDS", "run_chaos_drill"),
+    "transport": ("FaultyTransport",),
 }
 
 __all__ = [

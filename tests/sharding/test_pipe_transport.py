@@ -1,9 +1,9 @@
-"""The process backend's pipe transport: one pickled frame per message
-each way, every message encoded before anything is written.
+"""The pipe transport: one pickled frame per message each way, every
+message encoded before anything is written.
 
-Process-backend cases are marked ``sharding`` (they spawn workers).  The
-in-process twin of the unpicklable-batch scenario runs in tier-1: it is
-the behaviour the process backend must match.
+Pipe-transport cases are marked ``sharding`` (they spawn workers).  The
+direct-transport twin of the unpicklable-batch scenario runs in tier-1:
+it is the behaviour the pipe transport must match.
 """
 
 from __future__ import annotations
@@ -120,13 +120,13 @@ class TestPipeTransport:
     def test_scalar_call_is_one_frame_each_way(self, tmp_path):
         store = _create(tmp_path, "process")
         try:
-            handle = store.backend._handles[0]
-            real = handle.conn
-            handle.conn = spy = _ConnSpy(real)
+            transport = store.backend.transports[0]
+            real = transport.conn
+            transport.conn = spy = _ConnSpy(real)
             try:
                 assert store.backend.call(0, "len") == 0
             finally:
-                handle.conn = real
+                transport.conn = real
             assert spy.calls == ["send_bytes", "recv_bytes"]
         finally:
             store.close()

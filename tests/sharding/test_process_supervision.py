@@ -27,6 +27,7 @@ from repro.sharding.backends import (
     DEFAULT_CLOSE_GRACE_S,
     DEFAULT_KILL_GRACE_S,
 )
+from repro.testing.transport import FaultyTransport
 
 pytestmark = pytest.mark.sharding
 
@@ -105,6 +106,19 @@ class TestWatchdog:
             store.reopen_shard(2)
             assert store.shard_alive(2)
 
+    def test_call_many_hang_reports_the_deadline_that_expired(
+        self, tmp_path
+    ):
+        """A batch's hang names the deadline the batch ran under, not the
+        backend default."""
+        with _create(tmp_path) as store:
+            os.kill(store.backend.worker_pid(0), signal.SIGSTOP)
+            with pytest.raises(ShardHungError) as excinfo:
+                store.backend.call_many([(0, "len", (), None)], deadline=0.3)
+            assert excinfo.value.deadline_s == 0.3
+            assert "(0.3s)" in str(excinfo.value)
+            assert excinfo.value.shard_status == {0: "hung"}
+
     def test_watchdog_kill_wakes_inflight_rpc(self, tmp_path):
         """kill_shard is lock-free: killing a hung worker closes its pipe
         and wakes an RPC blocked in poll() long before its own deadline."""
@@ -130,6 +144,41 @@ class TestWatchdog:
             assert not thread.is_alive()
             # Woken by the closed pipe, not the 30 s deadline.
             assert result["elapsed"] < 10.0
+
+
+class TestCircuitBreakerOnWorkers:
+    def test_budget_exhaustion_trips_breaker_and_reset_heals(self, tmp_path):
+        """``TestCircuitBreaker`` against real workers: failed restarts
+        exhaust the budget and open the breaker, which then burns no
+        attempts; ``reset`` closes it and a fresh worker re-attaches to
+        the media with every acked write readable."""
+        with _create(tmp_path) as store:
+            sup = ShardSupervisor(
+                store, restart_budget=2, backoff_base_s=0.0,
+                auto_start=False,
+            )
+            items = _items(24)
+            store.put_many(items)
+            pid = store.backend.worker_pid(1)
+            store.backend.kill_shard(1)
+            FaultyTransport.install(store, 1).fail_restarts(2)
+            for _ in range(4):
+                sup.run_once()
+            assert sup.breaker_open(1)
+            assert sup.open_breakers() == [1]
+            assert sup.telemetry()["breaker_trips"] == 1
+            attempts = sup.health[1].attempts
+            sup.run_once()
+            assert sup.health[1].attempts == attempts
+            assert not store.shard_alive(1)
+            sup.reset(1)
+            assert not sup.breaker_open(1)
+            assert store.shard_alive(1)
+            assert sup.healthy()
+            assert store.backend.worker_pid(1) != pid
+            assert store.get_many([k for k, _ in items]) == [
+                v for _, v in items
+            ]
 
 
 class TestDegradedProcess:

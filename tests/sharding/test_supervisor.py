@@ -1,13 +1,14 @@
 """Supervisor, circuit breaker and degraded-mode routing — tier-1.
 
-Everything here runs on the :class:`InProcessBackend`'s fault-simulation
-hooks (``inject_crash`` / ``inject_hang`` / ``inject_reopen_failures``):
-the supervisor is backend-agnostic by design — it only consumes
-``shard_alive`` / ``heartbeat_age`` / ``kill_shard`` / ``reopen_shard`` —
-so the whole watchdog → restart-budget → breaker → degraded-routing story
-is testable without spawning a single process.  Process-level fidelity
-(real SIGSTOP, real deadlines, real media) lives in
-``test_process_supervision.py`` under the ``sharding`` marker.
+Everything here runs on the direct transport: crashes are
+``backend.kill_shard``, and hangs and failed reopens come from
+:class:`~repro.testing.transport.FaultyTransport` installed over a
+shard's transport.  The supervisor is backend-agnostic by design — it
+only consumes ``shard_alive`` / ``heartbeat_age`` / ``kill_shard`` /
+``reopen_shard`` — so the whole watchdog → restart-budget → breaker →
+degraded-routing story is testable without spawning a single process.
+Process-level fidelity (real SIGSTOP, real deadlines, real media) lives
+in ``test_process_supervision.py`` under the ``sharding`` marker.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.sharding import (
     ShardSupervisor,
     ShardUnavailableError,
 )
+from repro.testing.transport import FaultyTransport
 
 N_SHARDS = 3
 
@@ -45,6 +47,14 @@ def _store(degraded="fail_fast", **kwargs):
     )
 
 
+def _hang(store, shard_id):
+    FaultyTransport.install(store, shard_id).hang()
+
+
+def _fail_reopens(store, shard_id, times):
+    FaultyTransport.install(store, shard_id).fail_restarts(times)
+
+
 def _supervisor(store, **kwargs):
     kwargs.setdefault("restart_budget", 3)
     kwargs.setdefault("backoff_base_s", 0.0)
@@ -56,7 +66,7 @@ class TestSupervisorHealing:
     def test_reopens_crashed_shard(self):
         with _store() as store:
             sup = _supervisor(store)
-            store.backend.inject_crash(1)
+            store.backend.kill_shard(1)
             assert not store.shard_alive(1)
             sup.run_once()
             assert store.shard_alive(1)
@@ -68,7 +78,7 @@ class TestSupervisorHealing:
         heartbeat age alone — no RPC involved — killed and restarted."""
         with _store() as store:
             sup = _supervisor(store, heartbeat_timeout_s=0.01)
-            store.backend.inject_hang(2)
+            _hang(store, 2)
             time.sleep(0.02)
             assert store.backend.heartbeat_age(2) > 0.01
             sup.run_once()  # watchdog kill
@@ -82,7 +92,7 @@ class TestSupervisorHealing:
     def test_stability_resets_episode_budget(self):
         with _store() as store:
             sup = _supervisor(store, stable_after_s=0.0)
-            store.backend.inject_crash(0)
+            store.backend.kill_shard(0)
             sup.run_once()
             assert sup.health[0].attempts == 1
             sup.run_once()  # healthy + stable_after elapsed: episode over
@@ -91,8 +101,8 @@ class TestSupervisorHealing:
     def test_failed_reopen_backs_off_before_the_next_attempt(self):
         with _store() as store:
             sup = _supervisor(store, backoff_base_s=0.5)
-            store.backend.inject_crash(0)
-            store.backend.inject_reopen_failures(0, 1)
+            store.backend.kill_shard(0)
+            _fail_reopens(store, 0, 1)
             failed_at = time.monotonic()
             sup.run_once()  # attempt 1 fails: the next one waits 0.5 s
             sup.run_once()  # inside the window: no attempt is burned
@@ -105,8 +115,8 @@ class TestSupervisorHealing:
     def test_await_healthy_runs_rounds_inline(self):
         with _store() as store:
             sup = _supervisor(store)
-            store.backend.inject_crash(0)
-            store.backend.inject_crash(2)
+            store.backend.kill_shard(0)
+            store.backend.kill_shard(2)
             assert sup.await_healthy(timeout=5.0)
             assert all(store.shard_alive(s) for s in range(N_SHARDS))
 
@@ -115,8 +125,8 @@ class TestCircuitBreaker:
     def test_budget_exhaustion_trips_breaker(self):
         with _store() as store:
             sup = _supervisor(store, restart_budget=2)
-            store.backend.inject_crash(1)
-            store.backend.inject_reopen_failures(1, 10)
+            store.backend.kill_shard(1)
+            _fail_reopens(store, 1, 10)
             for _ in range(4):
                 sup.run_once()
             assert sup.breaker_open(1)
@@ -130,8 +140,8 @@ class TestCircuitBreaker:
     def test_reset_closes_breaker_and_heals(self):
         with _store() as store:
             sup = _supervisor(store, restart_budget=1)
-            store.backend.inject_crash(1)
-            store.backend.inject_reopen_failures(1, 1)
+            store.backend.kill_shard(1)
+            _fail_reopens(store, 1, 1)
             for _ in range(3):
                 sup.run_once()
             assert sup.breaker_open(1)
@@ -146,7 +156,7 @@ class TestDegradedFailFast:
         with _store("fail_fast") as store:
             items = _items(24)
             store.put_many(items)
-            store.backend.inject_crash(1)
+            store.backend.kill_shard(1)
             with pytest.raises(ShardCrashedError) as excinfo:
                 store.get_many([k for k, _ in items])
             exc = excinfo.value
@@ -159,8 +169,8 @@ class TestDegradedFailFast:
     def test_open_breaker_raises_circuit_error(self):
         with _store("fail_fast") as store:
             sup = _supervisor(store, restart_budget=1)
-            store.backend.inject_crash(0)
-            store.backend.inject_reopen_failures(0, 5)
+            store.backend.kill_shard(0)
+            _fail_reopens(store, 0, 5)
             for _ in range(3):
                 sup.run_once()
             assert sup.breaker_open(0)
@@ -179,7 +189,7 @@ class TestDegradedPartial:
             assert isinstance(report, BatchReport)
             assert report.ok
             assert report == [report[i] for i in range(len(items))]
-            store.backend.inject_crash(1)
+            store.backend.kill_shard(1)
             report = store.put_many(_items(24, tag=b"w"))
             assert not report.ok
             dead = report.failed_indices
@@ -196,7 +206,7 @@ class TestDegradedPartial:
         with _store("partial") as store:
             items = _items(24)
             store.put_many(items)
-            store.backend.inject_crash(2)
+            store.backend.kill_shard(2)
             report = store.get_many([k for k, _ in items])
             for (key, value), outcome, got in zip(
                 items, report.outcomes, report
@@ -211,8 +221,8 @@ class TestDegradedPartial:
             sup = _supervisor(store, restart_budget=1)
             items = _items(24)
             store.put_many(items)
-            store.backend.inject_crash(1)
-            store.backend.inject_reopen_failures(1, 5)
+            store.backend.kill_shard(1)
+            _fail_reopens(store, 1, 5)
             for _ in range(3):
                 sup.run_once()
             assert sup.breaker_open(1)
@@ -237,7 +247,7 @@ class TestDegradedPartial:
         with _store("partial") as store:
             items = _items(24)
             store.put_many(items)
-            store.backend.inject_hang(0)
+            _hang(store, 0)
             report = store.get_many([k for k, _ in items])
             hung = {
                 o for k, o in zip((k for k, _ in items), report.outcomes)
@@ -253,7 +263,7 @@ class TestDegradedBlock:
             sup = _supervisor(store)
             items = _items(24)
             store.put_many(items)
-            store.backend.inject_crash(1)
+            store.backend.kill_shard(1)
             # No background thread: put_many itself drives supervisor
             # rounds while blocked, heals shard 1, then completes fully.
             report = store.put_many(items)
@@ -266,8 +276,8 @@ class TestDegradedBlock:
     def test_block_times_out_with_residual_failure(self):
         with _store("block", block_timeout_s=0.2) as store:
             sup = _supervisor(store, restart_budget=1)
-            store.backend.inject_crash(1)
-            store.backend.inject_reopen_failures(1, 50)
+            store.backend.kill_shard(1)
+            _fail_reopens(store, 1, 50)
             with pytest.raises(ShardUnavailableError) as excinfo:
                 store.put_many(_items(24))
             assert 1 in excinfo.value.shard_ids
@@ -281,7 +291,7 @@ class TestCallManyPartialAttach:
         with _store() as store:
             items = _items(24)
             store.put_many(items)
-            store.backend.inject_crash(0)
+            store.backend.kill_shard(0)
             requests = [
                 (s, "len", (), None) for s in range(N_SHARDS)
             ]
@@ -297,20 +307,40 @@ class TestCallManyPartialAttach:
 
     def test_all_hung_raises_hung_error(self):
         with _store() as store:
-            store.backend.inject_hang(0)
-            store.backend.inject_hang(1)
-            store.backend.inject_hang(2)
+            _hang(store, 0)
+            _hang(store, 1)
+            _hang(store, 2)
             with pytest.raises(ShardHungError):
                 store.backend.call_many(
                     [(s, "len", (), None) for s in range(N_SHARDS)]
                 )
+
+    def test_hang_reports_the_deadline_that_expired(self):
+        """The raised hang names the budget the call ran under, not the
+        backend's default (the pipe twin is in
+        ``test_process_supervision.py``)."""
+        with _store() as store:
+            _hang(store, 0)
+            with pytest.raises(ShardHungError) as excinfo:
+                store.backend.call_many([(0, "len", (), None)], deadline=0.3)
+            assert excinfo.value.deadline_s == 0.3
+            assert "(0.3s)" in str(excinfo.value)
+
+
+class TestCallSignature:
+    def test_direct_call_accepts_a_deadline(self):
+        """One ``call`` signature on both transports; on the caller's
+        thread the deadline cannot fire, so the call just runs."""
+        with _store() as store:
+            assert store.backend.call(0, "len", deadline=1e-9) == 0
+            assert store.backend.call(0, "len", (), None, deadline=None) == 0
 
 
 class TestSupervisorTelemetry:
     def test_facade_telemetry_carries_supervisor_rollup(self):
         with _store() as store:
             sup = _supervisor(store)
-            store.backend.inject_crash(2)
+            store.backend.kill_shard(2)
             sup.run_once()
             tel = store.telemetry()
             assert tel["supervisor"]["restarts"] == 1
