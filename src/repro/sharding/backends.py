@@ -13,13 +13,13 @@ store's ``backend=`` choice:
   routing-level (the :class:`Shard` object survives), and a
   :class:`CrashError` escaping an op reads as the shard's death.
 - ``"process"`` — the **pipe** transport: one worker process per shard
-  over a request/response pipe, its device content array in a
-  ``SharedMemory`` block the parent owns, so shards place, encode and
-  write concurrently on real cores.  A worker that dies (simulated power
-  loss on one channel) loses its DRAM state, not the media:
-  :meth:`ShardBackend.reopen_shard` spawns a fresh worker that
-  re-attaches to the block and runs ordinary catalog recovery, trimming
-  only that shard's in-flight batch.
+  over two raw ``os.pipe()`` pairs (requests down one, replies up the
+  other), its device content array in a ``SharedMemory`` block the
+  parent owns, so shards place, encode and write concurrently on real
+  cores.  A worker that dies (simulated power loss on one channel) loses
+  its DRAM state, not the media: :meth:`ShardBackend.reopen_shard`
+  spawns a fresh worker that re-attaches to the block and runs ordinary
+  catalog recovery, trimming only that shard's in-flight batch.
 
 A transport encodes, sends and receives — raising :class:`DeadlineMissed`
 or :class:`TransportLost`, which the backend turns into
@@ -27,18 +27,25 @@ or :class:`TransportLost`, which the backend turns into
 liveness and heartbeat age, kills, reaps, restarts and closes.  Tests
 simulate faults by wrapping one (:mod:`repro.testing.transport`).
 
-The pipe carries one frame per message each way: a plain ``pickle.dumps``
-at the highest protocol (:func:`_encode` / :func:`_decode`, both ends;
-ops take and return bytes, ints, lists, dicts, dataclasses and
-exceptions).  Every message is encoded *before* anything is written, so a
-value that will not pickle fails its own request (in a worker, it becomes
-an error reply) and never leaves a half-spoken conversation behind.
+The pipes carry one frame per message each way
+(:func:`_write_frame` / :func:`_read_frame`, both ends): a 4-byte
+big-endian length, then a plain ``pickle.dumps`` at the highest protocol
+(:func:`_encode` / :func:`_decode`; ops take and return bytes, ints,
+lists, dicts, dataclasses and exceptions).  Every message is encoded
+*before* anything is written, so a value that will not pickle fails its
+own request (in a worker, it becomes an error reply) and never leaves a
+half-spoken conversation behind.  Raw fds are not closed by GC, so their
+ownership is explicit: the parent closes a worker's ends once it has
+started and its own two on restart and close, and a worker closes every
+other transport's fds that ``fork`` copied into it.  The pipe transport
+is POSIX-only and requires ``fork``: raw fds survive no other start
+method.
 
 Liveness is supervised, not assumed:
 
 - Every call has a **deadline**.  The pipe waits on a ``select.poll``
-  registered once per worker, never a bare ``recv_bytes()`` (the pipe
-  transport is POSIX-only: ``fork``, SIGSTOP drills).  A missed deadline
+  registered once per worker on its reply pipe, never a bare blocking
+  read (SIGSTOP drills rely on it).  A missed deadline
   desynchronises the conversation (a late reply could pair with the
   wrong request), so the shard is killed and the call raises
   :class:`ShardHungError`.  A call on the caller's thread cannot be timed
@@ -48,7 +55,7 @@ Liveness is supervised, not assumed:
   before a deadline expires, and the
   :class:`~repro.sharding.supervisor.ShardSupervisor` watchdog kills it
   from outside, which wakes any in-flight wait at once (POLLHUP, then
-  EOF).
+  EOF) and fails any write still blocked on a full request pipe (EPIPE).
 - **Teardown is bounded**: no unbounded ``join()``/``recv()``; a worker
   that outstays its grace is SIGTERM'd, then SIGKILL'd (which also reaps
   a SIGSTOP'd worker).
@@ -62,10 +69,12 @@ mode.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import pickle
 import select
+import struct
 import threading
 import time
 from collections import deque
@@ -105,16 +114,77 @@ DEFAULT_BOOT_DEADLINE_S = 300.0
 #: Worker heartbeat stamp period (seconds).
 HEARTBEAT_INTERVAL_S = 0.05
 
-#: The pipe's wire format, one frame per message at both ends:
-#: ``conn.send_bytes(_encode(msg))`` and ``_decode(conn.recv_bytes())``.
+#: A message's payload, the same at both ends: plain pickle.
 _encode = partial(pickle.dumps, protocol=pickle.HIGHEST_PROTOCOL)
 _decode = pickle.loads
 
-#: Workers start by ``fork`` where the platform has it (cheap, inherits
-#: the imported stack) and by the platform default elsewhere.
-_CTX = multiprocessing.get_context(
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-)
+#: A frame's length prefix: 4 bytes, big-endian.
+_HEADER = struct.Struct(">I")
+
+#: One ``os.read`` of this size holds any scalar frame whole; only a
+#: longer frame takes further reads.
+_READ_SIZE = 64 * 1024
+
+#: Raw fds survive only ``fork``.
+_CTX = multiprocessing.get_context("fork")
+
+#: Every pipe fd this process holds for some transport.  A forked worker
+#: closes all of them but its own two, so no shard's EOF ever waits on
+#: another shard's worker.
+_PIPE_FDS: set[int] = set()
+
+
+def _write_frame(fd: int, frame: bytes) -> None:
+    """Write one frame — its length, then ``frame`` — with one
+    ``os.write``, looping only on a partial write.  A pipe whose reader
+    is gone raises ``OSError`` (EPIPE)."""
+    data = _HEADER.pack(len(frame)) + frame
+    written = os.write(fd, data)
+    if written < len(data):
+        view = memoryview(data)
+        while written < len(data):
+            written += os.write(fd, view[written:])
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    parts = []
+    while n:
+        part = os.read(fd, n)
+        if not part:
+            raise EOFError
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
+def _read_frame(fd: int) -> bytes:
+    """Read one frame's payload: one ``os.read``, then exact-count reads
+    only for whatever of a longer frame it missed.  One frame at most is
+    in flight each way, so a read never reaches into the next one.  EOF
+    anywhere — before, inside the header or inside the payload — raises
+    ``EOFError``."""
+    data = os.read(fd, _READ_SIZE)
+    if len(data) < _HEADER.size:
+        if not data:
+            raise EOFError
+        data += _read_exact(fd, _HEADER.size - len(data))
+    end = _HEADER.size + _HEADER.unpack_from(data)[0]
+    if len(data) < end:
+        data += _read_exact(fd, end - len(data))
+    return data[_HEADER.size:]
+
+
+def _pipe() -> tuple[int, int]:
+    fds = os.pipe()
+    _PIPE_FDS.update(fds)
+    return fds
+
+
+def _close_fd(fd: int) -> None:
+    # Forgotten before it is closed: a worker forked in between keeps a
+    # stray copy rather than closing whatever reuses the number.
+    _PIPE_FDS.discard(fd)
+    os.close(fd)
 
 
 class ShardUnavailableError(RuntimeError):
@@ -517,16 +587,51 @@ class _DirectTransport:
         self.shard.stop_maintenance()
 
 
-def _send_error(conn, exc: BaseException) -> None:
-    """Ship an exception to the parent, degrading to a picklable stand-in
-    when the original will not survive the pipe."""
+def _error_frame(exc: BaseException) -> bytes:
+    """An exception's reply frame, degrading to a picklable stand-in when
+    the original will not survive the pipe."""
     try:
-        frame = _encode(("err", exc))
+        return _encode(("err", exc))
     except Exception:
-        frame = _encode(
-            ("err", RuntimeError(f"{type(exc).__name__}: {exc}"))
-        )
-    conn.send_bytes(frame)
+        return _encode(("err", RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+def _openblas():
+    """The OpenBLAS this process has loaded (found in
+    ``/proc/self/maps``), or ``None``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = [
+                fields[5].strip()
+                for fields in (line.split(maxsplit=5) for line in maps)
+                if len(fields) == 6 and "openblas" in fields[5]
+            ]
+    except OSError:
+        return None
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+def _bound_blas_threads() -> None:
+    """Run this worker's BLAS on one thread.  A worker is one shard's
+    single-threaded loop; an unbound OpenBLAS pool starts a thread per
+    CPU in every worker, and on two vCPUs they fight each other's model
+    training (a process store's setup takes 1.5–2.3 s, not 0.38 s).
+    NumPy's wheels ship ``libscipy_openblas64_``; a plain OpenBLAS names
+    the setter without prefix or suffix."""
+    lib = _openblas()
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None) or (
+        getattr(lib, "openblas_set_num_threads", None)
+    )
+    if setter is None:
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+    # After a fork the setter first restarts the pool it is shrinking; a
+    # one-thread OpenBLAS never starts it again once it is shut down.
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
+    if shutdown is not None:
+        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+        shutdown()
 
 
 def _beat(heartbeat, stop: threading.Event) -> None:
@@ -537,13 +642,21 @@ def _beat(heartbeat, stop: threading.Event) -> None:
         heartbeat.value = time.monotonic()
 
 
-def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) -> None:
+def _shard_worker(
+    request_fd: int, reply_fd: int, shm_name: str, spec: ShardSpec,
+    mode: str, heartbeat,
+) -> None:
     """Worker main: build the shard over the shared media, then serve the
-    request/response loop until shutdown (or simulated crash).
+    request/response loop until shutdown (or simulated crash).  EOF on
+    the request pipe or EPIPE on the reply pipe means the parent is gone:
+    the worker returns quietly.
 
     The heartbeat thread starts *before* the build so a worker stuck in
     model training still reads as alive; maintenance workers (scrubber /
     compactor / retrain ticker) are stopped on clean shutdown."""
+    for fd in _PIPE_FDS - {request_fd, reply_fd}:
+        os.close(fd)
+    _bound_blas_threads()
     shm = shared_memory.SharedMemory(name=shm_name)
     heartbeat.value = time.monotonic()
     beat_stop = threading.Event()
@@ -557,17 +670,14 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
             shard = Shard.build(spec, mode, content_buffer=shm.buf)
         except BaseException as exc:
             # Also KeyboardInterrupt/SystemExit: await_ready must hear why.
-            _send_error(conn, exc)
+            _write_frame(reply_fd, _error_frame(exc))
             return
-        conn.send_bytes(_encode(("ready", spec.shard_id)))
+        _write_frame(reply_fd, _encode(("ready", spec.shard_id)))
         while True:
-            try:
-                op, args, kwargs = _decode(conn.recv_bytes())
-            except EOFError:
-                return  # parent went away; nothing to serve
+            op, args, kwargs = _decode(_read_frame(request_fd))
             if op == "__shutdown__":
                 shard.stop_maintenance()
-                conn.send_bytes(_encode(("ok", None)))
+                _write_frame(reply_fd, _encode(("ok", None)))
                 return
             try:
                 # Encoded inside the try: a result that will not pickle is
@@ -581,9 +691,10 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
             except BaseException as exc:
                 # Also KeyboardInterrupt/SystemExit: every request gets its
                 # reply (the parent re-raises a non-Exception payload at once).
-                _send_error(conn, exc)
-            else:
-                conn.send_bytes(reply)
+                reply = _error_frame(exc)
+            _write_frame(reply_fd, reply)
+    except (EOFError, OSError):
+        pass  # the parent went away: nothing to serve, nobody to answer
     finally:
         beat_stop.set()
         # Release our view of the media: the device's content array is
@@ -598,17 +709,18 @@ def _shard_worker(conn, shm_name: str, spec: ShardSpec, mode: str, heartbeat) ->
 
 
 class _PipeTransport:
-    """One shard's worker process, reached over a pipe, with its media in
-    a shared-memory block this side owns (so the media outlives every
-    worker).  ``poller`` is registered on ``conn`` once per spawn, so
-    every wait reuses it."""
+    """One shard's worker process, reached over two pipes, with its media
+    in a shared-memory block this side owns (so the media outlives every
+    worker).  ``request_fd`` and ``reply_fd`` are this side's ends;
+    ``poller`` is registered on ``reply_fd`` once per spawn, so every
+    wait reuses it."""
 
     encode = staticmethod(_encode)
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
         self.process = None
-        self.conn = None
+        self.request_fd = self.reply_fd = None
         self.poller = None
         self.heartbeat = RawValue("d", 0.0)
         self.spawned_at = 0.0
@@ -621,21 +733,33 @@ class _PipeTransport:
         return self.process.pid
 
     def spawn(self, mode: str) -> None:
-        parent_conn, child_conn = _CTX.Pipe()
+        request_r, request_w = _pipe()
+        reply_r, reply_w = _pipe()
         self.spawned_at = time.monotonic()
         self.heartbeat.value = self.spawned_at
         process = _CTX.Process(
             target=_shard_worker,
-            args=(child_conn, self.shm.name, self.spec, mode, self.heartbeat),
+            args=(
+                request_r, reply_w, self.shm.name, self.spec, mode,
+                self.heartbeat,
+            ),
             daemon=True,
             name=f"shard-{self.spec.shard_id}",
         )
-        process.start()
-        child_conn.close()
+        try:
+            process.start()
+        except BaseException:
+            _close_fd(request_w)
+            _close_fd(reply_r)
+            raise
+        finally:
+            # The worker's ends are its own now: its exit is our EOF.
+            _close_fd(request_r)
+            _close_fd(reply_w)
         poller = select.poll()
-        poller.register(parent_conn, select.POLLIN)
+        poller.register(reply_r, select.POLLIN)
         self.process = process
-        self.conn = parent_conn
+        self.request_fd, self.reply_fd = request_w, reply_r
         self.poller = poller
 
     def await_ready(self) -> None:
@@ -653,22 +777,22 @@ class _PipeTransport:
 
     def send(self, frame: bytes) -> None:
         try:
-            self.conn.send_bytes(frame)
+            _write_frame(self.request_fd, frame)
         except OSError:
             raise TransportLost from None
 
     def recv(self, deadline: float | None):
         """Bounded reply wait on the registered poller (the deadline in
-        ms; ``None`` blocks in ``recv_bytes``), then decode one frame.  A
-        closed pipe (worker died, or was killed from outside) wakes the
-        poll with POLLHUP and ``recv_bytes`` raises EOF: the call never
-        outlives the worker."""
+        ms; ``None`` blocks in the read), then decode one frame.  A
+        worker's exit (its own, or a kill from outside) wakes the poll
+        with POLLHUP and the read sees EOF: the call never outlives the
+        worker."""
         try:
             if deadline is not None and not self.poller.poll(
                 deadline * 1000.0
             ):
                 raise DeadlineMissed
-            frame = self.conn.recv_bytes()
+            frame = _read_frame(self.reply_fd)
         except (EOFError, OSError):
             raise TransportLost from None
         status, payload = _decode(frame)
@@ -699,28 +823,43 @@ class _PipeTransport:
         if self.process is not None:
             self.process.join(DEFAULT_KILL_GRACE_S)
 
+    def _release(self) -> None:
+        """Close this side's two pipe ends and the dead worker's
+        ``Process`` (its sentinel is a pipe too) now, not at collection:
+        each exactly once, and nothing when a failed spawn left none."""
+        if self.reply_fd is None:
+            return
+        _close_fd(self.request_fd)
+        _close_fd(self.reply_fd)
+        self.request_fd = self.reply_fd = None
+        if self.process.exitcode is not None:
+            self.process.close()
+        self.process = None
+
     def restart(self) -> None:
         # A worker the OS still runs (a SIGSTOP'd one nobody killed yet)
         # ends for real before a fresh one re-attaches to the media.
         self.kill()
-        self.conn.close()
+        self._release()
         self.spawn("attach")
         self.await_ready()
 
     def close(self) -> None:
         """A polite ``__shutdown__`` round with bounded grace, then
         SIGTERM→SIGKILL for a straggler; the media block goes last."""
-        if self.conn is not None:
+        if self.reply_fd is not None:
             if self.process.is_alive():
                 try:
-                    self.conn.send_bytes(_encode(("__shutdown__", (), None)))
+                    _write_frame(
+                        self.request_fd, _encode(("__shutdown__", (), None))
+                    )
                     if self.poller.poll(DEFAULT_CLOSE_GRACE_S * 1000.0):
-                        self.conn.recv_bytes()
+                        _read_frame(self.reply_fd)
                 except (EOFError, OSError):
                     pass
-            self.conn.close()
             self.process.join(DEFAULT_CLOSE_GRACE_S)
             self.kill()
+            self._release()
         try:
             self.shm.close()
             self.shm.unlink()
