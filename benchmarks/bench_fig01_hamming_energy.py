@@ -44,7 +44,7 @@ def run_figure1(seed: int = 0) -> list[list]:
             initial_fill="zero",
         )
         pool = PersistentPool(MemoryController(device))
-        blocks = [pool.alloc() for _ in range(N_BLOCKS)]
+        blocks = [pool.object_address(i) for i in range(N_BLOCKS)]
         # Round setup: initialise all blocks with random data.
         contents = {}
         for addr in blocks:

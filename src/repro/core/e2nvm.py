@@ -375,21 +375,21 @@ class E2NVM:
 
         See :meth:`place_and_write` for the failure contract.
         """
-        addrs, results, _ = self.place_and_write(values)
+        addrs, results = self.place_and_write(values)
         self.record_committed_writes(len(addrs))
         return list(zip(addrs, results))
 
     def place_and_write(
         self, values: list[bytes]
-    ) -> tuple[list[int], list[WriteResult], list[int]]:
+    ) -> tuple[list[int], list[WriteResult]]:
         """Place and write a batch without counting it as committed (the
         durable KV store counts once the catalog transaction commits).
 
-        Returns ``(addresses, results, retired)``.  A row whose segment
+        Returns ``(addresses, results)``.  A row whose segment
         verify-after-write retired is handled *inside* the engine: the dead
-        address is quarantined (and listed in ``retired``), a reserved
-        spare — when available — joins the pool in its place, and only
-        that row is re-placed and retried; rows that verified stay written.
+        address is quarantined, a reserved spare — when available — joins
+        the pool in its place, and only that row is re-placed and retried;
+        rows that verified stay written.
         Any other failure, pool exhaustion included, is all-or-nothing: it
         un-claims every address of the batch (re-clustered back into the
         DAP) before propagating, so nothing is half-committed.
@@ -398,10 +398,9 @@ class E2NVM:
         for value in values:
             self._check_value(value)
         if not values:
-            return [], [], []
+            return [], []
         addrs = self._place_with_spares(values)
         results: list[WriteResult | None] = [None] * len(values)
-        retired: list[int] = []
         todo = list(range(len(values)))
         try:
             while todo:
@@ -412,7 +411,6 @@ class E2NVM:
                     results[i] = result
                 todo = [todo[row] for row in failed]
                 for i in todo:
-                    retired.append(addrs[i])
                     addrs[i] = None
                 replaced = self._place_with_spares([values[i] for i in todo])
                 for i, addr in zip(todo, replaced):
@@ -421,7 +419,7 @@ class E2NVM:
             # Also KeyboardInterrupt/SystemExit: claimed addresses would leak.
             self.release_many([addr for addr in addrs if addr is not None])
             raise
-        return addrs, results, retired
+        return addrs, results
 
     def _place_with_spares(self, values: list[bytes]) -> list[int]:
         """:meth:`place_many`, pulling in reserved spares one by one while

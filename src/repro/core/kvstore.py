@@ -24,8 +24,8 @@ The store runs in one of two modes:
   record (one write per pair, the record's non-newest slot), a whole
   batch of pairs per commit; the paper's Algorithm 2 validity flag
   becomes a persisted tombstone, and :meth:`KVStore.open` rebuilds the
-  index, validity map, allocator state and DAP from the media alone after
-  a crash.  See the README's "Durability contract" section.
+  index, validity map, the engine's live set and DAP from the media
+  alone after a crash.  See the README's "Durability contract" section.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class KVStore:
             pool.controller,
             config,
             faults,
-            reserved_segments=pool.object_start_segment,
+            reserved_segments=pool.meta_segments,
         )
         if pipeline is not None:
             engine.adopt(pipeline, engine.free_addresses())
@@ -244,8 +244,7 @@ class KVStore:
         # metadata): retired/retiring segments and reserved spares survive
         # the crash and must be excluded from the rebuilt free pool.
         health_state = pool.controller.device.health
-        unplaceable: set[int] = set()
-        spare_addrs: set[int] = set()
+        quarantine: set[int] = set()
         reclaimed_on_open = 0
         if health_state is not None:
             seg_size = pool.segment_size
@@ -261,25 +260,23 @@ class KVStore:
                 health_state.reclaimed.add(seg)
                 health_state.spares.append(seg * seg_size)
                 reclaimed_on_open += 1
-            unplaceable = {
+            quarantine = {
                 s * seg_size
                 for s in health_state.retired | health_state.retiring
-            }
-            spare_addrs = set(health_state.spares)
+            } | set(health_state.spares)
 
+        withheld = taken.keys() | quarantine
         free_addrs = [
-            pool.object_address(i)
+            addr
             for i in range(pool.capacity_objects)
-            if pool.object_address(i) not in taken
-            and pool.object_address(i) not in unplaceable
-            and pool.object_address(i) not in spare_addrs
+            if (addr := pool.object_address(i)) not in withheld
         ]
 
         engine = E2NVM(
             pool.controller,
             config,
             faults,
-            reserved_segments=pool.object_start_segment,
+            reserved_segments=pool.meta_segments,
         )
         if pipeline is not None:
             engine.adopt(pipeline, free_addrs)
@@ -294,7 +291,6 @@ class KVStore:
         for addr, entry in sorted(taken.items()):
             key = entry.key
             engine.mark_allocated(addr)
-            pool.mark_allocated(addr)
             store.index.put(key, (addr, entry.value_len))
             # Approximate the write-temperature stamp from the persisted
             # epoch: both are monotone per-PUT clocks, so relative
@@ -315,13 +311,9 @@ class KVStore:
 
         if health_state is not None:
             # Quarantine every dead/dying/spare address in the rebuilt
-            # DAP, mirror dead free segments in the pool allocator, and
-            # re-queue retiring segments that still hold live data so the
-            # next PUT resumes their evacuation.
-            engine.dap.adopt_quarantine(unplaceable | spare_addrs)
-            seg_size = pool.segment_size
-            for addr in sorted(unplaceable - taken.keys()):
-                pool.retire(addr)
+            # DAP, and re-queue retiring segments that still hold live
+            # data so the next PUT resumes their evacuation.
+            engine.dap.adopt_quarantine(quarantine)
             health = engine.health
             if health is not None:
                 for seg in sorted(health_state.retiring):
@@ -398,7 +390,7 @@ class KVStore:
         values = [value for _, value in items]
         for last_try in (False, True):
             try:
-                addrs, _, retired = self.engine.place_and_write(values)
+                addrs, _ = self.engine.place_and_write(values)
                 break
             except PoolExhaustedError as exc:
                 # The engine exhausted free capacity *and* reserved
@@ -406,9 +398,6 @@ class KVStore:
                 # retiring segments into spares and retry once.
                 if last_try or not self._reclaim_stranded():
                     self._enter_read_only(exc)
-        if self.pool is not None:
-            for addr in retired:
-                self.pool.retire(addr)
         self._install(items, addrs)
         return addrs
 
@@ -443,8 +432,6 @@ class KVStore:
                 self._write_seq += 1
                 self._live[addr] = (key, crcs[i], self._write_seq, record)
                 self.index.put(key, (addr, len(value)))
-                if self.pool is not None:
-                    self.pool.mark_allocated(addr)
                 if old is not None:
                     # UPDATE: the previous location is recycled
                     # (Algorithm 2's path).
@@ -740,12 +727,12 @@ class KVStore:
     # ---------------------------------------------------- wear-out degradation
 
     def _recycle_many(self, stale: list[int]) -> None:
-        """Recycle no-longer-live addresses through the engine *and* (in
-        durable mode) the pool allocator.  Healthy segments re-pool in one
-        re-encoding pass; dying segments do not re-pool:
+        """Recycle no-longer-live addresses through the engine.  Healthy
+        segments re-pool in one re-encoding pass; dying segments do not
+        re-pool:
 
-        - a *retired* segment's media is dead: it is retired in the
-          allocator and quarantined in the DAP, for good;
+        - a *retired* segment's media is dead: it is quarantined in the
+          DAP, for good;
         - a *retiring* segment that this free has just fully drained (one
           value per segment) is **reclaimed**: its address joins the
           spares list as spare-class capacity instead of being stranded
@@ -759,20 +746,13 @@ class KVStore:
         for addr in stale:
             seg = addr // self.engine.segment_size
             if health is None or not health.is_unplaceable(seg):
-                if self.pool is not None:
-                    self.pool.free(addr)
                 healthy.append(addr)
             elif health.is_retired(seg):
-                if self.pool is not None:
-                    self.pool.retire(addr)
                 self.engine.release(addr)  # quarantined by the release
             else:
                 # Retiring and now empty: reclaim into the spares pool.
-                # The address stays free in the allocator and quarantined
-                # in the DAP (exactly like a reserved spare) until
-                # adopt_spare() activates it.
-                if self.pool is not None:
-                    self.pool.free(addr)
+                # The address stays quarantined in the DAP (exactly like a
+                # reserved spare) until adopt_spare() activates it.
                 self.engine.quarantine_address(addr)
                 health.reclaim(seg)
         if healthy:
@@ -792,14 +772,6 @@ class KVStore:
             addr = seg * self.engine.segment_size
             if self.engine.is_allocated(addr):
                 continue  # live (or being written); not drained
-            if (
-                self.pool is not None
-                and addr in self.pool.retired_addresses()
-            ):
-                # Recorded as dead in the allocator (a pre-reclamation
-                # incarnation stranded it); resurrecting it here would
-                # desynchronise the allocator. Leave it.
-                continue
             if health.reclaim(seg) is not None:
                 self.engine.quarantine_address(addr)
                 count += 1
@@ -928,9 +900,7 @@ class KVStore:
             self.engine.write_at(target_addr, value)
         except SegmentRetiredError:
             # The engine already quarantined the dead target and pulled in
-            # a spare; mirror the retirement in the allocator.
-            if self.pool is not None:
-                self.pool.retire(target_addr)
+            # a spare.
             return False
         self._install([(key, value)], [target_addr])
         if heat is not None:

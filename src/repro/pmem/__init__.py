@@ -4,8 +4,8 @@ The paper's Figure 1 experiment "use[s] PMDK's transactions to persist
 writes" on a real Optane device.  This package provides the equivalent
 programming model over the simulated device:
 
-- :class:`~repro.pmem.pool.PersistentPool` — an object pool with a
-  segment-granularity allocator (``pmemobj_alloc``-style);
+- :class:`~repro.pmem.pool.PersistentPool` — a metadata region plus
+  object-segment address arithmetic over the device;
 - :class:`~repro.pmem.transaction.Transaction` — commit groups
   (``TX_BEGIN``-style staging, no log): staged writes land in one batched
   device write;
@@ -18,12 +18,11 @@ programming model over the simulated device:
 
 from repro.pmem.catalog import CatalogEntry, PersistentCatalog
 from repro.pmem.pool import PersistentPool
-from repro.pmem.transaction import Transaction, TransactionAborted
+from repro.pmem.transaction import Transaction
 
 __all__ = [
     "CatalogEntry",
     "PersistentCatalog",
     "PersistentPool",
     "Transaction",
-    "TransactionAborted",
 ]

@@ -2,8 +2,10 @@
 
 The pool's first ``meta_segments`` segments are reserved for application
 metadata (the KV store keeps its persistent catalog there — see
-:mod:`repro.pmem.catalog`); the remaining *object* segments are what
-:meth:`PersistentPool.alloc` hands out.
+:mod:`repro.pmem.catalog`); the remaining *object* segments hold values.
+The pool only numbers them: which are free, live or dead is the
+placement engine's DAP and the media's (catalog slots, the device's
+health state) to say.
 
 There is no log.  A :class:`~repro.pmem.transaction.Transaction` is a
 commit group: it stages writes, and :meth:`PersistentPool.commit` lands
@@ -14,8 +16,6 @@ every slot checks itself (see :mod:`repro.pmem.catalog`).
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.nvm.controller import MemoryController
@@ -23,15 +23,14 @@ from repro.pmem.transaction import Transaction
 
 
 class PersistentPool:
-    """Segment-granularity allocator plus commit groups.
+    """Metadata region + object address arithmetic + commit groups.
 
     Args:
         controller: the NVM front-end backing the pool.
         meta_segments: segments reserved at the start of the device for
             application metadata such as the KV store's persistent
             catalog; they are addressable through :meth:`read` /
-            :meth:`write` / transactions but never handed out by
-            :meth:`alloc`.
+            :meth:`write` / transactions but hold no values.
         faults: optional :class:`repro.testing.faults.FaultInjector`.  When
             set, :meth:`commit` fires its site (``"catalog.write"`` for a
             transaction) once per row, torn-capable.
@@ -46,31 +45,17 @@ class PersistentPool:
         if meta_segments < 0:
             raise ValueError("meta_segments must be non-negative")
         if meta_segments >= controller.n_segments:
-            raise ValueError("meta_segments must leave allocatable space")
+            raise ValueError("meta_segments must leave object segments")
         self.controller = controller
-        #: Object allocation granularity (the controller's, fixed here).
+        #: Object granularity (the controller's, fixed here).
         self.segment_size = controller.segment_size
         self.meta_segments = meta_segments
         self.faults = faults
-        self._free: deque[int] = deque(
-            controller.segment_address(i)
-            for i in range(self.object_start_segment, controller.n_segments)
-        )
-        # Companion set for O(1) membership/removal; the deque preserves
-        # FIFO hand-out order and is cleaned lazily in :meth:`alloc`.
-        self._free_set: set[int] = set(self._free)
-        self._allocated: set[int] = set()
-        self._retired: set[int] = set()
-
-    @property
-    def object_start_segment(self) -> int:
-        """Index of the first object segment (after the metadata)."""
-        return self.meta_segments
 
     @property
     def capacity_objects(self) -> int:
-        """Total allocatable segments in the pool."""
-        return self.controller.n_segments - self.object_start_segment
+        """Number of object segments in the pool."""
+        return self.controller.n_segments - self.meta_segments
 
     def meta_address(self, index: int) -> int:
         """Byte address of reserved metadata segment ``index``."""
@@ -82,78 +67,25 @@ class PersistentPool:
         """Byte address of object segment ``index`` (0-based)."""
         if not 0 <= index < self.capacity_objects:
             raise IndexError(f"object segment {index} out of range")
-        return (self.object_start_segment + index) * self.segment_size
+        return (self.meta_segments + index) * self.segment_size
 
     def object_index(self, addr: int) -> int:
         """Object-segment index of address ``addr`` (inverse of
         :meth:`object_address`)."""
-        self._check_object_address(addr)
-        return addr // self.segment_size - self.object_start_segment
-
-    def alloc(self) -> int:
-        """Claim one object segment; returns its address.
-
-        Raises:
-            RuntimeError: when the pool is exhausted.
-        """
-        while self._free:
-            addr = self._free.popleft()
-            if addr in self._free_set:  # skip entries removed out of band
-                self._free_set.discard(addr)
-                self._allocated.add(addr)
-                return addr
-        raise RuntimeError("persistent pool is out of space")
-
-    def free(self, addr: int) -> None:
-        """Return an object segment to the pool.
-
-        Raises:
-            ValueError: when ``addr`` is not an object segment of this pool
-                (log/metadata region, unaligned, or out of range).
-            KeyError: on a double free (the segment is already free).
-        """
-        if addr not in self._allocated:
-            self._check_object_address(addr)
-            if addr in self._free_set:
-                raise KeyError(
-                    f"double free: address {addr} is already free in this pool"
-                )
-            raise KeyError(f"address {addr} is not allocated from this pool")
-        self._allocated.discard(addr)
-        self._free.append(addr)
-        self._free_set.add(addr)
-
-    def retire(self, addr: int) -> None:
-        """Permanently pull an object segment out of circulation (its media
-        exhausted verify-after-write's ECP capacity).  Accepts the address
-        whether currently free or allocated; idempotent."""
-        self._check_object_address(addr)
-        self._free_set.discard(addr)
-        self._allocated.discard(addr)
-        self._retired.add(addr)
-
-    def retired_addresses(self) -> set[int]:
-        """Every object address retired from this pool."""
-        return set(self._retired)
-
-    def mark_allocated(self, addr: int) -> None:
-        """Re-register an address as live after recovery (allocator state is
-        DRAM-resident; the application re-derives it from the persistent
-        catalog or its own index).  O(1) per call."""
-        if addr in self._allocated:
-            return
-        if addr not in self._free_set:
-            raise KeyError(f"address {addr} is not a pool segment")
-        self._free_set.discard(addr)
-        self._allocated.add(addr)
-
-    def free_addresses(self) -> list[int]:
-        """Every free object address, in hand-out order."""
-        return [a for a in self._free if a in self._free_set]
-
-    def allocated_addresses(self) -> set[int]:
-        """Every currently allocated object address."""
-        return set(self._allocated)
+        start = self.meta_segments * self.segment_size
+        end = self.controller.n_segments * self.segment_size
+        if addr % self.segment_size:
+            raise ValueError(
+                f"address {addr} is not segment-aligned "
+                f"(segment size {self.segment_size})"
+            )
+        if not start <= addr < end:
+            region = "metadata" if addr < start else "out-of-range"
+            raise ValueError(
+                f"address {addr} is in the pool's {region} region, not an "
+                f"object segment (objects start at {start})"
+            )
+        return addr // self.segment_size - self.meta_segments
 
     def read(self, addr: int, length: int) -> bytes:
         """Direct (non-transactional) read."""
@@ -212,19 +144,3 @@ class PersistentPool:
         for i in landed:
             self.controller.torn_program(addrs[i], data[i])
         self.controller.torn_program(addrs[row], data[row][:n])
-
-    def _check_object_address(self, addr: int) -> None:
-        """Reject addresses that are not object segments of this pool."""
-        start = self.object_start_segment * self.segment_size
-        end = self.controller.n_segments * self.segment_size
-        if addr % self.segment_size:
-            raise ValueError(
-                f"address {addr} is not segment-aligned "
-                f"(segment size {self.segment_size})"
-            )
-        if not start <= addr < end:
-            region = "metadata" if addr < start else "out-of-range"
-            raise ValueError(
-                f"address {addr} is in the pool's {region} region, not an "
-                f"object segment (objects start at {start})"
-            )

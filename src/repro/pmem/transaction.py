@@ -4,9 +4,9 @@ A :class:`Transaction` is *staged*: :meth:`Transaction.write` only records
 the intended write, and commit (leaving the ``with`` block normally) lands
 every staged write in one batched ``write_many`` through
 :meth:`~repro.pmem.pool.PersistentPool.commit` — no log, no undo read.
-Abort (an exception inside the ``with`` block) simply drops the staged
-writes: nothing has touched the media yet, so reads inside the block
-still see the old content.
+An exception inside the ``with`` block simply drops the staged writes:
+nothing has touched the media yet, so reads inside the block still see
+the old content.
 
 A commit is *not* failure-atomic by itself: a crash inside it may land
 any subset of its rows, one of them torn.  Its one client, the KV
@@ -22,16 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 
-class TransactionAborted(Exception):
-    """Raised by :meth:`Transaction.abort` to drop the staged writes."""
-
-
 class Transaction:
     """One commit group; use as a context manager.
 
     Created by :meth:`repro.pmem.pool.PersistentPool.transaction`.
     Transaction objects are single-use: re-entering one that already
-    committed or aborted raises ``RuntimeError``.
+    committed or dropped its writes raises ``RuntimeError``.
     """
 
     def __init__(self, pool) -> None:
@@ -52,16 +48,13 @@ class Transaction:
         self._active = True
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> None:
         self._active = False
         self._finished = True
-        if exc_type is None:
-            if self._addrs:
-                self._pool.commit(self._addrs, self._data, "catalog.write")
-            return False
-        # Abort: the staged writes never reached the media.  Swallow only
-        # explicit aborts; real errors (and crashes) propagate.
-        return exc_type is TransactionAborted
+        # On an exception the staged writes never reach the media, and
+        # the exception propagates.
+        if exc_type is None and self._addrs:
+            self._pool.commit(self._addrs, self._data, "catalog.write")
 
     def write(self, addr: int, data: bytes) -> None:
         """Stage a write of ``data`` at ``addr``."""
@@ -69,10 +62,6 @@ class Transaction:
             raise RuntimeError("transaction is not active")
         self._addrs.append(addr)
         self._data.append(as_bytes(data))
-
-    def abort(self) -> None:
-        """Drop everything staged so far and leave the ``with`` block."""
-        raise TransactionAborted()
 
 
 def as_bytes(data) -> bytes:

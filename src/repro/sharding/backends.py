@@ -749,6 +749,8 @@ class _PipeTransport:
         try:
             process.start()
         except BaseException:
+            # Also KeyboardInterrupt/SystemExit: no worker will own the
+            # parent's pipe ends, so close them before re-raising.
             _close_fd(request_w)
             _close_fd(reply_r)
             raise

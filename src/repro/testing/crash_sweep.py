@@ -18,8 +18,9 @@ own).  Each replay:
    object — the process "died" — and re-opens the store from the media
    with :meth:`KVStore.open` over a brand-new pool;
 4. checks the full durability contract (:func:`check_durable_invariants`):
-   contents as the model allows, pool accounting exact, and a DAP whose
-   addresses are precisely the free, validity-flag-clear segments.
+   contents as the model allows, and a segment ledger that agrees with
+   the media — live is what a catalog slot names, free is what the DAP
+   holds, and the device's health state withholds the rest.
 
 The enumeration itself is :func:`repro.testing.model.sweep_crash_points`;
 this module supplies the KV-store and wear-leveling workloads it drives.
@@ -223,20 +224,17 @@ def check_durable_invariants(store: KVStore, model) -> None:
       :class:`~repro.testing.model.DurabilityModel`, or a plain mapping of
       acknowledged pairs — allows: no lost acknowledged PUT, no phantom
       un-acknowledged PUT, no resurrected DELETE, nothing nobody wrote;
-    - pool accounting exact: free ∪ allocated ∪ retired = all object
-      segments, pairwise disjoint;
-    - the DAP holds exactly the placeable addresses — free minus the
-      quarantined set (retired/retiring segments, reserved spares) — each
-      exactly once;
-    - every allocated segment is named by exactly one live catalog record,
-      no live record names a free segment, each record's key and length
-      agree with the index, and the free record ids are exactly the ids
-      no live record holds.
-
-    On a store without a wear-out model the retired and quarantined sets
-    are empty and this reduces to the original contract.
+    - live segments: the segments the resolved catalog slots name (each
+      by exactly one record) are exactly the engine's allocated ones and
+      exactly the index's addresses, and each record's key and length
+      agree with the index;
+    - free segments: the DAP holds exactly the object segments that no
+      slot names and that the device's health state does not withhold
+      (retired, retiring or a reserved spare), each exactly once, and
+      the engine's free addresses are that same set;
+    - the free record ids are exactly the ids no live record holds.
     """
-    pool, catalog = store.pool, store.catalog
+    pool, catalog, engine = store.pool, store.catalog, store.engine
     if not isinstance(model, DurabilityModel):
         model = DurabilityModel(model)
     findings = model.check(store.items())
@@ -244,35 +242,7 @@ def check_durable_invariants(store: KVStore, model) -> None:
         map(str, findings)
     )
 
-    all_objects = {
-        pool.object_address(i) for i in range(pool.capacity_objects)
-    }
-    free = set(pool.free_addresses())
-    allocated = pool.allocated_addresses()
-    retired = pool.retired_addresses()
-    assert free | allocated | retired == all_objects, (
-        "pool accounting leaks segments"
-    )
-    assert not (free & allocated), "pool free/allocated sets overlap"
-    assert not (retired & (free | allocated)), (
-        "pool retired set overlaps free/allocated"
-    )
-
-    quarantined = store.engine.dap.quarantined()
-    placeable = free - quarantined
-    dap_addrs = store.engine.dap.snapshot_addresses()
-    assert len(dap_addrs) == len(set(dap_addrs)), "DAP holds duplicates"
-    assert set(dap_addrs) == placeable, (
-        "DAP addresses are not exactly the placeable free segments"
-    )
-    assert set(store.engine.free_addresses()) == placeable, (
-        "engine allocator disagrees with pool"
-    )
-
-    indexed = {}
-    for key, (addr, length) in store.index.items():
-        indexed[addr] = (key, length)
-    assert set(indexed) == allocated, "index addresses != allocated segments"
+    indexed = {addr: (key, n) for key, (addr, n) in store.index.items()}
     named = {}
     for entry in catalog.scan():
         addr = pool.object_address(entry.segment)
@@ -282,7 +252,28 @@ def check_durable_invariants(store: KVStore, model) -> None:
             f"record {entry.record} naming {addr} disagrees with the index"
         )
         assert store._live[addr][3] == entry.record
-    assert set(named) == allocated, "segments named != segments allocated"
+    all_objects = {
+        pool.object_address(i) for i in range(pool.capacity_objects)
+    }
+    allocated = {a for a in all_objects if engine.is_allocated(a)}
+    assert set(named) == allocated, "segments named != engine allocated"
+    assert set(indexed) == allocated, "index addresses != engine allocated"
+
+    health = pool.controller.device.health
+    withheld = set()
+    if health is not None:
+        withheld = {
+            s * pool.segment_size for s in health.retired | health.retiring
+        } | set(health.spares)
+    placeable = all_objects - set(named) - withheld
+    dap_addrs = engine.dap.snapshot_addresses()
+    assert len(dap_addrs) == len(set(dap_addrs)), "DAP holds duplicates"
+    assert set(dap_addrs) == placeable, (
+        "DAP addresses are not exactly the unnamed, unwithheld segments"
+    )
+    assert set(engine.free_addresses()) == placeable, (
+        "engine free addresses disagree with the media"
+    )
     assert store._free_records == sorted(
         set(range(catalog.n_records)) - set(named.values())
     ), "free record ids are not exactly the ids no live record holds"

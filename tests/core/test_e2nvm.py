@@ -73,6 +73,16 @@ class TestWritePath:
         with pytest.raises(KeyError):
             fresh_engine.release(0)
 
+    def test_double_release_raises(self, fresh_engine):
+        addr, _ = fresh_engine.write(b"v" * 64)
+        fresh_engine.release(addr)
+        with pytest.raises(KeyError):
+            fresh_engine.release(addr)
+        other, _ = fresh_engine.write(b"w" * 64)
+        with pytest.raises(KeyError):
+            fresh_engine.release_many([other, addr])
+        assert fresh_engine.is_allocated(other)  # the batch released nothing
+
     def test_no_double_allocation(self, fresh_engine):
         addrs = [fresh_engine.write(b"%03d" % i * 21 + b"x")[0] for i in range(50)]
         assert len(addrs) == len(set(addrs))

@@ -42,7 +42,7 @@ class TestDurableLifecycle:
         addr2 = store.put(b"k", b"v2-longer")
         assert addr1 != addr2
         assert store.get(b"k") == b"v2-longer"
-        free = set(store.pool.free_addresses())
+        free = set(store.engine.free_addresses())
         assert addr1 in free and addr2 not in free
 
     def test_epoch_increases_per_put(self, harness):
@@ -174,12 +174,11 @@ class TestCrashedPut:
         faults = FaultInjector()
         _, _, store = harness.fresh(faults)
         store.put(b"k", b"stable")
-        free_before = set(store.pool.free_addresses())
+        free_before = set(store.engine.free_addresses())
         with faults.injected("catalog.write", error=OSError("media error")):
             with pytest.raises(OSError):
                 store.put(b"k", b"doomed")
         assert store.get(b"k") == b"stable"
-        assert set(store.pool.free_addresses()) == free_before
         assert set(store.engine.free_addresses()) == free_before
         store.put(b"k", b"recovered")  # still fully usable
         assert store.get(b"k") == b"recovered"
@@ -274,7 +273,6 @@ class TestGroupCommit:
         # it and its segment is recycled.
         assert faults.hits("catalog.write") == 1 + 3
         assert store.get(b"a") == b"second!"
-        assert addrs[0] in store.pool.free_addresses()
         assert addrs[0] in store.engine.free_addresses()
         assert sorted(e.key for e in store.catalog.scan()) == [b"a", b"b"]
         expected = {b"a": b"second!", b"b": b"other"}

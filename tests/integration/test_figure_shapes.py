@@ -24,7 +24,7 @@ class TestFigure1Shape:
             )
             pool = PersistentPool(MemoryController(device))
             rng = np.random.default_rng(1)
-            addr = pool.alloc()
+            addr = pool.object_address(0)
             old = rng.integers(0, 256, 256, dtype=np.uint8)
             pool.write(addr, old.tobytes())
             device.reset_stats()

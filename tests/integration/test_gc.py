@@ -20,6 +20,7 @@ from repro.testing import (
     GC_CRASH_SITES,
     FaultInjector,
     KVCrashHarness,
+    check_durable_invariants,
     make_ycsb_trace,
     run_crash_sweep,
     weave_compaction,
@@ -107,6 +108,27 @@ def test_reclaimed_capacity_defers_read_only(gc_harness):
     assert not store.read_only
     assert store.get(b"user002") == b"y" * 32
     assert health.reclaimed_total >= 1
+
+
+def test_reclaim_stranded_spares_drained_never_retired(gc_harness):
+    """Last-ditch reclamation folds a drained retiring segment into the
+    spares, and never a retired one, even when nothing live names it."""
+    _, _, store = gc_harness.fresh(FaultInjector())
+    health = store.engine.health
+    store.put(b"user001", b"x" * 32)
+    drained, dead = store.engine.dap.snapshot_addresses()[:2]
+    for addr in (drained, dead):
+        store.engine.quarantine_address(addr)
+        health.mark_retiring(addr // 64)
+    health.retire(dead // 64)
+
+    assert store._reclaim_stranded() == 1
+    assert health.is_reclaimed(drained // 64)
+    assert drained in health.state.spares
+    assert health.is_retired(dead // 64)
+    assert not health.is_reclaimed(dead // 64)
+    assert dead not in health.state.spares
+    check_durable_invariants(store, {b"user001": b"x" * 32})
 
 
 _KEYS = [b"twin%02d" % i for i in range(6)]

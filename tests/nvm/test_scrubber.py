@@ -90,7 +90,7 @@ class TestScrubbing:
         fill(store, n_keys=2)
         scrubber = Scrubber(store)
         # A segment nobody owns heals nothing and writes nothing.
-        free_addr = store.pool.free_addresses()[0]
+        free_addr = store.engine.free_addresses()[0]
         assert scrubber.scrub_segment(free_addr // SEGMENT) == 0
         assert scrubber.stats.refresh_writes == 0
 

@@ -12,8 +12,6 @@ on the media directly, for the subsets ``write_many`` cannot produce.
 import numpy as np
 import pytest
 
-from repro.nvm import MemoryController, NVMDevice
-from repro.pmem import PersistentPool
 from repro.testing import CrashError, FaultInjector, KVCrashHarness
 from repro.testing.crash_sweep import check_durable_invariants
 from repro.testing.model import PREFIX, DurabilityModel
@@ -24,15 +22,6 @@ from .test_slot_recovery import land
 @pytest.fixture(scope="module")
 def harness():
     return KVCrashHarness(n_segments=48)
-
-
-def make_device(n_segments=24, seed=0):
-    return NVMDevice(
-        capacity_bytes=n_segments * 64,
-        segment_size=64,
-        initial_fill="random",
-        seed=seed,
-    )
 
 
 def crash_at_row(store, items, row: int, torn=None):
@@ -106,19 +95,23 @@ class TestCrashRecovery:
         again = harness.reopen(device)
         assert dict(again.items()) == {b"a": b"1", b"b": b"2", b"c": b"3"}
 
-    def test_mark_allocated_restores_liveness(self):
-        device = make_device(seed=6)
-        pool = PersistentPool(MemoryController(device), meta_segments=4)
-        addr = pool.alloc()
-        pool.write(addr, b"live" + bytes(60))
-        del pool
-        recovered = PersistentPool(MemoryController(device), meta_segments=4)
-        recovered.mark_allocated(addr)
-        with pytest.raises(KeyError):
-            recovered.mark_allocated(3)  # not a pool segment address
-        # The re-registered segment is not handed out again.
-        handed = {recovered.alloc() for _ in range(recovered.capacity_objects - 1)}
+    def test_mark_allocated_restores_liveness(self, harness):
+        """Recovery re-registers every live segment with the engine: it
+        is never handed out again, and only object segments are
+        accepted."""
+        device, _, store = harness.fresh(FaultInjector())
+        store.put(b"k", b"live")
+        addr, _ = store.index.get(b"k")
+        recovered = harness.reopen(device)
+        engine = recovered.engine
+        assert engine.is_allocated(addr)
+        with pytest.raises(ValueError):
+            engine.mark_allocated(3)  # not a segment address
+        handed = engine.place_many(
+            [b"%03d" % i for i in range(engine.dap.free_count())]
+        )
         assert addr not in handed
+        assert recovered.get(b"k") == b"live"
 
     def test_recover_resets_counter_on_clean_flag(self, harness):
         """A second recovery of media the first one cleaned must report 0

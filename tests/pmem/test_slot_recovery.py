@@ -46,7 +46,7 @@ def land(store, items, landed, torn=None) -> None:
     in ``landed`` on the media and, with ``torn = (index, n)``, the first
     ``n`` bytes of that row too.  The values are written first, as
     ``put_many`` writes them."""
-    addrs, _, _ = store.engine.place_and_write([v for _, v in items])
+    addrs, _ = store.engine.place_and_write([v for _, v in items])
     catalog, pool = store.catalog, store.pool
     epoch, free = store._next_epoch, iter(store._free_records)
     tx = _Rows()

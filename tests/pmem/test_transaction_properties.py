@@ -42,7 +42,7 @@ class TestTransactionModel:
     @settings(max_examples=40, deadline=None)
     def test_random_schedule_matches_model(self, schedule):
         pool = build_pool()
-        slots = [pool.alloc() for _ in range(6)]
+        slots = [pool.object_address(i) for i in range(6)]
         model = {addr: pool.read(addr, 64) for addr in slots}
         for writes, abort in schedule:
             try:
@@ -62,18 +62,19 @@ class TestTransactionModel:
     def test_interleaved_alloc_free_transactions(self):
         pool = build_pool(seed=3, n_segments=16)
         rng = np.random.default_rng(1)
+        free = [pool.object_address(i) for i in range(pool.capacity_objects)]
         live: dict[int, bytes] = {}
         for step in range(150):
             roll = rng.random()
-            if roll < 0.4 and len(live) < pool.capacity_objects:
-                addr = pool.alloc()
+            if roll < 0.4 and free:
+                addr = free.pop(0)
                 payload = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
                 with pool.transaction() as tx:
                     tx.write(addr, payload)
                 live[addr] = payload
             elif roll < 0.6 and live:
                 addr = list(live)[int(rng.integers(0, len(live)))]
-                pool.free(addr)
+                free.append(addr)
                 del live[addr]
             elif live:
                 addr = list(live)[int(rng.integers(0, len(live)))]

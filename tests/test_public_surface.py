@@ -306,6 +306,24 @@ class TestManifestEntryIsTheSpec:
         assert json.loads(json.dumps(entry)) == entry
 
 
+class TestBaseExceptionArms:
+    def test_every_arm_says_why_it_catches_interrupts(self):
+        """An ``except BaseException`` arm also catches KeyboardInterrupt
+        and SystemExit; a comment in the two lines after it says why."""
+        bare = []
+        for path in sorted(PRODUCT.rglob("*.py")):
+            lines = path.read_text().splitlines()
+            for i, line in enumerate(lines):
+                said = any(
+                    after.lstrip().startswith("#")
+                    for after in lines[i + 1:i + 3]
+                )
+                arm = line.lstrip().startswith("except BaseException")
+                if arm and not said:
+                    bare.append(f"{path.relative_to(ROOT)}:{i + 1}")
+        assert bare == [], f"uncommented except BaseException: {bare}"
+
+
 def _line_count(paths) -> int:
     return sum(len(p.read_text().splitlines()) for p in paths)
 
