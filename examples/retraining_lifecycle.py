@@ -82,8 +82,9 @@ def main() -> None:
         engine.release(addr)
         served += 1
     thread.join()
+    retrains = engine.retrain_stats.succeeded
     print(f"background retrain finished; {served} writes served during it; "
-          f"model swaps atomically (retrains so far: {engine.retrain_count})")
+          f"model swaps atomically (retrains so far: {retrains})")
 
     recovered = flips_over(engine, era2_values[120:200])
     print(f"era-2 stream on retrained model: {recovered:.0f} bits/write "

@@ -42,11 +42,6 @@ class PendingValue:
         self._locator = BatchLocator(batch_addr, self._offset, self._length)
 
     @property
-    def resolved(self) -> bool:
-        """Whether the value's batch has been flushed."""
-        return self._locator is not None
-
-    @property
     def locator(self) -> BatchLocator:
         """The value's final location (flushes the open batch if needed)."""
         if self._locator is None:
@@ -60,24 +55,17 @@ class WriteBatcher:
 
     Args:
         engine: a trained :class:`E2NVM` engine providing placement.
-        pad_byte: filler for the unused tail of a flushed batch buffer.
+
+    A flushed batch's unused tail is zero-filled.
     """
 
-    def __init__(self, engine: E2NVM, pad_byte: int = 0) -> None:
-        if not 0 <= pad_byte <= 255:
-            raise ValueError("pad_byte must be a byte value")
+    def __init__(self, engine: E2NVM) -> None:
         self.engine = engine
         self.segment_size = engine.segment_size
-        self.pad_byte = pad_byte
         self._buffer = bytearray()
         self._open_handles: list[PendingValue] = []
         self._live_bytes: dict[int, int] = {}  # batch addr -> live payload
         self._dead: dict[int, set[int]] = {}  # batch addr -> deleted offsets
-
-    @property
-    def open_bytes(self) -> int:
-        """Bytes buffered and not yet flushed."""
-        return len(self._buffer)
 
     def put(self, value: bytes) -> PendingValue:
         """Buffer a value; returns a handle that resolves after flush
@@ -132,9 +120,8 @@ class WriteBatcher:
         all of them in one ``engine.write_many`` — and resolve its handles."""
         if not batches:
             return []
-        pad = bytes([self.pad_byte])
         results = self.engine.write_many(
-            [bytes(buffer).ljust(self.segment_size, pad) for buffer, _ in batches]
+            [bytes(buf).ljust(self.segment_size, b"\0") for buf, _ in batches]
         )
         for (addr, _), (_, handles) in zip(results, batches):
             self._live_bytes[addr] = sum(h._length for h in handles)
@@ -169,7 +156,3 @@ class WriteBatcher:
             del self._live_bytes[locator.batch_addr]
             del self._dead[locator.batch_addr]
             self.engine.release(locator.batch_addr)
-
-    def live_batches(self) -> int:
-        """Flushed batches still holding live values."""
-        return len(self._live_bytes)

@@ -267,22 +267,6 @@ class E2NVM:
         thread.join(timeout)
         return not thread.is_alive()
 
-    @property
-    def retrain_in_flight(self) -> bool:
-        """Whether a background retrain is currently running."""
-        with self._retrain_admin_lock:
-            return self._retrain_in_flight
-
-    @property
-    def retrain_count(self) -> int:
-        """Completed retrains (trainings after the first).
-
-        Counted in exactly one place — the successful atomic swap — so
-        direct :meth:`train` calls, :meth:`train_async`, and the
-        ``auto_retrain`` path all agree.
-        """
-        return self.retrain_stats.succeeded
-
     # ------------------------------------------------------------ operations
 
     def place(self, value: bytes | np.ndarray) -> int:

@@ -137,9 +137,3 @@ class RetrainPolicy:
             # Retries of a deferred/failed retrain are not new triggers.
             self.triggers += 1
         return RetrainDecision.FIRE
-
-    def should_retrain(self, min_cluster_free: int, total_free: int,
-                       n_clusters: int) -> bool:
-        """Back-compat boolean view of :meth:`decide` (no pending retry)."""
-        decision = self.decide(min_cluster_free, total_free, n_clusters)
-        return decision is RetrainDecision.FIRE

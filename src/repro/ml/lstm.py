@@ -20,6 +20,9 @@ from repro.ml.losses import bernoulli_nll
 from repro.ml.optim import Adam
 from repro.util.rng import rng_from_seed
 
+#: Training windows extracted per :meth:`LSTMPredictor.fit`, at most.
+MAX_SAMPLES = 20_000
+
 
 class LSTMCell:
     """One LSTM layer unrolled over fixed-length sequences.
@@ -148,7 +151,6 @@ class LSTMPredictor:
         epochs: int = 5,
         batch_size: int = 64,
         lr: float = 3e-3,
-        max_samples: int = 20_000,
         include_reversed: bool = True,
         verbose: bool = False,
     ) -> list[float]:
@@ -158,7 +160,7 @@ class LSTMPredictor:
         model can extrapolate both after (end-padding) and before
         (beginning-padding) the data.
         """
-        X, y = self._make_samples(bit_vectors, max_samples, include_reversed)
+        X, y = self._make_samples(bit_vectors, include_reversed)
         if len(X) == 0:
             raise ValueError("no training windows could be extracted")
         optimizer = Adam(lr=lr)
@@ -240,7 +242,7 @@ class LSTMPredictor:
         return self.head._x
 
     def _make_samples(
-        self, bit_vectors: np.ndarray, max_samples: int, include_reversed: bool
+        self, bit_vectors: np.ndarray, include_reversed: bool
     ) -> tuple[np.ndarray, np.ndarray]:
         vectors = [np.asarray(v, dtype=np.float64).reshape(-1) for v in bit_vectors]
         if include_reversed:
@@ -251,9 +253,9 @@ class LSTMPredictor:
             for start in range(0, vec.size - need + 1, self.chunk_bits):
                 xs.append(vec[start : start + self.window_bits])
                 ys.append(vec[start + self.window_bits : start + need])
-                if len(xs) >= max_samples:
+                if len(xs) >= MAX_SAMPLES:
                     break
-            if len(xs) >= max_samples:
+            if len(xs) >= MAX_SAMPLES:
                 break
         if not xs:
             return np.empty((0,)), np.empty((0,))

@@ -146,7 +146,6 @@ class VAE:
         batch_size: int = 64,
         lr: float = 1e-3,
         val_fraction: float = 0.1,
-        optimizer=None,
         z_grad_hook=None,
         patience: int | None = None,
         min_improvement: float = 1e-3,
@@ -161,7 +160,7 @@ class VAE:
                 model converges quickly (§5.3).
         """
         X = self._as_batch(X)
-        optimizer = optimizer or Adam(lr=lr)
+        optimizer = Adam(lr=lr)
         train, val = train_val_split(X, val_fraction, seed=self._rng)
         if len(train) == 0:
             raise ValueError("training split is empty")

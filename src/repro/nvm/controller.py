@@ -43,12 +43,11 @@ class MemoryController:
         device: the raw simulated media.
         scheme: controller write scheme; defaults to :class:`DCW`.
         wear_leveling: segment remapping policy; defaults to none.
-        verify_writes: read back and ECP-verify every write.  ``None``
-            (default) enables it exactly when the device has a wear-out
-            model; pass ``False`` to run a wear-out device *unprotected*
-            (the corrupt-read baseline).  Verification composes only with
-            the identity wear-leveling policy: an active remapper would
-            move segments out from under their ECP entries.
+
+    Every write is read back and ECP-verified exactly when the device has
+    a wear-out model.  Verification composes only with the identity
+    wear-leveling policy: an active remapper would move segments out from
+    under their ECP entries.
     """
 
     def __init__(
@@ -56,7 +55,6 @@ class MemoryController:
         device: NVMDevice,
         scheme: WriteScheme | None = None,
         wear_leveling=None,
-        verify_writes: bool | None = None,
     ) -> None:
         self.device = device
         self.scheme = scheme if scheme is not None else DCW()
@@ -70,22 +68,16 @@ class MemoryController:
         self.n_segments = self.wear_leveling.logical_segments
         # The batched bodies serve the identity mapping only.
         self._identity = isinstance(self.wear_leveling, NoWearLeveling)
-        if verify_writes is None:
-            verify_writes = device.wearout is not None
-        if verify_writes and device.ecc is None:
+        self.verify_writes = device.wearout is not None
+        if self.verify_writes and not self._identity:
             raise ValueError(
-                "verify_writes needs a device with a wearout model"
+                "a wear-out device (verify-after-write) cannot be combined "
+                "with active wear leveling: remapping would detach "
+                "segments from their ECP entries"
             )
-        if verify_writes and not self._identity:
-            raise ValueError(
-                "verify_writes cannot be combined with active wear "
-                "leveling: remapping would detach segments from their "
-                "ECP entries"
-            )
-        self.verify_writes = verify_writes
-        self.ecc = device.ecc if verify_writes else None
+        self.ecc = device.ecc
         self.health_manager: HealthManager | None = (
-            HealthManager(self) if verify_writes else None
+            HealthManager(self) if self.verify_writes else None
         )
         self.verify_reads = 0
         self.corrections_recorded = 0

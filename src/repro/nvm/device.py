@@ -314,11 +314,6 @@ class NVMDevice:
             raise IndexError(f"segment {index} out of range")
         return index * self.segment_size
 
-    def segment_of(self, addr: int) -> int:
-        """Segment index containing byte address ``addr``."""
-        self._check_range(addr, 1)
-        return addr // self.segment_size
-
     # ------------------------------------------------------------------ reads
 
     def read(self, addr: int, length: int) -> bytes:
@@ -379,11 +374,6 @@ class NVMDevice:
                 out, self._drift_packed[addr : addr + length], out=out
             )
         return out
-
-    def peek_segment(self, index: int) -> np.ndarray:
-        """Inspect one segment's content without accounting."""
-        addr = self.segment_address(index)
-        return self.peek(addr, self.segment_size)
 
     # ----------------------------------------------------------------- writes
 
@@ -732,42 +722,6 @@ class NVMDevice:
         if self._bit_wear is None:
             raise RuntimeError("device was created with track_bit_wear=False")
         return self._bit_wear
-
-    def wear_summary(self, endurance: float = 1e8) -> dict:
-        """Endurance snapshot: write/wear spread and remaining lifetime.
-
-        Args:
-            endurance: per-cell write endurance; PCM is 1e8–1e9 (§1).
-
-        Returns a dict with per-segment write statistics, per-bit wear
-        statistics when tracked, and the fraction of the worst cell's
-        endurance consumed.  Without per-bit tracking the
-        ``lifetime_consumed`` estimate falls back to the per-segment write
-        counters: one segment write pulses each of its cells at most once,
-        so the hottest segment's write count upper-bounds its worst cell's
-        wear (``lifetime_estimate_basis`` records which source was used).
-        """
-        summary = {
-            "segment_writes_max": int(self.segment_write_count.max()),
-            "segment_writes_mean": float(self.segment_write_count.mean()),
-            "segment_writes_std": float(self.segment_write_count.std()),
-            "lifetime_consumed": int(self.segment_write_count.max())
-            / endurance,
-            "lifetime_estimate_basis": "segment_writes",
-        }
-        if self._bit_wear is not None:
-            worst = int(self._bit_wear.max())
-            summary.update(
-                {
-                    "bit_wear_max": worst,
-                    "bit_wear_mean": float(self._bit_wear.mean()),
-                    "lifetime_consumed": worst / endurance,
-                    "lifetime_estimate_basis": "bit_wear",
-                }
-            )
-        if self.wearout is not None:
-            summary["stuck_cells"] = self.stuck_cell_count()
-        return summary
 
     def reset_stats(self) -> None:
         """Zero all aggregate counters (content and wear are kept)."""

@@ -123,10 +123,6 @@ class ErrorCorrectingPointers:
         """Total correction entries across every segment."""
         return sum(len(e) for e in self._entries.values())
 
-    def segments_with_entries(self) -> list[int]:
-        """Segments holding at least one entry, ascending."""
-        return sorted(s for s, e in self._entries.items() if e)
-
     # ----------------------------------------------------------- persistence
 
     def state_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -41,8 +41,6 @@ class EnergyModel:
             ADR flush, transaction bookkeeping).
         read_energy_per_byte_pj: media read cost per byte.
         static_read_energy_pj: fixed per-read-command overhead.
-        dram_bit_energy_pj: DRAM cost per bit, used for DRAM-resident
-            structures (the DAP, the data index).
         cache_line_bytes: CPU cache-line / flush granularity.
     """
 
@@ -51,7 +49,6 @@ class EnergyModel:
     static_write_energy_pj: float = 2_200.0
     read_energy_per_byte_pj: float = 15.0
     static_read_energy_pj: float = 2_500.0
-    dram_bit_energy_pj: float = 1.0
     cache_line_bytes: int = 64
 
     def write_energy(
@@ -76,11 +73,3 @@ class EnergyModel:
         if n_bytes <= 0:
             raise ValueError("read size must be positive")
         return self.static_read_energy_pj + n_bytes * self.read_energy_per_byte_pj
-
-    def dram_energy(self, n_bits: int) -> float:
-        """Energy (pJ) for touching ``n_bits`` of DRAM."""
-        return n_bits * self.dram_bit_energy_pj
-
-    def lines_spanned(self, n_bytes: int) -> int:
-        """Number of cache lines covered by an aligned access of ``n_bytes``."""
-        return -(-n_bytes // self.cache_line_bytes)

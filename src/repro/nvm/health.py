@@ -250,12 +250,6 @@ class HealthManager:
     def is_retired(self, segment: int) -> bool:
         return segment in self.state.retired
 
-    def is_retiring(self, segment: int) -> bool:
-        return segment in self.state.retiring
-
-    def is_reclaimed(self, segment: int) -> bool:
-        return segment in self.state.reclaimed
-
     def is_unplaceable(self, segment: int) -> bool:
         """Whether placement must never hand this segment out.
 

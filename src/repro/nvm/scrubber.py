@@ -39,6 +39,11 @@ from repro.nvm.health import SegmentRetiredError
 from repro.nvm.worker import MaintenanceWorker
 from repro.util.bits import popcount_array
 
+#: A segment found drifted in this many *consecutive* scrubs is escalated
+#: to ``HealthManager.queue_relocation``: a repeat offender decays faster
+#: than scrub can cheaply keep up, and moving the value is the durable fix.
+ESCALATE_AFTER = 3
+
 
 @dataclass
 class ScrubStats:
@@ -66,10 +71,6 @@ class Scrubber(MaintenanceWorker):
             reads can request a targeted synchronous scrub.
         segments_per_round: rate limit — live segments refreshed per round.
         interval_s: sleep between background rounds.
-        escalate_after: a segment found drifted in this many *consecutive*
-            scrubs is escalated to ``HealthManager.queue_relocation``
-            (repeat offenders are decaying faster than scrub can cheaply
-            keep up; moving the value is the durable fix).
         faults: optional fault injector; when set, the write-capable
             ``"scrub.refresh"`` site fires before every refresh write.
             Defaults to the device's injector.
@@ -81,19 +82,15 @@ class Scrubber(MaintenanceWorker):
         *,
         segments_per_round: int = 8,
         interval_s: float = 0.005,
-        escalate_after: int = 3,
         faults=None,
     ) -> None:
         if segments_per_round <= 0:
             raise ValueError("segments_per_round must be positive")
-        if escalate_after <= 0:
-            raise ValueError("escalate_after must be positive")
         super().__init__(interval_s=interval_s, name="scrubber")
         self.store = store
         self.controller = store.engine.controller
         self.device = self.controller.device
         self.segments_per_round = segments_per_round
-        self.escalate_after = escalate_after
         self.faults = faults if faults is not None else self.device.faults
         self.stats = ScrubStats()
         # Scrub-order bookkeeping: per-segment "last scrubbed" round
@@ -149,7 +146,7 @@ class Scrubber(MaintenanceWorker):
 
         streak = self._dirty_streak.get(segment, 0) + 1 if drifted else 0
         self._dirty_streak[segment] = streak
-        if streak >= self.escalate_after:
+        if streak >= ESCALATE_AFTER:
             self._dirty_streak[segment] = 0
             self._escalate(segment)
         return healed

@@ -22,7 +22,7 @@ package models the same structure at the storage layer:
   routed by shard (one engine call per shard), cross-shard telemetry
   rollup, per-shard epoch events, manifest-based create/open/close with
   shard-by-shard crash recovery, and degraded-mode routing
-  (``fail_fast`` / ``partial`` / ``block``) when shards are down;
+  (``fail_fast`` / ``partial``) when shards are down;
 - :class:`~repro.sharding.supervisor.ShardSupervisor` — the self-healing
   loop: heartbeat watchdog (hung workers killed), automatic reopen with
   exponential backoff under a restart budget, and per-shard circuit

@@ -376,7 +376,6 @@ class ShardBackend:
         shard_id: int,
         op: str,
         args: tuple = (),
-        kwargs=None,
         *,
         deadline: float | None = ...,
     ):
@@ -386,18 +385,18 @@ class ShardBackend:
         if deadline is ...:
             deadline = DEFAULT_OP_DEADLINES.get(op, self.deadline_s)
         transport = self.transports[shard_id]
-        request = transport.encode((op, args, kwargs))
+        request = transport.encode((op, args))
         with self._locks[shard_id]:
             self._send(shard_id, transport, request)
             return self._recv(shard_id, transport, deadline)
 
     def call_many(
         self,
-        requests: list[tuple[int, str, tuple, dict | None]],
+        requests: list[tuple[int, str, tuple]],
         *,
         deadline: float | None = ...,
     ):
-        """Execute ``(shard_id, op, args, kwargs)`` requests; results in
+        """Execute ``(shard_id, op, args)`` requests; results in
         request order.  Every request is encoded, then every one is sent,
         before any reply is collected, so worker processes run
         concurrently (the direct transport runs each request as its reply
@@ -412,15 +411,13 @@ class ShardBackend:
         collected (their sub-batches commit normally); see
         :func:`_gather` for what is raised and what rides on it."""
         encoded = []
-        for shard_id, op, args, kwargs in requests:
+        for shard_id, op, args in requests:
             try:
-                encoded.append(
-                    self.transports[shard_id].encode((op, args, kwargs))
-                )
+                encoded.append(self.transports[shard_id].encode((op, args)))
             except Exception as exc:  # noqa: BLE001 - _gather re-raises it
                 encoded.append(exc)
         attempts = []
-        for (shard_id, op, _, _), request in zip(requests, encoded):
+        for (shard_id, op, _), request in zip(requests, encoded):
             if isinstance(request, Exception):
                 attempts.append((shard_id, partial(_raise, request)))
                 continue
@@ -562,9 +559,9 @@ class _DirectTransport:
     def recv(self, deadline: float | None):
         if not self._queued:
             raise TransportLost  # killed with this request in flight
-        op, args, kwargs = self._queued.popleft()
+        op, args = self._queued.popleft()
         try:
-            return self.shard.execute(op, args, kwargs)
+            return self.shard.execute(op, args)
         except CrashError:
             self._queued.clear()
             raise TransportLost from None
@@ -674,7 +671,7 @@ def _shard_worker(
             return
         _write_frame(reply_fd, _encode(("ready", spec.shard_id)))
         while True:
-            op, args, kwargs = _decode(_read_frame(request_fd))
+            op, args = _decode(_read_frame(request_fd))
             if op == "__shutdown__":
                 shard.stop_maintenance()
                 _write_frame(reply_fd, _encode(("ok", None)))
@@ -682,7 +679,7 @@ def _shard_worker(
             try:
                 # Encoded inside the try: a result that will not pickle is
                 # answered as an error, and the worker keeps serving.
-                reply = _encode(("ok", shard.execute(op, args, kwargs)))
+                reply = _encode(("ok", shard.execute(op, args)))
             except CrashError:
                 # Simulated power loss on this channel: die without a
                 # response or any cleanup.  The media bytes live in the
@@ -853,7 +850,7 @@ class _PipeTransport:
             if self.process.is_alive():
                 try:
                     _write_frame(
-                        self.request_fd, _encode(("__shutdown__", (), None))
+                        self.request_fd, _encode(("__shutdown__", ()))
                     )
                     if self.poller.poll(DEFAULT_CLOSE_GRACE_S * 1000.0):
                         _read_frame(self.reply_fd)

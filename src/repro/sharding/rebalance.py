@@ -384,7 +384,6 @@ class Rebalancer:
     def drain_until_done(
         self,
         *,
-        budget: int | None = None,
         timeout_s: float = 120.0,
         heal_timeout_s: float = 10.0,
     ) -> None:
@@ -392,7 +391,7 @@ class Rebalancer:
         (or plain sleep when none is attached)."""
         deadline = time.monotonic() + timeout_s
         while True:
-            report = self.drain(budget)
+            report = self.drain()
             if report.done:
                 return
             if time.monotonic() >= deadline:

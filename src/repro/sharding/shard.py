@@ -283,7 +283,7 @@ class Shard:
 
     # ------------------------------------------------------------ dispatch
 
-    def execute(self, op: str, args: tuple = (), kwargs: dict | None = None):
+    def execute(self, op: str, args: tuple = ()):
         """Run one facade operation; the single entry point both transports
         use, so in-process and worker-process shards behave identically —
         the maintenance loops are gated around the op here, not by the
@@ -293,7 +293,7 @@ class Shard:
             raise ValueError(f"unknown shard op {op!r}")
         self.pause_maintenance()
         try:
-            return handler(*args, **(kwargs or {}))
+            return handler(*args)
         finally:
             self.resume_maintenance()
 

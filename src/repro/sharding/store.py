@@ -27,10 +27,6 @@ hung, or breaker-open — see :mod:`repro.sharding.supervisor`):
   (``"ok"`` / ``"crashed"`` / ``"hung"`` / ``"breaker_open"``) — so
   survivors' committed work is *used*, not discarded.  Reads routed at a
   breaker-open shard are answered as misses without touching it.
-- ``"block"``: unavailable sub-batches are retried as the supervisor
-  heals shards, bounded by ``block_timeout_s`` (PUT is an idempotent
-  upsert, so retrying a failed sub-batch is safe); on timeout the
-  residual failure raises.
 
 Durable stores live in a directory: one device snapshot per shard plus a
 JSON manifest recording the shard count, ring parameters and per-shard
@@ -42,7 +38,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,7 +58,7 @@ from repro.sharding.ring import HashRing
 from repro.sharding.shard import ShardSpec
 from repro.sharding.supervisor import ShardCircuitOpenError
 
-DEGRADED_MODES = ("fail_fast", "partial", "block")
+DEGRADED_MODES = ("fail_fast", "partial")
 
 MANIFEST_NAME = "manifest.json"
 #: 3: every shard's catalog record keeps two self-checking slots and
@@ -245,10 +240,6 @@ class BatchReport(list):
         """Every item answered by a live shard."""
         return all(o == "ok" for o in self.outcomes)
 
-    @property
-    def failed_indices(self) -> list[int]:
-        return [i for i, o in enumerate(self.outcomes) if o != "ok"]
-
 
 class ShardedKVStore:
     """N independent shard slices behind one KV facade.
@@ -268,7 +259,6 @@ class ShardedKVStore:
         root: Path | None,
         backend: str,
         degraded: str,
-        block_timeout_s: float,
         deadline_s: float | None,
     ) -> None:
         """``create``, ``create_volatile`` and ``open`` differ only in
@@ -285,7 +275,6 @@ class ShardedKVStore:
         self.root = root
         self.backend_name = backend
         self.degraded = degraded
-        self.block_timeout_s = block_timeout_s
         #: Attached :class:`~repro.sharding.supervisor.ShardSupervisor`
         #: (degraded routing consults its breakers; ``None`` = none).
         self.supervisor = None
@@ -304,7 +293,7 @@ class ShardedKVStore:
     def attach_supervisor(self, supervisor) -> None:
         """Register a :class:`ShardSupervisor` (called by its
         constructor) so degraded-mode routing can skip breaker-open
-        shards and ``block`` mode can wait on healing."""
+        shards."""
         self.supervisor = supervisor
 
     # ----------------------------------------------------------- construction
@@ -333,7 +322,6 @@ class ShardedKVStore:
         wearout=None,
         drift=None,
         degraded: str = "fail_fast",
-        block_timeout_s: float = 30.0,
         deadline_s: float | None = DEFAULT_DEADLINE_S,
     ) -> "ShardedKVStore":
         """Create a durable sharded store under directory ``root``.
@@ -368,7 +356,7 @@ class ShardedKVStore:
         )
         store = cls(
             _per_shard(template, n_shards, base_seed, root), "create", ring,
-            root, backend, degraded, block_timeout_s, deadline_s,
+            root, backend, degraded, deadline_s,
         )
         store._write_manifest()
         return store
@@ -384,7 +372,6 @@ class ShardedKVStore:
         backend: str = "inprocess",
         base_seed: int = 7,
         degraded: str = "fail_fast",
-        block_timeout_s: float = 30.0,
         deadline_s: float | None = DEFAULT_DEADLINE_S,
     ) -> "ShardedKVStore":
         """Create a volatile sharded store (no pool/catalog, no manifest,
@@ -400,8 +387,7 @@ class ShardedKVStore:
         )
         return cls(
             _per_shard(template, n_shards, base_seed, None), "create",
-            HashRing(n_shards), None, backend, degraded, block_timeout_s,
-            deadline_s,
+            HashRing(n_shards), None, backend, degraded, deadline_s,
         )
 
     @classmethod
@@ -415,7 +401,6 @@ class ShardedKVStore:
         wearout=None,
         drift=None,
         degraded: str = "fail_fast",
-        block_timeout_s: float = 30.0,
         deadline_s: float | None = DEFAULT_DEADLINE_S,
     ) -> "ShardedKVStore":
         """Reopen the store at ``root`` from its manifest: identical ring
@@ -452,7 +437,7 @@ class ShardedKVStore:
         store = cls(
             specs, "open", ring, root,
             backend or manifest.get("backend", "inprocess"),
-            degraded, block_timeout_s, deadline_s,
+            degraded, deadline_s,
         )
         store._resume_rebalance()
         return store
@@ -595,31 +580,13 @@ class ShardedKVStore:
         ``partial`` answers a GET routed at a breaker-open shard as a
         miss (the documented lie of that policy — the outcome report of
         the batch path is how callers see the difference); any *write*
-        at an open breaker raises, never silently drops.  ``block``
-        retries through supervisor healing until ``block_timeout_s``.
+        at an open breaker raises, never silently drops.
         """
-        if self.degraded != "block":
-            if self._breaker_open(shard_id):
-                if self.degraded == "partial" and op == "get":
-                    return None
-                raise ShardCircuitOpenError([shard_id])
-            return self.backend.call(shard_id, op, args)
-        deadline = time.monotonic() + self.block_timeout_s
-        while True:
-            if self._breaker_open(shard_id):
-                last_exc: ShardUnavailableError = ShardCircuitOpenError(
-                    [shard_id]
-                )
-            else:
-                try:
-                    return self.backend.call(shard_id, op, args)
-                except ShardUnavailableError as exc:
-                    last_exc = exc
-            if time.monotonic() >= deadline:
-                raise last_exc
-            if self.supervisor is not None:
-                self.supervisor.run_once()
-            time.sleep(0.02)
+        if self._breaker_open(shard_id):
+            if self.degraded == "partial" and op == "get":
+                return None
+            raise ShardCircuitOpenError([shard_id])
+        return self.backend.call(shard_id, op, args)
 
     def put(self, key: bytes, value: bytes) -> int:
         # During a rebalance writes go to the NEW owner only (self.ring is
@@ -667,85 +634,48 @@ class ShardedKVStore:
         degraded policy.
 
         ``fail_fast`` raises on the first unavailable shard (survivors'
-        results ride on the exception).  ``partial`` makes one pass:
-        breaker-open shards are skipped outright, unavailable shards'
-        items get ``None`` + an outcome tag.  ``block`` keeps retrying
-        failed sub-batches — driving supervisor rounds inline so healing
-        does not wait on the background cadence — until everything
-        answers or ``block_timeout_s`` expires.  PUT sub-batches are
-        idempotent upserts, so a retry after an ambiguous failure (shard
-        died mid-batch) is safe: re-putting a committed key overwrites
-        it with the same value.
+        results ride on the exception).  ``partial`` skips breaker-open
+        shards outright, and unavailable shards' items get ``None`` + an
+        outcome tag.
         """
         out: list = [None] * n_items
         outcomes = ["ok"] * n_items
-        mode = self.degraded
-        pending = sorted(groups)
-        deadline = time.monotonic() + self.block_timeout_s
-        while pending:
-            open_now = {s for s in pending if self._breaker_open(s)}
-            if open_now:
-                if mode == "fail_fast":
-                    raise ShardCircuitOpenError(sorted(open_now))
-                for s in open_now:
-                    for i in groups[s]:
-                        outcomes[i] = "breaker_open"
-                if mode == "partial":
-                    pending = [s for s in pending if s not in open_now]
-                    open_now = set()
-            run_now = [s for s in pending if s not in open_now]
-            statuses: dict[int, str] = {}
-            results: dict[int, list] = {}
-            if run_now:
-                requests = [(s, op, (payload_of(s),), None) for s in run_now]
-                try:
-                    per_shard = self.backend.call_many(requests)
-                except ShardUnavailableError as exc:
-                    if mode == "fail_fast":
-                        raise
-                    statuses = dict(exc.shard_status or {})
-                    partial = exc.partial_results or [None] * len(run_now)
-                    results = dict(zip(run_now, partial))
-                else:
-                    statuses = {s: "ok" for s in run_now}
-                    results = dict(zip(run_now, per_shard))
-            still_failed = []
-            for s in run_now:
-                if statuses.get(s) == "ok" and results.get(s) is not None:
-                    for i, r in zip(groups[s], results[s]):
-                        out[i] = r
-                        outcomes[i] = "ok"
-                else:
-                    still_failed.append(s)
-                    for i in groups[s]:
-                        outcomes[i] = statuses.get(s, "error")
-            if mode != "block":
-                break
-            pending = still_failed + sorted(open_now)
-            if not pending:
-                break
-            if time.monotonic() >= deadline:
-                exc = ShardUnavailableError(
-                    sorted(pending),
-                    f"shard(s) {sorted(pending)} still unavailable after "
-                    f"block_timeout_s={self.block_timeout_s}s",
-                )
-                exc.partial_results = list(out)
-                exc.shard_status = {
-                    s: outcomes[groups[s][0]] for s in pending
-                }
-                raise exc
-            if self.supervisor is not None:
-                self.supervisor.run_once()
-            time.sleep(0.02)
+        shards = sorted(groups)
+        open_now = [s for s in shards if self._breaker_open(s)]
+        if open_now:
+            if self.degraded == "fail_fast":
+                raise ShardCircuitOpenError(open_now)
+            for s in open_now:
+                for i in groups[s]:
+                    outcomes[i] = "breaker_open"
+        run_now = [s for s in shards if s not in open_now]
+        if not run_now:
+            return BatchReport(out, outcomes)
+        requests = [(s, op, (payload_of(s),)) for s in run_now]
+        try:
+            per_shard = self.backend.call_many(requests)
+            statuses = dict.fromkeys(run_now, "ok")
+        except ShardUnavailableError as exc:
+            if self.degraded == "fail_fast":
+                raise
+            statuses = exc.shard_status
+            per_shard = exc.partial_results or [None] * len(run_now)
+        for s, results in zip(run_now, per_shard):
+            status = statuses.get(s, "error")
+            if status == "ok" and results is not None:
+                for i, r in zip(groups[s], results):
+                    out[i] = r
+            else:
+                for i in groups[s]:
+                    outcomes[i] = status
         return BatchReport(out, outcomes)
 
     def put_many(self, items: list[tuple[bytes, bytes]]) -> list[int]:
         """Batched PUT: partition by shard, one ``put_many`` engine call
         per shard (batched inference preserved inside each), results
         scattered back to input order.  Returns a :class:`BatchReport`
-        (a list of addresses; under ``partial``/``block`` degraded modes
-        its ``outcomes`` tell which items a downed shard dropped)."""
+        (a list of addresses; under the ``partial`` degraded mode its
+        ``outcomes`` tell which items a downed shard dropped)."""
         groups = self.ring.partition([key for key, _ in items])
         return self._fan_out(
             "put_many",
@@ -796,7 +726,7 @@ class ShardedKVStore:
     def _broadcast(self, op: str, *args, deadline: float | None = ...) -> list:
         """Run ``op(*args)`` on every shard; results in shard order."""
         return self.backend.call_many(
-            [(s, op, args, None) for s in range(self.n_shards)],
+            [(s, op, args) for s in range(self.n_shards)],
             deadline=deadline,
         )
 

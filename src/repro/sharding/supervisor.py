@@ -18,13 +18,13 @@ compactor:
 - **Self-healing restarts** — a dead shard (crashed or freshly killed) is
   reopened automatically: a fresh worker re-attaches to the surviving
   shared-memory media and runs ordinary catalog recovery.  Failed
-  reopen attempts back off exponentially (``backoff_base_s`` doubling up
-  to :data:`BACKOFF_CAP_S`).
+  reopen attempts back off exponentially (:data:`BACKOFF_BASE_S` doubling
+  up to :data:`BACKOFF_CAP_S`).
 - **Restart budget + circuit breaker** — each instability episode gets at
   most ``restart_budget`` reopen attempts.  A shard that exhausts the
   budget trips its per-shard breaker to ``open``: the supervisor stops
   burning restarts on it, and the facade's degraded-mode routing
-  (``ShardedKVStore``, policies ``fail_fast`` / ``partial`` / ``block``)
+  (``ShardedKVStore``, policies ``fail_fast`` / ``partial``)
   skips it — reads on it answer as misses under ``partial``.  A shard
   that stays healthy for ``stable_after_s`` after a reopen has its
   episode counter reset.  ``reset(shard_id)`` closes the breaker by
@@ -45,7 +45,9 @@ from dataclasses import dataclass, field
 from repro.nvm.worker import MaintenanceWorker
 from repro.sharding.backends import ShardUnavailableError
 
-#: Ceiling of the exponential backoff between failed reopen attempts.
+#: First retry delay after a failed reopen, and the ceiling it doubles up
+#: to per further failure.
+BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
 
 
@@ -120,8 +122,6 @@ class ShardSupervisor(MaintenanceWorker):
             healthy worker may go without scheduling its beat thread.
         restart_budget: reopen attempts per instability episode before
             the breaker trips.
-        backoff_base_s: first retry delay after a failed reopen; doubles
-            per failure up to :data:`BACKOFF_CAP_S`.
         stable_after_s: a shard alive this long after its last reopen has
             its episode counter reset (the next fault starts a fresh
             budget).
@@ -135,7 +135,6 @@ class ShardSupervisor(MaintenanceWorker):
         interval_s: float = 0.05,
         heartbeat_timeout_s: float = 1.0,
         restart_budget: int = 3,
-        backoff_base_s: float = 0.05,
         stable_after_s: float = 5.0,
         auto_start: bool = False,
     ) -> None:
@@ -148,7 +147,6 @@ class ShardSupervisor(MaintenanceWorker):
         self.backend = store.backend
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.restart_budget = restart_budget
-        self.backoff_base_s = backoff_base_s
         self.stable_after_s = stable_after_s
         self.health = [
             ShardHealth(shard_id) for shard_id in range(store.n_shards)
@@ -288,7 +286,7 @@ class ShardSupervisor(MaintenanceWorker):
             health.last_error = repr(exc)
             backoff = min(
                 BACKOFF_CAP_S,
-                self.backoff_base_s * (2 ** (health.attempts - 1)),
+                BACKOFF_BASE_S * (2 ** (health.attempts - 1)),
             )
             health.next_retry_at = now + backoff
         else:

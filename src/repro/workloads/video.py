@@ -13,13 +13,15 @@ import numpy as np
 
 from repro.util.rng import rng_from_seed
 
+#: Moving rectangles in every scene.
+N_OBJECTS = 3
+
 
 class SyntheticVideo:
     """Fixed-camera grayscale video generator.
 
     Args:
         width, height: frame size in pixels (1 byte per pixel).
-        n_objects: moving rectangles in the scene.
         noise: per-pixel sensor noise standard deviation (0–255 scale).
         seed: RNG seed.
     """
@@ -28,7 +30,6 @@ class SyntheticVideo:
         self,
         width: int = 64,
         height: int = 48,
-        n_objects: int = 3,
         noise: float = 4.0,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
@@ -53,7 +54,7 @@ class SyntheticVideo:
                 "h": int(self._rng.integers(4, max(5, height // 6))),
                 "shade": float(self._rng.uniform(0, 255)),
             }
-            for _ in range(n_objects)
+            for _ in range(N_OBJECTS)
         ]
 
     @property

@@ -135,10 +135,10 @@ class TestWriteBatcherPutMany:
         batcher = self._batcher()
         small = [b"aa", b"bb", b"cc"]
         handles = batcher.put_many(small)
-        assert batcher.open_bytes == 6
-        assert not any(h.resolved for h in handles)
+        assert len(batcher._buffer) == 6
+        assert all(h._locator is None for h in handles)
         batcher.flush()
-        assert all(h.resolved for h in handles)
+        assert all(h._locator is not None for h in handles)
 
     def test_full_batches_flush_in_one_engine_call(self):
         batcher = self._batcher(seed=89)
@@ -155,8 +155,8 @@ class TestWriteBatcherPutMany:
         # 7 half-segment values -> 3 full batches written in ONE call,
         # 1 value left buffered.
         assert calls == [3]
-        assert sum(h.resolved for h in handles) == 6
-        assert batcher.open_bytes == len(chunk)
+        assert sum(h._locator is not None for h in handles) == 6
+        assert len(batcher._buffer) == len(chunk)
 
     def test_failed_write_commits_nothing(self):
         batcher = self._batcher(seed=97)
@@ -169,8 +169,8 @@ class TestWriteBatcherPutMany:
         chunk = b"y" * SEGMENT_SIZE
         with pytest.raises(RuntimeError, match="device offline"):
             batcher.put_many([chunk, chunk])
-        assert batcher.open_bytes == 0
-        assert batcher.live_batches() == 0
+        assert len(batcher._buffer) == 0
+        assert len(batcher._live_bytes) == 0
 
     def test_validation(self):
         batcher = self._batcher(seed=101)
@@ -178,4 +178,4 @@ class TestWriteBatcherPutMany:
             batcher.put_many([b"ok", b""])
         with pytest.raises(ValueError, match="exceeds"):
             batcher.put_many([b"z" * (SEGMENT_SIZE + 1)])
-        assert batcher.open_bytes == 0
+        assert len(batcher._buffer) == 0

@@ -44,32 +44,32 @@ class TestConfig:
 class TestRetrainPolicy:
     def test_fires_when_threshold_and_cooldown_met(self):
         policy = RetrainPolicy(min_free_per_cluster=2, cooldown_writes=0)
-        assert policy.should_retrain(1, 50, 5) is True
+        assert policy.decide(1, 50, 5) is RetrainDecision.FIRE
         assert policy.triggers == 1
 
     def test_threshold_not_tripped(self):
         policy = RetrainPolicy(min_free_per_cluster=2, cooldown_writes=0)
-        assert policy.should_retrain(2, 50, 5) is False
+        assert policy.decide(2, 50, 5) is not RetrainDecision.FIRE
 
     def test_cooldown_blocks(self):
         policy = RetrainPolicy(min_free_per_cluster=2, cooldown_writes=10)
-        assert policy.should_retrain(0, 50, 5) is False
+        assert policy.decide(0, 50, 5) is not RetrainDecision.FIRE
         for _ in range(10):
             policy.record_write()
-        assert policy.should_retrain(0, 50, 5) is True
+        assert policy.decide(0, 50, 5) is RetrainDecision.FIRE
 
     def test_retrain_resets_cooldown(self):
         policy = RetrainPolicy(min_free_per_cluster=1, cooldown_writes=5)
         for _ in range(5):
             policy.record_write()
-        assert policy.should_retrain(0, 50, 5) is True
+        assert policy.decide(0, 50, 5) is RetrainDecision.FIRE
         policy.record_retrain()
-        assert policy.should_retrain(0, 50, 5) is False
+        assert policy.decide(0, 50, 5) is not RetrainDecision.FIRE
 
     def test_needs_enough_free_to_train(self):
         policy = RetrainPolicy(min_free_per_cluster=1, cooldown_writes=0)
-        assert policy.should_retrain(0, 3, 5) is False
-        assert policy.should_retrain(0, 5, 5) is True
+        assert policy.decide(0, 3, 5) is not RetrainDecision.FIRE
+        assert policy.decide(0, 5, 5) is RetrainDecision.FIRE
 
 
 class TestRetrainDecide:

@@ -198,7 +198,7 @@ class TestRetraining:
             engine._allocated.add(addr)
         assert engine.maybe_retrain() is True
         assert engine.wait_for_retrain(timeout=120)
-        assert engine.retrain_count == 1
+        assert engine.retrain_stats.succeeded == 1
 
     def test_cooldown_suppresses_retrain(self):
         engine = make_engine(

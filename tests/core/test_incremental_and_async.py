@@ -81,7 +81,7 @@ class TestBackgroundRetraining:
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert engine.pipeline is not old_pipeline
-        assert engine.retrain_count == 1
+        assert engine.retrain_stats.succeeded == 1
 
     def test_async_retrain_preserves_free_pool(self):
         engine, _ = partial_engine(fraction=1.0, seed=44)
@@ -157,7 +157,7 @@ class TestBackgroundRetraining:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads + retrains)
-        assert engine.retrain_count == 1
+        assert engine.retrain_stats.succeeded == 1
         assert engine.pipeline is not serving
         assert min(rounds) >= 20
         assert mismatches == []

@@ -90,9 +90,9 @@ class TestNonBlockingAutoRetrain:
         engine.faults.arm("train.fit", delay=3.0, times=1)
         addr, _ = engine.write(b"\x01" * 64)  # schedules the retrain
         engine.release(addr)
-        assert engine.retrain_in_flight
+        assert engine._retrain_in_flight
         overlapped = 0
-        while engine.retrain_in_flight and overlapped < 150:
+        while engine._retrain_in_flight and overlapped < 150:
             a, _ = engine.write(bytes([overlapped % 251]) * 64)
             engine.release(a)
             overlapped += 1
@@ -202,13 +202,14 @@ class TestWritePathRecovery:
 class TestRetrainCounting:
     def test_retrain_count_counted_in_exactly_one_place(self):
         engine = make_engine(seed=30)
-        assert engine.retrain_count == 0  # initial training is not a retrain
+        # The initial training is not a retrain.
+        assert engine.retrain_stats.succeeded == 0
         assert engine.retrain_stats.started == 0
         engine.train()  # direct re-train counts...
-        assert engine.retrain_count == 1
+        assert engine.retrain_stats.succeeded == 1
         thread = engine.train_async()  # ...and so does the async path
         thread.join(timeout=120)
-        assert engine.retrain_count == 2
+        assert engine.retrain_stats.succeeded == 2
         assert engine.retrain_stats.started == 2
         assert engine.retrain_stats.succeeded == 2
         assert engine.retrain_stats.last_duration_s > 0

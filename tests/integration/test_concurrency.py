@@ -87,4 +87,4 @@ class TestConcurrentEngine:
         assert not errors
         assert not retrain_thread.is_alive()
         assert engine.dap.free_count() == 128
-        assert engine.retrain_count == 1
+        assert engine.retrain_stats.succeeded == 1

@@ -1,20 +1,17 @@
-"""End-to-end endurance exhaustion: accelerated aging, protected vs
-unprotected stores, degraded mode and wear-leveling crash safety.
+"""End-to-end endurance exhaustion: accelerated aging, degraded mode and
+wear-leveling crash safety.
 
-Tier 1 runs the accelerated-aging acceptance pair — a verify-protected
-store stays *correct* until it degrades to read-only with a dedicated
-error, an unprotected one raises ``CorruptValueError`` on the damage its
-unverified writes let through (never silent garbage) — plus compact
-wear-leveling sweeps.  The ``endurance``-marked organic-wear run and the
-``crash``-marked wear-out sweep are CI's dedicated heavy jobs.
+Tier 1 runs the accelerated-aging acceptance — a verify-protected store
+stays *correct* until it degrades to read-only with a dedicated error —
+plus compact wear-leveling sweeps.  The ``endurance``-marked organic-wear
+run and the ``crash``-marked wear-out sweep are CI's dedicated heavy jobs.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.kvstore import CorruptValueError, KVStore, StoreReadOnlyError
-from repro.nvm import MemoryController, NVMDevice, WearOutConfig
-from repro.pmem.pool import PersistentPool
+from repro.core.kvstore import StoreReadOnlyError
+from repro.nvm import WearOutConfig
 from repro.testing import (
     FaultInjector,
     KVCrashHarness,
@@ -104,55 +101,6 @@ class TestProtectedStore:
         for k, v in oracle.items():
             assert store.get(k) == v
         assert device.stuck_cell_count() > 0
-
-
-class TestUnprotectedStore:
-    def test_unprotected_store_detects_corrupt_reads(self, worn_harness):
-        """The corrupt-read baseline: same mortal media, verification off
-        — writes silently fail on stuck cells.  Since the catalog grew a
-        value CRC, GET *detects* the damage and raises
-        :class:`CorruptValueError` instead of returning garbage: silent
-        wrong bytes are impossible even on an unprotected store."""
-        h = worn_harness
-        device = NVMDevice(
-            capacity_bytes=h.n_segments * h.segment_size,
-            segment_size=h.segment_size,
-            initial_fill="random",
-            seed=h.seed,
-            wearout=h.wearout,
-        )
-        pool = PersistentPool(
-            MemoryController(device, verify_writes=False),
-            meta_segments=h.meta_segments,
-        )
-        store = KVStore.create(
-            pool,
-            config=h.config,
-            key_capacity=h.key_capacity,
-            pipeline=h.pipeline,
-        )
-        rng = np.random.default_rng(2)
-        keys = [b"victim-%d" % i for i in range(4)]
-        for key in keys:
-            store.put(key, rng.integers(0, 256, 48, dtype=np.uint8).tobytes())
-
-        device.age(10**6)  # every data cell is now stuck
-
-        detected = 0
-        for key in keys:
-            value = rng.integers(0, 256, 48, dtype=np.uint8).tobytes()
-            store.put(key, value)  # acknowledged without complaint
-            try:
-                got = store.get(key)
-            except CorruptValueError:
-                detected += 1
-            else:
-                # A read that *does* come back must be the right bytes —
-                # never silently wrong ones.
-                assert got == value
-        assert detected > 0, "unprotected store never detected corruption"
-        assert store.corrupt_reads_detected >= detected
-        assert not store.read_only  # it does not even know it is dying
 
 
 class TestWearLevelingCrashSafety:

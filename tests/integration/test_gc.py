@@ -82,7 +82,7 @@ def test_recovery_reclaims_drained_retiring_segments(gc_harness):
     recovered = gc_harness.reopen(device)
     assert recovered.recovery.reclaimed_segments == 1
     health = recovered.engine.health
-    assert health.is_reclaimed(seg)
+    assert seg in health.state.reclaimed
     assert free_addr in health.state.spares
     assert recovered.get(b"user001") == b"x" * 32
 
@@ -123,10 +123,10 @@ def test_reclaim_stranded_spares_drained_never_retired(gc_harness):
     health.retire(dead // 64)
 
     assert store._reclaim_stranded() == 1
-    assert health.is_reclaimed(drained // 64)
+    assert drained // 64 in health.state.reclaimed
     assert drained in health.state.spares
     assert health.is_retired(dead // 64)
-    assert not health.is_reclaimed(dead // 64)
+    assert dead // 64 not in health.state.reclaimed
     assert dead not in health.state.spares
     check_durable_invariants(store, {b"user001": b"x" * 32})
 

@@ -87,14 +87,14 @@ class TestReclaimLifecycle:
         addr = store.index.get(b"k00")[0]
         seg = addr // SEGMENT
         health.mark_retiring(seg)
-        assert health.is_retiring(seg)
+        assert seg in health.state.retiring
         assert health.relocations_pending == 1
 
         # One value per segment: freeing it fully drains the segment,
         # which reclaims it into the spares pool instead of stranding it.
         store.delete(b"k00")
-        assert not health.is_retiring(seg)
-        assert health.is_reclaimed(seg)
+        assert seg not in health.state.retiring
+        assert seg in health.state.reclaimed
         assert addr in health.state.spares
         assert health.relocations_pending == 0
         # Quarantined like a reserved spare until adopted.
@@ -103,7 +103,7 @@ class TestReclaimLifecycle:
         # Reclaimed segments run at ECP capacity by design: re-queuing
         # them would evacuate forever, so mark_retiring is a no-op.
         health.mark_retiring(seg)
-        assert not health.is_retiring(seg)
+        assert seg not in health.state.retiring
 
         # Adoption returns the reclaimed capacity to placement.
         assert store.engine.adopt_spare() == addr
@@ -134,7 +134,7 @@ class TestReclaimLifecycle:
         # list, or the next adoption would hand out dead media.
         health.retire(seg)
         assert health.is_retired(seg)
-        assert not health.is_reclaimed(seg)
+        assert seg not in health.state.reclaimed
         assert addr not in health.state.spares
 
     def test_queue_relocation_dedup_counter(self):
@@ -155,7 +155,7 @@ class TestReclaimLifecycle:
         seg = addr // SEGMENT
         health.mark_retiring(seg)
         store.delete(b"k02")
-        assert health.is_reclaimed(seg)
+        assert seg in health.state.reclaimed
 
         path = tmp_path / "worn.npz"
         store.engine.controller.device.save(path)

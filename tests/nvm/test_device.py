@@ -44,12 +44,6 @@ class TestConstruction:
         with pytest.raises(IndexError):
             dev.segment_address(16)
 
-    def test_segment_of(self):
-        dev = small_device()
-        assert dev.segment_of(0) == 0
-        assert dev.segment_of(63) == 0
-        assert dev.segment_of(64) == 1
-
 
 class TestProgram:
     def test_full_program_stores_data(self):
@@ -171,7 +165,7 @@ class TestStatsAccounting:
     def test_peek_is_unaccounted(self):
         dev = small_device()
         dev.peek(0, 64)
-        dev.peek_segment(3)
+        dev.peek(3 * 64, 64)
         assert dev.stats.reads == 0
 
     def test_reset_stats_preserves_content(self):

@@ -95,7 +95,7 @@ class TestErrorCorrectingPointers:
         assert ecc.record(2, [0], [1])
         assert ecc.record(5, [1, 2], [0, 1])
         assert ecc.corrections_active == 3
-        assert ecc.segments_with_entries() == [2, 5]
+        assert [ecc.entries_used(s) for s in (2, 5, 3)] == [1, 2, 0]
 
     def test_state_round_trip(self):
         ecc = ErrorCorrectingPointers(SEG)
@@ -120,18 +120,14 @@ class TestVerifyAfterWrite:
 
     def test_verify_requires_wearout_model(self):
         immortal = NVMDevice(capacity_bytes=8 * SEG, segment_size=SEG)
-        with pytest.raises(ValueError, match="wearout"):
-            MemoryController(immortal, verify_writes=True)
+        ctrl = MemoryController(immortal)
+        assert ctrl.ecc is None and ctrl.health_manager is None
 
     def test_verify_rejects_active_wear_leveling(self):
         with pytest.raises(ValueError, match="wear leveling"):
             MemoryController(
                 worn_device(), wear_leveling=StartGapWearLeveling(4)
             )
-
-    def test_unprotected_controller_opts_out(self):
-        ctrl = MemoryController(worn_device(), verify_writes=False)
-        assert ctrl.ecc is None and ctrl.health_manager is None
 
     def test_verify_records_corrections_and_reads_heal(self):
         device = worn_device(ecp_entries=16)

@@ -57,17 +57,6 @@ class TestEnergyModel:
         with pytest.raises(ValueError):
             self.model.read_energy(0)
 
-    def test_dram_energy_linear(self):
-        assert self.model.dram_energy(100) == pytest.approx(
-            100 * self.model.dram_bit_energy_pj
-        )
-
-    def test_lines_spanned(self):
-        assert self.model.lines_spanned(1) == 1
-        assert self.model.lines_spanned(64) == 1
-        assert self.model.lines_spanned(65) == 2
-        assert self.model.lines_spanned(256) == 4
-
     def test_pcm_bit_cost_matches_paper_constant(self):
         """The paper cites ~50 pJ per flipped PCM bit (§1)."""
         assert self.model.flip_energy_pj == pytest.approx(50.0)

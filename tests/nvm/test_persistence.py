@@ -80,9 +80,8 @@ class TestWearSummary:
         for _ in range(5):
             device.program(0, bytes(64))
         device.program(64, bytes(64))
-        summary = device.wear_summary()
-        assert summary["segment_writes_max"] == 5
-        assert summary["segment_writes_mean"] == pytest.approx(6 / 4)
+        assert int(device.segment_write_count.max()) == 5
+        assert device.segment_write_count.mean() == pytest.approx(6 / 4)
 
     def test_bit_wear_statistics(self):
         device = NVMDevice(
@@ -90,15 +89,13 @@ class TestWearSummary:
         )
         for _ in range(10):
             device.program(0, bytes([0xFF] * 64))
-        summary = device.wear_summary(endurance=100)
-        assert summary["bit_wear_max"] == 10
-        assert summary["lifetime_consumed"] == pytest.approx(0.1)
+        assert int(device.bit_wear.max()) == 10
 
     def test_summary_without_bit_tracking(self):
         device = NVMDevice(capacity_bytes=128, segment_size=64)
-        summary = device.wear_summary()
-        assert "bit_wear_max" not in summary
-        assert "segment_writes_max" in summary
+        with pytest.raises(RuntimeError, match="track_bit_wear"):
+            device.bit_wear
+        assert device.segment_write_count.shape == (2,)
 
 
 SEG = 64

@@ -14,6 +14,7 @@ from repro.nvm import (
     NVMDevice,
     Scrubber,
 )
+from repro.nvm.scrubber import ESCALATE_AFTER
 from repro.pmem.catalog import PersistentCatalog
 from repro.pmem.pool import PersistentPool
 from repro.testing import FaultInjector
@@ -118,7 +119,7 @@ class TestScrubbing:
     def test_escalates_repeat_offenders(self):
         store = make_store(retention_mean=10**6)
         fill(store, n_keys=1)
-        scrubber = Scrubber(store, escalate_after=2)
+        scrubber = Scrubber(store)
         device = store.engine.controller.device
         [addr] = store._live
         segment = addr // SEGMENT
@@ -139,8 +140,10 @@ class TestScrubbing:
         )
         health = store.engine.controller.health_manager
         assert health is None or not health._pending_set
-        scrubber.scrub_segment(segment)
+        for _ in range(ESCALATE_AFTER - 1):
+            scrubber.scrub_segment(segment)
         assert scrubber.stats.escalations == 0
+        assert scrubber._dirty_streak[segment] == ESCALATE_AFTER - 1
         scrubber.scrub_segment(segment)
         # No health manager on an immortal device: escalation is a no-op
         # but the streak bookkeeping still resets.
@@ -151,8 +154,6 @@ class TestScrubbing:
         store = make_store(retention_mean=10**6)
         with pytest.raises(ValueError):
             Scrubber(store, segments_per_round=0)
-        with pytest.raises(ValueError):
-            Scrubber(store, escalate_after=0)
 
 
 class TestWorkerLifecycle:

@@ -179,28 +179,24 @@ class TestWearSummary:
         dev = NVMDevice(capacity_bytes=256, segment_size=32)
         dev.program(0, b"\x01" * 32)
         dev.program(0, b"\x02" * 32)
-        summary = dev.wear_summary(endurance=100)
-        assert summary["lifetime_estimate_basis"] == "segment_writes"
-        assert summary["segment_writes_max"] == 2
-        assert summary["lifetime_consumed"] == pytest.approx(0.02)
-        assert "stuck_cells" not in summary
+        assert int(dev.segment_write_count.max()) == 2
+        with pytest.raises(RuntimeError, match="track_bit_wear"):
+            dev.bit_wear
+        assert dev.stuck_cell_count() == 0
 
     def test_bit_wear_basis_when_tracked(self):
         dev = NVMDevice(
             capacity_bytes=256, segment_size=32, track_bit_wear=True
         )
         dev.program(0, b"\xff" * 32)
-        summary = dev.wear_summary(endurance=10)
-        assert summary["lifetime_estimate_basis"] == "bit_wear"
-        assert summary["bit_wear_max"] == 1
-        assert summary["lifetime_consumed"] == pytest.approx(0.1)
+        assert int(dev.bit_wear.max()) == 1
 
     def test_stuck_cells_reported_with_wearout(self):
         dev = worn_device(
             wearout=WearOutConfig(endurance_mean=1, endurance_sigma=0.0)
         )
         dev.program(0, b"\xff" * 32)
-        assert dev.wear_summary()["stuck_cells"] == 32 * 8
+        assert dev.stuck_cell_count() == 32 * 8
 
 
 class TestSnapshotRoundTrip:

@@ -118,10 +118,7 @@ class TestShardCrash:
         # Arm a simulated power loss inside the victim's catalog commit:
         # the worker dies via os._exit once three of its batch's slot rows
         # are on the media.
-        store.backend.call(
-            victim, "arm_crash", ("catalog.write",),
-            {"after": 2, "torn_fraction": 1.0},
-        )
+        store.backend.call(victim, "arm_crash", ("catalog.write", 2, 1.0))
 
         with pytest.raises(ShardCrashedError) as excinfo:
             store.put_many(batch)
@@ -166,7 +163,7 @@ class TestShardCrash:
     def test_crashed_shard_errors_until_reopened(self, store):
         store.put_many(_items(12))
         victim = store.shard_of(b"doom")
-        store.backend.call(victim, "arm_crash", ("catalog.write",), {"after": 0})
+        store.backend.call(victim, "arm_crash", ("catalog.write", 0))
         with pytest.raises(ShardCrashedError):
             store.put(b"doom", b"z" * 40)
         # Further calls to the dead shard fail fast with the same error.

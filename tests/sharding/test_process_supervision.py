@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.config import fast_test_config
 from repro.nvm.device import DriftConfig
+from repro.sharding import supervisor as supervisor_module
 from repro.sharding import (
     ShardedKVStore,
     ShardHungError,
@@ -114,7 +115,7 @@ class TestWatchdog:
         with _create(tmp_path) as store:
             os.kill(store.backend.worker_pid(0), signal.SIGSTOP)
             with pytest.raises(ShardHungError) as excinfo:
-                store.backend.call_many([(0, "len", (), None)], deadline=0.3)
+                store.backend.call_many([(0, "len", ())], deadline=0.3)
             assert excinfo.value.deadline_s == 0.3
             assert "(0.3s)" in str(excinfo.value)
             assert excinfo.value.shard_status == {0: "hung"}
@@ -147,16 +148,16 @@ class TestWatchdog:
 
 
 class TestCircuitBreakerOnWorkers:
-    def test_budget_exhaustion_trips_breaker_and_reset_heals(self, tmp_path):
+    def test_budget_exhaustion_trips_breaker_and_reset_heals(
+        self, tmp_path, monkeypatch
+    ):
         """``TestCircuitBreaker`` against real workers: failed restarts
         exhaust the budget and open the breaker, which then burns no
         attempts; ``reset`` closes it and a fresh worker re-attaches to
         the media with every acked write readable."""
+        monkeypatch.setattr(supervisor_module, "BACKOFF_BASE_S", 0.0)
         with _create(tmp_path) as store:
-            sup = ShardSupervisor(
-                store, restart_budget=2, backoff_base_s=0.0,
-                auto_start=False,
-            )
+            sup = ShardSupervisor(store, restart_budget=2, auto_start=False)
             items = _items(24)
             store.put_many(items)
             pid = store.backend.worker_pid(1)
@@ -193,7 +194,7 @@ class TestDegradedProcess:
             store.backend.kill_shard(1)
             report = store.put_many(_items(24, seed=29))
             assert not report.ok
-            dead = report.failed_indices
+            dead = [i for i, o in enumerate(report.outcomes) if o != "ok"]
             assert dead and all(
                 report.outcomes[i] in ("crashed", "hung") for i in dead
             )

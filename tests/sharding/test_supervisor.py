@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.core.config import fast_test_config
+from repro.sharding import supervisor as supervisor_module
 from repro.sharding import (
     BatchReport,
     ShardCircuitOpenError,
@@ -55,9 +56,14 @@ def _fail_reopens(store, shard_id, times):
     FaultyTransport.install(store, shard_id).fail_restarts(times)
 
 
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    """Every round may retry a failed reopen at once."""
+    monkeypatch.setattr(supervisor_module, "BACKOFF_BASE_S", 0.0)
+
+
 def _supervisor(store, **kwargs):
     kwargs.setdefault("restart_budget", 3)
-    kwargs.setdefault("backoff_base_s", 0.0)
     kwargs.setdefault("auto_start", False)
     return ShardSupervisor(store, **kwargs)
 
@@ -98,9 +104,12 @@ class TestSupervisorHealing:
             sup.run_once()  # healthy + stable_after elapsed: episode over
             assert sup.health[0].attempts == 0
 
-    def test_failed_reopen_backs_off_before_the_next_attempt(self):
+    def test_failed_reopen_backs_off_before_the_next_attempt(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(supervisor_module, "BACKOFF_BASE_S", 0.5)
         with _store() as store:
-            sup = _supervisor(store, backoff_base_s=0.5)
+            sup = _supervisor(store)
             store.backend.kill_shard(0)
             _fail_reopens(store, 0, 1)
             failed_at = time.monotonic()
@@ -192,7 +201,7 @@ class TestDegradedPartial:
             store.backend.kill_shard(1)
             report = store.put_many(_items(24, tag=b"w"))
             assert not report.ok
-            dead = report.failed_indices
+            dead = [i for i, o in enumerate(report.outcomes) if o != "ok"]
             assert dead  # shard 1 owned some keys
             for i in dead:
                 assert report.outcomes[i] == "crashed"
@@ -257,31 +266,22 @@ class TestDegradedPartial:
             assert store.backend.kills[0] == 1  # deadline killed it
 
 
-class TestDegradedBlock:
-    def test_block_waits_for_supervised_heal(self):
-        with _store("block", block_timeout_s=10.0) as store:
-            sup = _supervisor(store)
-            items = _items(24)
-            store.put_many(items)
-            store.backend.kill_shard(1)
-            # No background thread: put_many itself drives supervisor
-            # rounds while blocked, heals shard 1, then completes fully.
-            report = store.put_many(items)
-            assert report.ok
-            assert store.shard_alive(1)
-            final = store.get_many([k for k, _ in items])
-            assert final.ok
-            assert list(final) == [v for _, v in items]
-
-    def test_block_times_out_with_residual_failure(self):
-        with _store("block", block_timeout_s=0.2) as store:
-            sup = _supervisor(store, restart_budget=1)
-            store.backend.kill_shard(1)
-            _fail_reopens(store, 1, 50)
-            with pytest.raises(ShardUnavailableError) as excinfo:
-                store.put_many(_items(24))
-            assert 1 in excinfo.value.shard_ids
-            assert excinfo.value.partial_results is not None
+class TestDegradedPolicyValidation:
+    @pytest.mark.parametrize("mode", ["block", "retry"])
+    def test_unknown_mode_is_refused_naming_the_two(self, mode, tmp_path):
+        pick = r"'fail_fast', 'partial'"
+        with pytest.raises(ValueError, match=pick):
+            _store(mode)
+        with pytest.raises(ValueError, match=pick):
+            ShardedKVStore.create(
+                tmp_path, 1, n_segments_per_shard=64,
+                config=fast_test_config(), degraded=mode,
+            )
+        ShardedKVStore.create(
+            tmp_path, 1, n_segments_per_shard=64, config=fast_test_config()
+        ).close()
+        with pytest.raises(ValueError, match=pick):
+            ShardedKVStore.open(tmp_path, degraded=mode)
 
 
 class TestCallManyPartialAttach:
@@ -292,9 +292,7 @@ class TestCallManyPartialAttach:
             items = _items(24)
             store.put_many(items)
             store.backend.kill_shard(0)
-            requests = [
-                (s, "len", (), None) for s in range(N_SHARDS)
-            ]
+            requests = [(s, "len", ()) for s in range(N_SHARDS)]
             with pytest.raises(ShardCrashedError) as excinfo:
                 store.backend.call_many(requests)
             exc = excinfo.value
@@ -312,7 +310,7 @@ class TestCallManyPartialAttach:
             _hang(store, 2)
             with pytest.raises(ShardHungError):
                 store.backend.call_many(
-                    [(s, "len", (), None) for s in range(N_SHARDS)]
+                    [(s, "len", ()) for s in range(N_SHARDS)]
                 )
 
     def test_hang_reports_the_deadline_that_expired(self):
@@ -322,7 +320,7 @@ class TestCallManyPartialAttach:
         with _store() as store:
             _hang(store, 0)
             with pytest.raises(ShardHungError) as excinfo:
-                store.backend.call_many([(0, "len", (), None)], deadline=0.3)
+                store.backend.call_many([(0, "len", ())], deadline=0.3)
             assert excinfo.value.deadline_s == 0.3
             assert "(0.3s)" in str(excinfo.value)
 
@@ -333,7 +331,7 @@ class TestCallSignature:
         thread the deadline cannot fire, so the call just runs."""
         with _store() as store:
             assert store.backend.call(0, "len", deadline=1e-9) == 0
-            assert store.backend.call(0, "len", (), None, deadline=None) == 0
+            assert store.backend.call(0, "len", (), deadline=None) == 0
 
 
 class TestSupervisorTelemetry:

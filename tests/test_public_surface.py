@@ -1,31 +1,40 @@
-"""Surface ratchet: every defaulted option of the product has a caller.
+"""Surface ratchet: tests are not callers.
 
-An AST audit of ``src/repro`` minus ``testing/``.  It collects every
-defaulted parameter of a public method (``__init__`` included) of a
-module-level class, and every defaulted field of the four configuration
-dataclasses, and asks of each: does anything *outside the module that
-defines it* — in ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` —
-ever set it?  "Set" is one of
+An AST audit of ``src/repro`` minus ``testing/``, asking of two kinds of
+surface whether a program reaches them.  The evidence is ``src/`` (the
+``repro.testing`` harnesses included) and ``benchmarks/``; ``tests/`` and
+``examples/`` are not read.  A test exercises the surface; it does not
+justify it.
 
-- a call passing it by keyword (``dict(name=...)`` and
-  ``replace(spec, name=...)`` are such calls),
-- a call to the method (or, for ``__init__``, the class) by name with
-  enough positional arguments to reach it,
-- a dict literal key, ``d["name"] = ...`` or ``setdefault("name", ...)`` —
-  how keyword bundles are assembled before a ``**`` splat,
-- for a config field, an attribute assignment ``cfg.name = ...``.
+- **Options.**  Every defaulted parameter of a public method
+  (``__init__`` included) of a module-level class, and every defaulted
+  field of the four configuration dataclasses.  One counts as set when a
+  module *other than the one that defines it* sets it by one of
+
+  - a call passing it by keyword (``dict(name=...)`` and
+    ``replace(spec, name=...)`` are such calls),
+  - a call to the method (or, for ``__init__``, the class) by name with
+    enough positional arguments to reach it,
+  - a dict literal key, ``d["name"] = ...`` or ``setdefault("name", ...)``
+    — how keyword bundles are assembled before a ``**`` splat,
+  - for a config field, an attribute assignment ``cfg.name = ...``.
+
+- **Methods.**  Every public method (properties included) of a
+  module-level class in a gated package.  One counts as reached when its
+  name is read anywhere in the evidence: an attribute ``x.name``, a bare
+  ``name``, or the string ``"name"`` (``getattr`` and op-name dispatch).
 
 Evidence is matched by *name*, not by resolved callee: a common name
-(``seed``, ``timeout``) counts as set if anyone sets a parameter so named.
-That makes the ratchet lenient, never wrong in the failing direction: what
-it reports has no caller under any reading.
+(``seed``, ``get``) counts for everything so named.  That makes the ratchet
+lenient, never wrong in the failing direction: what it reports has no
+caller under any reading.
 
 Gated are the packages a user of the store configures — ``core/``,
 ``nvm/``, ``pmem/``, ``sharding/``, ``tools/`` — and the config fields.
 ``ml/``, ``index/``, ``baselines/``, ``workloads/`` and ``profiling/`` are
-the paper's experiments; they are counted and printed, not gated.  An
-option nobody sets either becomes a constant or earns an ``ALLOWED`` entry
-naming the caller or paper section that justifies it.
+the paper's experiments; their options are counted and printed, not
+gated.  An option or method nothing reaches becomes a constant, goes, or
+earns an ``ALLOWED`` entry saying why it stays.
 
 ``python tests/test_public_surface.py`` prints the totals CI logs.
 """
@@ -40,19 +49,55 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PRODUCT = ROOT / "src" / "repro"
-CORPUS_DIRS = ("src", "tests", "benchmarks", "examples")
+CORPUS_DIRS = ("src", "benchmarks")
 GATED_PACKAGES = ("core", "nvm", "pmem", "sharding", "tools")
 CONFIG_CLASSES = ("E2NVMConfig", "ShardSpec", "WearOutConfig", "DriftConfig")
 
-#: ``"Class.method.parameter"`` (``"Class.field"`` for a config field) →
-#: who needs it although no other module sets it.  An entry that stops
-#: being needed (the option went away, or found a caller) fails the test.
+_FROZEN_BENCHMARK = (
+    "the padding/LSTM group whose siblings the frozen benchmarks/e2e/"
+    "workloads.py sets; goes with them in a change to that benchmark"
+)
+_REFERENCE_TWIN = (
+    "mirrored by the per-bit reference model (tests/nvm/"
+    "reference_device.py) that pins the device; goes with a change to it"
+)
+
+#: ``"Class.method.parameter"`` (``"Class.field"`` for a config field,
+#: ``"Class.method"`` for a method) → why it stays although nothing in the
+#: evidence reaches it.  An entry that stops being needed (the surface
+#: went away, or found a caller) fails the test.
 ALLOWED = {
     "KVStore.__init__.catalog": (
         "the durable half of the constructor, passed with `pool` by "
-        "KVStore.create / KVStore.open; test_kvstore_durable.py checks "
-        "that `pool` without it is refused"
+        "KVStore.create / KVStore.open in-module"
     ),
+    "ShardedKVStore.save.deadline": (
+        "close() passes the close grace in-module"
+    ),
+    "ShardedKVStore.create.scrub_interval_s": (
+        "persisted in every version-3 manifest; goes with the next "
+        "manifest version"
+    ),
+    "ShardedKVStore.recovery_reports": "the operator-facing recovery view",
+    "ShardSupervisor.reset": (
+        "the operator override ShardCircuitOpenError's message names"
+    ),
+    "E2NVM.attach_student": (
+        "the student tier (ROADMAP item 2): decided with it, not here"
+    ),
+    "DeviceStats.bits_programmed_per_write": (
+        "the paper's bits-per-write metric, printed by the examples"
+    ),
+    "DeviceStats.energy_per_write_pj": (
+        "the paper's energy-per-write metric, printed by the examples"
+    ),
+    "E2NVMConfig.padding_strategy": _FROZEN_BENCHMARK,
+    "E2NVMConfig.padding_position": _FROZEN_BENCHMARK,
+    "E2NVMConfig.ones_fraction_sample_segments": _FROZEN_BENCHMARK,
+    "E2NVMConfig.lstm_window_bits": _FROZEN_BENCHMARK,
+    "E2NVMConfig.lstm_chunk_bits": _FROZEN_BENCHMARK,
+    "DriftConfig.wear_scale": _REFERENCE_TWIN,
+    "NVMDevice.__init__.energy_model": _REFERENCE_TWIN,
 }
 
 
@@ -60,8 +105,8 @@ ALLOWED = {
 class Option:
     module: Path  # defining file
     package: str  # first path component under src/repro
-    owner: str  # "Class.method", or "Class" for a config field
-    name: str
+    owner: str  # "Class.method", or "Class" for a config field or a method
+    name: str  # the parameter, field or method
     index: int | None  # positional index after self/cls; None = keyword-only
 
     @property
@@ -70,8 +115,9 @@ class Option:
 
     @property
     def gated(self) -> bool:
-        is_config_field = "." not in self.owner
-        return is_config_field or self.package in GATED_PACKAGES
+        # A config field is gated wherever it lives; methods are collected
+        # from gated packages only.
+        return "." not in self.owner or self.package in GATED_PACKAGES
 
 
 def _product_files() -> list[Path]:
@@ -112,11 +158,13 @@ def _method_options(path, package, cls, fn) -> list[Option]:
     return out
 
 
-def collect_options() -> tuple[list[Option], list[Option], dict[str, int]]:
-    """``(parameters, defaulted config fields, fields per config class)``
-    over the whole product."""
+def collect_surface() -> dict:
+    """Over the whole product: ``params`` (defaulted parameters),
+    ``fields`` (defaulted config fields), ``field_totals`` (fields per
+    config class) and ``methods`` (public methods of gated packages)."""
     params: list[Option] = []
     fields: list[Option] = []
+    methods: list[Option] = []
     field_totals: dict[str, int] = {}
     for path in _product_files():
         package = path.relative_to(PRODUCT).parts[0]
@@ -124,10 +172,15 @@ def collect_options() -> tuple[list[Option], list[Option], dict[str, int]]:
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
-                if isinstance(node, ast.FunctionDef) and (
-                    node.name == "__init__" or not node.name.startswith("_")
-                ):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                public = not node.name.startswith("_")
+                if public or node.name == "__init__":
                     params += _method_options(path, package, cls, node)
+                if public and package in GATED_PACKAGES:
+                    methods.append(
+                        Option(path, package, cls.name, node.name, None)
+                    )
             if cls.name in CONFIG_CLASSES and _is_dataclass(cls):
                 declared = [
                     n for n in cls.body if isinstance(n, ast.AnnAssign)
@@ -138,11 +191,17 @@ def collect_options() -> tuple[list[Option], list[Option], dict[str, int]]:
                     for i, n in enumerate(declared)
                     if n.value is not None
                 ]
-    return params, fields, field_totals
+    return {
+        "params": params,
+        "fields": fields,
+        "field_totals": field_totals,
+        "methods": methods,
+    }
 
 
 class Evidence:
-    """Everything the corpus sets, by name, with the files that set it."""
+    """Everything the corpus sets or reads, by name, with the files that
+    do it."""
 
     def __init__(self) -> None:
         self.keywords: dict[str, set[Path]] = defaultdict(set)
@@ -150,11 +209,11 @@ class Evidence:
         self.attributes: dict[str, set[Path]] = defaultdict(set)
         #: callee name → file → most positional arguments in one call.
         self.arity: dict[str, dict[Path, int]] = defaultdict(dict)
-        this_file = Path(__file__).resolve()
+        #: Names read as an attribute, a bare name or a string constant.
+        self.reads: set[str] = set()
         for top in CORPUS_DIRS:
             for path in sorted((ROOT / top).rglob("*.py")):
-                if path.resolve() != this_file:  # ALLOWED names options
-                    self._scan(path)
+                self._scan(path)
 
     def _scan(self, path: Path) -> None:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -167,10 +226,19 @@ class Evidence:
                 node.ctx, ast.Store
             ):
                 self._note_key(path, node.slice)
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Store
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    self.attributes[node.attr].add(path)
+                else:
+                    self.reads.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(
+                node.ctx, ast.Load
             ):
-                self.attributes[node.attr].add(path)
+                self.reads.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(
+                node.value, str
+            ):
+                self.reads.add(node.value)
 
     def _note_key(self, path: Path, key) -> None:
         if isinstance(key, ast.Constant) and isinstance(key.value, str):
@@ -217,18 +285,23 @@ class Evidence:
 
 @functools.cache
 def audit() -> dict:
-    params, fields, field_totals = collect_options()
+    report = collect_surface()
     evidence = Evidence()
-    never = [o for o in params + fields if not evidence.sets(o)]
+    never = [
+        o for o in report["params"] + report["fields"] if not evidence.sets(o)
+    ]
     gated = [o for o in never if o.gated]
-    return {
-        "params": params,
-        "fields": fields,
-        "field_totals": field_totals,
-        "never_set": never,
-        "unjustified": [o for o in gated if o.key not in ALLOWED],
-        "stale_allowed": sorted(set(ALLOWED) - {o.key for o in gated}),
-    }
+    unreached = [m for m in report["methods"] if m.name not in evidence.reads]
+    report.update(
+        never_set=never,
+        unreached=unreached,
+        bad_options=[o for o in gated if o.key not in ALLOWED],
+        bad_methods=[m for m in unreached if m.key not in ALLOWED],
+        stale_allowed=sorted(
+            set(ALLOWED) - {o.key for o in gated + unreached}
+        ),
+    )
+    return report
 
 
 def _where(option: Option) -> str:
@@ -237,15 +310,24 @@ def _where(option: Option) -> str:
 
 class TestSurfaceRatchet:
     def test_every_defaulted_option_has_a_caller(self):
-        unjustified = audit()["unjustified"]
+        unjustified = audit()["bad_options"]
         assert not unjustified, (
-            "defaulted options nothing outside their module sets — make "
-            "each a constant, or add an ALLOWED entry naming who needs "
-            "it:\n  " + "\n  ".join(_where(o) for o in unjustified)
+            "defaulted options only tests (or their own module) set — make "
+            "each a constant, delete it, or add an ALLOWED entry saying "
+            "why it stays:\n  " + "\n  ".join(_where(o) for o in unjustified)
+        )
+
+    def test_every_public_method_has_a_caller(self):
+        unjustified = audit()["bad_methods"]
+        assert not unjustified, (
+            "public methods only tests reach — delete each (tests read the "
+            "state directly), or add an ALLOWED entry saying why it "
+            "stays:\n  " + "\n  ".join(_where(m) for m in unjustified)
         )
 
     def test_allow_list_has_no_dead_entries(self):
         assert audit()["stale_allowed"] == []
+        assert all(reason.strip() for reason in ALLOWED.values())
 
 
 class TestManifestEntryIsTheSpec:
@@ -328,6 +410,12 @@ def _line_count(paths) -> int:
     return sum(len(p.read_text().splitlines()) for p in paths)
 
 
+def _tag(option: Option) -> str:
+    if not option.gated:
+        return "ungated"
+    return "allowed" if option.key in ALLOWED else "FAIL"
+
+
 def main() -> None:
     report = audit()
     testing = sorted((PRODUCT / "testing").rglob("*.py"))
@@ -338,19 +426,15 @@ def main() -> None:
         defaulted = sum(o.owner == name for o in report["fields"])
         print(f"  {name} fields: {total} ({defaulted} with a default)")
     never = report["never_set"]
-    gated = [o for o in never if o.gated]
     print(f"never set outside their module: {len(never)}")
-    print(f"  gated packages + config fields: {len(gated)}")
-    print(f"  allow-listed: {len(gated) - len(report['unjustified'])}")
-    print(f"  unjustified : {len(report['unjustified'])}")
-    for option in never:
-        if not option.gated:
-            tag = "ungated"
-        elif option.key in ALLOWED:
-            tag = "allowed"
-        else:
-            tag = "FAIL"
-        print(f"  [{tag}] {_where(option)}")
+    print(f"  gated packages + config fields: {sum(o.gated for o in never)}")
+    print(f"  unjustified : {len(report['bad_options'])}")
+    print(f"public methods (gated packages): {len(report['methods'])}")
+    print(f"  reached by nothing: {len(report['unreached'])}")
+    print(f"  unjustified : {len(report['bad_methods'])}")
+    print(f"ALLOWED entries: {len(ALLOWED)}")
+    for option in never + report["unreached"]:
+        print(f"  [{_tag(option)}] {_where(option)}")
 
 
 if __name__ == "__main__":
