@@ -292,10 +292,12 @@ class E2NVM:
         cache/student-miss remainder) and one (short) swap-lock acquisition.
 
         Cluster assignments are identical to per-value :meth:`place` calls
-        (``predict_batch`` does not depend on how values are batched, and
-        the memo cache replays exactly the installed model's earlier answer
-        for identical content); the DAP pop is all-or-nothing, so a
-        pool-exhaustion failure leaves the pool untouched.
+        barring exact ties between two centroids (``predict_batch``'s
+        labels do not depend on how values are batched, though its latent
+        may move in the last bits, and the memo cache replays exactly the
+        installed model's earlier answer for identical content); the DAP
+        pop is all-or-nothing, so a pool-exhaustion failure leaves the
+        pool untouched.
 
         See :meth:`place` for the epoch re-validation and bounded-retry
         contract.

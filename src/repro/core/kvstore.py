@@ -572,10 +572,11 @@ class KVStore:
             self.engine.faults.fire(site)
 
     def get_many(self, keys: list[bytes]) -> list[bytes | None]:
-        """:meth:`get` of each key, in order, as one batch: one index walk
-        per key, one device gather for every hit, then each row checked
-        against its CRC.  A duplicate key is read once per occurrence, an
-        absent one not at all.  A row that raced a relocation or update is
+        """:meth:`get` of each key, in order, as one batch: one index
+        lookup per key (a dict hit, see :mod:`repro.index.rbtree`), one
+        device gather for every hit, then each row checked against its
+        CRC.  A duplicate key is read once per occurrence, an absent one
+        not at all.  A row that raced a relocation or update is
         re-read through :meth:`get`'s retry loop; a CRC mismatch goes
         through the same repair ladder and raises the same
         :class:`CorruptValueError`.

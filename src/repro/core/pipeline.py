@@ -127,9 +127,15 @@ class EncoderPipeline:
     ) -> np.ndarray:
         """Cluster ids for many values via one padded batch forward pass.
 
-        The result does not depend on how values are cut into batches
-        (see ``Padder.pad_batch``); the encoder runs one stacked matmul and
-        the batch counts as ``B`` predictions in the latency statistics.
+        The cluster labels do not depend on how values are cut into
+        batches, barring exact ties between two centroids: padding is
+        per-row (see ``Padder.pad_batch``), but the latent is not
+        bit-identical, since BLAS takes a mat-vec for one row and a
+        mat-mat for many (on the e2e ship model it moves by up to 7e-15
+        between ``B = 1`` and ``B = 512``, against a gap of at least 5e-4
+        in squared distance between the nearest and the second-nearest
+        centroid).  The encoder runs one stacked matmul and the batch
+        counts as ``B`` predictions in the latency statistics.
         """
         if not values:
             return np.empty(0, dtype=np.int64)

@@ -3,6 +3,14 @@
 Algorithm 1 ends with "RB-Tree.put(D, A)": the tree maps keys to NVM
 locations.  It lives in DRAM, so it costs no NVM bit flips; a classic CLRS
 implementation with insert, delete, point lookup, and ordered range scans.
+
+A ``key -> node`` dict sits beside the tree: a point lookup, an
+overwrite, a delete's search and ``len`` are dict operations, and only a
+new key walks the tree to find its place.  The tree keeps what the dict
+cannot, the key order of :meth:`RedBlackTree.range` and
+:meth:`RedBlackTree.items`.  Deletion transplants nodes instead of
+copying keys between them, so a dict entry stays valid for as long as
+its key is in the tree.
 """
 
 from __future__ import annotations
@@ -24,31 +32,33 @@ class _Node:
 
 
 class RedBlackTree:
-    """Ordered map over ``bytes`` keys (any totally ordered keys work)."""
+    """Ordered map over ``bytes`` keys (any hashable, totally ordered
+    keys work)."""
 
     def __init__(self) -> None:
         self._nil = _Node(None, None, BLACK, None)
         self._nil.left = self._nil.right = self._nil.parent = self._nil
         self._root = self._nil
-        self._size = 0
+        self._nodes: dict = {}
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._nodes)
 
     def get(self, key):
         """Value for ``key`` or ``None``."""
-        node = self._find(key)
-        return node.value if node is not self._nil else None
+        node = self._nodes.get(key)
+        return node.value if node is not None else None
 
     def put(self, key, value) -> None:
         """Insert ``key`` or overwrite its value."""
+        node = self._nodes.get(key)
+        if node is not None:
+            node.value = value
+            return
         parent = self._nil
         cursor = self._root
         while cursor is not self._nil:
             parent = cursor
-            if key == cursor.key:
-                cursor.value = value
-                return
             cursor = cursor.left if key < cursor.key else cursor.right
         node = _Node(key, value, RED, self._nil)
         node.parent = parent
@@ -58,16 +68,15 @@ class RedBlackTree:
             parent.left = node
         else:
             parent.right = node
-        self._size += 1
+        self._nodes[key] = node
         self._insert_fixup(node)
 
     def delete(self, key) -> bool:
         """Remove ``key``; returns whether it was present."""
-        node = self._find(key)
-        if node is self._nil:
+        node = self._nodes.pop(key, None)
+        if node is None:
             return False
         self._delete_node(node)
-        self._size -= 1
         return True
 
     def range(self, start_key, end_key):
@@ -107,31 +116,7 @@ class RedBlackTree:
         for key, _ in self.items():
             yield key
 
-    def minimum(self):
-        """Smallest (key, value) pair, or ``None`` when empty."""
-        if self._root is self._nil:
-            return None
-        node = self._minimum(self._root)
-        return node.key, node.value
-
-    def maximum(self):
-        """Largest (key, value) pair, or ``None`` when empty."""
-        if self._root is self._nil:
-            return None
-        node = self._root
-        while node.right is not self._nil:
-            node = node.right
-        return node.key, node.value
-
     # ------------------------------------------------------------- internals
-
-    def _find(self, key) -> _Node:
-        cursor = self._root
-        while cursor is not self._nil:
-            if key == cursor.key:
-                return cursor
-            cursor = cursor.left if key < cursor.key else cursor.right
-        return self._nil
 
     def _minimum(self, node: _Node) -> _Node:
         while node.left is not self._nil:

@@ -24,6 +24,16 @@ enumerates exactly the moved arcs — the half-open hash intervals
 ``(lo, hi]`` whose owner differs between the rings.  A key changes owner
 iff its hash falls in a moved arc (:meth:`RingDiff.covers`), which is the
 property the rebalancer (and its Hypothesis test) is built on.
+
+**Owner memo.** Hashing a key costs a blake2b copy, update and digest
+plus a ``bisect``; every routed key pays it, and a working set asks for
+the same keys again and again.  Each ring keeps a ``key -> owner`` dict
+that :meth:`HashRing.shard_of` and :meth:`HashRing.partition` consult
+first, bounded by :data:`_MEMO_KEYS` and cleared wholesale when full.
+Rings are immutable (``with_weights`` builds a new one), so a memo is
+never invalidated: the two rings of a rebalance each keep their own.
+Threads may share a ring unlocked: every entry is its key's one owner,
+so a race can only over- or under-fill the memo, never misroute.
 """
 
 from __future__ import annotations
@@ -37,6 +47,9 @@ from dataclasses import dataclass
 _POINT = struct.Struct("<Q")
 
 _SPACE = 2**64
+
+#: Keys one ring's owner memo holds before it is cleared wholesale.
+_MEMO_KEYS = 4096
 
 
 def _hash64(data: bytes, seed: int) -> int:
@@ -189,6 +202,7 @@ class HashRing:
         # shard) pair resolves them deterministically to the lowest shard.
         self._hashes = [h for h, _ in points]
         self._owners = [s for _, s in points]
+        self._memo: dict[bytes, int] = {}
 
     def vnodes_of(self, shard: int) -> int:
         """Ring points owned by ``shard`` under its weight."""
@@ -210,16 +224,36 @@ class HashRing:
             i = 0
         return self._owners[i]
 
+    def _learn(self, key: bytes) -> int:
+        """Owner of ``key`` from its hash, remembered in the memo."""
+        owner = self._owner_at(self.hash_key(key))
+        if len(self._memo) >= _MEMO_KEYS:
+            self._memo.clear()
+        self._memo[key] = owner
+        return owner
+
     def shard_of(self, key: bytes) -> int:
         """Owning shard of ``key``."""
-        return self._owner_at(self.hash_key(key))
+        owner = self._memo.get(key)
+        # A memoryview equal to a memoised key would hit: the type check
+        # sends it to ``hash_key``, which refuses it.
+        if owner is None or type(key) is not bytes:
+            owner = self._learn(key)
+        return owner
 
     def partition(self, keys) -> dict[int, list[int]]:
         """Group key *indices* by owning shard, preserving input order
-        within each group — the facade's batch-routing primitive."""
+        within each group — the facade's batch-routing primitive.
+
+        The memo lookup of :meth:`shard_of` is inlined: a batch is one
+        call, not one per key."""
         groups: dict[int, list[int]] = {}
+        memo = self._memo
         for i, key in enumerate(keys):
-            groups.setdefault(self.shard_of(key), []).append(i)
+            owner = memo.get(key)
+            if owner is None or type(key) is not bytes:
+                owner = self._learn(key)
+            groups.setdefault(owner, []).append(i)
         return groups
 
     def with_weights(self, weights) -> "HashRing":

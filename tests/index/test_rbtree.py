@@ -1,4 +1,5 @@
-"""Red-black tree tests: CRUD, ordering, and stateful model checking."""
+"""Red-black tree tests: CRUD, ordering, stateful model checking, and the
+hash index beside the tree."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,14 +30,27 @@ def rb_invariants(tree: RedBlackTree) -> None:
     walk(tree._root)
 
 
+def index_matches_tree(tree: RedBlackTree) -> None:
+    """Assert the ``key -> node`` dict holds exactly the tree's nodes, each
+    under its own key."""
+    nodes = []
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        if node is not tree._nil:
+            nodes.append(node)
+            stack += [node.left, node.right]
+    assert len(tree._nodes) == len(nodes)
+    for node in nodes:
+        assert tree._nodes[node.key] is node
+
+
 class TestBasics:
     def test_empty(self):
         tree = RedBlackTree()
         assert len(tree) == 0
         assert tree.get(b"x") is None
         assert tree.delete(b"x") is False
-        assert tree.minimum() is None
-        assert tree.maximum() is None
 
     def test_put_get(self):
         tree = RedBlackTree()
@@ -59,13 +73,6 @@ class TestBasics:
         for key in [b"d", b"a", b"c", b"b", b"e"]:
             tree.put(key, key)
         assert [k for k, _ in tree.items()] == [b"a", b"b", b"c", b"d", b"e"]
-
-    def test_min_max(self):
-        tree = RedBlackTree()
-        for i in [5, 2, 8, 1, 9]:
-            tree.put(i, i * 10)
-        assert tree.minimum() == (1, 10)
-        assert tree.maximum() == (9, 90)
 
     def test_range_inclusive(self):
         tree = RedBlackTree()
@@ -139,3 +146,63 @@ class TestInvariants:
         assert len(tree) == len(model)
         assert [k for k, _ in tree.items()] == sorted(model)
         rb_invariants(tree)
+
+
+KEY_SPACE = range(-1, 32)  # every key the ops may touch, plus two never put
+
+
+class TestHashIndex:
+    """The dict beside the tree answers ``get``, overwrites, deletes and
+    ``len``; it must never diverge from the tree it shadows."""
+
+    @staticmethod
+    def check(tree: RedBlackTree, model: dict) -> None:
+        for key in KEY_SPACE:
+            assert tree.get(key) == model.get(key)
+        assert len(tree) == len(model)
+        assert list(tree.items()) == sorted(model.items())
+        assert list(tree.range(7, 23)) == sorted(
+            (k, v) for k, v in model.items() if 7 <= k <= 23
+        )
+        rb_invariants(tree)
+        index_matches_tree(tree)
+
+    @given(
+        st.lists(st.integers(0, 30), max_size=40),
+        st.lists(
+            st.tuples(st.integers(0, 30), st.booleans(), st.integers()),
+            min_size=1,
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_index_never_diverges_from_tree(self, preload, ops):
+        # The preload grows a tree whose deletes hit inner nodes, two-child
+        # ones included (the successor-transplant case).
+        tree = RedBlackTree()
+        model = {}
+        for key in preload:
+            tree.put(key, -key)
+            model[key] = -key
+        self.check(tree, model)
+        for key, is_put, value in ops:
+            if is_put:
+                tree.put(key, value)  # an overwrite when key is present
+                model[key] = value
+            else:
+                assert tree.delete(key) == (key in model)
+                model.pop(key, None)
+            self.check(tree, model)
+
+    def test_two_child_delete_keeps_every_node_indexed(self):
+        tree = RedBlackTree()
+        model = {key: key * 3 for key in range(31)}
+        for key, value in model.items():
+            tree.put(key, value)
+        while tree._root is not tree._nil:
+            node = tree._root
+            if len(model) >= 3:  # a red-black root over 3+ keys has two children
+                assert node.left is not tree._nil and node.right is not tree._nil
+            assert tree.delete(node.key)
+            del model[node.key]
+            self.check(tree, model)

@@ -7,12 +7,15 @@ owner, forever, from nothing but ``(n_shards, seed, vnodes)``.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sharding import HashRing
+from repro.sharding import ring as ring_module
 
 keys = st.binary(min_size=0, max_size=64)
 
@@ -261,3 +264,88 @@ class TestDiff:
         assert arc.covers_hash(2**64 - 5)
         assert arc.covers_hash(5)
         assert not arc.covers_hash(2**63)
+
+
+def owners_from_hash(ring: HashRing, key_list) -> list[int]:
+    """Each key's owner straight from its ring position, past the memo."""
+    return [ring._owner_at(ring.hash_key(k)) for k in key_list]
+
+
+def groups_of(owners: list[int]) -> dict[int, list[int]]:
+    groups: dict[int, list[int]] = {}
+    for i, owner in enumerate(owners):
+        groups.setdefault(owner, []).append(i)
+    return groups
+
+
+class TestOwnerMemo:
+    """``shard_of`` and ``partition`` answer from a per-ring memo; it must
+    route exactly as the ring's points do, cold, warm and across the
+    wholesale clear at its bound."""
+
+    @given(
+        key_list=st.lists(keys, max_size=48),
+        n_shards=st.integers(1, 8),
+        seed=st.integers(0, 2**32),
+        bound=st.sampled_from([1, 2, 5, ring_module._MEMO_KEYS]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_memoised_routing_equals_the_ring(
+        self, key_list, n_shards, seed, bound, data
+    ):
+        weights = data.draw(
+            st.none()
+            | st.lists(
+                st.floats(0.25, 4.0), min_size=n_shards, max_size=n_shards
+            )
+        )
+        with mock.patch.object(ring_module, "_MEMO_KEYS", bound):
+            ring = HashRing(n_shards, seed=seed, vnodes=8, weights=weights)
+            expected = owners_from_hash(ring, key_list)
+            cold = HashRing(n_shards, seed=seed, vnodes=8, weights=weights)
+            assert cold.partition(key_list) == groups_of(expected)
+            for _ in range(2):  # cold, then warm
+                assert [ring.shard_of(k) for k in key_list] == expected
+                assert len(ring._memo) <= bound
+                assert ring.partition(key_list) == groups_of(expected)
+                assert len(ring._memo) <= bound
+
+    def test_memo_clears_wholesale_at_its_bound(self):
+        with mock.patch.object(ring_module, "_MEMO_KEYS", 3):
+            ring = HashRing(4, seed=7, vnodes=8)
+            key_list = [b"m-%d" % i for i in range(7)]
+            for n, key in enumerate(key_list, start=1):
+                ring.shard_of(key)
+                assert len(ring._memo) == (n - 1) % 3 + 1
+            assert list(ring._memo) == key_list[6:]
+            assert ring.partition(key_list) == groups_of(
+                owners_from_hash(ring, key_list)
+            )
+
+    def test_with_weights_ring_keeps_its_own_memo(self):
+        old = HashRing(3, seed=11, vnodes=16)
+        key_list = [b"w-%d" % i for i in range(400)]
+        old_owners = [old.shard_of(k) for k in key_list]
+        new = old.with_weights((4.0, 1.0, 0.25))
+        assert new._memo == {}
+        new_owners = [new.shard_of(k) for k in key_list]
+        assert new_owners == owners_from_hash(new, key_list)
+        assert [old.shard_of(k) for k in key_list] == old_owners
+        diff = HashRing.diff(old, new)
+        moved = [a != b for a, b in zip(old_owners, new_owners)]
+        assert any(moved)
+        assert moved == [diff.covers(k) for k in key_list]
+
+    @pytest.mark.parametrize(
+        "bad", ["a", bytearray(b"a"), memoryview(b"a"), 97, None]
+    )
+    def test_non_bytes_keys_raise_on_a_warm_ring(self, bad):
+        ring = HashRing(2, seed=1)
+        ring.shard_of(b"a")
+        ring.partition([b"a"])
+        with pytest.raises(TypeError):
+            ring.shard_of(bad)
+        with pytest.raises(TypeError):
+            ring.partition([b"a", bad])
+        assert list(ring._memo) == [b"a"]
