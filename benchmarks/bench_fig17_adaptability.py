@@ -19,6 +19,8 @@ reported.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from common import bench_config, print_table, run_once, values_from_bits
@@ -151,7 +153,7 @@ def run_fig17_lazy_retrain(seed: int = 0):
 
 
 def report_lazy(failed_puts, engine) -> None:
-    rows = [[k, float(v)] for k, v in engine.retrain_stats.as_dict().items()]
+    rows = [[k, float(v)] for k, v in asdict(engine.retrain_stats).items()]
     rows.append(["failed_puts", float(failed_puts)])
     rows.append(["failed_writes", float(engine.failed_writes)])
     print_table(

@@ -334,6 +334,7 @@ def _run_cached_section(quick: bool) -> dict:
             "p99": round(float(np.percentile(latencies, 99)), 1),
         },
         "telemetry": engine.placement_telemetry(),
+        "student_train_agreement": engine.fast.student.train_agreement,
     }
 
 
@@ -517,7 +518,7 @@ def _check_cached(result: dict) -> int:
         print(
             "REGRESSION: the student placer served zero requests on the "
             "skewed trace — tier 2 is dormant (agreement "
-            f"{cached['telemetry']['student_train_agreement']:.2f} vs "
+            f"{cached['student_train_agreement']:.2f} vs "
             "confidence gate)"
         )
         failures += 1

@@ -22,6 +22,8 @@ later, while placement degrades to the pool's first-fit fallback.
 Run:  python examples/retraining_lifecycle.py
 """
 
+from dataclasses import asdict
+
 from repro import E2NVMConfig, MemoryController, NVMDevice
 from repro.core import E2NVM
 from repro.ml.serialization import load_joint, save_joint
@@ -102,7 +104,7 @@ def main() -> None:
     survived = flips_over(engine, era2_values[200:240])
     print(f"injected retrain failure absorbed: pool byte-identical, "
           f"old model still serving at {survived:.0f} bits/write")
-    stats = engine.retrain_stats.as_dict()
+    stats = asdict(engine.retrain_stats)
     print("retrain stats: " + ", ".join(
         f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
         for k, v in stats.items()))

@@ -13,7 +13,6 @@ from collections import deque
 import numpy as np
 
 from repro.baselines.base import Placer, WritePlan, WriteScheme
-from repro.util.bits import bits_to_bytes
 
 
 class NaiveWrite(WriteScheme):
@@ -82,6 +81,3 @@ class BestFitPlacer(Placer):
     def free_count(self) -> int:
         return len(self._free)
 
-    def content_of(self, addr: int) -> bytes:
-        """Current content bytes tracked for a free segment (testing aid)."""
-        return bits_to_bytes(self._free[addr])

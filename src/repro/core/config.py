@@ -63,13 +63,6 @@ class E2NVMConfig:
             low-agreement distillation, not a wiring failure.  Lowering
             ``student_confidence`` trades teacher forward passes for
             placements the teacher may disagree with.
-        student_agreement_warn: distillation-fidelity floor.  A (re)train
-            whose student's teacher agreement lands below this emits a
-            ``UserWarning``, bumps ``retrain_stats
-            .student_low_agreement_warnings`` and flags
-            ``placement_telemetry()["student_low_agreement"]`` — making a
-            student that will sit dormant behind ``student_confidence``
-            visible instead of failing silent.
         seed: seed for every stochastic component.
     """
 
@@ -96,7 +89,6 @@ class E2NVMConfig:
     fastpath_cache_size: int = 4096
     student_enabled: bool = False
     student_confidence: float = 0.9
-    student_agreement_warn: float = 0.8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -112,8 +104,6 @@ class E2NVMConfig:
             raise ValueError("fastpath_cache_size must be >= 0")
         if not 0.0 <= self.student_confidence <= 1.0:
             raise ValueError("student_confidence must be in [0, 1]")
-        if not 0.0 <= self.student_agreement_warn <= 1.0:
-            raise ValueError("student_agreement_warn must be in [0, 1]")
         self.hidden = tuple(self.hidden)
         if not self.hidden:
             raise ValueError("hidden must name at least one layer width")

@@ -53,6 +53,11 @@ from repro.util.rng import rng_from_seed
 #: before the engine predicts *under* the swap lock — bounding writer
 #: latency against a hostile retrain cadence instead of starving.
 PLACE_EPOCH_RETRIES = 8
+#: Distillation-fidelity floor.  A (re)train whose student agrees with the
+#: teacher on less of its training sample than this warns and counts on
+#: ``retrain_stats.student_low_agreement_warnings``: such a student rarely
+#: clears ``config.student_confidence`` and sits dormant.
+STUDENT_AGREEMENT_WARN = 0.8
 
 
 class E2NVM:
@@ -741,17 +746,10 @@ class E2NVM:
         with self._retrain_admin_lock:
             if was_retrain:
                 self.retrain_stats.succeeded += 1
-                self.retrain_stats.last_duration_s = duration
                 self.retrain_stats.total_duration_s += duration
             if student is not None:
                 self.retrain_stats.student_refreshes += 1
-                self.retrain_stats.last_student_agreement = (
-                    student.train_agreement
-                )
-                if (
-                    student.train_agreement
-                    < self.config.student_agreement_warn
-                ):
+                if student.train_agreement < STUDENT_AGREEMENT_WARN:
                     self.retrain_stats.student_low_agreement_warnings += 1
                     low_agreement = True
             self._retrain_pending = False
@@ -759,8 +757,7 @@ class E2NVM:
             warnings.warn(
                 f"distilled student agrees with the teacher on only "
                 f"{student.train_agreement:.0%} of the training sample "
-                f"(< student_agreement_warn="
-                f"{self.config.student_agreement_warn:.0%}); at "
+                f"(< STUDENT_AGREEMENT_WARN={STUDENT_AGREEMENT_WARN:.0%}); at "
                 f"student_confidence={self.config.student_confidence} it "
                 "will defer most placements to the teacher "
                 "(student_served stays ~0)",
@@ -805,21 +802,12 @@ class E2NVM:
             self.fast.install(self._model_epoch, student)
 
     def placement_telemetry(self) -> dict:
-        """Fast placement layer telemetry (cache hits/misses/evictions,
-        student served/deferred, teacher fallbacks), plus the
-        low-agreement flag: a trained student whose distillation fidelity
-        sits below ``config.student_agreement_warn`` will rarely clear the
-        ``student_confidence`` serving threshold — ``student_served: 0``
-        alongside ``student_low_agreement: True`` means the student is
-        dormant by design, not silently broken."""
-        out = self.fast.stats()
-        out["student_agreement_warn"] = self.config.student_agreement_warn
-        out["student_low_agreement"] = bool(
-            out["student_trained"]
-            and out["student_train_agreement"]
-            < self.config.student_agreement_warn
-        )
-        return out
+        """Fast placement layer counters (cache hits/misses/evictions,
+        student served/deferred, teacher fallbacks).  A student whose
+        distillation fidelity sits below ``STUDENT_AGREEMENT_WARN`` is
+        counted where it is distilled, on
+        ``retrain_stats.student_low_agreement_warnings``."""
+        return self.fast.stats()
 
     def _swap_in(
         self,

@@ -250,7 +250,8 @@ class FastPlacementLayer:
     # ------------------------------------------------------------- telemetry
 
     def stats(self) -> dict:
-        """Flat telemetry snapshot (benchmark/monitoring reporting)."""
+        """Counter snapshot (benchmark/monitoring reporting): every value
+        sums across shards."""
         # NB: ``is None`` checks, never truthiness — an empty cache has
         # ``len() == 0`` and would read as absent right after an
         # invalidation, zeroing every cache counter in the report.
@@ -270,13 +271,5 @@ class FastPlacementLayer:
                 "student_served": self.student_served,
                 "student_deferred": self.student_deferred,
                 "teacher_served": self.teacher_served,
-                "student_trained": bool(
-                    self.student is not None and self.student.trained
-                ),
-                "student_train_agreement": (
-                    self.student.train_agreement
-                    if self.student is not None
-                    else 0.0
-                ),
             }
         return out

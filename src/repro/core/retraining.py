@@ -38,6 +38,7 @@ class RetrainDecision(enum.Enum):
 @dataclass
 class RetrainStats:
     """Retrain/recovery counters exposed as ``engine.retrain_stats``.
+    Every field is cumulative, so a sharded store sums them.
 
     Only *re*-trains are counted — the initial ``train()`` that boots the
     engine is not.  ``pool_restores`` counts the times a failed swap rolled
@@ -49,35 +50,14 @@ class RetrainStats:
     failed: int = 0
     deferred: int = 0
     pool_restores: int = 0
-    last_duration_s: float = 0.0
     total_duration_s: float = 0.0
     #: Student placers distilled alongside a successful (re)train — the
     #: fast placement layer's tier-2 model is refreshed at each of these.
     student_refreshes: int = 0
-    #: Distillation fidelity of the most recent student (fraction of the
-    #: training sample where its argmax matched the teacher's label).
-    last_student_agreement: float = 0.0
     #: Distillations whose teacher agreement fell below
-    #: ``config.student_agreement_warn`` — such a student rarely clears
+    #: ``e2nvm.STUDENT_AGREEMENT_WARN`` — such a student rarely clears
     #: the ``student_confidence`` serving threshold and sits dormant.
     student_low_agreement_warnings: int = 0
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat dict view (benchmark reporting)."""
-        return {
-            "retrains_started": self.started,
-            "retrains_succeeded": self.succeeded,
-            "retrains_failed": self.failed,
-            "retrains_deferred": self.deferred,
-            "pool_restores": self.pool_restores,
-            "last_retrain_s": self.last_duration_s,
-            "total_retrain_s": self.total_duration_s,
-            "student_refreshes": self.student_refreshes,
-            "last_student_agreement": self.last_student_agreement,
-            "student_low_agreement_warnings": (
-                self.student_low_agreement_warnings
-            ),
-        }
 
 
 @dataclass

@@ -114,12 +114,3 @@ class NVMIndex(abc.ABC):
 def encode_kv(key: bytes, stored_value: bytes) -> bytes:
     """Length-prefixed key/value encoding used by several structures."""
     return struct.pack("<HH", len(key), len(stored_value)) + key + stored_value
-
-
-def decode_kv(buf: bytes, offset: int = 0) -> tuple[bytes, bytes, int]:
-    """Inverse of :func:`encode_kv`; returns (key, value, bytes consumed)."""
-    klen, vlen = struct.unpack_from("<HH", buf, offset)
-    start = offset + 4
-    key = buf[start : start + klen]
-    value = buf[start + klen : start + klen + vlen]
-    return key, value, 4 + klen + vlen

@@ -43,14 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nvm.worker import MaintenanceWorker
+from repro.nvm.worker import MaintenanceWorker, WorkerStats
 
 
 @dataclass
-class CompactorStats:
-    """Cumulative compactor telemetry (see :meth:`Compactor.telemetry`)."""
+class CompactorStats(WorkerStats):
+    """Cumulative compactor counters (reported by
+    ``Compactor.telemetry``)."""
 
-    rounds: int = 0
     #: Values migrated off retiring segments by the compaction half.
     relocations: int = 0
     #: Cold→worn migrations performed by the wear-leveling half.
@@ -58,7 +58,6 @@ class CompactorStats:
     #: Swap candidates picked but refused by ``store.migrate`` (target
     #: claimed/retired mid-flight, value vanished, store read-only).
     wl_swaps_refused: int = 0
-    worker_errors: int = 0
     #: Relocation-queue entries left after the last round's budget — a
     #: growing backlog means compaction bandwidth is undersized for the
     #: retirement rate.
@@ -224,22 +223,3 @@ class Compactor(MaintenanceWorker):
     def run_once(self) -> dict:
         """One background round (the :class:`MaintenanceWorker` hook)."""
         return self.compact_round()
-
-    def _note_worker_error(self, exc: BaseException) -> None:
-        super()._note_worker_error(exc)
-        self.stats.worker_errors += 1
-
-    # ------------------------------------------------------------- telemetry
-
-    def telemetry(self) -> dict:
-        """Cumulative compaction counters plus worker state."""
-        return {
-            "rounds": self.stats.rounds,
-            "relocations": self.stats.relocations,
-            "wl_swaps": self.stats.wl_swaps,
-            "wl_swaps_refused": self.stats.wl_swaps_refused,
-            "worker_errors": self.stats.worker_errors,
-            "relocation_backlog": self.stats.relocation_backlog,
-            "running": self.running,
-            "paused": self.paused,
-        }

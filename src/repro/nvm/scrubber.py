@@ -36,7 +36,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.nvm.health import SegmentRetiredError
-from repro.nvm.worker import MaintenanceWorker
+from repro.nvm.worker import MaintenanceWorker, WorkerStats
 from repro.util.bits import popcount_array
 
 #: A segment found drifted in this many *consecutive* scrubs is escalated
@@ -46,16 +46,14 @@ ESCALATE_AFTER = 3
 
 
 @dataclass
-class ScrubStats:
-    """Cumulative scrubber telemetry (see :meth:`Scrubber.telemetry`)."""
+class ScrubStats(WorkerStats):
+    """Cumulative scrubber counters (reported by ``Scrubber.telemetry``)."""
 
-    rounds: int = 0
     segments_scanned: int = 0
     bits_healed: int = 0
     refresh_writes: int = 0
     corruptions_found: int = 0
     escalations: int = 0
-    worker_errors: int = 0
     #: Live segments the last round could *not* reach under its rate
     #: limit — a growing backlog means scrub bandwidth is undersized for
     #: the drift rate.
@@ -196,24 +194,3 @@ class Scrubber(MaintenanceWorker):
     def run_once(self) -> dict:
         """One background round (the :class:`MaintenanceWorker` hook)."""
         return self.scrub_round()
-
-    def _note_worker_error(self, exc: BaseException) -> None:
-        super()._note_worker_error(exc)
-        self.stats.worker_errors += 1
-
-    # ------------------------------------------------------------- telemetry
-
-    def telemetry(self) -> dict:
-        """Cumulative scrub counters plus worker state."""
-        return {
-            "rounds": self.stats.rounds,
-            "segments_scanned": self.stats.segments_scanned,
-            "bits_healed": self.stats.bits_healed,
-            "refresh_writes": self.stats.refresh_writes,
-            "corruptions_found": self.stats.corruptions_found,
-            "escalations": self.stats.escalations,
-            "worker_errors": self.stats.worker_errors,
-            "backlog": self.stats.backlog,
-            "running": self.running,
-            "paused": self.paused,
-        }

@@ -11,17 +11,30 @@ that loop out so both share one tested implementation:
 - **pause/resume**: :meth:`pause` gates the loop (at most the in-flight
   round completes) without killing the thread; :meth:`resume` lifts it.
   A pause issued before start is honoured — the worker comes up gated;
-- **exception-safe**: a failing round is recorded through
-  :meth:`_note_worker_error` and the loop keeps going.  Maintenance must
+- **exception-safe**: a failing round is counted on
+  ``stats.worker_errors`` and the loop keeps going.  Maintenance must
   never take the store down.
 
-Subclasses implement :meth:`run_once` (one rate-limited round) and may
-override :meth:`_note_worker_error` to land the error on their own stats.
+Subclasses implement :meth:`run_once` (one rate-limited round, counted
+on ``stats.rounds``) and may replace :attr:`stats` with a
+:class:`WorkerStats` subclass carrying their own counters;
+:meth:`MaintenanceWorker.telemetry` reports whatever fields it has.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import asdict, dataclass
+
+
+@dataclass
+class WorkerStats:
+    """Counters every maintenance worker keeps."""
+
+    #: Rounds completed without raising.
+    rounds: int = 0
+    #: Rounds that raised; the loop kept going.
+    worker_errors: int = 0
 
 
 class MaintenanceWorker:
@@ -36,9 +49,7 @@ class MaintenanceWorker:
         self.interval_s = interval_s
         self.name = name
         self.last_error: BaseException | None = None
-        #: Rounds the background loop has completed (successful or not) —
-        #: the cadence signal supervision telemetry rolls up.
-        self.rounds_completed = 0
+        self.stats = WorkerStats()
         self._admin_lock = threading.Lock()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -50,11 +61,6 @@ class MaintenanceWorker:
     def run_once(self):
         """One bounded round of maintenance; subclasses implement it."""
         raise NotImplementedError
-
-    def _note_worker_error(self, exc: BaseException) -> None:
-        """Record a failed round; subclasses extend to count it on their
-        stats object."""
-        self.last_error = exc
 
     # ------------------------------------------------------- background loop
 
@@ -99,13 +105,14 @@ class MaintenanceWorker:
     def paused(self) -> bool:
         return not self._resume.is_set()
 
-    def info(self) -> dict:
-        """Picklable supervision snapshot of this worker's loop state."""
+    def telemetry(self) -> dict:
+        """Picklable snapshot: every field of :attr:`stats` plus the loop
+        state."""
         return {
+            **asdict(self.stats),
             "name": self.name,
             "running": self.running,
             "paused": self.paused,
-            "rounds_completed": self.rounds_completed,
             "last_error": (
                 repr(self.last_error) if self.last_error is not None else None
             ),
@@ -113,7 +120,8 @@ class MaintenanceWorker:
 
     def _worker(self) -> None:
         """Exception-safe maintenance loop: a failing round is recorded
-        (``_note_worker_error``) and the loop keeps going."""
+        (``last_error``, ``stats.worker_errors``) and the loop keeps
+        going."""
         while not self._stop.is_set():
             self._resume.wait()
             if self._stop.is_set():
@@ -121,6 +129,6 @@ class MaintenanceWorker:
             try:
                 self.run_once()
             except Exception as exc:  # noqa: BLE001 - isolation by design
-                self._note_worker_error(exc)
-            self.rounds_completed += 1
+                self.last_error = exc
+                self.stats.worker_errors += 1
             self._stop.wait(self.interval_s)

@@ -23,7 +23,7 @@ With ``spec.maintenance`` set, the shard's scrubber/compactor — and a
 scrubs its own drift, compacts its own retirements and retrains its own
 model on its own cadence, with no facade broadcast required.
 :meth:`Shard.execute` gates the loops around every foreground op, and
-per-worker loop state rolls up through its telemetry.
+per-worker loop state rides along in its telemetry.
 
 Every operation the facade fans out arrives through :meth:`Shard.execute`,
 a single string-keyed dispatch — the request/response pipe protocol of the
@@ -33,7 +33,7 @@ identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.core.config import E2NVMConfig
 from repro.core.kvstore import KVStore
@@ -63,7 +63,9 @@ class RetrainTicker(MaintenanceWorker):
         self.engine = engine
 
     def run_once(self) -> bool:
-        return self.engine.maybe_retrain()
+        fired = self.engine.maybe_retrain()
+        self.stats.rounds += 1
+        return fired
 
 
 @dataclass(frozen=True)
@@ -278,9 +280,6 @@ class Shard:
         for worker in self.maintenance_workers:
             worker.resume()
 
-    def maintenance_info(self) -> list[dict]:
-        return [w.info() for w in self.maintenance_workers]
-
     # ------------------------------------------------------------ dispatch
 
     def execute(self, op: str, args: tuple = ()):
@@ -369,9 +368,6 @@ class Shard:
     def _op_recovery_report(self):
         return self.store.recovery
 
-    def _op_model_epoch(self) -> int:
-        return self.engine._model_epoch
-
     def _op_age(self, cycles: int) -> int:
         """Accelerated media aging on this shard's device (chaos/lifetime
         drills); returns newly dead cells."""
@@ -381,9 +377,6 @@ class Shard:
         """Advance this shard's retention clock (drift model); returns
         newly drifted cells."""
         return self.device.advance_time(ticks)
-
-    def _op_maintenance_info(self) -> list[dict]:
-        return self.maintenance_info()
 
     def _op_arm_crash(
         self, site: str, after: int = 0, torn_fraction: float | None = None
@@ -406,51 +399,38 @@ class Shard:
     def _op_telemetry(self) -> dict:
         """Everything the facade aggregates, in one picklable dict.
 
-        Counter semantics matter for the rollup: plain counts (cache hits,
-        writes, energy) aggregate by *sum*; latencies ship as ``(total
-        seconds, count)`` pairs so the facade can weight by count instead
-        of averaging per-shard means (see
-        ``ShardedKVStore.telemetry``)."""
+        Top-level scalars and lists are this shard's own state; every
+        top-level dict is a section of counters that
+        :func:`~repro.sharding.store.aggregate_telemetry` sums across
+        shards.  The prediction latency ships as its ``(seconds, count)``
+        pair so the facade weights by count instead of averaging
+        per-shard means."""
         engine = self.engine
         pipeline = engine.pipeline
-        stats = self.device.stats
+        # Object segments only: the catalog region in front of them is
+        # exempt from wear-out (``PersistentCatalog.immortal_metadata``).
+        first = self.pool.meta_segments if self.pool is not None else 0
+        wear = self.device.segment_write_count[first:]
         out = {
             "shard_id": self.spec.shard_id,
             "n_keys": len(self.store),
             "read_only": self.store.read_only,
-            "placement": engine.placement_telemetry(),
-            "prediction_count": pipeline.prediction_count,
-            "prediction_seconds": pipeline.prediction_seconds,
-            "retrain": {
-                "started": engine.retrain_stats.started,
-                "succeeded": engine.retrain_stats.succeeded,
-                "failed": engine.retrain_stats.failed,
-                "deferred": engine.retrain_stats.deferred,
-            },
             "model_epoch": engine._model_epoch,
-            "device": {
-                "writes": stats.writes,
-                "reads": stats.reads,
-                "bits_programmed": stats.bits_programmed,
-                "bits_flipped": stats.bits_flipped,
-                "write_energy_pj": stats.write_energy_pj,
-                "read_energy_pj": stats.read_energy_pj,
-                "write_latency_ns": stats.write_latency_ns,
-                "read_latency_ns": stats.read_latency_ns,
+            "maintenance": [w.telemetry() for w in self.maintenance_workers],
+            "placement": engine.placement_telemetry(),
+            "prediction": {
+                "count": pipeline.prediction_count,
+                "seconds": pipeline.prediction_seconds,
             },
+            "retrain": asdict(engine.retrain_stats),
+            "device": asdict(self.device.stats),
             "wear": {
-                "max_segment_writes": int(
-                    self.device.segment_write_count.max()
-                ),
-                "total_segment_writes": int(
-                    self.device.segment_write_count.sum()
-                ),
+                "max_segment_writes": int(wear.max()),
+                "total_segment_writes": int(wear.sum()),
             },
         }
         if self.store.scrubber is not None:
             out["scrub"] = self.store.scrubber.telemetry()
         if self.store.compactor is not None:
             out["compaction"] = self.store.compactor.telemetry()
-        if self.maintenance_workers:
-            out["maintenance"] = self.maintenance_info()
         return out

@@ -86,116 +86,50 @@ def check_manifest_version(manifest: dict) -> None:
             "recreate the store and reload"
         )
 
-#: Aggregate-by-sum keys of each shard's placement telemetry.
-_PLACEMENT_SUM_KEYS = (
-    "cache_hits",
-    "cache_misses",
-    "cache_evictions",
-    "cache_invalidations",
-    "cache_entries",
-    "cache_capacity",
-    "student_served",
-    "student_deferred",
-    "teacher_served",
-)
-_DEVICE_SUM_KEYS = (
-    "writes",
-    "reads",
-    "bits_programmed",
-    "bits_flipped",
-    "write_energy_pj",
-    "read_energy_pj",
-    "write_latency_ns",
-    "read_latency_ns",
-)
-_RETRAIN_SUM_KEYS = ("started", "succeeded", "failed", "deferred")
-
-
-def _sum_numeric(dicts: list[dict]) -> dict:
-    """Key-wise sum of numeric (non-bool) values across dicts — the rollup
-    for worker telemetry whose keys we do not enumerate here (scrub,
-    compaction)."""
+def _sum_counters(sections: list[dict]) -> dict:
+    """Leaf-wise sum of ``sections``: numeric, non-bool leaves add, nested
+    dicts recurse, and any other leaf (a flag, a name, an error) is left
+    out."""
     out: dict = {}
-    for d in dicts:
-        for key, value in d.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            out[key] = out.get(key, 0) + value
+    for section in sections:
+        for key, value in section.items():
+            if isinstance(value, dict):
+                out[key] = _sum_counters([out.get(key, {}), value])
+            elif isinstance(value, (int, float)) and not isinstance(
+                value, bool
+            ):
+                out[key] = out.get(key, 0) + value
     return out
 
 
 def aggregate_telemetry(shard_telemetries: list[dict]) -> dict:
     """Roll per-shard telemetry dicts (from ``Shard._op_telemetry``) into
-    one store-level view.
+    one store-level view by one rule: every top-level dict of a shard is a
+    counter section, summed across shards by :func:`_sum_counters`;
+    top-level scalars and lists are the shard's own state and appear only
+    under ``"shards"``.
 
-    Counters (cache hits/misses, student served, device writes, energy,
-    retrain counts) **sum**.  ``mean_prediction_latency_us`` is re-derived
-    from the summed ``prediction_seconds`` / ``prediction_count`` pairs the
-    shards ship — weighting each shard by its prediction count.  Averaging
-    the per-shard means instead would let an idle shard (3 predictions)
-    drag the number as hard as a busy one (30k); that bug class is why the
-    shards ship raw pairs rather than their own means.
+    Two values are derived after the sum.  ``mean_prediction_latency_us``
+    comes from the summed ``prediction`` ``(seconds, count)`` pair, which
+    weights each shard by its prediction count: averaging the per-shard
+    means instead would let an idle shard (3 predictions) drag the number
+    as hard as a busy one (30k).  ``wear.max_segment_writes`` is the
+    hottest object segment of any shard, a max rather than a sum.
     """
     shards = list(shard_telemetries)
-    placement: dict = {k: 0 for k in _PLACEMENT_SUM_KEYS}
-    agreements = []
-    for t in shards:
-        p = t["placement"]
-        for key in _PLACEMENT_SUM_KEYS:
-            placement[key] += p[key]
-        if p.get("student_trained"):
-            agreements.append(p["student_train_agreement"])
-    placement["student_trained"] = bool(shards) and all(
-        t["placement"].get("student_trained") for t in shards
+    out = _sum_counters(
+        [{k: v for k, v in t.items() if isinstance(v, dict)} for t in shards]
     )
-    placement["student_low_agreement"] = any(
-        t["placement"].get("student_low_agreement") for t in shards
+    prediction = out["prediction"]
+    out["mean_prediction_latency_us"] = (
+        prediction["seconds"] / prediction["count"] * 1e6
+        if prediction["count"]
+        else 0.0
     )
-    # The weakest shard's distillation fidelity bounds the fleet's serving
-    # behaviour; per-shard values stay visible under "shards".
-    placement["student_train_agreement"] = min(agreements, default=0.0)
-
-    total_count = sum(t["prediction_count"] for t in shards)
-    total_seconds = sum(t["prediction_seconds"] for t in shards)
-    mean_latency_us = (
-        total_seconds / total_count * 1e6 if total_count else 0.0
+    out["wear"]["max_segment_writes"] = max(
+        t["wear"]["max_segment_writes"] for t in shards
     )
-
-    out = {
-        "n_shards": len(shards),
-        "n_keys": sum(t["n_keys"] for t in shards),
-        "read_only_shards": [
-            t["shard_id"] for t in shards if t["read_only"]
-        ],
-        "placement": placement,
-        "prediction_count": total_count,
-        "prediction_seconds": total_seconds,
-        "mean_prediction_latency_us": mean_latency_us,
-        "retrain": {
-            k: sum(t["retrain"][k] for t in shards)
-            for k in _RETRAIN_SUM_KEYS
-        },
-        "model_epochs": [t["model_epoch"] for t in shards],
-        "device": {
-            k: sum(t["device"][k] for t in shards)
-            for k in _DEVICE_SUM_KEYS
-        },
-        "wear": {
-            "max_segment_writes": max(
-                (t["wear"]["max_segment_writes"] for t in shards), default=0
-            ),
-            "total_segment_writes": sum(
-                t["wear"]["total_segment_writes"] for t in shards
-            ),
-        },
-        "shards": shards,
-    }
-    scrub = [t["scrub"] for t in shards if "scrub" in t]
-    if scrub:
-        out["scrub"] = _sum_numeric(scrub)
-    compaction = [t["compaction"] for t in shards if "compaction" in t]
-    if compaction:
-        out["compaction"] = _sum_numeric(compaction)
+    out["shards"] = shards
     return out
 
 
@@ -764,9 +698,6 @@ class ShardedKVStore:
     def wait_for_retrain(self, timeout: float | None = None) -> list[bool]:
         return self._broadcast("wait_retrain", timeout)
 
-    def model_epochs(self) -> list[int]:
-        return self._broadcast("model_epoch")
-
     def advance_time(self, ticks: int = 1) -> list[int]:
         """Advance every shard's retention clock (drift model) by
         ``ticks``; returns newly drifted cells per shard."""
@@ -778,12 +709,6 @@ class ShardedKVStore:
         return self._broadcast("age", cycles)
 
     # ------------------------------------------------------------- maintenance
-
-    def maintenance_info(self) -> list[list[dict]]:
-        """Per-shard maintenance-loop snapshots (name, running, paused,
-        rounds completed, last error) — the facade-level rollup of each
-        worker process's background cadence."""
-        return self._broadcast("maintenance_info")
 
     def drain_relocations(self, budget: int | None = None) -> int:
         return sum(self._broadcast("drain_relocations", budget))
@@ -798,17 +723,6 @@ class ShardedKVStore:
         out = aggregate_telemetry(self._broadcast("telemetry"))
         if self.supervisor is not None:
             out["supervisor"] = self.supervisor.telemetry()
-        return out
-
-    def placement_telemetry(self) -> dict:
-        """Aggregated fast-placement telemetry, shaped like a single
-        engine's ``placement_telemetry()`` plus the weighted
-        ``mean_prediction_latency_us``."""
-        rollup = self.telemetry()
-        out = dict(rollup["placement"])
-        out["mean_prediction_latency_us"] = rollup[
-            "mean_prediction_latency_us"
-        ]
         return out
 
     def recovery_reports(self) -> list:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import E2NVMConfig, fast_test_config
-from repro.core.retraining import RetrainDecision, RetrainPolicy, RetrainStats
+from repro.core.retraining import RetrainDecision, RetrainPolicy
 
 
 class TestConfig:
@@ -98,13 +98,3 @@ class TestRetrainDecide:
             policy.record_write()
         assert policy.decide(0, 50, 5, pending=True) is RetrainDecision.FIRE
 
-
-class TestRetrainStats:
-    def test_as_dict_keys(self):
-        stats = RetrainStats(started=3, succeeded=2, failed=1, deferred=4)
-        d = stats.as_dict()
-        assert d["retrains_started"] == 3
-        assert d["retrains_succeeded"] == 2
-        assert d["retrains_failed"] == 1
-        assert d["retrains_deferred"] == 4
-        assert d["pool_restores"] == 0

@@ -364,7 +364,7 @@ class _DudStudent:
 
 
 class TestStudentLowAgreementSurfacing:
-    def _engine_with_dud_student(self, monkeypatch, **config_overrides):
+    def _engine_with_dud_student(self, monkeypatch):
         from repro.core import E2NVM
         from repro.core.config import fast_test_config
         from repro.core.pipeline import EncoderPipeline
@@ -377,44 +377,34 @@ class TestStudentLowAgreementSurfacing:
         device = make_device(seed=7)
         return E2NVM(
             MemoryController(device),
-            fast_test_config(student_enabled=True, **config_overrides),
+            fast_test_config(student_enabled=True),
         )
 
     def test_low_agreement_warns_counts_and_flags(self, monkeypatch):
         engine = self._engine_with_dud_student(monkeypatch)
-        with pytest.warns(UserWarning, match="student_agreement_warn"):
+        with pytest.warns(UserWarning, match="STUDENT_AGREEMENT_WARN"):
             engine.train()
         assert engine.retrain_stats.student_low_agreement_warnings == 1
-        assert (
-            engine.retrain_stats.as_dict()["student_low_agreement_warnings"]
-            == 1
-        )
-        telemetry = engine.placement_telemetry()
-        assert telemetry["student_trained"] is True
-        assert telemetry["student_low_agreement"] is True
-        assert telemetry["student_agreement_warn"] == pytest.approx(
-            engine.config.student_agreement_warn
-        )
+        assert engine.fast.student.trained is True
 
     def test_warn_threshold_zero_disables_the_warning(self, monkeypatch):
         import warnings as warnings_module
 
-        engine = self._engine_with_dud_student(
-            monkeypatch, student_agreement_warn=0.0
-        )
+        from repro.core import e2nvm
+
+        monkeypatch.setattr(e2nvm, "STUDENT_AGREEMENT_WARN", 0.0)
+        engine = self._engine_with_dud_student(monkeypatch)
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             engine.train()
         assert engine.retrain_stats.student_low_agreement_warnings == 0
-        assert engine.placement_telemetry()["student_low_agreement"] is False
 
     def test_healthy_agreement_does_not_flag(self):
+        from repro.core.e2nvm import STUDENT_AGREEMENT_WARN
+
         engine = _regime_engine()
-        telemetry = engine.placement_telemetry()
-        assert telemetry["student_low_agreement"] is (
-            telemetry["student_train_agreement"]
-            < telemetry["student_agreement_warn"]
-        )
+        assert engine.fast.student.train_agreement >= STUDENT_AGREEMENT_WARN
+        assert engine.retrain_stats.student_low_agreement_warnings == 0
 
 
 # --------------------------------------------------------------------------

@@ -212,11 +212,7 @@ class TestRetrainCounting:
         assert engine.retrain_stats.succeeded == 2
         assert engine.retrain_stats.started == 2
         assert engine.retrain_stats.succeeded == 2
-        assert engine.retrain_stats.last_duration_s > 0
-        assert (
-            engine.retrain_stats.total_duration_s
-            >= engine.retrain_stats.last_duration_s
-        )
+        assert engine.retrain_stats.total_duration_s > 0
 
 
 class TestOnesFractionRefresh:

@@ -62,8 +62,8 @@ class TestProcessOps:
         ]
         assert len(store) == 24
         rollup = store.telemetry()
-        assert rollup["n_shards"] == 3
-        assert rollup["n_keys"] == 24
+        assert len(rollup["shards"]) == 3
+        assert sum(t["n_keys"] for t in rollup["shards"]) == 24
         assert all(store.shard_alive(s) for s in range(3))
         assert all(
             store.backend.worker_pid(s) is not None for s in range(3)
@@ -93,7 +93,8 @@ class TestProcessOps:
         store.put_many(_items(12))
         assert store.retrain() == [True, True, True]
         assert store.wait_for_retrain(60.0) == [True, True, True]
-        assert store.model_epochs() == [2, 2, 2]
+        epochs = [t["model_epoch"] for t in store.telemetry()["shards"]]
+        assert epochs == [2, 2, 2]
 
     def test_open_recovers_in_workers(self, store, tmp_path):
         items = _items(18)

@@ -241,14 +241,14 @@ class TestInWorkerMaintenance:
             assert store.get_many([k for k, _ in items]) == [
                 v for _, v in items
             ]
-            info = store.maintenance_info()
-            assert all(
-                any(w["name"] == "scrubber" and w["running"] for w in shard)
-                for shard in info
-            )
-            # Loop state rolls up through telemetry too.
             tel = store.telemetry()
-            assert all("maintenance" in t for t in tel["shards"])
+            assert all(
+                any(
+                    w["name"] == "scrubber" and w["running"]
+                    for w in t["maintenance"]
+                )
+                for t in tel["shards"]
+            )
 
     def test_maintenance_survives_reopen(self, tmp_path):
         """A reopened worker rebuilds its maintenance loops from the spec
@@ -261,7 +261,7 @@ class TestInWorkerMaintenance:
             store.put_many(_items(12))
             store.backend.kill_shard(0)
             store.reopen_shard(0)
-            info = store.maintenance_info()[0]
+            info = store.telemetry()["shards"][0]["maintenance"]
             assert any(
                 w["name"] == "scrubber" and w["running"] for w in info
             )

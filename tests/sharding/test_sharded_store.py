@@ -12,14 +12,19 @@ from __future__ import annotations
 import json
 import re
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import fast_test_config
 from repro.core.e2nvm import E2NVM
 from repro.core.kvstore import CorruptValueError, KVStore, StoreReadOnlyError
 from repro.nvm.controller import MemoryController
 from repro.nvm.device import NVMDevice, WearOutConfig
+from repro.nvm.stats import DeviceStats
 from repro.nvm.worker import MaintenanceWorker
 from repro.pmem.catalog import PersistentCatalog
 from repro.pmem.pool import PersistentPool
@@ -51,6 +56,10 @@ def _trace(n: int, seed: int = 13):
             (b"key-%04d" % i, rng.integers(0, 256, length, dtype=np.uint8).tobytes())
         )
     return items
+
+
+def _model_epochs(store):
+    return [t["model_epoch"] for t in store.telemetry()["shards"]]
 
 
 def _plain_volatile_twin():
@@ -186,11 +195,11 @@ class TestFacadeOps:
         assert len(store) == len(items) - 1
 
     def test_retrain_broadcasts_per_shard(self, store):
-        epochs_before = store.model_epochs()
+        epochs_before = _model_epochs(store)
         started = store.retrain()
         assert started == [True] * store.n_shards
         assert store.wait_for_retrain(30.0) == [True] * store.n_shards
-        epochs_after = store.model_epochs()
+        epochs_after = _model_epochs(store)
         assert all(
             after == before + 1
             for before, after in zip(epochs_before, epochs_after)
@@ -289,7 +298,10 @@ class TestManifest:
 
     def test_open_maintenance_overrides_the_manifest_flag(self, tmp_path):
         def running(store):
-            return [[w["running"] for w in ws] for ws in store.maintenance_info()]
+            return [
+                [w["running"] for w in t["maintenance"]]
+                for t in store.telemetry()["shards"]
+            ]
 
         root = tmp_path / "store"
         with self._durable(root, scrubber=True) as store:
@@ -424,7 +436,6 @@ def _shard_telemetry(
     seconds,
     hits=0,
     served=0,
-    agreement=1.0,
     writes=0,
     max_wear=0,
     total_wear=0,
@@ -434,6 +445,8 @@ def _shard_telemetry(
         "shard_id": shard_id,
         "n_keys": 10,
         "read_only": read_only,
+        "model_epoch": 1,
+        "maintenance": [],
         "placement": {
             "cache_hits": hits,
             "cache_misses": 1,
@@ -444,14 +457,9 @@ def _shard_telemetry(
             "student_served": served,
             "student_deferred": 0,
             "teacher_served": 1,
-            "student_trained": True,
-            "student_train_agreement": agreement,
-            "student_low_agreement": False,
         },
-        "prediction_count": count,
-        "prediction_seconds": seconds,
+        "prediction": {"count": count, "seconds": seconds},
         "retrain": {"started": 1, "succeeded": 1, "failed": 0, "deferred": 0},
-        "model_epoch": 1,
         "device": {
             "writes": writes,
             "reads": 0,
@@ -469,6 +477,85 @@ def _shard_telemetry(
     }
 
 
+#: Leaf kinds of a synthetic counter section: numbers sum, the rest (flags,
+#: names, errors) must not reach the rollup.
+_LEAF_KINDS = {
+    "int": st.integers(0, 10**9),
+    "float": st.floats(0.0, 1e9, allow_nan=False),
+    "bool": st.booleans(),
+    "str": st.text(max_size=3),
+    "none": st.none(),
+}
+_NAMES = st.sampled_from(["a", "b", "c"])
+
+
+def _nested(inner):
+    return st.dictionaries(_NAMES, inner, min_size=1, max_size=3)
+
+
+_SCHEMA = st.recursive(
+    st.sampled_from(sorted(_LEAF_KINDS)), _nested, max_leaves=8
+)
+
+
+def _fill(draw, schema):
+    if isinstance(schema, dict):
+        return {key: _fill(draw, sub) for key, sub in schema.items()}
+    return draw(_LEAF_KINDS[schema])
+
+
+@st.composite
+def _fleets(draw):
+    """1-4 shard dicts sharing one random layout of counter sections; a
+    section may be missing on some shards (a scrubber on one only)."""
+    sections = draw(
+        st.dictionaries(
+            st.sampled_from(["placement", "device", "scrub", "compaction"]),
+            st.dictionaries(_NAMES, _SCHEMA, min_size=1, max_size=3),
+            max_size=3,
+        )
+    )
+    shards = []
+    for shard_id in range(draw(st.integers(1, 4))):
+        t = {
+            "shard_id": shard_id,
+            "read_only": draw(st.booleans()),
+            "model_epoch": draw(st.integers(0, 9)),
+            "maintenance": [],
+            "prediction": {
+                "count": draw(st.integers(0, 10**6)),
+                "seconds": draw(st.floats(0.0, 100.0)),
+            },
+            "wear": {
+                "max_segment_writes": draw(st.integers(0, 10**4)),
+                "total_segment_writes": draw(st.integers(0, 10**6)),
+            },
+        }
+        for name, schema in sections.items():
+            if draw(st.booleans()):
+                t[name] = _fill(draw, schema)
+        shards.append(t)
+    return shards
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _is_counter(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class TestTelemetryAggregation:
     def test_latency_is_weighted_by_count_not_averaged(self):
         # Shard 0: 3 predictions at 1 us.  Shard 1: 30000 at 100 us.  The
@@ -480,43 +567,78 @@ class TestTelemetryAggregation:
                 _shard_telemetry(1, count=30_000, seconds=3.0),
             ]
         )
-        assert rollup["prediction_count"] == 30_003
+        assert rollup["prediction"]["count"] == 30_003
         assert rollup["mean_prediction_latency_us"] == pytest.approx(
             3.000003 / 30_003 * 1e6
         )
         assert rollup["mean_prediction_latency_us"] > 99.0
 
     def test_counters_sum_and_extrema(self):
-        rollup = aggregate_telemetry(
-            [
-                _shard_telemetry(
-                    0, count=1, seconds=1e-6, hits=10, served=5,
-                    agreement=0.9, writes=100, max_wear=7, total_wear=40,
-                ),
-                _shard_telemetry(
-                    1, count=1, seconds=1e-6, hits=20, served=2,
-                    agreement=0.6, writes=50, max_wear=12, total_wear=30,
-                    read_only=True,
-                ),
-            ]
-        )
+        shards = [
+            _shard_telemetry(
+                0, count=1, seconds=1e-6, hits=10, served=5,
+                writes=100, max_wear=7, total_wear=40,
+            ),
+            _shard_telemetry(
+                1, count=1, seconds=1e-6, hits=20, served=2,
+                writes=50, max_wear=12, total_wear=30, read_only=True,
+            ),
+        ]
+        rollup = aggregate_telemetry(shards)
         assert rollup["placement"]["cache_hits"] == 30
         assert rollup["placement"]["student_served"] == 7
-        assert rollup["placement"]["student_train_agreement"] == 0.6  # min
         assert rollup["device"]["writes"] == 150
         assert rollup["device"]["write_energy_pj"] == pytest.approx(300.0)
         assert rollup["wear"]["max_segment_writes"] == 12  # max, not sum
         assert rollup["wear"]["total_segment_writes"] == 70
         assert rollup["retrain"]["started"] == 2
-        assert rollup["read_only_shards"] == [1]
-        assert rollup["n_keys"] == 20
-        assert rollup["n_shards"] == 2
+        # Shard state is not summed: it stays per shard.
+        assert rollup["shards"] == shards
+        assert [t["read_only"] for t in rollup["shards"]] == [False, True]
+        assert not {"n_keys", "read_only", "model_epoch"} & set(rollup)
 
     def test_zero_predictions_do_not_divide_by_zero(self):
         rollup = aggregate_telemetry(
             [_shard_telemetry(0, count=0, seconds=0.0)]
         )
         assert rollup["mean_prediction_latency_us"] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fleets())
+    def test_one_rule_sums_every_counter_leaf(self, shards):
+        rollup = aggregate_telemetry(shards)
+        sections = {
+            key for t in shards for key, value in t.items()
+            if isinstance(value, dict)
+        }
+        assert set(rollup) == sections | {
+            "mean_prediction_latency_us", "shards"
+        }
+        assert rollup["shards"] == shards
+        # Scalars and flags appear only per shard, never in a section.
+        summed = {key: rollup[key] for key in sections}
+        assert all(_is_counter(v) for _, v in _leaves(summed))
+        for t in shards:
+            for path, value in _leaves(
+                {k: v for k, v in t.items() if k in sections}
+            ):
+                if not _is_counter(value):
+                    continue
+                if path == ("wear", "max_segment_writes"):
+                    expected = max(s["wear"][path[1]] for s in shards)
+                else:
+                    expected = 0
+                    for s in shards:
+                        try:
+                            expected += _at(s, path)
+                        except KeyError:
+                            pass  # this shard lacks the section
+                assert _at(rollup, path) == pytest.approx(expected)
+        count = sum(t["prediction"]["count"] for t in shards)
+        seconds = sum(t["prediction"]["seconds"] for t in shards)
+        assert rollup["mean_prediction_latency_us"] == pytest.approx(
+            seconds / count * 1e6 if count else 0.0
+        )
 
     def test_live_two_shard_rollup_matches_per_shard_sums(self):
         store = ShardedKVStore.create_volatile(
@@ -528,14 +650,68 @@ class TestTelemetryAggregation:
         store.put_many(_trace(24))
         rollup = store.telemetry()
         per_shard = rollup["shards"]
-        assert rollup["prediction_count"] == sum(
-            t["prediction_count"] for t in per_shard
+        assert rollup["prediction"]["count"] == sum(
+            t["prediction"]["count"] for t in per_shard
         )
         assert rollup["placement"]["cache_misses"] == sum(
             t["placement"]["cache_misses"] for t in per_shard
         )
-        assert rollup["n_keys"] == 24
-        placement = store.placement_telemetry()
-        assert placement["cache_misses"] == rollup["placement"]["cache_misses"]
-        assert "mean_prediction_latency_us" in placement
+        assert sum(t["n_keys"] for t in per_shard) == 24
         store.close()
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["inprocess", pytest.param("process", marks=pytest.mark.sharding)],
+    )
+    def test_device_section_is_the_sum_of_each_shards_stats(self, backend):
+        """The facade's ``device`` section carries every ``DeviceStats``
+        field, summed over shards — on worker processes too, where each
+        shard's stats cross the pipe inside its telemetry dict."""
+        with ShardedKVStore.create_volatile(
+            2,
+            segment_size=SEGMENT_SIZE,
+            n_segments_per_shard=N_SEGMENTS,
+            config=_config(),
+            backend=backend,
+        ) as store:
+            items = _trace(24)
+            store.put_many(items)
+            store.get_many([k for k, _ in items])
+            rollup = store.telemetry()
+            if backend == "inprocess":
+                per_shard = [
+                    store.backend.shard(s).device.stats for s in range(2)
+                ]
+            else:
+                per_shard = [
+                    DeviceStats(**t["device"]) for t in rollup["shards"]
+                ]
+        total = sum(per_shard, DeviceStats())
+        assert rollup["device"] == asdict(total)
+        assert total.writes == len(items)
+        assert total.reads > 0
+
+    def test_wear_counts_object_segments_only(self, tmp_path):
+        """The catalog region is exempt from wear-out, so its writes are
+        not wear: one key updated 60 times rewrites its catalog record 60
+        times, but spreads its values over the object segments."""
+        with ShardedKVStore.create(
+            tmp_path / "store",
+            1,
+            segment_size=SEGMENT_SIZE,
+            n_segments_per_shard=N_SEGMENTS,
+            config=_config(),
+            key_capacity=16,
+        ) as store:
+            for i in range(60):
+                store.put(b"hot", b"value-%04d" % i)
+            wear = store.telemetry()["wear"]
+            shard = store.backend.shard(0)
+            counts = shard.device.segment_write_count
+            objects = counts[shard.pool.meta_segments :]
+        assert counts[: shard.pool.meta_segments].max() >= 60
+        assert wear == {
+            "max_segment_writes": int(objects.max()),
+            "total_segment_writes": int(objects.sum()),
+        }
+        assert wear["max_segment_writes"] < 60
