@@ -1,7 +1,7 @@
 """Hot write-path throughput: per-op vs batched vs sharded vs cached.
 
 Measures the placement write path after the lock-narrowing, batched
-inference, two-tier fast placement, and sharded multi-channel overhauls:
+inference, memo-cache fast placement, and sharded multi-channel overhauls:
 
 - **single-thread ops/s** — per-op ``engine.write`` + ``engine.release``
   (the steady-state PUT/recycle stream every figure benchmark drives);
@@ -25,8 +25,8 @@ inference, two-tier fast placement, and sharded multi-channel overhauls:
   floor cannot;
 - **cached** — the same loops on a Zipfian-skewed trace (YCSB-style: a
   small working set re-written constantly) against an engine with the
-  fingerprint memo cache and the distilled student placer enabled, plus
-  the fast layer's telemetry.
+  fingerprint memo cache in front of the VAE + K-means teacher, plus the
+  fast layer's telemetry.
 
 Results land in ``BENCH_throughput.json`` at the repo root.  ``--quick``
 shrinks op counts (same shapes) for CI smoke runs; ``--check`` compares
@@ -35,9 +35,8 @@ when: single-thread ops/s regresses >30%; sharded aggregate ops/s
 regresses >30% (only compared like-for-like — both runs on the same
 ``cpu_count`` and backend); 4-shard scaling falls below its floor on a
 multi-core runner; the cached-path p50 place latency exceeds its ceiling;
-the memo cache reports zero hits on the skewed trace; the student placer
-serves zero requests there (a dormant student is dead weight on the fast
-path); or a device shape's write/read ratio exceeds its ceiling.
+the memo cache reports zero hits on the skewed trace; or a device shape's
+write/read ratio exceeds its ceiling.
 """
 
 from __future__ import annotations
@@ -127,15 +126,13 @@ def _make_skewed_values(n: int, seed: int = 23) -> list[bytes]:
 def _build_engine(cached: bool = False):
     # Full-segment values: padding is a no-op on this path, so the per-op
     # cost is prediction + claim + differential write, not padding.  The
-    # ``cached`` engine turns the student tier on (the cache tier is on by
-    # default); the plain engine measures the teacher-only path.
+    # ``cached`` engine puts the memo cache in front of the teacher; the
+    # plain engine measures the teacher-only path.
     config = bench_config(
         hidden=(64,),
         train_sample_limit=N_SEGMENTS,
         ones_fraction_refresh_writes=0,  # no mid-run content re-sampling
         fastpath_cache_size=4096 if cached else 0,
-        student_enabled=cached,
-        student_confidence=0.6,
     )
     return seeded_engine(
         _make_values(N_SEGMENTS, seed=3), SEGMENT_SIZE, config=config
@@ -177,8 +174,6 @@ def _sharded_config():
         train_sample_limit=SHARD_N_SEGMENTS,
         ones_fraction_refresh_writes=0,
         fastpath_cache_size=1024,
-        student_enabled=True,
-        student_confidence=0.6,
     )
 
 
@@ -313,7 +308,7 @@ def _run_device_section() -> dict:
 
 
 def _run_cached_section(quick: bool) -> dict:
-    """The skewed-trace run against the cache+student engine."""
+    """The skewed-trace run against the cache → teacher engine."""
     n_ops = 400 if quick else 2000
     n_latency = 100 if quick else 500
     engine = _build_engine(cached=True)
@@ -334,7 +329,6 @@ def _run_cached_section(quick: bool) -> dict:
             "p99": round(float(np.percentile(latencies, 99)), 1),
         },
         "telemetry": engine.placement_telemetry(),
-        "student_train_agreement": engine.fast.student.train_agreement,
     }
 
 
@@ -421,7 +415,6 @@ def report(result: dict) -> None:
     print(
         f"cached place latency: p50 {clat['p50']} us, p99 {clat['p99']} us; "
         f"cache hits {tel['cache_hits']}, misses {tel['cache_misses']}, "
-        f"student served {tel['student_served']}, "
         f"teacher served {tel['teacher_served']}"
     )
 
@@ -492,8 +485,7 @@ def _check_sharded(baseline: dict, result: dict) -> int:
 
 
 def _check_cached(result: dict) -> int:
-    """Gate the fast-path tiers: p50 latency ceiling, non-zero cache hits,
-    and a non-dormant student."""
+    """Gate the fast path: p50 latency ceiling and non-zero cache hits."""
     cached = result.get("cached")
     if not cached:
         print("REGRESSION: no cached section in this run")
@@ -513,20 +505,10 @@ def _check_cached(result: dict) -> int:
             "trace — the cache tier is not being consulted"
         )
         failures += 1
-    served = cached["telemetry"]["student_served"]
-    if served == 0:
-        print(
-            "REGRESSION: the student placer served zero requests on the "
-            "skewed trace — tier 2 is dormant (agreement "
-            f"{cached['student_train_agreement']:.2f} vs "
-            "confidence gate)"
-        )
-        failures += 1
     if not failures:
         print(
             f"[cached check OK: p50 {p50:.1f} us "
-            f"(ceiling {CACHED_P50_CEILING_US}), {hits} cache hits, "
-            f"student served {served}]"
+            f"(ceiling {CACHED_P50_CEILING_US}), {hits} cache hits]"
         )
     return failures
 
@@ -587,8 +569,8 @@ def main() -> None:
         "of overwriting it; exit 1 on a >30%% throughput regression "
         "(single-thread or like-for-like sharded), 4-shard scaling below "
         f"{SHARD_SCALING_FLOOR}x on a multi-core runner, a cached-path "
-        "p50 over its ceiling, zero cache hits, a dormant student on the "
-        "skewed trace, or a device write/read ratio over its ceiling",
+        "p50 over its ceiling, zero cache hits on the skewed trace, or a "
+        "device write/read ratio over its ceiling",
     )
     args = parser.parse_args()
     result = run_throughput(quick=args.quick)

@@ -47,22 +47,10 @@ class E2NVMConfig:
             it).  The cache is invalidated wholesale on every model swap,
             so it never changes *which* cluster a value lands in — only how
             fast repeated content is placed.
-        student_enabled: distill a logistic student placer from the
-            VAE+K-means teacher at every (re)train and serve cache-miss
-            predictions from it when its confidence clears
-            ``student_confidence``.  Off by default: the student may
-            disagree with the teacher on low-margin content, which
-            experiments comparing exact placements should not see.
-        student_confidence: minimum softmax confidence for the student to
-            serve a prediction; below it the teacher is consulted.  This
-            knob *interacts* with distillation fidelity: a student whose
-            train-time teacher agreement is low rarely produces confident
-            softmax outputs, so with the default 0.9 threshold it defers
-            nearly everything to the teacher — ``student_served: 0`` in
-            the placement telemetry is the designed outcome of a
-            low-agreement distillation, not a wiring failure.  Lowering
-            ``student_confidence`` trades teacher forward passes for
-            placements the teacher may disagree with.
+        student_enabled / student_confidence: accepted and ignored.  The
+            frozen end-to-end benchmark's ``LOCAL_CONFIG``
+            (``benchmarks/e2e/workloads.py``) still sets them, until its
+            next change (ROADMAP item 8) drops them.
         seed: seed for every stochastic component.
     """
 
@@ -87,6 +75,8 @@ class E2NVMConfig:
     lstm_hidden: int = 32
     lstm_epochs: int = 4
     fastpath_cache_size: int = 4096
+    # Inert: the frozen e2e benchmark's LOCAL_CONFIG sets both (ROADMAP
+    # item 8 frees them).
     student_enabled: bool = False
     student_confidence: float = 0.9
     seed: int = 0
@@ -102,8 +92,6 @@ class E2NVMConfig:
             raise ValueError("ones_fraction_sample_segments must be positive")
         if self.fastpath_cache_size < 0:
             raise ValueError("fastpath_cache_size must be >= 0")
-        if not 0.0 <= self.student_confidence <= 1.0:
-            raise ValueError("student_confidence must be in [0, 1]")
         self.hidden = tuple(self.hidden)
         if not self.hidden:
             raise ValueError("hidden must name at least one layer width")

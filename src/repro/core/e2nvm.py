@@ -3,11 +3,10 @@
 ``E2NVM`` owns the trained prediction pipeline and the Dynamic Address Pool
 and exposes the write path of Algorithm 1:
 
-1. ``predict`` the incoming value's cluster — first through the two-tier
-   fast placement layer (:mod:`repro.core.fastpath`): a content-fingerprint
-   memo cache, then an optional distilled student placer, and only for
-   genuinely novel content the full VAE encoder + K-means (with padding
-   when the value is shorter than a segment);
+1. ``predict`` the incoming value's cluster — first through the fast
+   placement layer (:mod:`repro.core.fastpath`), a content-fingerprint
+   memo cache, and only for novel content the full VAE encoder + K-means
+   (with padding when the value is shorter than a segment);
 2. pop a free address of that cluster from the DAP;
 3. write the value there — the controller's DCW scheme programs only the
    bits that differ from the (similar) old content;
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 
 import numpy as np
 
@@ -53,11 +51,6 @@ from repro.util.rng import rng_from_seed
 #: before the engine predicts *under* the swap lock — bounding writer
 #: latency against a hostile retrain cadence instead of starving.
 PLACE_EPOCH_RETRIES = 8
-#: Distillation-fidelity floor.  A (re)train whose student agrees with the
-#: teacher on less of its training sample than this warns and counts on
-#: ``retrain_stats.student_low_agreement_warnings``: such a student rarely
-#: clears ``config.student_confidence`` and sits dormant.
-STUDENT_AGREEMENT_WARN = 0.8
 
 
 class E2NVM:
@@ -93,13 +86,10 @@ class E2NVM:
         self.segment_size = controller.segment_size
         self.input_bits = self.segment_size * 8
         self.pipeline = EncoderPipeline(self.input_bits, self.config, faults)
-        # Two-tier fast placement (memo cache + distilled student) in front
-        # of the pipeline; (re)installed — cache invalidated wholesale —
-        # at every model swap, keyed by ``_model_epoch``.
-        self.fast = FastPlacementLayer(
-            cache_size=self.config.fastpath_cache_size,
-            student_confidence=self.config.student_confidence,
-        )
+        # The memo cache in front of the pipeline; (re)installed — cache
+        # invalidated wholesale — at every model swap, keyed by
+        # ``_model_epoch``.
+        self.fast = FastPlacementLayer(self.config.fastpath_cache_size)
         self.dap = DynamicAddressPool(self.config.n_clusters)
         self.policy = RetrainPolicy(
             min_free_per_cluster=self.config.retrain_threshold,
@@ -218,8 +208,6 @@ class E2NVM:
                 f"pipeline width {pipeline.input_bits} does not match the "
                 f"device's {self.input_bits} bits per segment"
             )
-        # Adopted models carry no distilled student (none was trained
-        # alongside them); attach one with :meth:`attach_student`.
         self._refresh_ones_fraction(
             self._swap_in(pipeline, self._check_free(free_addresses))
         )
@@ -277,12 +265,11 @@ class E2NVM:
     def place(self, value: bytes | np.ndarray) -> int:
         """Algorithm 1, lines 1–4: claim the best free address for a value.
 
-        Prediction consults the fast placement layer first — memo cache,
-        then (when enabled) the distilled student — and only runs the full
-        model forward pass on genuinely novel content.  Every tier runs
-        *outside* the swap lock — concurrent writers only serialise on the
-        DAP pop — and the model epoch is re-validated under the lock before
-        claiming (covering cached and student-served predictions alike);
+        Prediction consults the memo cache first and only runs the full
+        model forward pass on novel content.  Both run *outside* the swap
+        lock — concurrent writers only serialise on the DAP pop — and the
+        model epoch is re-validated under the lock before claiming
+        (covering cached predictions too);
         see :meth:`_with_valid_epoch` for the bounded retry when a
         background retrain swaps the model mid-prediction.
 
@@ -294,7 +281,7 @@ class E2NVM:
 
     def place_many(self, values: list[bytes | np.ndarray]) -> list[int]:
         """Claim addresses for a whole batch with one forward pass (for the
-        cache/student-miss remainder) and one (short) swap-lock acquisition.
+        cache-miss remainder) and one (short) swap-lock acquisition.
 
         Cluster assignments are identical to per-value :meth:`place` calls
         barring exact ties between two centroids (``predict_batch``'s
@@ -729,10 +716,10 @@ class E2NVM:
                 self.retrain_stats.started += 1
         start = time.perf_counter()
         try:
-            pipeline, history, contents, student = self._fit_candidate(
+            pipeline, history, contents = self._fit_candidate(
                 fit_set, verbose
             )
-            self._swap_in(pipeline, swap_addresses, student=student)
+            self._swap_in(pipeline, swap_addresses)
         except BaseException:
             # Also KeyboardInterrupt/SystemExit: started == succeeded + failed.
             if was_retrain:
@@ -742,37 +729,19 @@ class E2NVM:
             raise
         self._refresh_ones_fraction(contents)
         duration = time.perf_counter() - start
-        low_agreement = False
         with self._retrain_admin_lock:
             if was_retrain:
                 self.retrain_stats.succeeded += 1
                 self.retrain_stats.total_duration_s += duration
-            if student is not None:
-                self.retrain_stats.student_refreshes += 1
-                if student.train_agreement < STUDENT_AGREEMENT_WARN:
-                    self.retrain_stats.student_low_agreement_warnings += 1
-                    low_agreement = True
             self._retrain_pending = False
-        if student is not None and low_agreement:
-            warnings.warn(
-                f"distilled student agrees with the teacher on only "
-                f"{student.train_agreement:.0%} of the training sample "
-                f"(< STUDENT_AGREEMENT_WARN={STUDENT_AGREEMENT_WARN:.0%}); at "
-                f"student_confidence={self.config.student_confidence} it "
-                "will defer most placements to the teacher "
-                "(student_served stays ~0)",
-                stacklevel=2,
-            )
         self.policy.record_retrain()
         return history
 
     def _fit_candidate(
         self, fit_set: list[int], verbose: bool = False
-    ) -> tuple[EncoderPipeline, dict, np.ndarray, object | None]:
+    ) -> tuple[EncoderPipeline, dict, np.ndarray]:
         """Fit a fresh pipeline on ``fit_set`` contents, off to the side,
-        and (when enabled) distill a student placer from it on the same
-        sample — both happen before the swap, so the write path never
-        waits on either."""
+        before the swap, so the write path never waits on it."""
         contents = self._segment_bits(fit_set)
         sample = contents
         if len(fit_set) > self.config.train_sample_limit:
@@ -786,43 +755,24 @@ class E2NVM:
             self.faults.fire("train.fit")
         pipeline = EncoderPipeline(self.input_bits, self.config, self.faults)
         history = pipeline.fit(sample, verbose=verbose)
-        student = None
-        if self.config.student_enabled:
-            student = pipeline.distill_student(sample)
-        return pipeline, history, contents, student
-
-    def attach_student(self, student) -> None:
-        """Install a (deserialised) student placer for the *current* model
-        epoch — the recovery-path complement of the per-retrain
-        distillation.  The caller is responsible for the student matching
-        the installed teacher (e.g. both loaded from the same snapshot)."""
-        if student is not None and not getattr(student, "trained", False):
-            raise ValueError("attach_student() needs a trained student")
-        with self._swap_lock:
-            self.fast.install(self._model_epoch, student)
+        return pipeline, history, contents
 
     def placement_telemetry(self) -> dict:
         """Fast placement layer counters (cache hits/misses/evictions,
-        student served/deferred, teacher fallbacks).  A student whose
-        distillation fidelity sits below ``STUDENT_AGREEMENT_WARN`` is
-        counted where it is distilled, on
-        ``retrain_stats.student_low_agreement_warnings``."""
+        teacher fallbacks)."""
         return self.fast.stats()
 
     def _swap_in(
-        self,
-        pipeline: EncoderPipeline,
-        addresses: list[int] | None,
-        student=None,
+        self, pipeline: EncoderPipeline, addresses: list[int] | None
     ) -> np.ndarray:
         """Atomically install ``pipeline`` and a relabelled pool; returns
         the bit contents of the segments it relabelled.
 
         Under the swap lock: snapshot the pool, relabel the free set with
         the new model, and swap both — the fast placement layer adopts the
-        new epoch at the same point (memo cache invalidated wholesale, the
-        freshly distilled student installed).  Any exception restores the
-        snapshot byte-for-byte (counted as a pool restore) and re-raises.
+        new epoch at the same point (memo cache invalidated wholesale).
+        Any exception restores the snapshot byte-for-byte (counted as a
+        pool restore) and re-raises.
         """
         with self._swap_lock:
             saved = self.dap.snapshot()
@@ -843,7 +793,7 @@ class E2NVM:
                 self.pipeline = pipeline
                 self.dap = new_dap
                 self._model_epoch += 1
-                self.fast.install(self._model_epoch, student)
+                self.fast.install(self._model_epoch)
                 return bits
             except BaseException:
                 # Also KeyboardInterrupt/SystemExit: no half-relabelled pool.

@@ -24,14 +24,8 @@ from repro.core.config import E2NVMConfig
 from repro.core.padding import DatasetDistributionTracker, Padder
 from repro.ml.joint import JointVAEKMeans
 from repro.ml.lstm import LSTMPredictor
-from repro.ml.student import StudentPlacer, featurize_bits
 from repro.util.bits import bytes_to_bits, bytes_to_bits_many
 from repro.util.rng import rng_from_seed
-
-#: Distillation schedule of the student head (full-batch softmax
-#: regression): epochs and Adam learning rate.
-STUDENT_EPOCHS = 120
-STUDENT_LR = 0.05
 
 
 class EncoderPipeline:
@@ -146,32 +140,6 @@ class EncoderPipeline:
         clusters = self.model.predict(padded)
         self._record_predictions(len(values), time.perf_counter() - start)
         return clusters
-
-    def distill_student(self, segment_bits: np.ndarray) -> StudentPlacer:
-        """Distill a cheap student placer from this (teacher) pipeline.
-
-        The teacher labels ``segment_bits`` with :meth:`predict_segments`;
-        the student — a logistic head over byte histograms
-        (:class:`repro.ml.student.StudentPlacer`) — is fitted to reproduce
-        those labels.  Called by the engine's (re)train path right after the
-        teacher fit, so every installed model ships a matching student.
-        """
-        if not self.trained:
-            raise RuntimeError("cannot distill from an untrained pipeline")
-        X = np.atleast_2d(np.asarray(segment_bits, dtype=np.float64))
-        labels = self.predict_segments(X)
-        student = StudentPlacer(
-            self.config.n_clusters,
-            segment_size=self.input_bits // 8,
-            seed=self.config.seed,
-        )
-        student.fit(
-            featurize_bits(X, self.input_bits // 8),
-            labels,
-            epochs=STUDENT_EPOCHS,
-            lr=STUDENT_LR,
-        )
-        return student
 
     def predict_segments(self, segment_bits: np.ndarray) -> np.ndarray:
         """Cluster ids for full-width segment contents (no padding needed)."""

@@ -51,13 +51,6 @@ class RetrainStats:
     deferred: int = 0
     pool_restores: int = 0
     total_duration_s: float = 0.0
-    #: Student placers distilled alongside a successful (re)train — the
-    #: fast placement layer's tier-2 model is refreshed at each of these.
-    student_refreshes: int = 0
-    #: Distillations whose teacher agreement fell below
-    #: ``e2nvm.STUDENT_AGREEMENT_WARN`` — such a student rarely clears
-    #: the ``student_confidence`` serving threshold and sits dormant.
-    student_low_agreement_warnings: int = 0
 
 
 @dataclass

@@ -5,7 +5,7 @@ here is re-implemented on NumPy so the reproduction has no ML dependencies:
 
 - :mod:`repro.ml.layers` / :mod:`repro.ml.network` — dense layers and MLPs
   with explicit backprop;
-- :mod:`repro.ml.optim` — SGD (momentum) and Adam;
+- :mod:`repro.ml.optim` — Adam;
 - :mod:`repro.ml.vae` — the Variational Autoencoder of §3.1 (Bernoulli
   reconstruction + KL, reparameterisation trick);
 - :mod:`repro.ml.joint` — joint VAE + K-means training (§3.2: "integrates
@@ -25,14 +25,11 @@ from repro.ml.metrics import elbow_k, sum_squared_error
 from repro.ml.serialization import (
     load_joint,
     load_lstm,
-    load_student,
     load_vae,
     save_joint,
     save_lstm,
-    save_student,
     save_vae,
 )
-from repro.ml.student import StudentPlacer
 
 __all__ = [
     "KMeans",
@@ -48,7 +45,4 @@ __all__ = [
     "load_lstm",
     "save_joint",
     "load_joint",
-    "StudentPlacer",
-    "save_student",
-    "load_student",
 ]

@@ -37,13 +37,11 @@ class KMeans:
     def __init__(
         self,
         n_clusters: int,
-        n_init: int = 1,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         if n_clusters <= 0:
             raise ValueError("n_clusters must be positive")
         self.n_clusters = n_clusters
-        self.n_init = n_init
         self._rng = rng_from_seed(seed)
         self.cluster_centers_: np.ndarray | None = None
         self.labels_: np.ndarray | None = None
@@ -51,7 +49,7 @@ class KMeans:
         self.n_iter_: int = 0
 
     def fit(self, X: np.ndarray) -> "KMeans":
-        """Cluster the rows of ``X``; keeps the best of ``n_init`` restarts."""
+        """Cluster the rows of ``X`` (one k-means++ seeded Lloyd run)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or len(X) == 0:
             raise ValueError("X must be a non-empty 2D array")
@@ -59,12 +57,9 @@ class KMeans:
             raise ValueError(
                 f"need at least n_clusters={self.n_clusters} points, got {len(X)}"
             )
-        best = None
-        for _ in range(max(1, self.n_init)):
-            centers, labels, inertia, iters = self._fit_once(X)
-            if best is None or inertia < best[2]:
-                best = (centers, labels, inertia, iters)
-        self.cluster_centers_, self.labels_, self.inertia_, self.n_iter_ = best
+        self.cluster_centers_, self.labels_, self.inertia_, self.n_iter_ = (
+            self._lloyd(X)
+        )
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -81,7 +76,7 @@ class KMeans:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.sqrt(_pairwise_sq_distances(X, self.cluster_centers_))
 
-    def _fit_once(self, X: np.ndarray):
+    def _lloyd(self, X: np.ndarray):
         centers = self._init_plus_plus(X)
         prev_inertia = np.inf
         iteration = 0

@@ -9,45 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Adam's moment decay rates (Kingma & Ba's defaults).
+#: Adam's moment decay rates and denominator floor (Kingma & Ba's
+#: defaults).
 BETA1 = 0.9
 BETA2 = 0.999
-
-
-class SGD:
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: list[np.ndarray] | None = None
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Apply one update in place."""
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self._velocity):
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
+EPS = 1e-8
 
 
 class Adam:
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, lr: float = 1e-3) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.eps = eps
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
         self._t = 0
@@ -65,4 +40,4 @@ class Adam:
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * (g * g)
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

@@ -15,7 +15,6 @@ import numpy as np
 from repro.ml.joint import JointVAEKMeans
 from repro.ml.kmeans import KMeans
 from repro.ml.lstm import LSTMPredictor
-from repro.ml.student import StudentPlacer
 from repro.ml.vae import VAE
 
 
@@ -103,32 +102,6 @@ def load_lstm(path) -> LSTMPredictor:
     _load_params(model.cell.params + model.head.params, arrays)
     model.trained = bool(meta["trained"])
     return model
-
-
-def save_student(student: StudentPlacer, path) -> None:
-    """Snapshot a distilled student placer (head weights + metadata)."""
-    meta = {
-        "kind": "student",
-        "n_clusters": student.n_clusters,
-        "segment_size": student.segment_size,
-        "trained": student.trained,
-        "train_agreement": student.train_agreement,
-    }
-    _pack(path, meta, student.params)
-
-
-def load_student(path) -> StudentPlacer:
-    """Restore a student placer saved by :func:`save_student`."""
-    meta, arrays = _unpack(path)
-    if meta.get("kind") != "student":
-        raise ValueError(f"not a student snapshot: {meta.get('kind')!r}")
-    student = StudentPlacer(
-        meta["n_clusters"], segment_size=meta["segment_size"], seed=0
-    )
-    _load_params(student.params, arrays)
-    student.trained = bool(meta["trained"])
-    student.train_agreement = float(meta["train_agreement"])
-    return student
 
 
 def save_joint(model: JointVAEKMeans, path) -> None:

@@ -147,26 +147,15 @@ class VAE:
         lr: float = 1e-3,
         val_fraction: float = 0.1,
         z_grad_hook=None,
-        patience: int | None = None,
-        min_improvement: float = 1e-3,
         verbose: bool = False,
     ) -> dict:
-        """Train on the rows of ``X``; returns per-epoch loss history.
-
-        Args:
-            patience: if set, stop early after this many epochs without the
-                validation loss improving by at least ``min_improvement``
-                (relative) — trims the retraining energy budget when the
-                model converges quickly (§5.3).
-        """
+        """Train on the rows of ``X``; returns per-epoch loss history."""
         X = self._as_batch(X)
         optimizer = Adam(lr=lr)
         train, val = train_val_split(X, val_fraction, seed=self._rng)
         if len(train) == 0:
             raise ValueError("training split is empty")
         history: dict = {"train_loss": [], "val_loss": []}
-        best_val = np.inf
-        stale_epochs = 0
         for epoch in range(epochs):
             losses = []
             for batch in iterate_minibatches(
@@ -184,15 +173,6 @@ class VAE:
                     f"train {history['train_loss'][-1]:.3f}  "
                     f"val {history['val_loss'][-1]:.3f}"
                 )
-            if patience is not None:
-                current = history["val_loss"][-1]
-                if current < best_val * (1.0 - min_improvement):
-                    best_val = current
-                    stale_epochs = 0
-                else:
-                    stale_epochs += 1
-                    if stale_epochs >= patience:
-                        break
         self.release_step_buffers()
         return history
 

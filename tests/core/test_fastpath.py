@@ -1,10 +1,10 @@
-"""Two-tier fast placement: memo cache, student tier, epoch safety.
+"""Fast placement: memo cache in front of the teacher, epoch safety.
 
 The fast layer must be *invisible* in placement behaviour (cache-on and
 cache-off twins produce identical addresses for identical value streams,
 across model swaps) and *bounded* in adversity (a hostile retrain cadence
-can no longer starve a writer).  Cached and student-served placements must
-respect health-manager quarantine exactly like teacher-served ones.
+can no longer starve a writer).  Cached placements must respect
+health-manager quarantine exactly like teacher-served ones.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.e2nvm import PLACE_EPOCH_RETRIES
 from repro.core.fastpath import FastPlacementLayer, PlacementCache, fingerprint
-from repro.nvm import MemoryController
 
-from tests.conftest import SEGMENT_SIZE, make_device, make_engine
+from tests.conftest import SEGMENT_SIZE, make_engine
 
 
 class TestFingerprint:
@@ -83,7 +82,7 @@ class _StubPipeline:
 class TestFastPlacementLayer:
     def test_cache_short_circuits_teacher(self):
         layer = FastPlacementLayer(cache_size=8)
-        layer.install(1, None)
+        layer.install(1)
         teacher = _StubPipeline()
         first = layer.predict([b"\x02x", b"\x05y"], teacher, 1)
         again = layer.predict([b"\x05y", b"\x02x"], teacher, 1)
@@ -96,7 +95,7 @@ class TestFastPlacementLayer:
 
     def test_stale_epoch_refuses_cache_and_inserts(self):
         layer = FastPlacementLayer(cache_size=8)
-        layer.install(1, None)
+        layer.install(1)
         teacher = _StubPipeline()
         layer.predict([b"\x02x"], teacher, 1)
         # A caller still carrying epoch 0 must not see epoch-1 entries, and
@@ -108,17 +107,17 @@ class TestFastPlacementLayer:
 
     def test_install_invalidates_wholesale(self):
         layer = FastPlacementLayer(cache_size=8)
-        layer.install(1, None)
+        layer.install(1)
         teacher = _StubPipeline()
         layer.predict([b"\x02x"], teacher, 1)
-        layer.install(2, None)
+        layer.install(2)
         layer.predict([b"\x02x"], teacher, 2)
         assert len(teacher.calls) == 2
         assert layer.stats()["cache_invalidations"] == 2
 
-    def test_ndarray_values_bypass_cache_and_student(self):
+    def test_ndarray_values_bypass_cache(self):
         layer = FastPlacementLayer(cache_size=8)
-        layer.install(1, None)
+        layer.install(1)
         teacher = _StubPipeline()
         bits = np.ones(16, dtype=np.float32)
         teacher_calls = []
@@ -132,64 +131,20 @@ class TestFastPlacementLayer:
         layer.predict([bits], ArrayTeacher(), 1)
         assert teacher_calls == [1, 1]  # never cached
 
-    def test_unconfident_student_defers_to_teacher(self):
-        class TimidStudent:
-            trained = True
-            segment_size = 4
-            train_agreement = 1.0
-
-            def predict(self, features):
-                n = len(features)
-                return np.zeros(n, dtype=np.int64), np.full(n, 0.2)
-
-        layer = FastPlacementLayer(cache_size=8, student_confidence=0.9)
-        layer.install(1, TimidStudent())
-        teacher = _StubPipeline()
-        out = layer.predict([b"\x03abc"], teacher, 1)
-        np.testing.assert_array_equal(out, [3])  # teacher's answer
-        stats = layer.stats()
-        assert stats["student_deferred"] == 1
-        assert stats["student_served"] == 0
-        assert stats["teacher_served"] == 1
-
-    def test_confident_student_serves_and_memoises(self):
-        class BoldStudent:
-            trained = True
-            segment_size = 4
-            train_agreement = 1.0
-
-            def predict(self, features):
-                n = len(features)
-                return np.full(n, 7, dtype=np.int64), np.ones(n)
-
-        layer = FastPlacementLayer(cache_size=8, student_confidence=0.9)
-        layer.install(1, BoldStudent())
-        teacher = _StubPipeline()
-        out = layer.predict([b"\x03abc"], teacher, 1)
-        np.testing.assert_array_equal(out, [7])
-        assert teacher.calls == []
-        # Second sight of the same content: served from the cache.
-        layer.predict([b"\x03abc"], teacher, 1)
-        stats = layer.stats()
-        assert stats["student_served"] == 1
-        assert stats["cache_hits"] == 1
-
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             FastPlacementLayer(cache_size=-1)
-        with pytest.raises(ValueError):
-            FastPlacementLayer(student_confidence=1.5)
 
     def test_stats_survive_invalidation_to_empty(self):
         """Regression: an empty PlacementCache is falsy (``__len__``), so a
         truthiness check in stats() zeroed every cache counter right after
         a model swap's wholesale invalidation."""
         layer = FastPlacementLayer(cache_size=8)
-        layer.install(1, None)
+        layer.install(1)
         teacher = _StubPipeline()
         layer.predict([b"\x02x"], teacher, 1)
         layer.predict([b"\x02x"], teacher, 1)
-        layer.install(2, None)  # invalidates: cache now empty, still present
+        layer.install(2)  # invalidates: cache now empty, still present
         stats = layer.stats()
         assert stats["cache_capacity"] == 8
         assert stats["cache_hits"] == 1
@@ -205,7 +160,7 @@ TWIN_SEGMENT = 16
 TWIN_SEGMENTS = 48
 
 
-def _twin_engine(cache_size: int):
+def _twin_engine(cache_size: int, **overrides):
     return make_engine(
         seed=53,
         n_segments=TWIN_SEGMENTS,
@@ -214,6 +169,7 @@ def _twin_engine(cache_size: int):
         pretrain_epochs=2,
         joint_epochs=1,
         hidden=(16,),
+        **overrides,
     )
 
 
@@ -265,6 +221,33 @@ class TestCacheEquivalence:
         stats = cached.placement_telemetry()
         assert stats["cache_invalidations"] >= 1
 
+    def test_frozen_student_fields_are_inert_across_swap(self):
+        """``student_enabled`` / ``student_confidence`` are accepted and
+        ignored: with them set, batched placement and the release
+        relabelling match the default config's, across a model swap."""
+        plain = _twin_engine(cache_size=64)
+        frozen = _twin_engine(
+            cache_size=64, student_enabled=True, student_confidence=0.6
+        )
+        rng = np.random.default_rng(61)
+        for _ in range(2):
+            for _ in range(3):
+                values = [
+                    _VALUE_POOL[i] for i in rng.integers(0, 6, size=4)
+                ] + [
+                    rng.integers(0, 256, TWIN_SEGMENT, dtype=np.uint8)
+                    .tobytes()
+                    for _ in range(4)
+                ]
+                claimed = plain.place_many(values)
+                assert frozen.place_many(values) == claimed
+                plain.release_many(claimed)
+                frozen.release_many(claimed)
+                assert frozen.dap.snapshot() == plain.dap.snapshot()
+            plain.train()
+            frozen.train()
+        assert frozen.placement_telemetry() == plain.placement_telemetry()
+
     def test_repeated_content_hits_cache(self):
         engine = _twin_engine(cache_size=64)
         value = _VALUE_POOL[2]
@@ -274,137 +257,6 @@ class TestCacheEquivalence:
         engine.release(a2)
         stats = engine.placement_telemetry()
         assert stats["cache_hits"] >= 1
-
-
-# --------------------------------------------------------------------------
-# Student distillation at engine level.
-
-
-def _regime_value(rng, regime: int, length: int) -> bytes:
-    lo, hi = [(0, 30), (110, 150), (225, 256)][regime]
-    return rng.integers(lo, hi, size=length, dtype=np.uint8).tobytes()
-
-
-def _regime_engine(**overrides):
-    """Engine trained on three clearly separable content regimes.
-
-    The teacher needs a few more epochs than the fast test config to align
-    its clusters with the regimes — an unconverged teacher hands the
-    student near-random labels nothing could generalise from.
-    """
-    device = make_device(seed=101, segment_size=32, n_segments=120)
-    controller = MemoryController(device)
-    rng = np.random.default_rng(8)
-    for seg in range(120):
-        controller.write(seg * 32, _regime_value(rng, seg % 3, 32))
-    from repro.core import E2NVM
-    from repro.core.config import fast_test_config
-
-    config = fast_test_config(
-        student_enabled=True,
-        student_confidence=0.6,
-        pretrain_epochs=12,
-        joint_epochs=6,
-        **overrides,
-    )
-    engine = E2NVM(controller, config)
-    engine.train()
-    return engine
-
-
-class TestStudentDistillation:
-    def test_student_refreshed_at_train_and_agrees_with_teacher(self):
-        engine = _regime_engine()
-        student = engine.fast.student
-        assert student is not None and student.trained
-        assert engine.retrain_stats.student_refreshes == 1
-        assert student.train_agreement >= 0.8
-        # Held-out values from the same regimes: wherever the student is
-        # confident enough to serve, it must agree with the teacher.
-        rng = np.random.default_rng(9)
-        values = [_regime_value(rng, i % 3, 32) for i in range(30)]
-        teacher = engine.pipeline.predict_batch(values)
-        labels, conf = student.predict_values(values)
-        confident = conf >= engine.config.student_confidence
-        assert confident.any()
-        agreement = float(np.mean(labels[confident] == teacher[confident]))
-        assert agreement >= 0.8
-
-    def test_student_serves_novel_confident_content(self):
-        engine = _regime_engine()
-        rng = np.random.default_rng(10)
-        claimed = [engine.place(_regime_value(rng, i % 3, 32)) for i in range(12)]
-        engine.release_many(claimed)
-        stats = engine.placement_telemetry()
-        assert stats["student_served"] + stats["cache_hits"] > 0
-
-    def test_attach_student_requires_trained(self):
-        engine = _twin_engine(cache_size=8)
-
-        class Untrained:
-            trained = False
-
-        with pytest.raises(ValueError, match="trained"):
-            engine.attach_student(Untrained())
-
-    def test_attach_student_installs_for_current_epoch(self):
-        engine = _regime_engine()
-        student = engine.fast.student
-        engine.adopt(engine.pipeline, engine.free_addresses())
-        assert engine.fast.student is None  # adopt clears the student
-        engine.attach_student(student)
-        assert engine.fast.student is student
-
-
-class _DudStudent:
-    """A trained student whose distillation fidelity is hopeless."""
-
-    trained = True
-    train_agreement = 0.25
-
-
-class TestStudentLowAgreementSurfacing:
-    def _engine_with_dud_student(self, monkeypatch):
-        from repro.core import E2NVM
-        from repro.core.config import fast_test_config
-        from repro.core.pipeline import EncoderPipeline
-
-        monkeypatch.setattr(
-            EncoderPipeline,
-            "distill_student",
-            lambda self, sample: _DudStudent(),
-        )
-        device = make_device(seed=7)
-        return E2NVM(
-            MemoryController(device),
-            fast_test_config(student_enabled=True),
-        )
-
-    def test_low_agreement_warns_counts_and_flags(self, monkeypatch):
-        engine = self._engine_with_dud_student(monkeypatch)
-        with pytest.warns(UserWarning, match="STUDENT_AGREEMENT_WARN"):
-            engine.train()
-        assert engine.retrain_stats.student_low_agreement_warnings == 1
-        assert engine.fast.student.trained is True
-
-    def test_warn_threshold_zero_disables_the_warning(self, monkeypatch):
-        import warnings as warnings_module
-
-        from repro.core import e2nvm
-
-        monkeypatch.setattr(e2nvm, "STUDENT_AGREEMENT_WARN", 0.0)
-        engine = self._engine_with_dud_student(monkeypatch)
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            engine.train()
-        assert engine.retrain_stats.student_low_agreement_warnings == 0
-
-    def test_healthy_agreement_does_not_flag(self):
-        from repro.core.e2nvm import STUDENT_AGREEMENT_WARN
-
-        engine = _regime_engine()
-        assert engine.fast.student.train_agreement >= STUDENT_AGREEMENT_WARN
-        assert engine.retrain_stats.student_low_agreement_warnings == 0
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.optim import SGD, Adam
+from repro.ml.optim import Adam
 
 
 def quadratic_step(opt, steps=200, lr_check=True):
@@ -14,29 +14,6 @@ def quadratic_step(opt, steps=200, lr_check=True):
         grad = 2.0 * (x - target)
         opt.step([x], [grad])
     return x, target
-
-
-class TestSGD:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0)
-        with pytest.raises(ValueError):
-            SGD(lr=0.1, momentum=1.0)
-
-    def test_converges_on_quadratic(self):
-        x, target = quadratic_step(SGD(lr=0.1))
-        assert np.allclose(x, target, atol=1e-4)
-
-    def test_momentum_converges(self):
-        x, target = quadratic_step(SGD(lr=0.05, momentum=0.9))
-        assert np.allclose(x, target, atol=1e-3)
-
-    def test_updates_in_place(self):
-        x = np.zeros(2)
-        ref = x
-        SGD(lr=0.1).step([x], [np.ones(2)])
-        assert ref is x
-        assert np.allclose(x, -0.1)
 
 
 class TestAdam:

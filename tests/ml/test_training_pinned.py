@@ -3,13 +3,14 @@
 The placement model is the instrument behind every simulated counter: a
 change meant only to make training cheaper on the host must leave the
 trained model the same model, to the last bit.  This test trains the
-three model shapes the tree ships (the end-to-end benchmark's sharded
-config, its local config with the distilled student, and a
+two model shapes the tree ships (the end-to-end benchmark's config and a
 ``padding_strategy="learned"`` config that also trains the LSTM) for two
 seeds each, and compares a sha256 over every VAE parameter, the
-centroids, the loss history, the student and LSTM parameters and the
+centroids, the loss history, the LSTM parameters and the
 labels of the rebuilt pool with digests recorded at PR 23's parent commit
-(bb4257d), *before* any line of ``repro.ml`` was edited.
+(bb4257d), *before* any line of ``repro.ml`` was edited.  The benchmark's
+local config differs only in its memo-cache size, which training never
+reads.
 
 Every case pins the engine's first ``train()``.  The ``ship`` cases pin
 two more fits (the other configs train the same VAE, so theirs would be
@@ -55,12 +56,6 @@ _SHIP = dict(
 )
 CONFIGS = {
     "ship": _SHIP,
-    "local_student": dict(
-        _SHIP,
-        fastpath_cache_size=1024,
-        student_enabled=True,
-        student_confidence=0.6,
-    ),
     # One LSTM epoch (313 BPTT steps) keeps the case under a second.
     "learned_padding": dict(_SHIP, padding_strategy="learned", lstm_epochs=1),
 }
@@ -75,7 +70,7 @@ def _update(digest, *arrays) -> None:
         digest.update(array.tobytes())
 
 
-def _digest(pipeline: EncoderPipeline, student=None, labels=None) -> str:
+def _digest(pipeline: EncoderPipeline, labels=None) -> str:
     digest = hashlib.sha256()
     _update(digest, *pipeline.model.vae.params, pipeline.centroids)
     for name in sorted(pipeline.model.history):
@@ -85,8 +80,6 @@ def _digest(pipeline: EncoderPipeline, student=None, labels=None) -> str:
         _update(
             digest, *pipeline.lstm.cell.params, *pipeline.lstm.head.params
         )
-    if student is not None:
-        _update(digest, *student.params)
     if labels is not None:
         _update(digest, np.asarray(labels, np.int64))
     return digest.hexdigest()
@@ -106,9 +99,7 @@ def measure(name: str, seed: int) -> dict[str, str]:
     bits = engine._segment_bits(sorted(free))
     out = {
         "first": _digest(
-            engine.pipeline,
-            engine.fast.student,
-            engine.pipeline.predict_segments(bits),
+            engine.pipeline, engine.pipeline.predict_segments(bits)
         )
     }
     if name != "ship":
@@ -151,18 +142,6 @@ PINNED: dict[tuple[str, int], dict[str, str]] = {
         "short": (
             "2cc888f6bc3a86dd8be6c98be9864665"
             "e14c8435482a27f5085c1f39f406805f"
-        ),
-    },
-    ("local_student", 0): {
-        "first": (
-            "9d72c55798848c9b3c12b5a7a13566cf"
-            "08a5c00433e3682a5e1e5d3c6c6c5fa3"
-        ),
-    },
-    ("local_student", 1): {
-        "first": (
-            "2bee14ae0d7f6078faec7a92cfe244f0"
-            "d7902214e7d39dec549b8d0903cd4ae2"
         ),
     },
     ("learned_padding", 0): {

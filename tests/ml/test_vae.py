@@ -135,23 +135,6 @@ class TestVAETraining:
         history = vae.fit(X, epochs=8, batch_size=32, lr=3e-3)
         assert history["val_loss"][-1] < history["val_loss"][0]
 
-    def test_early_stopping_trims_epochs(self):
-        """With a tight patience and an easily learned dataset, training
-        stops before the epoch budget."""
-        X = clustered_bits(n=150, seed=9)
-        vae = VAE(32, latent_dim=4, hidden=(16,), seed=9)
-        history = vae.fit(
-            X, epochs=60, batch_size=32, lr=3e-3, patience=2,
-            min_improvement=0.05,
-        )
-        assert len(history["train_loss"]) < 60
-
-    def test_early_stopping_disabled_runs_all_epochs(self):
-        X = clustered_bits(n=60, seed=10)
-        vae = VAE(32, latent_dim=4, hidden=(16,), seed=10)
-        history = vae.fit(X, epochs=5, batch_size=32)
-        assert len(history["train_loss"]) == 5
-
     def test_evaluate_deterministic(self):
         X = clustered_bits(n=50, seed=3)
         vae = tiny_vae(input_dim=32, seed=3)

@@ -82,9 +82,6 @@ ALLOWED = {
     "ShardSupervisor.reset": (
         "the operator override ShardCircuitOpenError's message names"
     ),
-    "E2NVM.attach_student": (
-        "the student tier (ROADMAP item 2): decided with it, not here"
-    ),
     "DeviceStats.bits_programmed_per_write": (
         "the paper's bits-per-write metric, printed by the examples"
     ),
