@@ -2,9 +2,9 @@
 
 Runs the seeded chaos drill from :mod:`repro.testing.chaos` — random
 kill / SIGSTOP / in-transaction-crash faults against live shard worker
-processes mid-``put_many``, with wearout and drift clocks advancing and
-the in-worker scrubber/compactor/retrain loops running — and reports what
-a storage operator would ask of a self-healing array:
+processes mid-``put_many``, with wearout and drift clocks advancing, the
+in-worker scrubber and compactor running and ``auto_retrain`` on — and
+reports what a storage operator would ask of a self-healing array:
 
 - **recovery time**: seconds from fault detection to the shard serving
   again (mean and max across all supervised recoveries);

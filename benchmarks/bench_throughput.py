@@ -10,7 +10,8 @@ inference, memo-cache fast placement, and sharded multi-channel overhauls:
   device write per batch;
 - **sharded ops/s** — batched overwrite PUTs against a
   ``ShardedKVStore`` at 1/2/4 shards on the *process* backend (one worker
-  process per shard, shared-memory media).  Shards place, encode and
+  process per shard, shared-memory media), each a durable store created in
+  a temporary directory that is removed afterwards.  Shards place, encode and
   write on real cores concurrently — this is the section that escapes the
   GIL.  Aggregate ops/s plus per-shard put-latency p50/p99; the scaling
   gate only arms on runners with enough cores (a 1-core box measures IPC
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -180,14 +182,14 @@ def _sharded_config():
 def _run_one_shard_count(n_shards: int, n_ops: int, n_latency: int) -> dict:
     """Aggregate batched-PUT throughput and per-shard put latency for one
     shard count on the process backend."""
-    store = ShardedKVStore.create_volatile(
+    with tempfile.TemporaryDirectory() as root, ShardedKVStore.create(
+        root,
         n_shards,
         segment_size=SHARD_SEGMENT_SIZE,
         n_segments_per_shard=SHARD_N_SEGMENTS,
         config=_sharded_config(),
         backend="process",
-    )
-    try:
+    ) as store:
         rng = np.random.default_rng(29 + n_shards)
         # Steady-state overwrite stream: a fixed key population (well under
         # per-shard capacity) rewritten with fresh full-segment values, so
@@ -230,8 +232,6 @@ def _run_one_shard_count(n_shards: int, n_ops: int, n_latency: int) -> dict:
             "aggregate_ops_per_s": round(aggregate, 1),
             "put_latency_us": latency,
         }
-    finally:
-        store.close()
 
 
 def _run_sharded_section(quick: bool) -> dict:

@@ -94,37 +94,34 @@ class KVStore:
 
     Args:
         engine: a trained (or to-be-trained) :class:`E2NVM` engine.
-        pool: optional :class:`PersistentPool` enabling the durable,
-            transactional write path; prefer :meth:`create`/:meth:`open`
+        catalog: optional :class:`PersistentCatalog` enabling the durable
+            write path over its pool; prefer :meth:`create`/:meth:`open`
             over passing it directly.
-        catalog: the pool's :class:`PersistentCatalog`; required with
-            ``pool``.
     """
 
     def __init__(
         self,
         engine: E2NVM,
         *,
-        pool: PersistentPool | None = None,
         catalog: PersistentCatalog | None = None,
     ) -> None:
-        if (pool is None) != (catalog is None):
-            raise ValueError("durable mode needs both pool and catalog")
         self.engine = engine
         #: The key → location index: a red-black tree, as in Figure 3
         #: ("RB-Tree.put(D, A)").
         self.index = RedBlackTree()
-        self.pool = pool
+        self.pool: PersistentPool | None = (
+            catalog.pool if catalog is not None else None
+        )
         self.catalog = catalog
         # The one address-keyed DRAM mirror, ``addr → (key, crc, heat,
         # record)`` per live value.  Presence is the validity flag (durable
         # mode: mirrors the catalog's persisted bit; volatile mode: the
         # only copy); ``key`` is the reverse map relocation, scrubbing and
         # wear leveling use; ``crc`` mirrors the persisted CRC32 every read
-        # is verified against (``None``: engine-level write, no checksum
-        # on record); ``heat`` is the write-temperature stamp below;
-        # ``record`` is the key's catalog record id (``None`` when volatile).
-        self._live: dict[int, tuple[bytes, int | None, int, int | None]] = {}
+        # is verified against; ``heat`` is the write-temperature stamp
+        # below; ``record`` is the key's catalog record id (``None`` when
+        # volatile).
+        self._live: dict[int, tuple[bytes, int, int, int | None]] = {}
         #: Catalog record ids no live key holds, ascending (durable mode).
         self._free_records = list(range(catalog.n_records)) if catalog else []
         self._next_epoch = 1
@@ -182,7 +179,7 @@ class KVStore:
             engine.adopt(pipeline, engine.free_addresses())
         else:
             engine.train()
-        return cls(engine, pool=pool, catalog=catalog)
+        return cls(engine, catalog=catalog)
 
     @classmethod
     def open(
@@ -283,7 +280,7 @@ class KVStore:
         else:
             engine.train(addresses=free_addrs)
 
-        store = cls(engine, pool=pool, catalog=catalog)
+        store = cls(engine, catalog=catalog)
         store._free_records = sorted(
             set(store._free_records) - {e.record for e in taken.values()}
         )
@@ -640,8 +637,6 @@ class KVStore:
         value at a since-recycled address.
         """
         expected = live[1]
-        if expected is None:
-            return value  # no checksum on record (engine-level write)
         if zlib.crc32(value) & 0xFFFFFFFF == expected:
             return value
         if self.index.get(key) != entry:

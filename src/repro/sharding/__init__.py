@@ -11,7 +11,8 @@ package models the same structure at the storage layer:
   mapping keys to shards;
 - :class:`~repro.sharding.shard.Shard` — one full vertical slice:
   ``NVMDevice`` + controller + engine (DAP, fastpath, retraining) +
-  ``KVStore`` (catalog, recovery) + optional scrubber/compactor workers;
+  durable ``KVStore`` (catalog, recovery) + optional in-process
+  maintenance (scrubber and compactor);
 - :class:`~repro.sharding.backends.ShardBackend` — the one execution
   backend, over one transport per shard: direct (the shard on the
   caller's thread; correctness baseline, works everywhere) or a pipe to a

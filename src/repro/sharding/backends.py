@@ -650,7 +650,7 @@ def _shard_worker(
 
     The heartbeat thread starts *before* the build so a worker stuck in
     model training still reads as alive; maintenance workers (scrubber /
-    compactor / retrain ticker) are stopped on clean shutdown."""
+    compactor) are stopped on clean shutdown."""
     for fd in _PIPE_FDS - {request_fd, reply_fd}:
         os.close(fd)
     _bound_blas_threads()

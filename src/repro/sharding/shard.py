@@ -1,12 +1,13 @@
 """One shard: a full vertical slice of the storage stack.
 
 A shard owns its *entire* channel — ``NVMDevice`` + ``MemoryController`` +
-``E2NVM`` engine (DAP, fast placement, retrain worker) + ``KVStore`` (and,
-in durable mode, ``PersistentPool`` + ``PersistentCatalog``), plus optional
-scrubber/compactor workers.  Nothing is shared between shards: each carries
-its own clusters, model epoch, wear state and lock domain, so shards
-compose with the E2-NVM placement scheme instead of fighting it
-(Predict-and-Write's per-group clustering, PAPERS.md).
+``E2NVM`` engine (DAP, fast placement, retrain worker) + a durable
+``KVStore`` over a ``PersistentPool`` and its ``PersistentCatalog``, plus,
+with maintenance on, a scrubber and a compactor.  Nothing is shared
+between shards: each carries its own clusters, model epoch, wear state
+and lock domain, so shards compose with the E2-NVM placement scheme
+instead of fighting it (Predict-and-Write's per-group clustering,
+PAPERS.md).
 
 The same :class:`Shard` object serves both shard transports.  The direct
 transport holds one in this process; the pipe transport builds one
@@ -16,14 +17,14 @@ media survives a worker crash exactly like real NVM survives power loss,
 and :meth:`Shard.build` re-attaches to it in ``"attach"`` mode to run
 normal recovery.
 
-With ``spec.maintenance`` set, the shard's scrubber/compactor — and a
-:class:`RetrainTicker` driving the engine's retrain policy — run
-*supervised inside the shard's own process* on the shared
+With ``spec.maintenance`` set, the shard's scrubber and compactor run
+*inside the shard's own process* on the shared
 :class:`~repro.nvm.worker.MaintenanceWorker` loop: each worker process
-scrubs its own drift, compacts its own retirements and retrains its own
-model on its own cadence, with no facade broadcast required.
-:meth:`Shard.execute` gates the loops around every foreground op, and
-per-worker loop state rides along in its telemetry.
+scrubs its own drift and compacts its own retirements on its own cadence,
+with no facade broadcast required.  Retraining needs no loop of its own:
+the engine's ``auto_retrain`` hook consults the retrain policy on every
+committed write.  :meth:`Shard.execute` gates the loops around every
+foreground op, and per-worker loop state rides along in its telemetry.
 
 Every operation the facade fans out arrives through :meth:`Shard.execute`,
 a single string-keyed dispatch — the request/response pipe protocol of the
@@ -47,25 +48,10 @@ from repro.pmem.pool import PersistentPool
 from repro.testing.faults import CrashError, FaultInjector
 
 
+#: Sleep between in-shard scrub rounds.
+SCRUB_INTERVAL_S = 0.05
 #: Sleep between in-shard compaction rounds.
 COMPACT_INTERVAL_S = 0.1
-
-
-class RetrainTicker(MaintenanceWorker):
-    """Background retrain cadence: one ``engine.maybe_retrain()`` per
-    round.  The policy decides FIRE/DEFER/SKIP; the ticker merely makes
-    sure the policy is consulted without any facade involvement (the
-    retrain itself runs on the engine's own single-flight worker and
-    never blocks the write path)."""
-
-    def __init__(self, engine, *, interval_s: float) -> None:
-        super().__init__(interval_s=interval_s, name="retrain-ticker")
-        self.engine = engine
-
-    def run_once(self) -> bool:
-        fired = self.engine.maybe_retrain()
-        self.stats.rounds += 1
-        return fired
 
 
 @dataclass(frozen=True)
@@ -80,25 +66,15 @@ class ShardSpec:
         shard_id: position of this shard in the facade's shard list.
         segment_size: bytes per segment of the shard's device.
         n_segments: segments on the shard's device.
-        durable: build a ``KVStore.create``/``open`` store over a
-            :class:`PersistentPool` and its catalog; ``False`` builds the
-            volatile store used by benchmarks.
-        key_capacity: catalog key capacity of a durable shard.
+        key_capacity: catalog key capacity (longest key, in bytes).
         seed: device initial-content seed (shards get distinct seeds so
             their initial free-content clusterings differ, as independent
             channels would).
         config: engine hyperparameters (each shard trains its own model).
-        path: device snapshot file (``.npz``) of a durable shard;
-            ``None`` for volatile shards, which cannot be reopened.
-        scrubber: attach a scrubber to the store.
-        compactor: attach a compactor to the store.
-        maintenance: start the attached scrubber/compactor (and, when
-            ``retrain_interval_s > 0``, a :class:`RetrainTicker`) on
-            their own background cadence inside the shard's process,
-            instead of leaving them manually driven.
-        scrub_interval_s: sleep between in-shard scrub rounds.
-        retrain_interval_s: sleep between retrain-policy consultations
-            (``0`` disables the ticker).
+        path: device snapshot file (``.npz``); ``open`` mode loads it.
+        maintenance: attach a scrubber and a compactor to the store and
+            run both on their own background cadence inside the shard's
+            process; off, the shard has neither.
         wearout: optional endurance model for the shard's device.  Like
             ``config``, travels in code rather than the manifest —
             ``NVMDevice.load`` restores wear state from the snapshot on
@@ -109,16 +85,11 @@ class ShardSpec:
     shard_id: int
     segment_size: int
     n_segments: int
-    durable: bool = True
     key_capacity: int = 16
     seed: int = 0
     config: E2NVMConfig = field(default_factory=E2NVMConfig)
     path: str | None = None
-    scrubber: bool = False
-    compactor: bool = False
     maintenance: bool = False
-    scrub_interval_s: float = 0.05
-    retrain_interval_s: float = 0.0
     wearout: WearOutConfig | None = None
     drift: DriftConfig | None = None
 
@@ -147,7 +118,7 @@ class Shard:
         spec: ShardSpec,
         store: KVStore,
         device: NVMDevice,
-        pool: PersistentPool | None = None,
+        pool: PersistentPool,
     ) -> None:
         self.spec = spec
         self.store = store
@@ -156,7 +127,7 @@ class Shard:
         self.engine = store.engine
         self.faults: FaultInjector | None = None
         #: Background maintenance loops owned by this shard (scrubber,
-        #: compactor, retrain ticker) in start order.
+        #: compactor) in start order.
         self.maintenance_workers: list[MaintenanceWorker] = []
 
     # -------------------------------------------------------------- building
@@ -184,11 +155,6 @@ class Shard:
             raise ValueError(f"unknown shard build mode {mode!r}")
         if mode == "attach" and content_buffer is None:
             raise ValueError("attach mode needs the live content buffer")
-        if mode != "create" and not spec.durable:
-            raise ValueError(
-                "volatile shards cannot be reopened (no catalog to "
-                "recover from); only durable shards survive restarts"
-            )
         geometry = (spec.n_segments, spec.segment_size, spec.key_capacity)
         if mode == "open":
             if spec.path is None:
@@ -204,56 +170,37 @@ class Shard:
                     f"says {spec.capacity_bytes}/{spec.segment_size}"
                 )
         else:
-            wearout, drift = spec.wearout, spec.drift
-            if spec.durable:
-                wearout = PersistentCatalog.immortal_metadata(
-                    wearout, *geometry
-                )
-                drift = PersistentCatalog.immortal_metadata(drift, *geometry)
             device = NVMDevice(
                 capacity_bytes=spec.capacity_bytes,
                 segment_size=spec.segment_size,
                 initial_fill="keep" if mode == "attach" else "random",
                 seed=spec.seed,
                 content_buffer=content_buffer,
-                wearout=wearout,
-                drift=drift,
+                wearout=PersistentCatalog.immortal_metadata(
+                    spec.wearout, *geometry
+                ),
+                drift=PersistentCatalog.immortal_metadata(
+                    spec.drift, *geometry
+                ),
             )
-        if not spec.durable:
-            from repro.core.e2nvm import E2NVM
-
-            engine = E2NVM(MemoryController(device), spec.config)
-            engine.train()
-            shard = cls(spec, KVStore(engine), device, pool=None)
-        else:
-            pool = PersistentPool(
-                MemoryController(device),
-                meta_segments=PersistentCatalog.meta_segments_for(*geometry),
-            )
-            build_store = KVStore.create if mode == "create" else KVStore.open
-            store = build_store(
-                pool, config=spec.config, key_capacity=spec.key_capacity
-            )
-            shard = cls(spec, store, device, pool=pool)
-            if spec.scrubber:
-                shard.maintenance_workers.append(
-                    Scrubber(
-                        store,
-                        segments_per_round=spec.n_segments,
-                        interval_s=spec.scrub_interval_s,
-                    )
-                )
-            if spec.compactor:
-                shard.maintenance_workers.append(
-                    Compactor(store, interval_s=COMPACT_INTERVAL_S)
-                )
-        if spec.maintenance and spec.retrain_interval_s > 0:
-            shard.maintenance_workers.append(
-                RetrainTicker(
-                    shard.engine, interval_s=spec.retrain_interval_s
-                )
-            )
+        pool = PersistentPool(
+            MemoryController(device),
+            meta_segments=PersistentCatalog.meta_segments_for(*geometry),
+        )
+        build_store = KVStore.create if mode == "create" else KVStore.open
+        store = build_store(
+            pool, config=spec.config, key_capacity=spec.key_capacity
+        )
+        shard = cls(spec, store, device, pool)
         if spec.maintenance:
+            shard.maintenance_workers += [
+                Scrubber(
+                    store,
+                    segments_per_round=spec.n_segments,
+                    interval_s=SCRUB_INTERVAL_S,
+                ),
+                Compactor(store, interval_s=COMPACT_INTERVAL_S),
+            ]
             shard.start_maintenance()
         return shard
 
@@ -357,13 +304,10 @@ class Shard:
     def _op_drain_relocations(self, budget: int | None = None) -> int:
         return self.store.drain_relocations(budget)
 
-    def _op_save(self, path: str | None = None) -> str:
-        """Persist the device snapshot (close path of durable shards)."""
-        target = path or self.spec.path
-        if target is None:
-            raise ValueError("volatile shard has no snapshot path")
-        self.device.save(target)
-        return target
+    def _op_save(self) -> str:
+        """Persist the device snapshot to ``spec.path`` (the close path)."""
+        self.device.save(self.spec.path)
+        return self.spec.path
 
     def _op_recovery_report(self):
         return self.store.recovery
@@ -390,8 +334,7 @@ class Shard:
             self.engine.faults = self.faults
             self.store.engine.faults = self.faults
             self.device.faults = self.faults
-            if self.pool is not None:
-                self.pool.faults = self.faults
+            self.pool.faults = self.faults
         self.faults.arm(
             site, error=CrashError, after=after, torn_fraction=torn_fraction
         )
@@ -409,8 +352,7 @@ class Shard:
         pipeline = engine.pipeline
         # Object segments only: the catalog region in front of them is
         # exempt from wear-out (``PersistentCatalog.immortal_metadata``).
-        first = self.pool.meta_segments if self.pool is not None else 0
-        wear = self.device.segment_write_count[first:]
+        wear = self.device.segment_write_count[self.pool.meta_segments :]
         out = {
             "shard_id": self.spec.shard_id,
             "n_keys": len(self.store),

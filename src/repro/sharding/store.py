@@ -28,7 +28,7 @@ hung, or breaker-open — see :mod:`repro.sharding.supervisor`):
   survivors' committed work is *used*, not discarded.  Reads routed at a
   breaker-open shard are answered as misses without touching it.
 
-Durable stores live in a directory: one device snapshot per shard plus a
+A store lives in a directory: one device snapshot per shard plus a
 JSON manifest recording the shard count, ring parameters and per-shard
 geometry/paths, so ``open()`` rebuilds the identical ring (same routing)
 and recovers shard by shard — in parallel under the process backend.
@@ -61,9 +61,10 @@ from repro.sharding.supervisor import ShardCircuitOpenError
 DEGRADED_MODES = ("fail_fast", "partial")
 
 MANIFEST_NAME = "manifest.json"
-#: 3: every shard's catalog record keeps two self-checking slots and
-#: there is no undo log (:mod:`repro.pmem.catalog`).
-MANIFEST_VERSION = 3
+#: 4: every shard is durable and states its maintenance in one flag;
+#: its catalog record keeps two self-checking slots and there is no undo
+#: log (:mod:`repro.pmem.catalog`).
+MANIFEST_VERSION = 4
 
 
 def check_manifest_version(manifest: dict) -> None:
@@ -71,7 +72,8 @@ def check_manifest_version(manifest: dict) -> None:
     :meth:`ShardedKVStore.open` and the offline checker share.  Versions
     1 and 2 put an undo log in front of a one-version catalog; read with
     this layout, a crashed shard's half-applied transaction would never
-    be rolled back.
+    be rolled back.  Version 3 has this media layout but split each
+    shard's maintenance over three flags and two intervals.
 
     Raises:
         ValueError: naming the version and the layout this code reads.
@@ -80,10 +82,12 @@ def check_manifest_version(manifest: dict) -> None:
     if version != MANIFEST_VERSION:
         raise ValueError(
             f"manifest version {version} not supported: this code reads "
-            f"version {MANIFEST_VERSION}, whose shards keep two "
-            "self-checking slots per catalog record and no log (version 2 "
-            "kept an undo log, its flag behind the sequence at byte 8); "
-            "recreate the store and reload"
+            f"version {MANIFEST_VERSION}, whose shards are all durable, "
+            "keep two self-checking slots per catalog record and no log, "
+            "and state their maintenance in one flag (version 3 split it "
+            "into scrubber/compactor/maintenance flags and two intervals; "
+            "version 2 kept an undo log, its flag behind the sequence at "
+            "byte 8); recreate the store and reload"
         )
 
 def _sum_counters(sections: list[dict]) -> dict:
@@ -134,7 +138,7 @@ def aggregate_telemetry(shard_telemetries: list[dict]) -> dict:
 
 
 def _per_shard(
-    template: ShardSpec, n_shards: int, base_seed: int, root: Path | None
+    template: ShardSpec, n_shards: int, base_seed: int, root: Path
 ) -> list[ShardSpec]:
     """One spec per shard from ``template``.  Seeds are distinct: each
     channel's free media starts with its own content mix, so per-shard
@@ -144,11 +148,7 @@ def _per_shard(
             template,
             shard_id=shard_id,
             seed=base_seed + shard_id,
-            path=(
-                str(root / f"shard-{shard_id}.npz")
-                if root is not None
-                else None
-            ),
+            path=str(root / f"shard-{shard_id}.npz"),
         )
         for shard_id in range(n_shards)
     ]
@@ -178,11 +178,10 @@ class BatchReport(list):
 class ShardedKVStore:
     """N independent shard slices behind one KV facade.
 
-    Build with :meth:`create` (durable, directory-backed),
-    :meth:`create_volatile` (benchmark/CI stores with no snapshot files)
-    or :meth:`open` (recover an existing directory).  Addresses returned
-    by PUT are *shard-local* device addresses; with one shard they match a
-    plain :class:`KVStore` byte for byte.
+    Build with :meth:`create` (format a fresh directory) or :meth:`open`
+    (recover an existing one).  Addresses returned by PUT are
+    *shard-local* device addresses; with one shard they match a durable
+    :class:`KVStore` byte for byte.
     """
 
     def __init__(
@@ -190,14 +189,13 @@ class ShardedKVStore:
         specs: list[ShardSpec],
         mode: str,
         ring: HashRing,
-        root: Path | None,
+        root: Path,
         backend: str,
         degraded: str,
         deadline_s: float | None,
     ) -> None:
-        """``create``, ``create_volatile`` and ``open`` differ only in
-        where the specs and the ring come from; ``mode`` is
-        :meth:`Shard.build`'s."""
+        """``create`` and ``open`` differ only in where the specs and the
+        ring come from; ``mode`` is :meth:`Shard.build`'s."""
         if degraded not in DEGRADED_MODES:
             raise ValueError(
                 f"unknown degraded mode {degraded!r}; pick from "
@@ -247,22 +245,21 @@ class ShardedKVStore:
         weights=None,
         log_segments: int | None = None,
         key_capacity: int = 16,
-        scrubber: bool = False,
-        compactor: bool = False,
         base_seed: int = 7,
         maintenance: bool = False,
-        scrub_interval_s: float = 0.05,
-        retrain_interval_s: float = 0.0,
         wearout=None,
         drift=None,
         degraded: str = "fail_fast",
         deadline_s: float | None = DEFAULT_DEADLINE_S,
     ) -> "ShardedKVStore":
-        """Create a durable sharded store under directory ``root``.
+        """Create a sharded store under directory ``root``.
 
         Formats ``n_shards`` fresh shard slices (each trains its own
         engine — in parallel under the process backend) and writes the
         manifest.  Device snapshot files appear on :meth:`close`.
+        ``maintenance`` runs a scrubber and a compactor inside every
+        shard (see :class:`ShardSpec`); retraining follows the config's
+        ``auto_retrain``.
         ``deadline_s`` is the per-call response budget (see
         :class:`~repro.sharding.backends.ShardBackend`).
         ``log_segments`` is accepted and ignored: stores have no log, and
@@ -280,11 +277,7 @@ class ShardedKVStore:
             n_segments=n_segments_per_shard,
             key_capacity=key_capacity,
             config=config if config is not None else E2NVMConfig(),
-            scrubber=scrubber,
-            compactor=compactor,
             maintenance=maintenance,
-            scrub_interval_s=scrub_interval_s,
-            retrain_interval_s=retrain_interval_s,
             wearout=wearout,
             drift=drift,
         )
@@ -296,42 +289,12 @@ class ShardedKVStore:
         return store
 
     @classmethod
-    def create_volatile(
-        cls,
-        n_shards: int,
-        *,
-        segment_size: int = 64,
-        n_segments_per_shard: int = 128,
-        config: E2NVMConfig | None = None,
-        backend: str = "inprocess",
-        base_seed: int = 7,
-        degraded: str = "fail_fast",
-        deadline_s: float | None = DEFAULT_DEADLINE_S,
-    ) -> "ShardedKVStore":
-        """Create a volatile sharded store (no pool/catalog, no manifest,
-        no maintenance loops, the default ring) — the benchmark
-        configuration."""
-        template = ShardSpec(
-            shard_id=0,
-            segment_size=segment_size,
-            n_segments=n_segments_per_shard,
-            durable=False,
-            key_capacity=0,
-            config=config if config is not None else E2NVMConfig(),
-        )
-        return cls(
-            _per_shard(template, n_shards, base_seed, None), "create",
-            HashRing(n_shards), None, backend, degraded, deadline_s,
-        )
-
-    @classmethod
     def open(
         cls,
         root: str | Path,
         *,
         config: E2NVMConfig | None = None,
         backend: str | None = None,
-        maintenance: bool | None = None,
         wearout=None,
         drift=None,
         degraded: str = "fail_fast",
@@ -346,8 +309,7 @@ class ShardedKVStore:
         in-process can reopen under workers and vice versa); ``config``
         applies to every shard, like ``KVStore.open``'s config argument —
         as do ``wearout``/``drift``, whose *state* rides in the device
-        snapshots.  ``maintenance`` overrides the manifest's flag
-        (``None`` keeps it)."""
+        snapshots.  Each shard's ``maintenance`` flag is the manifest's."""
         root = Path(root)
         manifest = json.loads((root / MANIFEST_NAME).read_text())
         check_manifest_version(manifest)
@@ -357,12 +319,10 @@ class ShardedKVStore:
             "wearout": wearout,
             "drift": drift,
         }
-        specs = []
-        for entry in manifest["shards"]:
-            # An unknown key raises: ``ShardSpec`` refuses it.
-            if maintenance is not None:
-                entry["maintenance"] = maintenance
-            specs.append(ShardSpec(**entry, **code_carried))
+        # An unknown key raises: ``ShardSpec`` refuses it.
+        specs = [
+            ShardSpec(**entry, **code_carried) for entry in manifest["shards"]
+        ]
         if len(specs) != ring.n_shards:
             raise ValueError(
                 f"manifest lists {len(specs)} shards but the ring expects "
@@ -461,13 +421,8 @@ class ShardedKVStore:
 
         Only the ring's weights change — the shard count is fixed (growing
         the fleet is a different operation: it needs new media, not just
-        new routing).  Durable stores only: the journal is what makes a
-        mid-migration crash recoverable."""
-        if self.root is None:
-            raise RebalanceError(
-                "volatile stores cannot rebalance (no directory to journal "
-                "the migration in)"
-            )
+        new routing).  The journal is what makes a mid-migration crash
+        recoverable."""
         if self.rebalancer is not None:
             raise RebalanceInProgressError(
                 "a rebalance is already in flight; finalize it first"
@@ -742,14 +697,12 @@ class ShardedKVStore:
         return self.backend.shard_alive(shard_id)
 
     def save(self, *, deadline: float | None = ...) -> None:
-        """Snapshot every durable shard's device to its manifest path.
+        """Snapshot every shard's device to its manifest path.
         ``deadline`` overrides the per-op RPC budget (process backend)."""
-        if self.root is None:
-            raise ValueError("volatile sharded store has no snapshot paths")
         self._broadcast("save", deadline=deadline)
 
     def close(self) -> None:
-        """Snapshot durable shards, then shut the backend down (worker
+        """Snapshot every shard, then shut the backend down (worker
         processes joined, shared memory released).
 
         The snapshot is best-effort: a shard that is dead or hung at
@@ -765,11 +718,9 @@ class ShardedKVStore:
         if self.supervisor is not None:
             self.supervisor.stop()
         try:
-            if self.root is not None:
-                try:
-                    self.save(deadline=DEFAULT_CLOSE_GRACE_S)
-                except ShardUnavailableError:
-                    pass  # dead/hung shards can't snapshot; recovery covers them
+            self.save(deadline=DEFAULT_CLOSE_GRACE_S)
+        except ShardUnavailableError:
+            pass  # dead/hung shards can't snapshot; recovery covers them
         finally:
             self.backend.close()
             self._closed = True

@@ -25,7 +25,9 @@ One drill round:
    ``"ok"`` item is **acknowledged**, a failed one may have committed or
    not (the shard died mid-batch);
 3. advance the wearout and drift clocks (the in-worker scrubber heals
-   drift on its own cadence while all this is going on);
+   drift on its own cadence while all this is going on, and every
+   committed write consults its shard's retrain policy, ``auto_retrain``
+   being on);
 4. let the :class:`~repro.sharding.supervisor.ShardSupervisor` converge
    the fleet back to healthy and verify every acknowledged write reads
    back.
@@ -85,12 +87,14 @@ def _key(key_no: int) -> bytes:
     return f"key-{key_no:04d}".encode()
 
 
-def _create_store(root, seed: int, n_segments_per_shard: int, **options):
+def _create_store(
+    root, seed: int, n_segments_per_shard: int, config=None, **options
+):
     return ShardedKVStore.create(
         root,
         N_SHARDS,
         n_segments_per_shard=n_segments_per_shard,
-        config=fast_test_config(),
+        config=config or fast_test_config(),
         base_seed=seed + 7,
         **_GEOMETRY,
         **options,
@@ -286,10 +290,8 @@ def run_chaos_drill(
         root, report, seed,
         n_segments_per_shard=128,
         restart_budget=5,
-        scrubber=True,
-        compactor=True,
+        config=fast_test_config(auto_retrain=True),
         maintenance=True,
-        retrain_interval_s=0.2,
         wearout=WearOutConfig(endurance_mean=1e8, seed=seed),
         drift=DriftConfig(retention_mean=50_000.0, seed=seed),
     ) as fleet:

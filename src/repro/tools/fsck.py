@@ -288,8 +288,8 @@ def fsck_sharded(root) -> ShardedFsckReport:
     holders: dict[bytes, list[int]] = {}
     for entry in manifest["shards"]:
         shard_id = entry["shard_id"]
-        snapshot = entry.get("path")
-        if not snapshot or not Path(snapshot).exists():
+        snapshot = entry["path"]
+        if not Path(snapshot).exists():
             report.warning(
                 f"shard {shard_id}: no snapshot on disk (crashed before "
                 "save; recovery covers it on open) — placement unchecked"

@@ -333,9 +333,12 @@ class TestSlotWrites:
 
 class TestConstruction:
     def test_pool_without_catalog_rejected(self, harness):
+        """The durable half of the constructor is the catalog, which
+        names its pool: a pool alone is no argument."""
         _, pool, store = harness.fresh(FaultInjector())
-        with pytest.raises(ValueError, match="both pool and catalog"):
+        with pytest.raises(TypeError, match="pool"):
             KVStore(store.engine, pool=pool)
+        assert KVStore(store.engine, catalog=store.catalog).pool is pool
 
     def test_record_wider_than_a_segment_rejected(self):
         """A record — two 22-B slots, two header bytes and the key — must

@@ -7,6 +7,8 @@ snapshot), the trained placement model, and the application's key index
 listing).  This test walks the whole journey.
 """
 
+import zlib
+
 import numpy as np
 
 from repro.core import E2NVM, KVStore
@@ -58,7 +60,7 @@ class TestPersistenceJourney:
         store2 = KVStore(engine2)
         for key, entry in sidecar.items():
             store2.index.put(key, entry)
-            store2._live[entry[0]] = (key, None, 0, None)
+            store2._live[entry[0]] = (key, zlib.crc32(contents[key]), 0, None)
 
         # Everything written in session 1 is readable in session 2.
         for key, value in contents.items():

@@ -77,9 +77,11 @@ class TestProcessOps:
             n_segments_per_shard=N_SEGMENTS,
             config=_config(),
         )
-        proc = ShardedKVStore.create_volatile(2, backend="process", **kwargs)
-        inproc = ShardedKVStore.create_volatile(
-            2, backend="inprocess", **kwargs
+        proc = ShardedKVStore.create(
+            tmp_path / "proc", 2, backend="process", **kwargs
+        )
+        inproc = ShardedKVStore.create(
+            tmp_path / "inproc", 2, backend="inprocess", **kwargs
         )
         items = _items(20)
         assert proc.put_many(items) == inproc.put_many(items)

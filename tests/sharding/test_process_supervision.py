@@ -219,10 +219,7 @@ class TestInWorkerMaintenance:
         only the clock advance and the final reads."""
         with _create(
             tmp_path,
-            scrubber=True,
-            compactor=True,
             maintenance=True,
-            scrub_interval_s=0.02,
             drift=DriftConfig(retention_mean=5_000.0),
         ) as store:
             items = _items(24)
@@ -253,18 +250,14 @@ class TestInWorkerMaintenance:
     def test_maintenance_survives_reopen(self, tmp_path):
         """A reopened worker rebuilds its maintenance loops from the spec
         — supervision config travels in the manifest entry."""
-        with _create(
-            tmp_path,
-            scrubber=True,
-            maintenance=True,
-        ) as store:
+        with _create(tmp_path, maintenance=True) as store:
             store.put_many(_items(12))
             store.backend.kill_shard(0)
             store.reopen_shard(0)
             info = store.telemetry()["shards"][0]["maintenance"]
-            assert any(
-                w["name"] == "scrubber" and w["running"] for w in info
-            )
+            assert [(w["name"], w["running"]) for w in info] == [
+                ("scrubber", True), ("compactor", True)
+            ]
 
 
 class TestBoundedTeardown:

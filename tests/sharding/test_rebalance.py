@@ -98,14 +98,6 @@ class TestLifecycle:
             store.begin_rebalance(weights=(1.0, 2.0, 1.0))
         store.close()
 
-    def test_volatile_store_cannot_rebalance(self):
-        store = ShardedKVStore.create_volatile(
-            2, config=fast_test_config(), base_seed=7
-        )
-        with pytest.raises(RebalanceError, match="volatile"):
-            store.begin_rebalance(weights=(2.0, 1.0))
-        store.close()
-
     def test_journal_never_moves_backwards(self, tmp_path):
         journal = RebalanceJournal(
             root=tmp_path,

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import fast_test_config
-from repro.core.e2nvm import E2NVM
 from repro.core.kvstore import CorruptValueError, KVStore, StoreReadOnlyError
 from repro.nvm.controller import MemoryController
 from repro.nvm.device import NVMDevice, WearOutConfig
@@ -62,56 +61,7 @@ def _model_epochs(store):
     return [t["model_epoch"] for t in store.telemetry()["shards"]]
 
 
-def _plain_volatile_twin():
-    """A plain KVStore built exactly as Shard.build builds a volatile
-    one-shard slice (same seeds, same construction order)."""
-    device = NVMDevice(
-        capacity_bytes=N_SEGMENTS * SEGMENT_SIZE,
-        segment_size=SEGMENT_SIZE,
-        initial_fill="random",
-        seed=SEED,
-    )
-    engine = E2NVM(MemoryController(device), _config())
-    engine.train()
-    return KVStore(engine), device
-
-
 class TestSingleShardEquivalence:
-    def test_volatile_twin_byte_for_byte(self):
-        sharded = ShardedKVStore.create_volatile(
-            1,
-            segment_size=SEGMENT_SIZE,
-            n_segments_per_shard=N_SEGMENTS,
-            config=_config(),
-            base_seed=SEED,
-        )
-        plain, plain_device = _plain_volatile_twin()
-        items = _trace(40)
-
-        # Same mixed trace against both: batch, point, overwrite, delete.
-        batch, rest = items[:24], items[24:]
-        assert sharded.put_many(batch) == plain.put_many(batch)
-        for key, value in rest:
-            assert sharded.put(key, value) == plain.put(key, value)
-        for i in (0, 5, 11):
-            key, _ = items[i]
-            new = b"v2-" + bytes([i]) * 20
-            assert sharded.put(key, new) == plain.put(key, new)
-        for i in (3, 17):
-            key, _ = items[i]
-            assert sharded.delete(key) is plain.delete(key)
-
-        assert len(sharded) == len(plain)
-        assert sharded.keys() == sorted(plain.keys())
-        for key, _ in items:
-            assert sharded.get(key) == plain.get(key)
-
-        shard_device = sharded.backend.shard(0).device
-        np.testing.assert_array_equal(
-            shard_device._content, plain_device._content
-        )
-        sharded.close()
-
     def test_durable_twin_byte_for_byte(self, tmp_path):
         sharded = ShardedKVStore.create(
             tmp_path / "store",
@@ -152,8 +102,9 @@ class TestSingleShardEquivalence:
 
 class TestFacadeOps:
     @pytest.fixture
-    def store(self):
-        store = ShardedKVStore.create_volatile(
+    def store(self, tmp_path):
+        store = ShardedKVStore.create(
+            tmp_path / "store",
             3,
             segment_size=SEGMENT_SIZE,
             n_segments_per_shard=N_SEGMENTS,
@@ -206,13 +157,59 @@ class TestFacadeOps:
         )
 
 
+class TestRetrainTrigger:
+    """A shard retrains on its write path, the paper's one trigger: every
+    committed write consults the engine's retrain policy when the config
+    sets ``auto_retrain``.
+
+    Nothing was lost when the wall-clock ticker that consulted the same
+    policy went.  The policy fires only once ``retrain_cooldown_writes``
+    writes have passed since the last retrain, and only committed writes
+    advance that count; each of them consults the policy itself.  The one
+    exception: a retrain deferred for want of free segments, which
+    capacity freed by a DELETE would now allow, waits for the next PUT
+    instead of the next tick."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["inprocess", pytest.param("process", marks=pytest.mark.sharding)],
+    )
+    def test_auto_retrain_fires_on_the_write_path(self, backend, tmp_path):
+        config = fast_test_config(
+            auto_retrain=True, retrain_cooldown_writes=8
+        )
+        acked = {}
+        with ShardedKVStore.create(
+            tmp_path / "store",
+            2,
+            segment_size=SEGMENT_SIZE,
+            n_segments_per_shard=N_SEGMENTS,
+            config=config,
+            key_capacity=16,
+            backend=backend,
+        ) as store:
+            # Near-identical values all place in one cluster: about a
+            # dozen keys per shard empty it, the rest write past it.
+            for start in range(0, 48, 8):
+                items = [
+                    (b"key-%04d" % i, bytes(40) + b"%04d" % i)
+                    for i in range(start, start + 8)
+                ]
+                store.put_many(items)
+                acked.update(items)
+            assert store.wait_for_retrain(60.0) == [True, True]
+            assert store.telemetry()["retrain"]["succeeded"] >= 1
+            assert store.get_many(list(acked)) == list(acked.values())
+
+
 class TestMaintenanceGate:
-    def test_in_process_ops_gate_the_maintenance_loops(self):
+    def test_in_process_ops_gate_the_maintenance_loops(self, tmp_path):
         """``Shard.execute`` is the one body both backends run: the loops
         are paused for the length of an op — raising ops included — on the
         in-process backend too, not only inside a worker process."""
         worker = MaintenanceWorker(interval_s=0.01, name="recording")
-        with ShardedKVStore.create_volatile(
+        with ShardedKVStore.create(
+            tmp_path / "store",
             1,
             segment_size=SEGMENT_SIZE,
             n_segments_per_shard=N_SEGMENTS,
@@ -223,8 +220,8 @@ class TestMaintenanceGate:
             shard._op_probe = lambda: worker.paused
             assert store.backend.call(0, "probe") is True
             assert worker.paused is False
-            with pytest.raises(ValueError):
-                store.backend.call(0, "save")  # volatile: no snapshot path
+            with pytest.raises(TypeError):
+                store.backend.call(0, "len", (b"extra",))
             assert worker.paused is False
 
 
@@ -296,39 +293,47 @@ class TestManifest:
             **kwargs,
         )
 
-    def test_open_maintenance_overrides_the_manifest_flag(self, tmp_path):
-        def running(store):
+    def test_one_maintenance_flag_runs_both_workers_or_neither(
+        self, tmp_path
+    ):
+        """``maintenance`` is one flag: on, every shard runs a scrubber
+        and a compactor; off, it has neither.  The flag lives in the
+        manifest entry, so a reopened store runs what it was created
+        with."""
+        def workers(store):
             return [
-                [w["running"] for w in t["maintenance"]]
+                [(w["name"], w["running"]) for w in t["maintenance"]]
                 for t in store.telemetry()["shards"]
             ]
 
-        root = tmp_path / "store"
-        with self._durable(root, scrubber=True) as store:
-            assert running(store) == [[False], [False]]
-        with ShardedKVStore.open(
-            root, config=_config(), maintenance=True
-        ) as store:
-            assert running(store) == [[True], [True]]
-        # An override is not written back: the manifest's flag stands.
-        with ShardedKVStore.open(root, config=_config()) as store:
-            assert running(store) == [[False], [False]]
+        both = [[("scrubber", True), ("compactor", True)]] * 2
+        with self._durable(tmp_path / "on", maintenance=True) as store:
+            assert workers(store) == both
+        with ShardedKVStore.open(tmp_path / "on", config=_config()) as store:
+            assert workers(store) == both
+        with self._durable(tmp_path / "off") as store:
+            assert workers(store) == [[], []]
+            rollup = store.telemetry()
+            assert "scrub" not in rollup and "compaction" not in rollup
 
     def test_pre_fold_manifest_is_refused_by_name(self, tmp_path):
-        """A manifest as stores written before the two-slot catalog carry
-        it — version 2, whose shards keep an undo log (``log_segments``)
-        in front of a one-version catalog — is refused by ``open`` and
-        reported by the offline checker, both naming the log layout.  At
-        this version an unknown shard key is refused too."""
+        """A manifest as older stores carry it is refused by ``open`` and
+        reported by the offline checker, both naming its version and what
+        it held: version 2, whose shards keep an undo log
+        (``log_segments``) in front of a one-version catalog, and version
+        3, whose shards split their maintenance over three flags and two
+        intervals.  At this version an unknown shard key is refused too."""
         root = tmp_path / "store"
         with self._durable(root, ring_seed=42) as store:
             store.put_many(_trace(16))
+        version_3 = (
+            '"durable": true, "scrubber": false, "compactor": false, '
+            '"maintenance": false, "scrub_interval_s": 0.05, '
+            '"retrain_interval_s": 0.0'
+        )
         shard_entry = """{
           "shard_id": %d, "segment_size": 64, "n_segments": 96,
-          "durable": true, "key_capacity": 16,
-          "seed": %d, "path": %s,
-          "scrubber": false, "compactor": false, "maintenance": false,
-          "scrub_interval_s": 0.05, "retrain_interval_s": 0.0%s
+          "key_capacity": 16, "seed": %d, "path": %s, %s
         }"""
         manifest = """{
           "version": %d,
@@ -347,15 +352,27 @@ class TestManifest:
                 manifest % (version, *entries)
             )
 
-        write_manifest(2, ', "log_segments": 4')
-        cause = "manifest version 2 not supported: .* kept an undo log"
-        with pytest.raises(ValueError, match=cause):
-            ShardedKVStore.open(root, config=_config())
-        report = fsck_sharded(root)
-        [error] = report.all_errors
-        assert re.search(cause, error) and report.shards == []
+        for version, extra, cause in (
+            (
+                2, version_3 + ', "log_segments": 4',
+                "manifest version 2 not supported: .* kept an undo log",
+            ),
+            (
+                3, version_3,
+                "manifest version 3 not supported: .* split it into "
+                "scrubber/compactor/maintenance flags",
+            ),
+        ):
+            write_manifest(version, extra)
+            with pytest.raises(ValueError, match=cause):
+                ShardedKVStore.open(root, config=_config())
+            report = fsck_sharded(root)
+            [error] = report.all_errors
+            assert re.search(cause, error) and report.shards == []
 
-        write_manifest(MANIFEST_VERSION, ', "compact_budget": 4')
+        write_manifest(
+            MANIFEST_VERSION, '"maintenance": false, "compact_budget": 4'
+        )
         with pytest.raises(TypeError, match="compact_budget"):
             ShardedKVStore.open(root, config=_config())
 
@@ -640,8 +657,9 @@ class TestTelemetryAggregation:
             seconds / count * 1e6 if count else 0.0
         )
 
-    def test_live_two_shard_rollup_matches_per_shard_sums(self):
-        store = ShardedKVStore.create_volatile(
+    def test_live_two_shard_rollup_matches_per_shard_sums(self, tmp_path):
+        store = ShardedKVStore.create(
+            tmp_path / "store",
             2,
             segment_size=SEGMENT_SIZE,
             n_segments_per_shard=N_SEGMENTS,
@@ -663,11 +681,14 @@ class TestTelemetryAggregation:
         "backend",
         ["inprocess", pytest.param("process", marks=pytest.mark.sharding)],
     )
-    def test_device_section_is_the_sum_of_each_shards_stats(self, backend):
+    def test_device_section_is_the_sum_of_each_shards_stats(
+        self, backend, tmp_path
+    ):
         """The facade's ``device`` section carries every ``DeviceStats``
         field, summed over shards — on worker processes too, where each
         shard's stats cross the pipe inside its telemetry dict."""
-        with ShardedKVStore.create_volatile(
+        with ShardedKVStore.create(
+            tmp_path / "store",
             2,
             segment_size=SEGMENT_SIZE,
             n_segments_per_shard=N_SEGMENTS,
@@ -675,6 +696,7 @@ class TestTelemetryAggregation:
             backend=backend,
         ) as store:
             items = _trace(24)
+            formatted = store.telemetry()["device"]["writes"]
             store.put_many(items)
             store.get_many([k for k, _ in items])
             rollup = store.telemetry()
@@ -688,7 +710,8 @@ class TestTelemetryAggregation:
                 ]
         total = sum(per_shard, DeviceStats())
         assert rollup["device"] == asdict(total)
-        assert total.writes == len(items)
+        # A fresh key is one value write and one catalog-slot write.
+        assert total.writes - formatted == 2 * len(items)
         assert total.reads > 0
 
     def test_wear_counts_object_segments_only(self, tmp_path):

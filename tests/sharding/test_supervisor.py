@@ -37,8 +37,9 @@ def _items(n, tag=b"v"):
     return [(b"key-%04d" % i, tag + b"-%04d" % i) for i in range(n)]
 
 
-def _store(degraded="fail_fast", **kwargs):
-    return ShardedKVStore.create_volatile(
+def _store(root, degraded="fail_fast", **kwargs):
+    return ShardedKVStore.create(
+        root / "store",
         N_SHARDS,
         segment_size=64,
         n_segments_per_shard=64,
@@ -69,8 +70,8 @@ def _supervisor(store, **kwargs):
 
 
 class TestSupervisorHealing:
-    def test_reopens_crashed_shard(self):
-        with _store() as store:
+    def test_reopens_crashed_shard(self, tmp_path):
+        with _store(tmp_path) as store:
             sup = _supervisor(store)
             store.backend.kill_shard(1)
             assert not store.shard_alive(1)
@@ -79,10 +80,10 @@ class TestSupervisorHealing:
             assert sup.telemetry()["restarts"] == 1
             assert sup.health[1].recovery_times_s
 
-    def test_watchdog_kills_hung_shard_by_heartbeat(self):
+    def test_watchdog_kills_hung_shard_by_heartbeat(self, tmp_path):
         """A hung shard (stale heartbeat, still 'alive') is detected via
         heartbeat age alone — no RPC involved — killed and restarted."""
-        with _store() as store:
+        with _store(tmp_path) as store:
             sup = _supervisor(store, heartbeat_timeout_s=0.01)
             _hang(store, 2)
             time.sleep(0.02)
@@ -95,8 +96,8 @@ class TestSupervisorHealing:
             assert tel["restarts"] == 1
             assert store.backend.kills[2] == 1
 
-    def test_stability_resets_episode_budget(self):
-        with _store() as store:
+    def test_stability_resets_episode_budget(self, tmp_path):
+        with _store(tmp_path) as store:
             sup = _supervisor(store, stable_after_s=0.0)
             store.backend.kill_shard(0)
             sup.run_once()
@@ -105,10 +106,10 @@ class TestSupervisorHealing:
             assert sup.health[0].attempts == 0
 
     def test_failed_reopen_backs_off_before_the_next_attempt(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         monkeypatch.setattr(supervisor_module, "BACKOFF_BASE_S", 0.5)
-        with _store() as store:
+        with _store(tmp_path) as store:
             sup = _supervisor(store)
             store.backend.kill_shard(0)
             _fail_reopens(store, 0, 1)
@@ -121,8 +122,8 @@ class TestSupervisorHealing:
             assert time.monotonic() - failed_at >= 0.5
             assert sup.health[0].attempts == 2
 
-    def test_await_healthy_runs_rounds_inline(self):
-        with _store() as store:
+    def test_await_healthy_runs_rounds_inline(self, tmp_path):
+        with _store(tmp_path) as store:
             sup = _supervisor(store)
             store.backend.kill_shard(0)
             store.backend.kill_shard(2)
@@ -131,8 +132,8 @@ class TestSupervisorHealing:
 
 
 class TestCircuitBreaker:
-    def test_budget_exhaustion_trips_breaker(self):
-        with _store() as store:
+    def test_budget_exhaustion_trips_breaker(self, tmp_path):
+        with _store(tmp_path) as store:
             sup = _supervisor(store, restart_budget=2)
             store.backend.kill_shard(1)
             _fail_reopens(store, 1, 10)
@@ -146,8 +147,8 @@ class TestCircuitBreaker:
             sup.run_once()
             assert sup.health[1].attempts == attempts
 
-    def test_reset_closes_breaker_and_heals(self):
-        with _store() as store:
+    def test_reset_closes_breaker_and_heals(self, tmp_path):
+        with _store(tmp_path) as store:
             sup = _supervisor(store, restart_budget=1)
             store.backend.kill_shard(1)
             _fail_reopens(store, 1, 1)
@@ -161,8 +162,8 @@ class TestCircuitBreaker:
 
 
 class TestDegradedFailFast:
-    def test_default_raises_with_partial_results(self):
-        with _store("fail_fast") as store:
+    def test_default_raises_with_partial_results(self, tmp_path):
+        with _store(tmp_path, "fail_fast") as store:
             items = _items(24)
             store.put_many(items)
             store.backend.kill_shard(1)
@@ -175,8 +176,8 @@ class TestDegradedFailFast:
             ok_shards = [s for s, st in exc.shard_status.items() if st == "ok"]
             assert len(ok_shards) == N_SHARDS - 1
 
-    def test_open_breaker_raises_circuit_error(self):
-        with _store("fail_fast") as store:
+    def test_open_breaker_raises_circuit_error(self, tmp_path):
+        with _store(tmp_path, "fail_fast") as store:
             sup = _supervisor(store, restart_budget=1)
             store.backend.kill_shard(0)
             _fail_reopens(store, 0, 5)
@@ -191,8 +192,8 @@ class TestDegradedFailFast:
 
 
 class TestDegradedPartial:
-    def test_put_many_partial_outcomes_under_dead_shard(self):
-        with _store("partial") as store:
+    def test_put_many_partial_outcomes_under_dead_shard(self, tmp_path):
+        with _store(tmp_path, "partial") as store:
             items = _items(24)
             report = store.put_many(items)
             assert isinstance(report, BatchReport)
@@ -211,8 +212,8 @@ class TestDegradedPartial:
                     assert report.outcomes[i] == "ok"
                     assert report[i] is not None
 
-    def test_get_many_reads_survivors_and_reports_dead(self):
-        with _store("partial") as store:
+    def test_get_many_reads_survivors_and_reports_dead(self, tmp_path):
+        with _store(tmp_path, "partial") as store:
             items = _items(24)
             store.put_many(items)
             store.backend.kill_shard(2)
@@ -225,8 +226,8 @@ class TestDegradedPartial:
                 else:
                     assert outcome == "ok" and got == value
 
-    def test_open_breaker_reads_as_misses(self):
-        with _store("partial") as store:
+    def test_open_breaker_reads_as_misses(self, tmp_path):
+        with _store(tmp_path, "partial") as store:
             sup = _supervisor(store, restart_budget=1)
             items = _items(24)
             store.put_many(items)
@@ -252,8 +253,8 @@ class TestDegradedPartial:
             with pytest.raises(ShardCircuitOpenError):
                 store.put(dead_key, b"nope")
 
-    def test_hung_shard_reports_hung_outcome(self):
-        with _store("partial") as store:
+    def test_hung_shard_reports_hung_outcome(self, tmp_path):
+        with _store(tmp_path, "partial") as store:
             items = _items(24)
             store.put_many(items)
             _hang(store, 0)
@@ -271,7 +272,7 @@ class TestDegradedPolicyValidation:
     def test_unknown_mode_is_refused_naming_the_two(self, mode, tmp_path):
         pick = r"'fail_fast', 'partial'"
         with pytest.raises(ValueError, match=pick):
-            _store(mode)
+            _store(tmp_path, mode)
         with pytest.raises(ValueError, match=pick):
             ShardedKVStore.create(
                 tmp_path, 1, n_segments_per_shard=64,
@@ -287,8 +288,8 @@ class TestDegradedPolicyValidation:
 class TestCallManyPartialAttach:
     """Satellite: the backend itself attaches partial results + status."""
 
-    def test_inprocess_call_many_attaches_partials(self):
-        with _store() as store:
+    def test_inprocess_call_many_attaches_partials(self, tmp_path):
+        with _store(tmp_path) as store:
             items = _items(24)
             store.put_many(items)
             store.backend.kill_shard(0)
@@ -303,8 +304,8 @@ class TestCallManyPartialAttach:
             )
             assert exc.shard_status == {0: "crashed", 1: "ok", 2: "ok"}
 
-    def test_all_hung_raises_hung_error(self):
-        with _store() as store:
+    def test_all_hung_raises_hung_error(self, tmp_path):
+        with _store(tmp_path) as store:
             _hang(store, 0)
             _hang(store, 1)
             _hang(store, 2)
@@ -313,11 +314,11 @@ class TestCallManyPartialAttach:
                     [(s, "len", ()) for s in range(N_SHARDS)]
                 )
 
-    def test_hang_reports_the_deadline_that_expired(self):
+    def test_hang_reports_the_deadline_that_expired(self, tmp_path):
         """The raised hang names the budget the call ran under, not the
         backend's default (the pipe twin is in
         ``test_process_supervision.py``)."""
-        with _store() as store:
+        with _store(tmp_path) as store:
             _hang(store, 0)
             with pytest.raises(ShardHungError) as excinfo:
                 store.backend.call_many([(0, "len", ())], deadline=0.3)
@@ -326,17 +327,17 @@ class TestCallManyPartialAttach:
 
 
 class TestCallSignature:
-    def test_direct_call_accepts_a_deadline(self):
+    def test_direct_call_accepts_a_deadline(self, tmp_path):
         """One ``call`` signature on both transports; on the caller's
         thread the deadline cannot fire, so the call just runs."""
-        with _store() as store:
+        with _store(tmp_path) as store:
             assert store.backend.call(0, "len", deadline=1e-9) == 0
             assert store.backend.call(0, "len", (), deadline=None) == 0
 
 
 class TestSupervisorTelemetry:
-    def test_facade_telemetry_carries_supervisor_rollup(self):
-        with _store() as store:
+    def test_facade_telemetry_carries_supervisor_rollup(self, tmp_path):
+        with _store(tmp_path) as store:
             sup = _supervisor(store)
             store.backend.kill_shard(2)
             sup.run_once()

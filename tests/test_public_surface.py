@@ -68,15 +68,11 @@ _REFERENCE_TWIN = (
 #: went away, or found a caller) fails the test.
 ALLOWED = {
     "KVStore.__init__.catalog": (
-        "the durable half of the constructor, passed with `pool` by "
-        "KVStore.create / KVStore.open in-module"
+        "the durable half of the constructor, passed by KVStore.create / "
+        "KVStore.open in-module"
     ),
     "ShardedKVStore.save.deadline": (
         "close() passes the close grace in-module"
-    ),
-    "ShardedKVStore.create.scrub_interval_s": (
-        "persisted in every version-3 manifest; goes with the next "
-        "manifest version"
     ),
     "ShardedKVStore.recovery_reports": "the operator-facing recovery view",
     "ShardSupervisor.reset": (
@@ -348,15 +344,10 @@ class TestManifestEntryIsTheSpec:
             shard_id=2,
             segment_size=128,
             n_segments=96,
-            durable=False,
             key_capacity=24,
             seed=9,
             path="/tmp/shard-2.npz",
-            scrubber=True,
-            compactor=True,
             maintenance=True,
-            scrub_interval_s=0.25,
-            retrain_interval_s=0.5,
             **code_carried,
         )
         blank = ShardSpec(shard_id=0, segment_size=64, n_segments=1)

@@ -59,9 +59,10 @@ def test_runner_names_are_parsed():
     assert "verify_reads" in controller_attrs
 
 
-def test_store_and_engine_expose_every_name_the_runner_reads():
+def test_store_and_engine_expose_every_name_the_runner_reads(tmp_path):
     device_keys, placement_keys, controller_attrs = _runner_names()
-    with ShardedKVStore.create_volatile(
+    with ShardedKVStore.create(
+        tmp_path / "store",
         2,
         segment_size=64,
         n_segments_per_shard=64,
