@@ -571,12 +571,11 @@ class KVStore:
     def get_many(self, keys: list[bytes]) -> list[bytes | None]:
         """:meth:`get` of each key, in order, as one batch: one index
         lookup per key (a dict hit, see :mod:`repro.index.rbtree`), one
-        device gather for every hit, then each row checked against its
-        CRC.  A duplicate key is read once per occurrence, an absent one
-        not at all.  A row that raced a relocation or update is
-        re-read through :meth:`get`'s retry loop; a CRC mismatch goes
-        through the same repair ladder and raises the same
-        :class:`CorruptValueError`.
+        device gather for every hit, then one :meth:`_checked` per row.
+        A duplicate key is read once per occurrence, an absent one not at
+        all.  A row that raced a relocation or update is re-read through
+        :meth:`get`'s retry loop; a CRC mismatch goes through the same
+        repair ladder and raises the same :class:`CorruptValueError`.
 
         Every key costs the device what its :meth:`get` would, except where
         the gather has read a row before an earlier one was checked (see
@@ -586,58 +585,52 @@ class KVStore:
         detected corruption and one more repair.
         """
         out: list[bytes | None] = [None] * len(keys)
+        lookup = self.index.get
+        live_of = self._live.get
         hits = []  # (position, entry, live tuple seen before the read)
+        addrs, lengths = [], []
         for i, key in enumerate(keys):
-            entry = self.index.get(key)
+            entry = lookup(key)
             if entry is not None:
-                hits.append((i, entry, self._live.get(entry[0])))
+                addr, length = entry
+                hits.append((i, entry, live_of(addr)))
+                addrs.append(addr)
+                lengths.append(length)
         if not hits:
             return out
-        values = self.engine.controller.read_many(
-            [entry[0] for _, entry, _ in hits],
-            [entry[1] for _, entry, _ in hits],
-        )
+        values = self.engine.controller.read_many(addrs, lengths)
+        checked = self._checked
         for (i, entry, live), value in zip(hits, values):
             key = keys[i]
-            if self._settled(key, entry[0], live):
-                value = self._verified(key, entry, live, value)
-                if value is not None:
-                    out[i] = value
-                    continue
-            out[i] = self._read_value(key)  # raced: the scalar retry loop
+            value = checked(key, entry, live, value)
+            # ``None``: raced, so re-read through the scalar retry loop.
+            out[i] = value if value is not None else self._read_value(key)
         return out
 
-    def _settled(self, key: bytes, addr: int, live) -> bool:
+    def _checked(self, key: bytes, entry, live, value: bytes):
         """The one read-validation rule of :meth:`get` and
-        :meth:`get_many`: bytes read at ``addr`` are the value of ``key``
-        when the ``_live`` tuple seen before the read is still installed
-        after it and names ``key``.
+        :meth:`get_many`.  ``value`` was read at ``entry`` after ``live``
+        was taken from ``_live``; it comes back as it is, repaired, or as
+        ``None`` when the read must be retried.
 
-        This holds because a segment holds the value its installed tuple
-        describes: values are only written to free segments, and
-        :meth:`_install` installs a value's new tuple before it pops the
-        old one, which happens before the old segment is recycled.  A
-        segment re-used while we read therefore carries a *new* tuple.
-        ``migrate``'s heat forwarding also swaps the tuple, which costs a
-        retry and nothing else.
+        The bytes are ``key``'s value (*settled*) when ``live`` is still
+        installed after the read and names ``key``: a segment holds the
+        value its installed tuple describes, because values are only
+        written to free segments and :meth:`_install` installs a new tuple
+        before it pops the old one, which precedes recycling the old
+        segment.  ``migrate``'s heat forwarding also swaps the tuple, which
+        costs a retry and nothing else.  A CRC mismatch is believed only
+        while the index still names ``entry``: otherwise the length read
+        with may be that of an older value at a since-recycled address.
         """
-        return (
-            live is not None
-            and live[0] == key
-            and self._live.get(addr) is live
-        )
-
-    def _verified(self, key: bytes, entry, live, value: bytes):
-        """``value``, read at a settled ``entry``, checked against the CRC
-        in ``live``: the value itself, its repair, or ``None`` when the
-        read must be retried.
-
-        A mismatch is believed only while the index still names
-        ``entry``: otherwise the length read with may be that of an older
-        value at a since-recycled address.
-        """
+        if (
+            live is None
+            or live[0] != key
+            or self._live.get(entry[0]) is not live
+        ):
+            return None
         expected = live[1]
-        if zlib.crc32(value) & 0xFFFFFFFF == expected:
+        if zlib.crc32(value) == expected:
             return value
         if self.index.get(key) != entry:
             return None
@@ -654,7 +647,7 @@ class KVStore:
         """Read, verify and (if needed) repair the value of ``key``.
 
         The read is raced against concurrent relocation/update of the same
-        key (:meth:`_settled`), and retries when the value moved
+        key (:meth:`_checked`), and retries when the value moved
         mid-flight (the read-after-retire window of background
         evacuation).  A CRC mismatch on a stable entry goes through the
         repair ladder — ECP-corrected re-read, then scrubber refresh-write
@@ -667,11 +660,11 @@ class KVStore:
                 return None
             addr, length = entry
             live = self._live.get(addr)
-            value = self.engine.controller.read(addr, length)
-            if self._settled(key, addr, live):
-                value = self._verified(key, entry, live, value)
-                if value is not None:
-                    return value
+            value = self._checked(
+                key, entry, live, self.engine.controller.read(addr, length)
+            )
+            if value is not None:
+                return value
         raise RuntimeError(
             f"read of key {key!r} kept racing concurrent relocation"
         )

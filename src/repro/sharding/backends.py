@@ -257,53 +257,50 @@ class TransportLost(Exception):
     the caller's thread)."""
 
 
-def _gather(attempts) -> list:
-    """The ``call_many`` contract.
-
-    ``attempts`` yields one ``(shard_id, attempt)`` pair per request, in
-    request order; ``attempt()`` returns that request's result or raises.
-    Every attempt runs — a dead shard never stops the survivors — and the
-    results come back request-aligned.  If any shard was unavailable, one
+def _gather(requests, sent, collect) -> list:
+    """The ``call_many`` contract.  ``sent[i]`` is request ``i``'s reply
+    deadline once it went out under its shard's lock, or the exception it
+    failed with before that; ``collect(shard_id, deadline)`` awaits a
+    reply and releases the lock.  Every request is collected — a dead
+    shard never stops the survivors — and results come back
+    request-aligned.  If any shard was unavailable, one
     :class:`ShardCrashedError` (:class:`ShardHungError` carrying the first
     caught hang's deadline when every failure was a hang) naming all of
     them is raised with ``partial_results`` (``None`` at failed requests)
-    and the per-shard ``shard_status`` map attached; otherwise the first
-    ordinary error, deferred until every attempt has run, is re-raised."""
+    and the ``shard_status`` map, built only then, attached; otherwise the
+    first ordinary error is re-raised once every request was collected."""
     results: list = []
-    status: dict[int, str] = {}
+    failed: dict[int, str] = {}
     first_error: Exception | None = None
     first_hang: ShardHungError | None = None
-    for shard_id, attempt in attempts:
+    for (shard_id, _, _), deadline in zip(requests, sent):
         try:
-            results.append(attempt())
-            status.setdefault(shard_id, "ok")
+            if isinstance(deadline, Exception):
+                raise deadline
+            results.append(collect(shard_id, deadline))
             continue
         except ShardHungError as exc:
-            status[shard_id] = "hung"
+            failed[shard_id] = "hung"
             first_hang = first_hang or exc
         except ShardCrashedError:
-            status[shard_id] = "crashed"
+            failed[shard_id] = "crashed"
         except Exception as exc:  # noqa: BLE001 - re-raised below
-            status[shard_id] = "error"
+            failed[shard_id] = "error"
             first_error = first_error or exc
         results.append(None)
-    bad = sorted(s for s, st in status.items() if st in ("crashed", "hung"))
+    if not failed:
+        return results
+    bad = sorted(s for s, st in failed.items() if st != "error")
     if bad:
-        if all(status[s] == "hung" for s in bad):
+        if all(failed[s] == "hung" for s in bad):
             exc = ShardHungError(bad, first_hang.deadline_s)
         else:
             exc = ShardCrashedError(bad)
         exc.partial_results = results
-        exc.shard_status = status
+        exc.shard_status = dict.fromkeys((s for s, _, _ in requests), "ok")
+        exc.shard_status.update(failed)
         raise exc
-    if first_error is not None:
-        raise first_error
-    return results
-
-
-def _raise(exc: BaseException):
-    """An attempt that failed before :func:`_gather` ran it."""
-    raise exc
+    raise first_error
 
 
 class ShardBackend:
@@ -416,10 +413,10 @@ class ShardBackend:
                 encoded.append(self.transports[shard_id].encode((op, args)))
             except Exception as exc:  # noqa: BLE001 - _gather re-raises it
                 encoded.append(exc)
-        attempts = []
+        sent = []
         for (shard_id, op, _), request in zip(requests, encoded):
             if isinstance(request, Exception):
-                attempts.append((shard_id, partial(_raise, request)))
+                sent.append(request)
                 continue
             lock = self._locks[shard_id]
             lock.acquire()
@@ -427,15 +424,13 @@ class ShardBackend:
                 self._send(shard_id, self.transports[shard_id], request)
             except ShardCrashedError as exc:
                 lock.release()
-                attempts.append((shard_id, partial(_raise, exc)))
+                sent.append(exc)
                 continue
-            op_deadline = deadline
             if deadline is ...:
-                op_deadline = DEFAULT_OP_DEADLINES.get(op, self.deadline_s)
-            attempts.append(
-                (shard_id, partial(self._collect, shard_id, op_deadline))
-            )
-        return _gather(attempts)
+                sent.append(DEFAULT_OP_DEADLINES.get(op, self.deadline_s))
+            else:
+                sent.append(deadline)
+        return _gather(requests, sent, self._collect)
 
     def _collect(self, shard_id: int, deadline: float | None):
         """Second half of a fanned-out request: await the reply and
@@ -800,7 +795,13 @@ class _PipeTransport:
         return payload
 
     def alive(self) -> bool:
-        return self.process.is_alive()
+        # Read without the shard lock (the watchdog must not wait behind
+        # a call), so a reopen may be releasing this worker meanwhile.
+        process = self.process
+        try:
+            return process is not None and process.is_alive()
+        except ValueError:  # closed by that reopen's ``_release``
+            return False
 
     def heartbeat_age(self) -> float:
         return time.monotonic() - max(self.heartbeat.value, self.spawned_at)

@@ -529,26 +529,30 @@ class ShardedKVStore:
         """
         out: list = [None] * n_items
         outcomes = ["ok"] * n_items
-        shards = sorted(groups)
-        open_now = [s for s in shards if self._breaker_open(s)]
+        run_now = sorted(groups)
+        open_now = [s for s in run_now if self._breaker_open(s)]
         if open_now:
             if self.degraded == "fail_fast":
                 raise ShardCircuitOpenError(open_now)
             for s in open_now:
                 for i in groups[s]:
                     outcomes[i] = "breaker_open"
-        run_now = [s for s in shards if s not in open_now]
+            run_now = [s for s in run_now if s not in open_now]
         if not run_now:
             return BatchReport(out, outcomes)
         requests = [(s, op, (payload_of(s),)) for s in run_now]
         try:
             per_shard = self.backend.call_many(requests)
-            statuses = dict.fromkeys(run_now, "ok")
         except ShardUnavailableError as exc:
             if self.degraded == "fail_fast":
                 raise
             statuses = exc.shard_status
             per_shard = exc.partial_results or [None] * len(run_now)
+        else:
+            for s, results in zip(run_now, per_shard):
+                for i, r in zip(groups[s], results):
+                    out[i] = r
+            return BatchReport(out, outcomes)
         for s, results in zip(run_now, per_shard):
             status = statuses.get(s, "error")
             if status == "ok" and results is not None:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.dcw import DCW
+from repro.baselines.fnw import FNW
 from repro.nvm import DriftConfig, MemoryController, NVMDevice, WearOutConfig
 from repro.nvm.health import SegmentRetiredError
 from repro.nvm.wear_leveling import SegmentSwapWearLeveling
@@ -248,15 +250,42 @@ class TestControllerWriteMany:
 
 class TestControllerReadMany:
     def test_matches_sequential_read(self):
-        batched = MemoryController(_device())
-        sequential = MemoryController(_device())
         # Two 64-B rows (one gather), a lone 24-B row and a repeat.
         addrs = [0, 5 * SEGMENT_SIZE, 9 * SEGMENT_SIZE + 8, 0]
         lengths = [SEGMENT_SIZE, SEGMENT_SIZE, 24, SEGMENT_SIZE]
-        got = batched.read_many(addrs, lengths)
-        expected = [sequential.read(a, n) for a, n in zip(addrs, lengths)]
-        assert got == expected
-        assert_stats_equal(batched.stats, sequential.stats)
+        rng = np.random.default_rng(9)
+        values = [rng.integers(0, 256, n, dtype=np.uint8) for n in lengths[:3]]
+        # DCW stores the logical bytes as they are; Flip-N-Write stores
+        # some words inverted, so its rows must be decoded one by one.
+        for scheme in (DCW, FNW):
+            batched = MemoryController(_device(), scheme())
+            sequential = MemoryController(_device(), scheme())
+            for controller in (batched, sequential):
+                for addr, value in zip(addrs, values):
+                    controller.write(addr, value)
+            if scheme is FNW:
+                assert any(f.any() for f in batched.scheme._flags.values())
+            got = batched.read_many(addrs, lengths)
+            expected = [sequential.read(a, n) for a, n in zip(addrs, lengths)]
+            assert got == expected
+            assert_stats_equal(batched.stats, sequential.stats)
+
+    @pytest.mark.parametrize(
+        ("bad_addr", "error"),
+        [
+            (5 * SEGMENT_SIZE + 8, ValueError),  # crosses a segment end
+            (N_SEGMENTS * SEGMENT_SIZE, IndexError),  # past the device
+            (-SEGMENT_SIZE, IndexError),  # before it
+        ],
+    )
+    def test_out_of_bounds_row_raises_what_read_raises(self, bad_addr, error):
+        """A gathered row (its length has two rows) is bounds-checked as
+        :meth:`read` checks it."""
+        controller = MemoryController(_device())
+        with pytest.raises(error):
+            controller.read(bad_addr, SEGMENT_SIZE)
+        with pytest.raises(error):
+            controller.read_many([0, bad_addr], [SEGMENT_SIZE] * 2)
 
     def test_lone_length_row_goes_through_read(self, monkeypatch):
         controller = MemoryController(_device())

@@ -155,6 +155,21 @@ class TestFrameCodec:
                 os.close(fd)
 
 
+class TestLivenessDuringReopen:
+    def test_a_released_worker_reads_as_dead(self):
+        """``shard_alive`` reads liveness without the shard lock, so a
+        concurrent reopen may have released the worker: no process, or a
+        closed one, is not alive (the rebalance storm once raised
+        ``AttributeError`` here)."""
+        transport = object.__new__(_PipeTransport)
+        transport.process = None
+        assert not transport.alive()
+        closed = backends._CTX.Process(target=int)  # never started
+        closed.close()
+        transport.process = closed
+        assert not transport.alive()
+
+
 class _PollSpy:
     """Records each wait on a transport's registered poller."""
 

@@ -13,6 +13,7 @@ in ``test_process_supervision.py`` under the ``sharding`` marker.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -324,6 +325,41 @@ class TestCallManyPartialAttach:
                 store.backend.call_many([(0, "len", ())], deadline=0.3)
             assert excinfo.value.deadline_s == 0.3
             assert "(0.3s)" in str(excinfo.value)
+
+
+class TestCallManyReleasesLocks:
+    def test_ordinary_error_mid_batch(self, tmp_path):
+        """An op that raises mid-batch fails only its own request: the
+        rest still run, the first error is re-raised after them, and no
+        shard's conversation lock stays held."""
+        with _store(tmp_path) as store:
+            backend = store.backend
+            with pytest.raises(ValueError, match="first_unknown"):
+                backend.call_many(
+                    [
+                        (0, "put", (b"k0", b"v0")),
+                        (1, "first_unknown", ()),
+                        (2, "put", (b"k2", b"v2")),
+                        (1, "second_unknown", ()),
+                    ]
+                )
+            # The locks are RLocks, which this thread would re-enter even
+            # if one leaked: probe them from another.
+            free = []
+
+            def probe():
+                for lock in backend._locks:
+                    free.append(lock.acquire(timeout=1))
+                    if free[-1]:
+                        lock.release()
+
+            prober = threading.Thread(target=probe)
+            prober.start()
+            prober.join(timeout=10)
+            assert not prober.is_alive()
+            assert free == [True] * N_SHARDS
+            assert backend.call(0, "get", (b"k0",)) == b"v0"
+            assert backend.call(2, "get", (b"k2",)) == b"v2"
 
 
 class TestCallSignature:
