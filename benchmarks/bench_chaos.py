@@ -14,10 +14,16 @@ reports what a storage operator would ask of a self-healing array:
 - **safety**: lost acknowledged writes and post-drill fsck must both be
   zero/clean — a fast recovery that drops data counts for nothing.
 
-Results land in ``BENCH_chaos.json``.  ``--quick`` runs fewer, smaller
-rounds for CI; ``--check`` re-runs the drill and exits non-zero unless
-the safety contract holds (all shards healthy, zero lost acknowledged
-writes, zero torn values, fsck clean on every shard).
+The drill runs in two arms: ``immortal`` media (default endurance, no
+cell dies) and ``mortal`` media whose endurance is near the round count,
+so cells die within the drill and every restarted worker must carry on
+from the worn medium it left — stuck cells, ECP, health and drift state.
+
+Results land in ``BENCH_chaos.json``, one entry per arm.  ``--quick``
+runs fewer, smaller rounds for CI; ``--check`` re-runs both arms and
+exits non-zero unless the safety contract holds (all shards healthy,
+zero lost acknowledged writes, zero torn values, fsck clean on every
+shard; the mortal arm must also have killed cells).
 """
 
 from __future__ import annotations
@@ -41,22 +47,29 @@ def _sizes(quick: bool) -> tuple[int, int]:
 
 
 def run_chaos(quick: bool = False) -> dict:
+    """Both arms: ``{arm: summary}``."""
     rounds, batch_size = _sizes(quick)
-    t0 = time.perf_counter()
-    report = run_chaos_drill(
-        rounds=rounds,
-        batch_size=batch_size,
-        seed=SEED,
-        heal_timeout_s=120.0,
-    )
-    wall_s = time.perf_counter() - t0
-    result = report.summary()
-    result["wall_s"] = wall_s
-    result["quick"] = quick
-    return result
+    results = {}
+    # Each round ages every cell once; a median endurance of 1.5 rounds
+    # kills the weakest cells (the lognormal tail) within the drill.
+    for arm, endurance_mean in (("immortal", 1e8), ("mortal", 1.5 * rounds)):
+        t0 = time.perf_counter()
+        report = run_chaos_drill(
+            rounds=rounds,
+            batch_size=batch_size,
+            seed=SEED,
+            heal_timeout_s=120.0,
+            endurance_mean=endurance_mean,
+        )
+        result = report.summary()
+        result["wall_s"] = time.perf_counter() - t0
+        result["quick"] = quick
+        results[arm] = result
+    return results
 
 
-def print_chaos(result: dict) -> None:
+def print_chaos(arm: str, result: dict) -> None:
+    print(f"== {arm} media ==")
     print_table(
         "chaos drill: faults injected",
         ["fault", "count"],
@@ -77,6 +90,7 @@ def print_chaos(result: dict) -> None:
             ["attempted items", result["total_items"]],
             ["converge (s)", result["converge_s"]],
             ["wall (s)", result["wall_s"]],
+            ["stuck cells at the end", result["stuck_cells"]],
         ],
     )
     print_table(
@@ -92,8 +106,8 @@ def print_chaos(result: dict) -> None:
     )
 
 
-def check_chaos(result: dict) -> int:
-    """The drill's acceptance gate: convergence and zero data loss."""
+def check_chaos(arm: str, result: dict) -> int:
+    """One arm's acceptance gate: convergence and zero data loss."""
     failures = []
     if not result["all_healthy"]:
         failures.append("fleet did not converge to all-shards-healthy")
@@ -118,12 +132,14 @@ def check_chaos(result: dict) -> int:
         )
     if result["restarts"] < 1:
         failures.append("no supervised restart happened — drill inert")
+    if arm == "mortal" and not result["stuck_cells"]:
+        failures.append("no cell died — the mortal arm is inert")
     if failures:
         for failure in failures:
-            print(f"[chaos check FAILED: {failure}]")
+            print(f"[chaos check FAILED ({arm}): {failure}]")
         return 1
     print(
-        f"[chaos check OK: {result['restarts']} restarts, "
+        f"[chaos check OK ({arm}): {result['restarts']} restarts, "
         f"{result['watchdog_kills']} watchdog kills, "
         f"availability {result['availability']:.2f}, "
         f"recovery mean {result['recovery_time_mean_s']:.2f}s, "
@@ -141,11 +157,12 @@ def main() -> None:
         "(instead of writing JSON)",
     )
     args = parser.parse_args()
-    result = run_chaos(quick=args.quick)
-    print_chaos(result)
+    results = run_chaos(quick=args.quick)
+    for arm, result in results.items():
+        print_chaos(arm, result)
     if args.check:
-        sys.exit(check_chaos(result))
-    emit_json(JSON_PATH, result)
+        sys.exit(max(check_chaos(arm, r) for arm, r in results.items()))
+    emit_json(JSON_PATH, results)
 
 
 if __name__ == "__main__":

@@ -253,9 +253,8 @@ class KVStore:
             for seg in sorted(health_state.retiring):
                 if seg * seg_size in taken:
                     continue
-                health_state.retiring.discard(seg)
                 health_state.reclaimed.add(seg)
-                health_state.spares.append(seg * seg_size)
+                health_state.spares.extend([seg * seg_size])
                 reclaimed_on_open += 1
             quarantine = {
                 s * seg_size
@@ -277,10 +276,14 @@ class KVStore:
         )
         if pipeline is not None:
             engine.adopt(pipeline, free_addrs)
-        else:
+        elif engine.health is None or (
+            len(free_addrs) >= engine.config.n_clusters
+        ):
             engine.train(addresses=free_addrs)
 
         store = cls(engine, catalog=catalog)
+        # Worn past what a model can train on: the reads still serve.
+        store._read_only = not engine.pipeline.trained
         store._free_records = sorted(
             set(store._free_records) - {e.record for e in taken.values()}
         )
@@ -800,6 +803,7 @@ class KVStore:
             return 0
         moved = 0
         popped = 0
+        tried: set[int] = set()
         self._relocating = True
         try:
             while budget is None or popped < budget:
@@ -807,6 +811,9 @@ class KVStore:
                 if seg is None:
                     return moved
                 popped += 1
+                if seg in tried:
+                    continue  # re-queued by this drain's own repair reads
+                tried.add(seg)
                 addr = seg * self.engine.segment_size
                 live = self._live.get(addr)
                 if live is None:

@@ -23,9 +23,8 @@ down from it and, once none are left, becomes **stuck-at** its current
 value — subsequent programming pulses to it silently fail and reads return
 the stuck value.  The device then also carries an
 :class:`~repro.nvm.ecc.ErrorCorrectingPointers` table and a
-:class:`~repro.nvm.health.HealthState` (both persisted by
-:meth:`NVMDevice.save`); the controller's verify-after-write path uses them
-to detect, correct and eventually retire failing segments.
+:class:`~repro.nvm.health.HealthState`; the controller's verify-after-write
+path uses them to detect, correct and eventually retire failing segments.
 
 With a :class:`DriftConfig` the device models the *read-side* failure mode:
 resistance drift.  Every cell draws a seeded time-to-drift budget (lognormal,
@@ -38,6 +37,11 @@ written range, so refresh cost shows up honestly in wear/energy accounting).
 The true stored charge is never lost to drift in this model, only mis-sensed;
 ``sensed = content XOR drift_mask`` and a scrubber can recover the original
 by rewriting ``sensed XOR drift_mask``.
+
+Everything the medium carries — content, counters, every per-cell plane,
+the ECP and health tables, the clock — lives in one block laid out by
+:func:`medium_layout`; a block that outlives its process (a shard worker's
+shared memory) is a medium :meth:`NVMDevice.load` adopts as it stands.
 """
 
 from __future__ import annotations
@@ -64,6 +68,40 @@ _ECP_KEYS = ("ecp_segments", "ecp_offsets", "ecp_values")
 _HEALTH_KEYS = (
     "health_retired", "health_retiring", "health_spares", "health_reclaimed"
 )
+#: A formatted block's first header word, written after every plane: a
+#: block a crash left mid-format or mid-load reads as blank.
+_FORMATTED = 0x45324E564D
+#: Header words (the mark, geometry, ``track_bit_wear``, the clock); the
+#: fault-model rows follow, all zero for a model the medium lacks.
+_MARK, _CAPACITY, _SEGMENT, _BIT_WEAR, _CLOCK = range(5)
+
+
+def medium_layout(capacity_bytes, segment_size, bit_wear, wearout, drift):
+    """Where each plane of a medium lives in its one block, as ``{name:
+    (offset, dtype, shape)}``, and the block's size in bytes."""
+    n_segments, n_cells = capacity_bytes // segment_size, capacity_bytes * 8
+    planes = [
+        ("header", np.int64, 5), ("params", np.float64, (2, 5)),
+        ("content", np.uint8, capacity_bytes),
+        ("segment_write_count", np.int64, n_segments),
+        ("bit_wear", np.int64, n_cells * bool(bit_wear)),
+    ]
+    if wearout is not None:
+        planes += [
+            ("pulses_left", np.int64, n_cells),
+            ("stuck", np.uint8, capacity_bytes),
+            ("ecp", np.int32, (n_segments, wearout.ecp_entries)),
+            ("health", np.uint8, n_segments),
+            ("spare_order", np.int64, n_segments),
+        ]
+    if drift is not None:
+        planes.append(("last_program", np.int64, n_cells))
+        planes.append(("drifted", np.uint8, capacity_bytes))
+    layout, size = {}, 0
+    for name, dtype, shape in planes:  # each plane 8-byte aligned
+        layout[name] = (size, dtype, shape)
+        size += -(-np.dtype(dtype).itemsize * int(np.prod(shape)) // 8) * 8
+    return layout, size
 
 
 @dataclass(frozen=True)
@@ -120,6 +158,14 @@ class DriftConfig:
     immortal_prefix_segments: int = 0
 
 
+def _carve(block: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
+    """Each plane of ``layout`` as a view into ``block``."""
+    return {
+        name: np.ndarray(shape, dtype, block, offset)
+        for name, (offset, dtype, shape) in layout.items()
+    }
+
+
 class WriteResult(NamedTuple):
     """Outcome of one media write."""
 
@@ -143,18 +189,15 @@ class NVMDevice:
         energy_model: cost model for energy accounting.
         track_bit_wear: maintain a per-bit programming counter (8 counters per
             byte of capacity) for wear CDF analysis.
-        initial_fill: ``"zero"`` or ``"random"`` initial media content;
-            ``"keep"`` (valid only with ``content_buffer``) adopts the
-            buffer's existing bytes untouched — the crash-recovery path of
-            a sharded worker re-attaching to its shared-memory media.
+        initial_fill: ``"zero"`` or ``"random"`` initial media content.
         seed: RNG seed for ``initial_fill="random"``.
         content_buffer: optional writable buffer (e.g. a
-            ``multiprocessing.shared_memory.SharedMemory`` block) backing
-            the media content array in place of a private allocation.  At
-            least ``capacity_bytes`` long; the device uses exactly the
-            leading ``capacity_bytes``.  Content then outlives this
-            process: a sharded store's parent can re-open a shard from the
-            buffer after its worker process died mid-write.
+            ``multiprocessing.shared_memory.SharedMemory`` block) holding
+            the whole medium in place of a private block: at least the
+            size :func:`medium_layout` gives; the constructor formats it.
+            The medium then outlives this process: a sharded store's
+            parent re-opens a shard over the buffer after its worker
+            process died mid-write (:meth:`load`).
         faults: optional :class:`repro.testing.faults.FaultInjector`; when
             set, :meth:`program` fires the write-capable ``"device.program"``
             site before any accounting, so tests can crash a run at any
@@ -184,98 +227,112 @@ class NVMDevice:
         drift: DriftConfig | None = None,
         content_buffer=None,
     ) -> None:
+        if initial_fill not in ("zero", "random"):
+            raise ValueError(f"unknown initial_fill {initial_fill!r}")
+        self._format(
+            capacity_bytes, segment_size, track_bit_wear, wearout, drift,
+            content_buffer, energy_model, faults,
+        )
+        if initial_fill == "random":
+            self._content[:] = rng_from_seed(seed).integers(
+                0, 256, size=capacity_bytes, dtype=np.uint8
+            )
+        self._header[_MARK] = _FORMATTED
+
+    def _format(
+        self, capacity_bytes, segment_size, track_bit_wear, wearout, drift,
+        buffer, energy_model, faults,
+    ) -> None:
+        """Lay a blank medium out in ``buffer`` (a private block when
+        ``None``) and adopt it: planes zeroed, each countdown its cell's
+        endurance draw, the header written but for its mark."""
         if segment_size <= 0:
             raise ValueError("segment_size must be positive")
         if capacity_bytes <= 0 or capacity_bytes % segment_size:
             raise ValueError(
                 "capacity_bytes must be a positive multiple of segment_size"
             )
-        self.capacity_bytes = capacity_bytes
-        self.segment_size = segment_size
+        for cfg in filter(None, (wearout, drift)):
+            if astuple(cfg)[0] < 1:  # endurance_mean / retention_mean
+                raise ValueError(f"{fields(cfg)[0].name} must be at least 1")
+            if not 0 <= cfg.immortal_prefix_segments <= (
+                capacity_bytes // segment_size
+            ):
+                raise ValueError("immortal_prefix_segments out of range")
+        if drift is not None and drift.wear_scale < 0:
+            raise ValueError("wear_scale must be non-negative")
+        layout, size = medium_layout(
+            capacity_bytes, segment_size, track_bit_wear, wearout, drift
+        )
+        if buffer is None:
+            block = np.zeros(size, dtype=np.uint8)
+        else:
+            block = np.frombuffer(buffer, dtype=np.uint8)
+            if block.size < size:
+                raise ValueError(
+                    f"{block.size} B cannot hold this {size} B medium (are "
+                    "its wear-out and drift models the buffer's?)"
+                )
+            block[:size] = 0
+        planes = _carve(block, layout)
+        planes["header"][_CAPACITY:_CLOCK] = (
+            capacity_bytes, segment_size, track_bit_wear,
+        )
+        self._adopt(planes, wearout, drift, energy_model, faults)
+        if wearout is not None:
+            self._cell_budgets(wearout, out=self._pulses_left)
+        for row, cfg in zip(planes["params"], (wearout, drift)):
+            if cfg is not None:
+                row[:] = astuple(cfg)
+
+    def _adopt(self, planes, wearout, drift, energy_model, faults) -> None:
+        """Run on the medium whose planes are ``planes``, as they stand."""
+        self._header = planes["header"]
+        self.capacity_bytes = int(self._header[_CAPACITY])
+        self.segment_size = int(self._header[_SEGMENT])
         #: Number of fixed-size segments on the device.
-        self.n_segments = capacity_bytes // segment_size
+        self.n_segments = self.capacity_bytes // self.segment_size
         self.energy_model = energy_model or EnergyModel()
         self.latency_model = LatencyModel()
         self.faults = faults
         self.stats = DeviceStats()
-
-        if content_buffer is not None:
-            backing = np.frombuffer(content_buffer, dtype=np.uint8)
-            if backing.size < capacity_bytes:
-                raise ValueError(
-                    f"content_buffer of {backing.size} B cannot back "
-                    f"{capacity_bytes} B of media"
-                )
-        elif initial_fill == "keep":
-            raise ValueError(
-                'initial_fill="keep" needs a content_buffer to keep'
-            )
-        else:
-            backing = np.empty(capacity_bytes, dtype=np.uint8)
-        self._content = backing[:capacity_bytes]
-        if initial_fill == "zero":
-            self._content[:] = 0
-        elif initial_fill == "random":
-            self._content[:] = rng_from_seed(seed).integers(
-                0, 256, size=capacity_bytes, dtype=np.uint8
-            )
-        elif initial_fill != "keep":
-            raise ValueError(f"unknown initial_fill {initial_fill!r}")
-
-        self.segment_write_count = np.zeros(self.n_segments, dtype=np.int64)
-        self._bit_wear: np.ndarray | None = None
-        if track_bit_wear:
-            self._bit_wear = np.zeros(capacity_bytes * 8, dtype=np.int64)
-
-        self.wearout = wearout
+        self.wearout, self.drift = wearout, drift
+        self._content = planes["content"]
+        self.segment_write_count = planes["segment_write_count"]
+        self._bit_wear = planes["bit_wear"] if planes["bit_wear"].size else None
         # Program pulses each cell has left before it sticks: the endurance
         # draw, counted down.  A cell's wear is its redrawn budget minus
         # this (:meth:`wear_count`), so the budget itself is not kept.
-        self._pulses_left: np.ndarray | None = None
-        self._stuck_packed: np.ndarray | None = None
-        # Cells set in ``_stuck_packed`` / ``_drift_packed``, kept where
-        # cells die, drift and heal: an overlay with nothing to say (no
-        # cell stuck yet, none drifted yet) skips its gather on every
-        # read and write.
-        self._n_stuck = 0
-        self._n_drifted = 0
-        self.ecc: ErrorCorrectingPointers | None = None
-        self.health: HealthState | None = None
+        self._pulses_left = planes.get("pulses_left")
+        self._stuck_packed = planes.get("stuck")
+        self._last_program_tick = planes.get("last_program")
+        self._drift_packed = planes.get("drifted")
+        self.ecc = self.health = None
         if wearout is not None:
-            self._init_wearout(wearout)
-
-        self.drift = drift
-        self._drift_budget: np.ndarray | None = None
-        self._last_program_tick: np.ndarray | None = None
-        self._drift_packed: np.ndarray | None = None
-        self._clock = 0
-        if drift is not None:
-            self._init_drift(drift)
+            self.ecc = ErrorCorrectingPointers(self.segment_size, planes["ecp"])
+            self.health = HealthState(
+                planes["health"], planes["spare_order"], self.segment_size
+            )
+        self._drift_budget = drift and self._cell_budgets(drift)
+        # Cells set in each overlay, kept where cells die, drift and heal:
+        # one with nothing to say skips its gather on every access.
+        self._n_stuck, self._n_drifted = (
+            0 if plane is None else popcount_array(plane)
+            for plane in (self._stuck_packed, self._drift_packed)
+        )
         # Whether any overlay needs the positions of the pulsed cells.
-        self._tracks_cells = (
-            track_bit_wear or wearout is not None or drift is not None
+        self._tracks_cells = bool(
+            self._bit_wear is not None or wearout or drift
         )
 
-    def _init_wearout(self, cfg: WearOutConfig) -> None:
-        if cfg.endurance_mean < 1:
-            raise ValueError("endurance_mean must be at least 1")
-        if not 0 <= cfg.immortal_prefix_segments <= self.n_segments:
-            raise ValueError("immortal_prefix_segments out of range")
-        self._pulses_left = self._cell_budgets(cfg)
-        self._stuck_packed = np.zeros(self.capacity_bytes, dtype=np.uint8)
-        self.ecc = ErrorCorrectingPointers(
-            self.segment_size, cfg.ecp_entries
-        )
-        self.health = HealthState()
-
-    def _cell_budgets(self, cfg) -> np.ndarray:
+    def _cell_budgets(self, cfg, out=None) -> np.ndarray:
         """One lognormal int64 budget per cell, at least 1, drawn from
         ``cfg`` (a :class:`WearOutConfig` or :class:`DriftConfig`: both
         lead with mean, sigma, seed and end with the immortal prefix);
         cells of the immortal prefix never run out.  A pure function of
         ``cfg`` and the geometry — budgets are redrawn when needed, never
         stored — so the seed must be an int (no OS entropy, no shared
-        stream)."""
+        stream).  ``out`` receives them in place of a fresh array."""
         mean, sigma, seed, _, immortal_segments = astuple(cfg)
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"budget seed must be an int, not {seed!r}")
@@ -285,28 +342,12 @@ class NVMDevice:
         # Clamped in place and cast once: each extra pass is a fresh 4 MB
         # per 64 KiB of media.
         np.maximum(budgets, 1.0, out=budgets)
-        budgets = budgets.astype(np.int64)
-        budgets[: immortal_segments * self.segment_size * 8] = _IMMORTAL_BUDGET
-        return budgets
-
-    def _init_drift(self, cfg: DriftConfig) -> None:
-        if cfg.retention_mean < 1:
-            raise ValueError("retention_mean must be at least 1")
-        if cfg.wear_scale < 0:
-            raise ValueError("wear_scale must be non-negative")
-        if not 0 <= cfg.immortal_prefix_segments <= self.n_segments:
-            raise ValueError("immortal_prefix_segments out of range")
-        self._drift_budget = self._cell_budgets(cfg)
-        self._last_program_tick = np.zeros(
-            self.capacity_bytes * 8, dtype=np.int64
-        )
-        self._drift_packed = np.zeros(self.capacity_bytes, dtype=np.uint8)
-
-    def detach_buffer(self) -> None:
-        """Stop using an external ``content_buffer``: keep a private copy
-        of the content and drop the view, releasing the buffer export so
-        the owner (e.g. a ``SharedMemory`` block) can be closed."""
-        self._content = self._content.copy()
+        if out is None:
+            out = budgets.astype(np.int64)
+        else:
+            np.copyto(out, budgets, casting="unsafe")
+        out[: immortal_segments * self.segment_size * 8] = _IMMORTAL_BUDGET
+        return out
 
     def segment_address(self, index: int) -> int:
         """Byte address of segment ``index``."""
@@ -648,7 +689,7 @@ class NVMDevice:
     @property
     def clock(self) -> int:
         """Logical retention clock (ticks since device creation)."""
-        return self._clock
+        return int(self._header[_CLOCK])
 
     def advance_time(self, ticks: int) -> int:
         """Advance the retention clock and drift every cell whose last
@@ -664,8 +705,8 @@ class NVMDevice:
             raise RuntimeError("device was created without a drift model")
         if ticks < 0:
             raise ValueError("ticks must be non-negative")
-        self._clock += ticks
-        age = self._clock - self._last_program_tick
+        self._header[_CLOCK] += ticks
+        age = self._header[_CLOCK] - self._last_program_tick
         due = np.flatnonzero(age >= self._effective_drift_budget())
         if self._n_stuck and due.size:
             # Stuck cells are frozen charge — they neither drift nor heal.
@@ -766,7 +807,7 @@ class NVMDevice:
             arrays["drift_params"] = self._params(self.drift)
             arrays["drift_last_program"] = self._last_program_tick
             arrays["drift_packed"] = self._drift_packed
-            arrays["drift_clock"] = np.array([self._clock], dtype=np.int64)
+            arrays["drift_clock"] = np.array([self.clock], dtype=np.int64)
         np.savez_compressed(path, **arrays)
 
     @classmethod
@@ -776,33 +817,40 @@ class NVMDevice:
         energy_model: EnergyModel | None = None,
         content_buffer=None,
     ) -> "NVMDevice":
-        """Restore a device from a :meth:`save` snapshot.
-
-        ``content_buffer`` backs the restored content array with an
-        external buffer (see :class:`NVMDevice`); the snapshot's bytes are
-        copied into it.  Snapshots that also carry ``endurance_budget`` /
-        ``drift_budget`` (the layout before budgets were redrawn) load
-        the same way: those keys equal the redraw and are not read.
-        """
+        """Adopt the medium in ``content_buffer`` as it stands if it holds
+        one (it outlived the process that used it); else lay the
+        :meth:`save` snapshot at ``path`` into it (or a private block).
+        Snapshots that also carry ``endurance_budget`` / ``drift_budget``
+        (the layout before budgets were redrawn) load the same way: those
+        keys equal the redraw and are not read."""
+        device = cls.__new__(cls)
+        if content_buffer is not None:
+            block = np.frombuffer(content_buffer, dtype=np.uint8)
+            header = np.ndarray(5, np.int64, block)
+            if header[_MARK] == _FORMATTED:
+                wearout, drift = (
+                    cls._config(kind, row if row[0] else None)
+                    for kind, row in zip(
+                        (WearOutConfig, DriftConfig),
+                        np.ndarray((2, 5), np.float64, block, 40),
+                    )
+                )
+                layout, _ = medium_layout(
+                    *header[_CAPACITY:_CLOCK].tolist(), wearout, drift
+                )
+                device._adopt(
+                    _carve(block, layout), wearout, drift, energy_model, None
+                )
+                return device
         with np.load(path) as archive:
-            capacity, segment_size = (int(x) for x in archive["geometry"])
-            wearout = cls._config(WearOutConfig, archive, "wearout_params")
-            drift = cls._config(DriftConfig, archive, "drift_params")
-            # The constructor redraws every per-cell budget from the
-            # configs; what follows restores the state on top of them.
-            device = cls(
-                capacity_bytes=capacity,
-                segment_size=segment_size,
-                energy_model=energy_model,
-                track_bit_wear="bit_wear" in archive,
-                wearout=wearout,
-                drift=drift,
-                content_buffer=content_buffer,
-            )
+            shape = cls._snapshot_shape(archive)
+            wearout, drift = shape[3:]
+            # Formatting redraws every per-cell budget from the configs;
+            # what follows restores the state on top of them.
+            device._format(*shape, content_buffer, energy_model, None)
             device._content[:] = archive["content"]
             device.segment_write_count[:] = archive["segment_write_count"]
             if "bit_wear" in archive:
-                assert device._bit_wear is not None
                 device._bit_wear[:] = archive["bit_wear"]
             if wearout is not None:
                 # Countdowns resume where the wear left them, and dead
@@ -820,8 +868,26 @@ class NVMDevice:
                 device._last_program_tick[:] = archive["drift_last_program"]
                 device._drift_packed[:] = archive["drift_packed"]
                 device._n_drifted = popcount_array(device._drift_packed)
-                device._clock = int(archive["drift_clock"][0])
+                device._header[_CLOCK] = archive["drift_clock"][0]
+        device._header[_MARK] = _FORMATTED
         return device
+
+    @classmethod
+    def snapshot_block_bytes(cls, path) -> int:
+        """Size of the block :meth:`load` lays the snapshot at ``path``
+        into."""
+        with np.load(path) as archive:
+            return medium_layout(*cls._snapshot_shape(archive))[1]
+
+    @classmethod
+    def _snapshot_shape(cls, archive) -> tuple:
+        """A snapshot's :func:`medium_layout` arguments."""
+        capacity, segment_size = (int(x) for x in archive["geometry"])
+        return (
+            capacity, segment_size, "bit_wear" in archive,
+            cls._config(WearOutConfig, archive.get("wearout_params")),
+            cls._config(DriftConfig, archive.get("drift_params")),
+        )
 
     @staticmethod
     def _params(cfg) -> np.ndarray:
@@ -835,16 +901,13 @@ class NVMDevice:
         return row
 
     @staticmethod
-    def _config(kind, archive, key: str):
-        """The ``kind`` config a snapshot's :meth:`_params` row describes
-        (each field cast back to its default's type), or ``None``."""
-        if key not in archive:
+    def _config(kind, row):
+        """The ``kind`` config a :meth:`_params` row describes (each field
+        cast back to its default's type), or ``None`` for no row."""
+        if row is None:
             return None
         return kind(
-            *(
-                type(f.default)(value)
-                for f, value in zip(fields(kind), archive[key])
-            )
+            *(type(f.default)(value) for f, value in zip(fields(kind), row))
         )
 
     # -------------------------------------------------------------- internals
@@ -898,7 +961,7 @@ class NVMDevice:
                 self._n_drifted -= popcount_array(healed)
             if self._n_stuck:
                 cells = cells[self._flagged(self._stuck_packed, cells) == 0]
-            self._last_program_tick[cells] = self._clock
+            self._last_program_tick[cells] = self._header[_CLOCK]
         return flips
 
     @staticmethod

@@ -16,12 +16,14 @@ segment has left, the segment has failed; the caller (the memory
 controller's verify-after-write path) retires it through the health
 manager.
 
-Entries live in DRAM dictionaries here, but logically they model a
-per-segment media-resident table; :meth:`NVMDevice.save`/``load``
-round-trip them with the rest of the wear-out state.
+The table is a plane of the device's medium block, a row of slots per
+segment filled left to right: ``(bit offset + 1) << 1 | replacement bit``,
+0 when free, so one slot store commits one entry.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -33,19 +35,25 @@ class ErrorCorrectingPointers:
         segment_size: segment size in bytes (entries index bits within one
             segment: ``0 .. segment_size * 8 - 1``, MSB-first to match
             ``np.unpackbits``).
-        entries_per_segment: correction capacity per segment; exceeding it
-            means the segment has failed and must be retired.
+        table: the ``(n_segments, entries_per_segment)`` int32 slot plane
+            (see the module docstring); its width is the correction
+            capacity per segment, beyond which the segment has failed.
     """
 
-    def __init__(self, segment_size: int, entries_per_segment: int = 6) -> None:
+    def __init__(self, segment_size: int, table: np.ndarray) -> None:
         if segment_size <= 0:
             raise ValueError("segment_size must be positive")
-        if entries_per_segment < 1:
+        if table.shape[1] < 1:
             raise ValueError("entries_per_segment must be at least 1")
         self.segment_size = segment_size
-        self.entries_per_segment = entries_per_segment
-        # segment index -> {bit offset within segment: replacement bit}
-        self._entries: dict[int, dict[int, int]] = {}
+        self.entries_per_segment = table.shape[1]
+        self._table = table
+        # Entries in the whole table: the O(1) answer for the common case
+        # of a medium with no dead cell yet.
+        self._n_entries = int(np.count_nonzero(table))
+        # A scrub round may verify a segment while a foreground write does:
+        # slot picks and the count are read-modify-writes.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- correction
 
@@ -63,18 +71,20 @@ class ErrorCorrectingPointers:
         Returns ``data`` itself when no entry applies, otherwise a patched
         copy (the input array is never mutated).
         """
-        entries = self._entries.get(segment)
-        if not entries:
+        if not self._n_entries or not self._table[segment, 0]:
             return data
         out = None
-        for bit_off, value in entries.items():
+        for slot in self._table[segment].tolist():
+            if not slot:
+                break
+            bit_off = (slot >> 1) - 1
             byte = bit_off // 8 - offset
             if not 0 <= byte < data.shape[-1]:
                 continue
             if out is None:
                 out = data.copy()
             bit = np.uint8(0x80 >> (bit_off % 8))
-            if value:
+            if slot & 1:
                 out[byte] |= bit
             else:
                 out[byte] &= np.uint8(~bit & 0xFF)
@@ -94,25 +104,31 @@ class ErrorCorrectingPointers:
         would push the segment past ``entries_per_segment``; the caller
         must then retire the segment.
         """
-        entries = self._entries.setdefault(segment, {})
-        fresh = [int(b) for b in bit_offsets if int(b) not in entries]
-        if len(entries) + len(fresh) > self.entries_per_segment:
-            if not entries:
-                del self._entries[segment]
-            return False
-        for bit_off, value in zip(bit_offsets, bit_values):
-            entries[int(bit_off)] = int(value)
+        row = self._table[segment]
+        with self._lock:
+            slot_of = {
+                (slot >> 1) - 1: i
+                for i, slot in enumerate(row.tolist()) if slot
+            }
+            used = len(slot_of)
+            fresh = [int(b) for b in bit_offsets if int(b) not in slot_of]
+            if used + len(fresh) > self.entries_per_segment:
+                return False
+            for bit_off, value in zip(bit_offsets, bit_values):
+                slot = slot_of.setdefault(int(bit_off), len(slot_of))
+                row[slot] = (int(bit_off) + 1) << 1 | int(value)
+            self._n_entries += len(slot_of) - used
         return True
 
     # ------------------------------------------------------------ inspection
 
     def any_entries(self) -> bool:
         """Whether any segment holds a correction entry."""
-        return bool(self._entries)
+        return self._n_entries > 0
 
     def entries_used(self, segment: int) -> int:
         """Correction entries consumed by ``segment``."""
-        return len(self._entries.get(segment, ()))
+        return int(np.count_nonzero(self._table[segment]))
 
     def at_capacity(self, segment: int) -> bool:
         """Whether ``segment`` has no spare correction entries left."""
@@ -121,26 +137,29 @@ class ErrorCorrectingPointers:
     @property
     def corrections_active(self) -> int:
         """Total correction entries across every segment."""
-        return sum(len(e) for e in self._entries.values())
+        return self._n_entries
 
     # ----------------------------------------------------------- persistence
 
     def state_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten every entry to (segments, bit offsets, values) arrays."""
-        segs, offs, vals = [], [], []
-        for seg in sorted(self._entries):
-            for bit_off in sorted(self._entries[seg]):
-                segs.append(seg)
-                offs.append(bit_off)
-                vals.append(self._entries[seg][bit_off])
+        """Every entry as (segments, bit offsets, values) int64 arrays,
+        by segment, then bit offset (a snapshot's ``ecp_*`` keys)."""
+        segments, slots = np.nonzero(self._table)
+        entries = self._table[segments, slots].astype(np.int64)
+        offsets = (entries >> 1) - 1
+        order = np.lexsort((offsets, segments))
         return (
-            np.asarray(segs, dtype=np.int64),
-            np.asarray(offs, dtype=np.int64),
-            np.asarray(vals, dtype=np.int64),
+            segments[order].astype(np.int64), offsets[order],
+            entries[order] & 1,
         )
 
     def restore_state(self, segments, offsets, values) -> None:
         """Reinstate :meth:`state_arrays` output, replacing current state."""
-        self._entries = {}
+        self._table[:] = 0
+        self._n_entries = 0
         for seg, off, val in zip(segments, offsets, values):
-            self._entries.setdefault(int(seg), {})[int(off)] = int(val)
+            if not self.record(int(seg), [off], [val]):
+                raise ValueError(
+                    f"segment {int(seg)} holds more ECP entries than its "
+                    f"capacity of {self.entries_per_segment}"
+                )

@@ -4,16 +4,14 @@ telemetry.
 Two pieces with very different lifetimes cooperate here:
 
 - :class:`HealthState` is *media state*.  It lives on the
-  :class:`~repro.nvm.device.NVMDevice` object (``device.health``), models a
-  reserved metadata region on the media, survives an in-process simulated
-  crash (the device object is the media) and round-trips through
-  ``NVMDevice.save()/load()``.  It does *not* survive the death of a
-  process-backend shard worker: only the content bytes live in shared
-  memory, and the restarted worker re-attaches them to a fresh device
-  with no health, ECP or stuck-cell state.  It records which physical
+  :class:`~repro.nvm.device.NVMDevice` object (``device.health``) as two
+  planes of the device's medium block — one state byte per segment and a
+  spare order — so it survives whatever the medium survives: an
+  in-process simulated crash, ``NVMDevice.save()/load()`` and the death
+  of a process-backend shard worker alike.  It records which physical
   segments are retired (ECP capacity exceeded — never place data there
   again), which are retiring (at ECP capacity — still readable, evacuate
-  soon) and which addresses are reserved spares.
+  soon), which were reclaimed and which addresses are reserved spares.
 - :class:`HealthManager` is *policy*.  One is created per
   :class:`~repro.nvm.controller.MemoryController` when verify-after-write
   is enabled; it mutates the device-resident state, fires the
@@ -42,7 +40,14 @@ and re-queuing them on every write would relocate their values forever.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
+from collections.abc import MutableSet
+
+import numpy as np
+
+#: Segment state bytes: every segment is in exactly one state.
+HEALTHY, RETIRING, RETIRED, RECLAIMED = range(4)
 
 
 class SegmentRetiredError(RuntimeError):
@@ -70,22 +75,33 @@ class SegmentRetiredError(RuntimeError):
 
 
 class HealthState:
-    """Media-resident degradation bookkeeping (attached to the device)."""
+    """Media-resident degradation bookkeeping (attached to the device) in
+    two planes of its medium block: a state byte per segment, and per
+    segment 0 or its stamp in the spare queue.  A transition is one or two
+    plane stores, ordered so that a crash between them is harmless."""
 
-    def __init__(self) -> None:
+    def __init__(self, states, spare_order, segment_size: int) -> None:
+        self._states, self._order = states, spare_order
+        self.segment_size = segment_size
+        # Segments in any state but HEALTHY: the O(1) answer for a medium
+        # with nothing retired yet.
+        self._n_marked = int(np.count_nonzero(states))
+        # Transitions come from foreground writes and maintenance rounds
+        # at once; the count is a read-modify-write.
+        self._lock = threading.Lock()
         #: Physical segments whose ECP capacity was exceeded; dead for
         #: placement, reads still served (the old data is intact
         #: because stuck cells hold exactly the bits they refused to flip).
-        self.retired: set[int] = set()
+        self.retired = _Segments(self, RETIRED)
         #: Physical segments at (but not beyond) ECP capacity: still
         #: correct, but the next new dead cell kills them — evacuate.
-        self.retiring: set[int] = set()
-        #: Reserved spare segment addresses, handed out FIFO on retirement.
-        self.spares: list[int] = []
+        self.retiring = _Segments(self, RETIRING)
         #: Segments that reached ECP capacity, were drained, and returned
         #: to service as spare-class capacity.  Kept so ``mark_retiring``
         #: knows not to re-queue them (they run at capacity by design).
-        self.reclaimed: set[int] = set()
+        self.reclaimed = _Segments(self, RECLAIMED)
+        #: Reserved spare segment addresses, handed out FIFO on retirement.
+        self.spares = _Spares(self)
 
     def snapshot_arrays(self):
         """(retired, retiring, spares, reclaimed) as plain int lists for
@@ -98,10 +114,81 @@ class HealthState:
         )
 
     def restore_arrays(self, retired, retiring, spares, reclaimed) -> None:
-        self.retired = {int(s) for s in retired}
-        self.retiring = {int(s) for s in retiring}
-        self.spares = [int(a) for a in spares]
-        self.reclaimed = {int(s) for s in reclaimed}
+        """Lay :meth:`snapshot_arrays` output onto a fresh medium."""
+        for view, segments in zip(
+            (self.retiring, self.reclaimed, self.retired),
+            (retiring, reclaimed, retired),
+        ):
+            for segment in segments:
+                view.add(int(segment))
+        self.spares.extend(spares)
+
+
+class _Segments(MutableSet):
+    """The segments in one state, as a live set over the state plane."""
+
+    _from_iterable = set  # ``|``, ``&`` and ``-`` build plain sets
+
+    def __init__(self, health: HealthState, state: int) -> None:
+        self._health, self._state = health, state
+
+    def __contains__(self, segment) -> bool:
+        health = self._health
+        return health._n_marked > 0 and (
+            0 <= segment < health._states.size
+            and health._states[segment] == self._state
+        )
+
+    def __iter__(self):
+        states = self._health._states
+        return iter(np.flatnonzero(states == self._state).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._health._states == self._state))
+
+    def add(self, segment: int) -> None:
+        health = self._health
+        with health._lock:
+            health._n_marked += not health._states[segment]
+            health._states[segment] = self._state
+
+    def discard(self, segment: int) -> None:
+        health = self._health
+        with health._lock:
+            if segment in self:
+                health._states[segment] = HEALTHY
+                health._n_marked -= 1
+
+
+class _Spares:
+    """The spare addresses in queue order, as a live view."""
+
+    def __init__(self, health: HealthState) -> None:
+        self._order, self._size = health._order, health.segment_size
+
+    def __iter__(self):
+        segments = np.flatnonzero(self._order)
+        order = np.argsort(self._order[segments], kind="stable")
+        return iter((segments[order] * self._size).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._order))
+
+    def extend(self, addresses) -> None:
+        for address in addresses:
+            self._order[int(address) // self._size] = self._order.max() + 1
+
+    def take(self) -> int | None:
+        """Dequeue the oldest spare: its address, or ``None``."""
+        if not self._order.any():
+            return None
+        stamps = np.where(self._order, self._order, self._order.max() + 1)
+        return self.drop(int(np.argmin(stamps)))
+
+    def drop(self, segment: int) -> int:
+        """Take ``segment`` out of the queue: its address."""
+        self._order[segment] = 0
+        return segment * self._size
 
 
 class HealthManager:
@@ -119,8 +206,6 @@ class HealthManager:
     def __init__(self, controller, faults=None) -> None:
         self.controller = controller
         self.device = controller.device
-        if getattr(self.device, "health", None) is None:
-            self.device.health = HealthState()
         self.state: HealthState = self.device.health
         self.faults = faults if faults is not None else self.device.faults
         # DRAM relocation queue: retiring segments with live data the
@@ -144,17 +229,12 @@ class HealthManager:
         if segment in self.state.retired:
             return
         self._fire("health.retire")
+        # A reclaimed (spare-class) segment that dies for real must not
+        # linger in the spares, or the next activation would hand out dead
+        # media.  Dropped first: a crash between the two stores leaves a
+        # segment that is merely no spare.
+        self.state.spares.drop(segment)
         self.state.retired.add(segment)
-        self.state.retiring.discard(segment)
-        if segment in self.state.reclaimed:
-            # A reclaimed (spare-class) segment died for real: it must not
-            # linger in the spares list, or the next activation would hand
-            # out dead media.
-            self.state.reclaimed.discard(segment)
-            seg_size = self.controller.segment_size
-            self.state.spares = [
-                a for a in self.state.spares if a // seg_size != segment
-            ]
         if segment in self._pending_set:
             self._pending_set.discard(segment)
             try:
@@ -203,10 +283,9 @@ class HealthManager:
         if segment not in self.state.retiring:
             return None
         self._fire("compact.reclaim")
-        self.state.retiring.discard(segment)
         self.state.reclaimed.add(segment)
         addr = segment * self.controller.segment_size
-        self.state.spares.append(addr)
+        self.state.spares.extend([addr])
         self.reclaimed_total += 1
         if segment in self._pending_set:
             self._pending_set.discard(segment)
@@ -237,9 +316,7 @@ class HealthManager:
 
     def take_spare(self) -> int | None:
         """Hand out the next spare address, or ``None`` when exhausted."""
-        if not self.state.spares:
-            return None
-        return self.state.spares.pop(0)
+        return self.state.spares.take()
 
     @property
     def spares_left(self) -> int:

@@ -9,17 +9,19 @@ store's ``backend=`` choice:
 
 - ``"inprocess"`` — the **direct** transport runs :meth:`Shard.execute`
   on the caller's thread: the correctness baseline, and it works
-  everywhere.  Nothing dies here for real, so kill and reopen are
-  routing-level (the :class:`Shard` object survives), and a
-  :class:`CrashError` escaping an op reads as the shard's death.
+  everywhere.  A :class:`CrashError` escaping an op reads as the shard's
+  death.
 - ``"process"`` — the **pipe** transport: one worker process per shard
   over two raw ``os.pipe()`` pairs (requests down one, replies up the
-  other), its device content array in a ``SharedMemory`` block the
-  parent owns, so shards place, encode and write concurrently on real
-  cores.  A worker that dies (simulated power loss on one channel) loses
-  its DRAM state, not the media: :meth:`ShardBackend.reopen_shard`
-  spawns a fresh worker that re-attaches to the block and runs ordinary
-  catalog recovery, trimming only that shard's in-flight batch.
+  other), its medium in a ``SharedMemory`` block the parent owns, so
+  shards place, encode and write concurrently on real cores.
+
+Either way the parent side owns each shard's medium block, and a
+restart is :meth:`Shard.build`'s ``"open"`` over it: a shard that dies
+(simulated power loss on one channel) loses its DRAM state, not its
+medium — wear, stuck cells, ECP, health and drift state included — and
+:meth:`ShardBackend.reopen_shard` rebuilds it over the block with
+ordinary catalog recovery, trimming only that shard's in-flight batch.
 
 A transport encodes, sends and receives — raising :class:`DeadlineMissed`
 or :class:`TransportLost`, which the backend turns into
@@ -83,6 +85,8 @@ from multiprocessing import shared_memory
 from multiprocessing.sharedctypes import RawValue
 from threading import RLock
 
+import numpy as np
+
 from repro.sharding.shard import Shard, ShardSpec
 from repro.testing.faults import CrashError
 
@@ -127,6 +131,9 @@ _READ_SIZE = 64 * 1024
 
 #: Raw fds survive only ``fork``.
 _CTX = multiprocessing.get_context("fork")
+
+#: A worker's handle on its shard's medium block (see :func:`_shard_worker`).
+_WORKER_MEDIUM: list = []
 
 #: Every pipe fd this process holds for some transport.  A forked worker
 #: closes all of them but its own two, so no shard's EOF ever waits on
@@ -230,8 +237,8 @@ class ShardHungError(ShardCrashedError):
     went stale) and was killed.
 
     Subclasses :class:`ShardCrashedError` because after the kill the
-    worker *is* dead and recovery is identical: a fresh worker re-attaches
-    to the surviving media and rolls back the in-flight transaction.
+    worker *is* dead and recovery is identical: a fresh worker adopts
+    the surviving media and rolls back the in-flight transaction.
     ``deadline_s`` is the budget that expired (``None`` when the shard was
     already down as hung before the call).
     """
@@ -339,13 +346,11 @@ class ShardBackend:
         self._hung = [False] * len(specs)
         self.transports: list = []
         if backend == "inprocess":
-            self.transports = [
-                _DirectTransport(Shard.build(spec, mode)) for spec in specs
-            ]
+            self.transports = [_DirectTransport(spec, mode) for spec in specs]
         elif backend == "process":
             try:
                 for spec in specs:
-                    self.transports.append(_PipeTransport(spec))
+                    self.transports.append(_PipeTransport(spec, mode))
                     self.transports[-1].spawn(mode)
                 # All workers boot concurrently; collect readiness after.
                 for transport in self.transports:
@@ -508,12 +513,11 @@ class ShardBackend:
     def reopen_shard(self, shard_id: int) -> None:
         """Recover a crashed or hung shard.
 
-        The pipe transport spawns a fresh worker re-attached to the
-        surviving shared-memory media, which runs normal recovery
-        (catalog resolve + DAP rebuild); a worker the OS still runs is
-        killed first, every join is bounded, and the boot wait is capped
-        by :data:`DEFAULT_BOOT_DEADLINE_S`.  The direct transport's
-        reopen is routing-level: the shard object survives.  Raises
+        The shard is rebuilt over its surviving medium block, which runs
+        normal recovery (catalog resolve + DAP rebuild).  The pipe
+        transport spawns a fresh worker for it; a worker the OS still
+        runs is killed first, every join is bounded, and the boot wait is
+        capped by :data:`DEFAULT_BOOT_DEADLINE_S`.  Raises
         ``RuntimeError`` while the shard is alive."""
         with self._locks[shard_id]:
             if self.shard_alive(shard_id):
@@ -540,14 +544,16 @@ InProcessBackend = ShardBackend
 class _DirectTransport:
     """One shard on the caller's thread: ``recv`` runs what ``send``
     queued.  A kill drops the queue, so a call caught in flight reads as
-    the shard's loss; reopen has nothing to rebuild."""
+    the shard's loss; a restart rebuilds the shard over its medium."""
 
     pid = None
     #: A request crosses no boundary: ``tuple`` of a tuple is the tuple.
     encode = staticmethod(tuple)
 
-    def __init__(self, shard: Shard) -> None:
-        self.shard = shard
+    def __init__(self, spec: ShardSpec, mode: str) -> None:
+        self.spec = spec
+        self.medium = np.zeros(spec.block_bytes(mode), dtype=np.uint8)
+        self.shard = Shard.build(spec, mode, self.medium)
         self._queued: deque = deque()
         self.send = self._queued.append
 
@@ -571,9 +577,11 @@ class _DirectTransport:
         self._queued.clear()
 
     def reap(self) -> None:
-        """Nothing to reap or rebuild: the shard object survives."""
+        """Nothing to reap: no process runs the shard."""
 
-    restart = reap
+    def restart(self) -> None:
+        self.shard.stop_maintenance()
+        self.shard = Shard.build(self.spec, "open", self.medium)
 
     def close(self) -> None:
         self.shard.stop_maintenance()
@@ -645,18 +653,20 @@ def _shard_worker(
 
     The heartbeat thread starts *before* the build so a worker stuck in
     model training still reads as alive; maintenance workers (scrubber /
-    compactor) are stopped on clean shutdown."""
+    compactor) are stopped on clean shutdown.  The medium's handle is
+    never closed: the device's planes are views into it (closing under
+    them raises ``BufferError``), and the mapping ends with the process."""
     for fd in _PIPE_FDS - {request_fd, reply_fd}:
         os.close(fd)
     _bound_blas_threads()
     shm = shared_memory.SharedMemory(name=shm_name)
+    _WORKER_MEDIUM.append(shm)  # outlives this frame: see above
     heartbeat.value = time.monotonic()
     beat_stop = threading.Event()
     threading.Thread(
         target=_beat, args=(heartbeat, beat_stop), daemon=True,
         name=f"shard-{spec.shard_id}-heartbeat",
     ).start()
-    shard = None
     try:
         try:
             shard = Shard.build(spec, mode, content_buffer=shm.buf)
@@ -689,15 +699,6 @@ def _shard_worker(
         pass  # the parent went away: nothing to serve, nobody to answer
     finally:
         beat_stop.set()
-        # Release our view of the media: the device's content array is
-        # the only export of ``shm.buf``, and it must be gone before
-        # ``close()`` (or ``SharedMemory.__del__`` prints a BufferError).
-        if shard is not None:
-            shard.device.detach_buffer()
-        try:
-            shm.close()
-        except BufferError:
-            pass  # a shard that failed mid-build may still hold its view
 
 
 class _PipeTransport:
@@ -709,7 +710,7 @@ class _PipeTransport:
 
     encode = staticmethod(_encode)
 
-    def __init__(self, spec: ShardSpec) -> None:
+    def __init__(self, spec: ShardSpec, mode: str) -> None:
         self.spec = spec
         self.process = None
         self.request_fd = self.reply_fd = None
@@ -717,7 +718,7 @@ class _PipeTransport:
         self.heartbeat = RawValue("d", 0.0)
         self.spawned_at = 0.0
         self.shm = shared_memory.SharedMemory(
-            create=True, size=spec.capacity_bytes
+            create=True, size=spec.block_bytes(mode)
         )
 
     @property
@@ -838,10 +839,10 @@ class _PipeTransport:
 
     def restart(self) -> None:
         # A worker the OS still runs (a SIGSTOP'd one nobody killed yet)
-        # ends for real before a fresh one re-attaches to the media.
+        # ends for real before a fresh one adopts the medium.
         self.kill()
         self._release()
-        self.spawn("attach")
+        self.spawn("open")
         self.await_ready()
 
     def close(self) -> None:

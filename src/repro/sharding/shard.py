@@ -11,10 +11,11 @@ PAPERS.md).
 
 The same :class:`Shard` object serves both shard transports.  The direct
 transport holds one in this process; the pipe transport builds one
-*inside each worker* from a picklable :class:`ShardSpec`, with the device
-content array living in a ``SharedMemory`` block owned by the parent — the
-media survives a worker crash exactly like real NVM survives power loss,
-and :meth:`Shard.build` re-attaches to it in ``"attach"`` mode to run
+*inside each worker* from a picklable :class:`ShardSpec`, with the whole
+medium — content, wear, stuck cells, ECP, health and drift state — living
+in a ``SharedMemory`` block owned by the parent.  The medium survives a
+worker crash exactly like real NVM survives power loss, and
+:meth:`Shard.build` in ``"open"`` mode adopts it as it stands to run
 normal recovery.
 
 With ``spec.maintenance`` set, the shard's scrubber and compactor run
@@ -41,6 +42,7 @@ from repro.core.kvstore import KVStore
 from repro.nvm.compactor import Compactor
 from repro.nvm.controller import MemoryController
 from repro.nvm.device import DriftConfig, NVMDevice, WearOutConfig
+from repro.nvm.device import medium_layout
 from repro.nvm.scrubber import Scrubber
 from repro.nvm.worker import MaintenanceWorker
 from repro.pmem.catalog import PersistentCatalog
@@ -76,9 +78,8 @@ class ShardSpec:
             run both on their own background cadence inside the shard's
             process; off, the shard has neither.
         wearout: optional endurance model for the shard's device.  Like
-            ``config``, travels in code rather than the manifest —
-            ``NVMDevice.load`` restores wear state from the snapshot on
-            reopen.
+            ``config``, travels in code rather than the manifest — the
+            medium carries its wear state itself.
         drift: optional retention-drift model, same manifest rules.
     """
 
@@ -96,6 +97,17 @@ class ShardSpec:
     @property
     def capacity_bytes(self) -> int:
         return self.n_segments * self.segment_size
+
+    def block_bytes(self, mode: str) -> int:
+        """Size of the one buffer that holds this shard's whole medium, as
+        :meth:`Shard.build` in ``mode`` lays it out: on ``"open"`` the
+        snapshot's, whose fault models win (as in ``NVMDevice.load``)."""
+        if mode == "open":
+            return NVMDevice.snapshot_block_bytes(self.path)
+        return medium_layout(
+            self.capacity_bytes, self.segment_size, False, self.wearout,
+            self.drift,
+        )[1]
 
     def manifest_entry(self) -> dict:
         """The JSON-serialisable slice of this spec (the config and the
@@ -140,21 +152,18 @@ class Shard:
 
         Args:
             spec: the shard description.
-            mode: ``"create"`` formats fresh media and trains the engine;
-                ``"open"`` loads the device snapshot at ``spec.path`` and
-                runs full recovery; ``"attach"`` re-adopts already-live
-                media in ``content_buffer`` (the post-crash path of the
-                process backend: the worker died, the shared-memory media
-                did not) and runs the same recovery.  Only the content
-                is re-adopted: wear, stuck cells, ECP, health and the
-                drift clock start over on a fresh device.
-            content_buffer: optional external buffer backing the device
-                content array (see :class:`NVMDevice`).
+            mode: ``"create"`` formats a fresh medium and trains the
+                engine; ``"open"`` adopts the medium in ``content_buffer``
+                as it stands when the buffer holds one (a restart: the
+                shard's process died, its medium did not), else loads the
+                device snapshot at ``spec.path`` into the buffer, and
+                runs full recovery either way.
+            content_buffer: optional buffer holding the whole medium, at
+                least ``spec.block_bytes(mode)`` long (see
+                :class:`NVMDevice`).
         """
-        if mode not in ("create", "open", "attach"):
+        if mode not in ("create", "open"):
             raise ValueError(f"unknown shard build mode {mode!r}")
-        if mode == "attach" and content_buffer is None:
-            raise ValueError("attach mode needs the live content buffer")
         geometry = (spec.n_segments, spec.segment_size, spec.key_capacity)
         if mode == "open":
             if spec.path is None:
@@ -165,7 +174,7 @@ class Shard:
                 or device.segment_size != spec.segment_size
             ):
                 raise ValueError(
-                    f"snapshot at {spec.path} has geometry "
+                    f"shard {spec.shard_id}'s medium has geometry "
                     f"{device.capacity_bytes}/{device.segment_size}, spec "
                     f"says {spec.capacity_bytes}/{spec.segment_size}"
                 )
@@ -173,7 +182,7 @@ class Shard:
             device = NVMDevice(
                 capacity_bytes=spec.capacity_bytes,
                 segment_size=spec.segment_size,
-                initial_fill="keep" if mode == "attach" else "random",
+                initial_fill="random",
                 seed=spec.seed,
                 content_buffer=content_buffer,
                 wearout=PersistentCatalog.immortal_metadata(

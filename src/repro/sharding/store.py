@@ -693,7 +693,7 @@ class ShardedKVStore:
 
     def reopen_shard(self, shard_id: int) -> None:
         """Recover one crashed shard (under the process backend a fresh
-        worker re-attaches to the surviving shared-memory media and runs
+        worker adopts the surviving shared-memory media and runs
         normal recovery there).  Other shards are untouched throughout."""
         self.backend.reopen_shard(shard_id)
 

@@ -16,7 +16,7 @@ compactor:
   processes).  Killing closes the worker's pipe, which wakes any
   in-flight RPC on that shard immediately.
 - **Self-healing restarts** — a dead shard (crashed or freshly killed) is
-  reopened automatically: a fresh worker re-attaches to the surviving
+  reopened automatically: a fresh worker adopts the surviving
   shared-memory media and runs ordinary catalog recovery.  Failed
   reopen attempts back off exponentially (:data:`BACKOFF_BASE_S` doubling
   up to :data:`BACKOFF_CAP_S`).

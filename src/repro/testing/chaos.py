@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import fast_test_config
-from repro.nvm.device import DriftConfig, WearOutConfig
+from repro.nvm.device import DriftConfig, NVMDevice, WearOutConfig
 from repro.sharding import RebalanceJournal, ShardedKVStore, ShardSupervisor
 from repro.sharding.backends import ShardUnavailableError
 from repro.testing.model import (
@@ -118,6 +118,8 @@ class _FleetReport:
     orphan_keys: list = field(default_factory=list)
     #: Keys live on more than one shard.
     duplicate_keys: list = field(default_factory=list)
+    #: Dead cells across every shard's final snapshot.
+    stuck_cells: int = 0
     all_healthy: bool = False
     fsck_ok: bool = False
     fsck_errors: list = field(default_factory=list)
@@ -167,7 +169,8 @@ class ChaosReport(_FleetReport):
         "rounds", "faults", "availability", "acked_items", "total_items",
         "lost_writes", "corrupt_keys", "all_healthy", "fsck_ok",
         "recovery_count", "recovery_time_mean_s", "recovery_time_max_s",
-        "watchdog_kills", "restarts", "duration_s", "converge_s", "ok",
+        "watchdog_kills", "restarts", "duration_s", "converge_s",
+        "stuck_cells", "ok",
     )
 
 
@@ -254,6 +257,10 @@ class _Fleet(AbstractContextManager):
         )
         store.close()
         fsck_report = fsck_sharded(self.root)
+        report.stuck_cells = sum(
+            NVMDevice.load(path).stuck_cell_count()
+            for path in self.root.glob("shard-*.npz")
+        )
         report.fsck_ok = fsck_report.ok
         report.fsck_errors = fsck_report.all_errors
         report.duration_s = time.monotonic() - self.started
@@ -267,6 +274,7 @@ def run_chaos_drill(
     seed: int = 0,
     heal_timeout_s: float = HEAL_TIMEOUT_S,
     faults: tuple[str, ...] = FAULT_KINDS,
+    endurance_mean: float = 1e8,
 ) -> ChaosReport:
     """Run one seeded chaos drill; see the module docstring for the plot.
 
@@ -280,6 +288,8 @@ def run_chaos_drill(
         heal_timeout_s: per-round and final convergence budget.
         faults: the fault species to draw from (subset of
             :data:`FAULT_KINDS`).
+        endurance_mean: median cell endurance; near ``rounds`` (each
+            round ages every cell once) cells die within the drill.
     """
     for kind in faults:
         if kind not in FAULT_KINDS:
@@ -292,7 +302,7 @@ def run_chaos_drill(
         restart_budget=5,
         config=fast_test_config(auto_retrain=True),
         maintenance=True,
-        wearout=WearOutConfig(endurance_mean=1e8, seed=seed),
+        wearout=WearOutConfig(endurance_mean=endurance_mean, seed=seed),
         drift=DriftConfig(retention_mean=50_000.0, seed=seed),
     ) as fleet:
         store, supervisor = fleet.store, fleet.supervisor
@@ -330,8 +340,8 @@ def run_chaos_drill(
 
             # Media keeps aging while the fleet is degraded (one wear
             # cycle, 2000 drift ticks a round); dead shards miss this
-            # tick, and a restarted worker's device starts its wear and
-            # drift clocks over from zero (only the content survives).
+            # tick, and a restarted worker carries on from the wear,
+            # stuck cells, ECP, health and drift clock its medium holds.
             for broadcast, amount in ((store.age, 1), (store.advance_time, 2_000)):
                 with suppress(ShardUnavailableError):
                     broadcast(amount)

@@ -27,6 +27,11 @@ def worn_device(ecp_entries: int = 16, **kwargs) -> NVMDevice:
     )
 
 
+def ecp(entries: int = 6, size: int = SEG) -> ErrorCorrectingPointers:
+    """An ECP table over a fresh slot plane for 8 segments."""
+    return ErrorCorrectingPointers(size, np.zeros((8, entries), np.int32))
+
+
 def kill_byte(device: NVMDevice, addr: int, value: int) -> None:
     """Exhaust one byte's cells (mean=2 endurance), leaving it stuck at
     ``value``."""
@@ -37,25 +42,25 @@ def kill_byte(device: NVMDevice, addr: int, value: int) -> None:
 
 class TestErrorCorrectingPointers:
     def test_correct_without_entries_returns_input(self):
-        ecc = ErrorCorrectingPointers(SEG)
+        ecc = ecp()
         data = np.zeros(SEG, dtype=np.uint8)
         assert ecc.correct(0, data) is data
 
     def test_correct_patches_msb_first(self):
-        ecc = ErrorCorrectingPointers(SEG)
+        ecc = ecp()
         assert ecc.record(0, [0, 15], [1, 1])
         out = ecc.correct(0, np.zeros(SEG, dtype=np.uint8))
         assert out[0] == 0x80  # bit 0 is the MSB of byte 0
         assert out[1] == 0x01  # bit 15 is the LSB of byte 1
 
     def test_correct_clears_bits_too(self):
-        ecc = ErrorCorrectingPointers(SEG)
+        ecc = ecp()
         assert ecc.record(0, [7], [0])
         out = ecc.correct(0, np.full(SEG, 0xFF, dtype=np.uint8))
         assert out[0] == 0xFE
 
     def test_correct_respects_sub_segment_window(self):
-        ecc = ErrorCorrectingPointers(SEG)
+        ecc = ecp()
         assert ecc.record(0, [10 * 8], [1])  # byte 10, MSB
         window = ecc.correct(0, np.zeros(4, dtype=np.uint8), offset=10)
         assert window[0] == 0x80
@@ -63,21 +68,21 @@ class TestErrorCorrectingPointers:
         assert not outside.any()
 
     def test_correct_never_mutates_input(self):
-        ecc = ErrorCorrectingPointers(SEG)
+        ecc = ecp()
         assert ecc.record(0, [0], [1])
         data = np.zeros(SEG, dtype=np.uint8)
         ecc.correct(0, data)
         assert not data.any()
 
     def test_record_updates_in_place_without_new_entries(self):
-        ecc = ErrorCorrectingPointers(SEG, entries_per_segment=1)
+        ecc = ecp(1)
         assert ecc.record(0, [3], [1])
         assert ecc.record(0, [3], [0])  # same dead cell, new replacement
         assert ecc.entries_used(0) == 1
         assert ecc.correct(0, np.full(SEG, 0xFF, dtype=np.uint8))[0] == 0xEF
 
     def test_record_is_all_or_nothing(self):
-        ecc = ErrorCorrectingPointers(SEG, entries_per_segment=2)
+        ecc = ecp(2)
         assert not ecc.record(0, [1, 2, 3], [1, 1, 1])
         assert ecc.entries_used(0) == 0
         assert ecc.record(0, [1, 2], [1, 1])
@@ -86,22 +91,22 @@ class TestErrorCorrectingPointers:
         assert ecc.entries_used(0) == 2  # the failed record changed nothing
 
     def test_capacity_counts_only_fresh_offsets(self):
-        ecc = ErrorCorrectingPointers(SEG, entries_per_segment=2)
+        ecc = ecp(2)
         assert ecc.record(0, [1, 2], [1, 1])
         assert ecc.record(0, [1, 2], [0, 0])  # updates fit at capacity
 
     def test_inspection_counters(self):
-        ecc = ErrorCorrectingPointers(SEG)
+        ecc = ecp()
         assert ecc.record(2, [0], [1])
         assert ecc.record(5, [1, 2], [0, 1])
         assert ecc.corrections_active == 3
         assert [ecc.entries_used(s) for s in (2, 5, 3)] == [1, 2, 0]
 
     def test_state_round_trip(self):
-        ecc = ErrorCorrectingPointers(SEG)
+        ecc = ecp()
         assert ecc.record(1, [4, 9], [1, 0])
         assert ecc.record(6, [250], [1])
-        restored = ErrorCorrectingPointers(SEG)
+        restored = ecp()
         restored.restore_state(*ecc.state_arrays())
         for got, want in zip(restored.state_arrays(), ecc.state_arrays()):
             assert np.array_equal(got, want)
@@ -109,7 +114,7 @@ class TestErrorCorrectingPointers:
     @pytest.mark.parametrize("size,entries", [(0, 6), (-1, 6), (32, 0)])
     def test_constructor_validation(self, size, entries):
         with pytest.raises(ValueError):
-            ErrorCorrectingPointers(size, entries_per_segment=entries)
+            ecp(entries, size)
 
 
 class TestVerifyAfterWrite:

@@ -234,7 +234,7 @@ class TestSnapshotRoundTrip:
             assert np.array_equal(got, want)
         assert loaded.health.retired == {3}
         assert loaded.health.retiring == {4}
-        assert loaded.health.spares == [160, 192]
+        assert list(loaded.health.spares) == [160, 192]
 
     def test_dead_cells_stay_dead_after_load(self, tmp_path):
         dev = worn_device(

@@ -10,10 +10,15 @@ transaction and leave every other shard untouched.
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from repro.core.config import fast_test_config
+from repro.core.kvstore import StoreReadOnlyError
+from repro.nvm.device import NVMDevice, WearOutConfig
 from repro.sharding import ShardCrashedError, ShardedKVStore
 
 pytestmark = pytest.mark.sharding
@@ -179,3 +184,50 @@ class TestShardCrash:
     def test_reopen_refuses_live_shard(self, store):
         with pytest.raises(RuntimeError, match="alive"):
             store.reopen_shard(0)
+
+
+def _worn_state(root, store):
+    """Stuck cells and retired segments of shard 0, through a snapshot."""
+    store.save()
+    device = NVMDevice.load(root / "shard-0.npz")
+    return device.stuck_cell_count(), set(device.health.retired)
+
+
+class TestWornWorkerRestart:
+    def test_sigkilled_worker_keeps_its_worn_medium(self, tmp_path):
+        """A mortal worker worn to read-only, SIGKILLed and reopened: the
+        fresh worker adopts the shared-memory medium as it stands, so its
+        stuck cells, retired segments and every acked key survive."""
+        root = tmp_path / "store"
+        store = ShardedKVStore.create(
+            root,
+            1,
+            segment_size=SEGMENT_SIZE,
+            n_segments_per_shard=N_SEGMENTS,
+            config=_config(),
+            backend="process",
+            key_capacity=16,
+            wearout=WearOutConfig(
+                endurance_mean=6, endurance_sigma=0.3, seed=2
+            ),
+        )
+        try:
+            rng = np.random.default_rng(3)
+            acked = {}
+            with pytest.raises(StoreReadOnlyError):
+                for i in range(5000):
+                    key = b"key-%d" % (i % 8)
+                    value = rng.integers(0, 256, 40, dtype=np.uint8).tobytes()
+                    store.put(key, value)
+                    acked[key] = value
+            stuck, retired = worn = _worn_state(root, store)
+            assert stuck > 0 and retired
+
+            os.kill(store.backend.worker_pid(0), signal.SIGKILL)
+            store.backend.kill_shard(0)
+            store.reopen_shard(0)
+            for key, value in acked.items():
+                assert store.get(key) == value
+            assert _worn_state(root, store) == worn
+        finally:
+            store.close()

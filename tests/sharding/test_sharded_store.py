@@ -401,14 +401,28 @@ class TestShardSnapshot:
             ])
         assert (root / "shard-0.npz").stat().st_size <= 256 * 1024
 
+    def test_open_without_the_fault_models_takes_the_snapshots(
+        self, tmp_path
+    ):
+        """The medium block is sized from the snapshot on open, so a
+        mortal store reopened without ``wearout=`` keeps its model."""
+        root = tmp_path / "store"
+        with ShardedKVStore.create(
+            root,
+            1,
+            segment_size=SEGMENT_SIZE,
+            n_segments_per_shard=N_SEGMENTS,
+            config=_config(),
+            key_capacity=16,
+            wearout=WearOutConfig(seed=3),
+        ) as store:
+            store.put(b"key", b"value")
+        with ShardedKVStore.open(root, config=_config()) as store:
+            assert store.get(b"key") == b"value"
+            assert store.backend.shard(0).device.wearout.seed == 3
+
 
 class TestWorkerReattach:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="attach builds a fresh device: stuck cells, ECP entries, "
-        "health sets and the drift clock of a dead worker are lost "
-        "(ROADMAP item 1)",
-    )
     def test_reattach_keeps_the_media_state_of_a_worn_shard(self, tmp_path):
         """A durable mortal shard worn to read-only, then re-attached to
         its live media buffer as a restarted worker would be: the media's
@@ -425,7 +439,7 @@ class TestWorkerReattach:
                 endurance_mean=6, endurance_sigma=0.3, seed=2
             ),
         )
-        media = bytearray(spec.capacity_bytes)
+        media = bytearray(spec.block_bytes("create"))
         worn = Shard.build(spec, "create", content_buffer=media)
         rng = np.random.default_rng(3)
         acked = {}
@@ -439,7 +453,7 @@ class TestWorkerReattach:
         retired = set(worn.device.health.retired)
         assert stuck > 0 and retired
 
-        restarted = Shard.build(spec, "attach", content_buffer=media)
+        restarted = Shard.build(spec, "open", content_buffer=media)
         assert restarted.device.stuck_cell_count() == stuck
         assert restarted.device.health.retired == retired
         for key, value in acked.items():

@@ -123,7 +123,7 @@ class TestVerdicts:
             # the record there: CRC-clean, uniquely named — and a spare.
             entry = store.catalog.read(1)
             old = store.pool.object_address(entry.segment)
-            spare = device.health.spares[0]
+            spare = next(iter(device.health.spares))
             device._content[spare : spare + 64] = device._content[
                 old : old + 64
             ]
