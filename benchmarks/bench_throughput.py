@@ -126,14 +126,13 @@ def _make_skewed_values(n: int, seed: int = 23) -> list[bytes]:
 
 
 def _build_engine(cached: bool = False):
-    # Full-segment values: padding is a no-op on this path, so the per-op
-    # cost is prediction + claim + differential write, not padding.  The
-    # ``cached`` engine puts the memo cache in front of the teacher; the
-    # plain engine measures the teacher-only path.
+    # Full-segment values: the per-op cost is prediction + claim +
+    # differential write.  The ``cached`` engine puts the memo cache in
+    # front of the teacher; the plain engine measures the teacher-only
+    # path.
     config = bench_config(
         hidden=(64,),
         train_sample_limit=N_SEGMENTS,
-        ones_fraction_refresh_writes=0,  # no mid-run content re-sampling
         fastpath_cache_size=4096 if cached else 0,
     )
     return seeded_engine(
@@ -174,7 +173,6 @@ def _sharded_config():
     return bench_config(
         hidden=(32,),
         train_sample_limit=SHARD_N_SEGMENTS,
-        ones_fraction_refresh_writes=0,
         fastpath_cache_size=1024,
     )
 

@@ -75,8 +75,6 @@ def bench_config(**overrides) -> E2NVMConfig:
         joint_epochs=2,
         batch_size=64,
         train_sample_limit=1024,
-        lstm_epochs=3,
-        lstm_hidden=16,
         seed=0,
     )
     defaults.update(overrides)

@@ -4,7 +4,8 @@
 - :mod:`repro.core.pipeline` — the VAE+K-means prediction model;
 - :mod:`repro.core.address_pool` — the cluster-to-memory Dynamic Address
   Pool (DAP) of §3.3.1;
-- :mod:`repro.core.padding` — the padding strategies of §4;
+- :mod:`repro.core.padding` — the padding strategies of §4, for Figures 14
+  and 15 only (the store zero-pads); import it from its module;
 - :mod:`repro.core.e2nvm` — the placement engine (Algorithms 1 and 2);
 - :mod:`repro.core.retraining` — lazy retrain policy (§4.1.4, §5.3);
 - :mod:`repro.core.kvstore` — the persistent key/value store of Figure 3.
@@ -20,7 +21,6 @@ from repro.core.kvstore import (
     RecoveryReport,
     StoreReadOnlyError,
 )
-from repro.core.padding import Padder, PaddingPosition, PaddingStrategy
 from repro.core.pipeline import EncoderPipeline
 from repro.core.retraining import RetrainDecision, RetrainPolicy, RetrainStats
 
@@ -34,9 +34,6 @@ __all__ = [
     "PoolExhaustedError",
     "StoreReadOnlyError",
     "EncoderPipeline",
-    "Padder",
-    "PaddingStrategy",
-    "PaddingPosition",
     "RetrainDecision",
     "RetrainPolicy",
     "RetrainStats",

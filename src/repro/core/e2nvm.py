@@ -102,8 +102,6 @@ class E2NVM:
         self._rng = rng_from_seed(self.config.seed)
         # The RNG is shared between the write path and the retrain worker.
         self._rng_lock = threading.Lock()
-        self._memory_ones_fraction = 0.5
-        self._ones_fraction_age = 0
         # Serialises DAP claims/recycles against background model swaps.
         # Inference runs OUTSIDE this lock: the write path predicts with a
         # pipeline reference captured beforehand and re-validates
@@ -208,9 +206,7 @@ class E2NVM:
                 f"pipeline width {pipeline.input_bits} does not match the "
                 f"device's {self.input_bits} bits per segment"
             )
-        self._refresh_ones_fraction(
-            self._swap_in(pipeline, self._check_free(free_addresses))
-        )
+        self._swap_in(pipeline, self._check_free(free_addresses))
 
     def mark_allocated(self, addr: int) -> None:
         """Register ``addr`` as live without going through :meth:`place`.
@@ -319,18 +315,14 @@ class E2NVM:
         for _ in range(PLACE_EPOCH_RETRIES):
             pipeline = self.pipeline
             epoch = self._model_epoch
-            clusters = self.fast.predict(
-                contents, pipeline, epoch,
-                memory_ones_fraction=self._memory_ones_fraction,
-            )
+            clusters = self.fast.predict(contents, pipeline, epoch)
             with self._swap_lock:
                 if epoch == self._model_epoch:
                     return commit(clusters, pipeline)
         with self._swap_lock:
             pipeline = self.pipeline
             clusters = self.fast.predict(
-                contents, pipeline, self._model_epoch,
-                memory_ones_fraction=self._memory_ones_fraction,
+                contents, pipeline, self._model_epoch
             )
             return commit(clusters, pipeline)
 
@@ -472,8 +464,7 @@ class E2NVM:
 
     def record_committed_writes(self, count: int) -> None:
         """Post-write bookkeeping for ``count`` committed writes: retrain
-        cooldown, padding-statistics refresh, then the never-failing
-        ``auto_retrain`` hook once.
+        cooldown, then the never-failing ``auto_retrain`` hook once.
 
         Shared by :meth:`write_many` and the KV store, which calls it once
         a batch is installed (in durable mode: once its catalog
@@ -481,7 +472,6 @@ class E2NVM:
         if count <= 0:
             return
         self.policy.record_write(count)
-        self._note_write_for_ones_fraction(count)
         if self.config.auto_retrain:
             try:
                 self.maybe_retrain()
@@ -716,9 +706,7 @@ class E2NVM:
                 self.retrain_stats.started += 1
         start = time.perf_counter()
         try:
-            pipeline, history, contents = self._fit_candidate(
-                fit_set, verbose
-            )
+            pipeline, history = self._fit_candidate(fit_set, verbose)
             self._swap_in(pipeline, swap_addresses)
         except BaseException:
             # Also KeyboardInterrupt/SystemExit: started == succeeded + failed.
@@ -727,7 +715,6 @@ class E2NVM:
                     self.retrain_stats.failed += 1
             self.policy.record_retrain()  # back-off before any retry
             raise
-        self._refresh_ones_fraction(contents)
         duration = time.perf_counter() - start
         with self._retrain_admin_lock:
             if was_retrain:
@@ -739,23 +726,22 @@ class E2NVM:
 
     def _fit_candidate(
         self, fit_set: list[int], verbose: bool = False
-    ) -> tuple[EncoderPipeline, dict, np.ndarray]:
+    ) -> tuple[EncoderPipeline, dict]:
         """Fit a fresh pipeline on ``fit_set`` contents, off to the side,
         before the swap, so the write path never waits on it."""
-        contents = self._segment_bits(fit_set)
-        sample = contents
+        sample = self._segment_bits(fit_set)
         if len(fit_set) > self.config.train_sample_limit:
             with self._rng_lock:
                 pick = self._rng.choice(
                     len(fit_set), size=self.config.train_sample_limit,
                     replace=False,
                 )
-            sample = contents[pick]
+            sample = sample[pick]
         if self.faults is not None:
             self.faults.fire("train.fit")
         pipeline = EncoderPipeline(self.input_bits, self.config, self.faults)
         history = pipeline.fit(sample, verbose=verbose)
-        return pipeline, history, contents
+        return pipeline, history
 
     def placement_telemetry(self) -> dict:
         """Fast placement layer counters (cache hits/misses/evictions,
@@ -764,9 +750,8 @@ class E2NVM:
 
     def _swap_in(
         self, pipeline: EncoderPipeline, addresses: list[int] | None
-    ) -> np.ndarray:
-        """Atomically install ``pipeline`` and a relabelled pool; returns
-        the bit contents of the segments it relabelled.
+    ) -> None:
+        """Atomically install ``pipeline`` and a relabelled pool.
 
         Under the swap lock: snapshot the pool, relabel the free set with
         the new model, and swap both — the fast placement layer adopts the
@@ -785,16 +770,17 @@ class E2NVM:
                     self.faults.fire("train.relabel")
                 new_dap = DynamicAddressPool(self.config.n_clusters)
                 new_dap.adopt_quarantine(quarantined)
-                bits = self._segment_bits(free_now)
                 if free_now:
                     new_dap.populate(
-                        pipeline.predict_segments(bits), free_now
+                        pipeline.predict_segments(
+                            self._segment_bits(free_now)
+                        ),
+                        free_now,
                     )
                 self.pipeline = pipeline
                 self.dap = new_dap
                 self._model_epoch += 1
                 self.fast.install(self._model_epoch)
-                return bits
             except BaseException:
                 # Also KeyboardInterrupt/SystemExit: no half-relabelled pool.
                 self.dap.restore(saved)
@@ -807,30 +793,6 @@ class E2NVM:
         for i, addr in enumerate(addresses):
             packed[i] = self.controller.peek(addr, self.segment_size)
         return np.unpackbits(packed, axis=1).astype(np.float64)
-
-    def _note_write_for_ones_fraction(self, count: int = 1) -> None:
-        """Periodically re-sample free-segment content so memory-based
-        padding tracks drift (the fraction would otherwise go stale between
-        retrains)."""
-        self._ones_fraction_age += count
-        interval = self.config.ones_fraction_refresh_writes
-        if interval <= 0 or self._ones_fraction_age < interval:
-            return
-        free = self.dap.snapshot_addresses()
-        if not free:
-            self._ones_fraction_age = 0
-            return
-        limit = self.config.ones_fraction_sample_segments
-        if len(free) > limit:
-            with self._rng_lock:
-                pick = self._rng.choice(len(free), size=limit, replace=False)
-            free = [free[i] for i in pick]
-        self._refresh_ones_fraction(self._segment_bits(free))
-
-    def _refresh_ones_fraction(self, contents_bits: np.ndarray) -> None:
-        if contents_bits.size:
-            self._memory_ones_fraction = float(contents_bits.mean())
-        self._ones_fraction_age = 0
 
     def _check_free(self, addresses) -> list[int]:
         """``addresses`` as a list of placeable, unallocated segments."""

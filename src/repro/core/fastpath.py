@@ -131,13 +131,7 @@ class FastPlacementLayer:
 
     # ------------------------------------------------------------ prediction
 
-    def predict(
-        self,
-        values,
-        pipeline,
-        epoch: int,
-        memory_ones_fraction: float | None = None,
-    ) -> np.ndarray:
+    def predict(self, values, pipeline, epoch: int) -> np.ndarray:
         """Cluster ids for ``values``, consulting cache → teacher.
 
         ``epoch`` is the model epoch the caller captured with ``pipeline``;
@@ -168,10 +162,7 @@ class FastPlacementLayer:
                     pending = still
 
         if pending:
-            teacher = pipeline.predict_batch(
-                [values[i] for i in pending],
-                memory_ones_fraction=memory_ones_fraction,
-            )
+            teacher = pipeline.predict_batch([values[i] for i in pending])
             for i, cluster in zip(pending, teacher):
                 clusters[i] = cluster
             with self._lock:

@@ -103,8 +103,6 @@ class Padder:
         seed: RNG for the stochastic strategies.
         lstm: a (trained or trainable) :class:`LSTMPredictor`; required for
             the ``learned`` strategy.
-        tracker: shared :class:`DatasetDistributionTracker`; one is created
-            when omitted.
     """
 
     def __init__(
@@ -114,7 +112,6 @@ class Padder:
         position: str = "end",
         seed: int | np.random.Generator | None = 0,
         lstm: LSTMPredictor | None = None,
-        tracker: DatasetDistributionTracker | None = None,
     ) -> None:
         if target_bits <= 0:
             raise ValueError("target_bits must be positive")
@@ -134,7 +131,7 @@ class Padder:
         self.strategy = strategy
         self.position = position
         self.lstm = lstm
-        self.tracker = tracker or DatasetDistributionTracker()
+        self.tracker = DatasetDistributionTracker()
         self._rng = rng_from_seed(seed)
 
     def pad(

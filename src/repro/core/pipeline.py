@@ -1,16 +1,19 @@
-"""The E2-NVM prediction model: VAE encoder + K-means, with padding.
+"""The E2-NVM prediction model: VAE encoder + K-means.
 
 This wraps :class:`repro.ml.joint.JointVAEKMeans` behind the interface the
 storage layer needs — ``fit`` on segment contents, ``predict_cluster`` for a
 (possibly shorter-than-segment) value, ``predict_batch`` for many values in
-one forward pass — and owns the padding machinery so that training and
-prediction see consistently shaped inputs.
+one forward pass.
+
+A value shorter than a segment is padded to the model width for prediction
+only (step 5 of the paper), by one fixed rule: its bits, then zeros.  The
+other strategies and positions of the paper's Figures 14 and 15 live in
+:mod:`repro.core.padding`, outside the store.
 
 Thread-safety: prediction is safe to call concurrently.  The model forward
-pass is stateless (see ``MLP.infer``); the padder (whose RNG and dataset
-tracker are shared mutable state) is serialised behind a small internal
-lock, as are the latency counters.  A batch of ``B`` values counts as ``B``
-predictions in the latency statistics.
+pass is stateless (see ``MLP.infer``) and the latency counters sit behind a
+small lock.  A batch of ``B`` values counts as ``B`` predictions in the
+latency statistics.
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ import time
 import numpy as np
 
 from repro.core.config import E2NVMConfig
-from repro.core.padding import DatasetDistributionTracker, Padder
 from repro.ml.joint import JointVAEKMeans
-from repro.ml.lstm import LSTMPredictor
-from repro.util.bits import bytes_to_bits, bytes_to_bits_many
-from repro.util.rng import rng_from_seed
+
+_BYTES = (bytes, bytearray, memoryview)
 
 
 class EncoderPipeline:
@@ -33,7 +34,7 @@ class EncoderPipeline:
 
     Args:
         input_bits: model width ``w`` (bits per memory segment).
-        config: hyperparameters (cluster count, VAE shape, padding choice).
+        config: hyperparameters (cluster count, VAE shape).
         faults: optional :class:`repro.testing.faults.FaultInjector`; when
             set, ``fit`` fires the ``"pipeline.fit"`` site so tests can
             inject slow or failing trainings.
@@ -47,7 +48,6 @@ class EncoderPipeline:
         self.input_bits = input_bits
         self.config = config
         self.faults = faults
-        self._rng = rng_from_seed(config.seed)
         self.model = JointVAEKMeans(
             input_dim=input_bits,
             n_clusters=config.n_clusters,
@@ -58,32 +58,11 @@ class EncoderPipeline:
             joint_epochs=config.joint_epochs,
             batch_size=config.batch_size,
             lr=config.lr,
-            seed=self._rng,
-        )
-        self.tracker = DatasetDistributionTracker()
-        self.lstm: LSTMPredictor | None = None
-        if config.padding_strategy == "learned":
-            self.lstm = LSTMPredictor(
-                window_bits=config.lstm_window_bits,
-                chunk_bits=config.lstm_chunk_bits,
-                hidden_dim=config.lstm_hidden,
-                seed=self._rng,
-            )
-        self.padder = Padder(
-            target_bits=input_bits,
-            strategy=config.padding_strategy,
-            position=config.padding_position,
-            seed=self._rng,
-            lstm=self.lstm,
-            tracker=self.tracker,
+            seed=config.seed,
         )
         self.trained = False
         self.prediction_count = 0
         self.prediction_seconds = 0.0
-        # Serialises the padder's shared RNG/tracker (and the learned
-        # strategy's LSTM caches); the model forward pass itself is
-        # stateless and runs lock-free.
-        self._pad_lock = threading.Lock()
         # Guards the latency counters against concurrent predictions.
         self._stats_lock = threading.Lock()
 
@@ -97,47 +76,32 @@ class EncoderPipeline:
         if self.faults is not None:
             self.faults.fire("pipeline.fit")
         self.model.fit(X, verbose=verbose)
-        if self.lstm is not None:
-            self.lstm.fit(
-                X,
-                epochs=self.config.lstm_epochs,
-                verbose=verbose,
-            )
         self.trained = True
         return self.model.history
 
-    def predict_cluster(
-        self,
-        value: bytes | np.ndarray,
-        memory_ones_fraction: float | None = None,
-    ) -> int:
-        """Cluster id for a value, padding it to the model width if short."""
-        return int(self.predict_batch([value], memory_ones_fraction)[0])
+    def predict_cluster(self, value: bytes | np.ndarray) -> int:
+        """Cluster id for a value, zero-padded to the model width if short."""
+        return int(self.predict_batch([value])[0])
 
-    def predict_batch(
-        self,
-        values: list[bytes | np.ndarray],
-        memory_ones_fraction: float | None = None,
-    ) -> np.ndarray:
-        """Cluster ids for many values via one padded batch forward pass.
+    def predict_batch(self, values: list[bytes | np.ndarray]) -> np.ndarray:
+        """Cluster ids for many values via one forward pass.
 
-        The cluster labels do not depend on how values are cut into
-        batches, barring exact ties between two centroids: padding is
-        per-row (see ``Padder.pad_batch``), but the latent is not
-        bit-identical, since BLAS takes a mat-vec for one row and a
-        mat-mat for many (on the e2e ship model it moves by up to 7e-15
-        between ``B = 1`` and ``B = 512``, against a gap of at least 5e-4
-        in squared distance between the nearest and the second-nearest
-        centroid).  The encoder runs one stacked matmul and the batch
-        counts as ``B`` predictions in the latency statistics.
+        A value is bytes, or a 0/1 bit vector; see :meth:`_inputs` for the
+        model input each becomes.  The cluster labels do not depend on how
+        values are cut into batches, barring exact ties between two
+        centroids: every row is built from its own value alone, but the
+        latent is not bit-identical, since BLAS takes a mat-vec for one
+        row and a mat-mat for many (on the e2e ship model it moves by up
+        to 7e-15 between ``B = 1`` and ``B = 512``, against a gap of at
+        least 5e-4 in squared distance between the nearest and the
+        second-nearest centroid).  The batch counts as ``B`` predictions
+        in the latency statistics.
         """
         if not values:
             return np.empty(0, dtype=np.int64)
-        bit_rows = self._to_bits_many(values)
-        with self._pad_lock:
-            padded = self.padder.pad_batch(bit_rows, memory_ones_fraction)
+        rows = self._inputs(values)
         start = time.perf_counter()
-        clusters = self.model.predict(padded)
+        clusters = self.model.predict(rows)
         self._record_predictions(len(values), time.perf_counter() - start)
         return clusters
 
@@ -167,17 +131,30 @@ class EncoderPipeline:
             self.prediction_count += count
             self.prediction_seconds += seconds
 
-    def _to_bits(self, value: bytes | np.ndarray) -> np.ndarray:
-        if isinstance(value, (bytes, bytearray, memoryview)):
-            return bytes_to_bits(value)
-        return np.asarray(value, dtype=np.float32).reshape(-1)
+    def _inputs(self, values: list[bytes | np.ndarray]) -> np.ndarray:
+        """The ``(B, w)`` ``float32`` model input of a batch: each row is
+        its value's bits (MSB first), then zeros up to the model width.
 
-    def _to_bits_many(
-        self, values: list[bytes | np.ndarray]
-    ) -> list[np.ndarray]:
-        """Bit-expand a batch; byte values share a single ``unpackbits``."""
+        A batch of full-width byte values, the store's common case, is one
+        ``unpackbits`` over the joined bytes.
+        """
+        width = self.input_bits
         if all(
-            isinstance(v, (bytes, bytearray, memoryview)) for v in values
+            isinstance(v, _BYTES) and len(v) * 8 == width for v in values
         ):
-            return bytes_to_bits_many(values)
-        return [self._to_bits(v) for v in values]
+            packed = np.frombuffer(b"".join(values), dtype=np.uint8)
+            return np.unpackbits(
+                packed.reshape(len(values), width // 8), axis=1
+            ).astype(np.float32)
+        rows = np.zeros((len(values), width), dtype=np.float32)
+        for row, value in zip(rows, values):
+            if isinstance(value, _BYTES):
+                bits = np.unpackbits(np.frombuffer(value, dtype=np.uint8))
+            else:
+                bits = np.asarray(value, dtype=np.float32).reshape(-1)
+            if bits.size > width:
+                raise ValueError(
+                    f"item of {bits.size} bits exceeds model width {width}"
+                )
+            row[: bits.size] = bits
+        return rows

@@ -10,7 +10,8 @@ here is re-implemented on NumPy so the reproduction has no ML dependencies:
   reconstruction + KL, reparameterisation trick);
 - :mod:`repro.ml.joint` — joint VAE + K-means training (§3.2: "integrates
   the VAE's reconstruction loss and the K-means clustering loss");
-- :mod:`repro.ml.lstm` — the LSTM used by learned padding (§4.1.3);
+- :mod:`repro.ml.lstm` — the LSTM used by learned padding (§4.1.3), for
+  Figures 14 and 15 only: import it from its module;
 - :mod:`repro.ml.kmeans` / :mod:`repro.ml.pca` — classic baselines used by
   PNW [26];
 - :mod:`repro.ml.metrics` — SSE and the elbow method of Figure 8.
@@ -20,14 +21,11 @@ from repro.ml.kmeans import KMeans
 from repro.ml.pca import PCA
 from repro.ml.vae import VAE
 from repro.ml.joint import JointVAEKMeans
-from repro.ml.lstm import LSTMPredictor
 from repro.ml.metrics import elbow_k, sum_squared_error
 from repro.ml.serialization import (
     load_joint,
-    load_lstm,
     load_vae,
     save_joint,
-    save_lstm,
     save_vae,
 )
 
@@ -36,13 +34,10 @@ __all__ = [
     "PCA",
     "VAE",
     "JointVAEKMeans",
-    "LSTMPredictor",
     "elbow_k",
     "sum_squared_error",
     "save_vae",
     "load_vae",
-    "save_lstm",
-    "load_lstm",
     "save_joint",
     "load_joint",
 ]

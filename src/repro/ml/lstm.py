@@ -130,10 +130,10 @@ class LSTMPredictor:
 
     def __init__(
         self,
-        window_bits: int = 64,
-        chunk_bits: int = 8,
-        hidden_dim: int = 32,
-        seed: int | np.random.Generator | None = 0,
+        window_bits: int,
+        chunk_bits: int,
+        hidden_dim: int,
+        seed: int | np.random.Generator | None,
     ) -> None:
         if window_bits <= 0 or chunk_bits <= 0 or window_bits % chunk_bits:
             raise ValueError("window_bits must be a positive multiple of chunk_bits")

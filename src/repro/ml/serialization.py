@@ -1,4 +1,4 @@
-"""Model persistence: save/load for the VAE, LSTM and joint models.
+"""Model persistence: save/load for the VAE and joint models.
 
 A trained placement model outlives any single process (the paper retrains
 "in the background lazily" and swaps models); snapshots let a deployment
@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.ml.joint import JointVAEKMeans
 from repro.ml.kmeans import KMeans
-from repro.ml.lstm import LSTMPredictor
 from repro.ml.vae import VAE
 
 
@@ -74,34 +73,6 @@ def load_vae(path) -> VAE:
     )
     _load_params(vae.params, arrays)
     return vae
-
-
-def save_lstm(model: LSTMPredictor, path) -> None:
-    """Snapshot an LSTM predictor's configuration and weights."""
-    meta = {
-        "kind": "lstm",
-        "window_bits": model.window_bits,
-        "chunk_bits": model.chunk_bits,
-        "hidden_dim": model.cell.hidden_dim,
-        "trained": model.trained,
-    }
-    _pack(path, meta, model.cell.params + model.head.params)
-
-
-def load_lstm(path) -> LSTMPredictor:
-    """Restore an LSTM predictor saved by :func:`save_lstm`."""
-    meta, arrays = _unpack(path)
-    if meta.get("kind") != "lstm":
-        raise ValueError(f"not an LSTM snapshot: {meta.get('kind')!r}")
-    model = LSTMPredictor(
-        window_bits=meta["window_bits"],
-        chunk_bits=meta["chunk_bits"],
-        hidden_dim=meta["hidden_dim"],
-        seed=0,
-    )
-    _load_params(model.cell.params + model.head.params, arrays)
-    model.trained = bool(meta["trained"])
-    return model
 
 
 def save_joint(model: JointVAEKMeans, path) -> None:

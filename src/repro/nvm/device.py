@@ -652,9 +652,7 @@ class NVMDevice:
         exhausted = left <= 0
         if not exhausted.any():
             return
-        fresh = self._mark(self._stuck_packed, cells[exhausted])
-        self._n_stuck += fresh
-        if fresh and self.faults is not None:
+        if self._kill(cells[exhausted]) and self.faults is not None:
             self.faults.fire("device.stuck_at")
 
     def age(self, cycles: int) -> int:
@@ -662,18 +660,30 @@ class NVMDevice:
         every cell at once (no content change, no stats).
 
         Cells whose budget is exhausted become stuck at their *current*
-        value, exactly as organic wear-out would leave them.  Returns the
-        number of cells that died.  Requires a wear-out model.
+        value, exactly as organic wear-out would leave them (see
+        :meth:`_kill`).  Returns the number of cells that died.  Requires a
+        wear-out model.
         """
         if self._pulses_left is None:
             raise RuntimeError("device was created without a wearout model")
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
         self._pulses_left -= cycles
-        fresh = self._mark(
-            self._stuck_packed, np.flatnonzero(self._pulses_left <= 0)
-        )
+        return self._kill(np.flatnonzero(self._pulses_left <= 0))
+
+    def _kill(self, cells: np.ndarray) -> int:
+        """Mark ``cells`` stuck at their stored charge; returns how many
+        were alive.
+
+        A dead cell is frozen charge: it neither drifts nor heals, so one
+        that dies while drifted stops sensing flipped and reads what it
+        stores.  Organic wear only kills a cell its own pulse just healed;
+        :meth:`age` kills cells in place, drifted ones included.
+        """
+        fresh = self._mark(self._stuck_packed, cells)
         self._n_stuck += fresh
+        if fresh and self._n_drifted:
+            self._n_drifted -= self._unmark(self._drift_packed, cells)
         return fresh
 
     def wear_count(self) -> np.ndarray:
@@ -997,6 +1007,18 @@ class NVMDevice:
             packed, fresh >> 3, (0x80 >> (fresh & 7)).astype(np.uint8)
         )
         return int(fresh.size)
+
+    @classmethod
+    def _unmark(cls, packed: np.ndarray, cells: np.ndarray) -> int:
+        """Clear the flags of ``cells`` in a packed overlay; returns how
+        many were set before."""
+        flagged = cells[cls._flagged(packed, cells) == 1]
+        np.bitwise_and.at(
+            packed,
+            flagged >> 3,
+            (0xFF ^ (0x80 >> (flagged & 7))).astype(np.uint8),
+        )
+        return int(flagged.size)
 
     def _dirty_lines(self, offsets, reach: int, masks: np.ndarray):
         """Per-row count of cache lines holding at least one masked cell

@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import fast_test_config
+from repro.core.kvstore import StoreReadOnlyError
 from repro.nvm.device import DriftConfig, NVMDevice, WearOutConfig
 from repro.sharding import RebalanceJournal, ShardedKVStore, ShardSupervisor
 from repro.sharding.backends import ShardUnavailableError
@@ -225,10 +226,11 @@ class _Fleet(AbstractContextManager):
         self.model.begin(items, EITHER)
         try:
             outcomes = self.store.put_many(items).outcomes
-        except ShardUnavailableError:
+        except (ShardUnavailableError, StoreReadOnlyError):
             # partial mode degrades unavailability, but an overlapping
-            # fault can still surface here (e.g. every shard down);
-            # nothing in this batch is acknowledged.
+            # fault can still surface here (e.g. every shard down), and a
+            # shard whose media wore out refuses writes: nothing in this
+            # batch is acknowledged.
             outcomes = ["error"] * len(items)
         self.report.total_items += len(items)
         self.report.acked_items += self.model.ack(outcomes)

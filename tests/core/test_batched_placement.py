@@ -1,15 +1,15 @@
 """Batched write-path equivalence and concurrency properties.
 
-The write path (``pad_batch`` → ``predict_batch`` → ``DAP.get_many`` →
+The write path (``predict_batch`` → ``DAP.get_many`` →
 ``controller.write_many``) must not depend on how a stream of values is
-cut into batches: same padded inputs, same cluster assignments, same
-addresses, same accounting.  Above the controller the scalar entry points
-(``pad``, ``predict_cluster``) are one-item wrappers over the batched
-body, so these tests compare one batch of ``B`` with ``B`` batches of one
-— the per-item RNG/tracker contract — using *twin* objects: two
-identically-seeded padders/pipelines/engines, one driven value by value
-and one batched.  At the controller both bodies exist and the engine
-tests compare them.
+cut into batches: same model inputs, same cluster assignments, same
+addresses, same accounting.  Above the controller the scalar entry point
+(``predict_cluster``) is a one-item wrapper over the batched body, so these
+tests compare one batch of ``B`` with ``B`` batches of one, using *twin*
+objects: two identically-seeded pipelines/engines, one driven value by
+value and one batched.  At the controller both bodies exist and the engine
+tests compare them.  The figure-side :class:`~repro.core.padding.Padder`
+keeps the same contract for its RNG and dataset tracker.
 """
 
 from __future__ import annotations
@@ -31,14 +31,16 @@ from tests.conftest import SEGMENT_SIZE, assert_stats_equal, make_engine
 PAD_BITS = 96
 
 
-def _make_padder(strategy: str, position: str) -> Padder:
+def _make_padder(
+    strategy: str, position: str, bits: int = PAD_BITS
+) -> Padder:
     lstm = None
     if strategy == "learned":
         lstm = LSTMPredictor(
             window_bits=16, chunk_bits=4, hidden_dim=8, seed=3
         )
     return Padder(
-        PAD_BITS, strategy=strategy, position=position, seed=9, lstm=lstm
+        bits, strategy=strategy, position=position, seed=9, lstm=lstm
     )
 
 
@@ -77,24 +79,22 @@ PIPE_VALUE_BYTES = 16
 PIPE_BITS = PIPE_VALUE_BYTES * 8
 
 
-def _trained_pipeline(strategy: str) -> EncoderPipeline:
-    config = fast_test_config(
-        padding_strategy=strategy,
-        lstm_window_bits=16,
-        lstm_chunk_bits=4,
-        lstm_hidden=8,
-    )
-    pipeline = EncoderPipeline(PIPE_BITS, config)
+def _bits(value: bytes) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(value, dtype=np.uint8))
+
+
+def _trained_pipeline() -> EncoderPipeline:
+    pipeline = EncoderPipeline(PIPE_BITS, fast_test_config())
     rng = np.random.default_rng(7)
     data = (rng.random((32, PIPE_BITS)) < 0.4).astype(np.float64)
     pipeline.fit(data)
     return pipeline
 
 
-@pytest.fixture(scope="module", params=PaddingStrategy)
-def pipeline_pair(request):
-    """Two identically-trained pipelines for one padding strategy."""
-    return _trained_pipeline(request.param), _trained_pipeline(request.param)
+@pytest.fixture(scope="module")
+def pipeline_pair():
+    """Two identically-trained pipelines."""
+    return _trained_pipeline(), _trained_pipeline()
 
 
 class TestPredictBatchEquivalence:
@@ -107,22 +107,59 @@ class TestPredictBatchEquivalence:
         )
     )
     def test_predict_batch_matches_sequential(self, pipeline_pair, values):
-        """One batch of B equals B ``predict_cluster`` calls (batches of
-        one): the padder RNG and tracker advance value by value."""
+        """One batch of B mixed-length values equals B ``predict_cluster``
+        calls (batches of one), and a short value's model input is its
+        bits, then zeros: the rows Figure 14's ``zero`` / ``end``
+        :class:`Padder` builds."""
         batch_pipe, seq_pipe = pipeline_pair
-        batched = batch_pipe.predict_batch(values, memory_ones_fraction=0.35)
-        sequential = [
-            seq_pipe.predict_cluster(v, memory_ones_fraction=0.35)
-            for v in values
-        ]
+        batched = batch_pipe.predict_batch(values)
+        sequential = [seq_pipe.predict_cluster(v) for v in values]
         assert batched.tolist() == sequential
 
-    def test_empty_batch(self, pipeline_pair):
+        rows = batch_pipe._inputs(values)
+        assert rows.dtype == np.float32
+        for row, value in zip(rows, values):
+            bits = _bits(value)
+            np.testing.assert_array_equal(row[: bits.size], bits)
+            assert not row[bits.size :].any()
+        padder = _make_padder("zero", "end", PIPE_BITS)
+        np.testing.assert_array_equal(
+            rows, padder.pad_batch([_bits(v) for v in values])
+        )
+        assert (
+            batch_pipe.model.predict(rows).tolist() == batched.tolist()
+        )
+
+    @pytest.mark.parametrize("strategy", PaddingStrategy)
+    def test_empty_batch(self, pipeline_pair, strategy):
+        """An empty batch predicts nothing, on the store's path and on
+        Figure 14's (a strategy's :class:`Padder` feeding the model)."""
         batch_pipe, _ = pipeline_pair
         assert batch_pipe.predict_batch([]).size == 0
+        padded = _make_padder(strategy, "end", PIPE_BITS).pad_batch([])
+        assert padded.shape == (0, PIPE_BITS)
+        assert batch_pipe.model.predict(padded).size == 0
+
+    @pytest.mark.parametrize("strategy", PaddingStrategy)
+    def test_full_width_values_need_no_padding(self, pipeline_pair, strategy):
+        """Every strategy leaves a full-width value as it is, so on values
+        that fill their segment (every end-to-end workload's) the store's
+        one rule places exactly as any strategy would."""
+        batch_pipe, _ = pipeline_pair
+        rng = np.random.default_rng(11)
+        values = [rng.bytes(PIPE_VALUE_BYTES) for _ in range(5)]
+        padded = _make_padder(strategy, "begin", PIPE_BITS).pad_batch(
+            [_bits(v) for v in values]
+        )
+        np.testing.assert_array_equal(padded, batch_pipe._inputs(values))
+
+    def test_oversize_value_raises(self, pipeline_pair):
+        batch_pipe, _ = pipeline_pair
+        with pytest.raises(ValueError, match="exceeds model width"):
+            batch_pipe.predict_batch([b"x" * (PIPE_VALUE_BYTES + 1)])
 
     def test_batch_counts_as_many_predictions(self):
-        pipeline = _trained_pipeline("zero")
+        pipeline = _trained_pipeline()
         pipeline.predict_batch([b"ab", b"cd", b"ef"])
         assert pipeline.prediction_count == 3
         assert pipeline.mean_prediction_latency_us > 0.0

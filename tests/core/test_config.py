@@ -10,7 +10,6 @@ class TestConfig:
     def test_defaults_are_valid(self):
         config = E2NVMConfig()
         assert config.n_clusters == 10
-        assert config.padding_strategy == "zero"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -19,10 +18,6 @@ class TestConfig:
             E2NVMConfig(retrain_threshold=-1)
         with pytest.raises(ValueError):
             E2NVMConfig(hidden=())
-        with pytest.raises(ValueError):
-            E2NVMConfig(ones_fraction_refresh_writes=-1)
-        with pytest.raises(ValueError):
-            E2NVMConfig(ones_fraction_sample_segments=0)
 
     def test_hidden_normalised_to_tuple(self):
         config = E2NVMConfig(hidden=[64, 32])

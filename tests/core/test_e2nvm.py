@@ -161,14 +161,17 @@ class TestPlacementQuality:
 
         assert e2_flips < arb_flips
 
-    @pytest.mark.parametrize("position, half", [("end", 0), ("begin", 1)])
-    def test_padding_position_decides_where_a_short_value_lands(
-        self, position, half
-    ):
+    @pytest.mark.parametrize(
+        "value, half",
+        [(b"\xff" * 16, 0), (b"\x00" * 16 + b"\xff" * 8, 1)],
+        ids=["ones-first", "ones-second"],
+    )
+    def test_short_value_placed_as_bits_then_zeros(self, value, half):
         """§4.1: memory holds two kinds of segment, ones in the first half
-        or ones in the second.  A half-segment of ones padded with zeros at
-        the ``end`` looks like the first kind, padded at the ``begin`` like
-        the second — and is placed on a segment of that kind."""
+        or ones in the second.  A short value is predicted as its bits
+        followed by zeros: a half-segment of ones looks like the first
+        kind, zeros then a quarter of ones like the second — and each is
+        placed on a segment of that kind."""
         ones, zeros = b"\xff" * 16, b"\x00" * 16
         device = NVMDevice(
             capacity_bytes=64 * 32, segment_size=32, initial_fill="zero"
@@ -177,12 +180,9 @@ class TestPlacementQuality:
         for segment in range(64):
             content = ones + zeros if segment % 2 == 0 else zeros + ones
             controller.write(segment * 32, content)
-        engine = E2NVM(
-            controller,
-            fast_test_config(n_clusters=2, padding_position=position),
-        )
+        engine = E2NVM(controller, fast_test_config(n_clusters=2))
         engine.train()
-        assert engine.place(ones) // 32 % 2 == half
+        assert engine.place(value) // 32 % 2 == half
 
 
 class TestRetraining:

@@ -74,7 +74,7 @@ class _StubPipeline:
     def __init__(self):
         self.calls: list[list] = []
 
-    def predict_batch(self, values, memory_ones_fraction=None):
+    def predict_batch(self, values):
         self.calls.append(list(values))
         return np.array([v[0] if len(v) else 0 for v in values], dtype=np.int64)
 
@@ -123,7 +123,7 @@ class TestFastPlacementLayer:
         teacher_calls = []
 
         class ArrayTeacher:
-            def predict_batch(self, values, memory_ones_fraction=None):
+            def predict_batch(self, values):
                 teacher_calls.append(len(values))
                 return np.zeros(len(values), dtype=np.int64)
 
@@ -269,12 +269,12 @@ class TestBoundedEpochRetries:
         real = engine.pipeline.predict_batch
         forward_passes = []
 
-        def hostile(values, memory_ones_fraction=None):
+        def hostile(values):
             # Simulate a background swap landing during *every* prediction:
             # without a retry bound, place() would spin forever.
             engine._model_epoch += 1
             forward_passes.append(len(values))
-            return real(values, memory_ones_fraction=memory_ones_fraction)
+            return real(values)
 
         engine.pipeline.predict_batch = hostile
         addr = engine.place(b"\x01" * 16)
@@ -289,10 +289,10 @@ class TestBoundedEpochRetries:
         real = engine.pipeline.predict_batch
         calls = []
 
-        def hostile(values, memory_ones_fraction=None):
+        def hostile(values):
             engine._model_epoch += 1
             calls.append(1)
-            return real(values, memory_ones_fraction=memory_ones_fraction)
+            return real(values)
 
         engine.pipeline.predict_batch = hostile
         engine.release(addr)  # must terminate
@@ -360,11 +360,7 @@ class TestCacheRespectsQuarantine:
         engine.release(addr)
         # Find the cluster the value maps to and quarantine *every* address
         # in it, so a cache-hit placement must take the fallback path.
-        cluster = int(
-            engine.pipeline.predict_cluster(
-                value, memory_ones_fraction=engine._memory_ones_fraction
-            )
-        )
+        cluster = engine.pipeline.predict_cluster(value)
         doomed = list(engine.dap.snapshot()[cluster])
         for a in doomed:
             engine.quarantine_address(a)

@@ -8,8 +8,8 @@ from repro.core.pipeline import EncoderPipeline
 from repro.workloads.datasets import bits_to_values, make_image_dataset
 
 
-def trained_pipeline(strategy="zero", seed=0, bits=128):
-    config = fast_test_config(padding_strategy=strategy, seed=seed)
+def trained_pipeline(seed=0, bits=128):
+    config = fast_test_config(seed=seed)
     pipeline = EncoderPipeline(bits, config)
     X, _ = make_image_dataset(120, bits, n_classes=3, noise=0.1, seed=seed)
     pipeline.fit(X)
@@ -53,17 +53,6 @@ class TestPipeline:
         pipeline.predict_cluster(X[1])
         assert pipeline.prediction_count == 2
         assert pipeline.mean_prediction_latency_us > 0.0
-
-    def test_learned_strategy_trains_lstm(self):
-        pipeline, _ = trained_pipeline(strategy="learned")
-        assert pipeline.lstm is not None
-        assert pipeline.lstm.trained
-        assert 0 <= pipeline.predict_cluster(b"abcd") < 3
-
-    def test_memory_strategy_threads_fraction(self):
-        pipeline, _ = trained_pipeline(strategy="memory")
-        cluster = pipeline.predict_cluster(b"xy", memory_ones_fraction=0.3)
-        assert 0 <= cluster < 3
 
     def test_centroids_shape(self):
         pipeline, _ = trained_pipeline()

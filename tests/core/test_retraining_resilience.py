@@ -213,28 +213,3 @@ class TestRetrainCounting:
         assert engine.retrain_stats.started == 2
         assert engine.retrain_stats.succeeded == 2
         assert engine.retrain_stats.total_duration_s > 0
-
-
-class TestOnesFractionRefresh:
-    def test_memory_ones_fraction_tracks_drift(self):
-        engine = make_engine(
-            seed=31,
-            ones_fraction_refresh_writes=8,
-            ones_fraction_sample_segments=128,
-        )
-        base = engine._memory_ones_fraction
-        assert 0.4 < base < 0.6  # random fill
-        # Stream all-ones values; recycling turns free segments to 0xFF.
-        for _ in range(40):
-            addr, _ = engine.write(b"\xff" * 64)
-            engine.release(addr)
-        assert engine._memory_ones_fraction > base + 0.05
-        assert engine._ones_fraction_age < 8  # refresh actually ran
-
-    def test_refresh_disabled_when_interval_zero(self):
-        engine = make_engine(seed=32, ones_fraction_refresh_writes=0)
-        base = engine._memory_ones_fraction
-        for _ in range(20):
-            addr, _ = engine.write(b"\xff" * 64)
-            engine.release(addr)
-        assert engine._memory_ones_fraction == base

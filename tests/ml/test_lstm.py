@@ -55,9 +55,9 @@ class TestLSTMCell:
 class TestLSTMPredictor:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LSTMPredictor(window_bits=10, chunk_bits=3)
+            LSTMPredictor(window_bits=10, chunk_bits=3, hidden_dim=32, seed=0)
         with pytest.raises(ValueError):
-            LSTMPredictor(window_bits=0)
+            LSTMPredictor(window_bits=0, chunk_bits=8, hidden_dim=32, seed=0)
 
     def test_predict_next_shape_and_range(self):
         model = LSTMPredictor(window_bits=16, chunk_bits=4, hidden_dim=6, seed=0)
@@ -66,7 +66,7 @@ class TestLSTMPredictor:
         assert ((probs >= 0) & (probs <= 1)).all()
 
     def test_predict_wrong_window_raises(self):
-        model = LSTMPredictor(window_bits=16, chunk_bits=4)
+        model = LSTMPredictor(window_bits=16, chunk_bits=4, hidden_dim=32, seed=0)
         with pytest.raises(ValueError):
             model.predict_next(np.zeros(12))
 
@@ -97,7 +97,7 @@ class TestLSTMPredictor:
         assert out.shape == (8,)
 
     def test_fit_without_material_raises(self):
-        model = LSTMPredictor(window_bits=64, chunk_bits=8)
+        model = LSTMPredictor(window_bits=64, chunk_bits=8, hidden_dim=32, seed=0)
         with pytest.raises(ValueError):
             model.fit(np.zeros((3, 16)))  # vectors shorter than one window
 

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.joint import JointVAEKMeans
-from repro.ml.lstm import LSTMPredictor
-from repro.ml.serialization import (
-    load_joint,
-    load_lstm,
-    load_vae,
-    save_joint,
-    save_lstm,
-    save_vae,
-)
+from repro.ml.serialization import load_joint, load_vae, save_joint, save_vae
 from repro.ml.vae import VAE
 from repro.workloads.datasets import make_image_dataset
 
@@ -38,9 +30,12 @@ class TestVAESnapshot:
         )
 
     def test_wrong_kind_rejected(self, tmp_path, trained_bits):
-        lstm = LSTMPredictor(window_bits=16, chunk_bits=4, hidden_dim=4, seed=0)
-        path = tmp_path / "lstm.npz"
-        save_lstm(lstm, path)
+        model = JointVAEKMeans(
+            64, 3, latent_dim=4, hidden=(16,), pretrain_epochs=1,
+            joint_epochs=1, seed=0,
+        ).fit(trained_bits)
+        path = tmp_path / "joint.npz"
+        save_joint(model, path)
         with pytest.raises(ValueError):
             load_vae(path)
 
@@ -52,21 +47,6 @@ class TestVAESnapshot:
         restored = load_vae(path)
         history = restored.fit(trained_bits, epochs=2, batch_size=32)
         assert len(history["train_loss"]) == 2
-
-
-class TestLSTMSnapshot:
-    def test_roundtrip_preserves_generation(self, tmp_path):
-        pattern = np.tile([1, 0, 0, 1], 20).astype(float)
-        model = LSTMPredictor(window_bits=16, chunk_bits=4, hidden_dim=8, seed=3)
-        model.fit(np.stack([pattern] * 5), epochs=3)
-        path = tmp_path / "lstm.npz"
-        save_lstm(model, path)
-        restored = load_lstm(path)
-        assert restored.trained
-        context = pattern[:32]
-        assert np.array_equal(
-            restored.generate(context, 8), model.generate(context, 8)
-        )
 
 
 class TestJointSnapshot:

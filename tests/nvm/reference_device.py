@@ -3,7 +3,8 @@
 Pure Python loops over individual cells — no packed bytes, no NumPy on the
 write side — restating what :class:`repro.nvm.NVMDevice` promises: content
 with stuck-at cells (the killing pulse still lands), the drift overlay
-(force-pulse of drifted cells, timer reset), per-cell wear,
+(force-pulse of drifted cells, timer reset; a dying cell stops drifting),
+per-cell wear,
 ``segment_write_count``, ``bit_wear`` and the energy/latency formulas.
 ``tests/nvm/test_device_twin.py`` drives it and the real device with the
 same operations and requires them to agree after every step; it lives
@@ -180,7 +181,10 @@ class ReferenceDevice:
             self.wear[cell] += cycles
             if self.stuck[cell] or self.wear[cell] < self.endurance[cell]:
                 continue
+            # Dead cells are frozen charge: one that dies drifted stops
+            # sensing flipped (a pulse-killed cell was healed by its pulse).
             self.stuck[cell] = True
+            self.drifted[cell] = False
             died += 1
         return died
 

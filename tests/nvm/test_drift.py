@@ -204,6 +204,27 @@ class TestWearAndImmortality:
         assert device.advance_time(100) == 0
         assert device.drifted_cell_count() == 0
 
+    def test_a_drifted_cell_that_dies_reads_its_stored_charge(self):
+        """Frozen charge neither drifts nor heals: a cell that wears out
+        while drifted stops sensing flipped.  Were it to keep its flag, a
+        refresh would rewrite it against a flip no pulse can clear."""
+        device = NVMDevice(
+            capacity_bytes=8 * SEGMENT,
+            segment_size=SEGMENT,
+            initial_fill="random",
+            seed=7,
+            wearout=WearOutConfig(endurance_mean=1000, seed=5),
+            drift=DriftConfig(retention_mean=2, seed=3),
+        )
+        everything = (0, device.capacity_bytes)
+        stored = device.peek(*everything)
+        assert device.advance_time(1000) > 0
+        device.age(10**6)
+        assert device.stuck_cell_count() == device.capacity_bytes * 8
+        assert device.drifted_cell_count() == 0
+        assert not device.drift_mask(*everything).any()
+        np.testing.assert_array_equal(device.peek(*everything), stored)
+
 
 class TestFaultSiteAndPersistence:
     def test_drift_flip_site_fires_once_per_call(self):

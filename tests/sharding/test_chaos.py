@@ -69,6 +69,25 @@ class TestChaosDrill:
         assert report.faults == {"stop": 3}
         assert report.watchdog_kills >= 1
 
+    def test_worn_out_shards_refuse_writes_without_losing_acked_ones(
+        self, tmp_path
+    ):
+        """Median endurance = the round count: cells die under the drill
+        until shards go read-only.  A batch a read-only shard refuses is
+        unacknowledged, not a drill failure, and nothing acked is lost."""
+        rounds = 4
+        report = run_chaos_drill(
+            tmp_path / "drill",
+            rounds=rounds,
+            batch_size=16,
+            seed=7,
+            heal_timeout_s=120.0,
+            endurance_mean=1.0 * rounds,
+        )
+        assert report.ok, report.summary()
+        assert report.stuck_cells > 0
+        assert report.acked_items < report.total_items
+
     def test_rejects_unknown_fault_kind(self, tmp_path):
         with pytest.raises(ValueError, match="unknown fault kind"):
             run_chaos_drill(tmp_path / "drill", faults=("meteor",))

@@ -43,6 +43,9 @@ from __future__ import annotations
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from dataclasses import dataclass as _dataclass
 from pathlib import Path
@@ -53,10 +56,6 @@ CORPUS_DIRS = ("src", "benchmarks")
 GATED_PACKAGES = ("core", "nvm", "pmem", "sharding", "tools")
 CONFIG_CLASSES = ("E2NVMConfig", "ShardSpec", "WearOutConfig", "DriftConfig")
 
-_FROZEN_BENCHMARK = (
-    "the padding/LSTM group whose siblings the frozen benchmarks/e2e/"
-    "workloads.py sets; goes with them in a change to that benchmark"
-)
 _REFERENCE_TWIN = (
     "mirrored by the per-bit reference model (tests/nvm/"
     "reference_device.py) that pins the device; goes with a change to it"
@@ -84,11 +83,6 @@ ALLOWED = {
     "DeviceStats.energy_per_write_pj": (
         "the paper's energy-per-write metric, printed by the examples"
     ),
-    "E2NVMConfig.padding_strategy": _FROZEN_BENCHMARK,
-    "E2NVMConfig.padding_position": _FROZEN_BENCHMARK,
-    "E2NVMConfig.ones_fraction_sample_segments": _FROZEN_BENCHMARK,
-    "E2NVMConfig.lstm_window_bits": _FROZEN_BENCHMARK,
-    "E2NVMConfig.lstm_chunk_bits": _FROZEN_BENCHMARK,
     "DriftConfig.wear_scale": _REFERENCE_TWIN,
     "NVMDevice.__init__.energy_model": _REFERENCE_TWIN,
 }
@@ -392,6 +386,23 @@ class TestBaseExceptionArms:
                 if arm and not said:
                     bare.append(f"{path.relative_to(ROOT)}:{i + 1}")
         assert bare == [], f"uncommented except BaseException: {bare}"
+
+
+class TestStoreImportChain:
+    def test_the_store_loads_no_figure_padder(self):
+        """The store zero-pads; the padding strategies and the LSTM padder
+        are Figures 14-15's tools and stay out of a store's imports."""
+        code = (
+            "import sys, repro.sharding; "
+            "print(sorted(m for m in ('repro.core.padding', 'repro.ml.lstm')"
+            " if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 def _line_count(paths) -> int:
