@@ -26,7 +26,7 @@ inference, memo-cache fast placement, and sharded multi-channel overhauls:
   floor cannot;
 - **cached** — the same loops on a Zipfian-skewed trace (YCSB-style: a
   small working set re-written constantly) against an engine with the
-  fingerprint memo cache in front of the VAE + K-means teacher, plus the
+  value-keyed memo cache in front of the VAE + K-means teacher, plus the
   fast layer's telemetry.
 
 Results land in ``BENCH_throughput.json`` at the repo root.  ``--quick``
@@ -109,7 +109,12 @@ DEVICE_CALLS_PER_REP = 20
 #: the ratio, when it moves.  PR 20's parent read 25.5 / 27.0 / 25.7 —
 #: 381 us over 14.9 us — because both sides got cheaper together; its
 #: write kernels over today's reads would read about 90 / 48 / 37.
-DEVICE_RATIO_CEILING = {"16x256": 50.0, "16x52": 24.0, "16x1": 22.0}
+#: Since ``program_many`` returns its results as columns (no per-row
+#: ``tolist``), five alternating runs per tree on a 2-vCPU box read at
+#: most 25.6 / 15.1 / 13.1 against the old pass's 25.7 / 16.1 / 14.3;
+#: the ceilings keep about the 2.0x / 1.5x / 1.6x headroom over the new
+#: maxima, and 16x256 stays at 50 rather than loosen.
+DEVICE_RATIO_CEILING = {"16x256": 50.0, "16x52": 23.0, "16x1": 21.0}
 
 
 def _make_values(n: int, seed: int = 11) -> list[bytes]:

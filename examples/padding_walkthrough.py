@@ -39,7 +39,7 @@ def trained_lstm() -> LSTMPredictor:
     rows = [np.array(m, dtype=float) for ms in TABLE_1.values() for m in ms]
     train = np.stack([np.tile(r, 6) for r in rows])
     lstm = LSTMPredictor(window_bits=8, chunk_bits=1, hidden_dim=12, seed=0)
-    lstm.fit(train, epochs=8, lr=1e-2, include_reversed=True)
+    lstm.fit(train, epochs=8, lr=1e-2)
     return lstm
 
 

@@ -57,7 +57,7 @@ class WriteScheme(abc.ABC):
         logical_addrs,
         old_stored: np.ndarray,
         new_logical: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | int]:
         """Plan a batch of equal-length writes as dense matrices.
 
         Args:
@@ -67,10 +67,10 @@ class WriteScheme(abc.ABC):
 
         Returns ``(stored, program_masks, aux_bits)`` where ``stored`` and
         ``program_masks`` are ``(B, L)`` ``uint8`` matrices and ``aux_bits``
-        is a length-``B`` ``int64`` vector.  The default implementation
-        loops :meth:`prepare` row by row (preserving any per-address decode
-        metadata updates, in batch order); schemes with content-independent
-        plans override it with a vectorised version.
+        a length-``B`` ``int64`` vector or one int for all rows.  The
+        default implementation loops :meth:`prepare` row by row (preserving
+        any per-address decode metadata updates, in batch order); schemes
+        with content-independent plans override it with a vectorised one.
         """
         new_logical = np.atleast_2d(np.asarray(new_logical, dtype=np.uint8))
         old_stored = np.atleast_2d(np.asarray(old_stored, dtype=np.uint8))

@@ -29,9 +29,7 @@ class DCW(WriteScheme):
         logical_addrs,
         old_stored: np.ndarray,
         new_logical: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # DCW keeps no per-address metadata, so the whole batch is one XOR.
-        new_logical = np.atleast_2d(np.asarray(new_logical, dtype=np.uint8))
-        old_stored = np.atleast_2d(np.asarray(old_stored, dtype=np.uint8))
-        masks = np.bitwise_xor(old_stored, new_logical)
-        return new_logical, masks, np.zeros(new_logical.shape[0], dtype=np.int64)
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        # DCW keeps no per-address metadata, so the whole batch is one XOR
+        # and no row programs an aux cell.
+        return new_logical, np.bitwise_xor(old_stored, new_logical), 0

@@ -34,11 +34,12 @@ class E2NVMConfig:
         retrain_cooldown_writes: minimum writes between automatic retrains,
             preventing thrash when the pool is nearly full.  A failed
             retrain also resets the cooldown, so retries back off.
-        fastpath_cache_size: capacity of the content-fingerprint → cluster
-            memo cache consulted before any model forward pass (0 disables
-            it).  The cache is invalidated wholesale on every model swap,
-            so it never changes *which* cluster a value lands in — only how
-            fast repeated content is placed.
+        fastpath_cache_size: capacity of the value → cluster memo cache
+            consulted before any model forward pass (0 disables it).  It
+            holds the values themselves: 1 MiB at 4 096 entries of 256-B
+            values.  It is invalidated wholesale on every model swap, so it
+            never changes *which* cluster a value lands in — only how fast
+            repeated content is placed.
         student_enabled / student_confidence, and the last three fields
             (the LSTM padder's shape and the padding statistics' refresh
             interval): accepted and ignored.  The frozen end-to-end

@@ -4,15 +4,16 @@
 and exposes the write path of Algorithm 1:
 
 1. ``predict`` the incoming value's cluster — first through the fast
-   placement layer (:mod:`repro.core.fastpath`), a content-fingerprint
-   memo cache, and only for novel content the full VAE encoder + K-means
-   (with padding when the value is shorter than a segment);
+   placement layer (:mod:`repro.core.fastpath`), a memo cache keyed on the
+   value's bytes, and only for novel content the full VAE encoder +
+   K-means (with padding when the value is shorter than a segment);
 2. pop a free address of that cluster from the DAP;
 3. write the value there — the controller's DCW scheme programs only the
    bits that differ from the (similar) old content;
 
-and the recycle path of Algorithm 2: a freed segment's *current content* is
-re-encoded and the address returned to the matching cluster's free list.
+and the recycle path of Algorithm 2: a freed segment returns to the free
+list its *current content* encodes to — for a value that filled its
+segment, the cluster it was placed under (:meth:`E2NVM.release_many`).
 
 Retraining is *resilient* and *lazy* (§5.3):
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -98,7 +100,8 @@ class E2NVM:
         self.retrain_stats = RetrainStats()
         self.last_retrain_error: BaseException | None = None
         self.failed_writes = 0
-        self._allocated: set[int] = set()
+        # Claimed address → label of its full-width value (release_many).
+        self._allocated: dict[int, tuple[int, int] | None] = {}
         self._rng = rng_from_seed(self.config.seed)
         # The RNG is shared between the write path and the retrain worker.
         self._rng_lock = threading.Lock()
@@ -215,7 +218,7 @@ class E2NVM:
         persistent catalog; the address must not sit in the DAP.
         """
         self._check_segment_address(addr)
-        self._allocated.add(addr)
+        self._allocated[addr] = None
 
     def train_async(self) -> threading.Thread:
         """Retrain lazily in the background and swap models atomically.
@@ -290,14 +293,18 @@ class E2NVM:
         See :meth:`place` for the epoch re-validation and bounded-retry
         contract.
         """
+        return self._claim(values)[0]
+
+    def _claim(self, values: list) -> tuple[list[int], list[tuple[int, int]]]:
+        """:meth:`place_many`, plus each value's ``(cluster, epoch)``."""
         self._require_trained()
         if not values:
-            return []
+            return [], []
 
         def claim(clusters, pipeline):
             addrs = self.dap.get_many(clusters, centroids=pipeline.centroids)
-            self._allocated.update(addrs)
-            return addrs
+            self._allocated.update(dict.fromkeys(addrs))
+            return addrs, [(c, self._model_epoch) for c in clusters.tolist()]
 
         return self._with_valid_epoch(values, claim)
 
@@ -351,7 +358,7 @@ class E2NVM:
 
     def place_and_write(
         self, values: list[bytes]
-    ) -> tuple[list[int], list[WriteResult]]:
+    ) -> tuple[list[int], Sequence[WriteResult]]:
         """Place and write a batch without counting it as committed (the
         durable KV store counts once the catalog transaction commits).
 
@@ -362,53 +369,55 @@ class E2NVM:
         rows that verified stay written.
         Any other failure, pool exhaustion included, is all-or-nothing: it
         un-claims every address of the batch (re-clustered back into the
-        DAP) before propagating, so nothing is half-committed.
+        DAP) before propagating, so nothing is half-committed.  Once all
+        rows are written, each full-width bytes value labels its address
+        with the cluster it was placed under (see :meth:`release_many`).
         """
         values = list(values)
-        for value in values:
-            self._check_value(value)
         if not values:
             return [], []
-        addrs = self._place_with_spares(values)
-        results: list[WriteResult | None] = [None] * len(values)
-        todo = list(range(len(values)))
+        self._check_value(max(values, key=len))
+        addrs, labels = self._place_with_spares(values)
         try:
+            results, todo = self._write_claimed(addrs, values)
             while todo:
-                written, failed = self._write_claimed(
-                    [addrs[i] for i in todo], [values[i] for i in todo]
-                )
+                for i in todo:
+                    addrs[i] = None
+                retry = [values[i] for i in todo]
+                replaced, relabels = self._place_with_spares(retry)
+                for i, addr, label in zip(todo, replaced, relabels):
+                    addrs[i], labels[i] = addr, label
+                written, failed = self._write_claimed(replaced, retry)
                 for i, result in zip(todo, written):
                     results[i] = result
                 todo = [todo[row] for row in failed]
-                for i in todo:
-                    addrs[i] = None
-                replaced = self._place_with_spares([values[i] for i in todo])
-                for i, addr in zip(todo, replaced):
-                    addrs[i] = addr
         except BaseException:
             # Also KeyboardInterrupt/SystemExit: claimed addresses would leak.
             self.release_many([addr for addr in addrs if addr is not None])
             raise
+        for addr, value, label in zip(addrs, values, labels):
+            if isinstance(value, bytes) and len(value) == self.segment_size:
+                self._allocated[addr] = label
         return addrs, results
 
-    def _place_with_spares(self, values: list[bytes]) -> list[int]:
-        """:meth:`place_many`, pulling in reserved spares one by one while
+    def _place_with_spares(self, values: list[bytes]) -> tuple[list, list]:
+        """:meth:`_claim`, pulling in reserved spares one by one while
         free capacity runs dry."""
         while True:
             try:
-                return self.place_many(values)
+                return self._claim(values)
             except PoolExhaustedError:
                 if self.adopt_spare() is None:
                     raise
 
     def _write_claimed(
         self, addrs: list[int], values: list[bytes]
-    ) -> tuple[list[WriteResult | None], list[int]]:
+    ) -> tuple[Sequence[WriteResult | None], list[int]]:
         """Differential-write ``values`` at claimed ``addrs`` with one
         ``controller.write_many``.  Returns the per-row results and the
         rows whose segment retired — those addresses are already
-        quarantined and a spare adopted for each.  Any other error
-        propagates with every address still claimed."""
+        quarantined and a spare adopted for each, their results ``None``.
+        Any other error propagates with every address still claimed."""
         try:
             if self.faults is not None:
                 for _ in values:
@@ -436,7 +445,7 @@ class E2NVM:
         with self._swap_lock:
             if not self.dap.take(addr):
                 return False
-            self._allocated.add(addr)
+            self._allocated[addr] = None
             return True
 
     def write_at(self, addr: int, value: bytes) -> WriteResult:
@@ -452,6 +461,7 @@ class E2NVM:
         self._check_value(value)
         if addr not in self._allocated:
             raise KeyError(f"address {addr} is not claimed")
+        self._allocated[addr] = None  # a directed write carries no label
         try:
             (result,), failed = self._write_claimed([addr], [value])
         except BaseException:
@@ -486,19 +496,21 @@ class E2NVM:
         self.release_many([addr])
 
     def release_many(self, addrs: list[int]) -> None:
-        """Batch recycle: one re-encoding forward pass for all addresses.
+        """Batch recycle: every address re-pools under the cluster its
+        content encodes to, in one :meth:`_repool`, in the caller's order.
 
-        The re-encode consults the same two-tier fast layer as placement —
-        a segment whose exact content was recently labelled (the steady
-        write/recycle stream of skewed traffic) re-pools from the memo
-        cache without a forward pass.  Full-width content needs no padding,
-        so the teacher fallback (``predict_batch``) is bit-exact with the
-        former ``predict_segments`` path.
+        A full-width value's content *is* the value, so an address
+        :meth:`place_and_write` labelled under the installed model re-pools
+        under that label: no read, no prediction.  The rest — unlabelled,
+        labelled by an older model, or any address while the medium has
+        drifted cells — are re-encoded from their content in one pass
+        through the same fast layer as placement.
 
         Like :meth:`place`, the re-encoding runs outside the swap lock
         under the same bounded epoch-validated retry (the recycled
         addresses must be labelled by the *installed* model, or they would
-        pollute the freshly relabelled pool).
+        pollute the freshly relabelled pool); a swap after the labels were
+        read re-encodes every address under the lock.
 
         A freed address whose segment has been retired (or is retiring)
         is quarantined instead of re-pooled — its media is dead (or
@@ -511,13 +523,28 @@ class E2NVM:
                 raise KeyError(f"address {addr} is not allocated")
         if not addrs:
             return
-        contents = [
-            bytes(self.controller.peek(addr, self.segment_size))
-            for addr in addrs
-        ]
-        self._with_valid_epoch(
-            contents, lambda clusters, _: self._repool(addrs, clusters)
-        )
+        epoch, size = self._model_epoch, self.segment_size
+        drifted = self.controller.device.drifted_cell_count()
+        labels = [None if drifted else self._allocated[a] for a in addrs]
+        todo = [i for i, label in enumerate(labels)
+                if label is None or label[1] != epoch]
+
+        def contents(rows):
+            return [bytes(self.controller.peek(addrs[i], size)) for i in rows]
+
+        def commit(predicted, pipeline):
+            rows = todo
+            if len(todo) < len(addrs) and self._model_epoch != epoch:
+                rows = range(len(addrs))  # the labels name a retired model
+                predicted = self.fast.predict(
+                    contents(rows), pipeline, self._model_epoch
+                )
+            clusters = [label[0] if label else None for label in labels]
+            for i, cluster in zip(rows, predicted.tolist()):
+                clusters[i] = cluster
+            self._repool(addrs, clusters)
+
+        self._with_valid_epoch(contents(todo), commit)
 
     def _repool(self, addrs: list[int], clusters) -> None:
         """Return freed addresses to the DAP (or quarantine dying ones);
@@ -525,7 +552,7 @@ class E2NVM:
         health = self.health
         labels, healthy = [], []
         for addr, cluster in zip(addrs, clusters):
-            self._allocated.discard(addr)
+            self._allocated.pop(addr, None)
             if health is not None and health.is_unplaceable(
                 addr // self.segment_size
             ):
@@ -570,7 +597,7 @@ class E2NVM:
         un-claim it if allocated and bar the DAP from ever re-pooling it."""
         self._check_segment_address(addr)
         with self._swap_lock:
-            self._allocated.discard(addr)
+            self._allocated.pop(addr, None)
             self.dap.quarantine(addr)
 
     def adopt_spare(self) -> int | None:

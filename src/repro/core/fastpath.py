@@ -3,8 +3,8 @@
 The encoder forward pass dominates the hot write path (~hundreds of µs per
 prediction), yet skewed traffic (YCSB / Zipfian) re-writes the same values
 constantly and the placer only *needs* the full model when content is
-novel.  A **content-fingerprint → cluster memo cache** — a bounded LRU
-keyed on a cheap stable hash of the value bytes — sits in front of
+novel.  A **value → cluster memo cache** — a bounded LRU keyed on the
+value's bytes (raw bit arrays bypass it) — sits in front of
 :class:`~repro.core.pipeline.EncoderPipeline` and is consulted before any
 matmul; a miss goes to the teacher, whose answer is memoised.
 
@@ -25,28 +25,12 @@ wear-out retirement exactly like teacher-served ones.
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import OrderedDict
 
 import numpy as np
 
-
-def fingerprint(value) -> tuple[int, int, int] | None:
-    """Cheap stable content fingerprint of a bytes-like value.
-
-    CRC32 and Adler32 are independent single-pass checksums; combined with
-    the length they form a ~64-bit key whose collision odds are negligible
-    at cache scale.  Non-bytes inputs (raw bit arrays) are not fingerprinted
-    — they bypass the cache and go straight to the teacher.
-    """
-    if not isinstance(value, (bytes, bytearray, memoryview)):
-        return None
-    buf = bytes(value)
-    return (len(buf), zlib.crc32(buf), zlib.adler32(buf))
-
-
 class PlacementCache:
-    """Bounded LRU mapping content fingerprints to cluster ids.
+    """Bounded LRU mapping values (their ``bytes``) to cluster ids.
 
     All entries belong to one model epoch; :meth:`invalidate` clears the
     cache wholesale when a new model is installed.  Telemetry counters
@@ -143,18 +127,18 @@ class FastPlacementLayer:
         n = len(values)
         clusters = np.empty(n, dtype=np.int64)
         pending = list(range(n))
-        keys = [fingerprint(v) for v in values]
+        keys = [  # ``bytes(v)`` is ``v`` itself for a bytes object
+            bytes(v) if isinstance(v, (bytes, bytearray, memoryview)) else None
+            for v in values
+        ]
 
         if self.cache is not None:
             with self._lock:
                 if self._epoch == epoch:
                     still = []
                     for i in pending:
-                        hit = (
-                            self.cache.lookup(keys[i])
-                            if keys[i] is not None
-                            else None
-                        )
+                        key = keys[i]
+                        hit = None if key is None else self.cache.lookup(key)
                         if hit is None:
                             still.append(i)
                         else:

@@ -151,16 +151,13 @@ class LSTMPredictor:
         epochs: int = 5,
         batch_size: int = 64,
         lr: float = 3e-3,
-        include_reversed: bool = True,
         verbose: bool = False,
     ) -> list[float]:
-        """Train on sliding windows extracted from training bit vectors.
-
-        ``include_reversed`` also trains on the reversed sequences so the
-        model can extrapolate both after (end-padding) and before
-        (beginning-padding) the data.
+        """Train on sliding windows extracted from training bit vectors,
+        and from the reversed vectors too, so the model can extrapolate
+        both after (end-padding) and before (beginning-padding) the data.
         """
-        X, y = self._make_samples(bit_vectors, include_reversed)
+        X, y = self._make_samples(bit_vectors)
         if len(X) == 0:
             raise ValueError("no training windows could be extracted")
         optimizer = Adam(lr=lr)
@@ -242,11 +239,10 @@ class LSTMPredictor:
         return self.head._x
 
     def _make_samples(
-        self, bit_vectors: np.ndarray, include_reversed: bool
+        self, bit_vectors: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         vectors = [np.asarray(v, dtype=np.float64).reshape(-1) for v in bit_vectors]
-        if include_reversed:
-            vectors += [v[::-1] for v in list(vectors)]
+        vectors += [v[::-1] for v in list(vectors)]
         xs, ys = [], []
         need = self.window_bits + self.chunk_bits
         for vec in vectors:

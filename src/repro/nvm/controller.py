@@ -27,6 +27,7 @@ quarantine and retry.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -207,7 +208,7 @@ class MemoryController:
 
     def write_many(
         self, logical_addrs, values
-    ) -> list[WriteResult]:
+    ) -> Sequence[WriteResult]:
         """Write one value per logical address, batched.
 
         Rows of equal length take one vectorised read/prepare/program/
@@ -215,7 +216,9 @@ class MemoryController:
         do not overlap (overlapping rows are serialised in batch order).
         A row that is alone in its pass, and every row under an active
         wear-leveling remapper (whose mid-batch remaps are
-        order-dependent), goes through :meth:`write`.
+        order-dependent), goes through :meth:`write`.  A batch that is one
+        pass returns its :class:`~repro.nvm.device.BatchWriteResult` as it
+        is, any other a list of per-row results.
 
         Raises:
             SegmentRetiredError: verification retired the segment of at
@@ -233,9 +236,10 @@ class MemoryController:
         if len(values) != len(addrs):
             raise ValueError("logical_addrs length must match value count")
         sizes = [len(v) for v in values]
+        passes = list(self.passes(addrs, sizes))
         results: list[WriteResult | None] = [None] * len(values)
         retired: list[int] = []
-        for batch in self.passes(addrs, sizes):
+        for batch in passes:
             if len(batch) == 1:
                 # Not an unfinished merge: a lone row through the batched
                 # body below costs 51–80 µs against 17–26 µs here (78–114
@@ -259,14 +263,18 @@ class MemoryController:
             ).reshape(-1, length)
             stored, masks, aux = self.scheme.prepare_many(logical, old, data)
             written = self.device.program_many(phys, stored, masks, aux)
-            for i, result in zip(batch, written):
-                results[i] = result
+            failed = []
             if self.verify_writes:
                 readback = self.device.read_arrays(phys, length)
                 expected = self._intended(old, stored, masks)
-                for row in self._verify(phys, readback, expected):
-                    results[batch[row]] = None
-                    retired.append(batch[row])
+                failed = self._verify(phys, readback, expected)
+            if not failed and len(passes) == 1:
+                return written
+            for i, result in zip(batch, written):
+                results[i] = result
+            for row in failed:
+                results[batch[row]] = None
+                retired.append(batch[row])
         if retired:
             retired.sort()
             raise SegmentRetiredError(
@@ -278,7 +286,7 @@ class MemoryController:
 
     def passes(self, addrs: list[int], sizes: list[int]):
         """The passes :meth:`write_many` programs rows ``sizes[i]`` bytes
-        long at ``addrs[i]`` in, in programming order: lists of row
+        long at ``addrs[i]`` in, in programming order: sequences of row
         indices of one length that never overlap each other.  The one
         statement of that order (a fault injector that crashes a
         ``write_many`` mid-way replays it)."""
@@ -286,10 +294,13 @@ class MemoryController:
         if n < 2 or not self._identity:
             yield from ([i] for i in range(n))
             return
+        if sizes.count(sizes[0]) == n:
+            starts = sorted(addrs)
+            if all(b - a >= sizes[0] for a, b in zip(starts, starts[1:])):
+                yield range(n)  # one length, no two rows overlap: one pass
+                return
         spans = sorted(zip(addrs, sizes))
-        if all(
-            a + size <= b for (a, size), (b, _) in zip(spans, spans[1:])
-        ):
+        if all(a + size <= b for (a, size), (b, _) in zip(spans, spans[1:])):
             runs = [range(n)]
         else:
             # Overlapping rows are order-dependent: close the current run

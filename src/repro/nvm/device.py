@@ -177,6 +177,29 @@ class WriteResult(NamedTuple):
     latency_ns: float
 
 
+class BatchWriteResult:
+    """One batched media write's :class:`WriteResult` fields as columns,
+    one entry per row.  Iterating or indexing it yields per-row
+    :class:`WriteResult` s, which a caller that only totals the batch
+    never builds."""
+
+    __slots__ = WriteResult._fields
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        for name, column in zip(self.__slots__, columns):
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.bits_programmed)
+
+    def __getitem__(self, row: int) -> WriteResult:
+        return WriteResult(*(getattr(self, f)[row].item() for f in self.__slots__))
+
+    def __iter__(self):
+        columns = (getattr(self, f).tolist() for f in self.__slots__)
+        return map(WriteResult._make, zip(*columns))
+
+
 class NVMDevice:
     """A simulated byte-addressable NVM with ``capacity_bytes`` of media,
     organised into fixed-size segments.
@@ -508,7 +531,7 @@ class NVMDevice:
         new: np.ndarray,
         program_masks: np.ndarray | None = None,
         aux_bits=0,
-    ) -> list[WriteResult]:
+    ) -> BatchWriteResult:
         """Program a batch of equal-length, non-overlapping writes.
 
         Semantically identical to calling :meth:`program` once per row (in
@@ -517,7 +540,7 @@ class NVMDevice:
         row prefix) that a sequential loop would have — but the accounting
         is one vectorised pass instead of ``B`` scalar ones: a dozen NumPy
         calls over the packed bytes plus work proportional to the cells
-        actually pulsed.
+        actually pulsed, its results one :class:`BatchWriteResult`.
 
         Args:
             addrs: one media address per row.
@@ -536,7 +559,7 @@ class NVMDevice:
             raise ValueError("addrs length must match data row count")
         ordered = self._check_ranges(addrs, length)
         if n_rows == 0:
-            return []
+            return BatchWriteResult(*np.empty((6, 0), dtype=np.int64))
         if n_rows > 1 and int((ordered[1:] - ordered[:-1]).min()) < length:
             raise ValueError("program_many rows must not overlap")
         if program_masks is None:
@@ -596,19 +619,14 @@ class NVMDevice:
             length, bits_programmed + aux, dirty_lines
         )
 
-        # Integer columns go to Python lists once, for the totals and the
-        # per-row results alike; the float totals keep NumPy's summation
-        # order.
-        programmed, flipped, dirty, aux_rows = (
-            column.tolist()
-            for column in (bits_programmed, bits_flipped, dirty_lines, aux)
-        )
+        # One sum per column: the integer totals are exact, the float ones
+        # keep NumPy's summation order.
         self.stats.writes += n_rows
         self.stats.bytes_written += n_rows * length
-        self.stats.bits_programmed += sum(programmed)
-        self.stats.bits_flipped += sum(flipped)
-        self.stats.aux_bits_programmed += sum(aux_rows)
-        self.stats.dirty_lines_written += sum(dirty)
+        self.stats.bits_programmed += int(bits_programmed.sum())
+        self.stats.bits_flipped += int(bits_flipped.sum())
+        self.stats.aux_bits_programmed += int(aux.sum())
+        self.stats.dirty_lines_written += int(dirty_lines.sum())
         self.stats.write_energy_pj += float(energy.sum())
         self.stats.write_latency_ns += float(latency.sum())
 
@@ -625,14 +643,8 @@ class NVMDevice:
         if self._bit_wear is not None:
             self._bit_wear[cells] += 1
 
-        return list(
-            map(
-                WriteResult._make,
-                zip(
-                    programmed, flipped, dirty, aux_rows,
-                    energy.tolist(), latency.tolist(),
-                ),
-            )
+        return BatchWriteResult(
+            bits_programmed, bits_flipped, dirty_lines, aux, energy, latency
         )
 
     # ------------------------------------------------------------------ wear

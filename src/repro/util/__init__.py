@@ -3,7 +3,6 @@
 from repro.util.bits import (
     POPCOUNT_TABLE,
     bits_to_bytes,
-    bytes_to_bits,
     hamming_bytes,
     hamming_distance,
     popcount_array,
@@ -13,7 +12,6 @@ from repro.util.rng import rng_from_seed
 __all__ = [
     "POPCOUNT_TABLE",
     "bits_to_bytes",
-    "bytes_to_bits",
     "hamming_bytes",
     "hamming_distance",
     "popcount_array",

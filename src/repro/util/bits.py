@@ -27,15 +27,20 @@ def popcount_array(values: np.ndarray) -> int:
 
 
 def popcount_rows(matrix: np.ndarray) -> np.ndarray:
-    """Per-row set-bit counts of a 2-D ``uint8`` array, as ``int64``.
+    """Per-row set-bit counts of a ``uint8`` array, as ``int64`` (a 1-D
+    array is one row).
 
     The batched write path accounts a whole batch of segment writes with one
     call instead of one :func:`popcount_array` per write.
     """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.uint8))
+    one_row = matrix.ndim == 1
     if HAVE_BITWISE_COUNT:
-        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
-    return POPCOUNT_TABLE[matrix].sum(axis=1, dtype=np.int64)
+        if matrix.shape[-1] % 8 == 0 and matrix.flags.c_contiguous:
+            matrix = matrix.view(np.uint64)  # one count per word, same sums
+        matrix = np.bitwise_count(matrix)
+    else:
+        matrix = POPCOUNT_TABLE[matrix]
+    return matrix.sum(axis=-1, dtype=np.int64, keepdims=one_row)
 
 
 def hamming_bytes(a: np.ndarray, b: np.ndarray) -> int:
@@ -55,38 +60,6 @@ def hamming_distance(a: bytes, b: bytes) -> int:
     return hamming_bytes(
         np.frombuffer(a, dtype=np.uint8), np.frombuffer(b, dtype=np.uint8)
     )
-
-
-def bytes_to_bits(data: bytes | np.ndarray) -> np.ndarray:
-    """Expand bytes into a ``float32`` 0/1 bit vector (MSB first).
-
-    The ML models consume bit vectors, one feature per bit, exactly as the
-    paper encodes memory segments (§3.2).
-    """
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        data = np.frombuffer(bytes(data), dtype=np.uint8)
-    data = np.asarray(data, dtype=np.uint8)
-    return np.unpackbits(data).astype(np.float32)
-
-
-def bytes_to_bits_many(values: list[bytes]) -> list[np.ndarray]:
-    """Bit-expand many byte strings with a single ``np.unpackbits`` call.
-
-    Returns one ``float32`` 0/1 vector per input value (views into one shared
-    expansion, so do not mutate them in place).  Mixed lengths are fine; this
-    is the batched front end of :func:`bytes_to_bits`.
-    """
-    if not values:
-        return []
-    buffer = np.frombuffer(b"".join(bytes(v) for v in values), dtype=np.uint8)
-    bits = np.unpackbits(buffer).astype(np.float32)
-    out: list[np.ndarray] = []
-    offset = 0
-    for value in values:
-        n_bits = len(value) * 8
-        out.append(bits[offset : offset + n_bits])
-        offset += n_bits
-    return out
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:

@@ -195,7 +195,7 @@ class TestRetraining:
         cluster = min(sizes, key=sizes.get)
         while engine.dap.sizes()[cluster] >= 2:
             addr = engine.dap.get(cluster)
-            engine._allocated.add(addr)
+            engine.mark_allocated(addr)
         assert engine.maybe_retrain() is True
         assert engine.wait_for_retrain(timeout=120)
         assert engine.retrain_stats.succeeded == 1

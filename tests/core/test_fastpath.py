@@ -17,20 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.e2nvm import PLACE_EPOCH_RETRIES
-from repro.core.fastpath import FastPlacementLayer, PlacementCache, fingerprint
+from repro.core.fastpath import FastPlacementLayer, PlacementCache
 
 from tests.conftest import SEGMENT_SIZE, make_engine
-
-
-class TestFingerprint:
-    def test_stable_and_content_sensitive(self):
-        assert fingerprint(b"abc") == fingerprint(b"abc")
-        assert fingerprint(b"abc") != fingerprint(b"abd")
-        assert fingerprint(b"abc") == fingerprint(bytearray(b"abc"))
-        assert fingerprint(b"") is not None
-
-    def test_non_bytes_values_are_not_fingerprinted(self):
-        assert fingerprint(np.zeros(8, dtype=np.float32)) is None
 
 
 class TestPlacementCache:
@@ -77,6 +66,38 @@ class _StubPipeline:
     def predict_batch(self, values):
         self.calls.append(list(values))
         return np.array([v[0] if len(v) else 0 for v in values], dtype=np.int64)
+
+
+class TestCacheKeys:
+    """The cache keys on the value's bytes: equal content hits whatever
+    object carries it; a raw bit array is never cached."""
+
+    def test_equal_content_hits_across_objects(self):
+        layer = FastPlacementLayer(cache_size=8)
+        layer.install(1)
+        teacher = _StubPipeline()
+        value = bytes([7]) * 16
+        layer.predict([value], teacher, 1)
+        for same in (
+            bytes(bytearray(value)),  # a distinct but equal bytes object
+            bytearray(value),
+            memoryview(value),
+        ):
+            assert layer.predict([same], teacher, 1).tolist() == [7]
+        assert len(teacher.calls) == 1
+        assert layer.stats()["cache_hits"] == 3
+        layer.predict([bytes([7]) * 15 + b"\x00"], teacher, 1)
+        assert len(teacher.calls) == 2  # one differing byte misses
+
+    def test_bit_arrays_bypass_the_cache(self):
+        layer = FastPlacementLayer(cache_size=8)
+        layer.install(1)
+        teacher = _StubPipeline()
+        bits = np.zeros(8, dtype=np.float32)
+        layer.predict([bits], teacher, 1)
+        layer.predict([bits], teacher, 1)
+        assert len(teacher.calls) == 2
+        assert layer.stats()["cache_entries"] == 0
 
 
 class TestFastPlacementLayer:
@@ -285,6 +306,8 @@ class TestBoundedEpochRetries:
 
     def test_release_many_terminates_under_hostile_swap_cadence(self):
         engine = make_engine(seed=13, fastpath_cache_size=0)
+        # ``place`` claims without writing, so the address carries no
+        # placement label: its release re-encodes, and must retry.
         addr = engine.place(b"\x01" * 16)
         real = engine.pipeline.predict_batch
         calls = []

@@ -181,7 +181,7 @@ class TestBackgroundRetraining:
         while engine.dap.free_count() > 2:
             cluster = max(engine.dap.sizes(), key=engine.dap.sizes().get)
             addr = engine.dap.get(cluster)
-            engine._allocated.add(addr)
+            engine.mark_allocated(addr)
             claimed.append(addr)
         with pytest.raises(RuntimeError):
             engine.train_async()

@@ -12,9 +12,17 @@ are checkable exactly:
   is closest to [0,0,0,0,1,0,1,0]-style contents), matching Figure 5's row.
 """
 
+import importlib.util
+import pathlib
+
 import numpy as np
 
 from repro.core.padding import Padder
+
+WALKTHROUGH = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "examples" / "padding_walkthrough.py"
+)
 
 # Table 1 of the paper: 12 memory segments in 3 clusters.
 TABLE_1 = {
@@ -119,13 +127,12 @@ class TestPaperExample:
         full 8-bit members and check the learned continuation of the
         cluster-1 prefixes is a high bit (cluster 1 items end in 1, 1, 1, 0
         — mostly 1), matching the paper's predictions ~[1.056, 0.869,
-        1.038] for the cluster-1 items."""
-        from repro.ml.lstm import LSTMPredictor
-
-        rows = [np.array(m, dtype=float) for ms in TABLE_1.values() for m in ms]
-        train = np.stack([np.tile(r, 6) for r in rows])  # lengthen patterns
-        lstm = LSTMPredictor(window_bits=8, chunk_bits=1, hidden_dim=12, seed=0)
-        lstm.fit(train, epochs=8, lr=1e-2, include_reversed=False)
+        1.038] for the cluster-1 items.  The model is the walkthrough
+        example's, trained one way for both."""
+        spec = importlib.util.spec_from_file_location("walkthrough", WALKTHROUGH)
+        walkthrough = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(walkthrough)
+        lstm = walkthrough.trained_lstm()
         # Predict the 8th bit of the first three cluster-1 items from their
         # repeated prefix.
         votes = []

@@ -120,7 +120,7 @@ class TestNonBlockingAutoRetrain:
             sizes = engine.dap.sizes()
             cluster = max(sizes, key=sizes.get)
             addr = engine.dap.get(cluster)
-            engine._allocated.add(addr)
+            engine.mark_allocated(addr)
             claimed.append(addr)
         # Too few free segments to train on: deferred, not failed.
         assert engine.maybe_retrain() is False

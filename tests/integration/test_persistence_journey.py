@@ -51,7 +51,8 @@ class TestPersistenceJourney:
         engine2.pipeline.trained = True
         # Re-register live segments, then rebuild the free pool.
         live_addrs = {addr for addr, _ in sidecar.values()}
-        engine2._allocated = set(live_addrs)
+        for addr in live_addrs:
+            engine2.mark_allocated(addr)
         free = [a for a in engine2.free_addresses() if a not in live_addrs]
         engine2.dap.populate(
             engine2.pipeline.predict_segments(engine2._segment_bits(free)),

@@ -75,7 +75,7 @@ class TestLSTMPredictor:
         pattern = np.tile([1, 1, 1, 1, 0, 0, 0, 0], 16).astype(float)  # 128 bits
         data = np.stack([pattern] * 8)
         model = LSTMPredictor(window_bits=16, chunk_bits=8, hidden_dim=16, seed=1)
-        model.fit(data, epochs=30, lr=1e-2, include_reversed=False)
+        model.fit(data, epochs=30, lr=1e-2)
         generated = model.generate(pattern[:64], 16)
         expected = pattern[64:80]
         accuracy = (generated == expected).mean()

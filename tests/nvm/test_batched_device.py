@@ -70,7 +70,7 @@ class TestProgramMany:
             sequential.program(int(a), new[i], masks[i], int(aux[i]))
             for i, a in enumerate(addrs)
         ]
-        assert got == expected
+        assert list(got) == expected
         assert_stats_equal(batched.stats, sequential.stats)
         np.testing.assert_array_equal(
             batched.peek(0, batched.capacity_bytes),
@@ -90,7 +90,7 @@ class TestProgramMany:
         expected = [
             sequential.program(int(a), new[i]) for i, a in enumerate(addrs)
         ]
-        assert got == expected
+        assert list(got) == expected
 
     def test_unaligned_rows_match_sequential(self):
         # Rows not aligned to cache lines are laid out at their offsets
@@ -105,7 +105,7 @@ class TestProgramMany:
             sequential.program(int(a), new[i], masks[i])
             for i, a in enumerate(addrs)
         ]
-        assert got == expected
+        assert list(got) == expected
         assert_stats_equal(batched.stats, sequential.stats)
 
     @pytest.mark.parametrize("length, offset", [(SEGMENT_SIZE, 0), (17, 5)])
@@ -137,7 +137,7 @@ class TestProgramMany:
                 sequential.program(int(a), new[i], masks[i])
                 for i, a in enumerate(addrs)
             ]
-            assert got == expected
+            assert list(got) == expected
             for device in (batched, sequential):
                 device.advance_time(1 + round_ % 3)
             assert_stats_equal(batched.stats, sequential.stats)
@@ -166,10 +166,10 @@ class TestProgramMany:
 
     def test_empty_batch(self):
         device = _device()
-        assert device.program_many(
+        assert list(device.program_many(
             np.empty(0, dtype=np.int64),
             np.empty((0, SEGMENT_SIZE), dtype=np.uint8),
-        ) == []
+        )) == []
 
     def test_empty_batch_still_needs_a_positive_length(self):
         # The scalar forms refuse a zero-length access; so do the batched
@@ -197,7 +197,7 @@ class TestControllerWriteMany:
         expected = [
             sequential.write(a, v) for a, v in zip(addrs, values)
         ]
-        assert got == expected
+        assert list(got) == expected
         assert_stats_equal(batched.stats, sequential.stats)
         for addr in addrs:
             assert batched.read(addr, SEGMENT_SIZE) == sequential.read(
@@ -214,7 +214,7 @@ class TestControllerWriteMany:
         values = [b"a" * SEGMENT_SIZE, b"b" * SEGMENT_SIZE]
         got = batched.write_many(addrs, values)
         expected = [sequential.write(a, v) for a, v in zip(addrs, values)]
-        assert got == expected
+        assert list(got) == expected
         assert batched.read(0, SEGMENT_SIZE) == b"b" * SEGMENT_SIZE
 
     def test_wear_leveling_falls_back_to_sequential(self):
@@ -232,7 +232,7 @@ class TestControllerWriteMany:
         ]
         got = batched.write_many(addrs, values)
         expected = [sequential.write(a, v) for a, v in zip(addrs, values)]
-        assert got == expected
+        assert list(got) == expected
         for addr in addrs:
             assert batched.read(addr, SEGMENT_SIZE) == sequential.read(
                 addr, SEGMENT_SIZE
@@ -357,7 +357,7 @@ def _verify_twin(seed: int, n_segments: int, cycles: int, ecp_entries: int):
             expected.append(None)
             expected_retired.append(row)
 
-    assert got == expected
+    assert list(got) == expected
     assert got_retired == expected_retired
     np.testing.assert_array_equal(
         batched_dev.peek(0, batched_dev.capacity_bytes),

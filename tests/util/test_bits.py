@@ -9,8 +9,6 @@ import repro.util.bits as bits_module
 from repro.util.bits import (
     POPCOUNT_TABLE,
     bits_to_bytes,
-    bytes_to_bits,
-    bytes_to_bits_many,
     hamming_bytes,
     hamming_distance,
     popcount_array,
@@ -62,23 +60,6 @@ class TestPopcountPaths:
         assert popcount_rows(row).tolist() == [10]
 
 
-class TestBytesToBitsMany:
-    def test_matches_single_conversion_mixed_lengths(self):
-        rng = np.random.default_rng(2)
-        values = [
-            rng.integers(0, 256, size=int(n), dtype=np.uint8).tobytes()
-            for n in rng.integers(1, 40, size=9)
-        ]
-        many = bytes_to_bits_many(values)
-        assert len(many) == len(values)
-        for value, row in zip(values, many):
-            assert row.dtype == np.float32
-            np.testing.assert_array_equal(row, bytes_to_bits(value))
-
-    def test_empty_batch(self):
-        assert bytes_to_bits_many([]) == []
-
-
 class TestHamming:
     def test_identical_is_zero(self):
         a = np.arange(16, dtype=np.uint8)
@@ -123,16 +104,21 @@ class TestHamming:
         assert hamming_distance(a, a) == 0
 
 
+def _bits(data: bytes) -> np.ndarray:
+    """``data`` as 0/1 bits, MSB first."""
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+
+
 class TestBitPacking:
     def test_roundtrip_known(self):
         data = b"\xa5\x3c"
-        bits = bytes_to_bits(data)
+        bits = _bits(data)
         assert bits.tolist() == [1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0]
         assert bits_to_bytes(bits) == data
 
     def test_bits_are_msb_first(self):
-        assert bytes_to_bits(b"\x80")[0] == 1.0
-        assert bytes_to_bits(b"\x01")[7] == 1.0
+        assert bits_to_bytes(np.eye(8)[0]) == b"\x80"
+        assert bits_to_bytes(np.eye(8)[7]) == b"\x01"
 
     def test_probabilities_threshold(self):
         probs = np.array([0.9, 0.4, 0.6, 0.1, 0.51, 0.49, 1.0, 0.0])
@@ -143,16 +129,15 @@ class TestBitPacking:
             bits_to_bytes(np.ones(7))
 
     def test_accepts_uint8_array(self):
-        arr = np.array([0xFF, 0x00], dtype=np.uint8)
-        assert bytes_to_bits(arr).sum() == 8
+        arr = np.array([1] * 8 + [0] * 8, dtype=np.uint8)
+        assert bits_to_bytes(arr) == b"\xff\x00"
 
     @given(st.binary(min_size=1, max_size=256))
     def test_roundtrip_property(self, data):
-        assert bits_to_bytes(bytes_to_bits(data)) == data
+        assert bits_to_bytes(_bits(data)) == data
 
     @given(st.binary(min_size=1, max_size=256))
     def test_popcount_consistency(self, data):
-        bits = bytes_to_bits(data)
-        assert int(bits.sum()) == popcount_array(
+        assert int(_bits(data).sum()) == popcount_array(
             np.frombuffer(data, dtype=np.uint8)
         )
