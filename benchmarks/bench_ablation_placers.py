@@ -3,12 +3,19 @@
 Orders every placement strategy the paper discusses on the same clustered
 write stream: arbitrary FIFO (prior systems' behaviour), PNW K-means [26],
 Hamming-Tree [28, 30] (exact nearest-neighbour over free contents), E2-NVM
-(VAE + K-means + first fit), and the exhaustive best-fit oracle — with the
-per-write placement latency each pays.
+(VAE + K-means + first fit), the bit-sampled sketch the durable store
+places by (sketch-16/64/128: nearest free segment over n sampled bits), and
+the exhaustive best-fit oracle — with the per-write placement latency each
+pays and the sketch's DRAM bytes per segment.
+
+``--check`` runs seeds 0-2 and fails when sketch-64 spends more bits per
+write than E2-NVM, or more than 25 % over best fit.  Both are counters, so
+the gate arms on any runner.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -22,6 +29,7 @@ from repro.baselines import (
     PNWPlacer,
 )
 from repro.baselines.naive import BestFitPlacer
+from repro.baselines.sketch import SketchPlacer
 from repro.core import E2NVM
 from repro.nvm import MemoryController, NVMDevice
 from repro.workloads.datasets import make_image_dataset
@@ -30,6 +38,9 @@ SEGMENT = 64
 N_SEGMENTS = 160
 N_WRITES = 200
 K = 8
+SKETCH_WIDTHS = (16, 64, 128)
+#: ``--check``: sketch-64 may spend at most this much over best fit.
+MAX_OVER_BEST_FIT = 1.25
 
 
 def fresh_controller(seed_values, seed=1):
@@ -128,14 +139,27 @@ def run_ablation(seed: int = 0) -> list[list]:
     }
     best = BestFitPlacer(list(contents), contents)
     rows.append(["best-fit oracle", *drive_placer(controller, device, best, stream, True)])
+
+    for n_bits in SKETCH_WIDTHS:
+        controller, device = fresh_controller(seed_values)
+        contents = {
+            i * SEGMENT: np.unpackbits(controller.peek(i * SEGMENT, SEGMENT))
+            for i in range(N_SEGMENTS)
+        }
+        sketch = SketchPlacer(list(contents), contents, SEGMENT, n_bits, seed)
+        rows.append([
+            sketch.name,
+            *drive_placer(controller, device, sketch, stream, True),
+            sketch.bytes_per_segment(),
+        ])
     return rows
 
 
 def report(rows: list[list]) -> None:
     print_table(
         "Ablation: placement strategies on one clustered stream",
-        ["placer", "bits/write", "us/write"],
-        rows,
+        ["placer", "bits/write", "us/write", "DRAM B/segment"],
+        [row + [""] * (4 - len(row)) for row in rows],
     )
 
 
@@ -161,5 +185,21 @@ def test_ablation_placers(benchmark):
     assert by_name["Hamming-Tree"][1] <= by_name["E2-NVM (VAE+K-means)"][1] * 1.1
 
 
+def check() -> int:
+    """The sketch gate at seeds 0-2; returns the number of failures."""
+    failures = 0
+    for seed in range(3):
+        by_name = {row[0]: row[1] for row in run_ablation(seed)}
+        sketch, e2nvm = by_name["sketch-64"], by_name["E2-NVM (VAE+K-means)"]
+        best = by_name["best-fit oracle"]
+        ok = sketch <= e2nvm and sketch <= best * MAX_OVER_BEST_FIT
+        failures += not ok
+        print(f"[seed {seed}] sketch-64 {sketch:.1f} bits/write, E2-NVM "
+              f"{e2nvm:.1f}, best fit {best:.1f}: {'OK' if ok else 'FAIL'}")
+    return failures
+
+
 if __name__ == "__main__":
+    if "--check" in sys.argv:
+        sys.exit(check())
     report(run_ablation())

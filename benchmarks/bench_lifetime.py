@@ -37,7 +37,8 @@ overwriting the JSON.
 from __future__ import annotations
 
 import sys
-from collections import deque
+
+import numpy as np
 
 from common import (
     REPO_ROOT,
@@ -48,6 +49,8 @@ from common import (
     values_from_bits,
 )
 
+from repro.baselines.naive import ArbitraryPlacer
+from repro.baselines.sketch import SketchPlacer
 from repro.core import E2NVM, PoolExhaustedError
 from repro.core.kvstore import KVStore, StoreReadOnlyError
 from repro.nvm import (
@@ -63,6 +66,9 @@ from repro.workloads.zipfian import ScrambledZipfianGenerator
 SEGMENT = 64
 K = 6
 JSON_PATH = REPO_ROOT / "BENCH_lifetime.json"
+#: Sketch widths of the placement-only sketch arms (reported, not gated).
+SKETCH_WIDTHS = (16, 64, 128)
+SKETCH_NAMES = tuple(f"sketch-{n}" for n in SKETCH_WIDTHS)
 MAX_STREAM = 60_000
 
 
@@ -150,19 +156,24 @@ def _keys(n_segments: int):
         yield b"obj%04d" % chooser.next()
 
 
-def run_naive(
-    n_segments: int, wearout: WearOutConfig, seed_values, stream, every: int
+def run_placer(
+    make_placer, n_segments: int, wearout: WearOutConfig, seed_values,
+    stream, every: int,
 ) -> dict:
+    """Placement-only through a baseline placer built over the fresh
+    controller: a retired segment is dropped, every other freed segment is
+    released back with its current content."""
     controller, device = _fresh(n_segments, wearout, seed_values)
-    free = deque(i * SEGMENT for i in range(n_segments))
+    placer = make_placer(controller)
     by_key: dict[bytes, int] = {}
     timeline: list[dict] = []
     writes = full_until = 0
     for key, value in zip(_keys(n_segments), stream):
+        bits = np.unpackbits(np.frombuffer(value, dtype=np.uint8))
         while True:
-            if not free:
+            if not placer.free_count():
                 return _finish(writes, timeline, controller, full_until)
-            addr = free.popleft()
+            addr = placer.choose(bits)
             try:
                 controller.write(addr, value)
             except SegmentRetiredError:
@@ -171,15 +182,35 @@ def run_naive(
         old = by_key.get(key)
         by_key[key] = addr
         if old is not None:
-            free.append(old)
+            placer.release(old, np.unpackbits(controller.peek(old, SEGMENT)))
         writes += 1
         if not device.health.retired:
             full_until = writes
         if writes % every == 0:
             _sample(timeline, writes, controller)
     raise RuntimeError(
-        "naive run outlived the stream; raise MAX_STREAM or lower budgets"
+        f"{placer.name} run outlived the stream; raise MAX_STREAM or lower "
+        "budgets"
     )
+
+
+def _naive(controller) -> ArbitraryPlacer:
+    """Arbitrary FIFO over every segment, in address order."""
+    return ArbitraryPlacer(
+        i * SEGMENT for i in range(controller.n_segments)
+    )
+
+
+def _sketch(n_bits: int):
+    """The store's bit-sampled sketch at ``n_bits``
+    (:class:`~repro.baselines.sketch.SketchPlacer`)."""
+    def make(controller) -> SketchPlacer:
+        contents = {
+            i * SEGMENT: np.unpackbits(controller.peek(i * SEGMENT, SEGMENT))
+            for i in range(controller.n_segments)
+        }
+        return SketchPlacer(list(contents), contents, SEGMENT, n_bits)
+    return make
 
 
 def run_e2nvm(
@@ -273,9 +304,17 @@ def run_gc(
 def run_lifetime(quick: bool = False) -> dict:
     n_segments, wearout, every = _sizes(quick)
     seed_values, stream = _make_stream(n_segments)
-    naive = run_naive(n_segments, wearout, seed_values, stream, every)
+    naive = run_placer(
+        _naive, n_segments, wearout, seed_values, stream, every
+    )
     e2nvm = run_e2nvm(n_segments, wearout, seed_values, stream, every)
     gc = run_gc(n_segments, wearout, seed_values, stream, every)
+    sketches = {
+        f"sketch-{n}": run_placer(
+            _sketch(n), n_segments, wearout, seed_values, stream, every
+        )
+        for n in SKETCH_WIDTHS
+    }
     return {
         "quick": quick,
         "segment_size": SEGMENT,
@@ -289,6 +328,7 @@ def run_lifetime(quick: bool = False) -> dict:
         "naive": naive,
         "e2nvm": e2nvm,
         "gc": gc,
+        **sketches,
         # Headline: the full stack (placement + reclamation) over naive;
         # the placement-only ratio is kept for comparison against PR 4.
         "lifetime_gain_x": round(
@@ -310,7 +350,7 @@ def report(result: dict) -> None:
             result[name]["final_telemetry"]["segments_retired"],
             result[name]["final_telemetry"]["stuck_cells"],
         ]
-        for name in ("naive", "e2nvm", "gc")
+        for name in ("naive", "e2nvm", "gc", *SKETCH_NAMES)
     ]
     print_table(
         "Writes absorbed before the pool dies (same endurance budgets)",

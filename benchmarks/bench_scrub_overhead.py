@@ -62,7 +62,7 @@ def _drift_config(meta_segments: int) -> DriftConfig:
     )
 
 
-def _fresh_store(n_segments: int, pipeline=None) -> KVStore:
+def _fresh_store(n_segments: int) -> KVStore:
     meta_segments = PersistentCatalog.meta_segments_for(
         n_segments, SEGMENT, KEY_CAPACITY
     )
@@ -81,7 +81,6 @@ def _fresh_store(n_segments: int, pipeline=None) -> KVStore:
         pool,
         config=fast_test_config(),
         key_capacity=KEY_CAPACITY,
-        pipeline=pipeline,
     )
 
 
@@ -125,7 +124,7 @@ def run_scrub_overhead(quick: bool = False) -> dict:
     n_segments, n_keys, rounds, ticks = _sizes(quick)
 
     scrubbed = _fresh_store(n_segments)
-    unscrubbed = _fresh_store(n_segments, pipeline=scrubbed.engine.pipeline)
+    unscrubbed = _fresh_store(n_segments)
     scrubber = Scrubber(scrubbed, segments_per_round=n_segments)
 
     oracle = _load(scrubbed, n_keys)

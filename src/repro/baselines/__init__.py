@@ -26,6 +26,9 @@ free address an incoming value is written to:
   (optionally PCA+K-means) over raw segment bits.
 - :class:`~repro.baselines.hamming_tree.HammingTreePlacer` — Hamming-Tree
   [28, 30]: a BK-tree over free-segment contents, nearest-neighbour lookup.
+- :class:`~repro.baselines.sketch.SketchPlacer` — nearest free segment by
+  a bit-sampled content sketch (the durable store's own placement; import
+  it from its module, which loads :mod:`repro.core`);
 - :class:`~repro.baselines.naive.ArbitraryPlacer` — FIFO free list (what
   "prior methods pick arbitrarily" means in §1).
 

@@ -6,7 +6,10 @@
   Pool (DAP) of §3.3.1;
 - :mod:`repro.core.padding` — the padding strategies of §4, for Figures 14
   and 15 only (the store zero-pads); import it from its module;
-- :mod:`repro.core.e2nvm` — the placement engine (Algorithms 1 and 2);
+- :mod:`repro.core.e2nvm` — the paper's placement engine (Algorithms 1
+  and 2), over :mod:`repro.core.engine`'s shared write path;
+- :mod:`repro.core.sketch` — the durable store's model-free engine:
+  nearest free segment by a bit-sampled content sketch;
 - :mod:`repro.core.retraining` — lazy retrain policy (§4.1.4, §5.3);
 - :mod:`repro.core.kvstore` — the persistent key/value store of Figure 3.
 """

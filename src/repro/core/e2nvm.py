@@ -35,18 +35,16 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.address_pool import DynamicAddressPool, PoolExhaustedError
+from repro.core.address_pool import DynamicAddressPool
 from repro.core.config import E2NVMConfig
+from repro.core.engine import PlacementEngine
 from repro.core.fastpath import FastPlacementLayer
 from repro.core.pipeline import EncoderPipeline
 from repro.core.retraining import RetrainDecision, RetrainPolicy, RetrainStats
 from repro.nvm.controller import MemoryController
-from repro.nvm.device import WriteResult
-from repro.nvm.health import SegmentRetiredError
 from repro.util.rng import rng_from_seed
 
 #: Lock-free placement retries after a model swap lands mid-prediction
@@ -55,7 +53,7 @@ from repro.util.rng import rng_from_seed
 PLACE_EPOCH_RETRIES = 8
 
 
-class E2NVM:
+class E2NVM(PlacementEngine):
     """Memory-aware write placement over a :class:`MemoryController`.
 
     Args:
@@ -79,13 +77,7 @@ class E2NVM:
         faults=None,
         reserved_segments: int = 0,
     ) -> None:
-        if not 0 <= reserved_segments < controller.n_segments:
-            raise ValueError("reserved_segments must leave placeable space")
-        self.controller = controller
-        self.config = config or E2NVMConfig()
-        self.faults = faults
-        self.reserved_segments = reserved_segments
-        self.segment_size = controller.segment_size
+        super().__init__(controller, config, faults, reserved_segments)
         self.input_bits = self.segment_size * 8
         self.pipeline = EncoderPipeline(self.input_bits, self.config, faults)
         # The memo cache in front of the pipeline; (re)installed — cache
@@ -99,9 +91,6 @@ class E2NVM:
         )
         self.retrain_stats = RetrainStats()
         self.last_retrain_error: BaseException | None = None
-        self.failed_writes = 0
-        # Claimed address → label of its full-width value (release_many).
-        self._allocated: dict[int, tuple[int, int] | None] = {}
         self._rng = rng_from_seed(self.config.seed)
         # The RNG is shared between the write path and the retrain worker.
         self._rng_lock = threading.Lock()
@@ -121,11 +110,6 @@ class E2NVM:
         self._retrain_pending = False
 
     # ------------------------------------------------------------- training
-
-    @property
-    def health(self):
-        """The controller's health manager (``None`` without wear-out)."""
-        return getattr(self.controller, "health_manager", None)
 
     def free_addresses(self) -> list[int]:
         """Addresses of all placeable segments not currently allocated
@@ -191,35 +175,6 @@ class E2NVM:
         with self._swap_lock:
             self.dap.populate(labels, addresses)
 
-    def adopt(
-        self, pipeline: EncoderPipeline, free_addresses: list[int]
-    ) -> None:
-        """Install an already-trained pipeline and rebuild the DAP.
-
-        The recovery path: after a restart the media alone says which
-        segments are free, and a previously trained (e.g. deserialised)
-        model re-encodes their contents to reconstruct the cluster pools —
-        the same re-cluster path DELETE takes, just in bulk.  No training
-        happens.
-        """
-        if not pipeline.trained:
-            raise ValueError("adopt() needs a trained pipeline")
-        if pipeline.input_bits != self.input_bits:
-            raise ValueError(
-                f"pipeline width {pipeline.input_bits} does not match the "
-                f"device's {self.input_bits} bits per segment"
-            )
-        self._swap_in(pipeline, self._check_free(free_addresses))
-
-    def mark_allocated(self, addr: int) -> None:
-        """Register ``addr`` as live without going through :meth:`place`.
-
-        Used by recovery to restore allocator state derived from the
-        persistent catalog; the address must not sit in the DAP.
-        """
-        self._check_segment_address(addr)
-        self._allocated[addr] = None
-
     def train_async(self) -> threading.Thread:
         """Retrain lazily in the background and swap models atomically.
 
@@ -261,39 +216,14 @@ class E2NVM:
 
     # ------------------------------------------------------------ operations
 
-    def place(self, value: bytes | np.ndarray) -> int:
-        """Algorithm 1, lines 1–4: claim the best free address for a value.
-
-        Prediction consults the memo cache first and only runs the full
-        model forward pass on novel content.  Both run *outside* the swap
-        lock — concurrent writers only serialise on the DAP pop — and the
-        model epoch is re-validated under the lock before claiming
-        (covering cached predictions too);
-        see :meth:`_with_valid_epoch` for the bounded retry when a
-        background retrain swaps the model mid-prediction.
-
-        When the predicted cluster is empty the pool falls back first-fit
-        to the nearest non-empty cluster, so placement degrades gracefully
-        instead of failing while a retrain is deferred or in flight.
-        """
-        return self.place_many([value])[0]
-
-    def place_many(self, values: list[bytes | np.ndarray]) -> list[int]:
-        """Claim addresses for a whole batch with one forward pass (for the
-        cache-miss remainder) and one (short) swap-lock acquisition.
-
-        Cluster assignments are identical to per-value :meth:`place` calls
-        barring exact ties between two centroids (``predict_batch``'s
-        labels do not depend on how values are batched, though its latent
-        may move in the last bits, and the memo cache replays exactly the
-        installed model's earlier answer for identical content); the DAP
-        pop is all-or-nothing, so a pool-exhaustion failure leaves the
-        pool untouched.
-
-        See :meth:`place` for the epoch re-validation and bounded-retry
-        contract.
-        """
-        return self._claim(values)[0]
+    # The e2e tracer wraps ``E2NVM.__dict__`` entries, so the shared write
+    # path is bound in this class body too.
+    place = PlacementEngine.place
+    place_many = PlacementEngine.place_many
+    write = PlacementEngine.write
+    write_many = PlacementEngine.write_many
+    write_at = PlacementEngine.write_at
+    release = PlacementEngine.release
 
     def _claim(self, values: list) -> tuple[list[int], list[tuple[int, int]]]:
         """:meth:`place_many`, plus each value's ``(cluster, epoch)``."""
@@ -333,144 +263,12 @@ class E2NVM:
             )
             return commit(clusters, pipeline)
 
-    def write(self, value: bytes) -> tuple[int, WriteResult]:
-        """Algorithm 1 end-to-end for one value; see :meth:`write_many`."""
-        return self.write_many([value])[0]
-
-    def write_many(
-        self, values: list[bytes]
-    ) -> list[tuple[int, WriteResult]]:
-        """Algorithm 1 for a whole batch: one forward pass, one short DAP
-        claim, one batched differential write with vectorised accounting
-        and (on mortal media) one batched verify-after-write.
-
-        Only each value's own ``len(value)`` bytes are written — padded
-        bits used for prediction never reach the media (§4.1).  Placement
-        is identical to per-value :meth:`write` calls.  The ``auto_retrain``
-        hook never raises: retrain trouble is deferred and recorded, not
-        propagated into the PUT.
-
-        See :meth:`place_and_write` for the failure contract.
-        """
-        addrs, results = self.place_and_write(values)
-        self.record_committed_writes(len(addrs))
-        return list(zip(addrs, results))
-
-    def place_and_write(
-        self, values: list[bytes]
-    ) -> tuple[list[int], Sequence[WriteResult]]:
-        """Place and write a batch without counting it as committed (the
-        durable KV store counts once the catalog transaction commits).
-
-        Returns ``(addresses, results)``.  A row whose segment
-        verify-after-write retired is handled *inside* the engine: the dead
-        address is quarantined, a reserved spare — when available — joins
-        the pool in its place, and only that row is re-placed and retried;
-        rows that verified stay written.
-        Any other failure, pool exhaustion included, is all-or-nothing: it
-        un-claims every address of the batch (re-clustered back into the
-        DAP) before propagating, so nothing is half-committed.  Once all
-        rows are written, each full-width bytes value labels its address
-        with the cluster it was placed under (see :meth:`release_many`).
-        """
-        values = list(values)
-        if not values:
-            return [], []
-        self._check_value(max(values, key=len))
-        addrs, labels = self._place_with_spares(values)
-        try:
-            results, todo = self._write_claimed(addrs, values)
-            while todo:
-                for i in todo:
-                    addrs[i] = None
-                retry = [values[i] for i in todo]
-                replaced, relabels = self._place_with_spares(retry)
-                for i, addr, label in zip(todo, replaced, relabels):
-                    addrs[i], labels[i] = addr, label
-                written, failed = self._write_claimed(replaced, retry)
-                for i, result in zip(todo, written):
-                    results[i] = result
-                todo = [todo[row] for row in failed]
-        except BaseException:
-            # Also KeyboardInterrupt/SystemExit: claimed addresses would leak.
-            self.release_many([addr for addr in addrs if addr is not None])
-            raise
+    def _written(self, addrs, values, labels) -> None:
+        """Each full-width bytes value labels its address with the cluster
+        it was placed under (see :meth:`release_many`)."""
         for addr, value, label in zip(addrs, values, labels):
             if isinstance(value, bytes) and len(value) == self.segment_size:
                 self._allocated[addr] = label
-        return addrs, results
-
-    def _place_with_spares(self, values: list[bytes]) -> tuple[list, list]:
-        """:meth:`_claim`, pulling in reserved spares one by one while
-        free capacity runs dry."""
-        while True:
-            try:
-                return self._claim(values)
-            except PoolExhaustedError:
-                if self.adopt_spare() is None:
-                    raise
-
-    def _write_claimed(
-        self, addrs: list[int], values: list[bytes]
-    ) -> tuple[Sequence[WriteResult | None], list[int]]:
-        """Differential-write ``values`` at claimed ``addrs`` with one
-        ``controller.write_many``.  Returns the per-row results and the
-        rows whose segment retired — those addresses are already
-        quarantined and a spare adopted for each, their results ``None``.
-        Any other error propagates with every address still claimed."""
-        try:
-            if self.faults is not None:
-                for _ in values:
-                    self.faults.fire("device.write")
-            return self.controller.write_many(addrs, values), []
-        except SegmentRetiredError as exc:
-            self.failed_writes += len(exc.rows)
-            for row in exc.rows:
-                self.quarantine_address(addrs[row])
-                self.adopt_spare()
-            return exc.results, exc.rows
-        except Exception:
-            self.failed_writes += len(values)
-            raise
-
-    def claim_address(self, addr: int) -> bool:
-        """Claim a *specific* free address out of the DAP (directed
-        placement — the compactor's wear-leveling swaps choose their
-        target segment by wear, not by content cluster).
-
-        Returns False when the address is quarantined, allocated or
-        otherwise not free; the DAP is left untouched in that case.
-        """
-        self._check_segment_address(addr)
-        with self._swap_lock:
-            if not self.dap.take(addr):
-                return False
-            self._allocated[addr] = None
-            return True
-
-    def write_at(self, addr: int, value: bytes) -> WriteResult:
-        """Differential-write ``value`` at an already-claimed address (the
-        directed-migration path; claim with :meth:`claim_address`).  Like
-        :meth:`place_and_write` it does not count the write as committed.
-
-        Same error contract as :meth:`write`, minus placement: on
-        :class:`SegmentRetiredError` the address is quarantined (a spare
-        adopted in its place) before the error propagates — the caller
-        re-targets; on any other failure it is released back into the DAP.
-        """
-        self._check_value(value)
-        if addr not in self._allocated:
-            raise KeyError(f"address {addr} is not claimed")
-        self._allocated[addr] = None  # a directed write carries no label
-        try:
-            (result,), failed = self._write_claimed([addr], [value])
-        except BaseException:
-            # Also KeyboardInterrupt/SystemExit: un-claim the address.
-            self.release(addr)
-            raise
-        if failed:
-            raise SegmentRetiredError(addr // self.segment_size)
-        return result
 
     def record_committed_writes(self, count: int) -> None:
         """Post-write bookkeeping for ``count`` committed writes: retrain
@@ -490,10 +288,6 @@ class E2NVM:
                     self.retrain_stats.failed += 1
                     self._retrain_pending = True
                 self.last_retrain_error = exc
-
-    def release(self, addr: int) -> None:
-        """Algorithm 2, lines 3–4: re-cluster a freed address into the DAP."""
-        self.release_many([addr])
 
     def release_many(self, addrs: list[int]) -> None:
         """Batch recycle: every address re-pools under the cluster its
@@ -528,6 +322,10 @@ class E2NVM:
         labels = [None if drifted else self._allocated[a] for a in addrs]
         todo = [i for i, label in enumerate(labels)
                 if label is None or label[1] != epoch]
+        if not todo:  # nothing to predict: no retry loop either
+            with self._swap_lock:
+                if self._model_epoch == epoch:
+                    return self._repool(addrs, [lab[0] for lab in labels])
 
         def contents(rows):
             return [bytes(self.controller.peek(addrs[i], size)) for i in rows]
@@ -590,75 +388,23 @@ class E2NVM:
             return False
         return self._schedule_retrain()
 
-    # ------------------------------------------------------ endurance health
+    # ------------------------------------------------------------- free set
 
-    def quarantine_address(self, addr: int) -> None:
-        """Take ``addr`` out of circulation permanently (retired media):
-        un-claim it if allocated and bar the DAP from ever re-pooling it."""
-        self._check_segment_address(addr)
+    def _take(self, addr: int) -> bool:
         with self._swap_lock:
-            self._allocated.pop(addr, None)
+            return self.dap.take(addr)
+
+    def _bar(self, addr: int) -> None:
+        with self._swap_lock:
             self.dap.quarantine(addr)
 
-    def adopt_spare(self) -> int | None:
-        """Activate one reserved spare segment, if any: lift its
-        quarantine and index it into the DAP.  Returns the activated
-        address, or ``None`` when no spares (or no health manager) remain.
-        """
-        health = self.health
-        if health is None:
-            return None
-        spare = health.take_spare()
-        if spare is None:
-            return None
-        self.dap.unquarantine(spare)
-        self.add_addresses([spare])
-        return spare
+    def _pool_spare(self, addr: int) -> None:
+        self.dap.unquarantine(addr)
+        self.add_addresses([addr])
 
-    def reserve_spares(self, count: int) -> list[int]:
-        """Withhold ``count`` free segments from placement as spare
-        capacity; each later segment retirement activates one via
-        :meth:`adopt_spare`, keeping usable capacity constant until the
-        spares run out.
-
-        The highest free addresses are chosen (deterministic, and the
-        segments the incremental-indexing path would add last).
-        """
+    def _pooled(self) -> list[int]:
         self._require_trained()
-        health = self.health
-        if health is None:
-            raise RuntimeError(
-                "reserve_spares needs verify-after-write enabled"
-            )
-        if count <= 0:
-            return []
-        with self._swap_lock:
-            free = sorted(self.dap.snapshot_addresses(), reverse=True)[:count]
-            if len(free) < count:
-                raise RuntimeError(
-                    "not enough free segments to reserve as spares"
-                )
-            for addr in free:
-                self.dap.quarantine(addr)
-        spares = sorted(free)
-        health.add_spares(spares)
-        return spares
-
-    # ------------------------------------------------------------ inspection
-
-    @property
-    def stats(self):
-        """The underlying device's cumulative counters."""
-        return self.controller.stats
-
-    def is_allocated(self, addr: int) -> bool:
-        """Whether ``addr`` is currently claimed (placed or live)."""
-        return addr in self._allocated
-
-    @property
-    def allocated_count(self) -> int:
-        """Number of segments currently claimed by live values."""
-        return len(self._allocated)
+        return self.dap.snapshot_addresses()
 
     def memory_footprint_bytes(self) -> int:
         """DRAM footprint of the DAP (the Figure 7 metric)."""
@@ -829,24 +575,6 @@ class E2NVM:
             if addr in self._allocated:
                 raise ValueError(f"address {addr} is allocated")
         return addresses
-
-    def _check_segment_address(self, addr: int) -> None:
-        if addr % self.segment_size:
-            raise ValueError(f"address {addr} is not segment-aligned")
-        if not 0 <= addr < self.controller.n_segments * self.segment_size:
-            raise IndexError(f"address {addr} out of range")
-        if addr < self.reserved_segments * self.segment_size:
-            raise ValueError(
-                f"address {addr} is inside the {self.reserved_segments} "
-                "reserved (log/catalog) segments"
-            )
-
-    def _check_value(self, value: bytes) -> None:
-        if len(value) > self.segment_size:
-            raise ValueError(
-                f"value of {len(value)} bytes exceeds segment size "
-                f"{self.segment_size}"
-            )
 
     def _require_trained(self) -> None:
         if not self.pipeline.trained:

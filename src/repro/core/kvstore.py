@@ -2,15 +2,18 @@
 
 Four components cooperate exactly as the paper's diagram shows:
 
-- **E2-NVM** (the placement engine) predicts clusters and serves addresses;
-- the **Dynamic Address Pool** lives inside the engine;
+- the **placement engine** serves addresses: a plain ``KVStore(E2NVM(...))``
+  runs the paper's engine (VAE + K-means + the Dynamic Address Pool); a
+  durable store places by content sketch (:mod:`repro.core.sketch`) and
+  fits no model;
 - the **data index** — a DRAM-resident red-black tree — maps keys to the NVM
   address and length of their value;
 - **NVM storage** holds the values, one per fixed-size segment.
 
 PUT/UPDATE follow Algorithm 1 (new writes go to a freshly predicted similar
 segment; the update's old segment is recycled).  DELETE follows Algorithm 2
-(the validity flag is reset and the address re-clustered into the DAP).  GET
+(the validity flag is reset and the address returns to the engine's free
+set).  GET
 and SCAN go through the index only.
 
 The store runs in one of two modes:
@@ -24,7 +27,7 @@ The store runs in one of two modes:
   record (one write per pair, the record's non-newest slot), a whole
   batch of pairs per commit; the paper's Algorithm 2 validity flag
   becomes a persisted tombstone, and :meth:`KVStore.open` rebuilds the
-  index, validity map, the engine's live set and DAP from the media
+  index, validity map and the engine's live and free sets from the media
   alone after a crash.  See the README's "Durability contract" section.
 """
 
@@ -36,7 +39,8 @@ from dataclasses import dataclass
 
 from repro.core.address_pool import PoolExhaustedError
 from repro.core.config import E2NVMConfig
-from repro.core.e2nvm import E2NVM
+from repro.core.engine import PlacementEngine
+from repro.core.sketch import SketchEngine
 from repro.index.rbtree import RedBlackTree
 from repro.nvm.health import SegmentRetiredError
 from repro.pmem.catalog import (
@@ -93,7 +97,9 @@ class KVStore:
     """Persistent KV store with memory-aware write placement.
 
     Args:
-        engine: a trained (or to-be-trained) :class:`E2NVM` engine.
+        engine: a placement engine — a trained (or to-be-trained)
+            :class:`~repro.core.e2nvm.E2NVM`, or the durable store's
+            :class:`~repro.core.sketch.SketchEngine`.
         catalog: optional :class:`PersistentCatalog` enabling the durable
             write path over its pool; prefer :meth:`create`/:meth:`open`
             over passing it directly.
@@ -101,7 +107,7 @@ class KVStore:
 
     def __init__(
         self,
-        engine: E2NVM,
+        engine: PlacementEngine,
         *,
         catalog: PersistentCatalog | None = None,
     ) -> None:
@@ -159,26 +165,15 @@ class KVStore:
         config: E2NVMConfig | None = None,
         faults=None,
         key_capacity: int = DEFAULT_KEY_CAPACITY,
-        pipeline=None,
     ) -> "KVStore":
-        """Format fresh media and build a durable store over ``pool``.
-
-        Zeroes the catalog, then trains the placement engine on the (empty)
-        object segments — or adopts an already trained ``pipeline`` when
-        given, e.g. a deserialised model or a test harness's shared one.
-        """
+        """Format fresh media and build a durable store over ``pool``:
+        zero the catalog and sketch the object segments as they stand."""
         catalog = PersistentCatalog(pool, key_capacity)
         catalog.format()
-        engine = E2NVM(
-            pool.controller,
-            config,
-            faults,
+        engine = SketchEngine(
+            pool.controller, config, faults,
             reserved_segments=pool.meta_segments,
         )
-        if pipeline is not None:
-            engine.adopt(pipeline, engine.free_addresses())
-        else:
-            engine.train()
         return cls(engine, catalog=catalog)
 
     @classmethod
@@ -189,7 +184,6 @@ class KVStore:
         config: E2NVMConfig | None = None,
         faults=None,
         key_capacity: int = DEFAULT_KEY_CAPACITY,
-        pipeline=None,
     ) -> "KVStore":
         """Re-open an existing store from the media alone (full recovery).
 
@@ -199,11 +193,10 @@ class KVStore:
            *during* recovery just recovers again); every live record
            rebuilds one index entry, validity flag and allocator
            registration.
-        2. Re-encodes the free segments through the trained pipeline to
-           reconstruct the DAP cluster pools — the same re-cluster path
-           DELETE takes.  Pass ``pipeline`` (e.g. a deserialised model) to
-           skip retraining; with ``None`` a fresh model is trained on the
-           free segments.
+        2. Rebuilds the engine's sketch words from one gather of the
+           medium (:class:`~repro.core.sketch.SketchEngine`); nothing is
+           fitted.  A worn store opens writable: a PUT that finds no free
+           segment enters read-only, as on a live store.
 
         No DRAM state of the previous incarnation is consulted; the report
         of what was rebuilt lands on :attr:`recovery`.
@@ -261,29 +254,11 @@ class KVStore:
                 for s in health_state.retired | health_state.retiring
             } | set(health_state.spares)
 
-        withheld = taken.keys() | quarantine
-        free_addrs = [
-            addr
-            for i in range(pool.capacity_objects)
-            if (addr := pool.object_address(i)) not in withheld
-        ]
-
-        engine = E2NVM(
-            pool.controller,
-            config,
-            faults,
+        engine = SketchEngine(
+            pool.controller, config, faults,
             reserved_segments=pool.meta_segments,
         )
-        if pipeline is not None:
-            engine.adopt(pipeline, free_addrs)
-        elif engine.health is None or (
-            len(free_addrs) >= engine.config.n_clusters
-        ):
-            engine.train(addresses=free_addrs)
-
         store = cls(engine, catalog=catalog)
-        # Worn past what a model can train on: the reads still serve.
-        store._read_only = not engine.pipeline.trained
         store._free_records = sorted(
             set(store._free_records) - {e.record for e in taken.values()}
         )
@@ -310,10 +285,12 @@ class KVStore:
         store._write_seq = max_epoch
 
         if health_state is not None:
-            # Quarantine every dead/dying/spare address in the rebuilt
-            # DAP, and re-queue retiring segments that still hold live
-            # data so the next PUT resumes their evacuation.
-            engine.dap.adopt_quarantine(quarantine)
+            # Bar every dead/dying/spare address from the free set, and
+            # re-queue retiring segments that still hold live data so the
+            # next PUT resumes their evacuation.
+            # A retiring segment that holds live data stays claimed.
+            for addr in sorted(quarantine - taken.keys()):
+                engine.quarantine_address(addr)
             health = engine.health
             if health is not None:
                 for seg in sorted(health_state.retiring):
@@ -322,7 +299,7 @@ class KVStore:
         store.recovery = RecoveryReport(
             dropped_slots=len(resolution.dropped),
             live_objects=len(taken),
-            free_objects=len(free_addrs),
+            free_objects=len(engine.free_addresses()),
             duplicate_keys_dropped=len(stale),
             max_epoch=max_epoch,
             crc_mismatches=crc_mismatches,
@@ -358,12 +335,13 @@ class KVStore:
     def put_many(self, items: list[tuple[bytes, bytes]]) -> list[int]:
         """Insert or update a batch of pairs; returns one address per item.
 
-        Algorithm 1 for the whole batch: one engine forward pass, one short
-        DAP claim and one batched differential write put every value on a
+        Algorithm 1 for the whole batch: one engine claim and one batched
+        differential write put every value on a
         free segment (a row whose segment verify-after-write retires is
         re-placed and retried alone).  In durable mode the values are
         still unreachable at that point — a crash simply leaves them as
-        free-segment content for recovery to re-cluster — and become
+        free-segment content, which recovery sketches as it stands — and
+        become
         visible when their catalog slots commit, the whole batch in one
         catalog pass.  A crash mid-batch leaves a *prefix* of the batch
         committed, as sequential :meth:`put` calls would (recovery trims
@@ -720,11 +698,11 @@ class KVStore:
 
     def _recycle_many(self, stale: list[int]) -> None:
         """Recycle no-longer-live addresses through the engine.  Healthy
-        segments re-pool in one re-encoding pass; dying segments do not
-        re-pool:
+        segments return to the free set in one engine call; dying
+        segments do not:
 
-        - a *retired* segment's media is dead: it is quarantined in the
-          DAP, for good;
+        - a *retired* segment's media is dead: it is quarantined, for
+          good;
         - a *retiring* segment that this free has just fully drained (one
           value per segment) is **reclaimed**: its address joins the
           spares list as spare-class capacity instead of being stranded

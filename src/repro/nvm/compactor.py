@@ -175,7 +175,7 @@ class Compactor(MaintenanceWorker):
         wear = self.device.segment_write_count
         seg_size = self.controller.segment_size
         ecc = self.controller.ecc
-        free = self.engine.dap.snapshot_addresses()
+        free = self.engine.free_addresses()
         if ecc is not None:
             free = [a for a in free if self._survives_parking(a)]
         if not free:

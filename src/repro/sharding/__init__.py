@@ -10,7 +10,7 @@ package models the same structure at the storage layer:
 - :class:`~repro.sharding.ring.HashRing` — a seeded consistent-hash ring
   mapping keys to shards;
 - :class:`~repro.sharding.shard.Shard` — one full vertical slice:
-  ``NVMDevice`` + controller + engine (DAP, fastpath, retraining) +
+  ``NVMDevice`` + controller + sketch placement engine (no model) +
   durable ``KVStore`` (catalog, recovery) + optional in-process
   maintenance (scrubber and compactor);
 - :class:`~repro.sharding.backends.ShardBackend` — the one execution
@@ -21,7 +21,7 @@ package models the same structure at the storage layer:
   of serialising on the GIL;
 - :class:`~repro.sharding.store.ShardedKVStore` — the facade: batch ops
   routed by shard (one engine call per shard), cross-shard telemetry
-  rollup, per-shard epoch events, manifest-based create/open/close with
+  rollup, per-shard clock events, manifest-based create/open/close with
   shard-by-shard crash recovery, and degraded-mode routing
   (``fail_fast`` / ``partial``) when shards are down;
 - :class:`~repro.sharding.supervisor.ShardSupervisor` — the self-healing

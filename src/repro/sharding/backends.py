@@ -98,21 +98,13 @@ _CRASH_EXIT_STATUS = 17
 #: Default per-op response deadline (seconds).
 DEFAULT_DEADLINE_S = 60.0
 
-#: Ops whose duration is caller-controlled or legitimately long: their
-#: deadline is this entry (``None`` = unbounded; the heartbeat watchdog
-#: still covers a wedged worker) instead of the backend's ``deadline_s``.
-DEFAULT_OP_DEADLINES: dict[str, float | None] = {
-    "wait_retrain": None,
-}
-
 #: Seconds a worker gets to exit after SIGTERM before SIGKILL.
 DEFAULT_KILL_GRACE_S = 1.0
 
 #: Seconds a worker gets to answer ``__shutdown__`` and exit on close.
 DEFAULT_CLOSE_GRACE_S = 5.0
 
-#: Seconds a fresh worker gets to boot (build/recover its shard — model
-#: training included, hence generous).
+#: Seconds a fresh worker gets to boot (build/recover its shard; generous).
 DEFAULT_BOOT_DEADLINE_S = 300.0
 
 #: Worker heartbeat stamp period (seconds).
@@ -317,13 +309,12 @@ class ShardBackend:
         specs: one :class:`ShardSpec` per shard.
         mode: forwarded to :meth:`Shard.build` (``"create"``/``"open"``).
         backend: ``"inprocess"`` (direct transports) or ``"process"``
-            (pipe transports; workers build — model training and recovery
-            included — **in parallel**).
+            (pipe transports; workers build — recovery included — **in
+            parallel**).
         deadline_s: default per-call response deadline; a shard that does
             not answer in time is killed and the call raises
             :class:`ShardHungError`.  ``None`` disables deadlines (the
-            heartbeat watchdog still covers wedged workers).  Ops listed
-            in :data:`DEFAULT_OP_DEADLINES` use their entry instead.
+            heartbeat watchdog still covers wedged workers).
 
     A shard's lock serialises its request→reply conversation (and
     reopen); ``kill_shard`` deliberately does *not* take it.
@@ -385,7 +376,7 @@ class ShardBackend:
         error).  ``deadline`` (seconds; ``None`` waits unbounded)
         overrides the op's default budget."""
         if deadline is ...:
-            deadline = DEFAULT_OP_DEADLINES.get(op, self.deadline_s)
+            deadline = self.deadline_s
         transport = self.transports[shard_id]
         request = transport.encode((op, args))
         with self._locks[shard_id]:
@@ -432,7 +423,7 @@ class ShardBackend:
                 sent.append(exc)
                 continue
             if deadline is ...:
-                sent.append(DEFAULT_OP_DEADLINES.get(op, self.deadline_s))
+                sent.append(self.deadline_s)
             else:
                 sent.append(deadline)
         return _gather(requests, sent, self._collect)
@@ -514,7 +505,7 @@ class ShardBackend:
         """Recover a crashed or hung shard.
 
         The shard is rebuilt over its surviving medium block, which runs
-        normal recovery (catalog resolve + DAP rebuild).  The pipe
+        normal recovery (catalog resolve + sketch rebuild).  The pipe
         transport spawns a fresh worker for it; a worker the OS still
         runs is killed first, every join is bounded, and the boot wait is
         capped by :data:`DEFAULT_BOOT_DEADLINE_S`.  Raises
@@ -651,9 +642,9 @@ def _shard_worker(
     the request pipe or EPIPE on the reply pipe means the parent is gone:
     the worker returns quietly.
 
-    The heartbeat thread starts *before* the build so a worker stuck in
-    model training still reads as alive; maintenance workers (scrubber /
-    compactor) are stopped on clean shutdown.  The medium's handle is
+    The heartbeat thread starts *before* the build so a worker in a long
+    build or recovery still reads as alive; maintenance workers
+    (scrubber / compactor) are stopped on clean shutdown.  The medium's handle is
     never closed: the device's planes are views into it (closing under
     them raises ``BufferError``), and the mapping ends with the process."""
     for fd in _PIPE_FDS - {request_fd, reply_fd}:

@@ -1,13 +1,12 @@
 """One shard: a full vertical slice of the storage stack.
 
 A shard owns its *entire* channel — ``NVMDevice`` + ``MemoryController`` +
-``E2NVM`` engine (DAP, fast placement, retrain worker) + a durable
-``KVStore`` over a ``PersistentPool`` and its ``PersistentCatalog``, plus,
+a durable ``KVStore`` over a ``PersistentPool`` and its
+``PersistentCatalog``, placing by content sketch
+(:class:`~repro.core.sketch.SketchEngine`; no model is trained), plus,
 with maintenance on, a scrubber and a compactor.  Nothing is shared
-between shards: each carries its own clusters, model epoch, wear state
-and lock domain, so shards compose with the E2-NVM placement scheme
-instead of fighting it (Predict-and-Write's per-group clustering,
-PAPERS.md).
+between shards: each carries its own sketch words, free set, wear state
+and lock domain.
 
 The same :class:`Shard` object serves both shard transports.  The direct
 transport holds one in this process; the pipe transport builds one
@@ -22,10 +21,9 @@ With ``spec.maintenance`` set, the shard's scrubber and compactor run
 *inside the shard's own process* on the shared
 :class:`~repro.nvm.worker.MaintenanceWorker` loop: each worker process
 scrubs its own drift and compacts its own retirements on its own cadence,
-with no facade broadcast required.  Retraining needs no loop of its own:
-the engine's ``auto_retrain`` hook consults the retrain policy on every
-committed write.  :meth:`Shard.execute` gates the loops around every
-foreground op, and per-worker loop state rides along in its telemetry.
+with no facade broadcast required.  :meth:`Shard.execute` gates the loops
+around every foreground op, and per-worker loop state rides along in its
+telemetry.
 
 Every operation the facade fans out arrives through :meth:`Shard.execute`,
 a single string-keyed dispatch — the request/response pipe protocol of the
@@ -70,9 +68,10 @@ class ShardSpec:
         n_segments: segments on the shard's device.
         key_capacity: catalog key capacity (longest key, in bytes).
         seed: device initial-content seed (shards get distinct seeds so
-            their initial free-content clusterings differ, as independent
-            channels would).
-        config: engine hyperparameters (each shard trains its own model).
+            their initial free contents differ, as independent channels
+            would).
+        config: engine settings; the sketch positions are drawn from its
+            ``seed``.
         path: device snapshot file (``.npz``); ``open`` mode loads it.
         maintenance: attach a scrubber and a compactor to the store and
             run both on their own background cadence inside the shard's
@@ -152,12 +151,12 @@ class Shard:
 
         Args:
             spec: the shard description.
-            mode: ``"create"`` formats a fresh medium and trains the
-                engine; ``"open"`` adopts the medium in ``content_buffer``
-                as it stands when the buffer holds one (a restart: the
-                shard's process died, its medium did not), else loads the
-                device snapshot at ``spec.path`` into the buffer, and
-                runs full recovery either way.
+            mode: ``"create"`` formats a fresh medium; ``"open"`` adopts
+                the medium in ``content_buffer`` as it stands when the
+                buffer holds one (a restart: the shard's process died, its
+                medium did not), else loads the device snapshot at
+                ``spec.path`` into the buffer, and runs full recovery
+                either way.
             content_buffer: optional buffer holding the whole medium, at
                 least ``spec.block_bytes(mode)`` long (see
                 :class:`NVMDevice`).
@@ -298,18 +297,6 @@ class Shard:
     def _op_keys(self) -> list[bytes]:
         return list(self.store.keys())
 
-    def _op_retrain(self) -> bool:
-        """Epoch-bumping broadcast target: start this shard's background
-        retrain (single-flight; never blocks the write path)."""
-        try:
-            self.engine.train_async()
-        except RuntimeError:
-            return False
-        return True
-
-    def _op_wait_retrain(self, timeout: float | None = None) -> bool:
-        return self.engine.wait_for_retrain(timeout)
-
     def _op_drain_relocations(self, budget: int | None = None) -> int:
         return self.store.drain_relocations(budget)
 
@@ -354,11 +341,8 @@ class Shard:
         Top-level scalars and lists are this shard's own state; every
         top-level dict is a section of counters that
         :func:`~repro.sharding.store.aggregate_telemetry` sums across
-        shards.  The prediction latency ships as its ``(seconds, count)``
-        pair so the facade weights by count instead of averaging
-        per-shard means."""
-        engine = self.engine
-        pipeline = engine.pipeline
+        shards; ``placement`` carries the sketch's placement saving
+        (:meth:`~repro.core.sketch.SketchEngine.placement_telemetry`)."""
         # Object segments only: the catalog region in front of them is
         # exempt from wear-out (``PersistentCatalog.immortal_metadata``).
         wear = self.device.segment_write_count[self.pool.meta_segments :]
@@ -366,14 +350,8 @@ class Shard:
             "shard_id": self.spec.shard_id,
             "n_keys": len(self.store),
             "read_only": self.store.read_only,
-            "model_epoch": engine._model_epoch,
             "maintenance": [w.telemetry() for w in self.maintenance_workers],
-            "placement": engine.placement_telemetry(),
-            "prediction": {
-                "count": pipeline.prediction_count,
-                "seconds": pipeline.prediction_seconds,
-            },
-            "retrain": asdict(engine.retrain_stats),
+            "placement": self.engine.placement_telemetry(),
             "device": asdict(self.device.stats),
             "wear": {
                 "max_segment_writes": int(wear.max()),

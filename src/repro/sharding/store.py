@@ -9,12 +9,9 @@ surface as a single :class:`~repro.core.kvstore.KVStore`:
   issue **one engine call per shard** — batched inference inside each
   shard is preserved, and with the process backend the per-shard
   sub-batches run concurrently on real cores.
-- Epoch-bumping events (``retrain()``) broadcast per shard; each shard
-  bumps its own model epoch under its own lock — there is no global lock
-  to convoy on.
 - Telemetry aggregates across shards with counter-correct semantics: plain
-  counters sum, latencies are re-derived from summed ``(seconds, count)``
-  pairs (weighted by count — never an average of per-shard means).
+  counters sum, and a per-write figure is re-derived from the sums
+  (weighted by count — never an average of per-shard means).
 
 Shard faults degrade per policy instead of poisoning the whole facade.
 ``degraded`` picks what happens when a shard is unavailable (crashed,
@@ -113,23 +110,20 @@ def aggregate_telemetry(shard_telemetries: list[dict]) -> dict:
     top-level scalars and lists are the shard's own state and appear only
     under ``"shards"``.
 
-    Two values are derived after the sum.  ``mean_prediction_latency_us``
-    comes from the summed ``prediction`` ``(seconds, count)`` pair, which
-    weights each shard by its prediction count: averaging the per-shard
-    means instead would let an idle shard (3 predictions) drag the number
-    as hard as a busy one (30k).  ``wear.max_segment_writes`` is the
-    hottest object segment of any shard, a max rather than a sum.
+    Two values are derived after the sum.  ``placement_saving_per_write``
+    (sampled distance saved per placed value against a FIFO free list)
+    comes from the summed ``placement`` counters, so an idle shard weighs
+    as little as it placed, not as much as a busy one.
+    ``wear.max_segment_writes`` is the hottest object segment of any
+    shard, a max rather than a sum.
     """
     shards = list(shard_telemetries)
     out = _sum_counters(
         [{k: v for k, v in t.items() if isinstance(v, dict)} for t in shards]
     )
-    prediction = out["prediction"]
-    out["mean_prediction_latency_us"] = (
-        prediction["seconds"] / prediction["count"] * 1e6
-        if prediction["count"]
-        else 0.0
-    )
+    placed = out.get("placement", {})
+    saved = placed.get("fifo_distance", 0) - placed.get("chosen_distance", 0)
+    out["placement_saving_per_write"] = saved / max(placed.get("placed", 0), 1)
     out["wear"]["max_segment_writes"] = max(
         t["wear"]["max_segment_writes"] for t in shards
     )
@@ -141,8 +135,7 @@ def _per_shard(
     template: ShardSpec, n_shards: int, base_seed: int, root: Path
 ) -> list[ShardSpec]:
     """One spec per shard from ``template``.  Seeds are distinct: each
-    channel's free media starts with its own content mix, so per-shard
-    models cluster independently."""
+    channel's free media starts with its own content mix."""
     return [
         replace(
             template,
@@ -254,12 +247,10 @@ class ShardedKVStore:
     ) -> "ShardedKVStore":
         """Create a sharded store under directory ``root``.
 
-        Formats ``n_shards`` fresh shard slices (each trains its own
-        engine — in parallel under the process backend) and writes the
-        manifest.  Device snapshot files appear on :meth:`close`.
-        ``maintenance`` runs a scrubber and a compactor inside every
-        shard (see :class:`ShardSpec`); retraining follows the config's
-        ``auto_retrain``.
+        Formats ``n_shards`` fresh shard slices (in parallel under the
+        process backend) and writes the manifest.  Device snapshot files
+        appear on :meth:`close`.  ``maintenance`` runs a scrubber and a
+        compactor inside every shard (see :class:`ShardSpec`).
         ``deadline_s`` is the per-call response budget (see
         :class:`~repro.sharding.backends.ShardBackend`).
         ``log_segments`` is accepted and ignored: stores have no log, and
@@ -302,7 +293,7 @@ class ShardedKVStore:
     ) -> "ShardedKVStore":
         """Reopen the store at ``root`` from its manifest: identical ring
         (same routing for every key) and full per-shard recovery —
-        catalog resolve, DAP re-adoption — shard by shard, in
+        catalog resolve, sketch rebuild — shard by shard, in
         parallel under the process backend.
 
         ``backend`` overrides the manifest's backend (a store created
@@ -645,17 +636,7 @@ class ShardedKVStore:
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
 
-    # ------------------------------------------------------------ epoch events
-
-    def retrain(self) -> list[bool]:
-        """Broadcast an epoch-bumping retrain to every shard.  Each shard
-        starts its own single-flight background retrain under its own
-        locks — no cross-shard barrier, no global lock.  Returns which
-        shards actually started one (``False`` = already retraining)."""
-        return self._broadcast("retrain")
-
-    def wait_for_retrain(self, timeout: float | None = None) -> list[bool]:
-        return self._broadcast("wait_retrain", timeout)
+    # ------------------------------------------------------------ clock events
 
     def advance_time(self, ticks: int = 1) -> list[int]:
         """Advance every shard's retention clock (drift model) by

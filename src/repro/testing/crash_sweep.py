@@ -9,8 +9,8 @@ instrumented fault site (``device.write`` ahead of a value write,
 torn-write variant that persists the rows before it and a prefix of its
 own).  Each replay:
 
-1. builds a byte-identical fresh device/pool/store (same seeds, same
-   pre-trained pipeline) and arms exactly one crash point;
+1. builds a byte-identical fresh device/pool/store (same seeds) and arms
+   exactly one crash point;
 2. applies the trace, bracketing every mutation in a
    :class:`~repro.testing.model.DurabilityModel` — acknowledged only once
    the call *returns*;
@@ -228,10 +228,10 @@ def check_durable_invariants(store: KVStore, model) -> None:
       by exactly one record) are exactly the engine's allocated ones and
       exactly the index's addresses, and each record's key and length
       agree with the index;
-    - free segments: the DAP holds exactly the object segments that no
-      slot names and that the device's health state does not withhold
-      (retired, retiring or a reserved spare), each exactly once, and
-      the engine's free addresses are that same set;
+    - free segments: the engine's free set is exactly the object
+      segments that no slot names and that the device's health state does
+      not withhold (retired, retiring or a reserved spare), and every
+      object segment's sketch word is the sketch of its content;
     - the free record ids are exactly the ids no live record holds.
     """
     pool, catalog, engine = store.pool, store.catalog, store.engine
@@ -266,13 +266,11 @@ def check_durable_invariants(store: KVStore, model) -> None:
             s * pool.segment_size for s in health.retired | health.retiring
         } | set(health.spares)
     placeable = all_objects - set(named) - withheld
-    dap_addrs = engine.dap.snapshot_addresses()
-    assert len(dap_addrs) == len(set(dap_addrs)), "DAP holds duplicates"
-    assert set(dap_addrs) == placeable, (
-        "DAP addresses are not exactly the unnamed, unwithheld segments"
-    )
     assert set(engine.free_addresses()) == placeable, (
         "engine free addresses disagree with the media"
+    )
+    assert (engine.sketch.words == engine.content_words()).all(), (
+        "sketch words disagree with the media"
     )
     assert store._free_records == sorted(
         set(range(catalog.n_records)) - set(named.values())
@@ -282,11 +280,8 @@ def check_durable_invariants(store: KVStore, model) -> None:
 class KVCrashHarness:
     """Builds byte-identical durable stores for repeated crash replays.
 
-    One placement model is trained up front on the seeded device's initial
-    contents and shared (read-only) by every replay and every recovery, so
-    a sweep of thousands of crash points never retrains; each
-    :meth:`fresh` still starts from an identical device, making every
-    replay deterministic.
+    Each :meth:`fresh` starts from an identical device, and placement fits
+    no model, so every replay is deterministic.
     """
 
     key_capacity = 16
@@ -312,9 +307,6 @@ class KVCrashHarness:
         self.meta_segments = PersistentCatalog.meta_segments_for(*geometry)
         self.wearout = PersistentCatalog.immortal_metadata(wearout, *geometry)
         self.drift = PersistentCatalog.immortal_metadata(drift, *geometry)
-        self.pipeline = None
-        _, _, store = self.fresh(FaultInjector())
-        self.pipeline = store.engine.pipeline
 
     def _pool(self, device, faults) -> PersistentPool:
         return PersistentPool(
@@ -355,7 +347,6 @@ class KVCrashHarness:
             config=self.config,
             faults=faults,
             key_capacity=self.key_capacity,
-            pipeline=self.pipeline,
         )
         if self.spares:
             store.engine.reserve_spares(self.spares)
@@ -373,7 +364,6 @@ class KVCrashHarness:
             self._pool(device, None),
             config=self.config,
             key_capacity=self.key_capacity,
-            pipeline=self.pipeline,
         )
         return self._attach_workers(store, None)
 

@@ -43,6 +43,14 @@ def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix.sum(axis=-1, dtype=np.int64, keepdims=one_row)
 
 
+def popcount_words(words: np.ndarray) -> np.ndarray:
+    """``uint8`` set-bit counts of a C-contiguous ``uint64`` array."""
+    if HAVE_BITWISE_COUNT:
+        return np.bitwise_count(words)
+    counts = POPCOUNT_TABLE[words.view(np.uint8)]
+    return counts.reshape(*words.shape, 8).sum(axis=-1, dtype=np.uint8)
+
+
 def hamming_bytes(a: np.ndarray, b: np.ndarray) -> int:
     """Return the Hamming distance (number of differing bits) between two
     equal-length ``uint8`` arrays."""

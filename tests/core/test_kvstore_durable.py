@@ -210,19 +210,19 @@ class TestGroupCommit:
         self, harness
     ):
         """A repeated key starts a second batch; a non-crash failure in
-        its commit leaves the first batch committed *and counted* toward
-        the retrain cooldown, and un-claims every address it did not
+        its commit leaves the first batch committed *and counted* as
+        committed writes, and un-claims every address it did not
         publish."""
         faults = FaultInjector()
         device, _, store = harness.fresh(faults)
-        policy = store.engine.policy
-        counted = policy._writes_since_retrain
+        counts = []
+        store.engine.record_committed_writes = counts.append
         items = self.ITEMS[:5] + [(b"k00", b"again")] + self.ITEMS[5:]
         faults.arm("catalog.write", error=OSError("media error"), after=5)
         with pytest.raises(OSError):
             store.put_many(items)
         committed = dict(items[:5])
-        assert policy._writes_since_retrain - counted == len(committed)
+        assert sum(counts) == len(committed)
         check_durable_invariants(store, committed)
         store.put_many(items)  # still fully usable
         check_durable_invariants(harness.reopen(device), dict(items))

@@ -14,7 +14,7 @@ import pytest
 from repro.core import E2NVM
 from repro.core.config import fast_test_config
 from repro.nvm import DriftConfig, MemoryController
-from repro.testing import FaultInjector, KVCrashHarness
+from repro.testing import FaultInjector
 
 from tests.conftest import SEGMENT_SIZE, make_device, make_engine
 
@@ -153,21 +153,16 @@ class TestReencodedRelease:
 
 
 class TestAdoptedAddresses:
-    """Recovery adopts live addresses with no label: the first update
-    after ``KVStore.open`` reads the superseded segment back."""
-
-    def _update_peeks_old_segment(self, store, monkeypatch) -> bool:
-        old_addr, _ = store.index.get(b"key")
-        peeked, _ = _spy(store.engine, monkeypatch)
-        size = store.engine.segment_size
-        store.put(b"key", _values(1, seed=9, size=size)[0])
-        return old_addr in peeked
+    """Recovery adopts live addresses with no label (``mark_allocated``):
+    their first release reads the segment back.  A durable store places
+    by sketch and keeps no labels; this is the plain ``E2NVM`` contract."""
 
     def test_reopened_store_reencodes(self, monkeypatch):
-        harness = KVCrashHarness()
-        device, _, store = harness.fresh(FaultInjector())
-        store.put(b"key", _values(1, seed=8, size=harness.segment_size)[0])
-        assert not self._update_peeks_old_segment(store, monkeypatch)
-        monkeypatch.undo()
-        store = harness.reopen(device)
-        assert self._update_peeks_old_segment(store, monkeypatch)
+        engine = make_engine(seed=28, fastpath_cache_size=0)
+        (addr, _), = engine.write_many(_values(1, seed=8))
+        peeked, _ = _spy(engine, monkeypatch)
+        engine.release(addr)
+        assert addr not in peeked
+        engine.mark_allocated(addr)
+        engine.release(addr)
+        assert addr in peeked

@@ -74,7 +74,7 @@ def test_recovery_reclaims_drained_retiring_segments(gc_harness):
     store.put(b"user001", b"x" * 32)
     # Strand a drained retiring segment: health says retiring, but no
     # live catalog record occupies it (exactly the pre-reclaim window).
-    free_addr = store.engine.dap.snapshot_addresses()[0]
+    free_addr = store.engine.free_addresses()[0]
     seg = free_addr // 64
     device.health.retiring.add(seg)
     del store
@@ -97,11 +97,12 @@ def test_reclaimed_capacity_defers_read_only(gc_harness):
     store.put(b"user001", b"x" * 32)
     while store.engine.adopt_spare() is not None:
         pass  # reserved spares must not mask the reclamation path
-    for addr in store.engine.dap.snapshot_addresses():
+    free = store.engine.free_addresses()
+    for addr in free:
         store.engine.quarantine_address(addr)
     # ...but leave one drained retiring segment for _reclaim_stranded to
     # fold back in (stranded: never recycled through a PUT/DELETE).
-    quarantined = sorted(store.engine.dap.quarantined())[0]
+    quarantined = min(free)
     health.state.retiring.add(quarantined // 64)
 
     store.put(b"user002", b"y" * 32)  # reclaim + adopt, not read-only
@@ -116,7 +117,7 @@ def test_reclaim_stranded_spares_drained_never_retired(gc_harness):
     _, _, store = gc_harness.fresh(FaultInjector())
     health = store.engine.health
     store.put(b"user001", b"x" * 32)
-    drained, dead = store.engine.dap.snapshot_addresses()[:2]
+    drained, dead = store.engine.free_addresses()[:2]
     for addr in (drained, dead):
         store.engine.quarantine_address(addr)
         health.mark_retiring(addr // 64)
@@ -194,3 +195,19 @@ def test_gc_sweep_acceptance(gc_harness):
     for site in GC_CRASH_SITES:
         assert report.site_hits[site] > 0, f"{site} never fired"
     assert report.torn_points > 0
+
+
+def test_recovery_keeps_a_retiring_segment_with_live_data_claimed(gc_harness):
+    """A retiring segment that still holds a live value stays claimed
+    across a reopen, so the evacuation recovery re-queues can move it."""
+    device, _, store = gc_harness.fresh(FaultInjector())
+    store.put(b"user001", b"x" * 32)
+    addr, _ = store.index.get(b"user001")
+    device.health.retiring.add(addr // 64)
+    del store
+
+    recovered = gc_harness.reopen(device)
+    assert recovered.engine.is_allocated(addr)
+    recovered.drain_relocations()
+    assert recovered.index.get(b"user001")[0] != addr
+    check_durable_invariants(recovered, {b"user001": b"x" * 32})

@@ -22,8 +22,6 @@ SEGMENT = 64
 N_SEGMENTS = 40
 KEY_CAPACITY = 16
 
-_PIPELINE = {}
-
 
 def make_store(*, endurance_mean=10**6, spares=0, faults=None, seed=7):
     """Durable store over a mortal device whose endurance is high enough
@@ -56,9 +54,7 @@ def make_store(*, endurance_mean=10**6, spares=0, faults=None, seed=7):
         config=fast_test_config(),
         faults=faults,
         key_capacity=KEY_CAPACITY,
-        pipeline=_PIPELINE.get("pipeline"),
     )
-    _PIPELINE.setdefault("pipeline", store.engine.pipeline)
     if spares:
         store.engine.reserve_spares(spares)
     return store
@@ -98,7 +94,7 @@ class TestReclaimLifecycle:
         assert addr in health.state.spares
         assert health.relocations_pending == 0
         # Quarantined like a reserved spare until adopted.
-        assert addr not in store.engine.dap.snapshot_addresses()
+        assert addr not in store.engine.free_addresses()
 
         # Reclaimed segments run at ECP capacity by design: re-queuing
         # them would evacuate forever, so mark_retiring is a no-op.
@@ -107,7 +103,7 @@ class TestReclaimLifecycle:
 
         # Adoption returns the reclaimed capacity to placement.
         assert store.engine.adopt_spare() == addr
-        assert addr in store.engine.dap.snapshot_addresses()
+        assert addr in store.engine.free_addresses()
 
         telemetry = health.telemetry()
         assert telemetry["segments_reclaimed"] == 1
@@ -225,7 +221,7 @@ class TestCompactorRounds:
             oracle[b"k01"] = value
         old_addr = store.index.get(b"k00")[0]
         heat_before = store.heat_of(old_addr)
-        target = store.engine.dap.snapshot_addresses()[0]
+        target = store.engine.free_addresses()[0]
         device.segment_write_count[target // SEGMENT] += 50
 
         assert compactor.wear_level_round() == 1
@@ -238,7 +234,7 @@ class TestCompactorRounds:
         assert store.heat_of(new_addr) == heat_before
         assert store.heat_of(old_addr) is None
         # The vacated barely-worn segment re-entered the free pool.
-        assert old_addr in store.engine.dap.snapshot_addresses()
+        assert old_addr in store.engine.free_addresses()
         # Both GC fault sites fired on the way.
         assert faults.hits("wl.swap") == 1
         assert faults.hits("compact.migrate") == 1
@@ -259,7 +255,7 @@ class TestCompactorRounds:
         oracle = fill(store, n_keys=2)
         addr0 = store.index.get(b"k00")[0]
         addr1 = store.index.get(b"k01")[0]
-        free = store.engine.dap.snapshot_addresses()[0]
+        free = store.engine.free_addresses()[0]
 
         assert store.migrate(b"absent", free) is False
         assert store.migrate(b"k00", addr0) is False  # already there
@@ -271,7 +267,7 @@ class TestCompactorRounds:
         store = make_store()
         oracle = fill(store, n_keys=1)
         [before] = store.catalog.scan()
-        target = store.engine.dap.snapshot_addresses()[0]
+        target = store.engine.free_addresses()[0]
 
         assert store.migrate(b"k00", target) is True
         assert store.get(b"k00") == oracle[b"k00"]

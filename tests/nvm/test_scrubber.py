@@ -23,8 +23,6 @@ SEGMENT = 64
 N_SEGMENTS = 48
 KEY_CAPACITY = 16
 
-_PIPELINE = {}
-
 
 def make_store(retention_mean=10, *, faults=None, seed=7):
     meta = PersistentCatalog.meta_segments_for(
@@ -53,9 +51,7 @@ def make_store(retention_mean=10, *, faults=None, seed=7):
         config=fast_test_config(),
         faults=faults,
         key_capacity=KEY_CAPACITY,
-        pipeline=_PIPELINE.get("pipeline"),
     )
-    _PIPELINE.setdefault("pipeline", store.engine.pipeline)
     return store
 
 

@@ -108,7 +108,7 @@ class TestCrashRecovery:
         with pytest.raises(ValueError):
             engine.mark_allocated(3)  # not a segment address
         handed = engine.place_many(
-            [b"%03d" % i for i in range(engine.dap.free_count())]
+            [b"%03d" % i for i in range(len(engine.free_addresses()))]
         )
         assert addr not in handed
         assert recovered.get(b"k") == b"live"
@@ -153,7 +153,6 @@ class TestCrashRecovery:
                 type(store).open(
                     pool, config=harness.config,
                     key_capacity=harness.key_capacity,
-                    pipeline=harness.pipeline,
                 )
             recovered = harness.reopen(device)
             assert dict(recovered.items()) == {

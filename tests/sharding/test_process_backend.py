@@ -96,13 +96,6 @@ class TestProcessOps:
         proc.close()
         inproc.close()
 
-    def test_retrain_broadcast(self, store):
-        store.put_many(_items(12))
-        assert store.retrain() == [True, True, True]
-        assert store.wait_for_retrain(60.0) == [True, True, True]
-        epochs = [t["model_epoch"] for t in store.telemetry()["shards"]]
-        assert epochs == [2, 2, 2]
-
     def test_open_recovers_in_workers(self, store, tmp_path):
         items = _items(18)
         store.put_many(items)

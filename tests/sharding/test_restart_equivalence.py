@@ -119,6 +119,11 @@ def test_a_restart_keeps_the_medium_and_every_acked_key(
     for name in want:
         np.testing.assert_equal(got[name], want[name], err_msg=name)
     assert acked == twin_acked
+    # The reopened shard's sketch words, rebuilt from the medium alone,
+    # are the ones the twin kept up to date write by write.
+    np.testing.assert_array_equal(
+        shard.engine.sketch.words, twin.engine.sketch.words
+    )
     _assert_reads(shard, acked)
 
     for op in after:

@@ -57,10 +57,6 @@ def _trace(n: int, seed: int = 13):
     return items
 
 
-def _model_epochs(store):
-    return [t["model_epoch"] for t in store.telemetry()["shards"]]
-
-
 class TestSingleShardEquivalence:
     def test_durable_twin_byte_for_byte(self, tmp_path):
         sharded = ShardedKVStore.create(
@@ -144,62 +140,6 @@ class TestFacadeOps:
         assert store.delete(key) is False
         assert key not in store
         assert len(store) == len(items) - 1
-
-    def test_retrain_broadcasts_per_shard(self, store):
-        epochs_before = _model_epochs(store)
-        started = store.retrain()
-        assert started == [True] * store.n_shards
-        assert store.wait_for_retrain(30.0) == [True] * store.n_shards
-        epochs_after = _model_epochs(store)
-        assert all(
-            after == before + 1
-            for before, after in zip(epochs_before, epochs_after)
-        )
-
-
-class TestRetrainTrigger:
-    """A shard retrains on its write path, the paper's one trigger: every
-    committed write consults the engine's retrain policy when the config
-    sets ``auto_retrain``.
-
-    Nothing was lost when the wall-clock ticker that consulted the same
-    policy went.  The policy fires only once ``retrain_cooldown_writes``
-    writes have passed since the last retrain, and only committed writes
-    advance that count; each of them consults the policy itself.  The one
-    exception: a retrain deferred for want of free segments, which
-    capacity freed by a DELETE would now allow, waits for the next PUT
-    instead of the next tick."""
-
-    @pytest.mark.parametrize(
-        "backend",
-        ["inprocess", pytest.param("process", marks=pytest.mark.sharding)],
-    )
-    def test_auto_retrain_fires_on_the_write_path(self, backend, tmp_path):
-        config = fast_test_config(
-            auto_retrain=True, retrain_cooldown_writes=8
-        )
-        acked = {}
-        with ShardedKVStore.create(
-            tmp_path / "store",
-            2,
-            segment_size=SEGMENT_SIZE,
-            n_segments_per_shard=N_SEGMENTS,
-            config=config,
-            key_capacity=16,
-            backend=backend,
-        ) as store:
-            # Near-identical values all place in one cluster: about a
-            # dozen keys per shard empty it, the rest write past it.
-            for start in range(0, 48, 8):
-                items = [
-                    (b"key-%04d" % i, bytes(40) + b"%04d" % i)
-                    for i in range(start, start + 8)
-                ]
-                store.put_many(items)
-                acked.update(items)
-            assert store.wait_for_retrain(60.0) == [True, True]
-            assert store.telemetry()["retrain"]["succeeded"] >= 1
-            assert store.get_many(list(acked)) == list(acked.values())
 
 
 class TestMaintenanceGate:
@@ -426,7 +366,9 @@ class TestWorkerReattach:
     def test_reattach_keeps_the_media_state_of_a_worn_shard(self, tmp_path):
         """A durable mortal shard worn to read-only, then re-attached to
         its live media buffer as a restarted worker would be: the media's
-        wear state and every acknowledged key must survive."""
+        wear state and every acknowledged key must survive.  The restart
+        opens writable (nothing is fitted on open); its first PUT finds no
+        free segment and enters read-only, as the live shard did."""
         spec = ShardSpec(
             shard_id=0,
             segment_size=SEGMENT_SIZE,
@@ -458,13 +400,18 @@ class TestWorkerReattach:
         assert restarted.device.health.retired == retired
         for key, value in acked.items():
             assert restarted.store.get(key) == value
+        assert not restarted.store.read_only
+        with pytest.raises(StoreReadOnlyError):
+            restarted.store.put(b"key-0", bytes(40))
+        assert restarted.store.read_only
+        assert restarted.store.get(b"key-0") == acked[b"key-0"]
 
 
 def _shard_telemetry(
     shard_id,
     *,
-    count,
-    seconds,
+    placed,
+    saved,
     hits=0,
     served=0,
     writes=0,
@@ -476,7 +423,6 @@ def _shard_telemetry(
         "shard_id": shard_id,
         "n_keys": 10,
         "read_only": read_only,
-        "model_epoch": 1,
         "maintenance": [],
         "placement": {
             "cache_hits": hits,
@@ -488,9 +434,10 @@ def _shard_telemetry(
             "student_served": served,
             "student_deferred": 0,
             "teacher_served": 1,
+            "placed": placed,
+            "chosen_distance": 10 * placed,
+            "fifo_distance": 10 * placed + saved,
         },
-        "prediction": {"count": count, "seconds": seconds},
-        "retrain": {"started": 1, "succeeded": 1, "failed": 0, "deferred": 0},
         "device": {
             "writes": writes,
             "reads": 0,
@@ -551,12 +498,7 @@ def _fleets(draw):
         t = {
             "shard_id": shard_id,
             "read_only": draw(st.booleans()),
-            "model_epoch": draw(st.integers(0, 9)),
             "maintenance": [],
-            "prediction": {
-                "count": draw(st.integers(0, 10**6)),
-                "seconds": draw(st.floats(0.0, 100.0)),
-            },
             "wear": {
                 "max_segment_writes": draw(st.integers(0, 10**4)),
                 "total_segment_writes": draw(st.integers(0, 10**6)),
@@ -588,30 +530,30 @@ def _is_counter(value):
 
 
 class TestTelemetryAggregation:
-    def test_latency_is_weighted_by_count_not_averaged(self):
-        # Shard 0: 3 predictions at 1 us.  Shard 1: 30000 at 100 us.  The
-        # naive average of means would say ~50 us; the fleet really runs
-        # at ~100 us.
+    def test_saving_is_weighted_by_placements(self):
+        # Shard 0: 3 placements saving 1 bit each.  Shard 1: 30000 saving
+        # 20 each.  The naive average of means would say ~10.5 bits; the
+        # fleet really saves ~20 per write.
         rollup = aggregate_telemetry(
             [
-                _shard_telemetry(0, count=3, seconds=3e-6),
-                _shard_telemetry(1, count=30_000, seconds=3.0),
+                _shard_telemetry(0, placed=3, saved=3),
+                _shard_telemetry(1, placed=30_000, saved=600_000),
             ]
         )
-        assert rollup["prediction"]["count"] == 30_003
-        assert rollup["mean_prediction_latency_us"] == pytest.approx(
-            3.000003 / 30_003 * 1e6
+        assert rollup["placement"]["placed"] == 30_003
+        assert rollup["placement_saving_per_write"] == pytest.approx(
+            600_003 / 30_003
         )
-        assert rollup["mean_prediction_latency_us"] > 99.0
+        assert rollup["placement_saving_per_write"] > 19.9
 
     def test_counters_sum_and_extrema(self):
         shards = [
             _shard_telemetry(
-                0, count=1, seconds=1e-6, hits=10, served=5,
+                0, placed=1, saved=0, hits=10, served=5,
                 writes=100, max_wear=7, total_wear=40,
             ),
             _shard_telemetry(
-                1, count=1, seconds=1e-6, hits=20, served=2,
+                1, placed=1, saved=0, hits=20, served=2,
                 writes=50, max_wear=12, total_wear=30, read_only=True,
             ),
         ]
@@ -622,17 +564,16 @@ class TestTelemetryAggregation:
         assert rollup["device"]["write_energy_pj"] == pytest.approx(300.0)
         assert rollup["wear"]["max_segment_writes"] == 12  # max, not sum
         assert rollup["wear"]["total_segment_writes"] == 70
-        assert rollup["retrain"]["started"] == 2
         # Shard state is not summed: it stays per shard.
         assert rollup["shards"] == shards
         assert [t["read_only"] for t in rollup["shards"]] == [False, True]
-        assert not {"n_keys", "read_only", "model_epoch"} & set(rollup)
+        assert not {"n_keys", "read_only"} & set(rollup)
 
-    def test_zero_predictions_do_not_divide_by_zero(self):
+    def test_no_placements_save_zero(self):
         rollup = aggregate_telemetry(
-            [_shard_telemetry(0, count=0, seconds=0.0)]
+            [_shard_telemetry(0, placed=0, saved=0)]
         )
-        assert rollup["mean_prediction_latency_us"] == 0.0
+        assert rollup["placement_saving_per_write"] == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(_fleets())
@@ -643,7 +584,7 @@ class TestTelemetryAggregation:
             if isinstance(value, dict)
         }
         assert set(rollup) == sections | {
-            "mean_prediction_latency_us", "shards"
+            "placement_saving_per_write", "shards"
         }
         assert rollup["shards"] == shards
         # Scalars and flags appear only per shard, never in a section.
@@ -665,11 +606,6 @@ class TestTelemetryAggregation:
                         except KeyError:
                             pass  # this shard lacks the section
                 assert _at(rollup, path) == pytest.approx(expected)
-        count = sum(t["prediction"]["count"] for t in shards)
-        seconds = sum(t["prediction"]["seconds"] for t in shards)
-        assert rollup["mean_prediction_latency_us"] == pytest.approx(
-            seconds / count * 1e6 if count else 0.0
-        )
 
     def test_live_two_shard_rollup_matches_per_shard_sums(self, tmp_path):
         store = ShardedKVStore.create(
@@ -682,12 +618,12 @@ class TestTelemetryAggregation:
         store.put_many(_trace(24))
         rollup = store.telemetry()
         per_shard = rollup["shards"]
-        assert rollup["prediction"]["count"] == sum(
-            t["prediction"]["count"] for t in per_shard
-        )
-        assert rollup["placement"]["cache_misses"] == sum(
-            t["placement"]["cache_misses"] for t in per_shard
-        )
+        for key in ("placed", "chosen_distance", "fifo_distance"):
+            assert rollup["placement"][key] == sum(
+                t["placement"][key] for t in per_shard
+            )
+        assert rollup["placement"]["placed"] == 24
+        assert rollup["placement_saving_per_write"] > 0
         assert sum(t["n_keys"] for t in per_shard) == 24
         store.close()
 

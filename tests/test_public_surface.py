@@ -84,6 +84,14 @@ ALLOWED = {
         "the paper's energy-per-write metric, printed by the examples"
     ),
     "DriftConfig.wear_scale": _REFERENCE_TWIN,
+    "E2NVM.train.addresses": (
+        "the paper's incremental indexing (section 4.1.4) on its engine; "
+        "no store trains since stores place by sketch"
+    ),
+    "E2NVM.train_async": (
+        "the paper's lazy background retrain (section 5.3) on its engine; "
+        "no shard retrains since stores place by sketch"
+    ),
     "NVMDevice.__init__.energy_model": _REFERENCE_TWIN,
 }
 

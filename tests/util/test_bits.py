@@ -13,6 +13,7 @@ from repro.util.bits import (
     hamming_distance,
     popcount_array,
     popcount_rows,
+    popcount_words,
 )
 
 
@@ -53,6 +54,17 @@ class TestPopcountPaths:
             m.setattr(bits_module, "HAVE_BITWISE_COUNT", False)
             slow = popcount_rows(matrix)
         expected = [popcount_array(row) for row in matrix]
+        assert fast.tolist() == slow.tolist() == expected
+
+    def test_words_paths_agree_on_random_words(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        words = rng.integers(0, 2**63, size=(5, 9), dtype=np.int64)
+        words = words.view(np.uint64) ^ np.uint64(1 << 63)
+        fast = popcount_words(words)
+        with monkeypatch.context() as m:
+            m.setattr(bits_module, "HAVE_BITWISE_COUNT", False)
+            slow = popcount_words(words)
+        expected = [[bin(w).count("1") for w in row] for row in words.tolist()]
         assert fast.tolist() == slow.tolist() == expected
 
     def test_popcount_rows_single_row(self):
